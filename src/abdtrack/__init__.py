@@ -31,21 +31,11 @@ from .domain import (
     TrackState,
     Visibility,
     apply_event,
-    holds_at,
     possible,
 )
-from .geometry import (
-    BBox2D,
-    IntervalRelation,
-    RectRelation,
-    in_front_region,
-    iou,
-    overlapping_top,
-    proper_part,
-    rect_relation,
-)
+from .geometry import BBox2D, in_front_region, iou, overlapping_top, proper_part
 from .metrics import EvalReport, evaluate
-from .motion import MotionFilter, init_filter
+from .motion import MotionFilter
 from .synth import ScenarioConfig, generate
 from .tracker import AbductionEngine, EngineConfig, Explanation
 

@@ -348,6 +348,32 @@ def _action_rank(a: Action) -> tuple[int, int]:
     return (2, 0)  # ignore_trk
 
 
+def _explained(actions: list[Action], spec: ProblemSpec) -> list[Action]:
+    """The actions with at least one explaining event, each carrying its
+    abduced (first-preference) event; assigns need no explanation."""
+    out = []
+    for a in actions:
+        events = link_events(a, spec)
+        if events or a.kind == ActionKind.ASSIGN:
+            out.append(replace(a, event=events[0] if events else None))
+    return out
+
+
+def _explained_options(
+    spec: ProblemSpec,
+) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
+    """Explainable actions per track, in tie-break preference order, and
+    per detection its detection-only ones (start before ignore_det)."""
+    per_track, per_det = candidate_actions(spec)
+    track_cands = {
+        t: sorted(_explained(acts, spec), key=_action_rank) for t, acts in per_track.items()
+    }
+    det_opts = {
+        d: _explained([a for a in acts if a.trk is None], spec) for d, acts in per_det.items()
+    }
+    return track_cands, det_opts
+
+
 # ----------------------------------------------------------------------
 # Exact solver: lexicographic weights + bipartite matching
 # ----------------------------------------------------------------------
@@ -359,8 +385,7 @@ class _Instance:
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        per_track, per_det = candidate_actions(spec)
-        n_t, n_d = len(per_track), len(spec.detections)
+        n_t, n_d = len(spec.predictions), len(spec.detections)
         # Fold levels into one integer: value = l10*C1 - l3*C2 - l2, with
         # constants large enough that no lower level can overturn a
         # higher one.
@@ -374,28 +399,17 @@ class _Instance:
                 f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
             )
 
-        self.track_ids = sorted(per_track)
+        self.track_cands, det_opts = _explained_options(spec)
+        self.track_ids = sorted(self.track_cands)
         self.det_ids = [d.id for d in spec.detections]
 
-        # Per track: ordered candidate list (with linked events resolved)
-        # and the edge map; candidates whose event set is empty are
-        # dropped here.
-        self.track_cands: dict[int, list[Action]] = {}
         self.edge_value: dict[tuple[int, int], int] = {}
         self.fallback: dict[int, Action] = {}
         self.fallback_value: dict[int, int] = {}
         for tid in self.track_ids:
-            cands: list[Action] = []
-            for a in per_track[tid]:
-                events = link_events(a, spec)
-                if a.kind != ActionKind.ASSIGN and not events:
-                    continue
-                a = replace(a, event=events[0] if events else None)
-                cands.append(a)
+            cands = self.track_cands[tid]
             if not cands:
                 raise EngineBugError(f"track {tid} has no explainable action")
-            cands.sort(key=_action_rank)
-            self.track_cands[tid] = cands
             for a in cands:
                 if a.det is not None:
                     self.edge_value[(tid, a.det)] = self._value(a)
@@ -408,19 +422,12 @@ class _Instance:
         self.det_fallback: dict[int, Action] = {}
         self.det_fallback_value: dict[int, int] = {}
         for did in self.det_ids:
-            acts = [
-                a
-                for a in per_det[did]
-                if a.kind in (ActionKind.START, ActionKind.IGNORE_DET)
-                and link_events(a, spec)
-            ]
+            acts = det_opts[did]
             if not acts:
                 raise EngineBugError(f"detection {did} has no fallback action")
             # start (level-2 cost) strictly beats ignore_det (level-3 cost)
-            a = acts[0]
-            a = replace(a, event=link_events(a, spec)[0])
-            self.det_fallback[did] = a
-            self.det_fallback_value[did] = self._value(a)
+            self.det_fallback[did] = acts[0]
+            self.det_fallback_value[did] = self._value(acts[0])
 
     def _value(self, a: Action) -> int:
         g, c3, c2 = _action_levels(self.spec, a)
@@ -474,22 +481,23 @@ class _Instance:
         raise EngineBugError(f"missing edge action ({t}, {d})")
 
 
-def _finalize(spec: ProblemSpec, chosen: dict[int, Action], inst: _Instance) -> SolveResult:
-    actions: list[Action] = [chosen[t] for t in inst.track_ids]
-    used_dets = {a.det for a in actions if a.det is not None}
-    for did in inst.det_ids:
-        if did not in used_dets:
-            actions.append(inst.det_fallback[did])
-    track_part = sorted(
-        (a for a in actions if a.trk is not None), key=lambda a: a.trk
-    )
+def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
+    """A cover as a result: track actions by track id, then
+    detection-only actions by detection id."""
+    track_part = sorted((a for a in actions if a.trk is not None), key=lambda a: a.trk)
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
     ordered = tuple(track_part + det_part)
     events = tuple(a.event for a in ordered if a.event is not None)
-    _assert_disjoint_effects(events)
-    return SolveResult(
-        actions=ordered, events=events, objective=_objective(spec, list(ordered))
-    )
+    return SolveResult(actions=ordered, events=events, objective=_objective(spec, list(ordered)))
+
+
+def _finalize(spec: ProblemSpec, chosen: dict[int, Action], inst: _Instance) -> SolveResult:
+    actions: list[Action] = [chosen[t] for t in inst.track_ids]
+    used_dets = {a.det for a in actions if a.det is not None}
+    actions += [inst.det_fallback[d] for d in inst.det_ids if d not in used_dets]
+    result = _result(spec, actions)
+    _assert_disjoint_effects(result.events)
+    return result
 
 
 def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
@@ -564,32 +572,9 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     if len(spec.predictions) > ORACLE_LIMIT or len(spec.detections) > ORACLE_LIMIT:
         raise ValueError("oracle limited to instances of at most 5x5")
 
-    per_track, per_det = candidate_actions(spec)
-    track_ids = sorted(per_track)
+    cands, det_opts = _explained_options(spec)
+    track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
-
-    # Pre-resolve events; drop unexplainable candidates.
-    cands: dict[int, list[Action]] = {}
-    for t in track_ids:
-        lst = []
-        for a in per_track[t]:
-            ev = link_events(a, spec)
-            if a.kind != ActionKind.ASSIGN and not ev:
-                continue
-            lst.append(replace(a, event=ev[0] if ev else None))
-        lst.sort(key=_action_rank)
-        cands[t] = lst
-    det_opts: dict[int, list[Action]] = {}
-    for d in det_ids:
-        lst = []
-        for a in per_det[d]:
-            if a.kind not in (ActionKind.START, ActionKind.IGNORE_DET):
-                continue
-            ev = link_events(a, spec)
-            if not ev:
-                continue
-            lst.append(replace(a, event=ev[0]))
-        det_opts[d] = lst
 
     best_key = None
     best_actions: Optional[list[Action]] = None
@@ -631,11 +616,7 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
 
     recurse(0, set(), [])
     assert best_actions is not None
-    track_part = sorted((a for a in best_actions if a.trk is not None), key=lambda a: a.trk)
-    det_part = sorted((a for a in best_actions if a.trk is None), key=lambda a: a.det)
-    ordered = tuple(track_part + det_part)
-    events = tuple(a.event for a in ordered if a.event is not None)
-    return SolveResult(actions=ordered, events=events, objective=_objective(spec, list(ordered)))
+    return _result(spec, best_actions)
 
 
 # ----------------------------------------------------------------------
@@ -662,17 +643,8 @@ def emit_facts(spec: ProblemSpec) -> str:
     blocks: list[list[str]] = [[f"#const curr_time={spec.frame}."]]
 
     if spec.detections:
-        blocks.append(
-            [f"det(det_{d.id}, {d.cls}, {d.conf})." for d in spec.detections]
-        )
-        blocks.append(
-            [
-                "box2d(det_{}, {}, {}, {}, {}).".format(
-                    d.id, _px(d.box.x), _px(d.box.y), _px(d.box.w), _px(d.box.h)
-                )
-                for d in spec.detections
-            ]
-        )
+        blocks.append([f"det(det_{d.id}, {d.cls}, {d.conf})." for d in spec.detections])
+        blocks.append([_box2d(f"det_{d.id}", d.box) for d in spec.detections])
 
     tids = sorted(spec.predictions)
     if tids:
@@ -682,18 +654,7 @@ def emit_facts(spec: ProblemSpec) -> str:
             trk_lines.append(f"trk(trk_{t}, {p.cls}).")
             trk_lines.append(f"trk_state(trk_{t}, {p.state.value}).")
         blocks.append(trk_lines)
-        blocks.append(
-            [
-                "box2d(trk_{}, {}, {}, {}, {}).".format(
-                    t,
-                    _px(spec.predictions[t].box.x),
-                    _px(spec.predictions[t].box.y),
-                    _px(spec.predictions[t].box.w),
-                    _px(spec.predictions[t].box.h),
-                )
-                for t in tids
-            ]
-        )
+        blocks.append([_box2d(f"trk_{t}", spec.predictions[t].box) for t in tids])
 
     iou_lines = [
         f"iou(trk_{t},det_{d},{ml})."
@@ -706,5 +667,6 @@ def emit_facts(spec: ProblemSpec) -> str:
     return "\n\n".join("\n".join(b) for b in blocks if b) + "\n"
 
 
-def _px(v: float) -> int:
-    return int(round(v))
+def _box2d(name: str, b: BBox2D) -> str:
+    x, y, w, h = (int(round(v)) for v in (b.x, b.y, b.w, b.h))
+    return f"box2d({name}, {x}, {y}, {w}, {h})."

@@ -35,20 +35,31 @@ from .metrics import evaluate, format_report
 from .synth import ScenarioConfig, generate
 from .tracker import AbductionEngine, EngineConfig
 
-_THRESHOLD_KEYS = {
-    "iou_thresh": float,
-    "conf_thresh_assign": int,
-    "conf_thresh_resume": int,
-    "conf_thresh_new_track": int,
-    "size_threshold": float,
-    "max_halted_age": int,
-    "anticipation_threshold": int,
-    "anticipation_horizon": int,
-    "fov_margin": float,
-}
+# (flag, Thresholds field, type): one row per threshold; each field is
+# also a config-file key.  fov_margin is settable from the file only.
+_THRESHOLDS = [
+    ("--iou-thresh", "iou_thresh", float),
+    ("--conf-assign", "conf_thresh_assign", int),
+    ("--conf-resume", "conf_thresh_resume", int),
+    ("--conf-new", "conf_thresh_new_track", int),
+    ("--size-thresh", "size_threshold", float),
+    ("--max-halted-age", "max_halted_age", int),
+    ("--anticipation-threshold", "anticipation_threshold", int),
+    ("--horizon", "anticipation_horizon", int),
+    (None, "fov_margin", float),
+]
+
+
+def _parse_geom(text: str) -> tuple[float, float]:
+    w, h = text.lower().split("x")
+    return float(w), float(h)
+
+
+_CONFIG_KEYS = {field: kind for _, field, kind in _THRESHOLDS} | {"frame_geom": _parse_geom}
 
 
 def _load_config_file(path: str) -> dict:
+    """Typed values of a ``key = value`` config file."""
     out: dict = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -57,38 +68,13 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _THRESHOLD_KEYS and key != "frame_geom":
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
-
-
-def _build_thresholds(args: argparse.Namespace) -> Thresholds:
-    values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            if key in _THRESHOLD_KEYS:
-                values[key] = _THRESHOLD_KEYS[key](raw)
-    flag_map = {
-        "iou_thresh": "iou_thresh",
-        "conf_assign": "conf_thresh_assign",
-        "conf_resume": "conf_thresh_resume",
-        "conf_new": "conf_thresh_new_track",
-        "size_thresh": "size_threshold",
-        "max_halted_age": "max_halted_age",
-        "anticipation_threshold": "anticipation_threshold",
-        "horizon": "anticipation_horizon",
-    }
-    for flag, key in flag_map.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            values[key] = v
-    return Thresholds(**values)
-
-
-def _parse_geom(text: str) -> tuple[float, float]:
-    w, h = text.lower().split("x")
-    return float(w), float(h)
 
 
 def _read_stream(args: argparse.Namespace):
@@ -104,23 +90,23 @@ def _read_stream(args: argparse.Namespace):
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    geom = None
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config).get("frame_geom")
-        if raw:
-            geom = _parse_geom(raw)
-    if getattr(args, "frame_geom", None):
+    """Defaults, then the config file, then explicit flags."""
+    values = _load_config_file(args.config) if args.config else {}
+    geom = values.pop("frame_geom", (1242.0, 375.0))
+    if args.frame_geom:
         geom = _parse_geom(args.frame_geom)
-    if geom is None:
-        geom = (1242.0, 375.0)
-    return EngineConfig(thresholds=_build_thresholds(args), frame_geom=geom)
+    for _, field, _ in _THRESHOLDS:
+        if (value := getattr(args, field, None)) is not None:
+            values[field] = value
+    return EngineConfig(thresholds=Thresholds(**values), frame_geom=geom)
 
 
-def _run_engine(args: argparse.Namespace, collect_anticipations: bool = False):
+def _run_engine(
+    args: argparse.Namespace, facts_dir: str | None = None, collect_anticipations: bool = False
+):
     stream = _read_stream(args)
     config = _engine_config(args)
     engine = AbductionEngine(config)
-    facts_dir = getattr(args, "emit_facts", None)
     if facts_dir:
         Path(facts_dir).mkdir(parents=True, exist_ok=True)
     anticipation_blocks: list[list[str]] = []
@@ -158,7 +144,7 @@ def _print_latency(engine: AbductionEngine) -> None:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    engine, exp, _ = _run_engine(args)
+    engine, exp, _ = _run_engine(args, facts_dir=args.emit_facts)
     if args.out_tracks:
         Path(args.out_tracks).write_text(write_tracks(exp))
     if args.out_events:
@@ -196,48 +182,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_SCENARIO_KEYS = {
-    "n_frames": int,
-    "overlap_fraction": float,
-    "drop_prob": float,
-    "jitter_sigma": float,
-    "spurious_rate": float,
-    "seed": int,
-}
-
-
-def _scenario_overrides(path: str) -> dict:
-    out: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
-        out[key] = _SCENARIO_KEYS[key](value)
-    return out
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     track_counts = [int(v) for v in args.tracks.split(",")]
-    overrides = _scenario_overrides(args.scenario) if args.scenario else {}
+    config = _engine_config(args)
     print(f"{'tracks':>8} {'ms/frame':>10} {'fps':>8}")
     csv_rows = ["n_tracks,frame,total_ms"]
     for n in track_counts:
-        params = {
-            "n_frames": args.frames,
-            "overlap_fraction": args.overlap,
-            "drop_prob": 0.05,
-            "jitter_sigma": 1.0,
-            "seed": args.seed,
-        }
-        params.update(overrides)
-        cfg = ScenarioConfig(n_tracks=n, **params)
+        cfg = ScenarioConfig(
+            n_tracks=n, n_frames=args.frames, overlap_fraction=args.overlap,
+            drop_prob=0.05, jitter_sigma=1.0, seed=args.seed,
+        )
         frames, _ = generate(cfg)
-        engine = AbductionEngine(_engine_config(args))
+        engine = AbductionEngine(config)
         for frame, dets in frames:
             engine.step(frame, dets)
         times = [s.total_ms for s in engine.latencies]
@@ -264,28 +220,16 @@ def cmd_anticipate(args: argparse.Namespace) -> int:
 
 
 def cmd_emit_facts(args: argparse.Namespace) -> int:
-    stream = _read_stream(args)
-    config = _engine_config(args)
-    engine = AbductionEngine(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for frame, dets in stream.frames:
-        engine.step(frame, dets)
-        (out_dir / f"frame_{frame:06d}.lp").write_text(emit_facts(engine.last_spec))
-    print(f"wrote {len(stream.frames)} fact files to {out_dir}")
+    engine, _, _ = _run_engine(args, facts_dir=args.out)
+    print(f"wrote {len(engine.latencies)} fact files to {Path(args.out)}")
     return 0
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags win")
-    p.add_argument("--iou-thresh", dest="iou_thresh", type=float)
-    p.add_argument("--conf-assign", dest="conf_assign", type=int)
-    p.add_argument("--conf-resume", dest="conf_resume", type=int)
-    p.add_argument("--conf-new", dest="conf_new", type=int)
-    p.add_argument("--size-thresh", dest="size_thresh", type=float)
-    p.add_argument("--max-halted-age", dest="max_halted_age", type=int)
-    p.add_argument("--anticipation-threshold", dest="anticipation_threshold", type=int)
-    p.add_argument("--horizon", dest="horizon", type=int)
+    for flag, field, kind in _THRESHOLDS:
+        if flag:
+            p.add_argument(flag, dest=field, type=kind)
     p.add_argument("--frame-geom", dest="frame_geom", help="WxH in pixels")
 
 
@@ -326,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=60)
     p.add_argument("--overlap", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenario", help="scenario config file (key = value) overriding bench defaults")
     p.add_argument("--latency-csv", help="per-frame latency CSV path")
     _add_threshold_flags(p)
     p.set_defaults(func=cmd_bench)

@@ -1,9 +1,9 @@
 """Scene ontology: detections, tracks, events, and the fluent store.
 
 Fluents (per track unless noted): visibility in {fully_visible,
-partially_visible, not_visible}, hidden_by (per ordered track pair,
-boolean), clipped (boolean), in_fov (boolean).  Values persist by inertia
-until an event changes them.  At track birth: fully_visible, not hidden by
+not_visible}, hidden_by (per ordered track pair, boolean), clipped
+(boolean), in_fov (boolean).  Values persist by inertia until an event
+changes them.  At track birth: fully_visible, not hidden by
 anything, not clipped, in the field of view.
 """
 
@@ -28,7 +28,6 @@ __all__ = [
     "FluentStore",
     "PossibleContext",
     "EngineBugError",
-    "holds_at",
     "apply_event",
     "possible",
 ]
@@ -84,9 +83,6 @@ class Track:
     born_frame: int
     halted_since: Optional[int] = None
 
-    def last_observed(self) -> HistoryEntry:
-        return self.history[-1]
-
     def halted_age(self, frame: int) -> int:
         if self.halted_since is None:
             return 0
@@ -95,7 +91,6 @@ class Track:
 
 class Visibility(str, Enum):
     FULLY_VISIBLE = "fully_visible"
-    PARTIALLY_VISIBLE = "partially_visible"  # declared, never assigned
     NOT_VISIBLE = "not_visible"
 
 
@@ -202,19 +197,6 @@ class FluentStore:
     def occluder_of(self, tid: int) -> list[int]:
         """Tracks t2 with hidden_by(tid, t2) = true, ascending."""
         return sorted(t2 for (t1, t2) in self._hidden_pairs if t1 == tid)
-
-
-def holds_at(store: FluentStore, fluent: str, *args: int):
-    """Generic fluent query: holds_at(store, "visibility", tid) etc."""
-    if fluent == "visibility":
-        return store.visibility(*args)
-    if fluent == "clipped":
-        return store.clipped(*args)
-    if fluent == "in_fov":
-        return store.in_fov(*args)
-    if fluent == "hidden_by":
-        return store.hidden_by(*args)
-    raise EngineBugError(f"unknown fluent {fluent!r}")
 
 
 def apply_event(store: FluentStore, e: EventOccurrence) -> FluentStore:

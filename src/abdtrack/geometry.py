@@ -10,19 +10,14 @@ are legal); widths and heights must be strictly positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "BBox2D",
-    "IntervalRelation",
-    "RectRelation",
     "iou",
     "iou_matrix",
     "scaled_iou",
-    "interval_relation",
-    "rect_relation",
     "overlapping_top",
     "proper_part",
     "in_front_region",
@@ -66,89 +61,6 @@ class BBox2D:
 
     def translated(self, dx: float, dy: float) -> "BBox2D":
         return BBox2D(self.x + dx, self.y + dy, self.w, self.h)
-
-
-class IntervalRelation(Enum):
-    """The 13 Allen relations between two non-degenerate intervals."""
-
-    BEFORE = "before"
-    AFTER = "after"
-    MEETS = "meets"
-    MET_BY = "met_by"
-    OVERLAPS = "overlaps"
-    OVERLAPPED_BY = "overlapped_by"
-    STARTS = "starts"
-    STARTED_BY = "started_by"
-    DURING = "during"
-    CONTAINS = "contains"
-    FINISHES = "finishes"
-    FINISHED_BY = "finished_by"
-    EQUAL = "equal"
-
-
-_INVERSE = {
-    IntervalRelation.BEFORE: IntervalRelation.AFTER,
-    IntervalRelation.AFTER: IntervalRelation.BEFORE,
-    IntervalRelation.MEETS: IntervalRelation.MET_BY,
-    IntervalRelation.MET_BY: IntervalRelation.MEETS,
-    IntervalRelation.OVERLAPS: IntervalRelation.OVERLAPPED_BY,
-    IntervalRelation.OVERLAPPED_BY: IntervalRelation.OVERLAPS,
-    IntervalRelation.STARTS: IntervalRelation.STARTED_BY,
-    IntervalRelation.STARTED_BY: IntervalRelation.STARTS,
-    IntervalRelation.DURING: IntervalRelation.CONTAINS,
-    IntervalRelation.CONTAINS: IntervalRelation.DURING,
-    IntervalRelation.FINISHES: IntervalRelation.FINISHED_BY,
-    IntervalRelation.FINISHED_BY: IntervalRelation.FINISHES,
-    IntervalRelation.EQUAL: IntervalRelation.EQUAL,
-}
-
-
-def invert(rel: IntervalRelation) -> IntervalRelation:
-    """Relation of (b, a) given the relation of (a, b)."""
-    return _INVERSE[rel]
-
-
-@dataclass(frozen=True, slots=True)
-class RectRelation:
-    """Pair of Allen relations: x-axis projections and y-axis projections."""
-
-    horizontal: IntervalRelation
-    vertical: IntervalRelation
-
-
-def interval_relation(a1: float, a2: float, b1: float, b2: float) -> IntervalRelation:
-    """Allen relation of interval [a1, a2) relative to [b1, b2).
-
-    Exactly one of the 13 relations holds for any pair of non-degenerate
-    intervals (a1 < a2, b1 < b2).
-    """
-    if a2 < b1:
-        return IntervalRelation.BEFORE
-    if a2 == b1:
-        return IntervalRelation.MEETS
-    if b2 < a1:
-        return IntervalRelation.AFTER
-    if b2 == a1:
-        return IntervalRelation.MET_BY
-    if a1 == b1:
-        if a2 == b2:
-            return IntervalRelation.EQUAL
-        return IntervalRelation.STARTS if a2 < b2 else IntervalRelation.STARTED_BY
-    if a2 == b2:
-        return IntervalRelation.FINISHES if a1 > b1 else IntervalRelation.FINISHED_BY
-    if a1 > b1 and a2 < b2:
-        return IntervalRelation.DURING
-    if a1 < b1 and a2 > b2:
-        return IntervalRelation.CONTAINS
-    return IntervalRelation.OVERLAPS if a1 < b1 else IntervalRelation.OVERLAPPED_BY
-
-
-def rect_relation(a: BBox2D, b: BBox2D) -> RectRelation:
-    """Rectangle-algebra relation: Allen relation per projected axis."""
-    return RectRelation(
-        horizontal=interval_relation(a.x, a.x2, b.x, b.x2),
-        vertical=interval_relation(a.y, a.y2, b.y, b.y2),
-    )
 
 
 def iou(a: BBox2D, b: BBox2D) -> float:

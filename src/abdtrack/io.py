@@ -15,6 +15,7 @@ provenance and fluent data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .domain import Detection, EventOccurrence
@@ -40,23 +41,16 @@ class DetectionStream:
     """Ordered frames of detections; frame indices strictly increasing."""
 
     frames: list[tuple[int, list[Detection]]]
-    source_format: str = "mot"
-
-    @staticmethod
-    def from_frames(
-        pairs: list[tuple[int, list[Detection]]], source_format: str = "mot"
-    ) -> "DetectionStream":
-        seen: set[int] = set()
-        for f, _ in pairs:
-            if f in seen:
-                raise ValueError(f"duplicate frame index {f}")
-            seen.add(f)
-        return DetectionStream(sorted(pairs, key=lambda p: p[0]), source_format)
 
 
 def _conf_percent(raw: float) -> int:
     pct = round(100.0 * raw) if raw <= 1.0 else round(raw)
     return int(min(100, max(0, pct)))
+
+
+def _check_finite(lineno: int, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"line {lineno}: non-finite number in {values}")
 
 
 def parse_mot(text: str, default_cls: str = "object") -> DetectionStream:
@@ -74,15 +68,16 @@ def parse_mot(text: str, default_cls: str = "object") -> DetectionStream:
             frame = int(float(parts[0]))
             x, y, w, h = (float(v) for v in parts[2:6])
             conf = float(parts[6])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        _check_finite(lineno, x, y, w, h, conf)
         if w <= 0 or h <= 0:
             raise ValueError(f"line {lineno}: degenerate box w={w}, h={h}")
         dets = by_frame.setdefault(frame, [])
         dets.append(
             Detection(id=len(dets), cls=default_cls, conf=_conf_percent(conf), box=BBox2D(x, y, w, h))
         )
-    return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)], "mot")
+    return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
 def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStream:
@@ -102,12 +97,13 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
             cls = parts[2].lower()
             x1, y1, x2, y2 = (float(v) for v in parts[6:10])
             conf = float(parts[17]) if len(parts) > 17 else 100.0
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if cls == "dontcare":
             continue
         if class_filter is not None and cls not in class_filter:
             continue
+        _check_finite(lineno, x1, y1, x2, y2, conf)
         if x2 <= x1 or y2 <= y1:
             raise ValueError(f"line {lineno}: degenerate box corners")
         dets = by_frame.setdefault(frame, [])
@@ -119,7 +115,7 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
                 box=BBox2D(x1, y1, x2 - x1, y2 - y1),
             )
         )
-    return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)], "kitti")
+    return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
 def parse_mot_tracks(text: str) -> TrackBoxes:
@@ -136,8 +132,11 @@ def parse_mot_tracks(text: str) -> TrackBoxes:
             frame = int(float(parts[0]))
             tid = int(float(parts[1]))
             x, y, w, h = (float(v) for v in parts[2:6])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        _check_finite(lineno, x, y, w, h)
+        if w <= 0 or h <= 0:
+            raise ValueError(f"line {lineno}: degenerate box w={w}, h={h}")
         out.setdefault(tid, {})[frame] = BBox2D(x, y, w, h)
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .geometry import BBox2D
 
-__all__ = ["MotionFilter", "init_filter", "box_to_z", "z_to_box"]
+__all__ = ["MotionFilter", "box_to_z", "z_to_box"]
 
 # Transition: constant velocity on cx, cy, s; r constant.
 _F = np.array(
@@ -51,26 +51,19 @@ class MotionFilter:
         self.x = np.zeros(7)
         self.x[:4] = box_to_z(box)
         self.P = INITIAL_COVARIANCE.copy()
-        self.age = 0
-        self.frames_since_update = 0
-        self.stale = False
         self._last_box = box
 
     def predict(self) -> BBox2D:
         """Advance one frame; returns the predicted box.
 
-        A degenerate predicted area keeps the last valid box and flags the
-        track stale.
+        A degenerate predicted area keeps the last valid box.
         """
         # Avoid driving the area negative when area velocity is large.
         if self.x[2] + self.x[6] <= 0:
             self.x[6] = 0.0
         self.x = _F @ self.x
         self.P = _F @ self.P @ _F.T + PROCESS_NOISE
-        self.age += 1
-        self.frames_since_update += 1
         if self.x[2] <= 0 or self.x[3] <= 0:
-            self.stale = True
             return self._last_box
         self._last_box = z_to_box(self.x[:4])
         return self._last_box
@@ -85,8 +78,6 @@ class MotionFilter:
         self.P = (np.eye(7) - K @ _H) @ self.P
         # Keep the covariance numerically symmetric.
         self.P = (self.P + self.P.T) / 2.0
-        self.frames_since_update = 0
-        self.stale = False
         self._last_box = z_to_box(self.x[:4])
 
     def current_box(self) -> BBox2D:
@@ -95,8 +86,3 @@ class MotionFilter:
     def velocity(self) -> tuple[float, float]:
         """Estimated (MovX, MovY) in px/frame."""
         return float(self.x[4]), float(self.x[5])
-
-
-def init_filter(box: BBox2D) -> MotionFilter:
-    """New filter centered on the box with zero velocities."""
-    return MotionFilter(box)

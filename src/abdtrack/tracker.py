@@ -78,7 +78,6 @@ class AbductionEngine:
         self.latencies: list[_StepStats] = []
         self._next_id = 0
         self._last_frame: Optional[int] = None
-        self._predicted: dict[int, BBox2D] = {}
         self._finalized: Optional[Explanation] = None
         self.last_spec: Optional[ProblemSpec] = None
 
@@ -93,6 +92,10 @@ class AbductionEngine:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self._last_frame}"
             )
+        ids = [d.id for d in detections]
+        if len(set(ids)) != len(ids):
+            dup = sorted({i for i in ids if ids.count(i) > 1})
+            raise ValueError(f"frame {frame}: duplicate detection ids {dup}")
         self._last_frame = frame
 
         spec = self._build_spec(frame, detections)
@@ -108,15 +111,12 @@ class AbductionEngine:
         return result
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
-        self._predicted = {}
         predictions: dict[int, TrackPrediction] = {}
         for tid, trk in self.tracks.items():
             if trk.state == TrackState.ENDED:
                 continue
-            box = trk.filter.predict()
-            self._predicted[tid] = box
             predictions[tid] = TrackPrediction(
-                box=box,
+                box=trk.filter.predict(),
                 state=trk.state,
                 cls=trk.cls,
                 halted_age=trk.halted_age(frame),
@@ -241,7 +241,8 @@ class AbductionEngine:
     # -- introspection for anticipation ----------------------------------
 
     def predicted_box(self, tid: int) -> Optional[BBox2D]:
-        return self._predicted.get(tid)
+        pred = self.last_spec.predictions.get(tid) if self.last_spec else None
+        return pred.box if pred else None
 
     def current_frame(self) -> Optional[int]:
         return self._last_frame

@@ -98,6 +98,13 @@ class TestTrack:
         rc = main(["track", "--input", str(det_file), "--config", str(cfg)])
         assert rc == 1
 
+    def test_bad_config_value_reports_line(self, det_file, tmp_path, capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("fov_margin = 5\nmax_halted_age = soon\n")
+        rc = main(["track", "--input", str(det_file), "--config", str(cfg)])
+        assert rc == 1
+        assert "engine.cfg:2:" in capsys.readouterr().err
+
 
 class TestTrackMetricsToggle:
     def test_track_with_gt_prints_report(self, det_file, tmp_path, capsys):
@@ -162,6 +169,10 @@ class TestBench:
 
         args = build_parser().parse_args(["bench"])
         assert args.tracks == "5,10,20,50,100"
+
+    def test_scenario_option_removed(self):
+        with pytest.raises(SystemExit):
+            main(["bench", "--scenario", "scene.cfg"])
 
     def test_table_and_reproducibility(self, tmp_path, capsys):
         args = ["bench", "--tracks", "2,3", "--frames", "8", "--seed", "5",

@@ -9,7 +9,6 @@ from abdtrack.domain import (
     PossibleContext,
     Visibility,
     apply_event,
-    holds_at,
     possible,
     touched_fluents,
 )
@@ -29,7 +28,6 @@ class TestHoldsAt:
         assert s.visibility(1) == Visibility.FULLY_VISIBLE
         assert s.clipped(1) is False
         assert s.in_fov(1) is True
-        assert holds_at(s, "visibility", 1) == Visibility.FULLY_VISIBLE
 
     def test_hides_behind_makes_not_visible(self):
         s = store_with(1, 2)
@@ -48,7 +46,7 @@ class TestHoldsAt:
         with pytest.raises(EngineBugError):
             s.visibility(99)
         with pytest.raises(EngineBugError):
-            holds_at(s, "clipped", 99)
+            s.clipped(99)
 
 
 class TestApplyEvent:

@@ -3,15 +3,11 @@ import pytest
 
 from abdtrack.geometry import (
     BBox2D,
-    IntervalRelation,
     in_front_region,
-    interval_relation,
-    invert,
     iou,
     iou_matrix,
     overlapping_top,
     proper_part,
-    rect_relation,
 )
 from conftest import random_box
 
@@ -61,54 +57,6 @@ class TestIoU:
             for j, b in enumerate(boxes_b):
                 # same operations in the same order: bit-identical
                 assert m[i, j] == iou(a, b)
-
-
-class TestRectRelation:
-    def test_before_equal(self):
-        r = rect_relation(BBox2D(0, 0, 2, 2), BBox2D(5, 0, 2, 2))
-        assert r.horizontal == IntervalRelation.BEFORE
-        assert r.vertical == IntervalRelation.EQUAL
-
-    def test_contains(self):
-        r = rect_relation(BBox2D(0, 0, 4, 4), BBox2D(1, 1, 2, 2))
-        assert r.horizontal == IntervalRelation.CONTAINS
-        assert r.vertical == IntervalRelation.CONTAINS
-
-    def test_overlaps_equal(self):
-        r = rect_relation(BBox2D(0, 0, 4, 4), BBox2D(2, 0, 4, 4))
-        assert r.horizontal == IntervalRelation.OVERLAPS
-        assert r.vertical == IntervalRelation.EQUAL
-
-    # Interval pairs realizing each of the 13 relations of (a, b).
-    CASES = {
-        IntervalRelation.BEFORE: ((0, 2), (3, 5)),
-        IntervalRelation.AFTER: ((3, 5), (0, 2)),
-        IntervalRelation.MEETS: ((0, 2), (2, 5)),
-        IntervalRelation.MET_BY: ((2, 5), (0, 2)),
-        IntervalRelation.OVERLAPS: ((0, 3), (1, 5)),
-        IntervalRelation.OVERLAPPED_BY: ((1, 5), (0, 3)),
-        IntervalRelation.STARTS: ((0, 2), (0, 5)),
-        IntervalRelation.STARTED_BY: ((0, 5), (0, 2)),
-        IntervalRelation.DURING: ((1, 2), (0, 5)),
-        IntervalRelation.CONTAINS: ((0, 5), (1, 2)),
-        IntervalRelation.FINISHES: ((3, 5), (0, 5)),
-        IntervalRelation.FINISHED_BY: ((0, 5), (3, 5)),
-        IntervalRelation.EQUAL: ((0, 5), (0, 5)),
-    }
-
-    def test_all_13_relations_and_inverses(self):
-        for expected, ((a1, a2), (b1, b2)) in self.CASES.items():
-            assert interval_relation(a1, a2, b1, b2) == expected
-            assert interval_relation(b1, b2, a1, a2) == invert(expected)
-
-    def test_exactly_one_relation_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a, b = random_box(rng), random_box(rng)
-            fwd = rect_relation(a, b)
-            rev = rect_relation(b, a)
-            assert rev.horizontal == invert(fwd.horizontal)
-            assert rev.vertical == invert(fwd.vertical)
 
 
 class TestOverlappingTop:

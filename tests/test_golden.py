@@ -1,0 +1,139 @@
+"""Golden outputs: byte-for-byte locks on what the CLI writes for fixed
+synthetic streams.
+
+Each case is a stream made by ``abdtrack.synth`` from a fixed seed and
+written as a MOT detection file.  It runs through ``abdtrack track`` (tracks,
+events, JSON report and ``--emit-facts``), ``abdtrack anticipate`` and
+``abdtrack emit-facts``.  Event logs are committed in full
+(``golden/<case>.events``); tracks, report, anticipation output and fact
+dumps as sha256 digests (``golden/digests.json``), because the full files
+run to megabytes.  The input file's digest is locked too, so a change in
+the generator is told apart from a change in the engine.
+
+Regenerate only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from abdtrack.cli import main
+from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# frame_geom comes from the config file and conf_thresh_new_track from the
+# flag, which must win over the file's value.
+_CHURN_CONFIG = "frame_geom = 1242x375\nmax_halted_age = 25  # comment\nconf_thresh_new_track = 40\n"
+
+
+def _cases() -> dict[str, tuple[ScenarioConfig, list[str], str | None]]:
+    """Case name -> (scenario, extra CLI flags, config file text)."""
+    cases = {
+        "bench20": (
+            ScenarioConfig(
+                n_tracks=20, n_frames=30, overlap_fraction=0.3,
+                drop_prob=0.05, jitter_sigma=1.0, seed=0,
+            ),
+            ["--frame-geom", "1242x375"],
+            None,
+        ),
+        "churn": (
+            ScenarioConfig(n_tracks=10, n_frames=400, spurious_rate=0.5, seed=3),
+            ["--conf-new", "45"],
+            _CHURN_CONFIG,
+        ),
+    }
+    for k, cfg in enumerate(occlusion_corpus(5, seed=23)):
+        w, h = cfg.frame_geom
+        cases[f"occlusion{k}"] = (cfg, ["--frame-geom", f"{w:g}x{h:g}"], None)
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _mot_text(cfg: ScenarioConfig) -> str:
+    frames, _ = generate(cfg)
+    return "".join(
+        f"{f},-1," + ",".join(repr(float(v)) for v in (b.x, b.y, b.w, b.h, d.conf / 100)) + "\n"
+        for f, dets in frames
+        for d in dets
+        for b in (d.box,)
+    )
+
+
+def _facts(directory: Path) -> str:
+    return "".join(f"{p.name}\n{p.read_text()}" for p in sorted(directory.glob("*.lp")))
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
+    """(digests, event log, emit-facts dump) of one case, run in work."""
+    cfg, flags, config_text = CASES[name]
+    dets = work / "dets.txt"
+    dets.write_text(_mot_text(cfg))
+    flags = ["--input", str(dets), *flags]
+    if config_text is not None:
+        (work / "engine.cfg").write_text(config_text)
+        flags += ["--config", str(work / "engine.cfg")]
+    _cli(
+        ["track", *flags, "--out-tracks", str(work / "tracks.txt"),
+         "--out-events", str(work / "events.txt"), "--out-report", str(work / "report.json"),
+         "--emit-facts", str(work / "facts")]
+    )
+    anticipation = _cli(["anticipate", *flags])
+    _cli(["emit-facts", *flags, "--out", str(work / "facts_cmd")])
+    digests = {
+        "input": _sha(dets.read_text()),
+        "tracks": _sha((work / "tracks.txt").read_text()),
+        "report": _sha((work / "report.json").read_text()),
+        "anticipation": _sha(anticipation),
+        "facts": _sha(_facts(work / "facts")),
+    }
+    return digests, (work / "events.txt").read_text(), _facts(work / "facts_cmd")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path):
+    expected = json.loads((GOLDEN / "digests.json").read_text())[name]
+    digests, events, facts_cmd = run_case(name, tmp_path)
+    assert digests["input"] == expected["input"], "synthetic input changed, not the engine"
+    assert events == (GOLDEN / f"{name}.events").read_text()
+    assert digests == expected
+    # `emit-facts` and `track --emit-facts` dump the same facts.
+    assert _sha(facts_cmd) == expected["facts"]
+
+
+def _regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    digests = {}
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[name], events, _ = run_case(name, Path(tmp))
+        (GOLDEN / f"{name}.events").write_text(events)
+        print(name, digests[name])
+    (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _regenerate()

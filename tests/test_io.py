@@ -6,7 +6,6 @@ import pytest
 from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig
 from abdtrack.domain import EventKind, EventOccurrence
 from abdtrack.io import (
-    DetectionStream,
     explanation_to_boxes,
     format_event,
     parse_kitti,
@@ -51,9 +50,11 @@ class TestParseMot:
         stream = parse_mot("1,-1,0,0,10,10,85\n")
         assert stream.frames[0][1][0].conf == 85
 
-    def test_duplicate_frame_blocks_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DetectionStream.from_frames([(1, []), (1, [])])
+    @pytest.mark.parametrize("line", ["1,-1,nan,10,20,20,0.9", "1,-1,0,10,inf,20,0.9",
+                                      "1,-1,0,10,20,20,nan", "inf,-1,0,10,20,20,0.9"])
+    def test_non_finite_rejected_with_line_number(self, line):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_mot("1,-1,0,0,10,10,1\n" + line + "\n")
 
 
 class TestParseKitti:
@@ -87,6 +88,19 @@ class TestParseKitti:
     def test_malformed(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_kitti("0 -1 Car 0 0\n")
+
+    @pytest.mark.parametrize("corners", ["nan 120.0 150.0 160.0", "100.0 120.0 inf 160.0"])
+    def test_non_finite_rejected_with_line_number(self, corners):
+        line = f"0 -1 Car 0 0 -10.0 {corners} 1.5 1.6 3.2 1.0 1.0 1.0 0.1 0.95"
+        with pytest.raises(ValueError, match="line 2"):
+            parse_kitti(self.LINE + "\n" + line + "\n")
+
+
+class TestParseMotTracks:
+    @pytest.mark.parametrize("line", ["1,1,nan,10,20,20", "1,1,0,10,20,inf", "1,1,0,10,0,20"])
+    def test_bad_box_rejected_with_line_number(self, line):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_mot_tracks("1,1,0,0,10,10\n" + line + "\n")
 
 
 class TestWriteEvents:

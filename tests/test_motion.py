@@ -8,7 +8,6 @@ from abdtrack.motion import (
     PROCESS_NOISE,
     MotionFilter,
     box_to_z,
-    init_filter,
 )
 from conftest import random_box
 
@@ -56,16 +55,16 @@ def run_filter(boxes):
 
 class TestInit:
     def test_center_area_aspect(self):
-        f = init_filter(BBox2D(0, 0, 10, 10))
+        f = MotionFilter(BBox2D(0, 0, 10, 10))
         assert list(f.x[:4]) == [5.0, 5.0, 100.0, 1.0]
         assert list(f.x[4:]) == [0.0, 0.0, 0.0]
 
     def test_second_example(self):
-        f = init_filter(BBox2D(10, 20, 20, 10))
+        f = MotionFilter(BBox2D(10, 20, 20, 10))
         assert list(f.x[:4]) == [20.0, 25.0, 200.0, 2.0]
 
     def test_predict_after_init_returns_same_box(self):
-        f = init_filter(BBox2D(7, 3, 12, 9))
+        f = MotionFilter(BBox2D(7, 3, 12, 9))
         b = f.predict()
         assert (b.x, b.y, b.w, b.h) == pytest.approx((7, 3, 12, 9), abs=1e-9)
 
@@ -94,23 +93,16 @@ class TestPredict:
             assert f.x[0] == pytest.approx(c0[0] + k * vx, rel=1e-12)
             assert f.x[1] == pytest.approx(c0[1] + k * vy, rel=1e-12)
 
-    def test_frames_since_update_counter(self):
-        f = init_filter(BBox2D(0, 0, 10, 10))
-        f.predict()
-        f.predict()
-        assert f.frames_since_update == 2
-        f.update(BBox2D(0, 0, 10, 10))
-        assert f.frames_since_update == 0
-
     def test_degenerate_area_flags_stale(self):
-        f = init_filter(BBox2D(0, 0, 4, 4))
+        f = MotionFilter(BBox2D(0, 0, 4, 4))
         f.x[6] = -100.0  # force the area toward collapse
         f.x[2] = 1.0
-        last = f.current_box()
         box = f.predict()
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
-        assert not f.stale or box == last
+        # a degenerate state keeps the last valid box
+        f.x[3] = -1.0
+        assert f.predict() == box
 
 
 class TestUpdate:
@@ -145,7 +137,7 @@ class TestUpdate:
 
 class TestVelocity:
     def test_fresh_filter_zero(self):
-        assert init_filter(BBox2D(0, 0, 10, 10)).velocity() == (0.0, 0.0)
+        assert MotionFilter(BBox2D(0, 0, 10, 10)).velocity() == (0.0, 0.0)
 
     def test_converges_to_ten(self):
         f, _ = run_filter([BBox2D(10 * k, 0, 10, 10) for k in range(6)])

@@ -57,6 +57,14 @@ class TestBasicLoop:
         with pytest.raises(ValueError):
             eng.step(3, [])
 
+    def test_duplicate_detection_ids_rejected(self):
+        eng = engine()
+        box = BBox2D(50, 50, 20, 20)
+        with pytest.raises(ValueError, match="duplicate detection ids"):
+            eng.step(0, [det(0, box), det(0, box.translated(100, 0))])
+        eng.step(0, [det(0, box), det(1, box.translated(100, 0))])  # frame not consumed
+        assert len(eng.finalize().tracks) == 2
+
     def test_finalize_idempotent(self):
         eng = engine()
         for f in range(3):
