@@ -19,12 +19,16 @@ detection id, then the fixed event-preference order of
 :class:`~abdtrack.domain.EventKind`.
 
 The solver reduces the cover problem to a maximum-weight bipartite
-assignment (the per-action costs are independent once event preconditions
-are evaluated against the pre-solve fluent state), folds the three
-objective levels into one exact integer weight, and extracts the
-tie-break-canonical optimum by fixing per-track actions in preference
-order against re-solves.  ``solve_oracle`` exhaustively enumerates every
-legal cover on small instances and must agree with ``solve``.
+matching (the per-action costs are independent once event preconditions
+are evaluated against the pre-solve fluent state).  It folds the three
+objective levels into one exact integer value per action and builds one
+track x detection gain matrix per frame: each cell is an edge's value
+minus the fallback values of its track and its detection.  One
+rectangular assignment gives the optimum; the tie-break-canonical cover
+is then extracted by fixing tracks in id order, re-solving the remaining
+rows and free columns only for a better-ranked edge on a free detection.
+``solve_oracle`` exhaustively enumerates every legal cover on small
+instances and must agree with ``solve``.
 """
 
 from __future__ import annotations
@@ -380,8 +384,16 @@ def _explained_options(
 
 
 class _Instance:
-    """Preprocessed solve instance: per-track candidates with scalarized
-    integer values, plus per-detection fallbacks."""
+    """Preprocessed solve instance: per-track candidates, the fallback
+    action of every track and detection, and one track x detection gain
+    matrix.
+
+    A cover's folded value is the sum of all fallback values plus the
+    gains of its edges, so the optimum is a maximum-gain matching.  A
+    cell holds an edge's value minus the two fallback values it
+    replaces; it is 0 where there is no edge.  Edges with negative gain
+    are in no optimum and are left out.
+    """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -392,93 +404,48 @@ class _Instance:
         max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
         self.C2 = max_l2 + 1
         self.C1 = self.C2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
-        # The matching runs on float64; keep every possible total exactly
-        # representable (folded weights are integers below 2**53).
-        if (IOU_SCALE + 1) * self.C1 * max(min(n_t, n_d), 1) >= 2**53:
+        # The matching runs on float64; keep every sum of gains exactly
+        # representable.  A gain exceeds its edge's value by at most the
+        # two fallbacks it replaces, so each is below (IOU_SCALE+2)*C1.
+        if (IOU_SCALE + 2) * self.C1 * min(n_t, n_d) >= 2**53:
             raise ValueError(
                 f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
             )
 
         self.track_cands, det_opts = _explained_options(spec)
         self.track_ids = sorted(self.track_cands)
-        self.det_ids = [d.id for d in spec.detections]
-
-        self.edge_value: dict[tuple[int, int], int] = {}
-        self.fallback: dict[int, Action] = {}
-        self.fallback_value: dict[int, int] = {}
-        for tid in self.track_ids:
-            cands = self.track_cands[tid]
-            if not cands:
-                raise EngineBugError(f"track {tid} has no explainable action")
-            for a in cands:
+        self.col = {d.id: j for j, d in enumerate(spec.detections)}
+        # start (level-2 cost) strictly beats ignore_det (level-3 cost)
+        self.det_fallback = [det_opts[d.id][0] for d in spec.detections]
+        det_value = [self._value(a) for a in self.det_fallback]
+        self.gain = np.zeros((n_t, n_d))
+        for i, t in enumerate(self.track_ids):
+            # end dominates ignore_trk; halt alone
+            fallback = next((a for a in self.track_cands[t] if a.det is None), None)
+            if fallback is None:
+                raise EngineBugError(f"track {t} has no explainable fallback action")
+            track_value = self._value(fallback)
+            for a in self.track_cands[t]:
                 if a.det is not None:
-                    self.edge_value[(tid, a.det)] = self._value(a)
-            fb = [a for a in cands if a.det is None]
-            if not fb:
-                raise EngineBugError(f"track {tid} has no fallback action")
-            self.fallback[tid] = fb[0]  # end dominates ignore_trk; halt alone
-            self.fallback_value[tid] = self._value(fb[0])
-
-        self.det_fallback: dict[int, Action] = {}
-        self.det_fallback_value: dict[int, int] = {}
-        for did in self.det_ids:
-            acts = det_opts[did]
-            if not acts:
-                raise EngineBugError(f"detection {did} has no fallback action")
-            # start (level-2 cost) strictly beats ignore_det (level-3 cost)
-            self.det_fallback[did] = acts[0]
-            self.det_fallback_value[did] = self._value(acts[0])
+                    j = self.col[a.det]
+                    g = self._value(a) - track_value - det_value[j]
+                    if g > 0:
+                        self.gain[i, j] = g
 
     def _value(self, a: Action) -> int:
         g, c3, c2 = _action_levels(self.spec, a)
         return g * self.C1 - c3 * self.C2 - c2
 
-    # -- matching ------------------------------------------------------
-
-    def best_value(self, tracks: list[int], dets: list[int]) -> tuple[int, dict[int, Action]]:
-        """Optimal scalar value over a sub-instance, plus one optimal
-        action map (tracks -> Action) realizing it."""
-        n_t, n_d = len(tracks), len(dets)
-        if n_t == 0:
-            return sum(self.det_fallback_value[d] for d in dets), {}
-        if n_d == 0:
-            return (
-                sum(self.fallback_value[t] for t in tracks),
-                {t: self.fallback[t] for t in tracks},
-            )
-        size = n_t + n_d
-        cost = np.full((size, size), np.inf)
-        for i, t in enumerate(tracks):
-            for j, d in enumerate(dets):
-                v = self.edge_value.get((t, d))
-                if v is not None:
-                    cost[i, j] = -float(v)
-            cost[i, n_d + i] = -float(self.fallback_value[t])
-        for j, d in enumerate(dets):
-            cost[n_t + j, j] = -float(self.det_fallback_value[d])
-            cost[n_t + j, n_d:] = 0.0
-        _, cols = linear_sum_assignment(cost)
-        total = 0
-        chosen: dict[int, Action] = {}
-        for i, t in enumerate(tracks):
-            j = int(cols[i])
-            if j < n_d:
-                d = dets[j]
-                total += self.edge_value[(t, d)]
-                chosen[t] = self._edge_action(t, d)
-            else:
-                total += self.fallback_value[t]
-                chosen[t] = self.fallback[t]
-        for j, d in enumerate(dets):
-            if int(cols[n_t + j]) == j:
-                total += self.det_fallback_value[d]
-        return total, chosen
-
-    def _edge_action(self, t: int, d: int) -> Action:
-        for a in self.track_cands[t]:
-            if a.det == d:
-                return a
-        raise EngineBugError(f"missing edge action ({t}, {d})")
+    def optimum(self, first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
+        """Maximum gain over the track rows from ``first`` on and the given
+        detection columns, plus one matching realizing it (row -> column,
+        edges only)."""
+        sub = self.gain[first:, cols]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        g = sub[r, c]
+        return g.sum(), {
+            first + x: cols[y] for x, y, v in zip(r.tolist(), c.tolist(), g.tolist()) if v > 0
+        }
 
 
 def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
@@ -489,15 +456,6 @@ def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     ordered = tuple(track_part + det_part)
     events = tuple(a.event for a in ordered if a.event is not None)
     return SolveResult(actions=ordered, events=events, objective=_objective(spec, list(ordered)))
-
-
-def _finalize(spec: ProblemSpec, chosen: dict[int, Action], inst: _Instance) -> SolveResult:
-    actions: list[Action] = [chosen[t] for t in inst.track_ids]
-    used_dets = {a.det for a in actions if a.det is not None}
-    actions += [inst.det_fallback[d] for d in inst.det_ids if d not in used_dets]
-    result = _result(spec, actions)
-    _assert_disjoint_effects(result.events)
-    return result
 
 
 def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
@@ -517,43 +475,42 @@ def solve(spec: ProblemSpec) -> SolveResult:
     Deterministic: among optimal covers, returns the one whose per-track
     action sequence (tracks in ascending id order; assigns/resumes
     preferred by ascending detection id, then the fallback action) is
-    lexicographically minimal.  Canonical extraction fixes each track's
-    most-preferred action that still extends to an optimal completion,
-    verified by re-solving the reduced matching.
+    lexicographically minimal.  One maximum-gain matching gives the
+    optimum and an incumbent action per track.  Canonical extraction
+    then fixes tracks in id order: a better-ranked edge than the
+    incumbent's, on a still-free detection, is fixed when its gain plus
+    the optimum of the remaining tracks and free detections equals the
+    remaining optimum; otherwise the incumbent is.
     """
     inst = _Instance(spec)
-    tracks, dets = list(inst.track_ids), list(inst.det_ids)
-    best, incumbent = inst.best_value(tracks, dets)
+    gain = inst.gain
+    free = list(range(len(spec.detections)))
+    rest, match = inst.optimum(0, free)
 
-    # Loop invariant: partial + optimum(remaining_t, remaining_d) == best,
-    # where partial sums the values of fixed track actions and remaining_d
-    # excludes detections consumed by them.
-    chosen: dict[int, Action] = {}
-    partial = 0
-    remaining_t = list(tracks)
-    remaining_d = list(dets)
-    for t in tracks:
-        remaining_t.remove(t)
-        incumbent_action = incumbent[t]
-        fixed: Optional[Action] = None
-        for cand in inst.track_cands[t]:
-            if _action_rank(cand) >= _action_rank(incumbent_action):
+    # Loop invariant: rest is the optimum over the unfixed tracks and the
+    # free detections, and match realizes it.
+    actions: list[Action] = []
+    for i, t in enumerate(inst.track_ids):
+        incumbent = match.get(i)
+        for a in inst.track_cands[t]:
+            j = inst.col.get(a.det)
+            if j is None:  # the fallback: no edge extends to an optimum
                 break
-            v = inst._value(cand)
-            rest_d = [d for d in remaining_d if d != cand.det]
-            rest_val, rest_chosen = inst.best_value(remaining_t, rest_d)
-            if partial + v + rest_val == best:
-                fixed = cand
-                incumbent = rest_chosen
+            if j == incumbent:
+                rest -= gain[i, j]
                 break
-        if fixed is None:
-            fixed = incumbent_action
-            incumbent = {k: v for k, v in incumbent.items() if k != t}
-        chosen[t] = fixed
-        partial += inst._value(fixed)
-        if fixed.det is not None:
-            remaining_d.remove(fixed.det)
-    return _finalize(spec, chosen, inst)
+            if j in free and gain[i, j] > 0:
+                value, m = inst.optimum(i + 1, [c for c in free if c != j])
+                if gain[i, j] + value == rest:
+                    rest, match = value, m
+                    break
+        if a.det is not None:
+            free.remove(inst.col[a.det])
+        actions.append(a)
+    actions += [inst.det_fallback[j] for j in free]
+    result = _result(spec, actions)
+    _assert_disjoint_effects(result.events)
+    return result
 
 
 # ----------------------------------------------------------------------

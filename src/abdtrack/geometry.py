@@ -77,9 +77,10 @@ def iou(a: BBox2D, b: BBox2D) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def scaled_iou(a: BBox2D, b: BBox2D) -> int:
-    """IoU scaled by 100000 and rounded to the nearest integer (ties to even)."""
-    return int(round(IOU_SCALE * iou(a, b)))
+def scaled_iou(ious: float | np.ndarray) -> np.ndarray:
+    """The solver's matching likelihood: an IoU (or an array of them)
+    scaled by IOU_SCALE and rounded to the nearest integer, ties to even."""
+    return np.rint(IOU_SCALE * np.asarray(ious)).astype(np.int64)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

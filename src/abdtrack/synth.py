@@ -133,7 +133,8 @@ def generate(cfg: ScenarioConfig) -> tuple[list[tuple[int, list[Detection]]], Tr
             else:
                 x, y = cur[i][0], cur[i][1]
             w, h = sizes[i]
-            box = BBox2D(x, y, w, h)
+            # plain floats: written boxes must read back (repr of numpy scalars does not)
+            box = BBox2D(float(x), float(y), float(w), float(h))
             # wrap-free: once fully outside the frame the track is over
             if box.x2 <= 0 or box.y2 <= 0 or box.x >= W or box.y >= H:
                 alive[i] = False
@@ -157,7 +158,7 @@ def generate(cfg: ScenarioConfig) -> tuple[list[tuple[int, list[Detection]]], Tr
                 continue
             box = gt[i][f]
             if cfg.jitter_sigma > 0:
-                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter_sigma, size=4)
+                dx, dy, dw, dh = rng.normal(0.0, cfg.jitter_sigma, size=4).tolist()
                 box = BBox2D(
                     box.x + dx, box.y + dy, max(4.0, box.w + dw), max(4.0, box.h + dh)
                 )

@@ -35,7 +35,7 @@ from .domain import (
     TrackState,
     apply_event,
 )
-from .geometry import IOU_SCALE, BBox2D, iou_matrix
+from .geometry import BBox2D, iou_matrix, scaled_iou
 from .motion import MotionFilter
 
 __all__ = ["EngineConfig", "Explanation", "AbductionEngine"]
@@ -124,14 +124,14 @@ class AbductionEngine:
         likelihoods: dict[tuple[int, int], int] = {}
         if predictions and detections:
             tids = list(predictions)
-            m = iou_matrix(
-                np.array([_xywh(predictions[t].box) for t in tids]),
-                np.array([_xywh(d.box) for d in detections]),
+            ml = scaled_iou(
+                iou_matrix(
+                    np.array([_xywh(predictions[t].box) for t in tids]),
+                    np.array([_xywh(d.box) for d in detections]),
+                )
             )
-            for i, j in zip(*np.nonzero(m > 0)):
-                ml = int(round(IOU_SCALE * float(m[i, j])))
-                if ml > 0:
-                    likelihoods[(tids[int(i)], detections[int(j)].id)] = ml
+            for i, j in zip(*np.nonzero(ml)):
+                likelihoods[(tids[i], detections[j].id)] = int(ml[i, j])
         return ProblemSpec(
             frame=frame,
             detections=tuple(detections),

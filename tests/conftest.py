@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from abdtrack import (
     TrackState,
 )
 from abdtrack.domain import EventKind, EventOccurrence, Visibility, apply_event
+from abdtrack.geometry import iou, scaled_iou
 
 
 def random_box(rng: np.random.Generator, span: float = 300.0) -> BBox2D:
@@ -34,17 +36,30 @@ def random_box(rng: np.random.Generator, span: float = 300.0) -> BBox2D:
     return BBox2D(x, y, w, h)
 
 
+def scaled_likelihoods(
+    preds: dict[int, TrackPrediction], dets: Sequence[Detection]
+) -> dict[tuple[int, int], int]:
+    """Matching likelihoods of the overlapping (track, detection) pairs."""
+    out = {}
+    for tid, pred in preds.items():
+        for det in dets:
+            ml = int(scaled_iou(iou(pred.box, det.box)))
+            if ml > 0:
+                out[(tid, det.id)] = ml
+    return out
+
+
 def make_random_spec(
     rng: np.random.Generator,
     max_tracks: int = 5,
     max_dets: int = 5,
     thresholds: Thresholds | None = None,
+    min_tracks: int = 0,
+    min_dets: int = 0,
 ) -> ProblemSpec:
-    from abdtrack.geometry import scaled_iou
-
     classes = ["car", "person", "bus"]
-    n_t = int(rng.integers(0, max_tracks + 1))
-    n_d = int(rng.integers(0, max_dets + 1))
+    n_t = int(rng.integers(min_tracks, max_tracks + 1))
+    n_d = int(rng.integers(min_dets, max_dets + 1))
     if thresholds is None:
         thresholds = Thresholds(
             iou_thresh=float(rng.choice([0.0, 0.1, 0.3])),
@@ -103,18 +118,11 @@ def make_random_spec(
             Detection(j, str(rng.choice(classes)), int(rng.integers(0, 101)), box)
         )
 
-    likelihoods = {}
-    for tid, pred in preds.items():
-        for det in dets:
-            ml = scaled_iou(pred.box, det.box)
-            if ml > 0:
-                likelihoods[(tid, det.id)] = ml
-
     return ProblemSpec(
         frame=int(rng.integers(1, 500)),
         detections=tuple(dets),
         predictions=preds,
-        likelihoods=likelihoods,
+        likelihoods=scaled_likelihoods(preds, dets),
         fluents=fluents,
         config=thresholds,
         frame_geom=(320.0, 320.0),

@@ -15,17 +15,17 @@ from abdtrack import (
     solve,
     solve_oracle,
 )
+from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import EventKind, EventOccurrence, apply_event, possible
-from conftest import make_random_spec
+from conftest import make_random_spec, scaled_likelihoods
+from reference_solver import solve_reference
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 
 def simple_spec(tracks, dets, frame=10, thresholds=Thresholds(), fluent_setup=None,
                 frame_geom=(320.0, 320.0)):
     """tracks: {tid: (box, state, cls, halted_age)}; dets: [(cls, conf, box)]."""
-    from abdtrack.geometry import scaled_iou
-
     fluents = FluentStore()
     for tid in tracks:
         fluents.register_track(tid)
@@ -38,17 +38,11 @@ def simple_spec(tracks, dets, frame=10, thresholds=Thresholds(), fluent_setup=No
     detections = tuple(
         Detection(i, cls, conf, box) for i, (cls, conf, box) in enumerate(dets)
     )
-    likelihoods = {}
-    for tid, p in preds.items():
-        for d in detections:
-            ml = scaled_iou(p.box, d.box)
-            if ml > 0:
-                likelihoods[(tid, d.id)] = ml
     return ProblemSpec(
         frame=frame,
         detections=detections,
         predictions=preds,
-        likelihoods=likelihoods,
+        likelihoods=scaled_likelihoods(preds, detections),
         fluents=fluents,
         config=thresholds,
         frame_geom=frame_geom,
@@ -349,6 +343,32 @@ class TestOracle:
         # halted track resumes on the high-confidence detection (no IoU
         # requirement on resume), beating a fresh start
         assert kinds[2] == ActionKind.RESUME
+
+
+class TestLargeInstances:
+    def test_equals_reference_solver(self):
+        # past the oracle's limit: 10x10 to 60x60, about a third of the tracks
+        # halted (resume ties) and duplicated detection boxes (exact ties)
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            spec = make_random_spec(rng, max_tracks=60, max_dets=60, min_tracks=10, min_dets=10)
+            assert solve(spec) == solve_reference(spec)
+
+    def test_folding_limit_raises_before_explaining(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("explanation work before the size check")
+
+        monkeypatch.setattr(abduction, "link_events", unexpected)
+        box = BBox2D(0, 0, 20, 20)
+        spec = ProblemSpec(
+            frame=1,
+            detections=tuple(Detection(j, "car", 90, box) for j in range(800)),
+            predictions={t: TrackPrediction(box, TrackState.ACTIVE, "car") for t in range(800)},
+            likelihoods={},
+            fluents=FluentStore(),
+        )
+        with pytest.raises(ValueError, match="800x800"):
+            solve(spec)
 
 
 class TestEmitFacts:

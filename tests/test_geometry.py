@@ -8,6 +8,7 @@ from abdtrack.geometry import (
     iou_matrix,
     overlapping_top,
     proper_part,
+    scaled_iou,
 )
 from conftest import random_box
 
@@ -57,6 +58,12 @@ class TestIoU:
             for j, b in enumerate(boxes_b):
                 # same operations in the same order: bit-identical
                 assert m[i, j] == iou(a, b)
+
+    def test_scaled_rounds_to_nearest(self):
+        assert scaled_iou(np.array([0.0, 0.25, 1 / 3, 2 / 3, 1.0])).tolist() == [
+            0, 25000, 33333, 66667, 100000,
+        ]
+        assert scaled_iou(1 / 3) == 33333
 
 
 class TestOverlappingTop:

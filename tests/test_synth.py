@@ -1,7 +1,7 @@
 import pytest
 
 from abdtrack import AbductionEngine, EngineConfig
-from abdtrack.io import explanation_to_boxes
+from abdtrack.io import explanation_to_boxes, parse_mot_tracks, write_tracks
 from abdtrack.metrics import evaluate
 from abdtrack.synth import (
     OcclusionScript,
@@ -56,6 +56,15 @@ class TestGenerate:
 
 
 class TestEndToEnd:
+    def test_tracks_stepped_from_generated_frames_round_trip(self):
+        cfg = ScenarioConfig(n_tracks=2, n_frames=3, jitter_sigma=1.0)
+        frames, _ = generate(cfg)
+        eng = AbductionEngine(EngineConfig(frame_geom=cfg.frame_geom))
+        for f, dets in frames:
+            eng.step(f, dets)
+        exp = eng.finalize()
+        assert parse_mot_tracks(write_tracks(exp)) == explanation_to_boxes(exp)
+
     def test_clean_scenario_reconstructed_exactly(self):
         cfg = ScenarioConfig(n_tracks=3, n_frames=60, seed=11)
         frames, gt = generate(cfg)

@@ -26,6 +26,7 @@ from abdtrack import (
     TrackState,
 )
 from abdtrack.domain import EventKind, EventOccurrence, apply_event
+from conftest import scaled_likelihoods
 
 FRAME235_THRESHOLDS = Thresholds(conf_thresh_new_track=60)
 
@@ -93,19 +94,11 @@ def frame268_spec() -> ProblemSpec:
         fluents.register_track(tid)
     # the hide abduced at frame 235 is still in force
     apply_event(fluents, EventOccurrence(EventKind.HIDES_BEHIND, 235, 13, occluder=12))
-    likelihoods = {}
-    from abdtrack.geometry import scaled_iou
-
-    for tid, pred in preds.items():
-        for det in dets:
-            ml = scaled_iou(pred.box, det.box)
-            if ml > 0:
-                likelihoods[(tid, det.id)] = ml
     return ProblemSpec(
         frame=268,
         detections=dets,
         predictions=preds,
-        likelihoods=likelihoods,
+        likelihoods=scaled_likelihoods(preds, dets),
         fluents=fluents,
         config=FRAME235_THRESHOLDS,
         frame_geom=(1242.0, 375.0),
@@ -152,8 +145,6 @@ FRAME79_IOU_PAIRS = [
 
 
 def frame79_spec() -> ProblemSpec:
-    from abdtrack.geometry import scaled_iou
-
     dets = tuple(
         Detection(i, cls, conf, BBox2D(*box)) for i, (cls, conf, box) in enumerate(FRAME79_DETS)
     )
@@ -169,17 +160,11 @@ def frame79_spec() -> ProblemSpec:
             apply_event(
                 fluents, EventOccurrence(EventKind.MISSING_DETECTIONS, 70, tid)
             )
-    likelihoods = {}
-    for tid, pred in preds.items():
-        for det in dets:
-            ml = scaled_iou(pred.box, det.box)
-            if ml > 0:
-                likelihoods[(tid, det.id)] = ml
     return ProblemSpec(
         frame=79,
         detections=dets,
         predictions=preds,
-        likelihoods=likelihoods,
+        likelihoods=scaled_likelihoods(preds, dets),
         fluents=fluents,
         config=Thresholds(),
         frame_geom=(1242.0, 375.0),
