@@ -33,6 +33,7 @@ instances and must agree with ``solve``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
@@ -46,7 +47,6 @@ from .domain import (
     EventKind,
     EventOccurrence,
     FluentStore,
-    PossibleContext,
     TrackState,
     possible,
     touched_fluents,
@@ -94,10 +94,11 @@ class Thresholds:
             "size_threshold",
             "max_halted_age",
             "anticipation_threshold",
+            "anticipation_horizon",
             "fov_margin",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def match_type(self, a: str, b: str) -> bool:
         return a == b or (a, b) in self.class_aliases or (b, a) in self.class_aliases
@@ -130,15 +131,6 @@ class ProblemSpec:
     fluents: FluentStore
     config: Thresholds = Thresholds()
     frame_geom: Optional[tuple[float, float]] = None
-
-    def context(self) -> PossibleContext:
-        return PossibleContext(
-            predicted={t: p.box for t, p in self.predictions.items()},
-            halted_age={t: p.halted_age for t, p in self.predictions.items()},
-            frame_geom=self.frame_geom,
-            fov_margin=self.config.fov_margin,
-            max_halted_age=self.config.max_halted_age,
-        )
 
 
 class ActionKind(Enum):
@@ -212,12 +204,11 @@ def _start_ok(spec: ProblemSpec, det: Detection) -> bool:
 def candidate_actions(
     spec: ProblemSpec,
 ) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
-    """Admissible actions per track and per detection after the integrity
-    constraints (event explainability is applied separately; see
-    :func:`link_events`)."""
+    """Admissible actions after the integrity constraints: per track all
+    of its actions, per detection its detection-only ones (start before
+    ignore_det).  Event explainability is applied separately; see
+    :func:`link_events`."""
     per_track: dict[int, list[Action]] = {}
-    per_det: dict[int, list[Action]] = {d.id: [] for d in spec.detections}
-
     for tid in sorted(spec.predictions):
         pred = spec.predictions[tid]
         acts: list[Action] = []
@@ -234,18 +225,12 @@ def candidate_actions(
             acts.append(Action(ActionKind.IGNORE_TRK, trk=tid))
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
-        if not acts:
-            raise EngineBugError(f"track {tid} has no admissible action")
         per_track[tid] = acts
-        for a in acts:
-            if a.det is not None:
-                per_det[a.det].append(a)
 
+    per_det: dict[int, list[Action]] = {}
     for det in spec.detections:
-        if _start_ok(spec, det):
-            per_det[det.id].append(Action(ActionKind.START, det=det.id))
-        per_det[det.id].append(Action(ActionKind.IGNORE_DET, det=det.id))
-
+        acts = [Action(ActionKind.START, det=det.id)] if _start_ok(spec, det) else []
+        per_det[det.id] = acts + [Action(ActionKind.IGNORE_DET, det=det.id)]
     return per_track, per_det
 
 
@@ -254,51 +239,37 @@ def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
     preference order (the first entry is the abduced one).
 
     An empty list makes the action inadmissible.  Assign actions need no
-    explanation.  Self-occlusion (a track hiding behind itself) is
-    excluded.
+    explanation.  The events of a resume do not depend on its detection.
     """
-    ctx = spec.context()
-    store = spec.fluents
-    t, frame = action.trk, spec.frame
-    out: list[EventOccurrence] = []
-    if action.kind == ActionKind.ASSIGN:
-        return out
-    if action.kind == ActionKind.HALT:
-        for t2 in sorted(spec.predictions):
-            if t2 == t:
-                continue
-            e = EventOccurrence(EventKind.HIDES_BEHIND, frame, t, occluder=t2)
-            if possible(store, ctx, e):
-                out.append(e)
-        e = EventOccurrence(EventKind.MISSING_DETECTIONS, frame, t)
-        if possible(store, ctx, e):
-            out.append(e)
-    elif action.kind == ActionKind.RESUME:
-        for t2 in store.occluder_of(t):
-            if t2 in spec.predictions:
-                e = EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
-                if possible(store, ctx, e):
-                    out.append(e)
-        e = EventOccurrence(EventKind.RECOVER, frame, t)
-        if possible(store, ctx, e):
-            out.append(e)
-    elif action.kind == ActionKind.END:
-        e = EventOccurrence(EventKind.LEAVES_FOV, frame, t)
-        if possible(store, ctx, e):
-            out.append(e)
-        e = EventOccurrence(EventKind.LOST, frame, t)
-        if possible(store, ctx, e):
-            out.append(e)
-    elif action.kind == ActionKind.START:
-        det = next(d for d in spec.detections if d.id == action.det)
-        e = EventOccurrence(EventKind.ENTERS_FOV, frame, action.det, subject_is_det=True)
-        if possible(store, ctx, e, det_box=det.box):
-            out.append(e)
-    elif action.kind == ActionKind.IGNORE_TRK:
-        out.append(EventOccurrence(EventKind.NOISE, frame, t))
-    elif action.kind == ActionKind.IGNORE_DET:
-        out.append(EventOccurrence(EventKind.NOISE, frame, action.det, subject_is_det=True))
-    return out
+    t, frame, k = action.trk, spec.frame, action.kind
+    if k == ActionKind.HALT:
+        events = [
+            EventOccurrence(EventKind.HIDES_BEHIND, frame, t, occluder=t2)
+            for t2 in sorted(spec.predictions)
+            if t2 != t
+        ]
+        events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, frame, t))
+    elif k == ActionKind.RESUME:
+        events = [
+            EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
+            for t2 in spec.fluents.occluder_of(t)
+            if t2 in spec.predictions
+        ]
+        events.append(EventOccurrence(EventKind.RECOVER, frame, t))
+    elif k == ActionKind.END:
+        events = [
+            EventOccurrence(EventKind.LEAVES_FOV, frame, t),
+            EventOccurrence(EventKind.LOST, frame, t),
+        ]
+    elif k == ActionKind.START:
+        events = [EventOccurrence(EventKind.ENTERS_FOV, frame, action.det, subject_is_det=True)]
+    elif k == ActionKind.IGNORE_TRK:
+        events = [EventOccurrence(EventKind.NOISE, frame, t)]
+    elif k == ActionKind.IGNORE_DET:
+        events = [EventOccurrence(EventKind.NOISE, frame, action.det, subject_is_det=True)]
+    else:
+        return []
+    return [e for e in events if possible(spec, e)]
 
 
 # ----------------------------------------------------------------------
@@ -353,13 +324,20 @@ def _action_rank(a: Action) -> tuple[int, int]:
 
 
 def _explained(actions: list[Action], spec: ProblemSpec) -> list[Action]:
-    """The actions with at least one explaining event, each carrying its
-    abduced (first-preference) event; assigns need no explanation."""
+    """The actions of one track or one detection that have an explaining
+    event, each carrying its abduced (first-preference) event.  Assigns
+    need no explanation; every other kind is linked once, so all of a
+    track's resumes share one explanation."""
+    abduced: dict[ActionKind, Optional[EventOccurrence]] = {}
     out = []
     for a in actions:
-        events = link_events(a, spec)
-        if events or a.kind == ActionKind.ASSIGN:
-            out.append(replace(a, event=events[0] if events else None))
+        if a.kind != ActionKind.ASSIGN:
+            if a.kind not in abduced:
+                abduced[a.kind] = next(iter(link_events(a, spec)), None)
+            if abduced[a.kind] is None:
+                continue
+            a = replace(a, event=abduced[a.kind])
+        out.append(a)
     return out
 
 
@@ -372,9 +350,7 @@ def _explained_options(
     track_cands = {
         t: sorted(_explained(acts, spec), key=_action_rank) for t, acts in per_track.items()
     }
-    det_opts = {
-        d: _explained([a for a in acts if a.trk is None], spec) for d, acts in per_det.items()
-    }
+    det_opts = {d: _explained(acts, spec) for d, acts in per_det.items()}
     return track_cands, det_opts
 
 

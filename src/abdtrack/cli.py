@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -51,8 +52,10 @@ _THRESHOLDS = [
 
 
 def _parse_geom(text: str) -> tuple[float, float]:
-    w, h = text.lower().split("x")
-    return float(w), float(h)
+    w, h = (float(v) for v in text.lower().split("x"))
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise ValueError(f"frame geometry must be finite and positive: {text}")
+    return w, h
 
 
 _CONFIG_KEYS = {field: kind for _, field, kind in _THRESHOLDS} | {"frame_geom": _parse_geom}
@@ -72,6 +75,8 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = _CONFIG_KEYS[key](value)
+            if key != "frame_geom":
+                Thresholds(**{key: out[key]})  # range check, reported with its line
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -1,4 +1,6 @@
-"""Scene ontology: detections, tracks, events, and the fluent store.
+"""Scene ontology: detections, tracks, events, the fluent store, and the
+event preconditions (:func:`possible`, read from the frame's
+:class:`~abdtrack.abduction.ProblemSpec`).
 
 Fluents (per track unless noted): visibility in {fully_visible,
 not_visible}, hidden_by (per ordered track pair, boolean), clipped
@@ -9,12 +11,15 @@ anything, not clipped, in the field of view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .geometry import BBox2D, overlapping_top
 from .motion import MotionFilter
+
+if TYPE_CHECKING:
+    from .abduction import ProblemSpec
 
 __all__ = [
     "Detection",
@@ -26,7 +31,6 @@ __all__ = [
     "EventKind",
     "EventOccurrence",
     "FluentStore",
-    "PossibleContext",
     "EngineBugError",
     "apply_event",
     "possible",
@@ -245,39 +249,10 @@ def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
     return frozenset()
 
 
-@dataclass
-class PossibleContext:
-    """Geometric and lifecycle context needed by event preconditions."""
-
-    predicted: dict[int, BBox2D] = field(default_factory=dict)
-    halted_age: dict[int, int] = field(default_factory=dict)
-    frame_geom: Optional[tuple[float, float]] = None
-    fov_margin: float = 10.0
-    max_halted_age: int = 30
-
-
-def _at_fov_boundary(box: BBox2D, ctx: PossibleContext) -> bool:
-    if ctx.frame_geom is None:
-        return False
-    w, h = ctx.frame_geom
-    m = ctx.fov_margin
-    return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
-
-
-def _intersects_frame(box: BBox2D, ctx: PossibleContext) -> bool:
-    if ctx.frame_geom is None:
-        return True
-    w, h = ctx.frame_geom
-    return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
-
-
-def possible(
-    store: FluentStore,
-    ctx: PossibleContext,
-    e: EventOccurrence,
-    det_box: Optional[BBox2D] = None,
-) -> bool:
-    """Event precondition check against the pre-solve fluent state.
+def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
+    """Event precondition check against the frame's problem spec: its
+    pre-solve fluent snapshot, predicted boxes, halted ages, frame
+    geometry and thresholds.
 
     hides_behind(T1,T2): predicted boxes overlap with T2's bottom edge at
     or below T1's, and neither track is already not_visible.
@@ -285,11 +260,13 @@ def possible(
     missing_detections(T): not clipped and not not_visible.
     recover(T): clipped.
     leaves_fov(T): predicted box touches the frame boundary margin.
-    enters_fov: the (detection) box intersects the frame.
+    enters_fov(D): detection D's box intersects the frame.
     lost(T): the track has been halted longer than max_halted_age.
     noise: always possible.
+    Without a frame geometry no box is at the boundary and every box is
+    inside the frame.
     """
-    k = e.kind
+    store, k = spec.fluents, e.kind
     if k == EventKind.HIDES_BEHIND:
         t1, t2 = e.subject, e.occluder
         if t1 == t2:
@@ -298,7 +275,7 @@ def possible(
             return False
         if store.visibility(t2) == Visibility.NOT_VISIBLE:
             return False
-        return overlapping_top(ctx.predicted[t1], ctx.predicted[t2])
+        return overlapping_top(spec.predictions[t1].box, spec.predictions[t2].box)
     if k == EventKind.UNHIDES_FROM_BEHIND:
         return (
             store.visibility(e.subject) == Visibility.NOT_VISIBLE
@@ -312,13 +289,19 @@ def possible(
     if k == EventKind.RECOVER:
         return store.clipped(e.subject)
     if k == EventKind.LEAVES_FOV:
-        return _at_fov_boundary(ctx.predicted[e.subject], ctx)
+        if spec.frame_geom is None:
+            return False
+        (w, h), m = spec.frame_geom, spec.config.fov_margin
+        box = spec.predictions[e.subject].box
+        return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
     if k == EventKind.ENTERS_FOV:
-        if det_box is not None:
-            return _intersects_frame(det_box, ctx)
-        return True
+        if spec.frame_geom is None:
+            return True
+        w, h = spec.frame_geom
+        box = next(d.box for d in spec.detections if d.id == e.subject)
+        return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
     if k == EventKind.LOST:
-        return ctx.halted_age.get(e.subject, 0) > ctx.max_halted_age
+        return spec.predictions[e.subject].halted_age > spec.config.max_halted_age
     if k == EventKind.NOISE:
         return True
     raise EngineBugError(f"unknown event kind {k}")

@@ -4,11 +4,13 @@ Boxes follow the (x, y, w, h) convention with a top-left origin and y
 growing downward.  Rectangles are treated as half-open pixel regions, so
 the intersection width of two boxes is ``max(0, min(x1+w1, x2+w2) -
 max(x1, x2))``.  Coordinates may be negative (partially off-screen boxes
-are legal); widths and heights must be strictly positive.
+are legal); coordinates must be finite, and widths and heights strictly
+positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,8 @@ class BBox2D:
     h: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError(f"non-finite box: {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
 
@@ -116,17 +120,14 @@ def proper_part(a: BBox2D, b: BBox2D) -> bool:
     return b.x < a.x and b.y < a.y and a.x2 < b.x2 and a.y2 < b.y2
 
 
-def in_front_region(
-    p: tuple[float, float],
-    frame_geom: tuple[float, float],
-    x_band: tuple[float, float] = (1.0 / 3.0, 2.0 / 3.0),
-    y_min_frac: float = 0.5,
-) -> bool:
-    """True iff point p falls in the ego corridor of the image.
+# The ego corridor: the central third of the image width, lower half of
+# its height (inclusive boundaries).
+_CORRIDOR_X = (1.0 / 3.0, 2.0 / 3.0)
+_CORRIDOR_Y_MIN = 0.5
 
-    Default corridor: central third of the width, lower half of the
-    height (inclusive boundaries).  The band fractions are configuration.
-    """
+
+def in_front_region(p: tuple[float, float], frame_geom: tuple[float, float]) -> bool:
+    """True iff point p falls in the ego corridor of the image."""
     w, h = frame_geom
     x, y = p
-    return (x_band[0] * w <= x <= x_band[1] * w) and (y >= y_min_frac * h)
+    return (_CORRIDOR_X[0] * w <= x <= _CORRIDOR_X[1] * w) and (y >= _CORRIDOR_Y_MIN * h)

@@ -53,9 +53,10 @@ def _check_finite(lineno: int, *values: float) -> None:
         raise ValueError(f"line {lineno}: non-finite number in {values}")
 
 
-def parse_mot(text: str, default_cls: str = "object") -> DetectionStream:
-    """Parse MOT Challenge detection text. Lines out of frame order are
-    tolerated (sorted); malformed lines raise with their line number."""
+def parse_mot(text: str) -> DetectionStream:
+    """Parse MOT Challenge detection text; every detection has class
+    ``object``.  Lines out of frame order are tolerated (sorted);
+    malformed lines raise with their line number."""
     by_frame: dict[int, list[Detection]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -75,7 +76,7 @@ def parse_mot(text: str, default_cls: str = "object") -> DetectionStream:
             raise ValueError(f"line {lineno}: degenerate box w={w}, h={h}")
         dets = by_frame.setdefault(frame, [])
         dets.append(
-            Detection(id=len(dets), cls=default_cls, conf=_conf_percent(conf), box=BBox2D(x, y, w, h))
+            Detection(id=len(dets), cls="object", conf=_conf_percent(conf), box=BBox2D(x, y, w, h))
         )
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 

@@ -160,6 +160,58 @@ class TestLinkEvents:
         assert [e.kind for e in events] == [EventKind.LOST]
 
 
+class TestExplanationLinking:
+    def test_detection_ids_not_positions(self):
+        inside, outside = BBox2D(100, 100, 20, 20), BBox2D(500, 500, 20, 20)
+        preds = {1: TrackPrediction(BBox2D(0, 0, 20, 20), TrackState.ACTIVE, "car")}
+        detections = (Detection(9, "car", 99, outside), Detection(4, "car", 99, inside))
+        fluents = FluentStore()
+        fluents.register_track(1)
+        spec = ProblemSpec(
+            frame=10,
+            detections=detections,
+            predictions=preds,
+            likelihoods=scaled_likelihoods(preds, detections),
+            fluents=fluents,
+            frame_geom=(320.0, 320.0),
+        )
+        result = solve(spec)
+        assert result == solve_oracle(spec)
+        enters = [e.subject for e in result.events if e.kind == EventKind.ENTERS_FOV]
+        assert enters == [4]
+        assert {a.pretty() for a in result.actions} == {
+            "halt(trk_1)", "start(det_4)", "ignore_det(det_9)"
+        }
+
+    def test_links_no_assign_and_each_explanation_once(self, monkeypatch):
+        calls = []
+        original = abduction.link_events
+
+        def counting(action, spec):
+            calls.append(action)
+            return original(action, spec)
+
+        monkeypatch.setattr(abduction, "link_events", counting)
+        box = BBox2D(100, 100, 20, 20)
+        spec = simple_spec(
+            {
+                1: (box, TrackState.ACTIVE, "car", 0),
+                2: (BBox2D(200, 100, 20, 20), TrackState.HALTED, "car", 3),
+            },
+            [("car", 99, box), ("car", 99, box.translated(1, 0)), ("car", 99, box.translated(0, 1))],
+            fluent_setup=lambda s: apply_event(
+                s, EventOccurrence(EventKind.MISSING_DETECTIONS, 7, 2)
+            ),
+        )
+        result = solve(spec)
+        assert "resume(trk_2,det_1)" in {a.pretty() for a in result.actions}
+        assert ActionKind.ASSIGN not in {a.kind for a in calls}
+        resumes = [a for a in calls if a.kind == ActionKind.RESUME]
+        assert len(resumes) == 1  # one explanation for three resume candidates
+        keys = [(a.kind, a.trk, a.det if a.trk is None else None) for a in calls]
+        assert len(keys) == len(set(keys))
+
+
 class TestSolve:
     def test_paper_frame_235(self):
         result = solve(frame235_spec())
@@ -243,14 +295,8 @@ class TestSolve:
         rng = np.random.default_rng(11)
         for _ in range(2000):
             spec = make_random_spec(rng)
-            result = solve(spec)
-            ctx = spec.context()
-            for e in result.events:
-                if e.subject_is_det:
-                    det = spec.detections[e.subject]
-                    assert possible(spec.fluents, ctx, e, det_box=det.box)
-                else:
-                    assert possible(spec.fluents, ctx, e)
+            for e in solve(spec).events:
+                assert possible(spec, e)
 
     def test_iou_threshold_monotone_in_assign_count(self):
         rng = np.random.default_rng(12)

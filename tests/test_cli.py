@@ -105,6 +105,26 @@ class TestTrack:
         assert rc == 1
         assert "engine.cfg:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--size-thresh", "nan"), ("--horizon", "-3"), ("--frame-geom", "nanx375"),
+         ("--frame-geom", "0x0")],
+    )
+    def test_bad_flag_value_fails(self, det_file, tmp_path, flag, value, capsys):
+        out = tmp_path / "events.txt"
+        rc = main(["track", "--input", str(det_file), flag, value, "--out-events", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["fov_margin = nan", "frame_geom = infx375"])
+    def test_non_finite_config_value_reports_line(self, det_file, tmp_path, line, capsys):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"iou_thresh = 0.2\n{line}\n")
+        rc = main(["track", "--input", str(det_file), "--config", str(cfg)])
+        assert rc == 1
+        assert "engine.cfg:2:" in capsys.readouterr().err
+
 
 class TestTrackMetricsToggle:
     def test_track_with_gt_prints_report(self, det_file, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from abdtrack.abduction import ProblemSpec, TrackPrediction
 from abdtrack.domain import (
+    Detection,
     EngineBugError,
     EventKind,
     EventOccurrence,
     FluentStore,
-    PossibleContext,
+    TrackState,
     Visibility,
     apply_event,
     possible,
@@ -120,79 +122,81 @@ class TestApplyEvent:
 
 
 class TestPossible:
-    def ctx(self, **predicted):
-        return PossibleContext(
-            predicted={int(k[1:]): v for k, v in predicted.items()},
+    def spec(self, store, detections=(), halted_age=0, **predicted):
+        """A 200x200 frame with predicted boxes passed as t<id>=box."""
+        return ProblemSpec(
+            frame=5,
+            detections=tuple(detections),
+            predictions={
+                int(k[1:]): TrackPrediction(box, TrackState.HALTED, "car", halted_age)
+                for k, box in predicted.items()
+            },
+            likelihoods={},
+            fluents=store,
             frame_geom=(200.0, 200.0),
-            fov_margin=10.0,
-            max_halted_age=30,
         )
 
     def test_hides_behind_possible(self):
         s = store_with(1, 2)
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
         e = EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=2)
-        assert possible(s, ctx, e) is True
+        assert possible(spec, e) is True
 
     def test_hides_behind_blocked_when_already_hidden(self):
         s = store_with(1, 2, 3)
         apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 4, 1, occluder=3))
-        ctx = self.ctx(
-            t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10), t3=BBox2D(0, 0, 30, 30)
+        spec = self.spec(
+            s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10), t3=BBox2D(0, 0, 30, 30)
         )
         e = EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=2)
-        assert possible(s, ctx, e) is False
+        assert possible(spec, e) is False
 
     def test_missing_detections_blocked_when_clipped(self):
         s = store_with(1)
         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10))
-        assert possible(s, ctx, EventOccurrence(EventKind.MISSING_DETECTIONS, 5, 1)) is False
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
+        assert possible(spec, EventOccurrence(EventKind.MISSING_DETECTIONS, 5, 1)) is False
 
     def test_unhide_needs_hidden_subject_and_visible_occluder(self):
         s = store_with(1, 2)
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
         e = EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 5, 1, occluder=2)
-        assert possible(s, ctx, e) is False
+        assert possible(spec, e) is False
         apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 4, 1, occluder=2))
-        assert possible(s, ctx, e) is True
+        assert possible(spec, e) is True
 
     def test_recover_needs_clipped(self):
         s = store_with(1)
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10))
-        assert possible(s, ctx, EventOccurrence(EventKind.RECOVER, 5, 1)) is False
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
+        assert possible(spec, EventOccurrence(EventKind.RECOVER, 5, 1)) is False
         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
-        assert possible(s, ctx, EventOccurrence(EventKind.RECOVER, 5, 1)) is True
+        assert possible(spec, EventOccurrence(EventKind.RECOVER, 5, 1)) is True
 
     def test_leaves_fov_boundary(self):
         s = store_with(1, 2)
-        ctx = self.ctx(t1=BBox2D(2, 50, 20, 20), t2=BBox2D(80, 80, 20, 20))
-        assert possible(s, ctx, EventOccurrence(EventKind.LEAVES_FOV, 5, 1)) is True
-        assert possible(s, ctx, EventOccurrence(EventKind.LEAVES_FOV, 5, 2)) is False
+        spec = self.spec(s, t1=BBox2D(2, 50, 20, 20), t2=BBox2D(80, 80, 20, 20))
+        assert possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 5, 1)) is True
+        assert possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 5, 2)) is False
 
     def test_lost_age_gate(self):
         s = store_with(1)
-        ctx = PossibleContext(
-            predicted={1: BBox2D(50, 50, 10, 10)},
-            halted_age={1: 31},
-            frame_geom=(200.0, 200.0),
-            max_halted_age=30,
-        )
-        assert possible(s, ctx, EventOccurrence(EventKind.LOST, 5, 1)) is True
-        ctx.halted_age[1] = 30
-        assert possible(s, ctx, EventOccurrence(EventKind.LOST, 5, 1)) is False
+        e = EventOccurrence(EventKind.LOST, 5, 1)
+        assert possible(self.spec(s, halted_age=31, t1=BBox2D(50, 50, 10, 10)), e) is True
+        assert possible(self.spec(s, halted_age=30, t1=BBox2D(50, 50, 10, 10)), e) is False
 
     def test_enters_fov_intersects_frame(self):
-        s = store_with(1)
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10))
-        e = EventOccurrence(EventKind.ENTERS_FOV, 5, 0, subject_is_det=True)
-        assert possible(s, ctx, e, det_box=BBox2D(-5, -5, 20, 20)) is True
-        assert possible(s, ctx, e, det_box=BBox2D(500, 500, 20, 20)) is False
+        # detection ids need not be positions: the box is looked up by id
+        dets = [Detection(7, "car", 90, BBox2D(500, 500, 20, 20)),
+                Detection(3, "car", 90, BBox2D(-5, -5, 20, 20))]
+        spec = self.spec(store_with(), detections=dets)
+        enters = lambda d: EventOccurrence(EventKind.ENTERS_FOV, 5, d, subject_is_det=True)
+        assert possible(spec, enters(3)) is True
+        assert possible(spec, enters(7)) is False
 
     def test_self_occlusion_impossible(self):
         s = store_with(1)
-        ctx = self.ctx(t1=BBox2D(0, 0, 10, 10))
-        assert possible(s, ctx, EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=1)) is False
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
+        assert possible(spec, EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=1)) is False
 
 
 class TestRandomEventSequences:

@@ -34,6 +34,14 @@ class TestIoU:
         with pytest.raises(ValueError):
             BBox2D(0, 0, 10, -1)
 
+    @pytest.mark.parametrize(
+        "xywh", [(float("nan"), 0, 1, 1), (0, float("-inf"), 1, 1), (0, 0, float("inf"), 1),
+                 (0, 0, 1, float("nan"))]
+    )
+    def test_non_finite_rejected(self, xywh):
+        with pytest.raises(ValueError, match="non-finite"):
+            BBox2D(*xywh)
+
     def test_symmetric_bounded_and_one_iff_equal(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -123,7 +131,3 @@ class TestInFrontRegion:
 
     def test_boundary_inclusive_below(self):
         assert in_front_region((self.GEOM[0] / 2, self.GEOM[1] / 2 + 1), self.GEOM)
-
-    def test_configurable_band(self):
-        assert in_front_region((5.0, 90.0), (100.0, 100.0), x_band=(0.0, 0.1))
-        assert not in_front_region((5.0, 90.0), (100.0, 100.0), x_band=(0.5, 0.6))
