@@ -7,7 +7,12 @@ Every track and every detection must be covered by exactly one action:
 
 Candidate actions are generated choice-rule style and pruned by integrity
 constraints; each non-assign action must additionally be explainable by at
-least one possible high-level event.  The optimum is lexicographic:
+least one possible high-level event.  Before the solve, events are
+linked only to decide that, and not for a halt, the only fallback of an
+active track: it enters the solve untested and is linked if the cover
+holds it (a cover halt with no possible event raises ``EngineBugError``).
+The abduced events are attached to the chosen cover's actions only.  The
+optimum is lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -34,7 +39,7 @@ instances and must agree with ``solve``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -176,12 +181,13 @@ class SolveResult:
 
 
 def _assign_ok(spec: ProblemSpec, tid: int, det: Detection) -> bool:
+    """State, class and confidence gate of an assign; the IoU gate is
+    applied where the candidates are taken from the likelihood pairs."""
     pred = spec.predictions[tid]
     return (
         pred.state == TrackState.ACTIVE
         and spec.config.match_type(pred.cls, det.cls)
         and det.conf > spec.config.conf_thresh_assign
-        and spec.likelihoods.get((tid, det.id), 0) > spec.config.iou_thresh_scaled
     )
 
 
@@ -206,14 +212,21 @@ def candidate_actions(
 ) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
     """Admissible actions after the integrity constraints: per track all
     of its actions, per detection its detection-only ones (start before
-    ignore_det).  Event explainability is applied separately; see
+    ignore_det).  Assign candidates come from the likelihood pairs above
+    the IoU threshold.  Event explainability is applied separately; see
     :func:`link_events`."""
+    position = {d.id: j for j, d in enumerate(spec.detections)}
+    overlapping: dict[int, list[int]] = {}
+    for (tid, did), ml in spec.likelihoods.items():
+        if ml > spec.config.iou_thresh_scaled:
+            overlapping.setdefault(tid, []).append(position[did])
     per_track: dict[int, list[Action]] = {}
     for tid in sorted(spec.predictions):
         pred = spec.predictions[tid]
         acts: list[Action] = []
         if pred.state == TrackState.ACTIVE:
-            for det in spec.detections:
+            for j in sorted(overlapping.get(tid, ())):
+                det = spec.detections[j]
                 if _assign_ok(spec, tid, det):
                     acts.append(Action(ActionKind.ASSIGN, trk=tid, det=det.id))
             acts.append(Action(ActionKind.HALT, trk=tid))
@@ -240,6 +253,9 @@ def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
 
     An empty list makes the action inadmissible.  Assign actions need no
     explanation.  The events of a resume do not depend on its detection.
+    The solver calls this for the actions of the chosen cover, and before
+    the solve for every non-assign candidate except halts; a halt's list
+    scans every other track as a possible occluder.
     """
     t, frame, k = action.trk, spec.frame, action.kind
     if k == ActionKind.HALT:
@@ -323,35 +339,50 @@ def _action_rank(a: Action) -> tuple[int, int]:
     return (2, 0)  # ignore_trk
 
 
-def _explained(actions: list[Action], spec: ProblemSpec) -> list[Action]:
-    """The actions of one track or one detection that have an explaining
-    event, each carrying its abduced (first-preference) event.  Assigns
-    need no explanation; every other kind is linked once, so all of a
-    track's resumes share one explanation."""
-    abduced: dict[ActionKind, Optional[EventOccurrence]] = {}
-    out = []
-    for a in actions:
-        if a.kind != ActionKind.ASSIGN:
-            if a.kind not in abduced:
-                abduced[a.kind] = next(iter(link_events(a, spec)), None)
-            if abduced[a.kind] is None:
-                continue
-            a = replace(a, event=abduced[a.kind])
-        out.append(a)
-    return out
+# Abduced event per (action kind, track id or, for start and ignore_det,
+# detection id): the frame's links, each made at most once.
+_Links = dict[tuple[ActionKind, int], Optional[EventOccurrence]]
+
+
+def _abduced(a: Action, spec: ProblemSpec, links: _Links) -> Optional[EventOccurrence]:
+    """The abduced (first-preference) event of a non-assign action, or
+    None if none is possible.  Linked once per kind and track or
+    detection, so all of a track's resumes share one explanation."""
+    key = (a.kind, a.det if a.trk is None else a.trk)
+    if key not in links:
+        links[key] = next(iter(link_events(a, spec)), None)
+    return links[key]
+
+
+def _explained(a: Action, spec: ProblemSpec, links: _Links) -> bool:
+    """Whether the action may enter the solve.  Assigns need no event;
+    every other kind but a halt needs a possible one.  A halt enters
+    untested and is linked only if the cover holds it (see
+    :func:`_result`): a canonical cover of this larger set whose halts are
+    explained is also the canonical cover of the strict set, and every
+    active track the engine makes is visible and unclipped, so
+    missing_detections explains its halt."""
+    if a.kind in (ActionKind.ASSIGN, ActionKind.HALT):
+        return True
+    return _abduced(a, spec, links) is not None
 
 
 def _explained_options(
     spec: ProblemSpec,
-) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
-    """Explainable actions per track, in tie-break preference order, and
-    per detection its detection-only ones (start before ignore_det)."""
+) -> tuple[dict[int, list[Action]], dict[int, list[Action]], _Links]:
+    """Explainable actions per track, in tie-break preference order, per
+    detection its detection-only ones (start before ignore_det), and the
+    links made while deciding that, for :func:`_result` to reuse."""
     per_track, per_det = candidate_actions(spec)
+    links: _Links = {}
     track_cands = {
-        t: sorted(_explained(acts, spec), key=_action_rank) for t, acts in per_track.items()
+        t: sorted((a for a in acts if _explained(a, spec, links)), key=_action_rank)
+        for t, acts in per_track.items()
     }
-    det_opts = {d: _explained(acts, spec) for d, acts in per_det.items()}
-    return track_cands, det_opts
+    det_opts = {
+        d: [a for a in acts if _explained(a, spec, links)] for d, acts in per_det.items()
+    }
+    return track_cands, det_opts, links
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +419,7 @@ class _Instance:
                 f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
             )
 
-        self.track_cands, det_opts = _explained_options(spec)
+        self.track_cands, det_opts, self.links = _explained_options(spec)
         self.track_ids = sorted(self.track_cands)
         self.col = {d.id: j for j, d in enumerate(spec.detections)}
         # start (level-2 cost) strictly beats ignore_det (level-3 cost)
@@ -424,14 +455,25 @@ class _Instance:
         }
 
 
-def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
+def _result(spec: ProblemSpec, actions: list[Action], links: _Links) -> SolveResult:
     """A cover as a result: track actions by track id, then
-    detection-only actions by detection id."""
+    detection-only actions by detection id, each non-assign carrying its
+    abduced event.  This is the one place events are linked to actions.
+
+    Raises EngineBugError for a cover halt that no event explains: its
+    track, being active, would have had no fallback action at all.
+    """
     track_part = sorted((a for a in actions if a.trk is not None), key=lambda a: a.trk)
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
-    ordered = tuple(track_part + det_part)
+    ordered: list[Action] = []
+    for a in track_part + det_part:
+        if a.kind != ActionKind.ASSIGN:
+            a = Action(a.kind, a.trk, a.det, _abduced(a, spec, links))
+            if a.event is None:
+                raise EngineBugError(f"track {a.trk} has no explainable fallback action")
+        ordered.append(a)
     events = tuple(a.event for a in ordered if a.event is not None)
-    return SolveResult(actions=ordered, events=events, objective=_objective(spec, list(ordered)))
+    return SolveResult(actions=tuple(ordered), events=events, objective=_objective(spec, ordered))
 
 
 def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
@@ -456,7 +498,8 @@ def solve(spec: ProblemSpec) -> SolveResult:
     then fixes tracks in id order: a better-ranked edge than the
     incumbent's, on a still-free detection, is fixed when its gain plus
     the optimum of the remaining tracks and free detections equals the
-    remaining optimum; otherwise the incumbent is.
+    remaining optimum; otherwise the incumbent is.  Events are linked for
+    the chosen cover's actions only.
     """
     inst = _Instance(spec)
     gain = inst.gain
@@ -484,7 +527,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             free.remove(inst.col[a.det])
         actions.append(a)
     actions += [inst.det_fallback[j] for j in free]
-    result = _result(spec, actions)
+    result = _result(spec, actions, inst.links)
     _assert_disjoint_effects(result.events)
     return result
 
@@ -505,7 +548,7 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     if len(spec.predictions) > ORACLE_LIMIT or len(spec.detections) > ORACLE_LIMIT:
         raise ValueError("oracle limited to instances of at most 5x5")
 
-    cands, det_opts = _explained_options(spec)
+    cands, det_opts, links = _explained_options(spec)
     track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
 
@@ -549,7 +592,7 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
 
     recurse(0, set(), [])
     assert best_actions is not None
-    return _result(spec, best_actions)
+    return _result(spec, best_actions, links)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,9 @@ class AbductionEngine:
         self.config = config
         self.fluents = FluentStore()
         self.tracks: dict[int, Track] = {}
+        # The tracks not ended, in ascending id order (ids are allocated
+        # in increasing order); ended ones stay in self.tracks.
+        self._live: dict[int, Track] = {}
         self.events: list[EventOccurrence] = []
         self.latencies: list[_StepStats] = []
         self._next_id = 0
@@ -112,9 +115,7 @@ class AbductionEngine:
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
         predictions: dict[int, TrackPrediction] = {}
-        for tid, trk in self.tracks.items():
-            if trk.state == TrackState.ENDED:
-                continue
+        for tid, trk in self._live.items():
             predictions[tid] = TrackPrediction(
                 box=trk.filter.predict(),
                 state=trk.state,
@@ -191,7 +192,7 @@ class AbductionEngine:
             filter=MotionFilter(det.box),
             born_frame=frame,
         )
-        self.tracks[tid] = trk
+        self.tracks[tid] = self._live[tid] = trk
         self.fluents.register_track(tid)
         return tid
 
@@ -215,7 +216,7 @@ class AbductionEngine:
         trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
 
     def _end_track(self, tid: int) -> None:
-        trk = self.tracks[tid]
+        trk = self._live.pop(tid)
         trk.state = TrackState.ENDED
         trk.halted_since = None
 
@@ -228,10 +229,10 @@ class AbductionEngine:
         further events.
         """
         if self._finalized is None:
-            for trk in self.tracks.values():
-                if trk.state != TrackState.ENDED:
-                    trk.state = TrackState.ENDED
-                    self.fluents.drop_track(trk.id)
+            for trk in self._live.values():
+                trk.state = TrackState.ENDED
+                self.fluents.drop_track(trk.id)
+            self._live.clear()
             self._finalized = Explanation(
                 tracks=sorted(self.tracks.values(), key=lambda t: t.id),
                 events=list(self.events),

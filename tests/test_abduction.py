@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from abdtrack import (
 )
 from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
-from abdtrack.domain import EventKind, EventOccurrence, apply_event, possible
+from abdtrack.domain import EngineBugError, EventKind, EventOccurrence, apply_event, possible
 from conftest import make_random_spec, scaled_likelihoods
 from reference_solver import solve_reference
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
@@ -160,6 +162,29 @@ class TestLinkEvents:
         assert [e.kind for e in events] == [EventKind.LOST]
 
 
+def _active(spec):
+    return [t for t, p in spec.predictions.items() if p.state == TrackState.ACTIVE]
+
+
+def _halt_events(spec, t):
+    return link_events(Action(ActionKind.HALT, trk=t), spec)
+
+
+def _hide_or_clip(spec, rng):
+    """Make two active tracks clipped or not visible, a state no engine
+    reaches, so that their halts need an occluder or have no event."""
+    active = _active(spec)
+    if len(active) < 2:
+        return
+    for t in rng.choice(active, size=2, replace=False).tolist():
+        if rng.random() < 0.8:
+            e = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t)
+        else:
+            e = EventOccurrence(EventKind.HIDES_BEHIND, 0, t, occluder=active[0])
+        if possible(spec, e):
+            apply_event(spec.fluents, e)
+
+
 class TestExplanationLinking:
     def test_detection_ids_not_positions(self):
         inside, outside = BBox2D(100, 100, 20, 20), BBox2D(500, 500, 20, 20)
@@ -206,10 +231,91 @@ class TestExplanationLinking:
         result = solve(spec)
         assert "resume(trk_2,det_1)" in {a.pretty() for a in result.actions}
         assert ActionKind.ASSIGN not in {a.kind for a in calls}
+        # the assigned track's halt is never linked
+        assert Action(ActionKind.HALT, trk=1) not in calls
         resumes = [a for a in calls if a.kind == ActionKind.RESUME]
         assert len(resumes) == 1  # one explanation for three resume candidates
         keys = [(a.kind, a.trk, a.det if a.trk is None else None) for a in calls]
         assert len(keys) == len(set(keys))
+
+    def test_admissible_iff_linkable_and_cover_carries_first_event(self):
+        # Random specs of 10-60 tracks, every other one with fluents no
+        # engine reaches (active tracks clipped or not visible), so that
+        # some halts are explained only by an occluder, or by nothing.
+        rng = np.random.default_rng(32)
+        seen = Counter()
+        for k in range(120):
+            spec = make_random_spec(rng, max_tracks=60, max_dets=30, min_tracks=10)
+            if k % 2:
+                _hide_or_clip(spec, rng)
+
+            per_track, per_det = candidate_actions(spec)
+            track_cands, det_opts, _ = abduction._explained_options(spec)
+
+            def kept(acts):
+                return [
+                    a for a in acts
+                    if a.kind in (ActionKind.ASSIGN, ActionKind.HALT) or link_events(a, spec)
+                ]
+
+            assert track_cands == {
+                t: sorted(kept(acts), key=abduction._action_rank) for t, acts in per_track.items()
+            }
+            assert det_opts == {d: kept(acts) for d, acts in per_det.items()}
+            unexplained = [t for t in _active(spec) if not _halt_events(spec, t)]
+
+            try:
+                result = solve(spec)
+            except EngineBugError as err:
+                # only for a cover halt that no event explains
+                assert any(f"track {t} has no explainable fallback" in str(err) for t in unexplained)
+                seen["raised"] += 1
+                continue
+            seen["solved past an unexplained halt"] += bool(unexplained)
+            for a in result.actions:
+                linked = None if a.kind == ActionKind.ASSIGN else link_events(a, spec)[0]
+                assert a.event == linked
+                missing = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, a.trk)
+                if a.kind == ActionKind.HALT and not possible(spec, missing):
+                    seen["halt explained by an occluder"] += 1
+        assert len(seen) == 3 and min(seen.values()) > 0, seen
+
+    def test_halts_taken_as_admissible_give_the_strict_optimum(self, monkeypatch):
+        # solve tries halts as admissible and links only the cover's.  On
+        # small specs with hand-set fluents it must return the oracle's
+        # optimum over the strictly admissible actions, and raise only
+        # where its cover holds a halt that no event explains.
+        def strict(spec):
+            cands, det_opts, links = explained_options(spec)
+            cands = {
+                t: [a for a in acts if a.kind != ActionKind.HALT or link_events(a, spec)]
+                for t, acts in cands.items()
+            }
+            return cands, det_opts, links
+
+        explained_options = abduction._explained_options
+        rng = np.random.default_rng(41)
+        seen = Counter()
+        for _ in range(400):
+            spec = make_random_spec(rng, min_tracks=2)
+            _hide_or_clip(spec, rng)
+            with monkeypatch.context() as m:
+                m.setattr(abduction, "_explained_options", strict)
+                try:
+                    expected = solve_oracle(spec)
+                except AssertionError:  # no cover of strictly admissible actions
+                    expected = None
+            try:
+                result = solve(spec)
+            except EngineBugError:
+                assert any(not _halt_events(spec, t) for t in _active(spec))
+                seen["raised"] += 1
+                continue
+            assert result == expected
+            seen["equal past an unexplained halt"] += any(
+                not _halt_events(spec, t) for t in _active(spec)
+            )
+        assert seen["raised"] > 0 and seen["equal past an unexplained halt"] > 0, seen
 
 
 class TestSolve:

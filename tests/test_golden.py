@@ -47,6 +47,16 @@ def _cases() -> dict[str, tuple[ScenarioConfig, list[str], str | None]]:
             ["--frame-geom", "1242x375"],
             None,
         ),
+        # Crowded: many halts with several possible occluders, so it locks
+        # the lowest-id occluder choice of hides_behind.
+        "bench50": (
+            ScenarioConfig(
+                n_tracks=50, n_frames=30, overlap_fraction=0.3,
+                drop_prob=0.05, jitter_sigma=1.0, seed=0,
+            ),
+            ["--frame-geom", "1242x375"],
+            None,
+        ),
         "churn": (
             ScenarioConfig(n_tracks=10, n_frames=400, spurious_rate=0.5, seed=3),
             ["--conf-new", "45"],

@@ -161,6 +161,19 @@ class TestLifecycle:
         missing = [e for e in exp.events if e.kind == EventKind.MISSING_DETECTIONS]
         assert [e.frame for e in missing] == [3]
 
+    def test_spec_holds_the_live_tracks_in_id_order(self):
+        eng = engine(max_halted_age=5)
+        for f in range(15):
+            dets = [det(0, BBox2D(150, 150, 20, 20))]
+            if f < 3:
+                dets.append(det(1, BBox2D(50, 50, 20, 20)))  # lost at frame 9
+            if f >= 12:
+                dets.append(det(1, BBox2D(250, 200, 20, 20)))
+            eng.step(f, dets)
+        assert list(eng.last_spec.predictions) == [0, 2]
+        assert eng.tracks[1].state == TrackState.ENDED
+        assert [t.id for t in eng.finalize().tracks] == [0, 1, 2]
+
     def test_track_leaving_frame_gets_leaves_fov(self):
         eng = engine()
         # moving right toward the frame edge, detections stop mid-way
