@@ -87,7 +87,6 @@ class Thresholds:
     anticipation_threshold: int = 20
     anticipation_horizon: int = 60
     fov_margin: float = 10.0
-    class_aliases: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.iou_thresh < 1.0:
@@ -104,9 +103,6 @@ class Thresholds:
         ):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
-
-    def match_type(self, a: str, b: str) -> bool:
-        return a == b or (a, b) in self.class_aliases or (b, a) in self.class_aliases
 
     @property
     def iou_thresh_scaled(self) -> int:
@@ -186,7 +182,7 @@ def _assign_ok(spec: ProblemSpec, tid: int, det: Detection) -> bool:
     pred = spec.predictions[tid]
     return (
         pred.state == TrackState.ACTIVE
-        and spec.config.match_type(pred.cls, det.cls)
+        and pred.cls == det.cls
         and det.conf > spec.config.conf_thresh_assign
     )
 
@@ -195,7 +191,7 @@ def _resume_ok(spec: ProblemSpec, tid: int, det: Detection) -> bool:
     pred = spec.predictions[tid]
     return (
         pred.state == TrackState.HALTED
-        and spec.config.match_type(pred.cls, det.cls)
+        and pred.cls == det.cls
         and det.conf > spec.config.conf_thresh_resume
     )
 

@@ -119,8 +119,8 @@ def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
     for tid in engine.fluents.tracks():
         box = engine.predicted_box(tid)
         if box is None:
-            box = engine.tracks[tid].filter.current_box()
-        views[tid] = TrackView(box=box, velocity=engine.tracks[tid].filter.velocity())
+            box = engine.motion.current_box(tid)
+        views[tid] = TrackView(box=box, velocity=engine.motion.velocity(tid))
     return views, engine.fluents.hidden_pairs()
 
 

@@ -22,7 +22,6 @@ class _Entry:
     def __init__(self, tid: int, det: Detection):
         self.id = tid
         self.cls = det.cls
-        self.filter = MotionFilter(det.box)
         self.boxes: dict[int, BBox2D] = {}
 
 
@@ -31,14 +30,16 @@ class GreedyIoUTracker:
         self.th = thresholds
         self.tracks: dict[int, _Entry] = {}
         self.finished: dict[int, _Entry] = {}
+        # Kalman rows of self.tracks, in the same (ascending id) order.
+        self.motion = MotionFilter()
         self._next_id = 0
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
-        preds = {tid: e.filter.predict() for tid, e in self.tracks.items()}
+        preds = dict(zip(self.tracks, self.motion.predict(), strict=True))
         pairs = []
         for tid, pbox in preds.items():
             for det in detections:
-                if not self.th.match_type(self.tracks[tid].cls, det.cls):
+                if self.tracks[tid].cls != det.cls:
                     continue
                 if det.conf <= self.th.conf_thresh_assign:
                     continue
@@ -49,18 +50,20 @@ class GreedyIoUTracker:
         used_t: set[int] = set()
         used_d: set[int] = set()
         dets = {d.id: d for d in detections}
+        obs: dict[int, BBox2D] = {}
         for _, tid, did in pairs:
             if tid in used_t or did in used_d:
                 continue
             used_t.add(tid)
             used_d.add(did)
-            e = self.tracks[tid]
-            e.filter.update(dets[did].box)
-            e.boxes[frame] = dets[did].box
+            obs[tid] = dets[did].box
+            self.tracks[tid].boxes[frame] = dets[did].box
+        self.motion.update(obs)
         # unmatched tracks terminate immediately
         for tid in list(self.tracks):
             if tid not in used_t:
                 self.finished[tid] = self.tracks.pop(tid)
+                self.motion.drop(tid)
         # unmatched detections may start new tracks
         for det in detections:
             if det.id in used_d:
@@ -72,6 +75,7 @@ class GreedyIoUTracker:
                 e = _Entry(self._next_id, det)
                 e.boxes[frame] = det.box
                 self.tracks[self._next_id] = e
+                self.motion.add(self._next_id, det.box)
                 self._next_id += 1
 
     def result(self) -> TrackBoxes:

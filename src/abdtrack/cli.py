@@ -230,6 +230,20 @@ def cmd_emit_facts(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return value
+
+
+def _track_counts(text: str) -> str:
+    """Checks a comma-separated list of track counts; returns it as given."""
+    for v in text.split(","):
+        _positive_int(v)
+    return text
+
+
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags win")
     for flag, field, kind in _THRESHOLDS:
@@ -271,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="synthetic scaling benchmark")
-    p.add_argument("--tracks", default="5,10,20,50,100")
-    p.add_argument("--frames", type=int, default=60)
+    p.add_argument("--tracks", type=_track_counts, default="5,10,20,50,100")
+    p.add_argument("--frames", type=_positive_int, default=60)
     p.add_argument("--overlap", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--latency-csv", help="per-frame latency CSV path")

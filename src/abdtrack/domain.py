@@ -16,7 +16,6 @@ from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Optional
 
 from .geometry import BBox2D, overlapping_top
-from .motion import MotionFilter
 
 if TYPE_CHECKING:
     from .abduction import ProblemSpec
@@ -77,13 +76,15 @@ class HistoryEntry:
 
 @dataclass
 class Track:
-    """Hypothesized scene object with lifecycle state and motion history."""
+    """Hypothesized scene object with lifecycle state and motion history.
+
+    Its Kalman state is not held here: while the track is live it is a
+    row of the engine's :class:`~abdtrack.motion.MotionFilter` bank."""
 
     id: int
     cls: str
     state: TrackState
     history: list[HistoryEntry]
-    filter: MotionFilter
     born_frame: int
     halted_since: Optional[int] = None
 

@@ -1,12 +1,20 @@
-"""Constant-velocity Kalman filtering per track.
+"""Constant-velocity Kalman filtering of all live tracks as one bank.
 
 State vector (7): [cx, cy, s, r, v_cx, v_cy, v_s] where s is the box area
 and r the aspect ratio (w/h); r carries no velocity.  Measurements are
 [cx, cy, s, r].  Default noise levels: measurement diag(1, 1, 10, 10),
 process noise small on the velocity components.
+
+The bank holds one row per track: states as an (n, 7) array and
+covariances as an (n, 7, 7) array, in ascending track id order.  A frame
+predicts every row with one stacked pass and corrects the observed rows
+with another; each row's arithmetic is the per-track filter's, so the
+results are bit-identical to running one filter per track.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -33,56 +41,116 @@ PROCESS_NOISE = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])
 INITIAL_COVARIANCE = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
 
 
-def box_to_z(b: BBox2D) -> np.ndarray:
-    return np.array([b.cx, b.cy, b.area, b.w / b.h], dtype=float)
+def box_to_z(boxes: list[BBox2D]) -> np.ndarray:
+    """(n, 4) measurements [cx, cy, s, r] of n boxes."""
+    z = np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+    w, h = z[:, 2], z[:, 3]
+    z[:, :2] += z[:, 2:] / 2.0
+    z[:, 2], z[:, 3] = w * h, w / h
+    return z
 
 
-def z_to_box(z: np.ndarray) -> BBox2D:
-    cx, cy, s, r = float(z[0]), float(z[1]), float(z[2]), float(z[3])
-    w = float(np.sqrt(max(s, 1e-12) * max(r, 1e-12)))
-    h = s / w if w > 0 else 1e-6
-    return BBox2D(cx - w / 2.0, cy - h / 2.0, max(w, 1e-6), max(h, 1e-6))
+def z_to_box(z: np.ndarray) -> list[BBox2D]:
+    """Boxes of the (n, 4) measurement-space rows of ``z``."""
+    s, r = z[:, 2], z[:, 3]
+    xywh = np.empty((len(z), 4))
+    # w >= 1e-12 unless the state is NaN, so s / w never divides by zero.
+    xywh[:, 2] = w = np.sqrt(np.maximum(s, 1e-12) * np.maximum(r, 1e-12))
+    xywh[:, 3] = s / w
+    xywh[:, :2] = z[:, :2] - xywh[:, 2:] / 2.0
+    np.maximum(xywh[:, 2:], 1e-6, out=xywh[:, 2:])
+    # tolist() gives Python floats: a numpy scalar's repr would leak into
+    # the written track files.
+    return [BBox2D(*row) for row in xywh.tolist()]
 
 
 class MotionFilter:
-    """Kalman filter owned by a single track; mutated sequentially."""
+    """Kalman bank of every live track; rows in ascending track id order.
 
-    def __init__(self, box: BBox2D):
-        self.x = np.zeros(7)
-        self.x[:4] = box_to_z(box)
-        self.P = INITIAL_COVARIANCE.copy()
-        self._last_box = box
+    Track ids must be added in increasing order (the engine allocates
+    them that way), so appending a row keeps the order.  Change ``x`` and
+    ``P`` only through the bank's methods: an updated row's box is made
+    from its state when it is first needed.
+    """
 
-    def predict(self) -> BBox2D:
-        """Advance one frame; returns the predicted box.
+    def __init__(self) -> None:
+        self.ids: list[int] = []
+        self._row: dict[int, int] = {}
+        self.x = np.zeros((0, 7))
+        self.P = np.zeros((0, 7, 7))
+        # Each row's last valid box; None after an update until the box is
+        # needed, and then it is the box of the row's state.
+        self._box: list[Optional[BBox2D]] = []
 
-        A degenerate predicted area keeps the last valid box.
-        """
+    def add(self, tid: int, box: BBox2D) -> None:
+        """Start a row for track ``tid`` at ``box``, zero velocity."""
+        if self.ids and tid <= self.ids[-1]:
+            raise ValueError(f"track {tid} added after track {self.ids[-1]}")
+        x = np.zeros((1, 7))
+        x[:, :4] = box_to_z([box])
+        self._row[tid] = len(self.ids)
+        self.ids.append(tid)
+        self.x = np.concatenate([self.x, x])
+        self.P = np.concatenate([self.P, INITIAL_COVARIANCE[None]])
+        self._box.append(box)
+
+    def drop(self, tid: int) -> None:
+        """Remove track ``tid``'s row."""
+        i = self._row[tid]
+        del self.ids[i], self._box[i]
+        self._row = {t: k for k, t in enumerate(self.ids)}
+        self.x = np.delete(self.x, i, axis=0)
+        self.P = np.delete(self.P, i, axis=0)
+
+    def _set_boxes(self, x: np.ndarray, rows: list[int]) -> None:
+        for i, box in zip(rows, z_to_box(x[rows, :4])):
+            self._box[i] = box
+
+    def predict(self) -> list[BBox2D]:
+        """Advance every row one frame; returns the predicted boxes in
+        row order.  A row whose predicted area or aspect is degenerate
+        keeps its last valid box."""
+        x0 = self.x
         # Avoid driving the area negative when area velocity is large.
-        if self.x[2] + self.x[6] <= 0:
-            self.x[6] = 0.0
-        self.x = _F @ self.x
+        x0[x0[:, 2] + x0[:, 6] <= 0, 6] = 0.0
+        self.x = x = x0 @ _F.T
         self.P = _F @ self.P @ _F.T + PROCESS_NOISE
-        if self.x[2] <= 0 or self.x[3] <= 0:
-            return self._last_box
-        self._last_box = z_to_box(self.x[:4])
-        return self._last_box
+        ok = (x[:, 2] > 0) & (x[:, 3] > 0)
+        if ok.all():
+            self._box = z_to_box(x[:, :4])
+        else:
+            # If an update left a degenerate row's box uncomputed, its last
+            # valid box is the one of its state before this step.
+            stale = [i for i in np.flatnonzero(~ok).tolist() if self._box[i] is None]
+            self._set_boxes(x0, stale)
+            self._set_boxes(x, np.flatnonzero(ok).tolist())
+        return list(self._box)
 
-    def update(self, obs: BBox2D) -> None:
-        """Standard Kalman correction on (cx, cy, s, r)."""
-        z = box_to_z(obs)
-        y = z - _H @ self.x
-        S = _H @ self.P @ _H.T + MEASUREMENT_NOISE
-        K = self.P @ _H.T @ np.linalg.inv(S)
-        self.x = self.x + K @ y
-        self.P = (np.eye(7) - K @ _H) @ self.P
+    def update(self, obs: dict[int, BBox2D]) -> None:
+        """Standard Kalman correction on (cx, cy, s, r) of the rows of the
+        tracks in ``obs``, one observed box each."""
+        if not obs:
+            return
+        rows = [self._row[t] for t in obs]
+        x, P = self.x[rows], self.P[rows]
+        y = box_to_z(list(obs.values())) - x @ _H.T
+        S = _H @ P @ _H.T + MEASUREMENT_NOISE
+        K = P @ _H.T @ np.linalg.inv(S)
+        x = x + (K @ y[:, :, None])[:, :, 0]
+        P = (np.eye(7) - K @ _H) @ P
         # Keep the covariance numerically symmetric.
-        self.P = (self.P + self.P.T) / 2.0
-        self._last_box = z_to_box(self.x[:4])
+        P = (P + P.transpose(0, 2, 1)) / 2.0
+        self.x[rows], self.P[rows] = x, P
+        for i in rows:
+            self._box[i] = None
 
-    def current_box(self) -> BBox2D:
-        return self._last_box
+    def current_box(self, tid: int) -> BBox2D:
+        i = self._row[tid]
+        if self._box[i] is None:
+            self._set_boxes(self.x, [i])
+        return self._box[i]
 
-    def velocity(self) -> tuple[float, float]:
-        """Estimated (MovX, MovY) in px/frame."""
-        return float(self.x[4]), float(self.x[5])
+    def velocity(self, tid: int) -> tuple[float, float]:
+        """Estimated (MovX, MovY) of track ``tid`` in px/frame."""
+        vx, vy = self.x[self._row[tid], 4:6].tolist()
+        return vx, vy

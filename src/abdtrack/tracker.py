@@ -79,6 +79,9 @@ class AbductionEngine:
         self._live: dict[int, Track] = {}
         self.events: list[EventOccurrence] = []
         self.latencies: list[_StepStats] = []
+        # Kalman rows of the live tracks, in the order of self._live.
+        self.motion = MotionFilter()
+        self._observed: dict[int, BBox2D] = {}
         self._next_id = 0
         self._last_frame: Optional[int] = None
         self._finalized: Optional[Explanation] = None
@@ -115,9 +118,9 @@ class AbductionEngine:
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
         predictions: dict[int, TrackPrediction] = {}
-        for tid, trk in self._live.items():
+        for (tid, trk), box in zip(self._live.items(), self.motion.predict(), strict=True):
             predictions[tid] = TrackPrediction(
-                box=trk.filter.predict(),
+                box=box,
                 state=trk.state,
                 cls=trk.cls,
                 halted_age=trk.halted_age(frame),
@@ -165,6 +168,8 @@ class AbductionEngine:
             # IGNORE_TRK / IGNORE_DET: no state change, noise event logged
             if event is not None:
                 frame_events.append(event)
+        self.motion.update(self._observed)
+        self._observed.clear()
 
         for e in frame_events:
             if e.kind != EventKind.NOISE and not e.subject_is_det:
@@ -178,7 +183,7 @@ class AbductionEngine:
     # -- lifecycle helpers ----------------------------------------------
 
     def _observe(self, trk: Track, frame: int, det: Detection) -> None:
-        trk.filter.update(det.box)
+        self._observed[trk.id] = det.box
         trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
 
     def _start_track(self, frame: int, det: Detection) -> int:
@@ -189,10 +194,10 @@ class AbductionEngine:
             cls=det.cls,
             state=TrackState.ACTIVE,
             history=[HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf)],
-            filter=MotionFilter(det.box),
             born_frame=frame,
         )
         self.tracks[tid] = self._live[tid] = trk
+        self.motion.add(tid, det.box)
         self.fluents.register_track(tid)
         return tid
 
@@ -212,11 +217,12 @@ class AbductionEngine:
             )
         trk.state = TrackState.ACTIVE
         trk.halted_since = None
-        trk.filter.update(det.box)
+        self._observed[trk.id] = det.box
         trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
 
     def _end_track(self, tid: int) -> None:
         trk = self._live.pop(tid)
+        self.motion.drop(tid)
         trk.state = TrackState.ENDED
         trk.halted_since = None
 

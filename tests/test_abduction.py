@@ -82,16 +82,6 @@ class TestCandidateActions:
         per_track, _ = candidate_actions(spec)
         assert {a.kind for a in per_track[1]} == {ActionKind.HALT}
 
-    def test_class_alias_enables_assign(self):
-        th = Thresholds(class_aliases=(("truck", "bus"),))
-        spec = simple_spec(
-            {1: (BBox2D(0, 0, 20, 20), TrackState.ACTIVE, "truck", 0)},
-            [("bus", 99, BBox2D(1, 1, 20, 20))],
-            thresholds=th,
-        )
-        per_track, _ = candidate_actions(spec)
-        assert ActionKind.ASSIGN in {a.kind for a in per_track[1]}
-
     def test_iou_threshold_blocks_assign(self):
         th = Thresholds(iou_thresh=0.9)
         spec = simple_spec(
@@ -380,13 +370,13 @@ class TestSolve:
                 if k == ActionKind.ASSIGN:
                     p, d = spec.predictions[a.trk], spec.detections[a.det]
                     assert p.state == TrackState.ACTIVE
-                    assert spec.config.match_type(p.cls, d.cls)
+                    assert p.cls == d.cls
                     assert d.conf > spec.config.conf_thresh_assign
                     assert spec.likelihoods[(a.trk, a.det)] > spec.config.iou_thresh_scaled
                 elif k == ActionKind.RESUME:
                     p, d = spec.predictions[a.trk], spec.detections[a.det]
                     assert p.state == TrackState.HALTED
-                    assert spec.config.match_type(p.cls, d.cls)
+                    assert p.cls == d.cls
                     assert d.conf > spec.config.conf_thresh_resume
                 elif k == ActionKind.START:
                     d = spec.detections[a.det]

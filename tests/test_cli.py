@@ -194,6 +194,21 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "--scenario", "scene.cfg"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--frames", "0"], "--frames"),
+            (["--frames", "-2"], "--frames"),
+            (["--tracks", "5,0"], "--tracks"),
+            (["--tracks", "-1"], "--tracks"),
+        ],
+    )
+    def test_non_positive_size_rejected_at_parse(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
     def test_table_and_reproducibility(self, tmp_path, capsys):
         args = ["bench", "--tracks", "2,3", "--frames", "8", "--seed", "5",
                 "--latency-csv", str(tmp_path / "lat.csv")]

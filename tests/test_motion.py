@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from abdtrack.motion import (
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
     MotionFilter,
-    box_to_z,
 )
 from conftest import random_box
 
@@ -26,46 +27,155 @@ _F = np.array(
 _H = np.eye(4, 7)
 
 
+def _z(b: BBox2D) -> np.ndarray:
+    return np.array([b.x + b.w / 2.0, b.y + b.h / 2.0, b.w * b.h, b.w / b.h])
+
+
+def _box(z: np.ndarray) -> BBox2D:
+    cx, cy, s, r = (float(v) for v in z)
+    w = math.sqrt(max(s, 1e-12) * max(r, 1e-12))
+    h = s / w if w > 0 else 1e-6
+    return BBox2D(cx - w / 2.0, cy - h / 2.0, max(w, 1e-6), max(h, 1e-6))
+
+
+class ScalarKF:
+    """Independent per-track reference: the textbook recursion on one
+    state vector, with the engine's area-velocity clamp, keep-last box on
+    a degenerate state and covariance symmetrisation."""
+
+    def __init__(self, box: BBox2D):
+        self.x = np.zeros(7)
+        self.x[:4] = _z(box)
+        self.P = INITIAL_COVARIANCE.copy()
+        self.box = box
+
+    def predict(self) -> BBox2D:
+        if self.x[2] + self.x[6] <= 0:
+            self.x[6] = 0.0
+        self.x = _F @ self.x
+        self.P = _F @ self.P @ _F.T + PROCESS_NOISE
+        if self.x[2] > 0 and self.x[3] > 0:
+            self.box = _box(self.x[:4])
+        return self.box
+
+    def update(self, b: BBox2D) -> None:
+        y = _z(b) - _H @ self.x
+        S = _H @ self.P @ _H.T + MEASUREMENT_NOISE
+        K = self.P @ _H.T @ np.linalg.inv(S)
+        self.x = self.x + K @ y
+        self.P = (np.eye(7) - K @ _H) @ self.P
+        self.P = (self.P + self.P.T) / 2.0
+        self.box = _box(self.x[:4])
+
+
 def kf_oracle(boxes):
-    """Independent textbook recursion over a detection sequence: init on
-    the first box, then predict+update per box, then one final predict.
-    Returns the final state."""
-    x = np.zeros(7)
-    x[:4] = box_to_z(boxes[0])
-    P = INITIAL_COVARIANCE.copy()
+    """Init on the first box, then predict+update per box, then one final
+    predict.  Returns the final state."""
+    kf = ScalarKF(boxes[0])
     for b in boxes[1:]:
-        x = _F @ x
-        P = _F @ P @ _F.T + PROCESS_NOISE
-        y = box_to_z(b) - _H @ x
-        S = _H @ P @ _H.T + MEASUREMENT_NOISE
-        K = P @ _H.T @ np.linalg.inv(S)
-        x = x + K @ y
-        P = (np.eye(7) - K @ _H) @ P
-    x = _F @ x
-    return x
+        kf.predict()
+        kf.update(b)
+    kf.predict()
+    return kf.x
+
+
+def one(box: BBox2D) -> MotionFilter:
+    """A bank holding the single track 0."""
+    f = MotionFilter()
+    f.add(0, box)
+    return f
 
 
 def run_filter(boxes):
-    f = MotionFilter(boxes[0])
+    f = one(boxes[0])
     for b in boxes[1:]:
         f.predict()
-        f.update(b)
-    return f, f.predict()
+        f.update({0: b})
+    return f, f.predict()[0]
+
+
+def _xywh(b: BBox2D) -> tuple:
+    return (b.x, b.y, b.w, b.h)
+
+
+class TestBank:
+    def test_matches_per_track_reference(self):
+        """Rows added and dropped mid-stream, a random subset observed each
+        frame: the stacked passes give every row's state, covariance and
+        box bit for bit.  Half the rows start from a coupled covariance,
+        whose updates can leave a degenerate area or aspect, so rows keep
+        their last box too."""
+        rng = np.random.default_rng(61)
+        bank, ref = MotionFilter(), {}
+        next_id = 0
+        clamped = kept = 0
+        for frame in range(240):
+            while len(ref) < 20 or (frame > 0 and rng.random() < 0.3):
+                b = random_box(rng)
+                bank.add(next_id, b)
+                ref[next_id] = ScalarKF(b)
+                if next_id % 2:
+                    # A coupled covariance: S is not diagonal, so the
+                    # rounding of its inverse shows in K.
+                    A = rng.normal(size=(7, 7))
+                    bank.P[-1] = ref[next_id].P = INITIAL_COVARIANCE + A @ A.T
+                next_id += 1
+            if frame > 0:
+                for tid in rng.choice(list(ref), size=int(rng.integers(0, 3)), replace=False):
+                    bank.drop(int(tid))
+                    del ref[int(tid)]
+            clamped += sum(kf.x[2] + kf.x[6] <= 0 for kf in ref.values())
+            boxes = bank.predict()
+            expected = [ref[t].predict() for t in ref]
+            kept += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
+            assert bank.ids == list(ref)
+            assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
+            assert all(type(v) is float for b in boxes for v in _xywh(b))
+            obs = {
+                t: random_box(rng) if rng.random() < 0.3 else BBox2D(
+                    p.x + rng.normal(), p.y + rng.normal(), p.w, p.h
+                )
+                for t, p in zip(list(ref), boxes)
+                if rng.random() < 0.6
+            }
+            bank.update(obs)
+            for t, b in obs.items():
+                ref[t].update(b)
+            for i, t in enumerate(bank.ids):
+                assert np.array_equal(bank.x[i], ref[t].x)
+                assert np.array_equal(bank.P[i], ref[t].P)
+                assert bank.velocity(t) == (ref[t].x[4], ref[t].x[5])
+                # Leave some boxes unread: predict then meets rows whose
+                # box an update left uncomputed.
+                if rng.random() < 0.5:
+                    assert _xywh(bank.current_box(t)) == _xywh(ref[t].box)
+        assert next_id > 100 and clamped > 0 and kept > 0
+
+    def test_ids_must_increase(self):
+        f = one(BBox2D(0, 0, 10, 10))
+        with pytest.raises(ValueError):
+            f.add(0, BBox2D(0, 0, 10, 10))
+
+    def test_empty_bank(self):
+        f = MotionFilter()
+        assert f.predict() == []
+        f.update({})
+        assert f.x.shape == (0, 7) and f.P.shape == (0, 7, 7)
 
 
 class TestInit:
     def test_center_area_aspect(self):
-        f = MotionFilter(BBox2D(0, 0, 10, 10))
-        assert list(f.x[:4]) == [5.0, 5.0, 100.0, 1.0]
-        assert list(f.x[4:]) == [0.0, 0.0, 0.0]
+        f = one(BBox2D(0, 0, 10, 10))
+        assert list(f.x[0, :4]) == [5.0, 5.0, 100.0, 1.0]
+        assert list(f.x[0, 4:]) == [0.0, 0.0, 0.0]
 
     def test_second_example(self):
-        f = MotionFilter(BBox2D(10, 20, 20, 10))
-        assert list(f.x[:4]) == [20.0, 25.0, 200.0, 2.0]
+        f = one(BBox2D(10, 20, 20, 10))
+        assert list(f.x[0, :4]) == [20.0, 25.0, 200.0, 2.0]
 
     def test_predict_after_init_returns_same_box(self):
-        f = MotionFilter(BBox2D(7, 3, 12, 9))
-        b = f.predict()
+        f = one(BBox2D(7, 3, 12, 9))
+        b = f.predict()[0]
         assert (b.x, b.y, b.w, b.h) == pytest.approx((7, 3, 12, 9), abs=1e-9)
 
 
@@ -86,23 +196,23 @@ class TestPredict:
 
     def test_dead_reckoning_is_exactly_linear(self):
         f, _ = run_filter([BBox2D(10 * k, 0, 10, 10) for k in range(4)])
-        vx, vy = f.velocity()
-        c0 = (f.x[0], f.x[1])
+        vx, vy = f.velocity(0)
+        c0 = (f.x[0, 0], f.x[0, 1])
         for k in range(1, 8):
             f.predict()
-            assert f.x[0] == pytest.approx(c0[0] + k * vx, rel=1e-12)
-            assert f.x[1] == pytest.approx(c0[1] + k * vy, rel=1e-12)
+            assert f.x[0, 0] == pytest.approx(c0[0] + k * vx, rel=1e-12)
+            assert f.x[0, 1] == pytest.approx(c0[1] + k * vy, rel=1e-12)
 
     def test_degenerate_area_flags_stale(self):
-        f = MotionFilter(BBox2D(0, 0, 4, 4))
-        f.x[6] = -100.0  # force the area toward collapse
-        f.x[2] = 1.0
-        box = f.predict()
+        f = one(BBox2D(0, 0, 4, 4))
+        f.x[0, 6] = -100.0  # force the area toward collapse
+        f.x[0, 2] = 1.0
+        box = f.predict()[0]
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
         # a degenerate state keeps the last valid box
-        f.x[3] = -1.0
-        assert f.predict() == box
+        f.x[0, 3] = -1.0
+        assert f.predict()[0] == box
 
 
 class TestUpdate:
@@ -116,12 +226,12 @@ class TestUpdate:
         ids=["horizontal", "stationary", "vertical"],
     )
     def test_residual_shrinks_monotonically(self, boxes):
-        f = MotionFilter(boxes[0])
+        f = one(boxes[0])
         residuals = []
         for b in boxes[1:]:
-            pred = f.predict()
+            pred = f.predict()[0]
             residuals.append(abs(pred.cx - b.cx) + abs(pred.cy - b.cy))
-            f.update(b)
+            f.update({0: b})
         assert all(a >= b for a, b in zip(residuals, residuals[1:]))
         # constant-velocity input: center error below 0.5 px by update 10
         assert residuals[10] < 0.5
@@ -137,16 +247,16 @@ class TestUpdate:
 
 class TestVelocity:
     def test_fresh_filter_zero(self):
-        assert MotionFilter(BBox2D(0, 0, 10, 10)).velocity() == (0.0, 0.0)
+        assert one(BBox2D(0, 0, 10, 10)).velocity(0) == (0.0, 0.0)
 
     def test_converges_to_ten(self):
         f, _ = run_filter([BBox2D(10 * k, 0, 10, 10) for k in range(6)])
-        vx, _ = f.velocity()
+        vx, _ = f.velocity(0)
         assert abs(vx - 10.0) <= 1.0
 
     def test_pure_vertical_motion(self):
         f, _ = run_filter([BBox2D(0, 8 * k, 10, 10) for k in range(6)])
-        vx, vy = f.velocity()
+        vx, vy = f.velocity(0)
         assert abs(vx) < 1e-6
         assert abs(vy - 8.0) <= 1.0
 
@@ -154,11 +264,12 @@ class TestVelocity:
 class TestCovariance:
     def test_symmetric_psd_over_many_cycles(self):
         rng = np.random.default_rng(7)
-        f = MotionFilter(random_box(rng))
+        f = one(random_box(rng))
         for i in range(10_000):
             f.predict()
             if rng.random() < 0.7:
-                f.update(random_box(rng))
-            assert np.allclose(f.P, f.P.T, atol=1e-8)
+                f.update({0: random_box(rng)})
+            P = f.P[0]
+            assert np.allclose(P, P.T, atol=1e-8)
             if i % 100 == 0:
-                assert np.linalg.eigvalsh(f.P).min() > -1e-6
+                assert np.linalg.eigvalsh(P).min() > -1e-6

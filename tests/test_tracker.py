@@ -171,6 +171,7 @@ class TestLifecycle:
                 dets.append(det(1, BBox2D(250, 200, 20, 20)))
             eng.step(f, dets)
         assert list(eng.last_spec.predictions) == [0, 2]
+        assert eng.motion.ids == [0, 2]
         assert eng.tracks[1].state == TrackState.ENDED
         assert [t.id for t in eng.finalize().tracks] == [0, 1, 2]
 
