@@ -7,12 +7,11 @@ Every track and every detection must be covered by exactly one action:
 
 Candidate actions are generated choice-rule style and pruned by integrity
 constraints; each non-assign action must additionally be explainable by at
-least one possible high-level event.  Before the solve, events are
-linked only to decide that, and not for a halt, the only fallback of an
-active track: it enters the solve untested and is linked if the cover
-holds it (a cover halt with no possible event raises ``EngineBugError``).
-The abduced events are attached to the chosen cover's actions only.  The
-optimum is lexicographic:
+least one possible high-level event.  An option carries its abduced
+event from the moment it is made, except a halt, the only fallback of
+an active track: it enters the solve untested and is linked after the
+solve if the cover holds it (a cover halt with no possible event raises
+``EngineBugError``).  The optimum is lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -130,8 +129,8 @@ class ProblemSpec:
     predictions: dict[int, TrackPrediction]
     likelihoods: dict[tuple[int, int], int]
     fluents: FluentStore
+    frame_geom: tuple[float, float]
     config: Thresholds = Thresholds()
-    frame_geom: Optional[tuple[float, float]] = None
 
 
 class ActionKind(Enum):
@@ -176,45 +175,21 @@ class SolveResult:
 # ----------------------------------------------------------------------
 
 
-def _assign_ok(spec: ProblemSpec, tid: int, det: Detection) -> bool:
-    """State, class and confidence gate of an assign; the IoU gate is
-    applied where the candidates are taken from the likelihood pairs."""
-    pred = spec.predictions[tid]
-    return (
-        pred.state == TrackState.ACTIVE
-        and pred.cls == det.cls
-        and det.conf > spec.config.conf_thresh_assign
-    )
-
-
-def _resume_ok(spec: ProblemSpec, tid: int, det: Detection) -> bool:
-    pred = spec.predictions[tid]
-    return (
-        pred.state == TrackState.HALTED
-        and pred.cls == det.cls
-        and det.conf > spec.config.conf_thresh_resume
-    )
-
-
-def _start_ok(spec: ProblemSpec, det: Detection) -> bool:
-    return (
-        det.conf > spec.config.conf_thresh_new_track
-        and det.box.area > spec.config.size_threshold
-    )
-
-
 def candidate_actions(
     spec: ProblemSpec,
 ) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
     """Admissible actions after the integrity constraints: per track all
     of its actions, per detection its detection-only ones (start before
-    ignore_det).  Assign candidates come from the likelihood pairs above
-    the IoU threshold.  Event explainability is applied separately; see
-    :func:`link_events`."""
+    ignore_det).  An assign or resume needs the track's class and a
+    confident detection; assign candidates come from the likelihood
+    pairs above the IoU threshold.  A start needs a confident detection
+    of a large enough box.  Event explainability is applied separately;
+    see :func:`link_events`."""
+    config = spec.config
     position = {d.id: j for j, d in enumerate(spec.detections)}
     overlapping: dict[int, list[int]] = {}
     for (tid, did), ml in spec.likelihoods.items():
-        if ml > spec.config.iou_thresh_scaled:
+        if ml > config.iou_thresh_scaled:
             overlapping.setdefault(tid, []).append(position[did])
     per_track: dict[int, list[Action]] = {}
     for tid in sorted(spec.predictions):
@@ -223,12 +198,12 @@ def candidate_actions(
         if pred.state == TrackState.ACTIVE:
             for j in sorted(overlapping.get(tid, ())):
                 det = spec.detections[j]
-                if _assign_ok(spec, tid, det):
+                if det.cls == pred.cls and det.conf > config.conf_thresh_assign:
                     acts.append(Action(ActionKind.ASSIGN, trk=tid, det=det.id))
             acts.append(Action(ActionKind.HALT, trk=tid))
         elif pred.state == TrackState.HALTED:
             for det in spec.detections:
-                if _resume_ok(spec, tid, det):
+                if det.cls == pred.cls and det.conf > config.conf_thresh_resume:
                     acts.append(Action(ActionKind.RESUME, trk=tid, det=det.id))
             acts.append(Action(ActionKind.END, trk=tid))
             acts.append(Action(ActionKind.IGNORE_TRK, trk=tid))
@@ -238,7 +213,9 @@ def candidate_actions(
 
     per_det: dict[int, list[Action]] = {}
     for det in spec.detections:
-        acts = [Action(ActionKind.START, det=det.id)] if _start_ok(spec, det) else []
+        acts = []
+        if det.conf > config.conf_thresh_new_track and det.box.area > config.size_threshold:
+            acts.append(Action(ActionKind.START, det=det.id))
         per_det[det.id] = acts + [Action(ActionKind.IGNORE_DET, det=det.id)]
     return per_track, per_det
 
@@ -249,9 +226,10 @@ def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
 
     An empty list makes the action inadmissible.  Assign actions need no
     explanation.  The events of a resume do not depend on its detection.
-    The solver calls this for the actions of the chosen cover, and before
-    the solve for every non-assign candidate except halts; a halt's list
-    scans every other track as a possible occluder.
+    The solver calls this once per action kind of every track and
+    detection when it makes their options, except for halts, and after
+    the solve for the cover's halts; a halt's list scans every other
+    track as a possible occluder.
     """
     t, frame, k = action.trk, spec.frame, action.kind
     if k == ActionKind.HALT:
@@ -335,126 +313,46 @@ def _action_rank(a: Action) -> tuple[int, int]:
     return (2, 0)  # ignore_trk
 
 
-# Abduced event per (action kind, track id or, for start and ignore_det,
-# detection id): the frame's links, each made at most once.
-_Links = dict[tuple[ActionKind, int], Optional[EventOccurrence]]
-
-
-def _abduced(a: Action, spec: ProblemSpec, links: _Links) -> Optional[EventOccurrence]:
-    """The abduced (first-preference) event of a non-assign action, or
-    None if none is possible.  Linked once per kind and track or
-    detection, so all of a track's resumes share one explanation."""
-    key = (a.kind, a.det if a.trk is None else a.trk)
-    if key not in links:
-        links[key] = next(iter(link_events(a, spec)), None)
-    return links[key]
-
-
-def _explained(a: Action, spec: ProblemSpec, links: _Links) -> bool:
-    """Whether the action may enter the solve.  Assigns need no event;
-    every other kind but a halt needs a possible one.  A halt enters
-    untested and is linked only if the cover holds it (see
-    :func:`_result`): a canonical cover of this larger set whose halts are
-    explained is also the canonical cover of the strict set, and every
-    active track the engine makes is visible and unclipped, so
-    missing_detections explains its halt."""
-    if a.kind in (ActionKind.ASSIGN, ActionKind.HALT):
-        return True
-    return _abduced(a, spec, links) is not None
-
-
 def _explained_options(
     spec: ProblemSpec,
-) -> tuple[dict[int, list[Action]], dict[int, list[Action]], _Links]:
-    """Explainable actions per track, in tie-break preference order, per
-    detection its detection-only ones (start before ignore_det), and the
-    links made while deciding that, for :func:`_result` to reuse."""
-    per_track, per_det = candidate_actions(spec)
-    links: _Links = {}
-    track_cands = {
-        t: sorted((a for a in acts if _explained(a, spec, links)), key=_action_rank)
-        for t, acts in per_track.items()
-    }
-    det_opts = {
-        d: [a for a in acts if _explained(a, spec, links)] for d, acts in per_det.items()
-    }
-    return track_cands, det_opts, links
+) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
+    """Explained options per track, in tie-break preference order, and
+    per detection its detection-only ones (start before ignore_det).
 
-
-# ----------------------------------------------------------------------
-# Exact solver: lexicographic weights + bipartite matching
-# ----------------------------------------------------------------------
-
-
-class _Instance:
-    """Preprocessed solve instance: per-track candidates, the fallback
-    action of every track and detection, and one track x detection gain
-    matrix.
-
-    A cover's folded value is the sum of all fallback values plus the
-    gains of its edges, so the optimum is a maximum-gain matching.  A
-    cell holds an edge's value minus the two fallback values it
-    replaces; it is 0 where there is no edge.  Edges with negative gain
-    are in no optimum and are left out.
+    Assigns need no event.  Every other option but a halt needs a
+    possible one and carries its abduced (first-preference) event; each
+    option list is linked once per action kind, so all of a track's
+    resumes share one explanation.  A halt enters untested and is linked
+    only if the cover holds it (see :func:`_result`): a canonical cover
+    of this larger set whose halts are explained is also the canonical
+    cover of the strict set, and every active track the engine makes is
+    visible and unclipped, so missing_detections explains its halt.
     """
+    per_track, per_det = candidate_actions(spec)
 
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        n_t, n_d = len(spec.predictions), len(spec.detections)
-        # Fold levels into one integer: value = l10*C1 - l3*C2 - l2, with
-        # constants large enough that no lower level can overturn a
-        # higher one.
-        max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
-        self.C2 = max_l2 + 1
-        self.C1 = self.C2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
-        # The matching runs on float64; keep every sum of gains exactly
-        # representable.  A gain exceeds its edge's value by at most the
-        # two fallbacks it replaces, so each is below (IOU_SCALE+2)*C1.
-        if (IOU_SCALE + 2) * self.C1 * min(n_t, n_d) >= 2**53:
-            raise ValueError(
-                f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
-            )
+    def explain(acts: list[Action]) -> list[Action]:
+        options: list[Action] = []
+        kind = event = None
+        for a in acts:
+            if a.kind is not ActionKind.ASSIGN and a.kind is not ActionKind.HALT:
+                # candidate_actions lists the actions of one kind together
+                if a.kind is not kind:
+                    kind, event = a.kind, next(iter(link_events(a, spec)), None)
+                if event is None:
+                    continue
+                a = Action(a.kind, a.trk, a.det, event)
+            options.append(a)
+        return options
 
-        self.track_cands, det_opts, self.links = _explained_options(spec)
-        self.track_ids = sorted(self.track_cands)
-        self.col = {d.id: j for j, d in enumerate(spec.detections)}
-        # start (level-2 cost) strictly beats ignore_det (level-3 cost)
-        self.det_fallback = [det_opts[d.id][0] for d in spec.detections]
-        det_value = [self._value(a) for a in self.det_fallback]
-        self.gain = np.zeros((n_t, n_d))
-        for i, t in enumerate(self.track_ids):
-            # end dominates ignore_trk; halt alone
-            fallback = next((a for a in self.track_cands[t] if a.det is None), None)
-            if fallback is None:
-                raise EngineBugError(f"track {t} has no explainable fallback action")
-            track_value = self._value(fallback)
-            for a in self.track_cands[t]:
-                if a.det is not None:
-                    j = self.col[a.det]
-                    g = self._value(a) - track_value - det_value[j]
-                    if g > 0:
-                        self.gain[i, j] = g
-
-    def _value(self, a: Action) -> int:
-        g, c3, c2 = _action_levels(self.spec, a)
-        return g * self.C1 - c3 * self.C2 - c2
-
-    def optimum(self, first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
-        """Maximum gain over the track rows from ``first`` on and the given
-        detection columns, plus one matching realizing it (row -> column,
-        edges only)."""
-        sub = self.gain[first:, cols]
-        r, c = linear_sum_assignment(sub, maximize=True)
-        g = sub[r, c]
-        return g.sum(), {
-            first + x: cols[y] for x, y, v in zip(r.tolist(), c.tolist(), g.tolist()) if v > 0
-        }
+    track_cands = {t: sorted(explain(acts), key=_action_rank) for t, acts in per_track.items()}
+    det_opts = {d: explain(acts) for d, acts in per_det.items()}
+    return track_cands, det_opts
 
 
-def _result(spec: ProblemSpec, actions: list[Action], links: _Links) -> SolveResult:
+def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     """A cover as a result: track actions by track id, then
     detection-only actions by detection id, each non-assign carrying its
-    abduced event.  This is the one place events are linked to actions.
+    abduced event.  Options carry theirs already; halts are linked here.
 
     Raises EngineBugError for a cover halt that no event explains: its
     track, being active, would have had no fallback action at all.
@@ -463,8 +361,8 @@ def _result(spec: ProblemSpec, actions: list[Action], links: _Links) -> SolveRes
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
     ordered: list[Action] = []
     for a in track_part + det_part:
-        if a.kind != ActionKind.ASSIGN:
-            a = Action(a.kind, a.trk, a.det, _abduced(a, spec, links))
+        if a.kind is ActionKind.HALT:
+            a = Action(a.kind, a.trk, event=next(iter(link_events(a, spec)), None))
             if a.event is None:
                 raise EngineBugError(f"track {a.trk} has no explainable fallback action")
         ordered.append(a)
@@ -483,6 +381,11 @@ def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
         seen |= touched
 
 
+# ----------------------------------------------------------------------
+# Exact solver: lexicographic weights + bipartite matching
+# ----------------------------------------------------------------------
+
+
 def solve(spec: ProblemSpec) -> SolveResult:
     """Lexicographic optimum over all consistent action-and-event covers.
 
@@ -494,36 +397,90 @@ def solve(spec: ProblemSpec) -> SolveResult:
     then fixes tracks in id order: a better-ranked edge than the
     incumbent's, on a still-free detection, is fixed when its gain plus
     the optimum of the remaining tracks and free detections equals the
-    remaining optimum; otherwise the incumbent is.  Events are linked for
-    the chosen cover's actions only.
+    remaining optimum; otherwise the incumbent is.  Only the chosen
+    cover's halts are linked after the solve.
     """
-    inst = _Instance(spec)
-    gain = inst.gain
-    free = list(range(len(spec.detections)))
-    rest, match = inst.optimum(0, free)
+    n_t, n_d = len(spec.predictions), len(spec.detections)
+    # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
+    # constants large enough that no lower level can overturn a higher
+    # one.
+    max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
+    c2 = max_l2 + 1
+    c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
+    # The matching runs on float64; keep every sum of gains exactly
+    # representable.  A gain exceeds its edge's value by at most the two
+    # fallbacks it replaces, so each is below (IOU_SCALE+2)*c1.
+    if (IOU_SCALE + 2) * c1 * min(n_t, n_d) >= 2**53:
+        raise ValueError(
+            f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
+        )
+
+    def value(a: Action) -> int:
+        g, c3, l2 = _action_levels(spec, a)
+        return g * c1 - c3 * c2 - l2
+
+    # A cover's folded value is the sum of all fallback values plus the
+    # gains of its edges, so the optimum is a maximum-gain matching.  A
+    # cell of the track x detection gain matrix holds an edge's value
+    # minus the two fallback values it replaces; it is 0 where there is
+    # no edge.  Edges with negative gain are in no optimum and are left
+    # out.
+    track_cands, det_opts = _explained_options(spec)
+    track_ids = sorted(track_cands)
+    col = {d.id: j for j, d in enumerate(spec.detections)}
+    # start (level-2 cost) strictly beats ignore_det (level-3 cost)
+    det_fallback = [det_opts[d.id][0] for d in spec.detections]
+    det_value = [value(a) for a in det_fallback]
+    gain = np.zeros((n_t, n_d))
+    for i, t in enumerate(track_ids):
+        # end dominates ignore_trk; halt alone
+        fallback = next((a for a in track_cands[t] if a.det is None), None)
+        if fallback is None:
+            raise EngineBugError(f"track {t} has no explainable fallback action")
+        track_value = value(fallback)
+        for a in track_cands[t]:
+            if a.det is not None:
+                j = col[a.det]
+                g = value(a) - track_value - det_value[j]
+                if g > 0:
+                    gain[i, j] = g
+
+    def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
+        """Maximum gain over the track rows from ``first`` on and the given
+        detection columns, plus one matching realizing it (row -> column,
+        edges only)."""
+        sub = gain[first:, cols]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        g = sub[r, c]
+        return g.sum(), {
+            first + x: cols[y] for x, y, v in zip(r.tolist(), c.tolist(), g.tolist()) if v > 0
+        }
+
+    free = list(range(n_d))
+    rest, match = optimum(0, free)
 
     # Loop invariant: rest is the optimum over the unfixed tracks and the
     # free detections, and match realizes it.
     actions: list[Action] = []
-    for i, t in enumerate(inst.track_ids):
+    for i, t in enumerate(track_ids):
         incumbent = match.get(i)
-        for a in inst.track_cands[t]:
-            j = inst.col.get(a.det)
+        for a in track_cands[t]:
+            j = col.get(a.det)
             if j is None:  # the fallback: no edge extends to an optimum
                 break
             if j == incumbent:
                 rest -= gain[i, j]
                 break
             if j in free and gain[i, j] > 0:
-                value, m = inst.optimum(i + 1, [c for c in free if c != j])
-                if gain[i, j] + value == rest:
-                    rest, match = value, m
+                tail, m = optimum(i + 1, [c for c in free if c != j])
+                if gain[i, j] + tail == rest:
+                    rest, match = tail, m
                     break
         if a.det is not None:
-            free.remove(inst.col[a.det])
+            free.remove(col[a.det])
         actions.append(a)
-    actions += [inst.det_fallback[j] for j in free]
-    result = _result(spec, actions, inst.links)
+    actions += [det_fallback[j] for j in free]
+    result = _result(spec, actions)
     _assert_disjoint_effects(result.events)
     return result
 
@@ -539,12 +496,13 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     """Exhaustive enumeration of every legal cover; the lexicographic
     optimum under the same deterministic tie-break as :func:`solve`.
 
-    Refuses instances with more than five tracks or detections.
+    Refuses instances with more than five tracks or detections, and
+    raises EngineBugError if no cover is legal.
     """
     if len(spec.predictions) > ORACLE_LIMIT or len(spec.detections) > ORACLE_LIMIT:
         raise ValueError("oracle limited to instances of at most 5x5")
 
-    cands, det_opts, links = _explained_options(spec)
+    cands, det_opts = _explained_options(spec)
     track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
 
@@ -587,8 +545,9 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
                 used.discard(a.det)
 
     recurse(0, set(), [])
-    assert best_actions is not None
-    return _result(spec, best_actions, links)
+    if best_actions is None:
+        raise EngineBugError(f"no legal cover at frame {spec.frame}")
+    return _result(spec, best_actions)
 
 
 # ----------------------------------------------------------------------

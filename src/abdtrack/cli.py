@@ -97,7 +97,7 @@ def _read_stream(args: argparse.Namespace):
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     """Defaults, then the config file, then explicit flags."""
     values = _load_config_file(args.config) if args.config else {}
-    geom = values.pop("frame_geom", (1242.0, 375.0))
+    geom = values.pop("frame_geom", EngineConfig.frame_geom)
     if args.frame_geom:
         geom = _parse_geom(args.frame_geom)
     for _, field, _ in _THRESHOLDS:

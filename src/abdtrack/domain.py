@@ -264,8 +264,6 @@ def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
     enters_fov(D): detection D's box intersects the frame.
     lost(T): the track has been halted longer than max_halted_age.
     noise: always possible.
-    Without a frame geometry no box is at the boundary and every box is
-    inside the frame.
     """
     store, k = spec.fluents, e.kind
     if k == EventKind.HIDES_BEHIND:
@@ -290,14 +288,10 @@ def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
     if k == EventKind.RECOVER:
         return store.clipped(e.subject)
     if k == EventKind.LEAVES_FOV:
-        if spec.frame_geom is None:
-            return False
         (w, h), m = spec.frame_geom, spec.config.fov_margin
         box = spec.predictions[e.subject].box
         return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
     if k == EventKind.ENTERS_FOV:
-        if spec.frame_geom is None:
-            return True
         w, h = spec.frame_geom
         box = next(d.box for d in spec.detections if d.id == e.subject)
         return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h

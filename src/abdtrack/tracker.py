@@ -48,7 +48,7 @@ def _xywh(b: BBox2D) -> tuple[float, float, float, float]:
 @dataclass(frozen=True)
 class EngineConfig:
     thresholds: Thresholds = Thresholds()
-    frame_geom: Optional[tuple[float, float]] = (1242.0, 375.0)
+    frame_geom: tuple[float, float] = (1242.0, 375.0)
 
 
 @dataclass

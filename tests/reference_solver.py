@@ -38,7 +38,7 @@ def solve_reference(spec: ProblemSpec) -> SolveResult:
         g, c3, cost2 = _action_levels(spec, a)
         return g * c1 - c3 * c2 - cost2
 
-    track_cands, det_opts, links = _explained_options(spec)
+    track_cands, det_opts = _explained_options(spec)
     edges = {(t, a.det): a for t, acts in track_cands.items() for a in acts if a.det is not None}
     fallback = {t: next(a for a in acts if a.det is None) for t, acts in track_cands.items()}
     det_fallback = {d: acts[0] for d, acts in det_opts.items()}
@@ -91,4 +91,4 @@ def solve_reference(spec: ProblemSpec) -> SolveResult:
             remaining_d.remove(fixed.det)
     used = {a.det for a in chosen.values()}
     cover = list(chosen.values()) + [det_fallback[d] for d in dets if d not in used]
-    return _result(spec, cover, links)
+    return _result(spec, cover)
