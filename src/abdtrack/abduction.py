@@ -7,11 +7,13 @@ Every track and every detection must be covered by exactly one action:
 
 Candidate actions are generated choice-rule style and pruned by integrity
 constraints; each non-assign action must additionally be explainable by at
-least one possible high-level event.  An option carries its abduced
-event from the moment it is made, except a halt, the only fallback of
-an active track: it enters the solve untested and is linked after the
-solve if the cover holds it (a cover halt with no possible event raises
-``EngineBugError``).  The optimum is lexicographic:
+least one possible high-level event.  Each option is made once, with its
+abduced event: a track's assign and resume edges, then its one fallback,
+and one option per detection (the objective makes end beat ignore_trk
+and start beat ignore_det, so the dominated ignore is not made).  A
+halt, an active track's fallback, enters the solve untested and is
+linked after the solve if the cover holds it (a cover halt with no
+possible event raises ``EngineBugError``).  The optimum is lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -178,46 +180,68 @@ class SolveResult:
 def candidate_actions(
     spec: ProblemSpec,
 ) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
-    """Admissible actions after the integrity constraints: per track all
-    of its actions, per detection its detection-only ones (start before
-    ignore_det).  An assign or resume needs the track's class and a
-    confident detection; assign candidates come from the likelihood
-    pairs above the IoU threshold.  A start needs a confident detection
-    of a large enough box.  Event explainability is applied separately;
-    see :func:`link_events`."""
+    """The explained options, each made once with its abduced event.
+
+    Per track: its assign or resume edges in ascending detection id,
+    then its one fallback.  Both edges need the track's class and a
+    confident detection; assigns come from the likelihood pairs above
+    the IoU threshold, and a track's resumes share one link.  An active
+    track's fallback, ``halt``, enters untested (see :func:`_result`):
+    the canonical cover of this larger set, if its halts are explained,
+    is that of the strict set, and missing_detections explains the halt
+    of every active track the engine makes.  A halted track's fallback
+    is the first explained of ``end``, ``ignore_trk``.  Per detection:
+    the first explained of ``start`` (a confident, large enough box),
+    ``ignore_det``.  The objective always prefers end and start, so the
+    dominated ignore is not made; :func:`solve_oracle` tries it anyway.
+    """
     config = spec.config
-    position = {d.id: j for j, d in enumerate(spec.detections)}
+    dets = {d.id: d for d in spec.detections}
     overlapping: dict[int, list[int]] = {}
     for (tid, did), ml in spec.likelihoods.items():
         if ml > config.iou_thresh_scaled:
-            overlapping.setdefault(tid, []).append(position[did])
+            overlapping.setdefault(tid, []).append(did)
+    resumable: dict[str, list[int]] = {}
+    for did in sorted(dets):
+        if dets[did].conf > config.conf_thresh_resume:
+            resumable.setdefault(dets[did].cls, []).append(did)
     per_track: dict[int, list[Action]] = {}
     for tid in sorted(spec.predictions):
         pred = spec.predictions[tid]
-        acts: list[Action] = []
         if pred.state == TrackState.ACTIVE:
-            for j in sorted(overlapping.get(tid, ())):
-                det = spec.detections[j]
-                if det.cls == pred.cls and det.conf > config.conf_thresh_assign:
-                    acts.append(Action(ActionKind.ASSIGN, trk=tid, det=det.id))
+            acts = [
+                Action(ActionKind.ASSIGN, trk=tid, det=did)
+                for did in sorted(overlapping.get(tid, ()))
+                if dets[did].cls == pred.cls and dets[did].conf > config.conf_thresh_assign
+            ]
             acts.append(Action(ActionKind.HALT, trk=tid))
         elif pred.state == TrackState.HALTED:
-            for det in spec.detections:
-                if det.cls == pred.cls and det.conf > config.conf_thresh_resume:
-                    acts.append(Action(ActionKind.RESUME, trk=tid, det=det.id))
-            acts.append(Action(ActionKind.END, trk=tid))
-            acts.append(Action(ActionKind.IGNORE_TRK, trk=tid))
+            dids = resumable.get(pred.cls, [])
+            events = link_events(Action(ActionKind.RESUME, trk=tid), spec) if dids else []
+            acts = [Action(ActionKind.RESUME, tid, did, events[0]) for did in dids if events]
+            end, ignore = Action(ActionKind.END, trk=tid), Action(ActionKind.IGNORE_TRK, trk=tid)
+            acts.append(_explained(spec, end, ignore))
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
         per_track[tid] = acts
 
     per_det: dict[int, list[Action]] = {}
     for det in spec.detections:
-        acts = []
+        probes = [Action(ActionKind.IGNORE_DET, det=det.id)]
         if det.conf > config.conf_thresh_new_track and det.box.area > config.size_threshold:
-            acts.append(Action(ActionKind.START, det=det.id))
-        per_det[det.id] = acts + [Action(ActionKind.IGNORE_DET, det=det.id)]
+            probes.insert(0, Action(ActionKind.START, det=det.id))
+        per_det[det.id] = [_explained(spec, *probes)]
     return per_track, per_det
+
+
+def _explained(spec: ProblemSpec, *probes: Action) -> Action:
+    """The first of ``probes`` that an event explains, made with its
+    abduced event; noise explains the ignore that ends each list."""
+    for a in probes:
+        events = link_events(a, spec)
+        if events:
+            return Action(a.kind, a.trk, a.det, events[0])
+    raise EngineBugError(f"no possible event explains {probes[-1].pretty()}")
 
 
 def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
@@ -226,10 +250,10 @@ def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
 
     An empty list makes the action inadmissible.  Assign actions need no
     explanation.  The events of a resume do not depend on its detection.
-    The solver calls this once per action kind of every track and
-    detection when it makes their options, except for halts, and after
-    the solve for the cover's halts; a halt's list scans every other
-    track as a possible occluder.
+    :func:`candidate_actions` calls it once per option it makes (once
+    for all of a track's resumes) and per fallback it tries, and the
+    solver after the solve for the cover's halts: a halt's list scans
+    every other track as a possible occluder.
     """
     t, frame, k = action.trk, spec.frame, action.kind
     if k == ActionKind.HALT:
@@ -304,49 +328,14 @@ def _objective_key(obj: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def _action_rank(a: Action) -> tuple[int, int]:
-    """Per-track preference order used for deterministic tie-breaking."""
+    """Per-track preference order of the oracle's tie-break (and of the
+    lists of :func:`candidate_actions`, which ``solve`` relies on)."""
     k = a.kind
     if k in (ActionKind.ASSIGN, ActionKind.RESUME):
         return (0, a.det)
     if k in (ActionKind.HALT, ActionKind.END):
         return (1, 0)
     return (2, 0)  # ignore_trk
-
-
-def _explained_options(
-    spec: ProblemSpec,
-) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
-    """Explained options per track, in tie-break preference order, and
-    per detection its detection-only ones (start before ignore_det).
-
-    Assigns need no event.  Every other option but a halt needs a
-    possible one and carries its abduced (first-preference) event; each
-    option list is linked once per action kind, so all of a track's
-    resumes share one explanation.  A halt enters untested and is linked
-    only if the cover holds it (see :func:`_result`): a canonical cover
-    of this larger set whose halts are explained is also the canonical
-    cover of the strict set, and every active track the engine makes is
-    visible and unclipped, so missing_detections explains its halt.
-    """
-    per_track, per_det = candidate_actions(spec)
-
-    def explain(acts: list[Action]) -> list[Action]:
-        options: list[Action] = []
-        kind = event = None
-        for a in acts:
-            if a.kind is not ActionKind.ASSIGN and a.kind is not ActionKind.HALT:
-                # candidate_actions lists the actions of one kind together
-                if a.kind is not kind:
-                    kind, event = a.kind, next(iter(link_events(a, spec)), None)
-                if event is None:
-                    continue
-                a = Action(a.kind, a.trk, a.det, event)
-            options.append(a)
-        return options
-
-    track_cands = {t: sorted(explain(acts), key=_action_rank) for t, acts in per_track.items()}
-    det_opts = {d: explain(acts) for d, acts in per_det.items()}
-    return track_cands, det_opts
 
 
 def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
@@ -425,25 +414,20 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # minus the two fallback values it replaces; it is 0 where there is
     # no edge.  Edges with negative gain are in no optimum and are left
     # out.
-    track_cands, det_opts = _explained_options(spec)
+    track_cands, det_opts = candidate_actions(spec)
     track_ids = sorted(track_cands)
     col = {d.id: j for j, d in enumerate(spec.detections)}
-    # start (level-2 cost) strictly beats ignore_det (level-3 cost)
     det_fallback = [det_opts[d.id][0] for d in spec.detections]
     det_value = [value(a) for a in det_fallback]
     gain = np.zeros((n_t, n_d))
     for i, t in enumerate(track_ids):
-        # end dominates ignore_trk; halt alone
-        fallback = next((a for a in track_cands[t] if a.det is None), None)
-        if fallback is None:
-            raise EngineBugError(f"track {t} has no explainable fallback action")
+        *edges, fallback = track_cands[t]
         track_value = value(fallback)
-        for a in track_cands[t]:
-            if a.det is not None:
-                j = col[a.det]
-                g = value(a) - track_value - det_value[j]
-                if g > 0:
-                    gain[i, j] = g
+        for a in edges:
+            j = col[a.det]
+            g = value(a) - track_value - det_value[j]
+            if g > 0:
+                gain[i, j] = g
 
     def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
         """Maximum gain over the track rows from ``first`` on and the given
@@ -502,7 +486,14 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     if len(spec.predictions) > ORACLE_LIMIT or len(spec.detections) > ORACLE_LIMIT:
         raise ValueError("oracle limited to instances of at most 5x5")
 
-    cands, det_opts = _explained_options(spec)
+    cands, det_opts = candidate_actions(spec)
+    # Also try the ignores that end and start dominate: check, not assume.
+    for t, opts in cands.items():
+        if opts and opts[-1].kind is ActionKind.END:
+            opts.append(_explained(spec, Action(ActionKind.IGNORE_TRK, trk=t)))
+    for d, opts in det_opts.items():
+        if opts[0].kind is ActionKind.START:
+            opts.append(_explained(spec, Action(ActionKind.IGNORE_DET, det=d)))
     track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
 

@@ -250,6 +250,3 @@ class AbductionEngine:
     def predicted_box(self, tid: int) -> Optional[BBox2D]:
         pred = self.last_spec.predictions.get(tid) if self.last_spec else None
         return pred.box if pred else None
-
-    def current_frame(self) -> Optional[int]:
-        return self._last_frame

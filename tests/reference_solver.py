@@ -23,8 +23,8 @@ from abdtrack.abduction import (
     SolveResult,
     _action_levels,
     _action_rank,
-    _explained_options,
     _result,
+    candidate_actions,
 )
 
 
@@ -38,9 +38,9 @@ def solve_reference(spec: ProblemSpec) -> SolveResult:
         g, c3, cost2 = _action_levels(spec, a)
         return g * c1 - c3 * c2 - cost2
 
-    track_cands, det_opts = _explained_options(spec)
-    edges = {(t, a.det): a for t, acts in track_cands.items() for a in acts if a.det is not None}
-    fallback = {t: next(a for a in acts if a.det is None) for t, acts in track_cands.items()}
+    track_cands, det_opts = candidate_actions(spec)
+    edges = {(t, a.det): a for t, acts in track_cands.items() for a in acts[:-1]}
+    fallback = {t: acts[-1] for t, acts in track_cands.items()}
     det_fallback = {d: acts[0] for d, acts in det_opts.items()}
 
     def best_value(tracks: list[int], dets: list[int]) -> tuple[int, dict[int, Action]]:

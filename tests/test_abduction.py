@@ -63,17 +63,76 @@ class TestCandidateActions:
         assert kinds == {ActionKind.ASSIGN, ActionKind.HALT}
 
     def test_halted_track_no_detections(self):
+        # interior and young: no event explains an end
         spec = simple_spec(
             {1: (BBox2D(50, 50, 20, 20), TrackState.HALTED, "car", 3)}, []
         )
         per_track, _ = candidate_actions(spec)
-        kinds = {a.kind for a in per_track[1]}
-        assert kinds == {ActionKind.END, ActionKind.IGNORE_TRK}
+        assert per_track[1] == [
+            Action(ActionKind.IGNORE_TRK, trk=1, event=EventOccurrence(EventKind.NOISE, 10, 1))
+        ]
+
+    def test_halted_track_at_boundary_ends(self):
+        # the end is explained, so the ignore it dominates is left out
+        spec = simple_spec(
+            {1: (BBox2D(2, 50, 20, 20), TrackState.HALTED, "car", 3)}, []
+        )
+        per_track, _ = candidate_actions(spec)
+        assert per_track[1] == [
+            Action(ActionKind.END, trk=1, event=EventOccurrence(EventKind.LEAVES_FOV, 10, 1))
+        ]
 
     def test_low_conf_detection_only_ignorable(self):
         spec = simple_spec({}, [("car", 10, BBox2D(200, 200, 20, 20))])
         _, per_det = candidate_actions(spec)
-        assert {a.kind for a in per_det[0]} == {ActionKind.IGNORE_DET}
+        assert [a.kind for a in per_det[0]] == [ActionKind.IGNORE_DET]
+
+    def test_detection_outside_frame_only_ignorable(self):
+        # confident and large, but no enters_fov explains a start
+        spec = simple_spec({}, [("car", 99, BBox2D(400, 400, 40, 40))])
+        _, per_det = candidate_actions(spec)
+        assert per_det[0] == [
+            Action(
+                ActionKind.IGNORE_DET,
+                det=0,
+                event=EventOccurrence(EventKind.NOISE, 10, 0, subject_is_det=True),
+            )
+        ]
+
+    def test_detection_in_frame_starts(self):
+        spec = simple_spec({}, [("car", 99, BBox2D(200, 200, 40, 40))])
+        _, per_det = candidate_actions(spec)
+        assert per_det[0] == [
+            Action(
+                ActionKind.START,
+                det=0,
+                event=EventOccurrence(EventKind.ENTERS_FOV, 10, 0, subject_is_det=True),
+            )
+        ]
+
+    def test_edges_listed_by_detection_id(self):
+        box = BBox2D(100, 100, 20, 20)
+        spec = _relabelled(
+            simple_spec(
+                {
+                    1: (box, TrackState.ACTIVE, "car", 0),
+                    2: (BBox2D(200, 100, 20, 20), TrackState.HALTED, "car", 3),
+                },
+                [("car", 99, box), ("car", 99, box.translated(1, 0)), ("car", 99, box.translated(0, 1))],
+                fluent_setup=lambda s: apply_event(
+                    s, EventOccurrence(EventKind.MISSING_DETECTIONS, 7, 2)
+                ),
+            )
+        )
+        ids = [d.id for d in spec.detections]
+        assert ids == sorted(ids, reverse=True)
+        per_track, _ = candidate_actions(spec)
+        assert [(a.kind, a.det) for a in per_track[1]] == [
+            (ActionKind.ASSIGN, d) for d in sorted(ids)
+        ] + [(ActionKind.HALT, None)]
+        assert [(a.kind, a.det) for a in per_track[2]] == [
+            (ActionKind.RESUME, d) for d in sorted(ids)
+        ] + [(ActionKind.IGNORE_TRK, None)]
 
     def test_class_mismatch_blocks_assign(self):
         spec = simple_spec(
@@ -189,6 +248,44 @@ def _relabelled(spec):
     )
 
 
+def _expected_options(spec):
+    """The explained options, derived from the integrity rules and
+    link_events alone: per track its edges in detection id order, each
+    resume linked on its own, then the first explained fallback; per
+    detection the first explained of start, ignore_det."""
+    config = spec.config
+
+    def first(*actions):
+        for a in actions:
+            if events := link_events(a, spec):
+                return [dataclasses.replace(a, event=events[0])]
+        return []
+
+    per_track = {}
+    for t, p in sorted(spec.predictions.items()):
+        opts = []
+        for d in sorted(spec.detections, key=lambda d: d.id):
+            if d.cls != p.cls:
+                continue
+            if p.state == TrackState.ACTIVE:
+                ml = spec.likelihoods.get((t, d.id), 0)
+                if d.conf > config.conf_thresh_assign and ml > config.iou_thresh_scaled:
+                    opts.append(Action(ActionKind.ASSIGN, t, d.id))
+            elif d.conf > config.conf_thresh_resume:
+                opts += first(Action(ActionKind.RESUME, t, d.id))
+        if p.state == TrackState.ACTIVE:
+            opts.append(Action(ActionKind.HALT, trk=t))
+        else:
+            opts += first(Action(ActionKind.END, trk=t), Action(ActionKind.IGNORE_TRK, trk=t))
+        per_track[t] = opts
+    per_det = {}
+    for d in spec.detections:
+        start = d.conf > config.conf_thresh_new_track and d.box.area > config.size_threshold
+        probes = [Action(ActionKind.START, det=d.id)] if start else []
+        per_det[d.id] = first(*probes, Action(ActionKind.IGNORE_DET, det=d.id))
+    return per_track, per_det
+
+
 class TestExplanationLinking:
     def test_detection_ids_not_positions(self):
         inside, outside = BBox2D(100, 100, 20, 20), BBox2D(500, 500, 20, 20)
@@ -253,23 +350,7 @@ class TestExplanationLinking:
             if k % 2:
                 _hide_or_clip(spec, rng)
 
-            per_track, per_det = candidate_actions(spec)
-            track_cands, det_opts = abduction._explained_options(spec)
-
-            def kept(acts):
-                # assigns and halts as made, the rest with their first event
-                out = []
-                for a in acts:
-                    if a.kind in (ActionKind.ASSIGN, ActionKind.HALT):
-                        out.append(a)
-                    elif events := link_events(a, spec):
-                        out.append(Action(a.kind, a.trk, a.det, events[0]))
-                return out
-
-            assert track_cands == {
-                t: sorted(kept(acts), key=abduction._action_rank) for t, acts in per_track.items()
-            }
-            assert det_opts == {d: kept(acts) for d, acts in per_det.items()}
+            assert candidate_actions(spec) == _expected_options(spec)
             unexplained = [t for t in _active(spec) if not _halt_events(spec, t)]
 
             try:
@@ -294,21 +375,20 @@ class TestExplanationLinking:
         # optimum over the strictly admissible actions, and raise only
         # where its cover holds a halt that no event explains.
         def strict(spec):
-            cands, det_opts = explained_options(spec)
+            cands, det_opts = candidate_actions(spec)
             cands = {
                 t: [a for a in acts if a.kind != ActionKind.HALT or link_events(a, spec)]
                 for t, acts in cands.items()
             }
             return cands, det_opts
 
-        explained_options = abduction._explained_options
         rng = np.random.default_rng(41)
         seen = Counter()
         for _ in range(400):
             spec = make_random_spec(rng, min_tracks=2)
             _hide_or_clip(spec, rng)
             with monkeypatch.context() as m:
-                m.setattr(abduction, "_explained_options", strict)
+                m.setattr(abduction, "candidate_actions", strict)
                 try:
                     expected = solve_oracle(spec)
                 except EngineBugError:  # no cover of strictly admissible actions
@@ -459,15 +539,37 @@ class TestOracle:
         with pytest.raises(ValueError):
             solve_oracle(spec)
 
-    def test_equivalence_batch(self):
+    def test_equivalence_batch(self, monkeypatch):
+        # Also counts the specs where the oracle valued a cover holding an
+        # ignore that candidate_actions leaves out as dominated.
+        objective = abduction._objective
+        valued = set()
+
+        def valuing(spec, actions):
+            valued.update(a.pretty() for a in actions if a.event and a.event.kind == EventKind.NOISE)
+            return objective(spec, actions)
+
+        monkeypatch.setattr(abduction, "_objective", valuing)
         rng = np.random.default_rng(15)
+        dominated_enumerated = 0
         for _ in range(400):
             spec = make_random_spec(rng)
             for s in (spec, _relabelled(spec)):
+                per_track, per_det = candidate_actions(s)
+                left_out = {
+                    f"ignore_trk(trk_{t})" for t, acts in per_track.items()
+                    if acts[-1].kind == ActionKind.END
+                } | {
+                    f"ignore_det(det_{d})" for d, acts in per_det.items()
+                    if acts[0].kind == ActionKind.START
+                }
+                valued.clear()
                 r, ro = solve(s), solve_oracle(s)
+                dominated_enumerated += bool(left_out & valued)
                 assert r.objective == ro.objective
                 assert r.actions == ro.actions
                 assert r.events == ro.events
+        assert dominated_enumerated > 0
 
     def test_degenerate_all_active_no_overlap(self):
         # nothing overlaps: every track halts, every detection starts or
