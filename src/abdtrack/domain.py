@@ -3,10 +3,12 @@ event preconditions (:func:`possible`, read from the frame's
 :class:`~abdtrack.abduction.ProblemSpec`).
 
 Fluents (per track unless noted): visibility in {fully_visible,
-not_visible}, hidden_by (per ordered track pair, boolean), clipped
-(boolean), in_fov (boolean).  Values persist by inertia until an event
-changes them.  At track birth: fully_visible, not hidden by
-anything, not clipped, in the field of view.
+not_visible}, hidden_by (per ordered track pair, boolean) and clipped
+(boolean).  Values persist by inertia and change only through
+:func:`apply_event`, which also owns each track's fluent lifecycle:
+enters_fov starts a track's fluents (fully_visible, not hidden by
+anything, not clipped), leaves_fov and lost drop them.  Replaying an
+event log through it therefore rebuilds every fluent at every frame.
 """
 
 from __future__ import annotations
@@ -146,7 +148,6 @@ class FluentStore:
     def __init__(self) -> None:
         self._visibility: dict[int, Visibility] = {}
         self._clipped: dict[int, bool] = {}
-        self._in_fov: dict[int, bool] = {}
         self._hidden_pairs: set[tuple[int, int]] = set()
 
     # -- lifecycle ---------------------------------------------------
@@ -154,12 +155,10 @@ class FluentStore:
     def register_track(self, tid: int) -> None:
         self._visibility[tid] = Visibility.FULLY_VISIBLE
         self._clipped[tid] = False
-        self._in_fov[tid] = True
 
     def drop_track(self, tid: int) -> None:
         self._visibility.pop(tid, None)
         self._clipped.pop(tid, None)
-        self._in_fov.pop(tid, None)
         self._hidden_pairs = {p for p in self._hidden_pairs if tid not in p}
 
     def tracks(self) -> set[int]:
@@ -169,7 +168,6 @@ class FluentStore:
         out = FluentStore()
         out._visibility = dict(self._visibility)
         out._clipped = dict(self._clipped)
-        out._in_fov = dict(self._in_fov)
         out._hidden_pairs = set(self._hidden_pairs)
         return out
 
@@ -186,10 +184,6 @@ class FluentStore:
     def clipped(self, tid: int) -> bool:
         self._check(tid)
         return self._clipped[tid]
-
-    def in_fov(self, tid: int) -> bool:
-        self._check(tid)
-        return self._in_fov[tid]
 
     def hidden_by(self, t1: int, t2: int) -> bool:
         self._check(t1)
@@ -210,10 +204,15 @@ def apply_event(store: FluentStore, e: EventOccurrence) -> FluentStore:
     hides_behind: visibility(T1)=not_visible, hidden_by(T1,T2)=true.
     unhides_from_behind: visibility(T1)=fully_visible, hidden_by=false.
     missing_detections: clipped=true.       recover: clipped=false.
-    leaves_fov: in_fov=false.               enters_fov: in_fov=true.
-    lost / noise: no fluent effects (lifecycle only).
+    enters_fov(T): T's fluents start at their birth values.
+    leaves_fov(T), lost(T): T's fluents, and every hidden_by pair that
+    names T, are dropped.  A track still hidden behind an ending T is
+    left not_visible with no occluder: a known defect.
+    noise, and any event on a detection: no effects.
     """
     k = e.kind
+    if e.subject_is_det:
+        return store
     if k == EventKind.HIDES_BEHIND:
         store._visibility[e.subject] = Visibility.NOT_VISIBLE
         store._hidden_pairs.add((e.subject, e.occluder))
@@ -224,18 +223,20 @@ def apply_event(store: FluentStore, e: EventOccurrence) -> FluentStore:
         store._clipped[e.subject] = True
     elif k == EventKind.RECOVER:
         store._clipped[e.subject] = False
-    elif k == EventKind.LEAVES_FOV:
-        store._in_fov[e.subject] = False
     elif k == EventKind.ENTERS_FOV:
-        if not e.subject_is_det:
-            store._in_fov[e.subject] = True
-    # LOST, NOISE: no effects
+        store.register_track(e.subject)
+    elif k == EventKind.LEAVES_FOV or k == EventKind.LOST:
+        store.drop_track(e.subject)
     return store
 
 
 def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
     """Fluent instances an event writes; used to assert per-frame
-    event sets touch pairwise-disjoint instances."""
+    event sets touch pairwise-disjoint instances.
+
+    Lifecycle effects are left out: enters_fov starts the fluents of a
+    fresh id, and the tracker applies leaves_fov and lost after the
+    frame's other events."""
     k = e.kind
     if k == EventKind.HIDES_BEHIND or k == EventKind.UNHIDES_FROM_BEHIND:
         return frozenset(
@@ -243,10 +244,6 @@ def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
         )
     if k == EventKind.MISSING_DETECTIONS or k == EventKind.RECOVER:
         return frozenset({("clipped", e.subject)})
-    if k == EventKind.LEAVES_FOV:
-        return frozenset({("in_fov", e.subject)})
-    if k == EventKind.ENTERS_FOV and not e.subject_is_det:
-        return frozenset({("in_fov", e.subject)})
     return frozenset()
 
 

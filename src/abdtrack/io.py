@@ -5,7 +5,9 @@ Supported inputs: the MOT Challenge CSV format
 tracking label format (space separated, type plus left/top/right/bottom
 corners).  Confidences at or below 1.0 are read as fractions and mapped to
 integer percent by round(100*c); larger values are taken as percent
-directly; everything is clamped to [0, 100].
+directly; everything is clamped to [0, 100].  Each box is validated by
+:class:`~abdtrack.geometry.BBox2D`; a bad number or box fails with its
+line number.
 
 Outputs: MOT result lines, the engine's event log in
 ``occurs_at(EVENT,FRAME)`` form, and a structured JSON report carrying
@@ -15,7 +17,6 @@ provenance and fluent data.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .domain import Detection, EventOccurrence
@@ -44,13 +45,9 @@ class DetectionStream:
 
 
 def _conf_percent(raw: float) -> int:
+    """Integer percent of a confidence; ``round`` rejects nan and inf."""
     pct = round(100.0 * raw) if raw <= 1.0 else round(raw)
     return int(min(100, max(0, pct)))
-
-
-def _check_finite(lineno: int, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"line {lineno}: non-finite number in {values}")
 
 
 def parse_mot(text: str) -> DetectionStream:
@@ -67,17 +64,12 @@ def parse_mot(text: str) -> DetectionStream:
             raise ValueError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
         try:
             frame = int(float(parts[0]))
-            x, y, w, h = (float(v) for v in parts[2:6])
-            conf = float(parts[6])
+            box = BBox2D(*(float(v) for v in parts[2:6]))
+            conf = _conf_percent(float(parts[6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        _check_finite(lineno, x, y, w, h, conf)
-        if w <= 0 or h <= 0:
-            raise ValueError(f"line {lineno}: degenerate box w={w}, h={h}")
         dets = by_frame.setdefault(frame, [])
-        dets.append(
-            Detection(id=len(dets), cls="object", conf=_conf_percent(conf), box=BBox2D(x, y, w, h))
-        )
+        dets.append(Detection(id=len(dets), cls="object", conf=conf, box=box))
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
@@ -98,24 +90,14 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
             cls = parts[2].lower()
             x1, y1, x2, y2 = (float(v) for v in parts[6:10])
             conf = float(parts[17]) if len(parts) > 17 else 100.0
+            if cls == "dontcare" or (class_filter is not None and cls not in class_filter):
+                continue
+            box = BBox2D(x1, y1, x2 - x1, y2 - y1)
+            pct = _conf_percent(conf)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if cls == "dontcare":
-            continue
-        if class_filter is not None and cls not in class_filter:
-            continue
-        _check_finite(lineno, x1, y1, x2, y2, conf)
-        if x2 <= x1 or y2 <= y1:
-            raise ValueError(f"line {lineno}: degenerate box corners")
         dets = by_frame.setdefault(frame, [])
-        dets.append(
-            Detection(
-                id=len(dets),
-                cls=cls,
-                conf=_conf_percent(conf),
-                box=BBox2D(x1, y1, x2 - x1, y2 - y1),
-            )
-        )
+        dets.append(Detection(id=len(dets), cls=cls, conf=pct, box=box))
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
@@ -132,13 +114,10 @@ def parse_mot_tracks(text: str) -> TrackBoxes:
         try:
             frame = int(float(parts[0]))
             tid = int(float(parts[1]))
-            x, y, w, h = (float(v) for v in parts[2:6])
+            box = BBox2D(*(float(v) for v in parts[2:6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        _check_finite(lineno, x, y, w, h)
-        if w <= 0 or h <= 0:
-            raise ValueError(f"line {lineno}: degenerate box w={w}, h={h}")
-        out.setdefault(tid, {})[frame] = BBox2D(x, y, w, h)
+        out.setdefault(tid, {})[frame] = box
     return out
 
 

@@ -195,19 +195,17 @@ def measured_overlap_fraction(gt: TrackBoxes, n_frames: int) -> float:
 def make_occlusion_scenario(
     seed: int,
     n_frames: int = 120,
-    frame_geom: tuple[float, float] = (1242.0, 375.0),
     n_bystanders: int = 1,
-    jitter_sigma: float = 0.0,
-    drop_prob: float = 0.0,
 ) -> ScenarioConfig:
-    """A target crossing behind a large static occluder.
+    """A target crossing behind a large static occluder, on the default
+    frame, without drops or jitter.
 
     The suppression window is derived from the constructed geometry: the
     frames in which the target's box is strictly inside the occluder's.
     Track 0 is the occluder, track 1 the target; bystanders fill in.
     """
     rng = np.random.default_rng(seed)
-    W, H = frame_geom
+    W, H = ScenarioConfig.frame_geom
     tgt_w, tgt_h = float(rng.uniform(28, 44)), float(rng.uniform(22, 34))
     speed = float(rng.uniform(2.0, 3.5))
     # size the occluder so the hidden stretch stays shorter than the
@@ -248,10 +246,7 @@ def make_occlusion_scenario(
     return ScenarioConfig(
         n_tracks=len(boxes),
         n_frames=n_frames,
-        frame_geom=frame_geom,
         occlusions=occlusions,
-        jitter_sigma=jitter_sigma,
-        drop_prob=drop_prob,
         seed=seed,
         fixed_boxes=tuple(boxes),
         fixed_velocities=tuple(vels),

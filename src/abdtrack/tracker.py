@@ -74,12 +74,10 @@ class AbductionEngine:
         self.config = config
         self.fluents = FluentStore()
         self.tracks: dict[int, Track] = {}
-        # The tracks not ended, in ascending id order (ids are allocated
-        # in increasing order); ended ones stay in self.tracks.
-        self._live: dict[int, Track] = {}
         self.events: list[EventOccurrence] = []
         self.latencies: list[_StepStats] = []
-        # Kalman rows of the live tracks, in the order of self._live.
+        # Kalman rows of the live (not ended) tracks, in ascending id
+        # order; its ids are the engine's one list of live tracks.
         self.motion = MotionFilter()
         self._observed: dict[int, BBox2D] = {}
         self._next_id = 0
@@ -118,7 +116,8 @@ class AbductionEngine:
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
         predictions: dict[int, TrackPrediction] = {}
-        for (tid, trk), box in zip(self._live.items(), self.motion.predict(), strict=True):
+        for tid, box in zip(self.motion.ids, self.motion.predict(), strict=True):
+            trk = self.tracks[tid]
             predictions[tid] = TrackPrediction(
                 box=box,
                 state=trk.state,
@@ -147,6 +146,13 @@ class AbductionEngine:
         )
 
     def _apply(self, frame: int, detections: Sequence[Detection], result: SolveResult) -> None:
+        """Carry out the cover's actions, then apply the frame's events
+        through :func:`apply_event`, the one place fluents change.
+
+        The ending events (leaves_fov, lost) go last, so a same-frame
+        hides_behind behind an ending track cannot leave a hidden pair on
+        its dropped fluents.  The event log keeps the cover's order.
+        """
         dets = {d.id: d for d in detections}
         frame_events: list[EventOccurrence] = []
 
@@ -171,14 +177,10 @@ class AbductionEngine:
         self.motion.update(self._observed)
         self._observed.clear()
 
-        for e in frame_events:
-            if e.kind != EventKind.NOISE and not e.subject_is_det:
-                apply_event(self.fluents, e)
+        ending = (EventKind.LEAVES_FOV, EventKind.LOST)
+        for e in sorted(frame_events, key=lambda e: e.kind in ending):
+            apply_event(self.fluents, e)
         self.events.extend(frame_events)
-        # leaves_fov implies the track ends; drop its fluents afterwards.
-        for e in frame_events:
-            if e.kind == EventKind.LEAVES_FOV or e.kind == EventKind.LOST:
-                self.fluents.drop_track(e.subject)
 
     # -- lifecycle helpers ----------------------------------------------
 
@@ -196,9 +198,8 @@ class AbductionEngine:
             history=[HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf)],
             born_frame=frame,
         )
-        self.tracks[tid] = self._live[tid] = trk
+        self.tracks[tid] = trk
         self.motion.add(tid, det.box)
-        self.fluents.register_track(tid)
         return tid
 
     def _resume_track(self, trk: Track, frame: int, det: Detection) -> None:
@@ -221,7 +222,7 @@ class AbductionEngine:
         trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
 
     def _end_track(self, tid: int) -> None:
-        trk = self._live.pop(tid)
+        trk = self.tracks[tid]
         self.motion.drop(tid)
         trk.state = TrackState.ENDED
         trk.halted_since = None
@@ -235,10 +236,9 @@ class AbductionEngine:
         further events.
         """
         if self._finalized is None:
-            for trk in self._live.values():
-                trk.state = TrackState.ENDED
-                self.fluents.drop_track(trk.id)
-            self._live.clear()
+            for tid in self.motion.ids:
+                self.tracks[tid].state = TrackState.ENDED
+                self.fluents.drop_track(tid)
             self._finalized = Explanation(
                 tracks=sorted(self.tracks.values(), key=lambda t: t.id),
                 events=list(self.events),

@@ -120,13 +120,9 @@ def test_criterion_3_event_calculus_laws():
             for (a, b) in s.hidden_pairs():
                 assert s.visibility(a) == Visibility.NOT_VISIBLE
         # inertia: an event-free stretch changes nothing
-        snapshot = {
-            t: (s.visibility(t), s.clipped(t), s.in_fov(t)) for t in tids
-        }
+        snapshot = {t: (s.visibility(t), s.clipped(t)) for t in tids}
         for _ in range(5):
-            assert {
-                t: (s.visibility(t), s.clipped(t), s.in_fov(t)) for t in tids
-            } == snapshot
+            assert {t: (s.visibility(t), s.clipped(t)) for t in tids} == snapshot
     _report(3, f"inertia, uniqueness, hidden_by=>not_visible over {cases} sequences")
 
 

@@ -29,7 +29,7 @@ class TestHoldsAt:
         s = store_with(1)
         assert s.visibility(1) == Visibility.FULLY_VISIBLE
         assert s.clipped(1) is False
-        assert s.in_fov(1) is True
+        assert s.tracks() == {1} and s.hidden_pairs() == set()
 
     def test_hides_behind_makes_not_visible(self):
         s = store_with(1, 2)
@@ -39,9 +39,9 @@ class TestHoldsAt:
     def test_inertia_no_events(self):
         s = store_with(1, 2)
         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 3, 1))
-        before = (s.visibility(1), s.clipped(1), s.in_fov(1), s.hidden_by(1, 2))
+        before = (s.visibility(1), s.clipped(1), s.hidden_by(1, 2), s.tracks())
         for _ in range(50):  # any number of event-free queries
-            assert (s.visibility(1), s.clipped(1), s.in_fov(1), s.hidden_by(1, 2)) == before
+            assert (s.visibility(1), s.clipped(1), s.hidden_by(1, 2), s.tracks()) == before
 
     def test_unknown_track_is_engine_bug(self):
         s = store_with(1)
@@ -68,7 +68,7 @@ class TestApplyEvent:
         apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=2))
         assert s.visibility(3) == Visibility.FULLY_VISIBLE
         assert s.clipped(1) is False
-        assert s.in_fov(1) is True
+        assert s.tracks() == {1, 2, 3}
 
     def test_unhide_restores(self):
         s = store_with(1, 2)
@@ -84,18 +84,32 @@ class TestApplyEvent:
         assert s.clipped(1) is False
 
     def test_fov_events(self):
-        s = store_with(1)
-        apply_event(s, EventOccurrence(EventKind.LEAVES_FOV, 5, 1))
-        assert s.in_fov(1) is False
-        apply_event(s, EventOccurrence(EventKind.ENTERS_FOV, 6, 1))
-        assert s.in_fov(1) is True
+        # enters_fov starts a track's fluents at their birth values,
+        # leaves_fov drops them together with the pairs naming the track
+        s = FluentStore()
+        apply_event(s, EventOccurrence(EventKind.ENTERS_FOV, 4, 1, subject_is_det=True))
+        assert s.tracks() == set()
+        apply_event(s, EventOccurrence(EventKind.ENTERS_FOV, 4, 1))
+        apply_event(s, EventOccurrence(EventKind.ENTERS_FOV, 4, 2))
+        assert s.tracks() == {1, 2}
+        assert s.visibility(1) == Visibility.FULLY_VISIBLE and s.clipped(1) is False
+        apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 5, 2, occluder=1))
+        apply_event(s, EventOccurrence(EventKind.LEAVES_FOV, 6, 1))
+        assert s.tracks() == {2} and s.hidden_pairs() == set()
+        with pytest.raises(EngineBugError):
+            s.visibility(1)
 
     def test_lost_noise_no_effects(self):
+        # noise changes nothing; lost changes nothing but ending its track
         s = store_with(1, 2)
-        snapshot = (s.visibility(1), s.clipped(1), s.in_fov(1))
-        apply_event(s, EventOccurrence(EventKind.LOST, 5, 1))
+        apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 2))
+        snapshot = {t: (s.visibility(t), s.clipped(t)) for t in (1, 2)}
         apply_event(s, EventOccurrence(EventKind.NOISE, 5, 1))
-        assert (s.visibility(1), s.clipped(1), s.in_fov(1)) == snapshot
+        apply_event(s, EventOccurrence(EventKind.NOISE, 5, 7, subject_is_det=True))
+        assert {t: (s.visibility(t), s.clipped(t)) for t in (1, 2)} == snapshot
+        apply_event(s, EventOccurrence(EventKind.LOST, 5, 1))
+        assert s.tracks() == {2}
+        assert (s.visibility(2), s.clipped(2)) == snapshot[2]
 
     def test_order_independent_when_disjoint(self):
         events = [
@@ -114,11 +128,11 @@ class TestApplyEvent:
         s2 = store_with(1, 2, 3, 4)
         for e in reversed(events):
             apply_event(s2, e)
-        for t in (1, 2, 3, 4):
+        assert s1.tracks() == s2.tracks() == {1, 2, 3}
+        for t in (1, 2, 3):
             assert s1.visibility(t) == s2.visibility(t)
             assert s1.clipped(t) == s2.clipped(t)
-            assert s1.in_fov(t) == s2.in_fov(t)
-        assert s1.hidden_pairs() == s2.hidden_pairs()
+        assert s1.hidden_pairs() == s2.hidden_pairs() == {(1, 2)}
 
 
 class TestPossible:
@@ -206,7 +220,7 @@ class TestRandomEventSequences:
         for _ in range(400):
             tids = list(range(int(rng.integers(2, 6))))
             s = store_with(*tids)
-            for _ in range(int(rng.integers(1, 12))):
+            for step in range(int(rng.integers(1, 12))):
                 visible = [t for t in tids if s.visibility(t) == Visibility.FULLY_VISIBLE]
                 hidden = [t for t in tids if s.visibility(t) == Visibility.NOT_VISIBLE]
                 clipped = [t for t in tids if s.clipped(t)]
@@ -227,11 +241,20 @@ class TestRandomEventSequences:
                         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t1))
                 elif clipped:
                     apply_event(s, EventOccurrence(EventKind.RECOVER, 0, int(rng.choice(clipped))))
+                if rng.random() < 0.1:
+                    # a track ends and a fresh id enters
+                    gone = int(rng.choice(tids))
+                    kind = EventKind.LOST if rng.random() < 0.5 else EventKind.LEAVES_FOV
+                    apply_event(s, EventOccurrence(kind, 0, gone))
+                    tids.remove(gone)
+                    tids.append(100 + step)
+                    apply_event(s, EventOccurrence(EventKind.ENTERS_FOV, 0, tids[-1]))
                 # invariant after every event
                 for (a, b) in s.hidden_pairs():
                     assert s.visibility(a) == Visibility.NOT_VISIBLE
+                    assert a in tids and b in tids
                 # functional fluents: exactly one value each
                 for t in tids:
                     assert isinstance(s.visibility(t), Visibility)
                     assert isinstance(s.clipped(t), bool)
-                    assert isinstance(s.in_fov(t), bool)
+                assert s.tracks() == set(tids)

@@ -89,7 +89,8 @@ class TestParseKitti:
         with pytest.raises(ValueError, match="line 1"):
             parse_kitti("0 -1 Car 0 0\n")
 
-    @pytest.mark.parametrize("corners", ["nan 120.0 150.0 160.0", "100.0 120.0 inf 160.0"])
+    @pytest.mark.parametrize("corners", ["nan 120.0 150.0 160.0", "100.0 120.0 inf 160.0",
+                                         "-1e308 -1e308 1e308 1e308"])
     def test_non_finite_rejected_with_line_number(self, corners):
         line = f"0 -1 Car 0 0 -10.0 {corners} 1.5 1.6 3.2 1.0 1.0 1.0 0.1 0.95"
         with pytest.raises(ValueError, match="line 2"):

@@ -1,7 +1,18 @@
 import pytest
 
 from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, Thresholds
-from abdtrack.domain import EventKind, Provenance, TrackState
+from abdtrack.abduction import Action, ActionKind, SolveResult
+from abdtrack.cli import _engine_config, _read_stream, build_parser
+from abdtrack.domain import (
+    EventKind,
+    EventOccurrence,
+    FluentStore,
+    Provenance,
+    TrackState,
+    Visibility,
+    apply_event,
+)
+from test_golden import CASES, _mot_text
 
 GEOM = (400.0, 300.0)
 
@@ -217,3 +228,61 @@ class TestLifecycle:
         for f, dets in stream[:13]:
             eng_prefix.step(f, dets)
         assert list(eng_prefix.events) == prefix_events
+
+
+def apply_frame(store: FluentStore, events) -> None:
+    """Apply one frame's events, the ending ones (leaves_fov, lost) last."""
+    ending = (EventKind.LEAVES_FOV, EventKind.LOST)
+    for e in sorted(events, key=lambda e: e.kind in ending):
+        apply_event(store, e)
+
+
+def fluent_state(store: FluentStore):
+    return (
+        {t: (store.visibility(t), store.clipped(t)) for t in sorted(store.tracks())},
+        store.hidden_pairs(),
+    )
+
+
+class TestEventReplay:
+    """Fluents change only by events: the event log alone rebuilds them."""
+
+    @pytest.mark.parametrize("name", ["bench50", "churn", *(f"occlusion{k}" for k in range(5))])
+    def test_replay_rebuilds_the_fluents(self, name, tmp_path):
+        cfg, flags, config_text = CASES[name]
+        (tmp_path / "dets.txt").write_text(_mot_text(cfg))
+        flags = ["--input", str(tmp_path / "dets.txt"), *flags]
+        if config_text is not None:
+            (tmp_path / "engine.cfg").write_text(config_text)
+            flags += ["--config", str(tmp_path / "engine.cfg")]
+        args = build_parser().parse_args(["track", *flags])
+        eng = AbductionEngine(_engine_config(args))
+        replayed = FluentStore()
+        for frame, dets in _read_stream(args).frames:
+            logged = len(eng.events)
+            eng.step(frame, dets)
+            apply_frame(replayed, eng.events[logged:])
+            assert fluent_state(replayed) == fluent_state(eng.fluents)
+            assert replayed.tracks() == set(eng.motion.ids)
+        assert any(e.kind == EventKind.HIDES_BEHIND for e in eng.events)
+
+    def test_hiding_behind_an_ending_track_leaves_no_pair(self, monkeypatch):
+        eng = engine()
+        eng.step(0, [det(0, BBox2D(100, 100, 40, 60)), det(1, BBox2D(110, 90, 30, 40))])
+        t0, t1 = sorted(eng.fluents.tracks())
+        hides = EventOccurrence(EventKind.HIDES_BEHIND, 1, t1, occluder=t0)
+        leaves = EventOccurrence(EventKind.LEAVES_FOV, 1, t0)
+        # the cover lists t0's end before t1's halt
+        result = SolveResult(
+            actions=(
+                Action(ActionKind.END, trk=t0, event=leaves),
+                Action(ActionKind.HALT, trk=t1, event=hides),
+            ),
+            events=(leaves, hides),
+            objective=(0, 0, 0),
+        )
+        monkeypatch.setattr("abdtrack.tracker.solve", lambda spec: result)
+        eng.step(1, [])
+        assert eng.events[-2:] == [leaves, hides]
+        assert not any(t0 in pair for pair in eng.fluents.hidden_pairs())
+        assert fluent_state(eng.fluents) == ({t1: (Visibility.NOT_VISIBLE, False)}, set())
