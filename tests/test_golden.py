@@ -4,9 +4,10 @@ synthetic streams.
 Each case is a stream made by ``abdtrack.synth`` from a fixed seed and
 written as a MOT detection file.  It runs through ``abdtrack track`` (tracks,
 events, JSON report and ``--emit-facts``), ``abdtrack anticipate`` and
-``abdtrack emit-facts``.  Event logs are committed in full
-(``golden/<case>.events``); tracks, report, anticipation output and fact
-dumps as sha256 digests (``golden/digests.json``), because the full files
+``abdtrack emit-facts``; its tracks are scored against the stream's ground
+truth by ``abdtrack eval --json``.  Event logs are committed in full
+(``golden/<case>.events``); tracks, report, anticipation output, scores and
+fact dumps as sha256 digests (``golden/digests.json``), because the full files
 run to megabytes.  The input file's digest is locked too, so a change in
 the generator is told apart from a change in the engine.
 
@@ -86,6 +87,15 @@ def _mot_text(cfg: ScenarioConfig) -> str:
     )
 
 
+def _gt_text(cfg: ScenarioConfig) -> str:
+    _, gt = generate(cfg)
+    return "".join(
+        f"{f},{tid}," + ",".join(repr(float(v)) for v in (b.x, b.y, b.w, b.h)) + "\n"
+        for tid in sorted(gt)
+        for f, b in sorted(gt[tid].items())
+    )
+
+
 def _facts(directory: Path) -> str:
     return "".join(f"{p.name}\n{p.read_text()}" for p in sorted(directory.glob("*.lp")))
 
@@ -112,12 +122,15 @@ def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
          "--emit-facts", str(work / "facts")]
     )
     anticipation = _cli(["anticipate", *flags])
+    (work / "gt.txt").write_text(_gt_text(cfg))
+    scores = _cli(["eval", "--gt", str(work / "gt.txt"), "--hyp", str(work / "tracks.txt"), "--json"])
     _cli(["emit-facts", *flags, "--out", str(work / "facts_cmd")])
     digests = {
         "input": _sha(dets.read_text()),
         "tracks": _sha((work / "tracks.txt").read_text()),
         "report": _sha((work / "report.json").read_text()),
         "anticipation": _sha(anticipation),
+        "eval": _sha(scores),
         "facts": _sha(_facts(work / "facts")),
     }
     return digests, (work / "events.txt").read_text(), _facts(work / "facts_cmd")
