@@ -10,7 +10,7 @@ matched pairs, reported as a percentage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -33,7 +33,6 @@ class EvalReport:
     idsw: int
     frag: int
     num_gt_boxes: int
-    matches: list[tuple[int, int, int, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -49,10 +48,12 @@ class EvalReport:
         }
 
 
-def _frames_of(tracks: TrackBoxes) -> set[int]:
-    out: set[int] = set()
-    for boxes in tracks.values():
-        out |= set(boxes)
+def _by_frame(tracks: TrackBoxes) -> dict[int, dict[int, BBox2D]]:
+    """frame -> track id -> box, ids ascending within each frame."""
+    out: dict[int, dict[int, BBox2D]] = {}
+    for tid in sorted(tracks):
+        for f, box in tracks[tid].items():
+            out.setdefault(f, {})[tid] = box
     return out
 
 
@@ -62,82 +63,68 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
     Raises ValueError when the hypothesis claims frames outside the
     ground-truth frame range.
     """
-    gt_frames = _frames_of(gt)
-    hyp_frames = _frames_of(hyp)
-    if gt_frames and hyp_frames:
-        lo, hi = min(gt_frames), max(gt_frames)
-        outside = [f for f in hyp_frames if f < lo or f > hi]
+    gt_at = _by_frame(gt)
+    hyp_at = _by_frame(hyp)
+    if gt_at and hyp_at:
+        lo, hi = min(gt_at), max(gt_at)
+        outside = [f for f in hyp_at if f < lo or f > hi]
         if outside:
             raise ValueError(
                 f"frame-range mismatch: hypothesis frames {sorted(outside)[:5]} "
                 f"outside ground-truth range [{lo}, {hi}]"
             )
 
-    frames = sorted(gt_frames | hyp_frames)
-    prev_match: dict[int, int] = {}  # gt id -> hyp id at previous frame
+    # gt id -> (hyp id, IoU) at the previous frame; one-to-one.
+    prev_match: dict[int, tuple[int, float]] = {}
     last_match: dict[int, int] = {}  # gt id -> last hyp id ever matched
     covered: dict[int, int] = {g: 0 for g in gt}  # matched-frame counts
-    present: dict[int, int] = {g: len(v) for g, v in gt.items()}
-    was_matched_then_gap: dict[int, bool] = {g: False for g in gt}
+    interrupted: set[int] = set()  # gt ids unmatched since their last match
 
-    fp = fn = idsw = frag = 0
+    idsw = frag = 0
     iou_sum = 0.0
-    n_matches = 0
-    num_gt_boxes = sum(present.values())
-    match_log: list[tuple[int, int, int, float]] = []
 
-    for f in frames:
-        gt_ids = sorted(g for g in gt if f in gt[g])
-        hyp_ids = sorted(h for h in hyp if f in hyp[h])
-        matches: dict[int, int] = {}
+    for f in sorted(gt_at.keys() | hyp_at.keys()):
+        gts = gt_at.get(f, {})
+        hyps = hyp_at.get(f, {})
+        matches: dict[int, tuple[int, float]] = {}
 
         # Persist still-valid previous matches.
-        for g, h in prev_match.items():
-            if g in gt and f in gt[g] and h in hyp and f in hyp[h]:
-                v = iou(gt[g][f], hyp[h][f])
+        for g, (h, _) in prev_match.items():
+            if g in gts and h in hyps:
+                v = iou(gts[g], hyps[h])
                 if v >= match_iou:
-                    matches[g] = h
+                    matches[g] = (h, v)
 
-        free_g = [g for g in gt_ids if g not in matches]
-        used_h = set(matches.values())
-        free_h = [h for h in hyp_ids if h not in used_h]
-        matches.update(_residual_match(gt, hyp, f, free_g, free_h, match_iou))
+        used_h = {h for h, _ in matches.values()}
+        free_g = [g for g in gts if g not in matches]
+        free_h = [h for h in hyps if h not in used_h]
+        matches.update(_residual_match(gts, hyps, free_g, free_h, match_iou))
 
-        for g, h in sorted(matches.items()):
-            v = iou(gt[g][f], hyp[h][f])
+        for g in sorted(matches):
+            h, v = matches[g]
             iou_sum += v
-            n_matches += 1
             covered[g] += 1
-            match_log.append((f, g, h, v))
             if g in last_match and last_match[g] != h:
                 idsw += 1
-            if was_matched_then_gap.get(g):
+            if g in interrupted:
                 frag += 1
-                was_matched_then_gap[g] = False
+                interrupted.discard(g)
             last_match[g] = h
 
-        matched_g = set(matches)
-        matched_h = set(matches.values())
-        fn += len([g for g in gt_ids if g not in matched_g])
-        fp += len([h for h in hyp_ids if h not in matched_h])
-        for g in gt_ids:
-            if g not in matched_g and covered[g] > 0:
-                was_matched_then_gap[g] = True
+        interrupted.update(g for g in gts if g not in matches and covered[g])
         prev_match = matches
 
+    # Every box is either matched or counted as a miss or a false positive.
+    n_matches = sum(covered.values())
+    num_gt_boxes = sum(len(boxes) for boxes in gt.values())
+    fn = num_gt_boxes - n_matches
+    fp = sum(len(boxes) for boxes in hyp.values()) - n_matches
     mota = 100.0 * (1.0 - (fn + fp + idsw) / num_gt_boxes) if num_gt_boxes else 100.0
     motp = 100.0 * iou_sum / n_matches if n_matches else 0.0
-    n_tracks = len(gt)
-    mt = (
-        100.0 * sum(1 for g in gt if covered[g] >= 0.8 * present[g]) / n_tracks
-        if n_tracks
-        else 0.0
-    )
-    ml = (
-        100.0 * sum(1 for g in gt if covered[g] <= 0.2 * present[g]) / n_tracks
-        if n_tracks
-        else 0.0
-    )
+    mt = ml = 0.0
+    if gt:
+        mt = 100.0 * sum(1 for g in gt if covered[g] >= 0.8 * len(gt[g])) / len(gt)
+        ml = 100.0 * sum(1 for g in gt if covered[g] <= 0.2 * len(gt[g])) / len(gt)
     return EvalReport(
         mota=mota,
         motp=motp,
@@ -148,45 +135,44 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
         idsw=idsw,
         frag=frag,
         num_gt_boxes=num_gt_boxes,
-        matches=match_log,
     )
 
 
 def _residual_match(
-    gt: TrackBoxes,
-    hyp: TrackBoxes,
-    f: int,
+    gts: dict[int, BBox2D],
+    hyps: dict[int, BBox2D],
     free_g: list[int],
     free_h: list[int],
     match_iou: float,
-) -> dict[int, int]:
-    """Maximum-total-IoU assignment over the still-unmatched boxes.
+) -> dict[int, tuple[int, float]]:
+    """Maximum-total-IoU assignment over one frame's still-unmatched boxes,
+    as gt id -> (hyp id, IoU).
 
     Weights are scaled to integers so exact ties resolve deterministically:
-    primary total IoU, then more matches, then lowest (gt, hyp) rank.
+    primary total IoU, then more matches, then lowest (gt, hyp) rank.  A
+    pair below match_iou has weight 0; any other has weight >= 1.
     """
     if not free_g or not free_h:
         return {}
     n_g, n_h = len(free_g), len(free_h)
     n2 = n_g * n_h + 1
     weight = np.zeros((n_g, n_h))
-    admissible = np.zeros((n_g, n_h), dtype=bool)
+    ious: dict[tuple[int, int], float] = {}
     for i, g in enumerate(free_g):
         for j, h in enumerate(free_h):
-            if f in hyp[h]:
-                v = iou(gt[g][f], hyp[h][f])
-                if v >= match_iou:
-                    iou_int = int(round(v * 10_000_000))
-                    weight[i, j] = iou_int * n2 + (n2 - 1 - (i * n_h + j))
-                    admissible[i, j] = True
-    if not admissible.any():
+            v = iou(gts[g], hyps[h])
+            if v >= match_iou:
+                iou_int = int(round(v * 10_000_000))
+                weight[i, j] = iou_int * n2 + (n2 - 1 - (i * n_h + j))
+                ious[i, j] = v
+    if not ious:
         return {}
     rows, cols = linear_sum_assignment(weight, maximize=True)
-    out: dict[int, int] = {}
-    for i, j in zip(rows, cols):
-        if admissible[i, j]:
-            out[free_g[int(i)]] = free_h[int(j)]
-    return out
+    return {
+        free_g[i]: (free_h[j], ious[i, j])
+        for i, j in zip(rows.tolist(), cols.tolist())
+        if weight[i, j] > 0
+    }
 
 
 def format_report(report: EvalReport, name: str = "sequence") -> str:
