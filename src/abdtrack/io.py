@@ -11,12 +11,13 @@ line number.
 
 Outputs: MOT result lines, the engine's event log in
 ``occurs_at(EVENT,FRAME)`` form, and a structured JSON report carrying
-provenance and fluent data.
+provenance and the event log.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .domain import Detection, EventOccurrence
@@ -50,18 +51,25 @@ def _conf_percent(raw: float) -> int:
     return int(min(100, max(0, pct)))
 
 
+def _rows(text: str, sep: str | None, min_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number from 1, fields) of each non-blank line; a line with
+    fewer than min_fields fields raises with its number."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(sep)
+        if len(parts) < min_fields:
+            raise ValueError(f"line {lineno}: expected at least {min_fields} fields, got {len(parts)}")
+        yield lineno, parts
+
+
 def parse_mot(text: str) -> DetectionStream:
     """Parse MOT Challenge detection text; every detection has class
     ``object``.  Lines out of frame order are tolerated (sorted);
     malformed lines raise with their line number."""
     by_frame: dict[int, list[Detection]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 7:
-            raise ValueError(f"line {lineno}: expected at least 7 fields, got {len(parts)}")
+    for lineno, parts in _rows(text, ",", 7):
         try:
             frame = int(float(parts[0]))
             box = BBox2D(*(float(v) for v in parts[2:6]))
@@ -78,13 +86,7 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
     to widths/heights.  class_filter keeps only the named types
     (lower-cased); 'DontCare' rows are always skipped."""
     by_frame: dict[int, list[Detection]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) < 10:
-            raise ValueError(f"line {lineno}: expected at least 10 fields, got {len(parts)}")
+    for lineno, parts in _rows(text, None, 10):
         try:
             frame = int(float(parts[0]))
             cls = parts[2].lower()
@@ -104,13 +106,7 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
 def parse_mot_tracks(text: str) -> TrackBoxes:
     """Parse a MOT ground-truth or result file into track id -> frame -> box."""
     out: TrackBoxes = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 6:
-            raise ValueError(f"line {lineno}: expected at least 6 fields")
+    for lineno, parts in _rows(text, ",", 6):
         try:
             frame = int(float(parts[0]))
             tid = int(float(parts[1]))

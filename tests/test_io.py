@@ -103,6 +103,10 @@ class TestParseMotTracks:
         with pytest.raises(ValueError, match="line 2"):
             parse_mot_tracks("1,1,0,0,10,10\n" + line + "\n")
 
+    def test_short_line_rejected_with_field_count(self):
+        with pytest.raises(ValueError, match="line 3: expected at least 6 fields, got 5"):
+            parse_mot_tracks("1,1,0,0,10,10\n\n1,1,0,0,10\n")
+
 
 class TestWriteEvents:
     def test_paper_grammar(self):
