@@ -114,12 +114,12 @@ def warnings(
 
 def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
     """Snapshot an engine's live tracks as TrackViews plus the hidden
-    pairs currently in force."""
+    pairs currently in force.  A live track is seen at its prediction in
+    the last frame's spec or, if started that frame, at its current box."""
     views: dict[int, TrackView] = {}
     for tid in engine.fluents.tracks():
-        box = engine.predicted_box(tid)
-        if box is None:
-            box = engine.motion.current_box(tid)
+        pred = engine.last_spec.predictions.get(tid)
+        box = pred.box if pred is not None else engine.motion.current_box(tid)
         views[tid] = TrackView(box=box, velocity=engine.motion.velocity(tid))
     return views, engine.fluents.hidden_pairs()
 

@@ -244,9 +244,3 @@ class AbductionEngine:
                 events=list(self.events),
             )
         return self._finalized
-
-    # -- introspection for anticipation ----------------------------------
-
-    def predicted_box(self, tid: int) -> Optional[BBox2D]:
-        pred = self.last_spec.predictions.get(tid) if self.last_spec else None
-        return pred.box if pred else None
