@@ -412,8 +412,8 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # gains of its edges, so the optimum is a maximum-gain matching.  A
     # cell of the track x detection gain matrix holds an edge's value
     # minus the two fallback values it replaces; it is 0 where there is
-    # no edge.  Edges with negative gain are in no optimum and are left
-    # out.
+    # no edge.  Every edge gains: an assign >= c1, as no fallback is worth
+    # > 0; a resume (-1) >= 9, as each fallback it replaces is worth <= -5.
     track_cands, det_opts = candidate_actions(spec)
     track_ids = sorted(track_cands)
     col = {d.id: j for j, d in enumerate(spec.detections)}
@@ -425,9 +425,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
         track_value = value(fallback)
         for a in edges:
             j = col[a.det]
-            g = value(a) - track_value - det_value[j]
-            if g > 0:
-                gain[i, j] = g
+            gain[i, j] = value(a) - track_value - det_value[j]
 
     def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
         """Maximum gain over the track rows from ``first`` on and the given
@@ -455,7 +453,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             if j == incumbent:
                 rest -= gain[i, j]
                 break
-            if j in free and gain[i, j] > 0:
+            if j in free:
                 tail, m = optimum(i + 1, [c for c in free if c != j])
                 if gain[i, j] + tail == rest:
                     rest, match = tail, m
