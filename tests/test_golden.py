@@ -123,7 +123,9 @@ def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
     )
     anticipation = _cli(["anticipate", *flags])
     (work / "gt.txt").write_text(_gt_text(cfg))
-    scores = _cli(["eval", "--gt", str(work / "gt.txt"), "--hyp", str(work / "tracks.txt"), "--json"])
+    scores = _cli(
+        ["eval", "--gt", str(work / "gt.txt"), "--hyp", str(work / "tracks.txt"), "--json"]
+    )
     _cli(["emit-facts", *flags, "--out", str(work / "facts_cmd")])
     digests = {
         "input": _sha(dets.read_text()),
