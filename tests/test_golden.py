@@ -27,8 +27,10 @@ from pathlib import Path
 
 import pytest
 
+from abdtrack import cli
 from abdtrack.cli import main
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
+from reference_report import reference_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,8 +109,8 @@ def _cli(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
-    """(digests, event log, emit-facts dump) of one case, run in work."""
+def _input_flags(name: str, work: Path) -> list[str]:
+    """The CLI's input and engine flags for one case, its files written in work."""
     cfg, flags, config_text = CASES[name]
     dets = work / "dets.txt"
     dets.write_text(_mot_text(cfg))
@@ -116,6 +118,14 @@ def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
     if config_text is not None:
         (work / "engine.cfg").write_text(config_text)
         flags += ["--config", str(work / "engine.cfg")]
+    return flags
+
+
+def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
+    """(digests, event log, emit-facts dump) of one case, run in work."""
+    cfg = CASES[name][0]
+    flags = _input_flags(name, work)
+    dets = work / "dets.txt"
     _cli(
         ["track", *flags, "--out-tracks", str(work / "tracks.txt"),
          "--out-events", str(work / "events.txt"), "--out-report", str(work / "report.json"),
@@ -147,6 +157,24 @@ def test_golden(name, tmp_path):
     assert digests == expected
     # `emit-facts` and `track --emit-facts` dump the same facts.
     assert _sha(facts_cmd) == expected["facts"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_reference(name, tmp_path, monkeypatch):
+    """`track --out-report` writes json.dumps(doc, indent=2) of the report
+    document, byte for byte, on each case's explanation."""
+    seen = []
+    original = cli.write_report
+
+    def write_report(exp):
+        seen.append(exp)
+        return original(exp)
+
+    monkeypatch.setattr(cli, "write_report", write_report)
+    report = tmp_path / "report.json"
+    _cli(["track", *_input_flags(name, tmp_path), "--out-report", str(report)])
+    (exp,) = seen
+    assert report.read_text() == reference_report(exp)
 
 
 def _regenerate() -> None:

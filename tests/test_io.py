@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig
-from abdtrack.domain import EventKind, EventOccurrence
+from abdtrack.domain import (
+    EventKind,
+    EventOccurrence,
+    HistoryEntry,
+    Provenance,
+    Track,
+    TrackState,
+)
 from abdtrack.io import (
     explanation_to_boxes,
     format_event,
@@ -16,6 +23,7 @@ from abdtrack.io import (
     write_tracks,
 )
 from abdtrack.tracker import Explanation
+from reference_report import reference_report
 
 
 class TestParseMot:
@@ -180,6 +188,110 @@ class TestWriteTracks:
     def test_structured_report(self):
         import json
 
-        doc = json.loads(write_report(self._explanation()))
+        text = write_report(self._explanation())
+        doc = json.loads(text)
         assert doc["tracks"][0]["history"][0]["provenance"] == "observed"
         assert doc["events"][0]["kind"] == "enters_fov"
+        entries = [
+            (1, "10.5", "20.25", 99),
+            (2, "12.5", "21.25", 97),
+        ]
+        history = ",\n".join(
+            f"""        {{
+          "frame": {f},
+          "box": [
+            {x},
+            {y},
+            30.0,
+            40.0
+          ],
+          "provenance": "observed",
+          "conf": {c}
+        }}"""
+            for f, x, y, c in entries
+        )
+        assert text == f"""{{
+  "tracks": [
+    {{
+      "id": 0,
+      "class": "car",
+      "born_frame": 1,
+      "history": [
+{history}
+      ]
+    }}
+  ],
+  "events": [
+    {{
+      "kind": "enters_fov",
+      "frame": 1,
+      "subject": "trk_0",
+      "occluder": null
+    }}
+  ]
+}}"""
+
+
+def _track(tid, cls="car", entries=()):
+    history = [HistoryEntry(f, box, prov, conf) for f, box, prov, conf in entries]
+    born = history[0].frame if history else 0
+    return Track(tid, cls, TrackState.ENDED, history, born)
+
+
+_OBS, _INTERP = Provenance.OBSERVED, Provenance.INTERPOLATED
+_ENTRY = (3, BBox2D(10.5, 20.25, 30.0, 40.0), _OBS, 99)
+_EVENT = EventOccurrence(EventKind.ENTERS_FOV, 3, 0)
+
+# Explanations for the shapes no golden case has; the golden cases are
+# compared in test_golden.py.
+REPORT_CASES = {
+    "no_tracks": Explanation([], [_EVENT]),
+    "no_events": Explanation([_track(0, entries=[_ENTRY])], []),
+    "empty": Explanation([], []),
+    "empty_history": Explanation([_track(0), _track(1, entries=[_ENTRY])], [_EVENT]),
+    "one_entry": Explanation([_track(4, entries=[_ENTRY])], [_EVENT]),
+    "non_ascii_class": Explanation([_track(0, cls="Fußgänger \u2192 🚲", entries=[_ENTRY])], []),
+    "quoted_class": Explanation([_track(0, cls='say "car"\\\n\t', entries=[_ENTRY])], []),
+    "int_box": Explanation(
+        [
+            _track(
+                0,
+                entries=[
+                    (7, BBox2D(300, 100, 40, 60), _OBS, 100),
+                    (8, BBox2D(301, 100.5, 40, 60), _INTERP, 0),
+                ],
+            )
+        ],
+        [],
+    ),
+    "float_subclass_box": Explanation(
+        [_track(0, entries=[(1, BBox2D(*np.array([0.1, 1e16, 1e-7, 2.5])), _OBS, 50)])], []
+    ),
+    "det_subject": Explanation([], [EventOccurrence(EventKind.NOISE, 12, 3, subject_is_det=True)]),
+    "occluder": Explanation(
+        [],
+        [
+            EventOccurrence(EventKind.HIDES_BEHIND, 9, 1, occluder=2),
+            EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 15, 1, occluder=12),
+            EventOccurrence(EventKind.LOST, 40, 3),
+        ],
+    ),
+}
+
+
+class TestWriteReport:
+    @pytest.mark.parametrize("name", sorted(REPORT_CASES))
+    def test_matches_reference(self, name):
+        exp = REPORT_CASES[name]
+        assert write_report(exp) == reference_report(exp)
+
+    def test_empty_lists_and_null(self):
+        text = write_report(REPORT_CASES["empty"])
+        assert text == '{\n  "tracks": [],\n  "events": []\n}'
+        assert '"occluder": null' in write_report(REPORT_CASES["no_tracks"])
+        assert '"history": []' in write_report(REPORT_CASES["empty_history"])
+
+    def test_int_box_prints_ints(self):
+        text = write_report(REPORT_CASES["int_box"])
+        assert "            300,\n" in text and "300.0" not in text
+        assert "            301,\n            100.5,\n" in text
