@@ -11,7 +11,8 @@ line number.
 
 Outputs: MOT result lines, the engine's event log in
 ``occurs_at(EVENT,FRAME)`` form, and a structured JSON report carrying
-provenance and the event log.
+provenance and the event log: byte for byte ``json.dumps(doc, indent=2)``
+of its fixed schema, written from templates without the pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
-from .domain import Detection, EventOccurrence
+from .domain import Detection, EventOccurrence, Provenance
 from .geometry import BBox2D
 from .metrics import TrackBoxes
 from .tracker import Explanation
@@ -132,18 +134,13 @@ def write_tracks(exp: Explanation) -> str:
     Box coordinates use full-precision reprs so observed entries
     round-trip exactly through parse; interpolated entries carry conf 0.
     """
-    lines = []
-    entries = []
-    for trk in exp.tracks:
-        for h in trk.history:
-            entries.append((h.frame, trk.id, h))
-    entries.sort(key=lambda t: (t[0], t[1]))
-    for frame, tid, h in entries:
-        conf = h.conf / 100.0
-        lines.append(
-            f"{frame},{tid},{h.box.x!r},{h.box.y!r},{h.box.w!r},{h.box.h!r},{conf!r},-1,-1,-1"
-        )
-    return "".join(line + "\n" for line in lines)
+    entries = sorted(
+        ((h.frame, trk.id, h) for trk in exp.tracks for h in trk.history), key=lambda t: t[:2]
+    )
+    return "".join(
+        f"{f},{tid},{h.box.x!r},{h.box.y!r},{h.box.w!r},{h.box.h!r},{h.conf / 100.0!r},-1,-1,-1\n"
+        for f, tid, h in entries
+    )
 
 
 def explanation_to_boxes(exp: Explanation) -> TrackBoxes:
@@ -154,34 +151,45 @@ def explanation_to_boxes(exp: Explanation) -> TrackBoxes:
     }
 
 
+def _template(doc: dict, depth: int) -> str:
+    """``json.dumps(doc, indent=2)`` nested ``depth`` levels deep, each "%s"
+    value unquoted to take the JSON text of a value."""
+    return json.dumps(doc, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
+
+
+_ENTRY = _template({"frame": "%s", "box": ["%s"] * 4, "provenance": "%s", "conf": "%s"}, 4)
+_TRACK = _template(dict.fromkeys(["id", "class", "born_frame", "history"], "%s"), 2)
+_EVENT = _template(dict.fromkeys(["kind", "frame", "subject", "occluder"], "%s"), 2)
+_PROVENANCE = {p: json.dumps(p.value) for p in Provenance}
+
+
+def _number(v: float) -> str:
+    """A box coordinate as ``json`` writes it, float or int."""
+    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+
+
+def _array(items: list[str], depth: int) -> str:
+    """JSON array of the items' texts, opened at nesting level ``depth``."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]" if items else "[]"
+
+
 def write_report(exp: Explanation) -> str:
-    """Structured JSON: tracks with per-entry provenance plus the event log."""
-    doc = {
-        "tracks": [
-            {
-                "id": trk.id,
-                "class": trk.cls,
-                "born_frame": trk.born_frame,
-                "history": [
-                    {
-                        "frame": h.frame,
-                        "box": [h.box.x, h.box.y, h.box.w, h.box.h],
-                        "provenance": h.provenance.value,
-                        "conf": h.conf,
-                    }
-                    for h in trk.history
-                ],
-            }
-            for trk in exp.tracks
-        ],
-        "events": [
-            {
-                "kind": e.kind.name.lower(),
-                "frame": e.frame,
-                "subject": ("det_" if e.subject_is_det else "trk_") + str(e.subject),
-                "occluder": None if e.occluder is None else f"trk_{e.occluder}",
-            }
-            for e in exp.events
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    """Structured JSON: tracks with per-entry provenance plus the event log,
+    byte for byte ``json.dumps(doc, indent=2)`` of the report's document."""
+    tracks = []
+    for trk in exp.tracks:
+        history = [
+            _ENTRY % (h.frame, _number(b.x), _number(b.y), _number(b.w), _number(b.h),
+                      _PROVENANCE[h.provenance], h.conf)
+            for h in trk.history for b in (h.box,)
+        ]
+        cls = encode_basestring_ascii(trk.cls)
+        tracks.append(_TRACK % (trk.id, cls, trk.born_frame, _array(history, 3)))
+    events = [
+        _EVENT % ('"%s"' % e.kind.name.lower(), e.frame,
+                  ('"det_%s"' if e.subject_is_det else '"trk_%s"') % e.subject,
+                  "null" if e.occluder is None else '"trk_%s"' % e.occluder)
+        for e in exp.events
+    ]
+    return _template({"tracks": "%s", "events": "%s"}, 0) % (_array(tracks, 1), _array(events, 1))
