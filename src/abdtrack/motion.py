@@ -3,13 +3,16 @@
 State vector (7): [cx, cy, s, r, v_cx, v_cy, v_s] where s is the box area
 and r the aspect ratio (w/h); r carries no velocity.  Measurements are
 [cx, cy, s, r].  Default noise levels: measurement diag(1, 1, 10, 10),
-process noise small on the velocity components.
+process noise small on the velocity components.  F, Q, R and the initial
+covariance never couple cx, cy, s and r, nor does a gain with one
+measurement per column, so S = H P Hᵀ + R stays exactly diagonal and the
+gain scales P Hᵀ by the reciprocals of its diagonal instead of inverting S.
 
 The bank holds one row per track: states as an (n, 7) array and
 covariances as an (n, 7, 7) array, in ascending track id order.  A frame
 predicts every row with one stacked pass and corrects the observed rows
-with another; each row's arithmetic is the per-track filter's, so the
-results are bit-identical to running one filter per track.
+with another; each row's results are bit for bit those of a per-track
+filter that inverts S.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class MotionFilter:
         x, P = self.x[rows], self.P[rows]
         y = box_to_z(list(obs.values())) - x @ _H.T
         S = _H @ P @ _H.T + MEASUREMENT_NOISE
-        K = P @ _H.T @ np.linalg.inv(S)
+        K = P @ _H.T * (1.0 / np.diagonal(S, axis1=1, axis2=2))[:, None, :]
         x = x + (K @ y[:, :, None])[:, :, 0]
         P = (np.eye(7) - K @ _H) @ P
         # Keep the covariance numerically symmetric.

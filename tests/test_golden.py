@@ -25,10 +25,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from abdtrack import cli
+from abdtrack import cli, motion
 from abdtrack.cli import main
+from abdtrack.motion import MotionFilter
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
 from reference_report import reference_report
 
@@ -175,6 +177,26 @@ def test_report_matches_reference(name, tmp_path, monkeypatch):
     _cli(["track", *_input_flags(name, tmp_path), "--out-report", str(report)])
     (exp,) = seen
     assert report.read_text() == reference_report(exp)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
+    """S = H P Hᵀ + R is exactly 0.0 off its diagonal on every Kalman
+    update of the case's stream, as the bank's gain assumes."""
+    original = MotionFilter.update
+    updates = 0
+
+    def update(self, obs):
+        nonlocal updates
+        P = self.P[[self._row[t] for t in obs]]
+        S = motion._H @ P @ motion._H.T + motion.MEASUREMENT_NOISE
+        assert (S[:, ~np.eye(4, dtype=bool)] == 0.0).all()
+        updates += len(obs)
+        original(self, obs)
+
+    monkeypatch.setattr(MotionFilter, "update", update)
+    _cli(["track", *_input_flags(name, tmp_path)])
+    assert updates > 0
 
 
 def _regenerate() -> None:

@@ -25,6 +25,10 @@ _F = np.array(
     dtype=float,
 )
 _H = np.eye(4, 7)
+# 1 where two state entries are the same pair: (cx, v_cx), (cy, v_cy),
+# (s, v_s) or r alone.
+_PAIR = np.array([0, 1, 2, 3, 0, 1, 2])
+_SAME_PAIR = (_PAIR[:, None] == _PAIR[None, :]).astype(float)
 
 
 def _z(b: BBox2D) -> np.ndarray:
@@ -102,9 +106,11 @@ class TestBank:
     def test_matches_per_track_reference(self):
         """Rows added and dropped mid-stream, a random subset observed each
         frame: the stacked passes give every row's state, covariance and
-        box bit for bit.  Half the rows start from a coupled covariance,
-        whose updates can leave a degenerate area or aspect, so rows keep
-        their last box too."""
+        box bit for bit, and the gain's reciprocals give the reference's
+        np.linalg.inv.  Half the rows start from a covariance coupled
+        inside each position-velocity pair, which keeps S diagonal as the
+        engine's rows do.  Some rows get a negative aspect forced into
+        their state, so rows keep their last box too."""
         rng = np.random.default_rng(61)
         bank, ref = MotionFilter(), {}
         next_id = 0
@@ -115,9 +121,9 @@ class TestBank:
                 bank.add(next_id, b)
                 ref[next_id] = ScalarKF(b)
                 if next_id % 2:
-                    # A coupled covariance: S is not diagonal, so the
-                    # rounding of its inverse shows in K.
-                    A = rng.normal(size=(7, 7))
+                    # Couple cx, cy and s with their velocities only: the
+                    # gain's off-diagonal entries are then not 0.
+                    A = rng.normal(size=(7, 7)) * _SAME_PAIR
                     bank.P[-1] = ref[next_id].P = INITIAL_COVARIANCE + A @ A.T
                 next_id += 1
             if frame > 0:
@@ -129,6 +135,9 @@ class TestBank:
             expected = [ref[t].predict() for t in ref]
             kept += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
             assert bank.ids == list(ref)
+            for i, t in enumerate(bank.ids):
+                if rng.random() < 0.02:
+                    bank.x[i, 3] = ref[t].x[3] = -ref[t].x[3]
             assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
             assert all(type(v) is float for b in boxes for v in _xywh(b))
             obs = {
