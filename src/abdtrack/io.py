@@ -9,10 +9,9 @@ directly; everything is clamped to [0, 100].  Each box is validated by
 :class:`~abdtrack.geometry.BBox2D`; a bad number or box fails with its
 line number.
 
-Outputs: MOT result lines, the engine's event log in
-``occurs_at(EVENT,FRAME)`` form, and a structured JSON report carrying
-provenance and the event log: byte for byte ``json.dumps(doc, indent=2)``
-of its fixed schema, written from templates without the pure-Python encoder.
+Outputs: MOT result lines, the engine's event log in ``occurs_at(EVENT,FRAME)``
+form, and a JSON report of provenance and the event log that is byte for
+byte ``json.dumps(doc, indent=2)`` of its fixed schema, from templates.
 """
 
 from __future__ import annotations
