@@ -30,7 +30,6 @@ import pytest
 
 from abdtrack import cli, motion
 from abdtrack.cli import main
-from abdtrack.motion import MotionFilter
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
 from reference_report import reference_report
 
@@ -183,7 +182,7 @@ def test_report_matches_reference(name, tmp_path, monkeypatch):
 def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
     """S = H P Hᵀ + R is exactly 0.0 off its diagonal on every Kalman
     update of the case's stream, as the bank's gain assumes."""
-    original = MotionFilter.update
+    original = motion.MotionFilter.update
     updates = 0
 
     def update(self, obs):
@@ -194,7 +193,7 @@ def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
         updates += len(obs)
         original(self, obs)
 
-    monkeypatch.setattr(MotionFilter, "update", update)
+    monkeypatch.setattr(motion.MotionFilter, "update", update)
     _cli(["track", *_input_flags(name, tmp_path)])
     assert updates > 0
 
