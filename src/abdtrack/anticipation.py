@@ -113,15 +113,15 @@ def warnings(
 
 
 def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
-    """Snapshot an engine's live tracks as TrackViews plus the hidden
-    pairs currently in force.  A live track is seen at its prediction in
-    the last frame's spec or, if started that frame, at its current box."""
+    """The hidden pairs currently in force, plus a TrackView of each track
+    in them, seen at its prediction in the last frame's spec (a pair links
+    only tracks of that spec)."""
+    hidden = engine.fluents.hidden_pairs()
     views: dict[int, TrackView] = {}
-    for tid in engine.fluents.tracks():
-        pred = engine.last_spec.predictions.get(tid)
-        box = pred.box if pred is not None else engine.motion.current_box(tid)
+    for tid in {t for pair in hidden for t in pair}:
+        box = engine.last_spec.predictions[tid].box
         views[tid] = TrackView(box=box, velocity=engine.motion.velocity(tid))
-    return views, engine.fluents.hidden_pairs()
+    return views, hidden
 
 
 def format_anticipation(a: Anticipation) -> str:

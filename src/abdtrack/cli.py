@@ -52,10 +52,14 @@ _THRESHOLDS = [
 
 
 def _parse_geom(text: str) -> tuple[float, float]:
-    w, h = (float(v) for v in text.lower().split("x"))
-    if not (0 < w < math.inf and 0 < h < math.inf):
-        raise ValueError(f"frame geometry must be finite and positive: {text}")
-    return w, h
+    """(W, H) of a ``WxH`` frame size, both finite and positive."""
+    try:
+        w, h = (float(v) for v in text.lower().split("x"))
+        if 0 < w < math.inf and 0 < h < math.inf:
+            return w, h
+    except ValueError:
+        pass
+    raise ValueError(f"frame geometry must be WxH, finite and positive: {text}")
 
 
 _CONFIG_KEYS = {field: kind for _, field, kind in _THRESHOLDS} | {"frame_geom": _parse_geom}
@@ -149,6 +153,9 @@ def _print_latency(engine: AbductionEngine) -> None:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
+    if args.gt and not Path(args.gt).exists():
+        print(f"error: file not found: {args.gt}", file=sys.stderr)
+        return 2
     engine, exp, _ = _run_engine(args, facts_dir=args.emit_facts)
     if args.out_tracks:
         Path(args.out_tracks).write_text(write_tracks(exp))
@@ -162,9 +169,6 @@ def cmd_track(args: argparse.Namespace) -> int:
         ]
         Path(args.latency_csv).write_text("\n".join(rows) + "\n")
     if args.gt:
-        if not Path(args.gt).exists():
-            print(f"error: file not found: {args.gt}", file=sys.stderr)
-            return 2
         gt = parse_mot_tracks(Path(args.gt).read_text())
         report = evaluate(gt, explanation_to_boxes(exp), match_iou=args.match_iou)
         print(format_report(report, name=Path(args.input).stem))

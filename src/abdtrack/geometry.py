@@ -4,8 +4,10 @@ Boxes follow the (x, y, w, h) convention with a top-left origin and y
 growing downward.  Rectangles are treated as half-open pixel regions, so
 the intersection width of two boxes is ``max(0, min(x1+w1, x2+w2) -
 max(x1, x2))``.  Coordinates may be negative (partially off-screen boxes
-are legal); coordinates must be finite, and widths and heights strictly
-positive.
+are legal); coordinates must be finite, widths and heights strictly
+positive, and the area w*h and aspect w/h finite positive floats, since
+the motion filter measures both: a box whose area or aspect over- or
+underflows is rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ IOU_SCALE = 100_000
 
 @dataclass(frozen=True, slots=True)
 class BBox2D:
-    """Axis-aligned box: left edge, top edge, width, height (pixels)."""
+    """Axis-aligned box: left edge, top edge, width, height (pixels);
+    ``ValueError`` unless it keeps the module's rules."""
 
     x: float
     y: float
@@ -42,6 +45,8 @@ class BBox2D:
             raise ValueError(f"non-finite box: {self}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
+        if not (0 < self.w * self.h < math.inf and 0 < self.w / self.h < math.inf):
+            raise ValueError(f"non-finite or zero area or aspect: w={self.w}, h={self.h}")
 
     @property
     def x2(self) -> float:

@@ -12,12 +12,11 @@ The bank holds one row per track: states as an (n, 7) array and
 covariances as an (n, 7, 7) array, in ascending track id order.  A frame
 predicts every row with one stacked pass and corrects the observed rows
 with another; each row's results are bit for bit those of a per-track
-filter that inverts S.
+filter that inverts S.  A row's box is computed from its state alone, by
+:func:`z_to_box`; the bank keeps no boxes.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -54,7 +53,8 @@ def box_to_z(boxes: list[BBox2D]) -> np.ndarray:
 
 
 def z_to_box(z: np.ndarray) -> list[BBox2D]:
-    """Boxes of the (n, 4) measurement-space rows of ``z``."""
+    """Boxes of the (n, 4) measurement-space rows of ``z``; a non-positive
+    area or aspect is clamped to a tiny positive one."""
     s, r = z[:, 2], z[:, 3]
     xywh = np.empty((len(z), 4))
     # w >= 1e-12 unless the state is NaN, so s / w never divides by zero.
@@ -71,9 +71,8 @@ class MotionFilter:
     """Kalman bank of every live track; rows in ascending track id order.
 
     Track ids must be added in increasing order (the engine allocates
-    them that way), so appending a row keeps the order.  Change ``x`` and
-    ``P`` only through the bank's methods: an updated row's box is made
-    from its state when it is first needed.
+    them that way), so appending a row keeps the order.  The predicted
+    boxes are those of the predicted states.
     """
 
     def __init__(self) -> None:
@@ -81,9 +80,6 @@ class MotionFilter:
         self._row: dict[int, int] = {}
         self.x = np.zeros((0, 7))
         self.P = np.zeros((0, 7, 7))
-        # Each row's last valid box; None after an update until the box is
-        # needed, and then it is the box of the row's state.
-        self._box: list[Optional[BBox2D]] = []
 
     def add(self, tid: int, box: BBox2D) -> None:
         """Start a row for track ``tid`` at ``box``, zero velocity."""
@@ -95,39 +91,24 @@ class MotionFilter:
         self.ids.append(tid)
         self.x = np.concatenate([self.x, x])
         self.P = np.concatenate([self.P, INITIAL_COVARIANCE[None]])
-        self._box.append(box)
 
     def drop(self, tid: int) -> None:
         """Remove track ``tid``'s row."""
         i = self._row[tid]
-        del self.ids[i], self._box[i]
+        del self.ids[i]
         self._row = {t: k for k, t in enumerate(self.ids)}
         self.x = np.delete(self.x, i, axis=0)
         self.P = np.delete(self.P, i, axis=0)
 
-    def _set_boxes(self, x: np.ndarray, rows: list[int]) -> None:
-        for i, box in zip(rows, z_to_box(x[rows, :4])):
-            self._box[i] = box
-
     def predict(self) -> list[BBox2D]:
-        """Advance every row one frame; returns the predicted boxes in
-        row order.  A row whose predicted area or aspect is degenerate
-        keeps its last valid box."""
-        x0 = self.x
+        """Advance every row one frame; returns the boxes of the predicted
+        states in row order."""
+        x = self.x
         # Avoid driving the area negative when area velocity is large.
-        x0[x0[:, 2] + x0[:, 6] <= 0, 6] = 0.0
-        self.x = x = x0 @ _F.T
+        x[x[:, 2] + x[:, 6] <= 0, 6] = 0.0
+        self.x = x @ _F.T
         self.P = _F @ self.P @ _F.T + PROCESS_NOISE
-        ok = (x[:, 2] > 0) & (x[:, 3] > 0)
-        if ok.all():
-            self._box = z_to_box(x[:, :4])
-        else:
-            # If an update left a degenerate row's box uncomputed, its last
-            # valid box is the one of its state before this step.
-            stale = [i for i in np.flatnonzero(~ok).tolist() if self._box[i] is None]
-            self._set_boxes(x0, stale)
-            self._set_boxes(x, np.flatnonzero(ok).tolist())
-        return list(self._box)
+        return z_to_box(self.x[:, :4])
 
     def update(self, obs: dict[int, BBox2D]) -> None:
         """Standard Kalman correction on (cx, cy, s, r) of the rows of the
@@ -144,14 +125,6 @@ class MotionFilter:
         # Keep the covariance numerically symmetric.
         P = (P + P.transpose(0, 2, 1)) / 2.0
         self.x[rows], self.P[rows] = x, P
-        for i in rows:
-            self._box[i] = None
-
-    def current_box(self, tid: int) -> BBox2D:
-        i = self._row[tid]
-        if self._box[i] is None:
-            self._set_boxes(self.x, [i])
-        return self._box[i]
 
     def velocity(self, tid: int) -> tuple[float, float]:
         """Estimated (MovX, MovY) of track ``tid`` in px/frame."""

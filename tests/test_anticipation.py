@@ -117,6 +117,9 @@ class TestWarnings:
 
 class TestEngineIntegration:
     def test_hidden_track_is_anticipated(self):
+        """A pedestrian (a class the hidden car cannot resume on) starts in
+        the last frame, while the car is hidden: the views are exactly the
+        hidden pair's tracks, each at its prediction in the last spec."""
         geom = (400.0, 300.0)
         eng = AbductionEngine(EngineConfig(thresholds=Thresholds(), frame_geom=geom))
         occluder = BBox2D(150, 80, 120, 100)
@@ -125,10 +128,18 @@ class TestEngineIntegration:
             dets = [Detection(0, "car", 99, occluder)]
             if f < 10:
                 dets.append(Detection(1, "car", 99, BBox2D(x, 120, 30, 24)))
+            if f == 13:
+                dets.append(Detection(1, "pedestrian", 99, BBox2D(10, 200, 20, 20)))
             eng.step(f, dets)
         views, hidden = engine_views(eng)
         assert len(hidden) == 1
         (t1, t2) = next(iter(hidden))
+        started = set(eng.fluents.tracks()) - {t1, t2}
+        assert len(started) == 1 and not started & set(eng.last_spec.predictions)
+        assert set(views) == {t1, t2}
+        for t, view in views.items():
+            assert view.box == eng.last_spec.predictions[t].box
+            assert view.velocity == eng.motion.velocity(t)
         assert proper_part(views[t1].box, views[t2].box)
         ants = anticipate_unhide(views, hidden, 13, horizon=60)
         assert len(ants) == 1

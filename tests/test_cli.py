@@ -108,13 +108,16 @@ class TestTrack:
     @pytest.mark.parametrize(
         "flag, value",
         [("--size-thresh", "nan"), ("--horizon", "-3"), ("--frame-geom", "nanx375"),
-         ("--frame-geom", "0x0")],
+         ("--frame-geom", "0x0"), ("--frame-geom", "100")],
     )
     def test_bad_flag_value_fails(self, det_file, tmp_path, flag, value, capsys):
         out = tmp_path / "events.txt"
         rc = main(["track", "--input", str(det_file), flag, value, "--out-events", str(out)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if flag == "--frame-geom":
+            assert "WxH" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["fov_margin = nan", "frame_geom = infx375"])
@@ -142,6 +145,16 @@ class TestTrackMetricsToggle:
         assert rc == 0
         out = capsys.readouterr().out
         assert "MOTA" in out
+
+    def test_missing_gt_exits_2_before_the_run(self, det_file, tmp_path, capsys):
+        tracks = tmp_path / "out.txt"
+        rc = main(
+            ["track", "--input", str(det_file), "--gt", str(tmp_path / "nope.txt"),
+             "--out-tracks", str(tracks), "--frame-geom", "400x300"]
+        )
+        assert rc == 2
+        assert "file not found" in capsys.readouterr().err
+        assert not tracks.exists()
 
 
 class TestEval:

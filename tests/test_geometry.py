@@ -36,7 +36,9 @@ class TestIoU:
 
     @pytest.mark.parametrize(
         "xywh", [(float("nan"), 0, 1, 1), (0, float("-inf"), 1, 1), (0, 0, float("inf"), 1),
-                 (0, 0, 1, float("nan"))]
+                 (0, 0, 1, float("nan")),
+                 # finite sides whose area or aspect over- or underflows
+                 (0, 0, 1e200, 1e200), (0, 0, 1e-200, 1e203), (0, 0, 1e-200, 1e-200)]
     )
     def test_non_finite_rejected(self, xywh):
         with pytest.raises(ValueError, match="non-finite"):

@@ -59,7 +59,10 @@ class TestParseMot:
         assert stream.frames[0][1][0].conf == 85
 
     @pytest.mark.parametrize("line", ["1,-1,nan,10,20,20,0.9", "1,-1,0,10,inf,20,0.9",
-                                      "1,-1,0,10,20,20,nan", "inf,-1,0,10,20,20,0.9"])
+                                      "1,-1,0,10,20,20,nan", "inf,-1,0,10,20,20,0.9",
+                                      "1,-1,100,100,1e200,1e200,0.9",
+                                      "1,-1,100,100,1e-200,1e203,0.9",
+                                      "1,-1,100,100,1e-200,1e-200,0.9"])
     def test_non_finite_rejected_with_line_number(self, line):
         with pytest.raises(ValueError, match="line 2"):
             parse_mot("1,-1,0,0,10,10,1\n" + line + "\n")
@@ -98,7 +101,8 @@ class TestParseKitti:
             parse_kitti("0 -1 Car 0 0\n")
 
     @pytest.mark.parametrize("corners", ["nan 120.0 150.0 160.0", "100.0 120.0 inf 160.0",
-                                         "-1e308 -1e308 1e308 1e308"])
+                                         "-1e308 -1e308 1e308 1e308", "0 0 1e200 1e200",
+                                         "0 0 1e-200 1e203", "0 0 1e-200 1e-200"])
     def test_non_finite_rejected_with_line_number(self, corners):
         line = f"0 -1 Car 0 0 -10.0 {corners} 1.5 1.6 3.2 1.0 1.0 1.0 0.1 0.95"
         with pytest.raises(ValueError, match="line 2"):
@@ -106,7 +110,9 @@ class TestParseKitti:
 
 
 class TestParseMotTracks:
-    @pytest.mark.parametrize("line", ["1,1,nan,10,20,20", "1,1,0,10,20,inf", "1,1,0,10,0,20"])
+    @pytest.mark.parametrize("line", ["1,1,nan,10,20,20", "1,1,0,10,20,inf", "1,1,0,10,0,20",
+                                      "1,1,0,10,1e200,1e200", "1,1,0,10,1e-200,1e203",
+                                      "1,1,0,10,1e-200,1e-200"])
     def test_bad_box_rejected_with_line_number(self, line):
         with pytest.raises(ValueError, match="line 2"):
             parse_mot_tracks("1,1,0,0,10,10\n" + line + "\n")

@@ -44,23 +44,21 @@ def _box(z: np.ndarray) -> BBox2D:
 
 class ScalarKF:
     """Independent per-track reference: the textbook recursion on one
-    state vector, with the engine's area-velocity clamp, keep-last box on
-    a degenerate state and covariance symmetrisation."""
+    state vector, with the engine's area-velocity clamp, the box of the
+    predicted state (area and aspect clamped) and covariance
+    symmetrisation."""
 
     def __init__(self, box: BBox2D):
         self.x = np.zeros(7)
         self.x[:4] = _z(box)
         self.P = INITIAL_COVARIANCE.copy()
-        self.box = box
 
     def predict(self) -> BBox2D:
         if self.x[2] + self.x[6] <= 0:
             self.x[6] = 0.0
         self.x = _F @ self.x
         self.P = _F @ self.P @ _F.T + PROCESS_NOISE
-        if self.x[2] > 0 and self.x[3] > 0:
-            self.box = _box(self.x[:4])
-        return self.box
+        return _box(self.x[:4])
 
     def update(self, b: BBox2D) -> None:
         y = _z(b) - _H @ self.x
@@ -69,7 +67,6 @@ class ScalarKF:
         self.x = self.x + K @ y
         self.P = (np.eye(7) - K @ _H) @ self.P
         self.P = (self.P + self.P.T) / 2.0
-        self.box = _box(self.x[:4])
 
 
 def kf_oracle(boxes):
@@ -110,11 +107,12 @@ class TestBank:
         np.linalg.inv.  Half the rows start from a covariance coupled
         inside each position-velocity pair, which keeps S diagonal as the
         engine's rows do.  Some rows get a negative aspect forced into
-        their state, so rows keep their last box too."""
+        their state, so some predicted states are degenerate and both
+        sides return the same clamped boxes for them."""
         rng = np.random.default_rng(61)
         bank, ref = MotionFilter(), {}
         next_id = 0
-        clamped = kept = 0
+        clamped = degenerate = 0
         for frame in range(240):
             while len(ref) < 20 or (frame > 0 and rng.random() < 0.3):
                 b = random_box(rng)
@@ -133,7 +131,7 @@ class TestBank:
             clamped += sum(kf.x[2] + kf.x[6] <= 0 for kf in ref.values())
             boxes = bank.predict()
             expected = [ref[t].predict() for t in ref]
-            kept += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
+            degenerate += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
             assert bank.ids == list(ref)
             for i, t in enumerate(bank.ids):
                 if rng.random() < 0.02:
@@ -154,11 +152,7 @@ class TestBank:
                 assert np.array_equal(bank.x[i], ref[t].x)
                 assert np.array_equal(bank.P[i], ref[t].P)
                 assert bank.velocity(t) == (ref[t].x[4], ref[t].x[5])
-                # Leave some boxes unread: predict then meets rows whose
-                # box an update left uncomputed.
-                if rng.random() < 0.5:
-                    assert _xywh(bank.current_box(t)) == _xywh(ref[t].box)
-        assert next_id > 100 and clamped > 0 and kept > 0
+        assert next_id > 100 and clamped > 0 and degenerate > 0
 
     def test_ids_must_increase(self):
         f = one(BBox2D(0, 0, 10, 10))
@@ -219,9 +213,11 @@ class TestPredict:
         box = f.predict()[0]
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
-        # a degenerate state keeps the last valid box
+        # a negative aspect gives the finite, positive box of the state
         f.x[0, 3] = -1.0
-        assert f.predict()[0] == box
+        box = f.predict()[0]
+        assert all(map(math.isfinite, _xywh(box))) and box.w > 0 and box.h > 0
+        assert _xywh(box) == _xywh(_box(f.x[0, :4]))
 
 
 class TestUpdate:
