@@ -16,7 +16,6 @@ from .geometry import BBox2D, in_front_region, proper_part
 __all__ = [
     "TrackView",
     "Anticipation",
-    "Warning_",
     "interpolated_position",
     "anticipate_unhide",
     "warnings",
@@ -39,13 +38,6 @@ class TrackView:
 class Anticipation:
     track: int
     occluder: int
-    frame: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class Warning_:
-    track: int
     frame: int
     position: tuple[float, float]
 
@@ -100,16 +92,15 @@ def warnings(
     current_frame: int,
     frame_geom: tuple[float, float],
     anticipation_threshold: int = 20,
-) -> list[Warning_]:
-    """One warning per anticipated reappearance that is both imminent
-    (within the anticipation threshold) and inside the ego corridor."""
-    out = []
-    for a in anticipations:
-        if a.frame - current_frame < anticipation_threshold and in_front_region(
-            a.position, frame_geom
-        ):
-            out.append(Warning_(track=a.track, frame=a.frame, position=a.position))
-    return out
+) -> list[Anticipation]:
+    """The anticipations that warrant a warning, in order: those both
+    imminent (within the anticipation threshold) and in the ego corridor."""
+    return [
+        a
+        for a in anticipations
+        if a.frame - current_frame < anticipation_threshold
+        and in_front_region(a.position, frame_geom)
+    ]
 
 
 def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
@@ -133,5 +124,6 @@ def format_position(a: Anticipation) -> str:
     return f"point2d(interpolated_position(trk_{a.track}, {a.frame}), {x}, {y})"
 
 
-def format_warning(w: Warning_) -> str:
-    return f"warning(hidden_entity_in_front(trk_{w.track}, {w.frame}))"
+def format_warning(a: Anticipation) -> str:
+    """The warning line of an anticipation that :func:`warnings` returned."""
+    return f"warning(hidden_entity_in_front(trk_{a.track}, {a.frame}))"

@@ -12,6 +12,7 @@ import json
 import math
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 
 from .abduction import Thresholds, emit_facts
@@ -32,7 +33,7 @@ from .io import (
     write_report,
     write_tracks,
 )
-from .metrics import evaluate, format_report
+from .metrics import check_match_iou, evaluate, format_report
 from .synth import ScenarioConfig, generate
 from .tracker import AbductionEngine, EngineConfig
 
@@ -110,36 +111,22 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(thresholds=Thresholds(**values), frame_geom=geom)
 
 
-def _run_engine(
-    args: argparse.Namespace, facts_dir: str | None = None, collect_anticipations: bool = False
-):
+def _run_engine(args: argparse.Namespace, on_frame=None):
+    """Steps an engine over the input, calling ``on_frame(engine, frame)``
+    after each frame; returns the engine and its explanation."""
     stream = _read_stream(args)
-    config = _engine_config(args)
-    engine = AbductionEngine(config)
-    if facts_dir:
-        Path(facts_dir).mkdir(parents=True, exist_ok=True)
-    anticipation_blocks: list[list[str]] = []
+    engine = AbductionEngine(_engine_config(args))
     for frame, dets in stream.frames:
         engine.step(frame, dets)
-        if facts_dir:
-            Path(facts_dir, f"frame_{frame:06d}.lp").write_text(emit_facts(engine.last_spec))
-        if collect_anticipations:
-            views, hidden = engine_views(engine)
-            ants = anticipate_unhide(
-                views, hidden, frame, horizon=config.thresholds.anticipation_horizon
-            )
-            block: list[str] = []
-            for a in ants:
-                block.append(format_anticipation(a))
-                block.append(format_position(a))
-            for w in compute_warnings(
-                ants, frame, config.frame_geom, config.thresholds.anticipation_threshold
-            ):
-                block.append(format_warning(w))
-            if block:
-                anticipation_blocks.append(block)
-    exp = engine.finalize()
-    return engine, exp, anticipation_blocks
+        if on_frame:
+            on_frame(engine, frame)
+    return engine, engine.finalize()
+
+
+def _write_facts(directory: str, engine: AbductionEngine, frame: int) -> None:
+    """Hook: writes the frame's solver input to ``directory/frame_NNNNNN.lp``."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    Path(directory, f"frame_{frame:06d}.lp").write_text(emit_facts(engine.last_spec))
 
 
 def _print_latency(engine: AbductionEngine) -> None:
@@ -156,7 +143,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     if args.gt and not Path(args.gt).exists():
         print(f"error: file not found: {args.gt}", file=sys.stderr)
         return 2
-    engine, exp, _ = _run_engine(args, facts_dir=args.emit_facts)
+    check_match_iou(args.match_iou)
+    facts = partial(_write_facts, args.emit_facts) if args.emit_facts else None
+    engine, exp = _run_engine(args, facts)
     if args.out_tracks:
         Path(args.out_tracks).write_text(write_tracks(exp))
     if args.out_events:
@@ -216,20 +205,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_anticipate(args: argparse.Namespace) -> int:
-    engine, exp, blocks = _run_engine(args, collect_anticipations=True)
-    last: list[str] | None = None
-    for block in blocks:
+    last: list[str] = []  # the block printed last
+
+    def print_block(engine: AbductionEngine, frame: int) -> None:
         # a steady prediction repeats frame after frame; print changes only
-        if block != last:
-            for line in block:
-                print(line)
-        last = block
+        th = engine.config.thresholds
+        ants = anticipate_unhide(*engine_views(engine), frame, horizon=th.anticipation_horizon)
+        warns = compute_warnings(ants, frame, engine.config.frame_geom, th.anticipation_threshold)
+        block = [line for a in ants for line in (format_anticipation(a), format_position(a))]
+        block += map(format_warning, warns)
+        if block and block != last:
+            print(*block, sep="\n", flush=True)
+            last[:] = block
+
+    _, exp = _run_engine(args, print_block)
     print(write_events(exp), end="")
     return 0
 
 
 def cmd_emit_facts(args: argparse.Namespace) -> int:
-    engine, _, _ = _run_engine(args, facts_dir=args.out)
+    engine, _ = _run_engine(args, partial(_write_facts, args.out))
     print(f"wrote {len(engine.latencies)} fact files to {Path(args.out)}")
     return 0
 

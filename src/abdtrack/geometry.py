@@ -93,9 +93,8 @@ def scaled_iou(ious: float | np.ndarray) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (N, 4) / (M, 4) arrays of (x, y, w, h) rows."""
-    a = np.asarray(a, dtype=float).reshape(-1, 4)
-    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    """Pairwise IoU between two (N, 4) / (M, 4) float arrays of (x, y, w, h)
+    rows of valid boxes, whose unions are all positive; bit for bit :func:`iou`."""
     ax1, ay1 = a[:, 0:1], a[:, 1:2]
     ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
     bx1, by1 = b[None, :, 0], b[None, :, 1]
@@ -105,10 +104,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     area_a = (a[:, 2] * a[:, 3])[:, None]
     area_b = (b[:, 2] * b[:, 3])[None, :]
-    union = area_a + area_b - inter
-    with np.errstate(invalid="ignore"):
-        out = np.where(inter > 0, inter / union, 0.0)
-    return out
+    return inter / (area_a + area_b - inter)
 
 
 def overlapping_top(a: BBox2D, b: BBox2D) -> bool:

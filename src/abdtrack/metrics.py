@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import BBox2D, iou
 
-__all__ = ["TrackBoxes", "EvalReport", "evaluate", "format_report"]
+__all__ = ["TrackBoxes", "EvalReport", "check_match_iou", "evaluate", "format_report"]
 
 # track id -> frame -> box
 TrackBoxes = dict[int, dict[int, BBox2D]]
@@ -57,12 +57,19 @@ def _by_frame(tracks: TrackBoxes) -> dict[int, dict[int, BBox2D]]:
     return out
 
 
+def check_match_iou(match_iou: float) -> None:
+    """ValueError unless 0 < match_iou <= 1 (NaN fails too)."""
+    if not 0 < match_iou <= 1:
+        raise ValueError(f"match IoU must lie in (0, 1]: {match_iou}")
+
+
 def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalReport:
     """Score a hypothesis track set against ground truth.
 
-    Raises ValueError when the hypothesis claims frames outside the
-    ground-truth frame range.
+    Raises ValueError unless 0 < match_iou <= 1, and when the hypothesis
+    claims frames outside the ground-truth frame range.
     """
+    check_match_iou(match_iou)
     gt_at = _by_frame(gt)
     hyp_at = _by_frame(hyp)
     if gt_at and hyp_at:

@@ -54,11 +54,15 @@ def box_to_z(boxes: list[BBox2D]) -> np.ndarray:
 
 def z_to_box(z: np.ndarray) -> list[BBox2D]:
     """Boxes of the (n, 4) measurement-space rows of ``z``; a non-positive
-    area or aspect is clamped to a tiny positive one."""
+    area or aspect is clamped to a tiny positive one.  The width is sqrt(s * r),
+    or sqrt(s) * sqrt(r) where s * r overflows (a valid box may be that wide)."""
     s, r = z[:, 2], z[:, 3]
+    s_pos, r_pos = np.maximum(s, 1e-12), np.maximum(r, 1e-12)
     xywh = np.empty((len(z), 4))
-    # w >= 1e-12 unless the state is NaN, so s / w never divides by zero.
-    xywh[:, 2] = w = np.sqrt(np.maximum(s, 1e-12) * np.maximum(r, 1e-12))
+    with np.errstate(over="ignore"):
+        w = np.sqrt(s_pos * r_pos)
+        # w >= 1e-12 unless the state is NaN, so s / w never divides by zero.
+        xywh[:, 2] = w = np.where(np.isinf(w), np.sqrt(s_pos) * np.sqrt(r_pos), w)
     xywh[:, 3] = s / w
     xywh[:, :2] = z[:, :2] - xywh[:, 2:] / 2.0
     np.maximum(xywh[:, 2:], 1e-6, out=xywh[:, 2:])
@@ -77,7 +81,6 @@ class MotionFilter:
 
     def __init__(self) -> None:
         self.ids: list[int] = []
-        self._row: dict[int, int] = {}
         self.x = np.zeros((0, 7))
         self.P = np.zeros((0, 7, 7))
 
@@ -87,16 +90,14 @@ class MotionFilter:
             raise ValueError(f"track {tid} added after track {self.ids[-1]}")
         x = np.zeros((1, 7))
         x[:, :4] = box_to_z([box])
-        self._row[tid] = len(self.ids)
         self.ids.append(tid)
         self.x = np.concatenate([self.x, x])
         self.P = np.concatenate([self.P, INITIAL_COVARIANCE[None]])
 
     def drop(self, tid: int) -> None:
         """Remove track ``tid``'s row."""
-        i = self._row[tid]
+        i = self.ids.index(tid)
         del self.ids[i]
-        self._row = {t: k for k, t in enumerate(self.ids)}
         self.x = np.delete(self.x, i, axis=0)
         self.P = np.delete(self.P, i, axis=0)
 
@@ -115,7 +116,7 @@ class MotionFilter:
         tracks in ``obs``, one observed box each."""
         if not obs:
             return
-        rows = [self._row[t] for t in obs]
+        rows = [self.ids.index(t) for t in obs]
         x, P = self.x[rows], self.P[rows]
         y = box_to_z(list(obs.values())) - x @ _H.T
         S = _H @ P @ _H.T + MEASUREMENT_NOISE
@@ -128,5 +129,5 @@ class MotionFilter:
 
     def velocity(self, tid: int) -> tuple[float, float]:
         """Estimated (MovX, MovY) of track ``tid`` in px/frame."""
-        vx, vy = self.x[self._row[tid], 4:6].tolist()
+        vx, vy = self.x[self.ids.index(tid), 4:6].tolist()
         return vx, vy

@@ -103,8 +103,9 @@ class TestWarnings:
         return Anticipation(track=1, occluder=2, frame=100 + dt, position=(621.0, 340.0))
 
     def test_imminent_in_corridor_warns(self):
-        ws = warnings([self.corridor_anticipation(5)], 100, self.GEOM, 20)
-        assert len(ws) == 1
+        a = self.corridor_anticipation(5)
+        ws = warnings([a], 100, self.GEOM, 20)
+        assert len(ws) == 1 and ws[0] is a
         assert ws[0].track == 1 and ws[0].frame == 105
 
     def test_distant_reappearance_ignored(self):

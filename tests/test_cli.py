@@ -1,8 +1,10 @@
 import re
+import warnings
 
 import pytest
 
 from abdtrack.cli import main
+from abdtrack.tracker import AbductionEngine
 
 
 def occlusion_mot_text() -> str:
@@ -68,6 +70,26 @@ class TestTrack:
         body = files[3].read_text()
         assert body.startswith("#const curr_time=4.")
         assert re.search(r"det\(det_0, object, \d+\)\.", body)
+
+    def test_bad_first_line_makes_no_facts_dir(self, tmp_path, capsys):
+        dets = tmp_path / "dets.txt"
+        dets.write_text("1,-1,10,10,0,20,0.9\n2,-1,10,10,20,20,0.9\n")
+        facts = tmp_path / "facts"
+        rc = main(["track", "--input", str(dets), "--emit-facts", str(facts)])
+        assert rc == 1
+        assert "line 1:" in capsys.readouterr().err
+        assert not facts.exists()
+
+    def test_box_wider_than_sqrt_of_max_float(self, tmp_path):
+        # area 1e100 and aspect 1e300 are finite, but w * w = s * r overflows
+        dets = tmp_path / "dets.txt"
+        dets.write_text("".join(f"{f},-1,0,0,1e200,1e-100,0.9\n" for f in (1, 2, 3)))
+        tracks = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["track", "--input", str(dets), "--out-tracks", str(tracks)])
+        assert rc == 0
+        assert tracks.read_text().startswith("1,0,0.0,0.0,1e+200,1e-100,0.9,")
 
     def test_missing_input_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +178,20 @@ class TestTrackMetricsToggle:
         assert "file not found" in capsys.readouterr().err
         assert not tracks.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
+    def test_match_iou_out_of_range_fails_before_the_run(self, det_file, tmp_path, value, capsys):
+        gt = tmp_path / "gt.txt"
+        gt.write_text("1,1,150,80,120,100,1,-1,-1,-1\n")
+        tracks = tmp_path / "out.txt"
+        rc = main(
+            ["track", "--input", str(det_file), "--gt", str(gt), "--match-iou", value,
+             "--out-tracks", str(tracks), "--frame-geom", "400x300"]
+        )
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err and "match IoU" in err
+        assert out == "" and not tracks.exists()
+
 
 class TestEval:
     def _write(self, path, rows):
@@ -189,6 +225,17 @@ class TestEval:
         self._write(hyp, [(999, 1, 0, 0, 10, 10)])
         assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
+    def test_match_iou_out_of_range_fails(self, tmp_path, value, capsys):
+        # at 0 the disjoint pair below would match: MOTA 100%, MOTP 0%
+        gt, hyp = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+        self._write(gt, [(1, 1, 10, 10, 20, 20)])
+        self._write(hyp, [(1, 1, 500, 300, 20, 20)])
+        assert main(["eval", "--gt", str(gt), "--hyp", str(hyp), "--match-iou", value]) == 1
+        out, err = capsys.readouterr()
+        assert "error:" in err and "match IoU" in err
+        assert out == ""
 
     def test_missing_file(self, tmp_path):
         gt = tmp_path / "gt.txt"
@@ -252,6 +299,22 @@ class TestAnticipate:
         assert re.search(r"anticipate\(unhides_from_behind\(trk_\d+, trk_\d+\), \d+\)", out)
         assert re.search(r"point2d\(interpolated_position\(trk_\d+, \d+\), -?\d+, -?\d+\)", out)
         assert "occurs_at(" in out
+
+    def test_block_printed_as_its_frame_is_stepped(self, det_file, capsys, monkeypatch):
+        step = AbductionEngine.step
+
+        def step_failing_on_the_last_frame(self, frame, detections):
+            if frame == 25:
+                raise ValueError("frame 25 failed")
+            return step(self, frame, detections)
+
+        monkeypatch.setattr(AbductionEngine, "step", step_failing_on_the_last_frame)
+        rc = main(["anticipate", "--input", str(det_file), "--frame-geom", "400x300"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert re.search(r"^anticipate\(unhides_from_behind\(trk_\d+, trk_\d+\), \d+\)$", out, re.M)
+        assert "occurs_at(" not in out
+        assert "frame 25 failed" in err
 
 
 class TestEmitFactsCommand:

@@ -187,7 +187,7 @@ def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
 
     def update(self, obs):
         nonlocal updates
-        P = self.P[[self._row[t] for t in obs]]
+        P = self.P[[self.ids.index(t) for t in obs]]
         S = motion._H @ P @ motion._H.T + motion.MEASUREMENT_NOISE
         assert (S[:, ~np.eye(4, dtype=bool)] == 0.0).all()
         updates += len(obs)

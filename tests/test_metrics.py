@@ -72,6 +72,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(gt, hyp)
 
+    @pytest.mark.parametrize("match_iou", [0.0, -1.0, float("nan"), 1.5])
+    def test_match_iou_out_of_range_rejected(self, match_iou):
+        gt = {1: track(range(1, 4))}
+        with pytest.raises(ValueError, match="match IoU"):
+            evaluate(gt, gt, match_iou=match_iou)
+
     def test_match_persistence_beats_higher_iou(self):
         # h1 matched at t=0 persists at t=1 even though h2 overlaps better
         gt = {1: {0: BBox2D(0, 0, 10, 10), 1: BBox2D(0, 0, 10, 10)}}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from abdtrack.motion import (
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
     MotionFilter,
+    z_to_box,
 )
 from conftest import random_box
 
@@ -218,6 +220,19 @@ class TestPredict:
         box = f.predict()[0]
         assert all(map(math.isfinite, _xywh(box))) and box.w > 0 and box.h > 0
         assert _xywh(box) == _xywh(_box(f.x[0, :4]))
+
+
+class TestZToBox:
+    def test_overflowing_width_takes_the_roots_apart(self):
+        # Row 0 is the box (0, 0, 1e200, 1e-100): s * r = 1e400 overflows.
+        # Row 1's s * r is finite and keeps sqrt(s * r).
+        z = np.array([[5e199, 5e-101, 1e100, 1e300], [20.0, 25.0, 200.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, small = z_to_box(z)
+        assert big.w == math.sqrt(1e100) * math.sqrt(1e300)
+        assert math.isfinite(big.w) and big.w == pytest.approx(1e200)
+        assert small.w == math.sqrt(200.0 * 2.0) and small.h == 200.0 / small.w
 
 
 class TestUpdate:
