@@ -7,13 +7,13 @@ Every track and every detection must be covered by exactly one action:
 
 Candidate actions are generated choice-rule style and pruned by integrity
 constraints; each non-assign action must additionally be explainable by at
-least one possible high-level event.  Each option is made once, with its
-abduced event: a track's assign and resume edges, then its one fallback,
-and one option per detection (the objective makes end beat ignore_trk
-and start beat ignore_det, so the dominated ignore is not made).  A
-halt, an active track's fallback, enters the solve untested and is
-linked after the solve if the cover holds it (a cover halt with no
-possible event raises ``EngineBugError``).  The optimum is lexicographic:
+least one possible high-level event.  A frame's options go once each,
+with their abduced events, into one option table (the objective makes
+end beat ignore_trk and start beat ignore_det, so the dominated ignore
+is not made).  A halt, an active track's fallback, enters the solve
+untested and is linked after the solve if the cover holds it (a cover
+halt with no possible event raises ``EngineBugError``).  The optimum is
+lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -27,22 +27,26 @@ detection id, then the fixed event-preference order of
 The solver reduces the cover problem to a maximum-weight bipartite
 matching (the per-action costs are independent once event preconditions
 are evaluated against the pre-solve fluent state).  It folds the three
-objective levels into one exact integer value per action and builds one
-track x detection gain matrix per frame: each cell is an edge's value
-minus the fallback values of its track and its detection.  One
-rectangular assignment gives the optimum; the tie-break-canonical cover
-is then extracted by fixing tracks in id order, re-solving the remaining
-rows and free columns only for a better-ranked edge on a free detection.
-``solve_oracle`` exhaustively enumerates every legal cover on small
-instances and must agree with ``solve``.
+objective levels into one exact integer value per kind of action and
+fills one track x detection gain matrix per frame from the option table:
+each cell is an edge's value minus the fallback values of its track and
+its detection.  One rectangular assignment gives the optimum; the
+tie-break-canonical cover is then extracted by fixing tracks in id
+order, re-solving the remaining rows and free columns only for a
+better-ranked edge on a free detection, and only its actions are made
+as ``Action`` objects.  ``solve_oracle`` exhaustively enumerates every
+legal cover of small instances from the same table, made into actions
+by :func:`candidate_actions`, and must agree with ``solve``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -134,6 +138,12 @@ class ProblemSpec:
     frame_geom: tuple[float, float]
     config: Thresholds = Thresholds()
 
+    @cached_property
+    def detection_boxes(self) -> dict[int, BBox2D]:
+        """Each detection's box by id, made on first use from
+        ``detections``."""
+        return {d.id: d.box for d in self.detections}
+
 
 class ActionKind(Enum):
     ASSIGN = "assign"
@@ -173,114 +183,129 @@ class SolveResult:
 
 
 # ----------------------------------------------------------------------
-# Candidate generation (integrity-constraint level)
+# The option table (integrity-constraint level)
 # ----------------------------------------------------------------------
 
+Option = tuple[ActionKind, Optional[EventOccurrence]]  # a kind and its abduced event
+TrackRow = tuple[Option, list[int], Option]  # edge, edge detection ids, fallback
 
-def candidate_actions(
-    spec: ProblemSpec,
-) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
-    """The explained options, each made once with its abduced event.
 
-    Per track: its assign or resume edges in ascending detection id,
-    then its one fallback.  Both edges need the track's class and a
-    confident detection; assigns come from the likelihood pairs above
-    the IoU threshold, and a track's resumes share one link.  An active
-    track's fallback, ``halt``, enters untested (see :func:`_result`):
-    the canonical cover of this larger set, if its halts are explained,
-    is that of the strict set, and missing_detections explains the halt
-    of every active track the engine makes.  A halted track's fallback
-    is the first explained of ``end``, ``ignore_trk``.  Per detection:
-    the first explained of ``start`` (a confident, large enough box),
-    ``ignore_det``.  The objective always prefers end and start, so the
-    dominated ignore is not made; :func:`solve_oracle` tries it anyway.
-    """
+def _option_table(spec: ProblemSpec) -> tuple[dict[int, TrackRow], dict[int, Option]]:
+    """The frame's explained options: per track, in ascending id, its edge
+    option, its edge detection ids in ascending order and its fallback;
+    per detection, in spec order, its one option.
+
+    Edges need the track's class and a confident detection: an active
+    track's are assigns, from the likelihood pairs above the IoU
+    threshold; a halted track's are resumes, which share one link.  An
+    active track's fallback, ``halt``, enters untested (see
+    :func:`_result`): the canonical cover of this larger set, if its
+    halts are explained, is that of the strict set, and
+    missing_detections explains the halt of every active track the
+    engine makes.  A halted track's fallback is the first explained of
+    ``end``, ``ignore_trk``; a detection's of ``start`` (a confident,
+    large enough box), ``ignore_det``; :func:`solve_oracle` also tries
+    the dominated ignore."""
     config = spec.config
+    iou_min, conf_assign = config.iou_thresh_scaled, config.conf_thresh_assign
     dets = {d.id: d for d in spec.detections}
     overlapping: dict[int, list[int]] = {}
     for (tid, did), ml in spec.likelihoods.items():
-        if ml > config.iou_thresh_scaled:
+        if ml > iou_min:
             overlapping.setdefault(tid, []).append(did)
     resumable: dict[str, list[int]] = {}
     for did in sorted(dets):
         if dets[did].conf > config.conf_thresh_resume:
             resumable.setdefault(dets[did].cls, []).append(did)
-    per_track: dict[int, list[Action]] = {}
+    tracks = {}
     for tid in sorted(spec.predictions):
         pred = spec.predictions[tid]
-        if pred.state == TrackState.ACTIVE:
-            acts = [
-                Action(ActionKind.ASSIGN, trk=tid, det=did)
-                for did in sorted(overlapping.get(tid, ()))
-                if dets[did].cls == pred.cls and dets[did].conf > config.conf_thresh_assign
-            ]
-            acts.append(Action(ActionKind.HALT, trk=tid))
-        elif pred.state == TrackState.HALTED:
+        if pred.state is TrackState.ACTIVE:
+            dids = sorted(
+                d
+                for d in overlapping.get(tid, ())
+                if dets[d].cls == pred.cls and dets[d].conf > conf_assign
+            )
+            tracks[tid] = (ActionKind.ASSIGN, None), dids, (ActionKind.HALT, None)
+        elif pred.state is TrackState.HALTED:
             dids = resumable.get(pred.cls, [])
-            events = link_events(Action(ActionKind.RESUME, trk=tid), spec) if dids else []
-            acts = [Action(ActionKind.RESUME, tid, did, events[0]) for did in dids if events]
-            end, ignore = Action(ActionKind.END, trk=tid), Action(ActionKind.IGNORE_TRK, trk=tid)
-            acts.append(_explained(spec, end, ignore))
+            events = link_events(spec, ActionKind.RESUME, tid) if dids else []
+            edge = ActionKind.RESUME, events[0] if events else None
+            tracks[tid] = edge, dids if events else [], _explained(spec, tid, None, ActionKind.END)
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
-        per_track[tid] = acts
 
-    per_det: dict[int, list[Action]] = {}
+    det_options = {}
     for det in spec.detections:
-        probes = [Action(ActionKind.IGNORE_DET, det=det.id)]
         if det.conf > config.conf_thresh_new_track and det.box.area > config.size_threshold:
-            probes.insert(0, Action(ActionKind.START, det=det.id))
-        per_det[det.id] = [_explained(spec, *probes)]
-    return per_track, per_det
+            det_options[det.id] = _explained(spec, None, det.id, ActionKind.START)
+        else:
+            det_options[det.id] = _explained(spec, None, det.id)
+    return tracks, det_options
 
 
-def _explained(spec: ProblemSpec, *probes: Action) -> Action:
-    """The first of ``probes`` that an event explains, made with its
-    abduced event; noise explains the ignore that ends each list."""
-    for a in probes:
-        events = link_events(a, spec)
+def candidate_actions(spec: ProblemSpec) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
+    """The option table as ``Action`` objects, the oracle's view: per
+    track its edges, then its fallback; per detection its one option."""
+    tracks, det_options = _option_table(spec)
+    per_track = {
+        t: [Action(edge[0], t, did, edge[1]) for did in dids] + [Action(fb[0], t, event=fb[1])]
+        for t, (edge, dids, fb) in tracks.items()
+    }
+    return per_track, {d: [Action(k, det=d, event=e)] for d, (k, e) in det_options.items()}
+
+
+def _explained(spec: ProblemSpec, trk: Optional[int], det: Optional[int], *kinds) -> Option:
+    """The first of ``kinds``, then the ignore, that an event explains for
+    the track or detection, with its abduced event (noise explains any)."""
+    ignore = ActionKind.IGNORE_DET if trk is None else ActionKind.IGNORE_TRK
+    for kind in (*kinds, ignore):
+        events = link_events(spec, kind, trk, det)
         if events:
-            return Action(a.kind, a.trk, a.det, events[0])
-    raise EngineBugError(f"no possible event explains {probes[-1].pretty()}")
+            return kind, events[0]
+    raise EngineBugError(f"no possible event explains {Action(ignore, trk, det).pretty()}")
 
 
-def link_events(action: Action, spec: ProblemSpec) -> list[EventOccurrence]:
-    """Admissible explaining events for an action, in the fixed
-    preference order (the first entry is the abduced one).
+def link_events(
+    spec: ProblemSpec, kind: ActionKind, trk: Optional[int] = None, det: Optional[int] = None
+) -> list[EventOccurrence]:
+    """Admissible explaining events for an action of ``kind`` on track
+    ``trk`` or detection ``det``, in the fixed preference order (the
+    first entry is the abduced one).
 
     An empty list makes the action inadmissible.  Assign actions need no
     explanation.  The events of a resume do not depend on its detection.
-    :func:`candidate_actions` calls it once per option it makes (once
-    for all of a track's resumes) and per fallback it tries, and the
-    solver after the solve for the cover's halts: a halt's list scans
-    every other track as a possible occluder.
+    The option table calls it once per fallback it tries and once for
+    all of a halted track's resumes, and the solver after the solve for
+    the cover's halts: a halt's list scans every other track as a
+    possible occluder.
     """
-    t, frame, k = action.trk, spec.frame, action.kind
-    if k == ActionKind.HALT:
+    t, frame, k = trk, spec.frame, kind
+    if k is ActionKind.HALT:
         events = [
             EventOccurrence(EventKind.HIDES_BEHIND, frame, t, occluder=t2)
             for t2 in sorted(spec.predictions)
             if t2 != t
         ]
         events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, frame, t))
-    elif k == ActionKind.RESUME:
+    elif k is ActionKind.RESUME:
         events = [
             EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
             for t2 in spec.fluents.occluder_of(t)
             if t2 in spec.predictions
         ]
         events.append(EventOccurrence(EventKind.RECOVER, frame, t))
-    elif k == ActionKind.END:
+    elif k is ActionKind.END:
         events = [
             EventOccurrence(EventKind.LEAVES_FOV, frame, t),
             EventOccurrence(EventKind.LOST, frame, t),
         ]
-    elif k == ActionKind.START:
-        events = [EventOccurrence(EventKind.ENTERS_FOV, frame, action.det, subject_is_det=True)]
-    elif k == ActionKind.IGNORE_TRK:
+    elif k is ActionKind.START:
+        events = [EventOccurrence(EventKind.ENTERS_FOV, frame, det, subject_is_det=True)]
+    elif k is ActionKind.IGNORE_TRK:
         events = [EventOccurrence(EventKind.NOISE, frame, t)]
-    elif k == ActionKind.IGNORE_DET:
-        events = [EventOccurrence(EventKind.NOISE, frame, action.det, subject_is_det=True)]
+    elif k is ActionKind.IGNORE_DET:
+        events = [EventOccurrence(EventKind.NOISE, frame, det, subject_is_det=True)]
     else:
         return []
     return [e for e in events if possible(spec, e)]
@@ -296,23 +321,27 @@ _L2_START = 5
 _L2_RESUME = 1
 
 
+# (level3 cost, level2 cost) of each kind of action; only an assign gains
+# at level 10, its likelihood plus one.
+_COSTS = {
+    ActionKind.ASSIGN: (0, 0),
+    ActionKind.HALT: (0, 0),
+    ActionKind.RESUME: (0, _L2_RESUME),
+    ActionKind.END: (0, _L2_END),
+    ActionKind.START: (0, _L2_START),
+    ActionKind.IGNORE_TRK: (_L3_WEIGHT, 0),
+    ActionKind.IGNORE_DET: (_L3_WEIGHT, 0),
+}
+
+
 def _action_levels(spec: ProblemSpec, a: Action) -> tuple[int, int, int]:
     """(level10 gain, level3 cost, level2 cost) of one action."""
-    k = a.kind
-    if k == ActionKind.ASSIGN:
-        return spec.likelihoods.get((a.trk, a.det), 0) + 1, 0, 0
-    if k == ActionKind.RESUME:
-        return 0, 0, _L2_RESUME
-    if k == ActionKind.END:
-        return 0, 0, _L2_END
-    if k == ActionKind.START:
-        return 0, 0, _L2_START
-    if k in (ActionKind.IGNORE_TRK, ActionKind.IGNORE_DET):
-        return 0, _L3_WEIGHT, 0
-    return 0, 0, 0  # HALT
+    c3, c2 = _COSTS[a.kind]
+    g = spec.likelihoods.get((a.trk, a.det), 0) + 1 if a.kind is ActionKind.ASSIGN else 0
+    return g, c3, c2
 
 
-def _objective(spec: ProblemSpec, actions: list[Action]) -> tuple[int, int, int]:
+def _objective(spec: ProblemSpec, actions: Iterable[Action]) -> tuple[int, int, int]:
     l10 = l3 = l2 = 0
     for a in actions:
         g, c3, c2 = _action_levels(spec, a)
@@ -329,7 +358,7 @@ def _objective_key(obj: tuple[int, int, int]) -> tuple[int, int, int]:
 
 def _action_rank(a: Action) -> tuple[int, int]:
     """Per-track preference order of the oracle's tie-break (and of the
-    lists of :func:`candidate_actions`, which ``solve`` relies on)."""
+    option table's rows, which ``solve`` relies on)."""
     k = a.kind
     if k in (ActionKind.ASSIGN, ActionKind.RESUME):
         return (0, a.det)
@@ -351,7 +380,7 @@ def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     ordered: list[Action] = []
     for a in track_part + det_part:
         if a.kind is ActionKind.HALT:
-            a = Action(a.kind, a.trk, event=next(iter(link_events(a, spec)), None))
+            a = Action(a.kind, a.trk, event=next(iter(link_events(spec, a.kind, a.trk)), None))
             if a.event is None:
                 raise EngineBugError(f"track {a.trk} has no explainable fallback action")
         ordered.append(a)
@@ -387,7 +416,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
     incumbent's, on a still-free detection, is fixed when its gain plus
     the optimum of the remaining tracks and free detections equals the
     remaining optimum; otherwise the incumbent is.  Only the chosen
-    cover's halts are linked after the solve.
+    cover's actions are made as ``Action``s, and only its halts linked.
     """
     n_t, n_d = len(spec.predictions), len(spec.detections)
     # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
@@ -404,33 +433,32 @@ def solve(spec: ProblemSpec) -> SolveResult:
             f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
         )
 
-    def value(a: Action) -> int:
-        g, c3, l2 = _action_levels(spec, a)
-        return g * c1 - c3 * c2 - l2
-
     # A cover's folded value is the sum of all fallback values plus the
     # gains of its edges, so the optimum is a maximum-gain matching.  A
     # cell of the track x detection gain matrix holds an edge's value
     # minus the two fallback values it replaces; it is 0 where there is
     # no edge.  Every edge gains: an assign >= c1, as no fallback is worth
     # > 0; a resume (-1) >= 9, as each fallback it replaces is worth <= -5.
-    track_cands, det_opts = candidate_actions(spec)
-    track_ids = sorted(track_cands)
-    col = {d.id: j for j, d in enumerate(spec.detections)}
-    det_fallback = [det_opts[d.id][0] for d in spec.detections]
-    det_value = [value(a) for a in det_fallback]
+    value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
+    tracks, det_options = _option_table(spec)
+    det_ids = list(det_options)
+    col = {did: j for j, did in enumerate(det_ids)}
+    det_value = np.array([value[kind] for kind, _ in det_options.values()], dtype=float)
     gain = np.zeros((n_t, n_d))
-    for i, t in enumerate(track_ids):
-        *edges, fallback = track_cands[t]
-        track_value = value(fallback)
-        for a in edges:
-            j = col[a.det]
-            gain[i, j] = value(a) - track_value - det_value[j]
+    for i, (t, (edge, dids, fallback)) in enumerate(tracks.items()):
+        if not dids:
+            continue
+        if edge[0] is ActionKind.ASSIGN:  # its fallback, a halt, is worth 0
+            for did in dids:
+                j = col[did]
+                gain[i, j] = (spec.likelihoods[t, did] + 1) * c1 - det_value[j]
+        else:
+            js = [col[did] for did in dids]
+            gain[i, js] = value[ActionKind.RESUME] - value[fallback[0]] - det_value[js]
 
     def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
-        """Maximum gain over the track rows from ``first`` on and the given
-        detection columns, plus one matching realizing it (row -> column,
-        edges only)."""
+        """The maximum gain of the track rows from ``first`` on over the
+        columns ``cols``, and a matching realizing it (row -> column, edges)."""
         sub = gain[first:, cols]
         r, c = linear_sum_assignment(sub, maximize=True)
         g = sub[r, c]
@@ -444,12 +472,10 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # Loop invariant: rest is the optimum over the unfixed tracks and the
     # free detections, and match realizes it.
     actions: list[Action] = []
-    for i, t in enumerate(track_ids):
+    for i, (t, (edge, dids, fallback)) in enumerate(tracks.items()):
         incumbent = match.get(i)
-        for a in track_cands[t]:
-            j = col.get(a.det)
-            if j is None:  # the fallback: no edge extends to an optimum
-                break
+        for did in dids:
+            j = col[did]
             if j == incumbent:
                 rest -= gain[i, j]
                 break
@@ -458,10 +484,14 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 if gain[i, j] + tail == rest:
                     rest, match = tail, m
                     break
-        if a.det is not None:
-            free.remove(col[a.det])
-        actions.append(a)
-    actions += [det_fallback[j] for j in free]
+        else:  # no edge extends to an optimum
+            actions.append(Action(fallback[0], t, event=fallback[1]))
+            continue
+        free.remove(j)
+        actions.append(Action(edge[0], t, did, edge[1]))
+    for j in free:
+        kind, event = det_options[det_ids[j]]
+        actions.append(Action(kind, det=det_ids[j], event=event))
     result = _result(spec, actions)
     _assert_disjoint_effects(result.events)
     return result
@@ -488,55 +518,32 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     # Also try the ignores that end and start dominate: check, not assume.
     for t, opts in cands.items():
         if opts and opts[-1].kind is ActionKind.END:
-            opts.append(_explained(spec, Action(ActionKind.IGNORE_TRK, trk=t)))
+            opts.append(Action(ActionKind.IGNORE_TRK, t, event=_explained(spec, t, None)[1]))
     for d, opts in det_opts.items():
         if opts[0].kind is ActionKind.START:
-            opts.append(_explained(spec, Action(ActionKind.IGNORE_DET, det=d)))
+            opts.append(Action(ActionKind.IGNORE_DET, det=d, event=_explained(spec, None, d)[1]))
     track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
 
-    best_key = None
-    best_actions: Optional[list[Action]] = None
-
-    def det_completions(i: int, free: list[int], acc: list[Action]):
-        if i == len(free):
-            yield list(acc)
-            return
-        for a in det_opts[free[i]]:
-            acc.append(a)
-            yield from det_completions(i + 1, free, acc)
-            acc.pop()
-
-    def recurse(i: int, used: set[int], acc: list[Action]):
-        nonlocal best_key, best_actions
+    def covers(i: int, used: frozenset) -> Iterator[tuple[Action, ...]]:
+        """Every legal cover: an option per track from the i-th on, on
+        detections not yet used, then one per detection left free."""
         if i == len(track_ids):
-            free = [d for d in det_ids if d not in used]
-            for completion in det_completions(0, free, []):
-                cover = acc + completion
-                obj = _objective(spec, cover)
-                key = (
-                    _objective_key(obj),
-                    tuple(_action_rank(a) for a in cover[: len(track_ids)]),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_actions = list(cover)
+            yield from itertools.product(*(det_opts[d] for d in det_ids if d not in used))
             return
         for a in cands[track_ids[i]]:
-            if a.det is not None and a.det in used:
-                continue
-            if a.det is not None:
-                used.add(a.det)
-            acc.append(a)
-            recurse(i + 1, used, acc)
-            acc.pop()
-            if a.det is not None:
-                used.discard(a.det)
+            if a.det is None or a.det not in used:
+                for rest in covers(i + 1, used | {a.det}):
+                    yield (a, *rest)
 
-    recurse(0, set(), [])
-    if best_actions is None:
+    def key(cover: tuple[Action, ...]) -> tuple:
+        ranks = tuple(_action_rank(a) for a in cover[: len(track_ids)])
+        return _objective_key(_objective(spec, cover)), ranks
+
+    best = min(covers(0, frozenset()), key=key, default=None)
+    if best is None:
         raise EngineBugError(f"no legal cover at frame {spec.frame}")
-    return _result(spec, best_actions)
+    return _result(spec, list(best))
 
 
 # ----------------------------------------------------------------------

@@ -290,7 +290,7 @@ def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
         return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
     if k == EventKind.ENTERS_FOV:
         w, h = spec.frame_geom
-        box = next(d.box for d in spec.detections if d.id == e.subject)
+        box = spec.detection_boxes[e.subject]
         return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
     if k == EventKind.LOST:
         return spec.predictions[e.subject].halted_age > spec.config.max_halted_age

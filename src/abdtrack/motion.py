@@ -53,19 +53,19 @@ def box_to_z(boxes: list[BBox2D]) -> np.ndarray:
 
 
 def z_to_box(z: np.ndarray) -> list[BBox2D]:
-    """Boxes of the (n, 4) measurement-space rows of ``z``; a non-positive
-    area or aspect is clamped to a tiny positive one.  The width is sqrt(s * r),
-    or sqrt(s) * sqrt(r) where s * r overflows (a valid box may be that wide)."""
+    """Boxes of the (n, 4) measurement-space rows of ``z``; only a non-positive
+    area or aspect is clamped (to 1e-12), so a box of any valid size predicts
+    itself.  The width is sqrt(s * r), or sqrt(s) * sqrt(r) where s * r over-
+    or underflows (a valid box may be that wide or that thin)."""
     s, r = z[:, 2], z[:, 3]
-    s_pos, r_pos = np.maximum(s, 1e-12), np.maximum(r, 1e-12)
+    s_pos, r_pos = np.where(s <= 0, 1e-12, s), np.where(r <= 0, 1e-12, r)
     xywh = np.empty((len(z), 4))
     with np.errstate(over="ignore"):
         w = np.sqrt(s_pos * r_pos)
-        # w >= 1e-12 unless the state is NaN, so s / w never divides by zero.
-        xywh[:, 2] = w = np.where(np.isinf(w), np.sqrt(s_pos) * np.sqrt(r_pos), w)
-    xywh[:, 3] = s / w
+        # w > 0 unless the state is NaN, so s / w never divides by zero.
+        xywh[:, 2] = w = np.where(np.isinf(w) | (w == 0), np.sqrt(s_pos) * np.sqrt(r_pos), w)
+    xywh[:, 3] = s_pos / w
     xywh[:, :2] = z[:, :2] - xywh[:, 2:] / 2.0
-    np.maximum(xywh[:, 2:], 1e-6, out=xywh[:, 2:])
     # tolist() gives Python floats: a numpy scalar's repr would leak into
     # the written track files.
     return [BBox2D(*row) for row in xywh.tolist()]

@@ -162,7 +162,7 @@ class TestLinkEvents:
             },
             [],
         )
-        events = link_events(Action(ActionKind.HALT, trk=1), spec)
+        events = link_events(spec, ActionKind.HALT, 1)
         kinds = [(e.kind, e.occluder) for e in events]
         assert (EventKind.HIDES_BEHIND, 2) in kinds
         # the fixed order prefers the occlusion explanation
@@ -180,7 +180,7 @@ class TestLinkEvents:
             [("car", 99, BBox2D(0, 0, 20, 20))],
             fluent_setup=setup,
         )
-        events = link_events(Action(ActionKind.RESUME, trk=1, det=0), spec)
+        events = link_events(spec, ActionKind.RESUME, 1, 0)
         assert [e.kind for e in events] == [EventKind.UNHIDES_FROM_BEHIND]
         assert events[0].occluder == 2
 
@@ -188,27 +188,27 @@ class TestLinkEvents:
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.ACTIVE, "car", 0)}, []
         )
-        events = link_events(Action(ActionKind.HALT, trk=1), spec)
+        events = link_events(spec, ActionKind.HALT, 1)
         assert [e.kind for e in events] == [EventKind.MISSING_DETECTIONS]
 
     def test_end_interior_young_track_unexplainable(self):
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 2)}, []
         )
-        assert link_events(Action(ActionKind.END, trk=1), spec) == []
+        assert link_events(spec, ActionKind.END, 1) == []
 
     def test_end_at_boundary_leaves_fov(self):
         spec = simple_spec(
             {1: (BBox2D(2, 100, 20, 20), TrackState.HALTED, "car", 2)}, []
         )
-        events = link_events(Action(ActionKind.END, trk=1), spec)
+        events = link_events(spec, ActionKind.END, 1)
         assert events[0].kind == EventKind.LEAVES_FOV
 
     def test_end_overdue_lost(self):
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 31)}, []
         )
-        events = link_events(Action(ActionKind.END, trk=1), spec)
+        events = link_events(spec, ActionKind.END, 1)
         assert [e.kind for e in events] == [EventKind.LOST]
 
 
@@ -217,7 +217,7 @@ def _active(spec):
 
 
 def _halt_events(spec, t):
-    return link_events(Action(ActionKind.HALT, trk=t), spec)
+    return link_events(spec, ActionKind.HALT, t)
 
 
 def _hide_or_clip(spec, rng):
@@ -240,7 +240,18 @@ def _relabelled(spec):
     and none equal to its position, so the tie-break's detection id
     order runs against the matrix columns."""
     n = len(spec.detections)
-    new_id = {d.id: 3 * n - 2 * j for j, d in enumerate(spec.detections)}
+    return _with_detection_ids(spec, [3 * n - 2 * j for j in range(n)])
+
+
+def _reversed(spec):
+    """The spec with its detection ids the positions reversed, so that an
+    id taken for a position picks another detection instead of none."""
+    n = len(spec.detections)
+    return _with_detection_ids(spec, [n - 1 - j for j in range(n)])
+
+
+def _with_detection_ids(spec, ids):
+    new_id = {d.id: i for d, i in zip(spec.detections, ids)}
     return dataclasses.replace(
         spec,
         detections=tuple(dataclasses.replace(d, id=new_id[d.id]) for d in spec.detections),
@@ -257,7 +268,7 @@ def _expected_options(spec):
 
     def first(*actions):
         for a in actions:
-            if events := link_events(a, spec):
+            if events := link_events(spec, a.kind, a.trk, a.det):
                 return [dataclasses.replace(a, event=events[0])]
         return []
 
@@ -313,9 +324,9 @@ class TestExplanationLinking:
         calls = []
         original = abduction.link_events
 
-        def counting(action, spec):
-            calls.append(action)
-            return original(action, spec)
+        def counting(spec, kind, trk=None, det=None):
+            calls.append(Action(kind, trk, det))
+            return original(spec, kind, trk, det)
 
         monkeypatch.setattr(abduction, "link_events", counting)
         box = BBox2D(100, 100, 20, 20)
@@ -362,7 +373,9 @@ class TestExplanationLinking:
                 continue
             seen["solved past an unexplained halt"] += bool(unexplained)
             for a in result.actions:
-                linked = None if a.kind == ActionKind.ASSIGN else link_events(a, spec)[0]
+                linked = (
+                    None if a.kind == ActionKind.ASSIGN else link_events(spec, a.kind, a.trk, a.det)[0]
+                )
                 assert a.event == linked
                 missing = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, a.trk)
                 if a.kind == ActionKind.HALT and not possible(spec, missing):
@@ -377,7 +390,7 @@ class TestExplanationLinking:
         def strict(spec):
             cands, det_opts = candidate_actions(spec)
             cands = {
-                t: [a for a in acts if a.kind != ActionKind.HALT or link_events(a, spec)]
+                t: [a for a in acts if a.kind != ActionKind.HALT or link_events(spec, a.kind, t)]
                 for t, acts in cands.items()
             }
             return cands, det_opts
@@ -635,6 +648,120 @@ class TestLargeInstances:
         )
         with pytest.raises(ValueError, match="800x800"):
             solve(spec)
+
+
+def _halted_heavy_spec(rng, n_tracks, n_dets):
+    """A spec of mostly halted tracks in 2-3 classes, with mixed fallbacks:
+    halted tracks end by leaves_fov (at the border) or lost (overdue), or
+    are only ignorable (inside and young); detections start, or are only
+    ignorable (unconfident, small or outside the frame).  Each halted
+    track is hidden behind an active one or clipped, so its resume is
+    explained; the active tracks' boxes bait assigns and exact ties."""
+    classes = ["car", "person", "bus"][: int(rng.integers(2, 4))]
+    fluents = FluentStore()
+    preds = {}
+    track_ids = sorted(rng.choice(200, size=n_tracks, replace=False).tolist())
+    for t in track_ids:
+        fluents.register_track(t)
+        cls = str(rng.choice(classes))
+        box = BBox2D(*rng.uniform(20, 250, size=2).tolist(), *rng.uniform(8, 40, size=2).tolist())
+        if rng.random() < 0.2:
+            preds[t] = TrackPrediction(box, TrackState.ACTIVE, cls)
+            continue
+        roll, age = rng.random(), int(rng.integers(0, 31))
+        if roll < 0.3:
+            box = BBox2D(float(rng.uniform(-20, 5)), box.y, box.w, box.h)
+        elif roll < 0.55:
+            age = int(rng.integers(31, 60))
+        preds[t] = TrackPrediction(box, TrackState.HALTED, cls, age)
+    active = [t for t in track_ids if preds[t].state == TrackState.ACTIVE]
+    for t in track_ids:
+        if preds[t].state == TrackState.HALTED:
+            if active and rng.random() < 0.4:
+                e = EventOccurrence(EventKind.HIDES_BEHIND, 0, t, occluder=int(rng.choice(active)))
+            else:
+                e = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t)
+            apply_event(fluents, e)
+    dets = []
+    for j in range(n_dets):
+        roll = rng.random()
+        if active and roll < 0.3:
+            box = preds[int(rng.choice(active))].box.translated(*rng.uniform(-3, 3, size=2))
+        elif dets and roll < 0.45:
+            box = dets[int(rng.integers(len(dets)))].box
+        elif roll < 0.6:
+            box = BBox2D(float(rng.uniform(330, 400)), 100.0, 30.0, 30.0)  # outside
+        else:
+            side = float(rng.choice([5.0, 30.0]))  # too small to start, or not
+            box = BBox2D(*rng.uniform(0, 280, size=2).tolist(), side, side)
+        conf = int(rng.choice([20, 45, 60, 90]))
+        dets.append(Detection(j, str(rng.choice(classes)), conf, box))
+    return ProblemSpec(
+        frame=int(rng.integers(1, 500)),
+        detections=tuple(dets),
+        predictions=preds,
+        likelihoods=scaled_likelihoods(preds, dets),
+        fluents=fluents,
+        frame_geom=(320.0, 320.0),
+    )
+
+
+class TestHaltedHeavy:
+    # Resume rows dominate these specs: a halted row's resume cells hold
+    # its fallback's value and are keyed by detection id, and mixed
+    # fallbacks make the rows differ, so both show in the cover.
+    def test_equals_reference_solver(self):
+        rng = np.random.default_rng(51)
+        seen = Counter()
+        for _ in range(60):
+            spec = _halted_heavy_spec(rng, int(rng.integers(10, 61)), int(rng.integers(5, 41)))
+            for s in (spec, _relabelled(spec), _reversed(spec)):
+                result = solve(s)
+                assert result == solve_reference(s)
+                seen.update(a.kind for a in result.actions)
+        assert all(seen[k] > 0 for k in ActionKind), seen
+
+    def test_equals_oracle_within_its_limit(self):
+        rng = np.random.default_rng(52)
+        seen = Counter()
+        for _ in range(300):
+            spec = _halted_heavy_spec(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            for s in (spec, _relabelled(spec), _reversed(spec)):
+                result = solve(s)
+                assert result == solve_oracle(s)
+                assert result == solve_reference(s)
+                seen.update(a.kind for a in result.actions)
+        assert all(seen[k] > 0 for k in ActionKind), seen
+
+
+class TestOneOptionTable:
+    def test_dropping_an_option_changes_solve_and_oracle(self, monkeypatch):
+        # Both solvers read the table: drop the first edge of each cover
+        # from it, and both covers change, and still agree.
+        table = abduction._option_table
+        rng = np.random.default_rng(53)
+        dropped = 0
+        for _ in range(40):
+            spec = make_random_spec(rng)
+            before = solve(spec)
+            assert before == solve_oracle(spec)
+            edges = [a for a in before.actions if a.kind in (ActionKind.ASSIGN, ActionKind.RESUME)]
+            if not edges:
+                continue
+
+            def dropping(s, edge=edges[0]):
+                tracks, det_options = table(s)
+                option, dids, fallback = tracks[edge.trk]
+                tracks[edge.trk] = option, [d for d in dids if d != edge.det], fallback
+                return tracks, det_options
+
+            with monkeypatch.context() as m:
+                m.setattr(abduction, "_option_table", dropping)
+                after, oracle = solve(spec), solve_oracle(spec)
+            assert edges[0] not in after.actions and after != before
+            assert oracle == after
+            dropped += 1
+        assert dropped > 10
 
 
 class TestEmitFacts:

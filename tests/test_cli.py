@@ -91,6 +91,17 @@ class TestTrack:
         assert rc == 0
         assert tracks.read_text().startswith("1,0,0.0,0.0,1e+200,1e-100,0.9,")
 
+    @pytest.mark.parametrize("w, h", [("1e10", "1e-7"), ("1e-7", "1e10")])
+    def test_box_thinner_than_a_micropixel_keeps_its_track(self, tmp_path, w, h):
+        # The prediction of a static box this thin is the box itself, so
+        # every frame assigns it to the one track.
+        dets = tmp_path / "dets.txt"
+        dets.write_text("".join(f"{f},-1,10,10,{w},{h},0.9\n" for f in (1, 2, 3, 4)))
+        events = tmp_path / "events.txt"
+        rc = main(["track", "--input", str(dets), "--out-events", str(events)])
+        assert rc == 0
+        assert events.read_text() == "occurs_at(enters_fov(trk_0),1)\n"
+
     def test_missing_input_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["track", "--input", str(tmp_path / "nope.txt")])

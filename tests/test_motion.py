@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from abdtrack.geometry import BBox2D
+from abdtrack.geometry import BBox2D, iou
 from abdtrack.motion import (
     INITIAL_COVARIANCE,
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
     MotionFilter,
+    box_to_z,
     z_to_box,
 )
 from conftest import random_box
@@ -39,9 +40,12 @@ def _z(b: BBox2D) -> np.ndarray:
 
 def _box(z: np.ndarray) -> BBox2D:
     cx, cy, s, r = (float(v) for v in z)
-    w = math.sqrt(max(s, 1e-12) * max(r, 1e-12))
-    h = s / w if w > 0 else 1e-6
-    return BBox2D(cx - w / 2.0, cy - h / 2.0, max(w, 1e-6), max(h, 1e-6))
+    s, r = (v if not v <= 0 else 1e-12 for v in (s, r))
+    w = math.sqrt(s * r)
+    if w == 0 or math.isinf(w):
+        w = math.sqrt(s) * math.sqrt(r)
+    h = s / w
+    return BBox2D(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 class ScalarKF:
@@ -233,6 +237,19 @@ class TestZToBox:
         assert big.w == math.sqrt(1e100) * math.sqrt(1e300)
         assert math.isfinite(big.w) and big.w == pytest.approx(1e200)
         assert small.w == math.sqrt(200.0 * 2.0) and small.h == 200.0 / small.w
+
+    def test_underflowing_width_takes_the_roots_apart(self):
+        # The box (0, 0, 1e-170, 1e-100): s * r = 1e-340 underflows to 0.
+        (thin,) = z_to_box(np.array([[5e-171, 5e-101, 1e-270, 1e-70]]))
+        assert thin.w == math.sqrt(1e-270) * math.sqrt(1e-70)
+        assert thin.w == pytest.approx(1e-170) and thin.h == pytest.approx(1e-100)
+
+    @pytest.mark.parametrize("w, h", [(1e10, 1e-7), (1e-7, 1e10), (1e-9, 1e-9)])
+    def test_a_box_of_any_valid_size_is_its_own_prediction(self, w, h):
+        # Sizes under 1e-6, or an area or aspect under 1e-12, are kept.
+        (box,) = z_to_box(box_to_z([BBox2D(10.0, 10.0, w, h)]))
+        assert box.w == pytest.approx(w) and box.h == pytest.approx(h)
+        assert iou(box, BBox2D(10.0, 10.0, w, h)) > 0.99
 
 
 class TestUpdate:
