@@ -154,6 +154,10 @@ class ActionKind(Enum):
     IGNORE_TRK = "ignore_trk"
     IGNORE_DET = "ignore_det"
 
+    # Enum's __hash__ runs in Python and the solver keys dicts by kind.  An
+    # identity hash varies between runs: never iterate a set of kinds.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Action:

@@ -31,6 +31,7 @@ import pytest
 from abdtrack import cli, motion
 from abdtrack.cli import main
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
+from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,20 +181,48 @@ def test_report_matches_reference(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
-    """S = H P Hᵀ + R is exactly 0.0 off its diagonal on every Kalman
-    update of the case's stream, as the bank's gain assumes."""
-    original = motion.MotionFilter.update
+    """After every Kalman predict and update of the case's stream, each row
+    of the bank equals the full-matrix filter, whose gain inverts S, bit for
+    bit; that filter's S = H P Hᵀ + R is exactly 0.0 off its diagonal on
+    every update, as the rows' scalar gain assumes."""
+    cls = motion.MotionFilter
+    add, drop, predict, update = cls.add, cls.drop, cls.predict, cls.update
+    ref: dict[int, ScalarKF] = {}
     updates = 0
 
-    def update(self, obs):
-        nonlocal updates
-        P = self.P[[self.ids.index(t) for t in obs]]
-        S = motion._H @ P @ motion._H.T + motion.MEASUREMENT_NOISE
-        assert (S[:, ~np.eye(4, dtype=bool)] == 0.0).all()
-        updates += len(obs)
-        original(self, obs)
+    def check(self):
+        assert self.ids == list(ref)
+        for t, row in self.rows.items():
+            x, P = row_matrices(row)
+            assert np.array_equal(x, ref[t].x) and np.array_equal(P, ref[t].P)
 
-    monkeypatch.setattr(motion.MotionFilter, "update", update)
+    def add_row(self, tid, box):
+        add(self, tid, box)
+        ref[tid] = ScalarKF(box)
+
+    def drop_row(self, tid):
+        drop(self, tid)
+        del ref[tid]
+
+    def predict_rows(self):
+        boxes = predict(self)
+        assert boxes == [kf.predict() for kf in ref.values()]
+        check(self)
+        return boxes
+
+    def update_rows(self, obs):
+        nonlocal updates
+        update(self, obs)
+        for t, b in obs.items():
+            S = H @ ref[t].P @ H.T + R
+            assert (S[~np.eye(4, dtype=bool)] == 0.0).all()
+            ref[t].update(b)
+        check(self)
+        updates += len(obs)
+
+    for attr, fn in [("add", add_row), ("drop", drop_row), ("predict", predict_rows),
+                     ("update", update_rows)]:
+        monkeypatch.setattr(cls, attr, fn)
     _cli(["track", *_input_flags(name, tmp_path)])
     assert updates > 0
 

@@ -5,74 +5,14 @@ import numpy as np
 import pytest
 
 from abdtrack.geometry import BBox2D, iou
-from abdtrack.motion import (
-    INITIAL_COVARIANCE,
-    MEASUREMENT_NOISE,
-    PROCESS_NOISE,
-    MotionFilter,
-    box_to_z,
-    z_to_box,
-)
+from abdtrack.motion import MotionFilter, box_to_z, z_to_box
 from conftest import random_box
+from reference_kalman import P0, ScalarKF, row_matrices, set_row, state_box
 
-_F = np.array(
-    [
-        [1, 0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 0, 0, 1],
-    ],
-    dtype=float,
-)
-_H = np.eye(4, 7)
 # 1 where two state entries are the same pair: (cx, v_cx), (cy, v_cy),
 # (s, v_s) or r alone.
 _PAIR = np.array([0, 1, 2, 3, 0, 1, 2])
 _SAME_PAIR = (_PAIR[:, None] == _PAIR[None, :]).astype(float)
-
-
-def _z(b: BBox2D) -> np.ndarray:
-    return np.array([b.x + b.w / 2.0, b.y + b.h / 2.0, b.w * b.h, b.w / b.h])
-
-
-def _box(z: np.ndarray) -> BBox2D:
-    cx, cy, s, r = (float(v) for v in z)
-    s, r = (v if not v <= 0 else 1e-12 for v in (s, r))
-    w = math.sqrt(s * r)
-    if w == 0 or math.isinf(w):
-        w = math.sqrt(s) * math.sqrt(r)
-    h = s / w
-    return BBox2D(cx - w / 2.0, cy - h / 2.0, w, h)
-
-
-class ScalarKF:
-    """Independent per-track reference: the textbook recursion on one
-    state vector, with the engine's area-velocity clamp, the box of the
-    predicted state (area and aspect clamped) and covariance
-    symmetrisation."""
-
-    def __init__(self, box: BBox2D):
-        self.x = np.zeros(7)
-        self.x[:4] = _z(box)
-        self.P = INITIAL_COVARIANCE.copy()
-
-    def predict(self) -> BBox2D:
-        if self.x[2] + self.x[6] <= 0:
-            self.x[6] = 0.0
-        self.x = _F @ self.x
-        self.P = _F @ self.P @ _F.T + PROCESS_NOISE
-        return _box(self.x[:4])
-
-    def update(self, b: BBox2D) -> None:
-        y = _z(b) - _H @ self.x
-        S = _H @ self.P @ _H.T + MEASUREMENT_NOISE
-        K = self.P @ _H.T @ np.linalg.inv(S)
-        self.x = self.x + K @ y
-        self.P = (np.eye(7) - K @ _H) @ self.P
-        self.P = (self.P + self.P.T) / 2.0
 
 
 def kf_oracle(boxes):
@@ -105,60 +45,85 @@ def _xywh(b: BBox2D) -> tuple:
     return (b.x, b.y, b.w, b.h)
 
 
+def _x(f: MotionFilter) -> np.ndarray:
+    """State vector of track 0's row."""
+    return row_matrices(f.rows[0])[0]
+
+
+def _assert_rows_match(bank: MotionFilter, ref: dict) -> None:
+    assert bank.ids == list(ref)
+    for t, row in bank.rows.items():
+        x, P = row_matrices(row)
+        assert np.array_equal(x, ref[t].x)
+        assert np.array_equal(P, ref[t].P)
+        assert all(type(v) is float for pair in row for v in pair)
+
+
+def _run_against_reference(seed: int, frames: int, live: int) -> None:
+    """Rows added and dropped mid-stream, a random subset observed each
+    frame: every row's state, covariance (expanded to 7×7) and box equal
+    the full-matrix filter's bit for bit after every predict and update,
+    so the gain's reciprocals give the reference's np.linalg.inv.  Half
+    the rows start from a covariance coupled inside each position-velocity
+    pair, which keeps S diagonal as the engine's rows do.  Some rows get a
+    negative aspect forced into their state, so some predicted states are
+    degenerate and both sides return the same clamped boxes for them."""
+    rng = np.random.default_rng(seed)
+    bank, ref = MotionFilter(), {}
+    next_id = 0
+    clamped = degenerate = 0
+    for frame in range(frames):
+        while len(ref) < live or (frame > 0 and rng.random() < 0.3):
+            b = random_box(rng)
+            bank.add(next_id, b)
+            ref[next_id] = kf = ScalarKF(b)
+            if next_id % 2:
+                # Couple cx, cy and s with their velocities only: the
+                # gain's off-diagonal entries are then not 0.  A row holds
+                # one off-diagonal entry per pair, so the start must be
+                # exactly symmetric.
+                A = rng.normal(size=(7, 7)) * _SAME_PAIR
+                kf.P = P0 + A @ A.T
+                assert np.array_equal(kf.P, kf.P.T)
+                set_row(bank.rows[next_id], kf.x, kf.P)
+            next_id += 1
+        if frame > 0:
+            for tid in rng.choice(list(ref), size=int(rng.integers(0, 3)), replace=False):
+                bank.drop(int(tid))
+                del ref[int(tid)]
+        clamped += sum(kf.x[2] + kf.x[6] <= 0 for kf in ref.values())
+        boxes = bank.predict()
+        expected = [ref[t].predict() for t in ref]
+        degenerate += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
+        _assert_rows_match(bank, ref)
+        for t, row in bank.rows.items():
+            if rng.random() < 0.02:
+                ref[t].x[3] = -ref[t].x[3]
+                row[3][0] = float(ref[t].x[3])
+        assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
+        assert all(type(v) is float for b in boxes for v in _xywh(b))
+        obs = {
+            t: random_box(rng) if rng.random() < 0.3 else BBox2D(
+                p.x + rng.normal(), p.y + rng.normal(), p.w, p.h
+            )
+            for t, p in zip(list(ref), boxes)
+            if rng.random() < 0.6
+        }
+        bank.update(obs)
+        for t, b in obs.items():
+            ref[t].update(b)
+        _assert_rows_match(bank, ref)
+        for t in bank.ids:
+            assert bank.velocity(t) == (ref[t].x[4], ref[t].x[5])
+    assert next_id > frames // 3 and clamped > 0 and degenerate > 0
+
+
 class TestBank:
     def test_matches_per_track_reference(self):
-        """Rows added and dropped mid-stream, a random subset observed each
-        frame: the stacked passes give every row's state, covariance and
-        box bit for bit, and the gain's reciprocals give the reference's
-        np.linalg.inv.  Half the rows start from a covariance coupled
-        inside each position-velocity pair, which keeps S diagonal as the
-        engine's rows do.  Some rows get a negative aspect forced into
-        their state, so some predicted states are degenerate and both
-        sides return the same clamped boxes for them."""
-        rng = np.random.default_rng(61)
-        bank, ref = MotionFilter(), {}
-        next_id = 0
-        clamped = degenerate = 0
-        for frame in range(240):
-            while len(ref) < 20 or (frame > 0 and rng.random() < 0.3):
-                b = random_box(rng)
-                bank.add(next_id, b)
-                ref[next_id] = ScalarKF(b)
-                if next_id % 2:
-                    # Couple cx, cy and s with their velocities only: the
-                    # gain's off-diagonal entries are then not 0.
-                    A = rng.normal(size=(7, 7)) * _SAME_PAIR
-                    bank.P[-1] = ref[next_id].P = INITIAL_COVARIANCE + A @ A.T
-                next_id += 1
-            if frame > 0:
-                for tid in rng.choice(list(ref), size=int(rng.integers(0, 3)), replace=False):
-                    bank.drop(int(tid))
-                    del ref[int(tid)]
-            clamped += sum(kf.x[2] + kf.x[6] <= 0 for kf in ref.values())
-            boxes = bank.predict()
-            expected = [ref[t].predict() for t in ref]
-            degenerate += sum(kf.x[2] <= 0 or kf.x[3] <= 0 for kf in ref.values())
-            assert bank.ids == list(ref)
-            for i, t in enumerate(bank.ids):
-                if rng.random() < 0.02:
-                    bank.x[i, 3] = ref[t].x[3] = -ref[t].x[3]
-            assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
-            assert all(type(v) is float for b in boxes for v in _xywh(b))
-            obs = {
-                t: random_box(rng) if rng.random() < 0.3 else BBox2D(
-                    p.x + rng.normal(), p.y + rng.normal(), p.w, p.h
-                )
-                for t, p in zip(list(ref), boxes)
-                if rng.random() < 0.6
-            }
-            bank.update(obs)
-            for t, b in obs.items():
-                ref[t].update(b)
-            for i, t in enumerate(bank.ids):
-                assert np.array_equal(bank.x[i], ref[t].x)
-                assert np.array_equal(bank.P[i], ref[t].P)
-                assert bank.velocity(t) == (ref[t].x[4], ref[t].x[5])
-        assert next_id > 100 and clamped > 0 and degenerate > 0
+        _run_against_reference(seed=61, frames=240, live=20)
+
+    def test_long_stream_matches_per_track_reference(self):
+        _run_against_reference(seed=62, frames=3000, live=6)
 
     def test_ids_must_increase(self):
         f = one(BBox2D(0, 0, 10, 10))
@@ -169,18 +134,18 @@ class TestBank:
         f = MotionFilter()
         assert f.predict() == []
         f.update({})
-        assert f.x.shape == (0, 7) and f.P.shape == (0, 7, 7)
+        assert f.rows == {} and f.ids == []
 
 
 class TestInit:
     def test_center_area_aspect(self):
         f = one(BBox2D(0, 0, 10, 10))
-        assert list(f.x[0, :4]) == [5.0, 5.0, 100.0, 1.0]
-        assert list(f.x[0, 4:]) == [0.0, 0.0, 0.0]
+        assert list(_x(f)[:4]) == [5.0, 5.0, 100.0, 1.0]
+        assert list(_x(f)[4:]) == [0.0, 0.0, 0.0]
 
     def test_second_example(self):
         f = one(BBox2D(10, 20, 20, 10))
-        assert list(f.x[0, :4]) == [20.0, 25.0, 200.0, 2.0]
+        assert list(_x(f)[:4]) == [20.0, 25.0, 200.0, 2.0]
 
     def test_predict_after_init_returns_same_box(self):
         f = one(BBox2D(7, 3, 12, 9))
@@ -206,48 +171,49 @@ class TestPredict:
     def test_dead_reckoning_is_exactly_linear(self):
         f, _ = run_filter([BBox2D(10 * k, 0, 10, 10) for k in range(4)])
         vx, vy = f.velocity(0)
-        c0 = (f.x[0, 0], f.x[0, 1])
+        c0 = tuple(_x(f)[:2])
         for k in range(1, 8):
             f.predict()
-            assert f.x[0, 0] == pytest.approx(c0[0] + k * vx, rel=1e-12)
-            assert f.x[0, 1] == pytest.approx(c0[1] + k * vy, rel=1e-12)
+            assert _x(f)[0] == pytest.approx(c0[0] + k * vx, rel=1e-12)
+            assert _x(f)[1] == pytest.approx(c0[1] + k * vy, rel=1e-12)
 
     def test_degenerate_area_flags_stale(self):
         f = one(BBox2D(0, 0, 4, 4))
-        f.x[0, 6] = -100.0  # force the area toward collapse
-        f.x[0, 2] = 1.0
+        s = f.rows[0][2]
+        s[1] = -100.0  # force the area toward collapse
+        s[0] = 1.0
         box = f.predict()[0]
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
         # a negative aspect gives the finite, positive box of the state
-        f.x[0, 3] = -1.0
+        f.rows[0][3][0] = -1.0
         box = f.predict()[0]
         assert all(map(math.isfinite, _xywh(box))) and box.w > 0 and box.h > 0
-        assert _xywh(box) == _xywh(_box(f.x[0, :4]))
+        assert _xywh(box) == _xywh(state_box(_x(f)[:4]))
 
 
 class TestZToBox:
     def test_overflowing_width_takes_the_roots_apart(self):
-        # Row 0 is the box (0, 0, 1e200, 1e-100): s * r = 1e400 overflows.
-        # Row 1's s * r is finite and keeps sqrt(s * r).
-        z = np.array([[5e199, 5e-101, 1e100, 1e300], [20.0, 25.0, 200.0, 2.0]])
+        # The first state is the box (0, 0, 1e200, 1e-100): s * r = 1e400
+        # overflows.  The second's s * r is finite and keeps sqrt(s * r).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big, small = z_to_box(z)
+            big = z_to_box(5e199, 5e-101, 1e100, 1e300)
+            small = z_to_box(20.0, 25.0, 200.0, 2.0)
         assert big.w == math.sqrt(1e100) * math.sqrt(1e300)
         assert math.isfinite(big.w) and big.w == pytest.approx(1e200)
         assert small.w == math.sqrt(200.0 * 2.0) and small.h == 200.0 / small.w
 
     def test_underflowing_width_takes_the_roots_apart(self):
         # The box (0, 0, 1e-170, 1e-100): s * r = 1e-340 underflows to 0.
-        (thin,) = z_to_box(np.array([[5e-171, 5e-101, 1e-270, 1e-70]]))
+        thin = z_to_box(5e-171, 5e-101, 1e-270, 1e-70)
         assert thin.w == math.sqrt(1e-270) * math.sqrt(1e-70)
         assert thin.w == pytest.approx(1e-170) and thin.h == pytest.approx(1e-100)
 
     @pytest.mark.parametrize("w, h", [(1e10, 1e-7), (1e-7, 1e10), (1e-9, 1e-9)])
     def test_a_box_of_any_valid_size_is_its_own_prediction(self, w, h):
         # Sizes under 1e-6, or an area or aspect under 1e-12, are kept.
-        (box,) = z_to_box(box_to_z([BBox2D(10.0, 10.0, w, h)]))
+        box = z_to_box(*box_to_z(BBox2D(10.0, 10.0, w, h)))
         assert box.w == pytest.approx(w) and box.h == pytest.approx(h)
         assert iou(box, BBox2D(10.0, 10.0, w, h)) > 0.99
 
@@ -279,7 +245,7 @@ class TestUpdate:
         f1, b1 = run_filter(boxes)
         f2, b2 = run_filter(boxes)
         assert (b1.x, b1.y, b1.w, b1.h) == (b2.x, b2.y, b2.w, b2.h)
-        assert np.array_equal(f1.x, f2.x) and np.array_equal(f1.P, f2.P)
+        assert f1.rows == f2.rows
 
 
 class TestVelocity:
@@ -306,7 +272,7 @@ class TestCovariance:
             f.predict()
             if rng.random() < 0.7:
                 f.update({0: random_box(rng)})
-            P = f.P[0]
+            P = row_matrices(f.rows[0])[1]
             assert np.allclose(P, P.T, atol=1e-8)
             if i % 100 == 0:
                 assert np.linalg.eigvalsh(P).min() > -1e-6
