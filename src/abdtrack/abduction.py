@@ -24,19 +24,28 @@ Ties are broken deterministically: lowest track id first, then lowest
 detection id, then the fixed event-preference order of
 :class:`~abdtrack.domain.EventKind`.
 
-The solver reduces the cover problem to a maximum-weight bipartite
-matching (the per-action costs are independent once event preconditions
-are evaluated against the pre-solve fluent state).  It folds the three
-objective levels into one exact integer value per kind of action and
-fills one track x detection gain matrix per frame from the option table:
-each cell is an edge's value minus the fallback values of its track and
-its detection.  One rectangular assignment gives the optimum; the
-tie-break-canonical cover is then extracted by fixing tracks in id
-order, re-solving the remaining rows and free columns only for a
-better-ranked edge on a free detection, and only its actions are made
-as ``Action`` objects.  ``solve_oracle`` exhaustively enumerates every
-legal cover of small instances from the same table, made into actions
-by :func:`candidate_actions`, and must agree with ``solve``.
+The solver splits each frame into pieces read off the option table, each
+decided by an exact consequence of the objective (see :func:`solve`):
+
+- forced assign: an active track with one assign edge, to a detection no
+  other track can assign, takes it in every optimum, as only assigns
+  gain at level 10;
+- blocks: the other tracks with edges and their detections form
+  connected components, and the canonical optimum over independent
+  blocks is the union of theirs;
+- pure resume block: halted tracks of one class share one detection
+  list and a resume gains r_t + s_d, so the canonical cover is counted;
+- mixed block: any other block folds the three levels into one exact
+  integer per kind of action, with constants sized to the block, and
+  runs a maximum-weight bipartite matching (per-action costs are
+  independent once event preconditions are evaluated against the
+  pre-solve fluent state); tracks are then fixed in id order, re-solving
+  the rest only for a better-ranked edge on a free detection.
+
+Only the cover's actions are made as ``Action`` objects.
+``solve_oracle`` exhaustively enumerates every legal cover of small
+instances from the same table, made into actions by
+:func:`candidate_actions`, and must agree with ``solve``.
 """
 
 from __future__ import annotations
@@ -404,7 +413,7 @@ def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Exact solver: lexicographic weights + bipartite matching
+# Exact solver: forced assigns, then independent blocks
 # ----------------------------------------------------------------------
 
 
@@ -414,18 +423,146 @@ def solve(spec: ProblemSpec) -> SolveResult:
     Deterministic: among optimal covers, returns the one whose per-track
     action sequence (tracks in ascending id order; assigns/resumes
     preferred by ascending detection id, then the fallback action) is
-    lexicographically minimal.  One maximum-gain matching gives the
-    optimum and an incumbent action per track.  Canonical extraction
-    then fixes tracks in id order: a better-ranked edge than the
-    incumbent's, on a still-free detection, is fixed when its gain plus
-    the optimum of the remaining tracks and free detections equals the
-    remaining optimum; otherwise the incumbent is.  Only the chosen
-    cover's actions are made as ``Action``s, and only its halts linked.
+    lexicographically minimal.  The frame is solved piece by piece from
+    the option table, each rule exact:
+
+    - Forced assign: an active track whose only edge goes to a detection
+      that is no other track's assign edge is assigned to it in every
+      optimum: a cover without the pair leaves the detection free or
+      resumed, and swapping in the assign gains at level 10, which no
+      lower level outweighs.  The detection leaves every resume list.
+    - Blocks: the tracks left with edges and their detections fall into
+      connected components; a track left with none takes its fallback.
+      Covers of different blocks combine freely and the objective adds
+      over them, so the optimum is the union of the blocks' optima, and
+      so is the canonical one, as each track's rank depends on its own
+      block alone.
+    - A block of halted tracks that all have every detection of the
+      block as an edge (the table gives each class one resume list) is
+      solved by counting (:func:`_resume_block`).
+    - Any other block runs the canonical matching loop
+      (:func:`_mixed_block`), its folding constants sized to the block,
+      as its covers span no more.
+
+    Only the chosen cover's actions are made as ``Action``s, and only its
+    halts linked.  Raises ValueError for a block too large for exact
+    float64 folding.
     """
-    n_t, n_d = len(spec.predictions), len(spec.detections)
+    tracks, det_options = _option_table(spec)
+    assign = ActionKind.ASSIGN  # bound once: Enum member lookups are slow on 3.11
+    claims: dict[int, int] = {}
+    for edge, dids, _ in tracks.values():
+        if edge[0] is assign:
+            for did in dids:
+                claims[did] = claims.get(did, 0) + 1
+    forced = {
+        dids[0]: t
+        for t, (edge, dids, _) in tracks.items()
+        if edge[0] is assign and len(dids) == 1 and claims[dids[0]] == 1
+    }
+
+    # Union-find over the detections of the edges left; a track joins the
+    # block of its detections.
+    parent: dict[int, int] = {}
+
+    def find(d: int) -> int:
+        while parent[d] != d:
+            parent[d] = d = parent[parent[d]]
+        return d
+
+    actions: list[Action] = []
+    edges: dict[int, list[int]] = {}
+    for t, (edge, dids, fallback) in tracks.items():
+        if dids and forced.get(dids[0]) == t:
+            actions.append(Action(assign, t, dids[0]))
+            continue
+        if forced and edge[0] is not assign:
+            dids = [d for d in dids if d not in forced]
+        if not dids:
+            actions.append(Action(fallback[0], t, event=fallback[1]))
+            continue
+        edges[t] = dids
+        root = find(parent.setdefault(dids[0], dids[0]))
+        for d in dids[1:]:
+            r = find(parent.setdefault(d, d))
+            if r != root:
+                parent[r] = root
+
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for t, dids in edges.items():
+        blocks.setdefault(find(dids[0]), ([], []))[0].append(t)
+    for d in det_options:  # spec order
+        if d in parent:
+            blocks[find(d)][1].append(d)
+    for rows, cols in blocks.values():
+        if all(
+            tracks[t][0][0] is ActionKind.RESUME and len(edges[t]) == len(cols) for t in rows
+        ):
+            actions += _resume_block(tracks, det_options, rows, cols)
+        else:
+            actions += _mixed_block(spec, tracks, det_options, edges, rows, cols)
+
+    used = {a.det for a in actions}
+    for did, (kind, event) in det_options.items():
+        if did not in used:
+            actions.append(Action(kind, det=did, event=event))
+    result = _result(spec, actions)
+    _assert_disjoint_effects(result.events)
+    return result
+
+
+def _resume_block(
+    tracks: dict[int, TrackRow], det_options: dict[int, Option], rows: list[int], cols: list[int]
+) -> list[Action]:
+    """The canonical cover of a complete block of resumes: halted tracks
+    ``rows`` (ascending id), each with an edge to every detection ``cols``.
+
+    A resume gains its track's fallback cost plus its detection's, less
+    its own, and every such gain is positive, so an optimum resumes
+    m = min(#rows, #cols) pairs: a top-m set of tracks by fallback cost
+    and one of detections by option cost, in any pairing.  Costs are
+    (level 3, level 2) pairs, compared as the folded values would be.
+    The tie-break fixes tracks in id order, and a resume outranks any
+    fallback, so the resumed tracks are the first m by (cost descending,
+    id); each takes the lowest-id detection that still completes a top-m
+    set, so the detections are the first m by (cost descending, id),
+    paired with the tracks in id order."""
+    m = min(len(rows), len(cols))
+    resumed = sorted(sorted(rows, key=lambda t: _COSTS[tracks[t][2][0]], reverse=True)[:m])
+    taken = sorted(sorted(sorted(cols), key=lambda d: _COSTS[det_options[d][0]], reverse=True)[:m])
+    pairs = dict(zip(resumed, taken))
+    actions = []
+    for t in rows:
+        edge, _, fallback = tracks[t]
+        if t in pairs:
+            actions.append(Action(ActionKind.RESUME, t, pairs[t], edge[1]))
+        else:
+            actions.append(Action(fallback[0], t, event=fallback[1]))
+    return actions
+
+
+def _mixed_block(
+    spec: ProblemSpec,
+    tracks: dict[int, TrackRow],
+    det_options: dict[int, Option],
+    edges: dict[int, list[int]],
+    rows: list[int],
+    cols: list[int],
+) -> list[Action]:
+    """The canonical cover of one block by matching: track ``rows`` in
+    ascending id, each with its ``edges`` among detections ``cols``.
+
+    One maximum-gain matching gives the block's optimum and an incumbent
+    action per track.  Canonical extraction then fixes tracks in id
+    order: a better-ranked edge than the incumbent's, on a still-free
+    detection, is fixed when its gain plus the optimum of the remaining
+    tracks and free detections equals the remaining optimum; otherwise
+    the incumbent is.  Returns the block's track actions; its detections
+    left free take their options in :func:`solve`."""
+    n_t, n_d = len(rows), len(cols)
     # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
     # constants large enough that no lower level can overturn a higher
-    # one.
+    # one within the block.
     max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
     c2 = max_l2 + 1
     c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
@@ -434,7 +571,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # fallbacks it replaces, so each is below (IOU_SCALE+2)*c1.
     if (IOU_SCALE + 2) * c1 * min(n_t, n_d) >= 2**53:
         raise ValueError(
-            f"instance too large for exact lexicographic folding: {n_t}x{n_d}"
+            f"block too large for exact lexicographic folding: {n_t}x{n_d}"
         )
 
     # A cover's folded value is the sum of all fallback values plus the
@@ -444,20 +581,17 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # no edge.  Every edge gains: an assign >= c1, as no fallback is worth
     # > 0; a resume (-1) >= 9, as each fallback it replaces is worth <= -5.
     value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
-    tracks, det_options = _option_table(spec)
-    det_ids = list(det_options)
-    col = {did: j for j, did in enumerate(det_ids)}
-    det_value = np.array([value[kind] for kind, _ in det_options.values()], dtype=float)
+    col = {did: j for j, did in enumerate(cols)}
+    det_value = np.array([value[det_options[did][0]] for did in cols], dtype=float)
     gain = np.zeros((n_t, n_d))
-    for i, (t, (edge, dids, fallback)) in enumerate(tracks.items()):
-        if not dids:
-            continue
+    for i, t in enumerate(rows):
+        edge, _, fallback = tracks[t]
         if edge[0] is ActionKind.ASSIGN:  # its fallback, a halt, is worth 0
-            for did in dids:
+            for did in edges[t]:
                 j = col[did]
                 gain[i, j] = (spec.likelihoods[t, did] + 1) * c1 - det_value[j]
         else:
-            js = [col[did] for did in dids]
+            js = [col[did] for did in edges[t]]
             gain[i, js] = value[ActionKind.RESUME] - value[fallback[0]] - det_value[js]
 
     def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
@@ -476,9 +610,10 @@ def solve(spec: ProblemSpec) -> SolveResult:
     # Loop invariant: rest is the optimum over the unfixed tracks and the
     # free detections, and match realizes it.
     actions: list[Action] = []
-    for i, (t, (edge, dids, fallback)) in enumerate(tracks.items()):
+    for i, t in enumerate(rows):
+        edge, _, fallback = tracks[t]
         incumbent = match.get(i)
-        for did in dids:
+        for did in edges[t]:
             j = col[did]
             if j == incumbent:
                 rest -= gain[i, j]
@@ -493,12 +628,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             continue
         free.remove(j)
         actions.append(Action(edge[0], t, did, edge[1]))
-    for j in free:
-        kind, event = det_options[det_ids[j]]
-        actions.append(Action(kind, det=det_ids[j], event=event))
-    result = _result(spec, actions)
-    _assert_disjoint_effects(result.events)
-    return result
+    return actions
 
 
 # ----------------------------------------------------------------------

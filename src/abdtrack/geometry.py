@@ -101,7 +101,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bx2, by2 = bx1 + b[None, :, 2], by1 + b[None, :, 3]
     iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
     ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (a[:, 2] * a[:, 3])[:, None]
     area_b = (b[:, 2] * b[:, 3])[None, :]
     return inter / (area_a + area_b - inter)

@@ -21,6 +21,7 @@ from abdtrack import (
 from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import EngineBugError, EventKind, EventOccurrence, apply_event, possible
+from abdtrack.geometry import IOU_SCALE
 from conftest import make_random_spec, scaled_likelihoods
 from reference_solver import solve_reference
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
@@ -621,33 +622,142 @@ class TestOracle:
         assert kinds[2] == ActionKind.RESUME
 
 
+@pytest.fixture
+def counted_solve(monkeypatch):
+    """``solve``, counting in its ``counts`` the tracks each rule decided:
+    ``forced`` assigns, ``resume`` blocks solved by counting, ``mixed``
+    blocks solved by matching, and ``no edge`` fallbacks."""
+    counts, decided = Counter(), set()
+    for rule, name in (("resume", "_resume_block"), ("mixed", "_mixed_block")):
+        def recording(*args, rule=rule, block=getattr(abduction, name)):
+            actions = block(*args)
+            counts[rule] += len(actions)
+            decided.update(a.trk for a in actions)
+            return actions
+
+        monkeypatch.setattr(abduction, name, recording)
+
+    def solving(spec):
+        decided.clear()
+        result = solve(spec)
+        for a in result.actions:
+            if a.trk is not None and a.trk not in decided:
+                counts["forced" if a.kind is ActionKind.ASSIGN else "no edge"] += 1
+        return result
+
+    solving.counts = counts
+    return solving
+
+
 class TestLargeInstances:
-    def test_equals_reference_solver(self):
+    def test_equals_reference_solver(self, counted_solve):
         # past the oracle's limit: 10x10 to 60x60, about a third of the tracks
         # halted (resume ties) and duplicated detection boxes (exact ties)
         rng = np.random.default_rng(31)
         for _ in range(300):
             spec = make_random_spec(rng, max_tracks=60, max_dets=60, min_tracks=10, min_dets=10)
-            assert solve(spec) == solve_reference(spec)
+            assert counted_solve(spec) == solve_reference(spec)
             relabelled = _relabelled(spec)
-            assert solve(relabelled) == solve_reference(relabelled)
+            assert counted_solve(relabelled) == solve_reference(relabelled)
+        counts = counted_solve.counts
+        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed")), counts
 
-    def test_folding_limit_raises_before_explaining(self, monkeypatch):
-        def unexpected(*args):
-            raise AssertionError("explanation work before the size check")
-
-        monkeypatch.setattr(abduction, "link_events", unexpected)
-        box = BBox2D(0, 0, 20, 20)
+    def test_frame_of_separated_pairs_past_the_folding_limit_solves(self, monkeypatch):
+        # 1000x1000 is past the size one block can fold exactly (742x742),
+        # but each pair here is a forced assign, and no block is folded.
+        monkeypatch.setattr(abduction, "linear_sum_assignment", _no_matching)
+        boxes = [BBox2D(30.0 * (i % 40), 30.0 * (i // 40), 20, 20) for i in range(1000)]
         spec = ProblemSpec(
             frame=1,
-            detections=tuple(Detection(j, "car", 90, box) for j in range(800)),
-            predictions={t: TrackPrediction(box, TrackState.ACTIVE, "car") for t in range(800)},
-            likelihoods={},
+            detections=tuple(Detection(j, "car", 90, box) for j, box in enumerate(boxes)),
+            predictions={
+                t: TrackPrediction(box, TrackState.ACTIVE, "car") for t, box in enumerate(boxes)
+            },
+            likelihoods={(t, t): IOU_SCALE for t in range(1000)},
             fluents=FluentStore(),
+            frame_geom=(1200.0, 750.0),
+        )
+        result = solve(spec)
+        assert [(a.kind, a.trk, a.det) for a in result.actions] == [
+            (ActionKind.ASSIGN, t, t) for t in range(1000)
+        ]
+
+    def test_block_past_the_folding_limit_raises(self):
+        # One active track with two assign edges joins 2000 clipped halted
+        # tracks of its class and their 400 resumable detections into one
+        # block; float64 cannot fold a block of that size exactly.  Five
+        # forced pairs of another class make the frame larger than the block.
+        box = BBox2D(100, 100, 20, 20)
+        fluents = FluentStore()
+        for t in range(2006):
+            fluents.register_track(t)
+        predictions = {0: TrackPrediction(box, TrackState.ACTIVE, "car")}
+        for t in range(1, 2001):
+            apply_event(fluents, EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t))
+            predictions[t] = TrackPrediction(box, TrackState.HALTED, "car", 1)
+        dets = [Detection(j, "car", 90, box) for j in range(400)]
+        likelihoods = {(0, 0): 80_000, (0, 1): 70_000}
+        for k in range(5):
+            predictions[2001 + k] = TrackPrediction(box, TrackState.ACTIVE, "person")
+            dets.append(Detection(400 + k, "person", 90, box))
+            likelihoods[2001 + k, 400 + k] = IOU_SCALE
+        spec = ProblemSpec(
+            frame=1,
+            detections=tuple(dets),
+            predictions=predictions,
+            likelihoods=likelihoods,
+            fluents=fluents,
             frame_geom=(320.0, 320.0),
         )
-        with pytest.raises(ValueError, match="800x800"):
+        with pytest.raises(ValueError, match="2001x400"):
             solve(spec)
+
+
+def _no_matching(*args, **kwargs):
+    raise AssertionError("a matching was solved")
+
+
+class TestBlocks:
+    def test_resume_blocks_need_no_matching(self, monkeypatch, counted_solve):
+        # A forced assign whose detection is also resumable, then two pure
+        # resume blocks: car, with more tracks than detections and fallbacks
+        # ignore_trk, end by leaves_fov and end by lost; person, with more
+        # detections than tracks, one starting and one only ignorable.
+        monkeypatch.setattr(abduction, "linear_sum_assignment", _no_matching)
+        halted = TrackState.HALTED
+        spec = simple_spec(
+            {
+                1: (BBox2D(40, 40, 30, 30), TrackState.ACTIVE, "car", 0),
+                3: (BBox2D(100, 150, 30, 30), halted, "car", 3),
+                4: (BBox2D(2, 200, 30, 30), halted, "car", 3),
+                5: (BBox2D(200, 150, 30, 30), halted, "car", 40),
+                7: (BBox2D(250, 250, 30, 30), halted, "person", 5),
+            },
+            [
+                ("car", 90, BBox2D(40, 40, 30, 30)),
+                ("car", 90, BBox2D(150, 280, 8, 8)),  # too small to start
+                ("car", 90, BBox2D(100, 100, 30, 30)),
+                ("person", 90, BBox2D(60, 250, 40, 40)),
+                ("person", 90, BBox2D(400, 100, 30, 30)),  # outside
+            ],
+            fluent_setup=lambda s: [
+                apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 1, t))
+                for t in (3, 4, 5, 7)
+            ],
+        )
+        result = counted_solve(spec)
+        assert [a.pretty() for a in result.actions] == [
+            "assign(trk_1,det_0)",
+            "resume(trk_3,det_1)",
+            "resume(trk_4,det_2)",
+            "end(trk_5)",
+            "resume(trk_7,det_4)",
+            "start(det_3)",
+        ]
+        assert result.events[2] == EventOccurrence(EventKind.LOST, 10, 5)
+        assert counted_solve.counts == Counter({"forced": 1, "resume": 4})
+        for s in (spec, _relabelled(spec), _reversed(spec)):
+            assert counted_solve(s) == solve_reference(s) == solve_oracle(s)
 
 
 def _halted_heavy_spec(rng, n_tracks, n_dets):
@@ -710,16 +820,18 @@ class TestHaltedHeavy:
     # Resume rows dominate these specs: a halted row's resume cells hold
     # its fallback's value and are keyed by detection id, and mixed
     # fallbacks make the rows differ, so both show in the cover.
-    def test_equals_reference_solver(self):
+    def test_equals_reference_solver(self, counted_solve):
         rng = np.random.default_rng(51)
         seen = Counter()
         for _ in range(60):
             spec = _halted_heavy_spec(rng, int(rng.integers(10, 61)), int(rng.integers(5, 41)))
             for s in (spec, _relabelled(spec), _reversed(spec)):
-                result = solve(s)
+                result = counted_solve(s)
                 assert result == solve_reference(s)
                 seen.update(a.kind for a in result.actions)
         assert all(seen[k] > 0 for k in ActionKind), seen
+        counts = counted_solve.counts
+        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed")), counts
 
     def test_equals_oracle_within_its_limit(self):
         rng = np.random.default_rng(52)
