@@ -10,10 +10,10 @@ constraints; each non-assign action must additionally be explainable by at
 least one possible high-level event.  A frame's options go once each,
 with their abduced events, into one option table (the objective makes
 end beat ignore_trk and start beat ignore_det, so the dominated ignore
-is not made).  A halt, an active track's fallback, enters the solve
-untested and is linked after the solve if the cover holds it (a cover
-halt with no possible event raises ``EngineBugError``).  The optimum is
-lexicographic:
+is not made, nor the option of a detection that a forced assign takes).
+A halt, an active track's fallback, enters the solve untested and is
+linked after the solve if the cover holds it (a cover halt with no
+possible event raises ``EngineBugError``).  The optimum is lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -70,7 +70,7 @@ from .domain import (
     possible,
     touched_fluents,
 )
-from .geometry import IOU_SCALE, BBox2D
+from .geometry import IOU_SCALE, BBox2D, may_overlap_top
 
 __all__ = [
     "Thresholds",
@@ -153,6 +153,13 @@ class ProblemSpec:
         ``detections``."""
         return {d.id: d.box for d in self.detections}
 
+    @cached_property
+    def prediction_corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The track ids ascending, and their predicted boxes' (x, y, x2, y2)."""
+        ids = sorted(self.predictions)
+        boxes = [self.predictions[t].box for t in ids]
+        return np.array(ids), np.array([(b.x, b.y, b.x2, b.y2) for b in boxes])
+
 
 class ActionKind(Enum):
     ASSIGN = "assign"
@@ -203,10 +210,10 @@ Option = tuple[ActionKind, Optional[EventOccurrence]]  # a kind and its abduced 
 TrackRow = tuple[Option, list[int], Option]  # edge, edge detection ids, fallback
 
 
-def _option_table(spec: ProblemSpec) -> tuple[dict[int, TrackRow], dict[int, Option]]:
-    """The frame's explained options: per track, in ascending id, its edge
-    option, its edge detection ids in ascending order and its fallback;
-    per detection, in spec order, its one option.
+def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
+    """The frame's explained track options: per track, in ascending id,
+    its edge option, its edge detection ids in ascending order and its
+    fallback.
 
     Edges need the track's class and a confident detection: an active
     track's are assigns, from the likelihood pairs above the IoU
@@ -216,9 +223,7 @@ def _option_table(spec: ProblemSpec) -> tuple[dict[int, TrackRow], dict[int, Opt
     halts are explained, is that of the strict set, and
     missing_detections explains the halt of every active track the
     engine makes.  A halted track's fallback is the first explained of
-    ``end``, ``ignore_trk``; a detection's of ``start`` (a confident,
-    large enough box), ``ignore_det``; :func:`solve_oracle` also tries
-    the dominated ignore."""
+    ``end``, ``ignore_trk``; a detection's is :func:`_det_option`."""
     config = spec.config
     iou_min, conf_assign = config.iou_thresh_scaled, config.conf_thresh_assign
     dets = {d.id: d for d in spec.detections}
@@ -247,25 +252,27 @@ def _option_table(spec: ProblemSpec) -> tuple[dict[int, TrackRow], dict[int, Opt
             tracks[tid] = edge, dids if events else [], _explained(spec, tid, None, ActionKind.END)
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
+    return tracks
 
-    det_options = {}
-    for det in spec.detections:
-        if det.conf > config.conf_thresh_new_track and det.box.area > config.size_threshold:
-            det_options[det.id] = _explained(spec, None, det.id, ActionKind.START)
-        else:
-            det_options[det.id] = _explained(spec, None, det.id)
-    return tracks, det_options
+
+def _det_option(spec: ProblemSpec, det: Detection) -> Option:
+    """A detection's one option: the first explained of ``start`` (a
+    confident, large enough box), ``ignore_det``."""
+    c = spec.config
+    if det.conf > c.conf_thresh_new_track and det.box.area > c.size_threshold:
+        return _explained(spec, None, det.id, ActionKind.START)
+    return _explained(spec, None, det.id)
 
 
 def candidate_actions(spec: ProblemSpec) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
     """The option table as ``Action`` objects, the oracle's view: per
     track its edges, then its fallback; per detection its one option."""
-    tracks, det_options = _option_table(spec)
     per_track = {
         t: [Action(edge[0], t, did, edge[1]) for did in dids] + [Action(fb[0], t, event=fb[1])]
-        for t, (edge, dids, fb) in tracks.items()
+        for t, (edge, dids, fb) in _option_table(spec).items()
     }
-    return per_track, {d: [Action(k, det=d, event=e)] for d, (k, e) in det_options.items()}
+    options = {d.id: _det_option(spec, d) for d in spec.detections}
+    return per_track, {d: [Action(k, det=d, event=e)] for d, (k, e) in options.items()}
 
 
 def _explained(spec: ProblemSpec, trk: Optional[int], det: Optional[int], *kinds) -> Option:
@@ -290,14 +297,15 @@ def link_events(
     explanation.  The events of a resume do not depend on its detection.
     The option table calls it once per fallback it tries and once for
     all of a halted track's resumes, and the solver after the solve for
-    the cover's halts: a halt's list scans every other track as a
-    possible occluder.
+    the cover's halts.  A halt's occluders are judged in ascending id
+    among the superset of them that ``may_overlap_top`` keeps.
     """
     t, frame, k = trk, spec.frame, kind
     if k is ActionKind.HALT:
+        ids, corners = spec.prediction_corners
         events = [
             EventOccurrence(EventKind.HIDES_BEHIND, frame, t, occluder=t2)
-            for t2 in sorted(spec.predictions)
+            for t2 in ids[may_overlap_top(spec.predictions[t].box, corners)].tolist()
             if t2 != t
         ]
         events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, frame, t))
@@ -445,10 +453,10 @@ def solve(spec: ProblemSpec) -> SolveResult:
       as its covers span no more.
 
     Only the chosen cover's actions are made as ``Action``s, and only its
-    halts linked.  Raises ValueError for a block too large for exact
-    float64 folding.
+    halts and its free detections' options linked.  Raises ValueError for
+    a block too large for exact float64 folding.
     """
-    tracks, det_options = _option_table(spec)
+    tracks = _option_table(spec)
     assign = ActionKind.ASSIGN  # bound once: Enum member lookups are slow on 3.11
     claims: dict[int, int] = {}
     for edge, dids, _ in tracks.values():
@@ -460,6 +468,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
         for t, (edge, dids, _) in tracks.items()
         if edge[0] is assign and len(dids) == 1 and claims[dids[0]] == 1
     }
+    det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
     # Union-find over the detections of the edges left; a track joins the
     # block of its detections.
@@ -699,7 +708,7 @@ def emit_facts(spec: ProblemSpec) -> str:
                                            ordered by det then track)
 
     Blocks are separated by single blank lines; box coordinates are
-    rounded to integers.
+    rounded to integers; fluents, ages, geometry, thresholds left out.
     """
     blocks: list[list[str]] = [[f"#const curr_time={spec.frame}."]]
 

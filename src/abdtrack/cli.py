@@ -124,7 +124,7 @@ def _run_engine(args: argparse.Namespace, on_frame=None):
 
 
 def _write_facts(directory: str, engine: AbductionEngine, frame: int) -> None:
-    """Hook: writes the frame's solver input to ``directory/frame_NNNNNN.lp``."""
+    """Hook: writes the frame's facts to ``directory/frame_NNNNNN.lp``."""
     Path(directory).mkdir(parents=True, exist_ok=True)
     Path(directory, f"frame_{frame:06d}.lp").write_text(emit_facts(engine.last_spec))
 

@@ -133,8 +133,9 @@ class AbductionEngine:
                     np.array([_xywh(d.box) for d in detections]),
                 )
             )
-            for i, j in zip(*np.nonzero(ml)):
-                likelihoods[(tids[i], detections[j].id)] = int(ml[i, j])
+            rows, cols = np.nonzero(ml)
+            for i, j, v in zip(rows.tolist(), cols.tolist(), ml[rows, cols].tolist()):
+                likelihoods[(tids[i], detections[j].id)] = v
         return ProblemSpec(
             frame=frame,
             detections=tuple(detections),

@@ -36,6 +36,30 @@ def random_box(rng: np.random.Generator, span: float = 300.0) -> BBox2D:
     return BBox2D(x, y, w, h)
 
 
+def edge_case_boxes(rng: np.random.Generator, n: int) -> list[BBox2D]:
+    """Boxes that stress the overlap tests: integer grid boxes with
+    touching edges, equal bottom edges and negative coordinates; tiny
+    boxes near the origin whose pairwise intersection area underflows to
+    0; huge boxes whose pairwise union overflows; and ordinary ones."""
+    boxes = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.4:
+            x, y = (5.0 * rng.integers(-4, 5, size=2)).tolist()
+            w, h = (5.0 * rng.integers(1, 4, size=2)).tolist()
+        elif roll < 0.6:
+            x, y = (2e-166 * rng.integers(0, 4, size=2)).tolist()
+            w, h = (1e-165, 1e-135) if rng.random() < 0.5 else (1e-135, 1e-165)
+        elif roll < 0.8:
+            x, y = (-5e199 * rng.integers(0, 3, size=2)).tolist()
+            w, h = float(rng.uniform(0.5, 1.0)) * 1e200, float(rng.uniform(1.0, 1.5)) * 1e108
+        else:
+            boxes.append(random_box(rng, span=40.0))
+            continue
+        boxes.append(BBox2D(x, y, w, h))
+    return boxes
+
+
 def scaled_likelihoods(
     preds: dict[int, TrackPrediction], dets: Sequence[Detection]
 ) -> dict[tuple[int, int], int]:

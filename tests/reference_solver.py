@@ -6,6 +6,10 @@ the tie-break fixes tracks in id order, trying each candidate ranked
 better than the incumbent against a fresh solve of what remains.  Slow
 but direct, it checks :func:`abdtrack.solve` past the exhaustive
 oracle's 5x5 limit.
+
+:func:`halt_events_reference` is the halt's event list as a scan of
+every other track as an occluder, which ``link_events`` narrows by a
+geometric prefilter.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from abdtrack.abduction import (
     _result,
     candidate_actions,
 )
+from abdtrack.domain import EventKind, EventOccurrence, possible
 
 
 def solve_reference(spec: ProblemSpec) -> SolveResult:
@@ -92,3 +97,16 @@ def solve_reference(spec: ProblemSpec) -> SolveResult:
     used = {a.det for a in chosen.values()}
     cover = list(chosen.values()) + [det_fallback[d] for d in dets if d not in used]
     return _result(spec, cover)
+
+
+def halt_events_reference(spec: ProblemSpec, t: int) -> list[EventOccurrence]:
+    """The possible events that explain a halt of track ``t``, in the
+    preference order: hides_behind each other track in ascending id, then
+    missing_detections."""
+    events = [
+        EventOccurrence(EventKind.HIDES_BEHIND, spec.frame, t, occluder=t2)
+        for t2 in sorted(spec.predictions)
+        if t2 != t
+    ]
+    events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, spec.frame, t))
+    return [e for e in events if possible(spec, e)]

@@ -22,8 +22,10 @@ from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import EngineBugError, EventKind, EventOccurrence, apply_event, possible
 from abdtrack.geometry import IOU_SCALE
-from conftest import make_random_spec, scaled_likelihoods
-from reference_solver import solve_reference
+from abdtrack.synth import ScenarioConfig, generate
+from abdtrack.tracker import AbductionEngine
+from conftest import edge_case_boxes, make_random_spec, scaled_likelihoods
+from reference_solver import halt_events_reference, solve_reference
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 
@@ -351,6 +353,33 @@ class TestExplanationLinking:
         keys = [(a.kind, a.trk, a.det if a.trk is None else None) for a in calls]
         assert len(keys) == len(set(keys))
 
+    def test_links_no_option_for_a_forced_detection(self, monkeypatch):
+        linked = []
+        original = abduction.link_events
+
+        def counting(spec, kind, trk=None, det=None):
+            linked.append(det)
+            return original(spec, kind, trk, det)
+
+        monkeypatch.setattr(abduction, "link_events", counting)
+        a, b = BBox2D(40, 40, 30, 30), BBox2D(150, 40, 30, 30)
+        spec = simple_spec(
+            {1: (a, TrackState.ACTIVE, "car", 0), 2: (b, TrackState.ACTIVE, "car", 0)},
+            [("car", 99, a.translated(2, 0)), ("car", 99, BBox2D(100, 200, 30, 30)),
+             ("car", 99, b.translated(0, 2))],
+        )
+        assert [a.pretty() for a in solve(spec).actions] == [
+            "assign(trk_1,det_0)", "assign(trk_2,det_2)", "start(det_1)"
+        ]
+        assert [d for d in linked if d is not None] == [1]
+        # the oracle's view still gives every detection its option
+        linked.clear()
+        _, per_det = candidate_actions(spec)
+        assert [(d, [a.pretty() for a in opts]) for d, opts in per_det.items()] == [
+            (0, ["start(det_0)"]), (1, ["start(det_1)"]), (2, ["start(det_2)"])
+        ]
+        assert [d for d in linked if d is not None] == [0, 1, 2]
+
     def test_admissible_iff_linkable_and_cover_carries_first_event(self):
         # Random specs of 10-60 tracks, every other one with fluents no
         # engine reaches (active tracks clipped or not visible), so that
@@ -418,6 +447,68 @@ class TestExplanationLinking:
                 not _halt_events(spec, t) for t in _active(spec)
             )
         assert seen["raised"] > 0 and seen["equal past an unexplained halt"] > 0, seen
+
+
+def _edge_case_spec(rng):
+    """Active tracks on edge-case boxes (see ``edge_case_boxes``), given
+    in shuffled id order, some hidden behind another or clipped."""
+    boxes = edge_case_boxes(rng, int(rng.integers(2, 30)))
+    ids = rng.choice(100, size=len(boxes), replace=False).tolist()
+    fluents = FluentStore()
+    for t in ids:
+        fluents.register_track(t)
+    for t in ids:
+        roll = rng.random()
+        if roll < 0.2 and t != ids[0]:
+            apply_event(fluents, EventOccurrence(EventKind.HIDES_BEHIND, 0, t, occluder=ids[0]))
+        elif roll < 0.4:
+            apply_event(fluents, EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t))
+    return ProblemSpec(
+        frame=1,
+        detections=(),
+        predictions={t: TrackPrediction(b, TrackState.ACTIVE, "car") for t, b in zip(ids, boxes)},
+        likelihoods={},
+        fluents=fluents,
+        frame_geom=(320.0, 320.0),
+    )
+
+
+class TestHaltPrefilter:
+    # link_events judges a halt's occluders only among the tracks the
+    # geometric prefilter keeps; its list must be the full scan's.
+    def test_equals_full_scan_on_random_specs(self):
+        rng = np.random.default_rng(61)
+        seen = Counter()
+        for k in range(150):
+            if k % 3 == 0:
+                spec = make_random_spec(rng, max_tracks=60, max_dets=10, min_tracks=2)
+                _hide_or_clip(spec, rng)
+            elif k % 3 == 1:
+                spec = _halted_heavy_spec(rng, int(rng.integers(2, 61)), 5)
+            else:
+                spec = _edge_case_spec(rng)
+            for t in spec.predictions:
+                events = link_events(spec, ActionKind.HALT, t)
+                assert events == halt_events_reference(spec, t)
+                seen.update(e.kind for e in events)
+        assert seen[EventKind.HIDES_BEHIND] > 0 and seen[EventKind.MISSING_DETECTIONS] > 0, seen
+
+    @pytest.mark.parametrize("n_tracks", [100, 200])
+    def test_equals_full_scan_on_bench_frames(self, n_tracks):
+        cfg = ScenarioConfig(
+            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
+            jitter_sigma=1.0, seed=0,
+        )
+        engine = AbductionEngine()
+        hides = 0
+        for frame, dets in generate(cfg)[0]:
+            engine.step(frame, dets)
+            spec = engine.last_spec
+            for t in spec.predictions:
+                events = link_events(spec, ActionKind.HALT, t)
+                assert events == halt_events_reference(spec, t)
+                hides += sum(e.kind is EventKind.HIDES_BEHIND for e in events)
+        assert hides > 0
 
 
 class TestSolve:
@@ -862,10 +953,10 @@ class TestOneOptionTable:
                 continue
 
             def dropping(s, edge=edges[0]):
-                tracks, det_options = table(s)
+                tracks = table(s)
                 option, dids, fallback = tracks[edge.trk]
                 tracks[edge.trk] = option, [d for d in dids if d != edge.det], fallback
-                return tracks, det_options
+                return tracks
 
             with monkeypatch.context() as m:
                 m.setattr(abduction, "_option_table", dropping)
