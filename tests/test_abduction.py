@@ -362,11 +362,11 @@ class TestExplanationLinking:
             return original(spec, kind, trk, det)
 
         monkeypatch.setattr(abduction, "link_events", counting)
-        a, b = BBox2D(40, 40, 30, 30), BBox2D(150, 40, 30, 30)
+        box1, box2 = BBox2D(40, 40, 30, 30), BBox2D(150, 40, 30, 30)
         spec = simple_spec(
-            {1: (a, TrackState.ACTIVE, "car", 0), 2: (b, TrackState.ACTIVE, "car", 0)},
-            [("car", 99, a.translated(2, 0)), ("car", 99, BBox2D(100, 200, 30, 30)),
-             ("car", 99, b.translated(0, 2))],
+            {1: (box1, TrackState.ACTIVE, "car", 0), 2: (box2, TrackState.ACTIVE, "car", 0)},
+            [("car", 99, box1.translated(2, 0)), ("car", 99, BBox2D(100, 200, 30, 30)),
+             ("car", 99, box2.translated(0, 2))],
         )
         assert [a.pretty() for a in solve(spec).actions] == [
             "assign(trk_1,det_0)", "assign(trk_2,det_2)", "start(det_1)"
