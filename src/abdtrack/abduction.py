@@ -60,10 +60,20 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._records import slot_init
 from .domain import (
+    ACTIVE,
+    ENTERS_FOV,
+    HALTED,
+    HIDES_BEHIND,
+    LEAVES_FOV,
+    LOST,
+    MISSING_DETECTIONS,
+    NOISE,
+    RECOVER,
+    UNHIDES_FROM_BEHIND,
     Detection,
     EngineBugError,
-    EventKind,
     EventOccurrence,
     FluentStore,
     TrackState,
@@ -123,7 +133,8 @@ class Thresholds:
         return int(round(self.iou_thresh * IOU_SCALE))
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TrackPrediction:
     """One live track as the solver sees it."""
 
@@ -175,6 +186,12 @@ class ActionKind(Enum):
     __hash__ = object.__hash__
 
 
+# Bound once: on Python 3.10 and 3.11 a member lookup costs about ten
+# global loads (see domain.TrackState).
+ASSIGN, START, END, HALT, RESUME, IGNORE_TRK, IGNORE_DET = ActionKind
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Action:
     kind: ActionKind
@@ -184,9 +201,9 @@ class Action:
 
     def pretty(self) -> str:
         k = self.kind
-        if k == ActionKind.ASSIGN or k == ActionKind.RESUME:
+        if k == ASSIGN or k == RESUME:
             return f"{k.value}(trk_{self.trk},det_{self.det})"
-        if k in (ActionKind.END, ActionKind.HALT, ActionKind.IGNORE_TRK):
+        if k in (END, HALT, IGNORE_TRK):
             return f"{k.value}(trk_{self.trk})"
         return f"{k.value}(det_{self.det})"
 
@@ -238,18 +255,18 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     tracks = {}
     for tid in sorted(spec.predictions):
         pred = spec.predictions[tid]
-        if pred.state is TrackState.ACTIVE:
+        if pred.state is ACTIVE:
             dids = sorted(
                 d
                 for d in overlapping.get(tid, ())
                 if dets[d].cls == pred.cls and dets[d].conf > conf_assign
             )
-            tracks[tid] = (ActionKind.ASSIGN, None), dids, (ActionKind.HALT, None)
-        elif pred.state is TrackState.HALTED:
+            tracks[tid] = (ASSIGN, None), dids, (HALT, None)
+        elif pred.state is HALTED:
             dids = resumable.get(pred.cls, [])
-            events = link_events(spec, ActionKind.RESUME, tid) if dids else []
-            edge = ActionKind.RESUME, events[0] if events else None
-            tracks[tid] = edge, dids if events else [], _explained(spec, tid, None, ActionKind.END)
+            events = link_events(spec, RESUME, tid) if dids else []
+            edge = RESUME, events[0] if events else None
+            tracks[tid] = edge, dids if events else [], _explained(spec, tid, None, END)
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
     return tracks
@@ -260,7 +277,7 @@ def _det_option(spec: ProblemSpec, det: Detection) -> Option:
     confident, large enough box), ``ignore_det``."""
     c = spec.config
     if det.conf > c.conf_thresh_new_track and det.box.area > c.size_threshold:
-        return _explained(spec, None, det.id, ActionKind.START)
+        return _explained(spec, None, det.id, START)
     return _explained(spec, None, det.id)
 
 
@@ -278,7 +295,7 @@ def candidate_actions(spec: ProblemSpec) -> tuple[dict[int, list[Action]], dict[
 def _explained(spec: ProblemSpec, trk: Optional[int], det: Optional[int], *kinds) -> Option:
     """The first of ``kinds``, then the ignore, that an event explains for
     the track or detection, with its abduced event (noise explains any)."""
-    ignore = ActionKind.IGNORE_DET if trk is None else ActionKind.IGNORE_TRK
+    ignore = IGNORE_DET if trk is None else IGNORE_TRK
     for kind in (*kinds, ignore):
         events = link_events(spec, kind, trk, det)
         if events:
@@ -301,32 +318,32 @@ def link_events(
     among the superset of them that ``may_overlap_top`` keeps.
     """
     t, frame, k = trk, spec.frame, kind
-    if k is ActionKind.HALT:
+    if k is HALT:
         ids, corners = spec.prediction_corners
         events = [
-            EventOccurrence(EventKind.HIDES_BEHIND, frame, t, occluder=t2)
+            EventOccurrence(HIDES_BEHIND, frame, t, occluder=t2)
             for t2 in ids[may_overlap_top(spec.predictions[t].box, corners)].tolist()
             if t2 != t
         ]
-        events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, frame, t))
-    elif k is ActionKind.RESUME:
+        events.append(EventOccurrence(MISSING_DETECTIONS, frame, t))
+    elif k is RESUME:
         events = [
-            EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
+            EventOccurrence(UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
             for t2 in spec.fluents.occluder_of(t)
             if t2 in spec.predictions
         ]
-        events.append(EventOccurrence(EventKind.RECOVER, frame, t))
-    elif k is ActionKind.END:
+        events.append(EventOccurrence(RECOVER, frame, t))
+    elif k is END:
         events = [
-            EventOccurrence(EventKind.LEAVES_FOV, frame, t),
-            EventOccurrence(EventKind.LOST, frame, t),
+            EventOccurrence(LEAVES_FOV, frame, t),
+            EventOccurrence(LOST, frame, t),
         ]
-    elif k is ActionKind.START:
-        events = [EventOccurrence(EventKind.ENTERS_FOV, frame, det, subject_is_det=True)]
-    elif k is ActionKind.IGNORE_TRK:
-        events = [EventOccurrence(EventKind.NOISE, frame, t)]
-    elif k is ActionKind.IGNORE_DET:
-        events = [EventOccurrence(EventKind.NOISE, frame, det, subject_is_det=True)]
+    elif k is START:
+        events = [EventOccurrence(ENTERS_FOV, frame, det, subject_is_det=True)]
+    elif k is IGNORE_TRK:
+        events = [EventOccurrence(NOISE, frame, t)]
+    elif k is IGNORE_DET:
+        events = [EventOccurrence(NOISE, frame, det, subject_is_det=True)]
     else:
         return []
     return [e for e in events if possible(spec, e)]
@@ -345,20 +362,20 @@ _L2_RESUME = 1
 # (level3 cost, level2 cost) of each kind of action; only an assign gains
 # at level 10, its likelihood plus one.
 _COSTS = {
-    ActionKind.ASSIGN: (0, 0),
-    ActionKind.HALT: (0, 0),
-    ActionKind.RESUME: (0, _L2_RESUME),
-    ActionKind.END: (0, _L2_END),
-    ActionKind.START: (0, _L2_START),
-    ActionKind.IGNORE_TRK: (_L3_WEIGHT, 0),
-    ActionKind.IGNORE_DET: (_L3_WEIGHT, 0),
+    ASSIGN: (0, 0),
+    HALT: (0, 0),
+    RESUME: (0, _L2_RESUME),
+    END: (0, _L2_END),
+    START: (0, _L2_START),
+    IGNORE_TRK: (_L3_WEIGHT, 0),
+    IGNORE_DET: (_L3_WEIGHT, 0),
 }
 
 
 def _action_levels(spec: ProblemSpec, a: Action) -> tuple[int, int, int]:
     """(level10 gain, level3 cost, level2 cost) of one action."""
     c3, c2 = _COSTS[a.kind]
-    g = spec.likelihoods.get((a.trk, a.det), 0) + 1 if a.kind is ActionKind.ASSIGN else 0
+    g = spec.likelihoods.get((a.trk, a.det), 0) + 1 if a.kind is ASSIGN else 0
     return g, c3, c2
 
 
@@ -381,9 +398,9 @@ def _action_rank(a: Action) -> tuple[int, int]:
     """Per-track preference order of the oracle's tie-break (and of the
     option table's rows, which ``solve`` relies on)."""
     k = a.kind
-    if k in (ActionKind.ASSIGN, ActionKind.RESUME):
+    if k in (ASSIGN, RESUME):
         return (0, a.det)
-    if k in (ActionKind.HALT, ActionKind.END):
+    if k in (HALT, END):
         return (1, 0)
     return (2, 0)  # ignore_trk
 
@@ -400,7 +417,7 @@ def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
     ordered: list[Action] = []
     for a in track_part + det_part:
-        if a.kind is ActionKind.HALT:
+        if a.kind is HALT:
             a = Action(a.kind, a.trk, event=next(iter(link_events(spec, a.kind, a.trk)), None))
             if a.event is None:
                 raise EngineBugError(f"track {a.trk} has no explainable fallback action")
@@ -457,16 +474,15 @@ def solve(spec: ProblemSpec) -> SolveResult:
     a block too large for exact float64 folding.
     """
     tracks = _option_table(spec)
-    assign = ActionKind.ASSIGN  # bound once: Enum member lookups are slow on 3.11
     claims: dict[int, int] = {}
     for edge, dids, _ in tracks.values():
-        if edge[0] is assign:
+        if edge[0] is ASSIGN:
             for did in dids:
                 claims[did] = claims.get(did, 0) + 1
     forced = {
         dids[0]: t
         for t, (edge, dids, _) in tracks.items()
-        if edge[0] is assign and len(dids) == 1 and claims[dids[0]] == 1
+        if edge[0] is ASSIGN and len(dids) == 1 and claims[dids[0]] == 1
     }
     det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
@@ -483,9 +499,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
     edges: dict[int, list[int]] = {}
     for t, (edge, dids, fallback) in tracks.items():
         if dids and forced.get(dids[0]) == t:
-            actions.append(Action(assign, t, dids[0]))
+            actions.append(Action(ASSIGN, t, dids[0]))
             continue
-        if forced and edge[0] is not assign:
+        if forced and edge[0] is not ASSIGN:
             dids = [d for d in dids if d not in forced]
         if not dids:
             actions.append(Action(fallback[0], t, event=fallback[1]))
@@ -505,7 +521,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             blocks[find(d)][1].append(d)
     for rows, cols in blocks.values():
         if all(
-            tracks[t][0][0] is ActionKind.RESUME and len(edges[t]) == len(cols) for t in rows
+            tracks[t][0][0] is RESUME and len(edges[t]) == len(cols) for t in rows
         ):
             actions += _resume_block(tracks, det_options, rows, cols)
         else:
@@ -544,7 +560,7 @@ def _resume_block(
     for t in rows:
         edge, _, fallback = tracks[t]
         if t in pairs:
-            actions.append(Action(ActionKind.RESUME, t, pairs[t], edge[1]))
+            actions.append(Action(RESUME, t, pairs[t], edge[1]))
         else:
             actions.append(Action(fallback[0], t, event=fallback[1]))
     return actions
@@ -595,13 +611,13 @@ def _mixed_block(
     gain = np.zeros((n_t, n_d))
     for i, t in enumerate(rows):
         edge, _, fallback = tracks[t]
-        if edge[0] is ActionKind.ASSIGN:  # its fallback, a halt, is worth 0
+        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
             for did in edges[t]:
                 j = col[did]
                 gain[i, j] = (spec.likelihoods[t, did] + 1) * c1 - det_value[j]
         else:
             js = [col[did] for did in edges[t]]
-            gain[i, js] = value[ActionKind.RESUME] - value[fallback[0]] - det_value[js]
+            gain[i, js] = value[RESUME] - value[fallback[0]] - det_value[js]
 
     def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
         """The maximum gain of the track rows from ``first`` on over the
@@ -660,11 +676,11 @@ def solve_oracle(spec: ProblemSpec) -> SolveResult:
     cands, det_opts = candidate_actions(spec)
     # Also try the ignores that end and start dominate: check, not assume.
     for t, opts in cands.items():
-        if opts and opts[-1].kind is ActionKind.END:
-            opts.append(Action(ActionKind.IGNORE_TRK, t, event=_explained(spec, t, None)[1]))
+        if opts and opts[-1].kind is END:
+            opts.append(Action(IGNORE_TRK, t, event=_explained(spec, t, None)[1]))
     for d, opts in det_opts.items():
-        if opts[0].kind is ActionKind.START:
-            opts.append(Action(ActionKind.IGNORE_DET, det=d, event=_explained(spec, None, d)[1]))
+        if opts[0].kind is START:
+            opts.append(Action(IGNORE_DET, det=d, event=_explained(spec, None, d)[1]))
     track_ids = sorted(cands)
     det_ids = [d.id for d in spec.detections]
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Optional
 
+from ._records import slot_init
 from .geometry import BBox2D, overlapping_top
 
 if TYPE_CHECKING:
@@ -42,6 +43,7 @@ class EngineBugError(RuntimeError):
     """An internal consistency violation, e.g. querying an unknown track."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One observed object in a frame: per-frame index, class, confidence
@@ -52,15 +54,22 @@ class Detection:
     conf: int
     box: BBox2D
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.conf <= 100:
-            raise ValueError(f"confidence out of range: {self.conf}")
+    def _check(self, id: int, cls: str, conf: int, box: BBox2D) -> None:
+        if not 0 <= conf <= 100:
+            raise ValueError(f"confidence out of range: {conf}")
 
 
+# Each enum's members are also bound to module globals: on Python 3.10 and
+# 3.11 a member lookup (``TrackState.ACTIVE``) goes through
+# ``EnumType.__getattr__`` and costs about ten global loads, and the
+# per-frame code makes many.
 class TrackState(Enum):
     ACTIVE = "active"
     HALTED = "halted"
     ENDED = "ended"
+
+
+ACTIVE, HALTED, ENDED = TrackState
 
 
 class Provenance(Enum):
@@ -68,6 +77,10 @@ class Provenance(Enum):
     INTERPOLATED = "interpolated"
 
 
+OBSERVED, INTERPOLATED = Provenance
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class HistoryEntry:
     frame: int
@@ -101,6 +114,9 @@ class Visibility(str, Enum):
     NOT_VISIBLE = "not_visible"
 
 
+FULLY_VISIBLE, NOT_VISIBLE = Visibility
+
+
 class EventKind(IntEnum):
     """High-level abducibles.  Integer values fix the deterministic
     preference order used when several events can explain one action."""
@@ -115,6 +131,11 @@ class EventKind(IntEnum):
     NOISE = 7
 
 
+(HIDES_BEHIND, MISSING_DETECTIONS, UNHIDES_FROM_BEHIND, RECOVER, LEAVES_FOV, LOST, ENTERS_FOV,
+ NOISE) = EventKind
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class EventOccurrence:
     """An event instance at a frame.
@@ -153,7 +174,7 @@ class FluentStore:
     # -- lifecycle ---------------------------------------------------
 
     def register_track(self, tid: int) -> None:
-        self._visibility[tid] = Visibility.FULLY_VISIBLE
+        self._visibility[tid] = FULLY_VISIBLE
         self._clipped[tid] = False
 
     def drop_track(self, tid: int) -> None:
@@ -213,19 +234,19 @@ def apply_event(store: FluentStore, e: EventOccurrence) -> FluentStore:
     k = e.kind
     if e.subject_is_det:
         return store
-    if k == EventKind.HIDES_BEHIND:
-        store._visibility[e.subject] = Visibility.NOT_VISIBLE
+    if k == HIDES_BEHIND:
+        store._visibility[e.subject] = NOT_VISIBLE
         store._hidden_pairs.add((e.subject, e.occluder))
-    elif k == EventKind.UNHIDES_FROM_BEHIND:
-        store._visibility[e.subject] = Visibility.FULLY_VISIBLE
+    elif k == UNHIDES_FROM_BEHIND:
+        store._visibility[e.subject] = FULLY_VISIBLE
         store._hidden_pairs.discard((e.subject, e.occluder))
-    elif k == EventKind.MISSING_DETECTIONS:
+    elif k == MISSING_DETECTIONS:
         store._clipped[e.subject] = True
-    elif k == EventKind.RECOVER:
+    elif k == RECOVER:
         store._clipped[e.subject] = False
-    elif k == EventKind.ENTERS_FOV:
+    elif k == ENTERS_FOV:
         store.register_track(e.subject)
-    elif k == EventKind.LEAVES_FOV or k == EventKind.LOST:
+    elif k == LEAVES_FOV or k == LOST:
         store.drop_track(e.subject)
     return store
 
@@ -238,11 +259,11 @@ def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
     fresh id, and the tracker applies leaves_fov and lost after the
     frame's other events."""
     k = e.kind
-    if k == EventKind.HIDES_BEHIND or k == EventKind.UNHIDES_FROM_BEHIND:
+    if k == HIDES_BEHIND or k == UNHIDES_FROM_BEHIND:
         return frozenset(
             {("visibility", e.subject), ("hidden_by", e.subject, e.occluder)}
         )
-    if k == EventKind.MISSING_DETECTIONS or k == EventKind.RECOVER:
+    if k == MISSING_DETECTIONS or k == RECOVER:
         return frozenset({("clipped", e.subject)})
     return frozenset()
 
@@ -263,37 +284,37 @@ def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
     noise: always possible.
     """
     store, k = spec.fluents, e.kind
-    if k == EventKind.HIDES_BEHIND:
+    if k == HIDES_BEHIND:
         t1, t2 = e.subject, e.occluder
         if t1 == t2:
             return False
-        if store.visibility(t1) == Visibility.NOT_VISIBLE:
+        if store.visibility(t1) == NOT_VISIBLE:
             return False
-        if store.visibility(t2) == Visibility.NOT_VISIBLE:
+        if store.visibility(t2) == NOT_VISIBLE:
             return False
         return overlapping_top(spec.predictions[t1].box, spec.predictions[t2].box)
-    if k == EventKind.UNHIDES_FROM_BEHIND:
+    if k == UNHIDES_FROM_BEHIND:
         return (
-            store.visibility(e.subject) == Visibility.NOT_VISIBLE
-            and store.visibility(e.occluder) != Visibility.NOT_VISIBLE
+            store.visibility(e.subject) == NOT_VISIBLE
+            and store.visibility(e.occluder) != NOT_VISIBLE
         )
-    if k == EventKind.MISSING_DETECTIONS:
+    if k == MISSING_DETECTIONS:
         return (
             not store.clipped(e.subject)
-            and store.visibility(e.subject) != Visibility.NOT_VISIBLE
+            and store.visibility(e.subject) != NOT_VISIBLE
         )
-    if k == EventKind.RECOVER:
+    if k == RECOVER:
         return store.clipped(e.subject)
-    if k == EventKind.LEAVES_FOV:
+    if k == LEAVES_FOV:
         (w, h), m = spec.frame_geom, spec.config.fov_margin
         box = spec.predictions[e.subject].box
         return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
-    if k == EventKind.ENTERS_FOV:
+    if k == ENTERS_FOV:
         w, h = spec.frame_geom
         box = spec.detection_boxes[e.subject]
         return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
-    if k == EventKind.LOST:
+    if k == LOST:
         return spec.predictions[e.subject].halted_age > spec.config.max_halted_age
-    if k == EventKind.NOISE:
+    if k == NOISE:
         return True
     raise EngineBugError(f"unknown event kind {k}")

@@ -12,10 +12,12 @@ underflows is rejected.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
+
+from ._records import slot_init
 
 __all__ = [
     "BBox2D",
@@ -31,6 +33,7 @@ __all__ = [
 IOU_SCALE = 100_000
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class BBox2D:
     """Axis-aligned box: left edge, top edge, width, height (pixels);
@@ -41,13 +44,13 @@ class BBox2D:
     w: float
     h: float
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+    def _check(self, x: float, y: float, w: float, h: float) -> None:
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
             raise ValueError(f"non-finite box: {self}")
-        if not (self.w > 0 and self.h > 0):
-            raise ValueError(f"degenerate box: w={self.w}, h={self.h}")
-        if not (0 < self.w * self.h < math.inf and 0 < self.w / self.h < math.inf):
-            raise ValueError(f"non-finite or zero area or aspect: w={self.w}, h={self.h}")
+        if not (w > 0 and h > 0):
+            raise ValueError(f"degenerate box: w={w}, h={h}")
+        if not (0 < w * h < inf and 0 < w / h < inf):
+            raise ValueError(f"non-finite or zero area or aspect: w={w}, h={h}")
 
     @property
     def x2(self) -> float:

@@ -6,8 +6,9 @@ tracking label format (space separated, type plus left/top/right/bottom
 corners).  Confidences at or below 1.0 are read as fractions and mapped to
 integer percent by round(100*c); larger values are taken as percent
 directly; everything is clamped to [0, 100].  Each box is validated by
-:class:`~abdtrack.geometry.BBox2D`; a bad number or box fails with its
-line number.
+:class:`~abdtrack.geometry.BBox2D`, and frame numbers and track ids must
+be integral (``7`` or ``7.0``); a bad number or box fails with its line
+number.
 
 Outputs: MOT result lines, the engine's event log in ``occurs_at(EVENT,FRAME)``
 form, and a JSON report of provenance and the event log that is byte for
@@ -52,6 +53,15 @@ def _conf_percent(raw: float) -> int:
     return int(min(100, max(0, pct)))
 
 
+def _integer(field: str, name: str) -> int:
+    """The value of an integral number field; a fractional or non-finite
+    one raises rather than being truncated."""
+    v = float(field)
+    if not v.is_integer():
+        raise ValueError(f"{name} is not an integer: {field!r}")
+    return int(v)
+
+
 def _rows(text: str, sep: str | None, min_fields: int) -> Iterator[tuple[int, list[str]]]:
     """(line number from 1, fields) of each non-blank line; a line with
     fewer than min_fields fields raises with its number."""
@@ -72,26 +82,29 @@ def parse_mot(text: str) -> DetectionStream:
     by_frame: dict[int, list[Detection]] = {}
     for lineno, parts in _rows(text, ",", 7):
         try:
-            frame = int(float(parts[0]))
-            box = BBox2D(*(float(v) for v in parts[2:6]))
+            frame = _integer(parts[0], "frame")
+            box = BBox2D(*map(float, parts[2:6]))
             conf = _conf_percent(float(parts[6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         dets = by_frame.setdefault(frame, [])
-        dets.append(Detection(id=len(dets), cls="object", conf=conf, box=box))
+        dets.append(Detection(len(dets), "object", conf, box))
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
 def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStream:
     """Parse KITTI tracking label text; right/bottom corners are converted
-    to widths/heights.  class_filter keeps only the named types
-    (lower-cased); 'DontCare' rows are always skipped."""
+    to widths/heights.  class_filter keeps only the named types, compared
+    lower-cased with surrounding spaces stripped (``Car`` keeps KITTI's
+    ``Car`` rows); 'DontCare' rows are always skipped."""
+    if class_filter is not None:
+        class_filter = {c.strip().lower() for c in class_filter}
     by_frame: dict[int, list[Detection]] = {}
     for lineno, parts in _rows(text, None, 10):
         try:
-            frame = int(float(parts[0]))
+            frame = _integer(parts[0], "frame")
             cls = parts[2].lower()
-            x1, y1, x2, y2 = (float(v) for v in parts[6:10])
+            x1, y1, x2, y2 = map(float, parts[6:10])
             conf = float(parts[17]) if len(parts) > 17 else 100.0
             if cls == "dontcare" or (class_filter is not None and cls not in class_filter):
                 continue
@@ -100,7 +113,7 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         dets = by_frame.setdefault(frame, [])
-        dets.append(Detection(id=len(dets), cls=cls, conf=pct, box=box))
+        dets.append(Detection(len(dets), cls, pct, box))
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
 
@@ -109,9 +122,9 @@ def parse_mot_tracks(text: str) -> TrackBoxes:
     out: TrackBoxes = {}
     for lineno, parts in _rows(text, ",", 6):
         try:
-            frame = int(float(parts[0]))
-            tid = int(float(parts[1]))
-            box = BBox2D(*(float(v) for v in parts[2:6]))
+            frame = _integer(parts[0], "frame")
+            tid = _integer(parts[1], "track id")
+            box = BBox2D(*map(float, parts[2:6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         out.setdefault(tid, {})[frame] = box

@@ -83,17 +83,22 @@ class MotionFilter:
     def predict(self) -> list[BBox2D]:
         """Advance every row one frame; returns the boxes of the predicted
         states in row order."""
-        q, q_v, q_r = PROCESS_NOISE[:3], PROCESS_NOISE[4:], PROCESS_NOISE[3]
+        q_cx, q_cy, q_s, q_r, q_vcx, q_vcy, q_vs = PROCESS_NOISE
         boxes = []
-        for row in self.rows.values():
-            cx, cy, s, r = row
+        for cx, cy, s, r in self.rows.values():
             # Avoid driving the area negative when area velocity is large.
             if s[0] + s[1] <= 0:
                 s[1] = 0.0
-            for pair, q_i, q_vi in zip(row, q, q_v):
-                x, v, a, b, d = pair
-                e = b + d
-                pair[:] = x + v, v, ((a + b) + e) + q_i, e, d + q_vi
+            # The cx, cy and s pairs written out: a loop over them costs more.
+            x, v, a, b, d = cx
+            e = b + d
+            cx[:] = x + v, v, ((a + b) + e) + q_cx, e, d + q_vcx
+            x, v, a, b, d = cy
+            e = b + d
+            cy[:] = x + v, v, ((a + b) + e) + q_cy, e, d + q_vcy
+            x, v, a, b, d = s
+            e = b + d
+            s[:] = x + v, v, ((a + b) + e) + q_s, e, d + q_vs
             r[1] += q_r
             boxes.append(z_to_box(cx[0], cy[0], s[0], r[0]))
         return boxes

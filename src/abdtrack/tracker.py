@@ -16,8 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .abduction import (
-    Action,
-    ActionKind,
+    ASSIGN,
+    END,
+    HALT,
+    RESUME,
+    START,
     ProblemSpec,
     SolveResult,
     Thresholds,
@@ -25,14 +28,19 @@ from .abduction import (
     solve,
 )
 from .domain import (
+    ACTIVE,
+    ENDED,
+    ENTERS_FOV,
+    HALTED,
+    INTERPOLATED,
+    LEAVES_FOV,
+    LOST,
+    OBSERVED,
     Detection,
-    EventKind,
     EventOccurrence,
     FluentStore,
     HistoryEntry,
-    Provenance,
     Track,
-    TrackState,
     apply_event,
 )
 from .geometry import BBox2D, iou_matrix, scaled_iou
@@ -118,12 +126,7 @@ class AbductionEngine:
         predictions: dict[int, TrackPrediction] = {}
         for tid, box in zip(self.motion.ids, self.motion.predict(), strict=True):
             trk = self.tracks[tid]
-            predictions[tid] = TrackPrediction(
-                box=box,
-                state=trk.state,
-                cls=trk.cls,
-                halted_age=trk.halted_age(frame),
-            )
+            predictions[tid] = TrackPrediction(box, trk.state, trk.cls, trk.halted_age(frame))
         likelihoods: dict[tuple[int, int], int] = {}
         if predictions and detections:
             tids = list(predictions)
@@ -158,19 +161,19 @@ class AbductionEngine:
         frame_events: list[EventOccurrence] = []
 
         for action in result.actions:
-            event = action.event
-            if action.kind == ActionKind.ASSIGN:
+            kind, event = action.kind, action.event
+            if kind is ASSIGN:
                 self._observe(self.tracks[action.trk], frame, dets[action.det])
-            elif action.kind == ActionKind.START:
+            elif kind is START:
                 tid = self._start_track(frame, dets[action.det])
-                event = EventOccurrence(EventKind.ENTERS_FOV, frame, tid)
-            elif action.kind == ActionKind.RESUME:
+                event = EventOccurrence(ENTERS_FOV, frame, tid)
+            elif kind is RESUME:
                 self._resume_track(self.tracks[action.trk], frame, dets[action.det])
-            elif action.kind == ActionKind.HALT:
+            elif kind is HALT:
                 trk = self.tracks[action.trk]
-                trk.state = TrackState.HALTED
+                trk.state = HALTED
                 trk.halted_since = frame
-            elif action.kind == ActionKind.END:
+            elif kind is END:
                 self._end_track(action.trk)
             # IGNORE_TRK / IGNORE_DET: no state change, noise event logged
             if event is not None:
@@ -178,7 +181,7 @@ class AbductionEngine:
         self.motion.update(self._observed)
         self._observed.clear()
 
-        ending = (EventKind.LEAVES_FOV, EventKind.LOST)
+        ending = (LEAVES_FOV, LOST)
         for e in sorted(frame_events, key=lambda e: e.kind in ending):
             apply_event(self.fluents, e)
         self.events.extend(frame_events)
@@ -187,7 +190,7 @@ class AbductionEngine:
 
     def _observe(self, trk: Track, frame: int, det: Detection) -> None:
         self._observed[trk.id] = det.box
-        trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
+        trk.history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
 
     def _start_track(self, frame: int, det: Detection) -> int:
         tid = self._next_id
@@ -195,8 +198,8 @@ class AbductionEngine:
         trk = Track(
             id=tid,
             cls=det.cls,
-            state=TrackState.ACTIVE,
-            history=[HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf)],
+            state=ACTIVE,
+            history=[HistoryEntry(frame, det.box, OBSERVED, det.conf)],
             born_frame=frame,
         )
         self.tracks[tid] = trk
@@ -214,18 +217,16 @@ class AbductionEngine:
                 last.box.w + f * (det.box.w - last.box.w),
                 last.box.h + f * (det.box.h - last.box.h),
             )
-            trk.history.append(
-                HistoryEntry(last.frame + k, box, Provenance.INTERPOLATED, 0)
-            )
-        trk.state = TrackState.ACTIVE
+            trk.history.append(HistoryEntry(last.frame + k, box, INTERPOLATED, 0))
+        trk.state = ACTIVE
         trk.halted_since = None
         self._observed[trk.id] = det.box
-        trk.history.append(HistoryEntry(frame, det.box, Provenance.OBSERVED, det.conf))
+        trk.history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
 
     def _end_track(self, tid: int) -> None:
         trk = self.tracks[tid]
         self.motion.drop(tid)
-        trk.state = TrackState.ENDED
+        trk.state = ENDED
         trk.halted_since = None
 
     # -- output ----------------------------------------------------------
@@ -238,7 +239,7 @@ class AbductionEngine:
         """
         if self._finalized is None:
             for tid in self.motion.ids:
-                self.tracks[tid].state = TrackState.ENDED
+                self.tracks[tid].state = ENDED
                 self.fluents.drop_track(tid)
             self._finalized = Explanation(
                 tracks=sorted(self.tracks.values(), key=lambda t: t.id),

@@ -102,6 +102,25 @@ class TestTrack:
         assert rc == 0
         assert events.read_text() == "occurs_at(enters_fov(trk_0),1)\n"
 
+    @pytest.mark.parametrize("classes, tracked", [("Car", 1), ("car, Pedestrian", 2)])
+    def test_kitti_class_filter_any_case(self, tmp_path, classes, tracked):
+        # KITTI spells its types "Car", "Pedestrian"; the filter used to be
+        # compared as given, so --classes Car kept nothing.
+        rows = [
+            f"{f} -1 {cls} 0 0 0 {x} 100 {x + 60} 160 1 1 1 0 0 0 0 0.9\n"
+            for f in range(3)
+            for cls, x in (("Car", 100), ("Pedestrian", 400), ("Cyclist", 700))
+        ]
+        dets = tmp_path / "dets.txt"
+        dets.write_text("".join(rows))
+        events = tmp_path / "events.txt"
+        rc = main(["track", "--input", str(dets), "--format", "kitti",
+                   "--classes", classes, "--out-events", str(events)])
+        assert rc == 0
+        assert events.read_text() == "".join(
+            f"occurs_at(enters_fov(trk_{t}),0)\n" for t in range(tracked)
+        )
+
     def test_missing_input_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["track", "--input", str(tmp_path / "nope.txt")])

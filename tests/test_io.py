@@ -39,6 +39,16 @@ class TestParseMot:
     def test_empty_file(self):
         assert parse_mot("").frames == []
 
+    def test_integral_frame_in_float_form(self):
+        stream = parse_mot("7,-1,0,0,10,10,0.9\n7.0,-1,20,0,10,10,0.9\n")
+        assert [(f, len(dets)) for f, dets in stream.frames] == [(7, 2)]
+
+    @pytest.mark.parametrize("frame", ["1.7", "1.2", "nan", "inf"])
+    def test_non_integral_frame_rejected_with_line_number(self, frame):
+        # 1.7 and 1.2 used to merge into frame 1.
+        with pytest.raises(ValueError, match="line 2: frame is not an integer"):
+            parse_mot(f"1,-1,0,0,10,10,0.9\n{frame},-1,0,0,10,10,0.9\n")
+
     def test_two_lines_same_frame(self):
         stream = parse_mot("3,-1,0,0,10,10,1\n3,-1,50,50,10,10,0.5\n")
         assert len(stream.frames) == 1
@@ -91,6 +101,20 @@ class TestParseKitti:
         stream_all = parse_kitti(text)
         assert [d.cls for d in stream_all.frames[0][1]] == ["car", "pedestrian"]
 
+    @pytest.mark.parametrize("names", [{"Car"}, {" car "}, {"CAR", "Van"}])
+    def test_class_filter_names_any_case(self, names):
+        stream = parse_kitti(self.LINE + "\n", class_filter=names)
+        assert [d.cls for d in stream.frames[0][1]] == ["car"]
+
+    def test_integral_frame_in_float_form(self):
+        stream = parse_kitti(self.LINE.replace("0", "3.0", 1) + "\n")
+        assert stream.frames[0][0] == 3
+
+    @pytest.mark.parametrize("frame", ["1.7", "0.5", "nan"])
+    def test_non_integral_frame_rejected_with_line_number(self, frame):
+        with pytest.raises(ValueError, match="line 2: frame is not an integer"):
+            parse_kitti(self.LINE + "\n" + self.LINE.replace("0", frame, 1) + "\n")
+
     def test_score_column_optional(self):
         line = "2 -1 Cyclist 0 0 0 10 10 20 30 1 1 1 0 0 0 0"
         stream = parse_kitti(line + "\n")
@@ -115,6 +139,17 @@ class TestParseMotTracks:
                                       "1,1,0,10,1e-200,1e-200"])
     def test_bad_box_rejected_with_line_number(self, line):
         with pytest.raises(ValueError, match="line 2"):
+            parse_mot_tracks("1,1,0,0,10,10\n" + line + "\n")
+
+    def test_integral_frame_and_id_in_float_form(self):
+        out = parse_mot_tracks("7.0,3.0,0,0,10,10\n")
+        assert list(out) == [3] and list(out[3]) == [7]
+
+    @pytest.mark.parametrize("line, name", [("1.5,1,0,0,10,10", "frame"),
+                                            ("2,1.5,0,0,10,10", "track id"),
+                                            ("2,inf,0,0,10,10", "track id")])
+    def test_non_integral_frame_or_id_rejected_with_line_number(self, line, name):
+        with pytest.raises(ValueError, match=f"line 2: {name} is not an integer"):
             parse_mot_tracks("1,1,0,0,10,10\n" + line + "\n")
 
     def test_short_line_rejected_with_field_count(self):
