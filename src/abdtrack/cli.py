@@ -183,7 +183,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     track_counts = [int(v) for v in args.tracks.split(",")]
     config = _engine_config(args)
-    print(f"{'tracks':>8} {'ms/frame':>10} {'fps':>8}")
+    # One mean cannot resolve a small change on a busy machine; the
+    # median and the worst frame sit beside it.
+    print(f"{'tracks':>8} {'ms/frame':>10} {'p50 ms':>8} {'max ms':>8} {'fps':>8}")
     csv_rows = ["n_tracks,frame,total_ms"]
     for n in track_counts:
         cfg = ScenarioConfig(
@@ -197,7 +199,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         times = [s.total_ms for s in engine.latencies]
         mean = statistics.fmean(times)
         fps = 1000.0 / mean if mean > 0 else float("inf")
-        print(f"{n:>8} {mean:>10.2f} {fps:>8.2f}")
+        p50, worst = statistics.median(times), max(times)
+        print(f"{n:>8} {mean:>10.2f} {p50:>8.2f} {worst:>8.2f} {fps:>8.2f}")
         csv_rows += [f"{n},{s.frame},{s.total_ms:.4f}" for s in engine.latencies]
     if args.latency_csv:
         Path(args.latency_csv).write_text("\n".join(csv_rows) + "\n")

@@ -8,12 +8,27 @@ are legal); coordinates must be finite, widths and heights strictly
 positive, and the area w*h and aspect w/h finite positive floats, since
 the motion filter measures both: a box whose area or aspect over- or
 underflows is rejected.
+
+The tracker's matching likelihoods come from :func:`overlap_likelihoods`,
+a sweep over the detections sorted by left edge (the broad phase of
+sweep and prune; Baraff 1992, Cohen et al. 1995, I-COLLIDE) that tests
+only the pairs whose x-intervals can meet.  Its window is exact, not a
+heuristic: with ``wmax`` the widest detection, a detection b with
+``fl(b.x + wmax) <= a.x`` has ``b.x2 = fl(b.x + b.w) <= a.x``, because
+rounding is monotone, and one with ``b.x >= a.x2`` starts past a's
+right edge; either way :func:`iou`'s own min, max and subtract give an
+intersection width ``<= 0``.  Inside the window each pair takes
+:func:`iou_matrix`'s operations in its order, so the values are bit for
+bit those of the dense :func:`scaled_iou` of :func:`iou_matrix`, which
+stay as the reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf, isfinite
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +39,7 @@ __all__ = [
     "iou",
     "iou_matrix",
     "scaled_iou",
+    "overlap_likelihoods",
     "overlapping_top",
     "may_overlap_top",
     "proper_part",
@@ -109,6 +125,45 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[:, 2] * a[:, 3])[:, None]
     area_b = (b[:, 2] * b[:, 3])[None, :]
     return inter / (area_a + area_b - inter)
+
+
+def overlap_likelihoods(
+    tracks: Iterable[tuple[int, BBox2D]], dets: Sequence[tuple[int, BBox2D]]
+) -> dict[tuple[int, int], int]:
+    """The non-zero :func:`scaled_iou` of every (track, detection) pair of
+    ``(id, box)`` pairs, keyed ``(track id, detection id)``, as Python
+    ints: per track in the given order, its detections by (x, id).
+
+    A sweep over the detections sorted by left edge: each track scans
+    only the slice whose x-intervals can meet its own (the module
+    docstring says why no pair with a non-zero value lies outside it).
+    ``round`` rounds ties to even, as ``np.rint`` does, so a value of at
+    most 0.5 rounds to 0 and is dropped; so is a NaN (two boxes whose
+    bottom or right edges overflow to inf), which the dense cast to
+    int64 leaves undefined."""
+    # x2, y2 and area as the properties compute them, without their calls
+    rows = sorted([(b.x, did, b.y, b.x + b.w, b.y + b.h, b.w * b.h) for did, b in dets])
+    if not rows:
+        return {}
+    wmax = max([b.w for _, b in dets])
+    xs = [r[0] for r in rows]
+    reach = [x + wmax for x in xs]
+    out = {}
+    for tid, a in tracks:
+        ax, ay, aw, ah = a.x, a.y, a.w, a.h
+        ax2, ay2, area = ax + aw, ay + ah, aw * ah
+        for bx, did, by, bx2, by2, b_area in rows[bisect_right(reach, ax) : bisect_left(xs, ax2)]:
+            # Holds whenever ih > 0; in a crowded frame it rejects most of
+            # the window at two comparisons.
+            if by < ay2 and ay < by2:
+                iw = (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx)
+                ih = (ay2 if ay2 < by2 else by2) - (ay if ay > by else by)
+                if iw > 0 and ih > 0:
+                    inter = iw * ih
+                    v = IOU_SCALE * (inter / (area + b_area - inter))
+                    if v > 0.5:
+                        out[tid, did] = round(v)
+    return out
 
 
 def overlapping_top(a: BBox2D, b: BBox2D) -> bool:

@@ -106,26 +106,30 @@ class MotionFilter:
     def update(self, obs: dict[int, BBox2D]) -> None:
         """Standard Kalman correction on (cx, cy, s, r) of the rows of the
         tracks in ``obs``, one observed box each."""
-        m, m_r = MEASUREMENT_NOISE[:3], MEASUREMENT_NOISE[3]
+        m_cx, m_cy, m_s, m_r = MEASUREMENT_NOISE
         for tid, box in obs.items():
-            row = self.rows[tid]
-            z = box_to_z(box)
-            for pair, z_i, m_i in zip(row, z, m):
-                x, v, a, b, d = pair
-                inv = 1.0 / (a + m_i)
-                ka, kb = a * inv, b * inv
-                y = z_i - x
-                # b: the mean of P[i,i+4] and P[i+4,i], as (P + Pᵀ) / 2 takes it.
-                pair[:] = (
-                    x + ka * y,
-                    v + kb * y,
-                    (1.0 - ka) * a,
-                    ((1.0 - ka) * b + (-kb * a + b)) / 2.0,
-                    -kb * b + d,
-                )
-            x, p = r = row[3]
+            cx, cy, s, r = self.rows[tid]
+            z_cx, z_cy, z_s, z_r = box_to_z(box)
+            # The pairs written out as in predict.  b: the mean of
+            # P[i,i+4] and P[i+4,i], as (P + Pᵀ) / 2 takes it.
+            x, v, a, b, d = cx
+            inv = 1.0 / (a + m_cx)
+            ka, kb, y = a * inv, b * inv, z_cx - x
+            c = 1.0 - ka
+            cx[:] = x + ka * y, v + kb * y, c * a, (c * b + (-kb * a + b)) / 2.0, -kb * b + d
+            x, v, a, b, d = cy
+            inv = 1.0 / (a + m_cy)
+            ka, kb, y = a * inv, b * inv, z_cy - x
+            c = 1.0 - ka
+            cy[:] = x + ka * y, v + kb * y, c * a, (c * b + (-kb * a + b)) / 2.0, -kb * b + d
+            x, v, a, b, d = s
+            inv = 1.0 / (a + m_s)
+            ka, kb, y = a * inv, b * inv, z_s - x
+            c = 1.0 - ka
+            s[:] = x + ka * y, v + kb * y, c * a, (c * b + (-kb * a + b)) / 2.0, -kb * b + d
+            x, p = r
             k = p * (1.0 / (p + m_r))
-            r[:] = x + k * (z[3] - x), (1.0 - k) * p
+            r[:] = x + k * (z_r - x), (1.0 - k) * p
 
     def velocity(self, tid: int) -> tuple[float, float]:
         """Estimated (MovX, MovY) of track ``tid`` in px/frame."""

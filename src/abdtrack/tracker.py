@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .abduction import (
     ASSIGN,
     END,
@@ -43,14 +41,11 @@ from .domain import (
     Track,
     apply_event,
 )
-from .geometry import BBox2D, iou_matrix, scaled_iou
+from .geometry import BBox2D, overlap_likelihoods
+from .geometry import iou_matrix  # not called; perfbench/tracing.py wraps this name
 from .motion import MotionFilter
 
 __all__ = ["EngineConfig", "Explanation", "AbductionEngine"]
-
-
-def _xywh(b: BBox2D) -> tuple[float, float, float, float]:
-    return (b.x, b.y, b.w, b.h)
 
 
 @dataclass(frozen=True)
@@ -124,26 +119,15 @@ class AbductionEngine:
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
         predictions: dict[int, TrackPrediction] = {}
-        for tid, box in zip(self.motion.ids, self.motion.predict(), strict=True):
+        boxes = list(zip(self.motion.ids, self.motion.predict(), strict=True))
+        for tid, box in boxes:
             trk = self.tracks[tid]
             predictions[tid] = TrackPrediction(box, trk.state, trk.cls, trk.halted_age(frame))
-        likelihoods: dict[tuple[int, int], int] = {}
-        if predictions and detections:
-            tids = list(predictions)
-            ml = scaled_iou(
-                iou_matrix(
-                    np.array([_xywh(predictions[t].box) for t in tids]),
-                    np.array([_xywh(d.box) for d in detections]),
-                )
-            )
-            rows, cols = np.nonzero(ml)
-            for i, j, v in zip(rows.tolist(), cols.tolist(), ml[rows, cols].tolist()):
-                likelihoods[(tids[i], detections[j].id)] = v
         return ProblemSpec(
             frame=frame,
             detections=tuple(detections),
             predictions=predictions,
-            likelihoods=likelihoods,
+            likelihoods=overlap_likelihoods(boxes, [(d.id, d.box) for d in detections]),
             fluents=self.fluents.copy(),
             config=self.config.thresholds,
             frame_geom=self.config.frame_geom,

@@ -306,6 +306,10 @@ class TestBench:
         out = capsys.readouterr().out
         rows = [l for l in out.splitlines() if re.match(r"^\s+\d+\s", l)]
         assert len(rows) == 2
+        assert out.split()[:5] == ["tracks", "ms/frame", "p50", "ms", "max"]
+        for row in rows:
+            _, mean, p50, worst, _ = map(float, row.split())
+            assert 0 < p50 <= worst and mean <= worst
         csv = (tmp_path / "lat.csv").read_text().splitlines()
         assert csv[0] == "n_tracks,frame,total_ms"
         assert len(csv) == 1 + 2 * 8

@@ -10,10 +10,13 @@ from abdtrack.geometry import (
     iou,
     iou_matrix,
     may_overlap_top,
+    overlap_likelihoods,
     overlapping_top,
     proper_part,
     scaled_iou,
 )
+from abdtrack import AbductionEngine
+from abdtrack.synth import ScenarioConfig, generate
 from conftest import edge_case_boxes, random_box
 
 
@@ -78,6 +81,110 @@ class TestIoU:
             0, 25000, 33333, 66667, 100000,
         ]
         assert scaled_iou(1 / 3) == 33333
+
+
+def dense_likelihoods(tracks, dets):
+    """The reference: the non-zero pairs of scaled_iou(iou_matrix(...))."""
+    if not tracks or not dets:
+        return {}
+    with np.errstate(over="ignore"):  # an overflowing union gives IoU 0
+        ious = iou_matrix(
+            np.array([(b.x, b.y, b.w, b.h) for _, b in tracks]),
+            np.array([(b.x, b.y, b.w, b.h) for _, b in dets]),
+        )
+    ml = scaled_iou(ious)
+    rows, cols = np.nonzero(ml)
+    return {
+        (tracks[i][0], dets[j][0]): v
+        for i, j, v in zip(rows.tolist(), cols.tolist(), ml[rows, cols].tolist())
+    }
+
+
+def assert_sweep_equals_dense(tracks, dets):
+    got = overlap_likelihoods(tracks, dets)
+    assert got == dense_likelihoods(tracks, dets)
+    assert all(type(v) is int and v > 0 for v in got.values())
+    return got
+
+
+def numbered(boxes, start=0):
+    return list(enumerate(boxes, start))
+
+
+class TestOverlapLikelihoods:
+    """The sorted sweep equals the dense matrix and its nonzero pairs."""
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(11)
+        pairs = 0
+        for _ in range(300):
+            tracks = numbered([random_box(rng) for _ in range(rng.integers(0, 15))], 100)
+            dets = numbered([random_box(rng) for _ in range(rng.integers(0, 15))])
+            pairs += len(assert_sweep_equals_dense(tracks, dets))
+        assert pairs > 500
+
+    def test_edge_case_boxes(self):
+        # touching edges, underflowing intersections, overflowing unions
+        # and negative coordinates
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            tracks = numbered(edge_case_boxes(rng, int(rng.integers(0, 20))), 50)
+            dets = numbered(edge_case_boxes(rng, int(rng.integers(0, 20))))
+            assert_sweep_equals_dense(tracks, dets)
+
+    def test_one_detection_far_wider_than_the_rest(self):
+        # wmax widens every track's window, so the wide box, sorted first,
+        # still meets the tracks far to the right of its left edge.
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            wide = int(rng.integers(0, 11))
+            dets = [random_box(rng) for _ in range(10)]
+            dets.insert(wide, BBox2D(-500.0, -100.0, 2000.0, 600.0))
+            tracks = numbered([random_box(rng) for _ in range(10)], 20)
+            got = assert_sweep_equals_dense(tracks, numbered(dets))
+            assert all((t, wide) in got for t, _ in tracks)
+
+    def test_equal_left_edges(self):
+        dets = numbered([BBox2D(10.0, 10.0 * k, 5.0 + k, 12.0) for k in range(8)])
+        tracks = numbered([BBox2D(10.0, 5.0 * k, 6.0, 10.0) for k in range(10)], 100)
+        assert len(assert_sweep_equals_dense(tracks, dets)) > 8
+        # a track ending at the shared left edge touches and is dropped
+        assert overlap_likelihoods([(0, BBox2D(0.0, 0.0, 10.0, 80.0))], dets) == {}
+
+    def test_values_rounding_to_zero_are_dropped(self):
+        big = BBox2D(0.0, 0.0, 1000.0, 200.0)  # area 200,000
+        tiny = [BBox2D(0.0, 0.0, w, 1.0) for w in (0.1, 1.0, 2.0, 3.0, 5.0)]
+        dets = numbered(tiny)
+        got = assert_sweep_equals_dense([(7, big)], dets)
+        # IoU w / 200,000 scales to 0.05, 0.5, 1.0, 1.5 and 2.5; 0.5 rounds
+        # to even 0 and 1.5 and 2.5 to 2; the dense IoUs are all positive
+        assert got == {(7, 2): 1, (7, 3): 2, (7, 4): 2}
+        assert all(iou(big, b) > 0 for b in tiny)
+
+    def test_empty_lists(self):
+        boxes = numbered([BBox2D(0, 0, 10, 10)])
+        assert overlap_likelihoods([], boxes) == {}
+        assert overlap_likelihoods(boxes, []) == {}
+        assert overlap_likelihoods([], []) == {}
+
+    @pytest.mark.parametrize("n_tracks", [50, 100, 200])
+    def test_equals_dense_on_bench_frames(self, n_tracks):
+        # the specs the engine records for the scaling bench's frames
+        cfg = ScenarioConfig(
+            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
+            jitter_sigma=1.0, seed=0,
+        )
+        engine = AbductionEngine()
+        pairs = 0
+        for frame, dets in generate(cfg)[0]:
+            engine.step(frame, dets)
+            spec = engine.last_spec
+            tracks = [(t, p.box) for t, p in spec.predictions.items()]
+            dense = dense_likelihoods(tracks, [(d.id, d.box) for d in spec.detections])
+            assert spec.likelihoods == dense
+            assert all(type(v) is int for v in spec.likelihoods.values())
+            pairs += len(dense)
+        assert pairs > 5 * n_tracks
 
 
 class TestOverlappingTop:

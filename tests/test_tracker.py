@@ -244,8 +244,21 @@ def fluent_state(store: FluentStore):
     )
 
 
+def unexplained_hidden(eng: AbductionEngine) -> list[int]:
+    """Live tracks that are not_visible with no live occluder in hidden_by;
+    the frame invariant asks for none after every frame."""
+    live = eng.fluents.tracks()
+    return [
+        t
+        for t in sorted(live)
+        if eng.fluents.visibility(t) is Visibility.NOT_VISIBLE
+        and not any(o in live for o in eng.fluents.occluder_of(t))
+    ]
+
+
 class TestEventReplay:
-    """Fluents change only by events: the event log alone rebuilds them."""
+    """Fluents change only by events: the event log alone rebuilds them;
+    and every hidden track keeps a live occluder."""
 
     @pytest.mark.parametrize("name", ["bench50", "churn", *(f"occlusion{k}" for k in range(5))])
     def test_replay_rebuilds_the_fluents(self, name, tmp_path):
@@ -264,7 +277,28 @@ class TestEventReplay:
             apply_frame(replayed, eng.events[logged:])
             assert fluent_state(replayed) == fluent_state(eng.fluents)
             assert replayed.tracks() == set(eng.motion.ids)
+            assert unexplained_hidden(eng) == [], frame
         assert any(e.kind == EventKind.HIDES_BEHIND for e in eng.events)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 4: a track hidden behind an occluder that ends "
+        "is left not_visible with no occluder",
+    )
+    def test_hidden_track_keeps_an_occluder_when_it_ends(self):
+        # ROADMAP item 4's repro: the car trk_0 hides behind the bus trk_1
+        # at frame 8; the bus halts at 12 and leaves the field of view at
+        # 13.  The static box keeps frames 12-14 in the stream.
+        eng = engine()
+        for f in range(1, 41):
+            boxes = []
+            if f <= 7 or f >= 15:
+                boxes.append(BBox2D(300, 100, 40, 60))
+            if f <= 11:
+                boxes.append(BBox2D(260 + 20 * (f - 8), 60, 80, 120))
+            boxes.append(BBox2D(30, 200, 30, 30))
+            eng.step(f, [det(i, b) for i, b in enumerate(boxes)])
+            assert unexplained_hidden(eng) == [], f
 
     def test_hiding_behind_an_ending_track_leaves_no_pair(self, monkeypatch):
         eng = engine()
