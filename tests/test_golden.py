@@ -11,6 +11,11 @@ fact dumps as sha256 digests (``golden/digests.json``), because the full files
 run to megabytes.  The input file's digest is locked too, so a change in
 the generator is told apart from a change in the engine.
 
+The worked examples of ``worked_examples.py`` are locked in full
+(``golden/worked_examples.txt``): the cover ``solve`` returns for frames 235
+and 268, action by action in result order, with its events and objective,
+and the facts ``emit_facts`` writes for frame 79.
+
 Regenerate only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,11 +33,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abdtrack import cli, motion
+from abdtrack import cli, emit_facts, motion, solve
 from abdtrack.cli import main
+from abdtrack.io import format_event
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
 from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
+from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +168,24 @@ def test_golden(name, tmp_path):
     assert _sha(facts_cmd) == expected["facts"]
 
 
+def worked_examples_text() -> str:
+    """Each worked example's solve result (its actions' ``pretty()`` in
+    result order, its events, its objective), then frame 79's facts."""
+    lines = []
+    for name, spec in (("frame235", frame235_spec()), ("frame268", frame268_spec())):
+        result = solve(spec)
+        lines.append(f"% solve {name}")
+        lines += [a.pretty() for a in result.actions]
+        lines += [format_event(e) for e in result.events]
+        lines.append(f"objective {result.objective}")
+    lines.append("% emit_facts frame79")
+    return "\n".join(lines) + "\n" + emit_facts(frame79_spec())
+
+
+def test_worked_examples():
+    assert worked_examples_text() == (GOLDEN / "worked_examples.txt").read_text()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_reference(name, tmp_path, monkeypatch):
     """`track --out-report` writes json.dumps(doc, indent=2) of the report
@@ -236,6 +261,7 @@ def _regenerate() -> None:
         (GOLDEN / f"{name}.events").write_text(events)
         print(name, digests[name])
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    (GOLDEN / "worked_examples.txt").write_text(worked_examples_text())
 
 
 if __name__ == "__main__":
