@@ -12,8 +12,8 @@ with their abduced events, into one option table (the objective makes
 end beat ignore_trk and start beat ignore_det, so the dominated ignore
 is not made, nor the option of a detection that a forced assign takes).
 A halt, an active track's fallback, enters the solve untested and is
-linked after the solve if the cover holds it (a cover halt with no
-possible event raises ``EngineBugError``).  The optimum is lexicographic:
+linked once the cover holds it (a cover halt with no possible event
+raises ``EngineBugError``).  The optimum is lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -42,7 +42,8 @@ decided by an exact consequence of the objective (see :func:`solve`):
   pre-solve fluent state); tracks are then fixed in id order, re-solving
   the rest only for a better-ranked edge on a free detection.
 
-Only the cover's actions are made as ``Action`` objects.
+Only the cover's actions are made as ``Action`` objects, each in its
+place in the result, which is scored as it is built, not a second time.
 ``solve_oracle`` exhaustively enumerates every legal cover of small
 instances from the same table, made into actions by
 :func:`candidate_actions`, and must agree with ``solve``.
@@ -236,7 +237,7 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     track's are assigns, from the likelihood pairs above the IoU
     threshold; a halted track's are resumes, which share one link.  An
     active track's fallback, ``halt``, enters untested (see
-    :func:`_result`): the canonical cover of this larger set, if its
+    :func:`_fallback`): the canonical cover of this larger set, if its
     halts are explained, is that of the strict set, and
     missing_detections explains the halt of every active track the
     engine makes.  A halted track's fallback is the first explained of
@@ -244,23 +245,24 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     config = spec.config
     iou_min, conf_assign = config.iou_thresh_scaled, config.conf_thresh_assign
     dets = {d.id: d for d in spec.detections}
-    overlapping: dict[int, list[int]] = {}
+    preds = spec.predictions
+    assigns: dict[int, list[int]] = {}
     for (tid, did), ml in spec.likelihoods.items():
         if ml > iou_min:
-            overlapping.setdefault(tid, []).append(did)
+            det, pred = dets[did], preds[tid]
+            if det.conf > conf_assign and det.cls == pred.cls and pred.state is ACTIVE:
+                assigns.setdefault(tid, []).append(did)
     resumable: dict[str, list[int]] = {}
     for did in sorted(dets):
         if dets[did].conf > config.conf_thresh_resume:
             resumable.setdefault(dets[did].cls, []).append(did)
     tracks = {}
-    for tid in sorted(spec.predictions):
-        pred = spec.predictions[tid]
+    for tid in sorted(preds):
+        pred = preds[tid]
         if pred.state is ACTIVE:
-            dids = sorted(
-                d
-                for d in overlapping.get(tid, ())
-                if dets[d].cls == pred.cls and dets[d].conf > conf_assign
-            )
+            dids = assigns.get(tid, [])
+            if len(dids) > 1:  # the likelihoods list a track's pairs in any order
+                dids.sort()
             tracks[tid] = (ASSIGN, None), dids, (HALT, None)
         elif pred.state is HALTED:
             dids = resumable.get(pred.cls, [])
@@ -313,8 +315,8 @@ def link_events(
     An empty list makes the action inadmissible.  Assign actions need no
     explanation.  The events of a resume do not depend on its detection.
     The option table calls it once per fallback it tries and once for
-    all of a halted track's resumes, and the solver after the solve for
-    the cover's halts.  A halt's occluders are judged in ascending id
+    all of a halted track's resumes, and the solver once per halt it
+    puts in the cover.  A halt's occluders are judged in ascending id
     among the superset of them that ``may_overlap_top`` keeps.
     """
     t, frame, k = trk, spec.frame, kind
@@ -405,23 +407,31 @@ def _action_rank(a: Action) -> tuple[int, int]:
     return (2, 0)  # ignore_trk
 
 
-def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
-    """A cover as a result: track actions by track id, then
-    detection-only actions by detection id, each non-assign carrying its
-    abduced event.  Options carry theirs already; halts are linked here.
+def _fallback(spec: ProblemSpec, trk: int, option: Option) -> Action:
+    """Track ``trk``'s fallback ``option`` as an action.  A halt enters
+    the solve untested and is linked here, once it is in the cover;
+    raises EngineBugError if no event explains it: its track, being
+    active, would have had no fallback action at all."""
+    kind, event = option
+    if kind is HALT:
+        event = next(iter(link_events(spec, HALT, trk)), None)
+        if event is None:
+            raise EngineBugError(f"track {trk} has no explainable fallback action")
+    return Action(kind, trk, event=event)
 
-    Raises EngineBugError for a cover halt that no event explains: its
-    track, being active, would have had no fallback action at all.
-    """
+
+def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
+    """A cover in any order as a result, for ``solve_oracle`` and the
+    tests' reference solver: track actions by track id, then
+    detection-only actions by detection id, halts linked by
+    :func:`_fallback`, scored by :func:`_objective`.  ``solve`` builds
+    the same result for itself in one pass."""
     track_part = sorted((a for a in actions if a.trk is not None), key=lambda a: a.trk)
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
-    ordered: list[Action] = []
-    for a in track_part + det_part:
-        if a.kind is HALT:
-            a = Action(a.kind, a.trk, event=next(iter(link_events(spec, a.kind, a.trk)), None))
-            if a.event is None:
-                raise EngineBugError(f"track {a.trk} has no explainable fallback action")
-        ordered.append(a)
+    ordered = [
+        _fallback(spec, a.trk, (HALT, None)) if a.kind is HALT else a
+        for a in track_part + det_part
+    ]
     events = tuple(a.event for a in ordered if a.event is not None)
     return SolveResult(actions=tuple(ordered), events=events, objective=_objective(spec, ordered))
 
@@ -469,9 +479,12 @@ def solve(spec: ProblemSpec) -> SolveResult:
       (:func:`_mixed_block`), its folding constants sized to the block,
       as its covers span no more.
 
-    Only the chosen cover's actions are made as ``Action``s, and only its
-    halts and its free detections' options linked.  Raises ValueError for
-    a block too large for exact float64 folding.
+    The result is built in its final order, a slot per track in
+    ascending id (a block's filled once it is solved), then the free
+    detections' options by id; each assign adds its level-10 gain as it
+    is made.  Only the cover's actions are made as ``Action``s, and only
+    its halts and its free detections' options linked.  Raises
+    ValueError for a block too large for exact float64 folding.
     """
     tracks = _option_table(spec)
     claims: dict[int, int] = {}
@@ -495,17 +508,20 @@ def solve(spec: ProblemSpec) -> SolveResult:
             parent[d] = d = parent[parent[d]]
         return d
 
-    actions: list[Action] = []
+    cover: dict[int, Optional[Action]] = {}  # a slot per track, by id
     edges: dict[int, list[int]] = {}
+    l10 = 0
     for t, (edge, dids, fallback) in tracks.items():
         if dids and forced.get(dids[0]) == t:
-            actions.append(Action(ASSIGN, t, dids[0]))
+            cover[t] = Action(ASSIGN, t, dids[0])
+            l10 += spec.likelihoods[t, dids[0]] + 1
             continue
         if forced and edge[0] is not ASSIGN:
             dids = [d for d in dids if d not in forced]
         if not dids:
-            actions.append(Action(fallback[0], t, event=fallback[1]))
+            cover[t] = _fallback(spec, t, fallback)
             continue
+        cover[t] = None  # filled when its block is solved
         edges[t] = dids
         root = find(parent.setdefault(dids[0], dids[0]))
         for d in dids[1:]:
@@ -523,17 +539,24 @@ def solve(spec: ProblemSpec) -> SolveResult:
         if all(
             tracks[t][0][0] is RESUME and len(edges[t]) == len(cols) for t in rows
         ):
-            actions += _resume_block(tracks, det_options, rows, cols)
+            block = _resume_block(tracks, det_options, rows, cols)
         else:
-            actions += _mixed_block(spec, tracks, det_options, edges, rows, cols)
+            block = _mixed_block(spec, tracks, det_options, edges, rows, cols)
+        for a in block:
+            cover[a.trk] = a
+            det_options.pop(a.det, None)  # the options left are the free detections'
+            if a.kind is ASSIGN:
+                l10 += spec.likelihoods[a.trk, a.det] + 1
 
-    used = {a.det for a in actions}
-    for did, (kind, event) in det_options.items():
-        if did not in used:
-            actions.append(Action(kind, det=did, event=event))
-    result = _result(spec, actions)
-    _assert_disjoint_effects(result.events)
-    return result
+    actions = list(cover.values())
+    actions += [Action(k, None, d, e) for d, (k, e) in sorted(det_options.items())]
+    l3 = l2 = 0
+    for a in actions:
+        c3, c2 = _COSTS[a.kind]
+        l3, l2 = l3 + c3, l2 + c2
+    events = tuple([a.event for a in actions if a.event is not None])
+    _assert_disjoint_effects(events)
+    return SolveResult(tuple(actions), events, (l10, l3, l2))
 
 
 def _resume_block(
@@ -649,7 +672,7 @@ def _mixed_block(
                     rest, match = tail, m
                     break
         else:  # no edge extends to an optimum
-            actions.append(Action(fallback[0], t, event=fallback[1]))
+            actions.append(_fallback(spec, t, fallback))
             continue
         free.remove(j)
         actions.append(Action(edge[0], t, did, edge[1]))

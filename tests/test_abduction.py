@@ -21,7 +21,7 @@ from abdtrack import (
 from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import EngineBugError, EventKind, EventOccurrence, apply_event, possible
-from abdtrack.geometry import IOU_SCALE
+from abdtrack.geometry import IOU_SCALE, overlap_likelihoods
 from abdtrack.synth import ScenarioConfig, generate
 from abdtrack.tracker import AbductionEngine
 from conftest import edge_case_boxes, make_random_spec, scaled_likelihoods
@@ -965,6 +965,160 @@ class TestOneOptionTable:
             assert oracle == after
             dropped += 1
         assert dropped > 10
+
+
+def _assert_result_order(spec, result):
+    """solve's result contract: one action per track in ascending id, then
+    the detection-only actions in ascending detection id; the events are
+    the actions' in that order; the objective is the cover's, and _result
+    makes the same result from the cover in any order."""
+    actions = result.actions
+    n = len(spec.predictions)
+    assert [a.trk for a in actions[:n]] == sorted(spec.predictions)
+    dets = [a.det for a in actions[n:]]
+    assert all(a.trk is None for a in actions[n:]) and dets == sorted(dets)
+    assert result.events == tuple(a.event for a in actions if a.event is not None)
+    assert result.objective == abduction._objective(spec, actions)
+    assert result == abduction._result(spec, list(reversed(actions)))
+
+
+class TestCoverOrder:
+    # solve builds its result in order and scores it as it goes; the
+    # oracle and the reference solver make theirs by _result.
+    def test_random_and_relabelled_specs(self, counted_solve):
+        rng = np.random.default_rng(71)
+        for k in range(200):
+            spec = make_random_spec(rng, max_tracks=40, max_dets=40, min_tracks=1)
+            for s in (spec, _relabelled(spec), _reversed(spec)):
+                _assert_result_order(s, counted_solve(s))
+        counts = counted_solve.counts
+        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed", "no edge")), counts
+
+    def test_halted_heavy_and_edge_case_specs(self):
+        rng = np.random.default_rng(72)
+        for _ in range(60):
+            spec = _halted_heavy_spec(rng, int(rng.integers(2, 61)), int(rng.integers(1, 41)))
+            for s in (spec, _relabelled(spec), _reversed(spec)):
+                _assert_result_order(s, solve(s))
+        solved = 0
+        for _ in range(300):
+            try:
+                result = solve(spec := _edge_case_spec(rng))
+            except EngineBugError:  # a clipped track's halt has no event
+                continue
+            _assert_result_order(spec, result)
+            solved += 1
+        assert solved > 10
+
+    @pytest.mark.parametrize("n_tracks", [50, 100, 200])
+    def test_bench_frames(self, n_tracks, counted_solve):
+        # Crowded frames: mixed blocks between forced assigns.
+        cfg = ScenarioConfig(
+            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
+            jitter_sigma=1.0, seed=0,
+        )
+        engine = AbductionEngine()
+        for frame, dets in generate(cfg)[0]:
+            result = engine.step(frame, dets)
+            spec = engine.last_spec
+            assert counted_solve(spec) == result
+            _assert_result_order(spec, result)
+            _assert_result_order(_reversed(spec), counted_solve(_reversed(spec)))
+        counts = counted_solve.counts
+        assert counts["forced"] > 0 and counts["mixed"] > 0, counts
+
+
+class TestOptionTableEdges:
+    def test_edges_kept_in_sweep_order_come_out_by_id(self):
+        # The likelihoods list a track's pairs by (x, id), the sweep's
+        # order; a class and a confidence failure lie between the kept
+        # edges, det_3 (x=98) and det_0 (x=110).
+        box = BBox2D(100, 100, 40, 40)
+        preds = {1: TrackPrediction(box, TrackState.ACTIVE, "car")}
+        dets = (
+            Detection(0, "car", 90, box.translated(10, 0)),
+            Detection(1, "person", 90, box.translated(-5, 0)),
+            Detection(2, "car", 20, box),
+            Detection(3, "car", 90, box.translated(-2, 0)),
+        )
+        fluents = FluentStore()
+        fluents.register_track(1)
+        spec = ProblemSpec(
+            frame=10, detections=dets, predictions=preds,
+            likelihoods=overlap_likelihoods([(1, box)], [(d.id, d.box) for d in dets]),
+            fluents=fluents, frame_geom=(320.0, 320.0),
+        )
+        assert list(spec.likelihoods) == [(1, 1), (1, 3), (1, 2), (1, 0)]
+        edge, dids, fallback = abduction._option_table(spec)[1]
+        assert edge == (ActionKind.ASSIGN, None) and dids == [0, 3]
+        assert candidate_actions(spec) == _expected_options(spec)
+
+    def test_halted_track_gets_resume_edges_only(self):
+        box = BBox2D(100, 100, 40, 40)
+        spec = simple_spec(
+            {4: (box, TrackState.HALTED, "car", 2)},
+            [("car", 90, box), ("car", 90, BBox2D(250, 250, 30, 30)), ("car", 40, box)],
+            fluent_setup=lambda s: apply_event(
+                s, EventOccurrence(EventKind.MISSING_DETECTIONS, 8, 4)
+            ),
+        )
+        assert spec.likelihoods[4, 0] == IOU_SCALE
+        (edge, dids, fallback), = abduction._option_table(spec).values()
+        assert edge == (ActionKind.RESUME, EventOccurrence(EventKind.RECOVER, 10, 4))
+        assert dids == [0, 1]  # every confident car, overlapping or not
+        assert [a.pretty() for a in solve(spec).actions[:1]] == ["resume(trk_4,det_0)"]
+
+    def test_ended_track_raises(self):
+        box = BBox2D(100, 100, 40, 40)
+        spec = simple_spec({2: (box, TrackState.ENDED, "car", 0)}, [("car", 90, box)])
+        assert spec.likelihoods == {(2, 0): IOU_SCALE}
+        with pytest.raises(EngineBugError, match="ended track 2 in problem spec"):
+            abduction._option_table(spec)
+        with pytest.raises(EngineBugError, match="ended track 2 in problem spec"):
+            solve(spec)
+
+
+def _clipped(*tids):
+    """Fluent setup that clips active tracks, a state no engine reaches:
+    their halt is explained only by an occluder."""
+    return lambda s: [
+        apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t)) for t in tids
+    ]
+
+
+class TestUnexplainedCoverHalt:
+    def test_raises_for_a_track_outside_any_block(self):
+        spec = simple_spec(
+            {
+                1: (BBox2D(40, 40, 30, 30), TrackState.ACTIVE, "car", 0),
+                5: (BBox2D(150, 40, 30, 30), TrackState.ACTIVE, "car", 0),
+            },
+            [("car", 90, BBox2D(150, 40, 30, 30))],
+            fluent_setup=_clipped(1),
+        )
+        assert not _halt_events(spec, 1)
+        with pytest.raises(EngineBugError, match=r"^track 1 has no explainable fallback action$"):
+            solve(spec)
+
+    def test_raises_for_a_track_a_mixed_block_leaves_on_its_fallback(self, monkeypatch):
+        # Tracks 1 and 2 both claim det_0, and 2 overlaps it more; track
+        # 2's bottom edge lies above track 1's, so 1 cannot hide behind it.
+        monkeypatch.setattr(abduction, "_resume_block", _no_matching)
+        box = BBox2D(100, 100, 40, 40)
+        spec = simple_spec(
+            {
+                1: (box.translated(0, 10), TrackState.ACTIVE, "car", 0),
+                2: (box, TrackState.ACTIVE, "car", 0),
+            },
+            [("car", 90, box)],
+            fluent_setup=_clipped(1),
+        )
+        assert not _halt_events(spec, 1)
+        with pytest.raises(
+            EngineBugError, match=r"^track 1 has no explainable fallback action$"
+        ) as err:
+            solve(spec)
+        assert "_mixed_block" in [entry.name for entry in err.traceback]
 
 
 class TestEmitFacts:
