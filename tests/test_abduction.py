@@ -987,7 +987,7 @@ class TestCoverOrder:
     # oracle and the reference solver make theirs by _result.
     def test_random_and_relabelled_specs(self, counted_solve):
         rng = np.random.default_rng(71)
-        for k in range(200):
+        for _ in range(200):
             spec = make_random_spec(rng, max_tracks=40, max_dets=40, min_tracks=1)
             for s in (spec, _relabelled(spec), _reversed(spec)):
                 _assert_result_order(s, counted_solve(s))
@@ -1023,7 +1023,8 @@ class TestCoverOrder:
             spec = engine.last_spec
             assert counted_solve(spec) == result
             _assert_result_order(spec, result)
-            _assert_result_order(_reversed(spec), counted_solve(_reversed(spec)))
+            reordered = _reversed(spec)
+            _assert_result_order(reordered, counted_solve(reordered))
         counts = counted_solve.counts
         assert counts["forced"] > 0 and counts["mixed"] > 0, counts
 
@@ -1050,7 +1051,8 @@ class TestOptionTableEdges:
         )
         assert list(spec.likelihoods) == [(1, 1), (1, 3), (1, 2), (1, 0)]
         edge, dids, fallback = abduction._option_table(spec)[1]
-        assert edge == (ActionKind.ASSIGN, None) and dids == [0, 3]
+        assert edge == (ActionKind.ASSIGN, None) and fallback == (ActionKind.HALT, None)
+        assert dids == [0, 3]
         assert candidate_actions(spec) == _expected_options(spec)
 
     def test_halted_track_gets_resume_edges_only(self):
@@ -1100,10 +1102,9 @@ class TestUnexplainedCoverHalt:
         with pytest.raises(EngineBugError, match=r"^track 1 has no explainable fallback action$"):
             solve(spec)
 
-    def test_raises_for_a_track_a_mixed_block_leaves_on_its_fallback(self, monkeypatch):
+    def test_raises_for_a_track_a_mixed_block_leaves_on_its_fallback(self):
         # Tracks 1 and 2 both claim det_0, and 2 overlaps it more; track
         # 2's bottom edge lies above track 1's, so 1 cannot hide behind it.
-        monkeypatch.setattr(abduction, "_resume_block", _no_matching)
         box = BBox2D(100, 100, 40, 40)
         spec = simple_spec(
             {
