@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -64,15 +63,16 @@ from scipy.optimize import linear_sum_assignment
 from ._records import slot_init
 from .domain import (
     ACTIVE,
-    ENTERS_FOV,
+    ASSIGN,
+    END,
+    EVENTS,
+    HALT,
     HALTED,
-    HIDES_BEHIND,
-    LEAVES_FOV,
-    LOST,
-    MISSING_DETECTIONS,
-    NOISE,
-    RECOVER,
-    UNHIDES_FROM_BEHIND,
+    IGNORE_DET,
+    IGNORE_TRK,
+    RESUME,
+    START,
+    ActionKind,
     Detection,
     EngineBugError,
     EventOccurrence,
@@ -81,7 +81,7 @@ from .domain import (
     possible,
     touched_fluents,
 )
-from .geometry import IOU_SCALE, BBox2D, may_overlap_top
+from .geometry import IOU_SCALE, BBox2D
 
 __all__ = [
     "Thresholds",
@@ -164,32 +164,6 @@ class ProblemSpec:
         """Each detection's box by id, made on first use from
         ``detections``."""
         return {d.id: d.box for d in self.detections}
-
-    @cached_property
-    def prediction_corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """The track ids ascending, and their predicted boxes' (x, y, x2, y2)."""
-        ids = sorted(self.predictions)
-        boxes = [self.predictions[t].box for t in ids]
-        return np.array(ids), np.array([(b.x, b.y, b.x2, b.y2) for b in boxes])
-
-
-class ActionKind(Enum):
-    ASSIGN = "assign"
-    START = "start"
-    END = "end"
-    HALT = "halt"
-    RESUME = "resume"
-    IGNORE_TRK = "ignore_trk"
-    IGNORE_DET = "ignore_det"
-
-    # Enum's __hash__ runs in Python and the solver keys dicts by kind.  An
-    # identity hash varies between runs: never iterate a set of kinds.
-    __hash__ = object.__hash__
-
-
-# Bound once: on Python 3.10 and 3.11 a member lookup costs about ten
-# global loads (see domain.TrackState).
-ASSIGN, START, END, HALT, RESUME, IGNORE_TRK, IGNORE_DET = ActionKind
 
 
 @slot_init
@@ -305,49 +279,31 @@ def _explained(spec: ProblemSpec, trk: Optional[int], det: Optional[int], *kinds
     raise EngineBugError(f"no possible event explains {Action(ignore, trk, det).pretty()}")
 
 
+# Per action kind, the event kinds that explain it, in preference order.
+_EXPLAINED_BY = {a: [k for k, rule in EVENTS.items() if a in rule.explains] for a in ActionKind}
+
+
 def link_events(
     spec: ProblemSpec, kind: ActionKind, trk: Optional[int] = None, det: Optional[int] = None
 ) -> list[EventOccurrence]:
     """Admissible explaining events for an action of ``kind`` on track
-    ``trk`` or detection ``det``, in the fixed preference order (the
-    first entry is the abduced one).
+    ``trk``, or on detection ``det`` if no track is given, in the fixed
+    preference order (the first entry is the abduced one): each event
+    kind whose :data:`~abdtrack.domain.EVENTS` entry explains ``kind``,
+    once per occluder the entry gives, kept if possible.
 
-    An empty list makes the action inadmissible.  Assign actions need no
-    explanation.  The events of a resume do not depend on its detection.
-    The option table calls it once per fallback it tries and once for
-    all of a halted track's resumes, and the solver once per halt it
-    puts in the cover.  A halt's occluders are judged in ascending id
-    among the superset of them that ``may_overlap_top`` keeps.
+    An empty list makes the action inadmissible; no event explains an
+    assign, which needs none.  The events of a resume do not depend on
+    its detection.  The option table calls it once per fallback it tries
+    and once for all of a halted track's resumes, and the solver once per
+    halt it puts in the cover.
     """
-    t, frame, k = trk, spec.frame, kind
-    if k is HALT:
-        ids, corners = spec.prediction_corners
-        events = [
-            EventOccurrence(HIDES_BEHIND, frame, t, occluder=t2)
-            for t2 in ids[may_overlap_top(spec.predictions[t].box, corners)].tolist()
-            if t2 != t
-        ]
-        events.append(EventOccurrence(MISSING_DETECTIONS, frame, t))
-    elif k is RESUME:
-        events = [
-            EventOccurrence(UNHIDES_FROM_BEHIND, frame, t, occluder=t2)
-            for t2 in spec.fluents.occluder_of(t)
-            if t2 in spec.predictions
-        ]
-        events.append(EventOccurrence(RECOVER, frame, t))
-    elif k is END:
-        events = [
-            EventOccurrence(LEAVES_FOV, frame, t),
-            EventOccurrence(LOST, frame, t),
-        ]
-    elif k is START:
-        events = [EventOccurrence(ENTERS_FOV, frame, det, subject_is_det=True)]
-    elif k is IGNORE_TRK:
-        events = [EventOccurrence(NOISE, frame, t)]
-    elif k is IGNORE_DET:
-        events = [EventOccurrence(NOISE, frame, det, subject_is_det=True)]
-    else:
-        return []
+    subject, on_det = (det, True) if trk is None else (trk, False)
+    events = [
+        EventOccurrence(k, spec.frame, subject, t2, on_det)
+        for k in _EXPLAINED_BY[kind]
+        for t2 in EVENTS[k].occluders(spec, subject)
+    ]
     return [e for e in events if possible(spec, e)]
 
 

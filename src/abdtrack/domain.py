@@ -1,21 +1,19 @@
-"""Scene ontology: detections, tracks, events, the fluent store, and the
-event preconditions (:func:`possible`, read from the frame's
-:class:`~abdtrack.abduction.ProblemSpec`).
+"""Scene ontology: detections, tracks, actions, events, the fluent store,
+and the event table :data:`EVENTS`, which holds each event kind's
+precondition, its effects and the actions it explains.
 
 Fluents (per track unless noted): visibility in {fully_visible,
 not_visible}, hidden_by (per ordered track pair, boolean) and clipped
-(boolean).  Values persist by inertia and change only through
-:func:`apply_event`, which also owns each track's fluent lifecycle:
-enters_fov starts a track's fluents (fully_visible, not hidden by
-anything, not clipped), leaves_fov and lost drop them.  Replaying an
-event log through it therefore rebuilds every fluent at every frame.
+(boolean).  Values persist by inertia and change only through the
+effects :func:`apply_event` applies, which also own each track's fluent
+lifecycle, so replaying an event log rebuilds every fluent at every frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from ._records import slot_init
 from .geometry import BBox2D, overlapping_top
@@ -30,10 +28,13 @@ __all__ = [
     "HistoryEntry",
     "Track",
     "Visibility",
+    "ActionKind",
     "EventKind",
     "EventOccurrence",
     "FluentStore",
     "EngineBugError",
+    "EventRule",
+    "EVENTS",
     "apply_event",
     "possible",
 ]
@@ -117,6 +118,23 @@ class Visibility(str, Enum):
 FULLY_VISIBLE, NOT_VISIBLE = Visibility
 
 
+class ActionKind(Enum):
+    ASSIGN = "assign"
+    START = "start"
+    END = "end"
+    HALT = "halt"
+    RESUME = "resume"
+    IGNORE_TRK = "ignore_trk"
+    IGNORE_DET = "ignore_det"
+
+    # Enum's __hash__ runs in Python and the solver keys dicts by kind.  An
+    # identity hash varies between runs: never iterate a set of kinds.
+    __hash__ = object.__hash__
+
+
+ASSIGN, START, END, HALT, RESUME, IGNORE_TRK, IGNORE_DET = ActionKind
+
+
 class EventKind(IntEnum):
     """High-level abducibles.  Integer values fix the deterministic
     preference order used when several events can explain one action."""
@@ -159,6 +177,9 @@ class EventOccurrence:
         return f"{self.kind.name.lower()}({args})"
 
 
+TRACK = "track"  # the lifecycle pseudo-fluent: True while a track's fluents exist
+
+
 class FluentStore:
     """Current fluent values for live tracks, with inertia semantics.
 
@@ -196,7 +217,7 @@ class FluentStore:
 
     def _check(self, tid: int) -> None:
         if tid not in self._visibility:
-            raise EngineBugError(f"fluent query for unknown track {tid}")
+            raise EngineBugError(f"fluent query or write for unknown track {tid}")
 
     def visibility(self, tid: int) -> Visibility:
         self._check(tid)
@@ -218,103 +239,155 @@ class FluentStore:
         """Tracks t2 with hidden_by(tid, t2) = true, ascending."""
         return sorted(t2 for (t1, t2) in self._hidden_pairs if t1 == tid)
 
+    # -- writes ------------------------------------------------------
+
+    def write(self, fluent: str, value: object, tid: int, occluder: Optional[int] = None) -> None:
+        """Set ``fluent`` of track ``tid``, or hidden_by of the pair (tid,
+        occluder), to ``value``; ``TRACK`` starts or drops tid's fluents.
+        Raises EngineBugError, before writing any other fluent, unless the
+        store holds tid and any occluder."""
+        if fluent == TRACK:
+            (self.register_track if value else self.drop_track)(tid)
+            return
+        self._check(tid)
+        if occluder is not None:
+            self._check(occluder)
+        if fluent == "hidden_by":
+            (self._hidden_pairs.add if value else self._hidden_pairs.discard)((tid, occluder))
+        else:
+            (self._visibility if fluent == "visibility" else self._clipped)[tid] = value
+
+
+# ----------------------------------------------------------------------
+# The event table
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EventRule:
+    """One event kind: the action kinds it ``explains``, its precondition
+    ``pre`` and its ``effects``, ``(fluent, value)`` pairs on its subject
+    (``hidden_by`` on the pair (subject, occluder)), where ``(TRACK,
+    True)`` starts the subject's fluents at their birth values and
+    ``(TRACK, False)`` drops them and every hidden_by pair naming it.  An
+    event is tried with each of the ``occluders`` it gives a subject: for
+    an event on a pair of tracks, in ascending id, a superset of those
+    ``pre`` can accept; for any other, None alone."""
+
+    explains: tuple[ActionKind, ...]
+    pre: Callable[[ProblemSpec, EventOccurrence], bool]
+    effects: tuple[tuple[str, object], ...]
+    occluders: Callable[[ProblemSpec, int], Sequence[Optional[int]]] = lambda spec, t: (None,)
+
+
+def _may_hide_behind(spec: ProblemSpec, t: int) -> list[int]:
+    """The other tracks whose predicted box's sides intersect t's, by
+    :func:`~abdtrack.geometry.iou`'s min, max and subtract, and whose
+    bottom edge is at or below t's: a superset of those
+    ``overlapping_top`` accepts, as it tests neither the intersection
+    area, which can underflow, nor the union, which can overflow."""
+    a = spec.predictions[t].box
+    ax, ay, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
+    kept = []
+    for t2, p in spec.predictions.items():
+        b = p.box
+        by2 = b.y + b.h
+        if by2 >= ay2 and t2 != t:
+            bx, by, bx2 = b.x, b.y, b.x + b.w
+            if (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx) > 0 and (
+                (ay2 if ay2 < by2 else by2) - (ay if ay > by else by) > 0
+            ):
+                kept.append(t2)
+    return sorted(kept)
+
+
+def _in_margin(spec: ProblemSpec, e: EventOccurrence) -> bool:
+    (w, h), m = spec.frame_geom, spec.config.fov_margin
+    box = spec.predictions[e.subject].box
+    return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
+
+
+def _in_frame(spec: ProblemSpec, e: EventOccurrence) -> bool:
+    w, h = spec.frame_geom
+    box = spec.detection_boxes[e.subject]
+    return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
+
+
+# One entry per kind, in EventKind order, the preference order.  Each
+# precondition reads the frame's problem spec: its pre-solve fluent
+# snapshot, predicted boxes, halted ages, frame geometry and thresholds.
+EVENTS: dict[EventKind, EventRule] = {
+    HIDES_BEHIND: EventRule(
+        (HALT,),
+        lambda spec, e: (
+            e.subject != e.occluder
+            and spec.fluents.visibility(e.subject) != NOT_VISIBLE
+            and spec.fluents.visibility(e.occluder) != NOT_VISIBLE
+            and overlapping_top(
+                spec.predictions[e.subject].box, spec.predictions[e.occluder].box
+            )
+        ),
+        (("visibility", NOT_VISIBLE), ("hidden_by", True)),
+        _may_hide_behind,
+    ),
+    MISSING_DETECTIONS: EventRule(
+        (HALT,),
+        lambda spec, e: (
+            not spec.fluents.clipped(e.subject)
+            and spec.fluents.visibility(e.subject) != NOT_VISIBLE
+        ),
+        (("clipped", True),),
+    ),
+    UNHIDES_FROM_BEHIND: EventRule(
+        (RESUME,),
+        lambda spec, e: (
+            spec.fluents.visibility(e.subject) == NOT_VISIBLE
+            and spec.fluents.visibility(e.occluder) != NOT_VISIBLE
+        ),
+        (("visibility", FULLY_VISIBLE), ("hidden_by", False)),
+        lambda spec, t: [t2 for t2 in spec.fluents.occluder_of(t) if t2 in spec.predictions],
+    ),
+    RECOVER: EventRule(
+        (RESUME,), lambda spec, e: spec.fluents.clipped(e.subject), (("clipped", False),)
+    ),
+    # A track still hidden behind the ending T is left not_visible with no
+    # occluder, here and for lost: a known defect.
+    LEAVES_FOV: EventRule((END,), _in_margin, ((TRACK, False),)),
+    LOST: EventRule(
+        (END,),
+        lambda spec, e: spec.predictions[e.subject].halted_age > spec.config.max_halted_age,
+        ((TRACK, False),),
+    ),
+    ENTERS_FOV: EventRule((START,), _in_frame, ((TRACK, True),)),
+    NOISE: EventRule((IGNORE_TRK, IGNORE_DET), lambda spec, e: True, ()),
+}
+
 
 def apply_event(store: FluentStore, e: EventOccurrence) -> FluentStore:
-    """Apply one event's effects atomically; mutates and returns store.
-
-    hides_behind: visibility(T1)=not_visible, hidden_by(T1,T2)=true.
-    unhides_from_behind: visibility(T1)=fully_visible, hidden_by=false.
-    missing_detections: clipped=true.       recover: clipped=false.
-    enters_fov(T): T's fluents start at their birth values.
-    leaves_fov(T), lost(T): T's fluents, and every hidden_by pair that
-    names T, are dropped.  A track still hidden behind an ending T is
-    left not_visible with no occluder: a known defect.
-    noise, and any event on a detection: no effects.
-    """
-    k = e.kind
-    if e.subject_is_det:
-        return store
-    if k == HIDES_BEHIND:
-        store._visibility[e.subject] = NOT_VISIBLE
-        store._hidden_pairs.add((e.subject, e.occluder))
-    elif k == UNHIDES_FROM_BEHIND:
-        store._visibility[e.subject] = FULLY_VISIBLE
-        store._hidden_pairs.discard((e.subject, e.occluder))
-    elif k == MISSING_DETECTIONS:
-        store._clipped[e.subject] = True
-    elif k == RECOVER:
-        store._clipped[e.subject] = False
-    elif k == ENTERS_FOV:
-        store.register_track(e.subject)
-    elif k == LEAVES_FOV or k == LOST:
-        store.drop_track(e.subject)
+    """Apply the effects of ``e``'s kind in :data:`EVENTS` atomically;
+    mutates and returns store.  An event on a detection has none.
+    Raises EngineBugError, writing nothing, if an effect other than a
+    lifecycle one names a track the store does not hold."""
+    if not e.subject_is_det:
+        for fluent, value in EVENTS[e.kind].effects:
+            store.write(fluent, value, e.subject, e.occluder)
     return store
 
 
 def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
-    """Fluent instances an event writes; used to assert per-frame
-    event sets touch pairwise-disjoint instances.
+    """Fluent instances an event writes, read off its kind's effects;
+    used to assert per-frame event sets touch pairwise-disjoint instances.
 
     Lifecycle effects are left out: enters_fov starts the fluents of a
-    fresh id, and the tracker applies leaves_fov and lost after the
-    frame's other events."""
-    k = e.kind
-    if k == HIDES_BEHIND or k == UNHIDES_FROM_BEHIND:
-        return frozenset(
-            {("visibility", e.subject), ("hidden_by", e.subject, e.occluder)}
-        )
-    if k == MISSING_DETECTIONS or k == RECOVER:
-        return frozenset({("clipped", e.subject)})
-    return frozenset()
+    fresh id, and the tracker applies the events that drop a track after
+    the frame's other events."""
+    return frozenset([
+        (fluent, e.subject, e.occluder) if fluent == "hidden_by" else (fluent, e.subject)
+        for fluent, _ in EVENTS[e.kind].effects
+        if fluent != TRACK
+    ])
 
 
 def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
-    """Event precondition check against the frame's problem spec: its
-    pre-solve fluent snapshot, predicted boxes, halted ages, frame
-    geometry and thresholds.
-
-    hides_behind(T1,T2): predicted boxes overlap with T2's bottom edge at
-    or below T1's, and neither track is already not_visible.
-    unhides_from_behind(T1,T2): T1 not_visible, T2 not not_visible.
-    missing_detections(T): not clipped and not not_visible.
-    recover(T): clipped.
-    leaves_fov(T): predicted box touches the frame boundary margin.
-    enters_fov(D): detection D's box intersects the frame.
-    lost(T): the track has been halted longer than max_halted_age.
-    noise: always possible.
-    """
-    store, k = spec.fluents, e.kind
-    if k == HIDES_BEHIND:
-        t1, t2 = e.subject, e.occluder
-        if t1 == t2:
-            return False
-        if store.visibility(t1) == NOT_VISIBLE:
-            return False
-        if store.visibility(t2) == NOT_VISIBLE:
-            return False
-        return overlapping_top(spec.predictions[t1].box, spec.predictions[t2].box)
-    if k == UNHIDES_FROM_BEHIND:
-        return (
-            store.visibility(e.subject) == NOT_VISIBLE
-            and store.visibility(e.occluder) != NOT_VISIBLE
-        )
-    if k == MISSING_DETECTIONS:
-        return (
-            not store.clipped(e.subject)
-            and store.visibility(e.subject) != NOT_VISIBLE
-        )
-    if k == RECOVER:
-        return store.clipped(e.subject)
-    if k == LEAVES_FOV:
-        (w, h), m = spec.frame_geom, spec.config.fov_margin
-        box = spec.predictions[e.subject].box
-        return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
-    if k == ENTERS_FOV:
-        w, h = spec.frame_geom
-        box = spec.detection_boxes[e.subject]
-        return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
-    if k == LOST:
-        return spec.predictions[e.subject].halted_age > spec.config.max_halted_age
-    if k == NOISE:
-        return True
-    raise EngineBugError(f"unknown event kind {k}")
+    """Whether ``e`` may occur: its kind's precondition in :data:`EVENTS`,
+    judged against the frame's problem spec."""
+    return EVENTS[e.kind].pre(spec, e)

@@ -41,7 +41,6 @@ __all__ = [
     "scaled_iou",
     "overlap_likelihoods",
     "overlapping_top",
-    "may_overlap_top",
     "proper_part",
     "in_front_region",
 ]
@@ -173,15 +172,6 @@ def overlapping_top(a: BBox2D, b: BBox2D) -> bool:
     nearer the camera, i.e. a could hide behind b.
     """
     return iou(a, b) > 0 and b.y2 >= a.y2
-
-
-def may_overlap_top(a: BBox2D, corners: np.ndarray) -> np.ndarray:
-    """Mask over (N, 4) rows of (x, y, x2, y2): a superset of the boxes b
-    with ``overlapping_top(a, b)``, testing the intersection's sides as
-    :func:`iou` does, but not its area (which may underflow) or ratio."""
-    iw = np.minimum(corners[:, 2], a.x2) - np.maximum(corners[:, 0], a.x)
-    ih = np.minimum(corners[:, 3], a.y2) - np.maximum(corners[:, 1], a.y)
-    return (iw > 0) & (ih > 0) & (corners[:, 3] >= a.y2)
 
 
 def proper_part(a: BBox2D, b: BBox2D) -> bool:

@@ -29,11 +29,11 @@ from .domain import (
     ACTIVE,
     ENDED,
     ENTERS_FOV,
+    EVENTS,
     HALTED,
     INTERPOLATED,
-    LEAVES_FOV,
-    LOST,
     OBSERVED,
+    TRACK,
     Detection,
     EventOccurrence,
     FluentStore,
@@ -137,7 +137,8 @@ class AbductionEngine:
         """Carry out the cover's actions, then apply the frame's events
         through :func:`apply_event`, the one place fluents change.
 
-        The ending events (leaves_fov, lost) go last, so a same-frame
+        The events that drop their track (an effect ``(TRACK, False)`` in
+        :data:`~abdtrack.domain.EVENTS`) go last, so a same-frame
         hides_behind behind an ending track cannot leave a hidden pair on
         its dropped fluents.  The event log keeps the cover's order.
         """
@@ -165,8 +166,7 @@ class AbductionEngine:
         self.motion.update(self._observed)
         self._observed.clear()
 
-        ending = (LEAVES_FOV, LOST)
-        for e in sorted(frame_events, key=lambda e: e.kind in ending):
+        for e in sorted(frame_events, key=lambda e: (TRACK, False) in EVENTS[e.kind].effects):
             apply_event(self.fluents, e)
         self.events.extend(frame_events)
 

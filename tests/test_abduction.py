@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,8 +22,15 @@ from abdtrack import (
 )
 from abdtrack import abduction
 from abdtrack.abduction import Action, ActionKind
-from abdtrack.domain import EngineBugError, EventKind, EventOccurrence, apply_event, possible
-from abdtrack.geometry import IOU_SCALE, overlap_likelihoods
+from abdtrack.domain import (
+    EngineBugError,
+    EventKind,
+    EventOccurrence,
+    Visibility,
+    apply_event,
+    possible,
+)
+from abdtrack.geometry import IOU_SCALE, overlap_likelihoods, overlapping_top
 from abdtrack.synth import ScenarioConfig, generate
 from abdtrack.tracker import AbductionEngine
 from conftest import edge_case_boxes, make_random_spec, scaled_likelihoods
@@ -473,12 +482,38 @@ def _edge_case_spec(rng):
     )
 
 
+def _prefilter_cases(spec):
+    """Count the ordered pairs of visible tracks that reach an edge case
+    of the halt prefilter: sides that touch, equal bottoms that
+    ``overlapping_top`` accepts, and pairs it rejects whose sides do
+    intersect, with the occluder's bottom at or below, because their
+    intersection area underflows to 0, their union overflows, or their
+    ratio is tiny (a tiny box in a huge one)."""
+    visible = [t for t in spec.predictions if spec.fluents.visibility(t) != Visibility.NOT_VISIBLE]
+    cases = Counter()
+    for t1, t2 in itertools.permutations(visible, 2):
+        a, b = spec.predictions[t1].box, spec.predictions[t2].box
+        iw = min(a.x2, b.x2) - max(a.x, b.x)
+        ih = min(a.y2, b.y2) - max(a.y, b.y)
+        exact = overlapping_top(a, b)
+        cases["touching"] += iw == 0 and ih > 0
+        cases["equal bottoms"] += exact and a.y2 == b.y2
+        if iw > 0 and ih > 0 and b.y2 >= a.y2 and not exact:
+            inter = iw * ih
+            if inter == 0:
+                cases["underflow"] += 1
+            else:
+                over = a.area + b.area - inter == math.inf
+                cases["overflow" if over else "tiny ratio"] += 1
+    return cases
+
+
 class TestHaltPrefilter:
     # link_events judges a halt's occluders only among the tracks the
     # geometric prefilter keeps; its list must be the full scan's.
     def test_equals_full_scan_on_random_specs(self):
         rng = np.random.default_rng(61)
-        seen = Counter()
+        seen, cases = Counter(), Counter()
         for k in range(150):
             if k % 3 == 0:
                 spec = make_random_spec(rng, max_tracks=60, max_dets=10, min_tracks=2)
@@ -487,11 +522,13 @@ class TestHaltPrefilter:
                 spec = _halted_heavy_spec(rng, int(rng.integers(2, 61)), 5)
             else:
                 spec = _edge_case_spec(rng)
+                cases.update(_prefilter_cases(spec))
             for t in spec.predictions:
                 events = link_events(spec, ActionKind.HALT, t)
                 assert events == halt_events_reference(spec, t)
                 seen.update(e.kind for e in events)
         assert seen[EventKind.HIDES_BEHIND] > 0 and seen[EventKind.MISSING_DETECTIONS] > 0, seen
+        assert len(cases) == 5 and min(cases.values()) > 0, cases
 
     @pytest.mark.parametrize("n_tracks", [100, 200])
     def test_equals_full_scan_on_bench_frames(self, n_tracks):

@@ -1,8 +1,15 @@
+import re
+from enum import Enum
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from abdtrack.abduction import ProblemSpec, TrackPrediction
+from abdtrack.abduction import ProblemSpec, TrackPrediction, link_events
 from abdtrack.domain import (
+    EVENTS,
+    TRACK,
+    ActionKind,
     Detection,
     EngineBugError,
     EventKind,
@@ -15,6 +22,7 @@ from abdtrack.domain import (
     touched_fluents,
 )
 from abdtrack.geometry import BBox2D
+from conftest import make_random_spec
 
 
 def store_with(*tids):
@@ -110,6 +118,26 @@ class TestApplyEvent:
         apply_event(s, EventOccurrence(EventKind.LOST, 5, 1))
         assert s.tracks() == {2}
         assert (s.visibility(2), s.clipped(2)) == snapshot[2]
+
+    def test_writes_need_known_tracks(self):
+        # As a query does, a write of a track the store does not hold
+        # raises, and it writes nothing: the store keeps no fluent of a
+        # track that tracks() does not list.
+        cases = [
+            (EventOccurrence(EventKind.HIDES_BEHIND, 5, 5, occluder=6), ()),
+            (EventOccurrence(EventKind.HIDES_BEHIND, 5, 5, occluder=6), (5,)),
+            (EventOccurrence(EventKind.HIDES_BEHIND, 5, 6, occluder=5), (5,)),
+            (EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 5, 5, occluder=6), (5,)),
+            (EventOccurrence(EventKind.MISSING_DETECTIONS, 5, 7), (1,)),
+            (EventOccurrence(EventKind.RECOVER, 5, 7), (1,)),
+        ]
+        for e, tids in cases:
+            s = store_with(*tids)
+            with pytest.raises(EngineBugError):
+                apply_event(s, e)
+            assert s.tracks() == set(tids) and s.hidden_pairs() == set()
+            assert set(s._visibility) == set(s._clipped) == set(tids)
+            assert all(s.visibility(t) == Visibility.FULLY_VISIBLE for t in tids)
 
     def test_order_independent_when_disjoint(self):
         events = [
@@ -258,3 +286,97 @@ class TestRandomEventSequences:
                     assert isinstance(s.visibility(t), Visibility)
                     assert isinstance(s.clipped(t), bool)
                 assert s.tracks() == set(tids)
+
+
+def fluent_values(s):
+    """Every fluent instance of the store's tracks, with its value."""
+    tids = s.tracks()
+    out = {("visibility", t): s.visibility(t) for t in tids}
+    out.update({("clipped", t): s.clipped(t) for t in tids})
+    out.update({("hidden_by", a, b): s.hidden_by(a, b) for a in tids for b in tids})
+    return out
+
+
+def applying(kind):
+    """A spec of tracks 1-3 (1 halted past max_halted_age, in the frame
+    margin and overlapping 2) and detection 0, and an event of ``kind``
+    possible in it; enters_fov names the detection."""
+    s = store_with(1, 2, 3)
+    on_pair = kind in (EventKind.HIDES_BEHIND, EventKind.UNHIDES_FROM_BEHIND)
+    e = EventOccurrence(kind, 5, 1, occluder=2 if on_pair else None)
+    if kind == EventKind.UNHIDES_FROM_BEHIND:
+        apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 4, 1, occluder=2))
+    elif kind == EventKind.RECOVER:
+        apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
+    elif kind == EventKind.ENTERS_FOV:
+        e = EventOccurrence(kind, 5, 0, subject_is_det=True)
+    boxes = {1: BBox2D(0, 0, 10, 10), 2: BBox2D(5, 5, 10, 10), 3: BBox2D(100, 100, 10, 10)}
+    spec = ProblemSpec(
+        frame=5,
+        detections=(Detection(0, "car", 90, BBox2D(50, 50, 20, 20)),),
+        predictions={t: TrackPrediction(b, TrackState.HALTED, "car", 31) for t, b in boxes.items()},
+        likelihoods={},
+        fluents=s,
+        frame_geom=(200.0, 200.0),
+    )
+    return spec, e
+
+
+class TestEventTable:
+    def test_one_entry_per_kind_in_preference_order(self):
+        assert list(EVENTS) == list(EventKind)
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_apply_changes_exactly_the_touched_fluents(self, kind):
+        spec, e = applying(kind)
+        assert possible(spec, e)
+        s = spec.fluents
+        if kind == EventKind.ENTERS_FOV:  # the tracker names the new track
+            e = EventOccurrence(kind, 5, 4)
+        before = fluent_values(s)
+        apply_event(s, e)
+        after = fluent_values(s)
+        changed = {f for f in before.keys() | after.keys() if before.get(f) != after.get(f)}
+        lifecycle = [v for f, v in EVENTS[kind].effects if f == TRACK]
+        if lifecycle:
+            # it starts or drops the subject's fluents and nothing else
+            assert touched_fluents(e) == frozenset()
+            assert changed and all(e.subject in f[1:] for f in changed)
+            assert (e.subject in s.tracks()) == lifecycle[0]
+        else:
+            assert changed == touched_fluents(e)
+            assert s.tracks() == {1, 2, 3}
+
+    def test_every_action_but_assign_is_explained(self):
+        explained = {a for rule in EVENTS.values() for a in rule.explains}
+        assert explained == set(ActionKind) - {ActionKind.ASSIGN}
+
+    def test_link_events_in_event_kind_order(self):
+        rng = np.random.default_rng(21)
+        mixed = 0
+        for _ in range(200):
+            spec = make_random_spec(rng, max_tracks=8, max_dets=4)
+            on_track = [ActionKind.HALT, ActionKind.RESUME, ActionKind.END, ActionKind.IGNORE_TRK]
+            on_det = [ActionKind.START, ActionKind.IGNORE_DET]
+            actions = [(k, t, None) for t in spec.predictions for k in on_track]
+            actions += [(k, None, d.id) for d in spec.detections for k in on_det]
+            for kind, trk, det in actions:
+                kinds = [e.kind for e in link_events(spec, kind, trk, det)]
+                assert kinds == sorted(kinds)
+                assert all(kind in EVENTS[k].explains for k in kinds)
+                mixed += len(set(kinds)) > 1
+        assert mixed > 0
+
+    def test_readme_table_matches(self):
+        # The README's event table: one row per kind, in EventKind order,
+        # its explains and effects columns as in EVENTS.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| event | explains | precondition | effects |\n")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:-1] for line in table.splitlines()[1:]]
+        assert [EventKind[row[0].strip(" `").split("(")[0].upper()] for row in rows] == list(EventKind)
+        for row, (kind, rule) in zip(rows, EVENTS.items()):
+            assert [ActionKind(a) for a in re.findall("`([^`]*)`", row[1])] == list(rule.explains)
+            effects = [
+                f"{f}={v.value if isinstance(v, Enum) else str(v).lower()}" for f, v in rule.effects
+            ]
+            assert re.findall("`([^`]*)`", row[3]) == effects, kind

@@ -1,6 +1,3 @@
-import math
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -9,7 +6,6 @@ from abdtrack.geometry import (
     in_front_region,
     iou,
     iou_matrix,
-    may_overlap_top,
     overlap_likelihoods,
     overlapping_top,
     proper_part,
@@ -204,41 +200,6 @@ class TestOverlappingTop:
             a, b = random_box(rng), random_box(rng)
             if overlapping_top(a, b):
                 assert iou(a, b) > 0
-
-
-class TestMayOverlapTop:
-    def test_keeps_every_pair_overlapping_top_accepts(self):
-        # A superset, also where iou is 0 for boxes whose sides do
-        # intersect: the intersection area underflows to 0, the union
-        # overflows, or their ratio underflows (a tiny box in a huge one).
-        rng = np.random.default_rng(6)
-        seen = Counter()
-        for _ in range(200):
-            boxes = edge_case_boxes(rng, int(rng.integers(1, 25)))
-            corners = np.array([(b.x, b.y, b.x2, b.y2) for b in boxes])
-            for a in boxes:
-                mask = may_overlap_top(a, corners).tolist()
-                for b, kept in zip(boxes, mask):
-                    exact = overlapping_top(a, b)
-                    assert kept or not exact, (a, b)
-                    iw = min(a.x2, b.x2) - max(a.x, b.x)
-                    ih = min(a.y2, b.y2) - max(a.y, b.y)
-                    seen["accepted"] += exact
-                    seen["touching"] += iw == 0 and ih > 0
-                    seen["equal bottoms"] += exact and a is not b and a.y2 == b.y2
-                    if kept and not exact and b.y2 >= a.y2:
-                        inter = iw * ih
-                        if inter == 0:
-                            seen["underflow"] += 1
-                        else:
-                            over = a.area + b.area - inter == math.inf
-                            seen["overflow" if over else "tiny ratio"] += 1
-        assert len(seen) == 6 and min(seen.values()) > 0, seen
-
-    def test_occluder_above_and_disjoint_dropped(self):
-        a = BBox2D(0, 20, 10, 10)
-        corners = np.array([(0, 0, 10, 10), (50, 50, 60, 60), (5, 25, 15, 35), (10, 20, 20, 30)])
-        assert may_overlap_top(a, corners).tolist() == [False, False, True, False]
 
 
 class TestProperPart:

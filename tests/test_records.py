@@ -162,7 +162,7 @@ ENUMS = [TrackState, Provenance, Visibility, EventKind, ActionKind]
 
 
 @pytest.mark.parametrize("module, enums", [
-    (domain, [TrackState, Provenance, Visibility, EventKind]),
+    (domain, [TrackState, Provenance, Visibility, ActionKind, EventKind]),
     (abduction, [ActionKind]),
 ])
 def test_each_enum_alias_is_its_member(module, enums):

@@ -2,14 +2,19 @@
 
     python tools/ab_frames.py SRC_A SRC_B --workload occlusion|churn
                               [--seed N] [--passes K] [--jobs J]
+    python tools/ab_frames.py SRC_A SRC_B --workload bench --tracks N
+                              [--seed N] [--passes K]
 
 SRC_A and SRC_B are source trees holding the ``abdtrack`` package: a
 checkout's ``src/`` or its ``src/abdtrack``.  Each is copied into a
 temporary directory under a package name of its own, so the two import
-side by side.  The jobs are those of ``perfbench.workloads.make_jobs``
-(``--jobs`` keeps the first J), written once as MOT detection text; each
-side reads them back with its own ``io.parse_mot`` and steps a fresh
-``AbductionEngine`` of its own over them.
+side by side.  The jobs of occlusion and churn are those of
+``perfbench.workloads.make_jobs`` (``--jobs`` keeps the first J); bench
+is one job, the stream ``abdtrack bench --tracks N --frames 30`` steps
+(``synth.generate`` at overlap 0.3, drop 0.05, jitter 1.0).  The jobs
+are written once as MOT detection text, so a frame with no detection is
+not stepped; each side reads them back with its own ``io.parse_mot`` and
+steps a fresh ``AbductionEngine`` of its own over them.
 
 Every pass runs each job on both sides, and which side goes first
 alternates from job to job and from pass to pass.  A frame's time is its
@@ -93,21 +98,35 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a", type=Path)
     ap.add_argument("src_b", type=Path)
-    ap.add_argument("--workload", required=True, choices=("occlusion", "churn"))
+    ap.add_argument("--workload", required=True, choices=("occlusion", "churn", "bench"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--passes", type=int, default=6)
     ap.add_argument("--jobs", type=int, default=None, help="run only the first J jobs")
+    ap.add_argument("--tracks", type=int, default=None, help="bench: the number of tracks")
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
+    if (args.workload == "bench") != (args.tracks is not None):
+        ap.error("--tracks N goes with --workload bench, and only with it")
 
     # The jobs come from this checkout's perfbench and abdtrack, once for
     # both sides; each side reads them back through its own parser.
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from workloads import detections_text, make_jobs
 
-    jobs = make_jobs(args.workload, args.seed)[: args.jobs]
-    texts = [detections_text(job.frames) for job in jobs]
+    from abdtrack.synth import ScenarioConfig, generate
+
+    if args.workload == "bench":
+        name = f"bench at {args.tracks} tracks"
+        cfg = ScenarioConfig(
+            n_tracks=args.tracks, n_frames=30, overlap_fraction=0.3, drop_prob=0.05,
+            jitter_sigma=1.0, seed=args.seed,
+        )
+        texts = [detections_text(generate(cfg)[0])]
+    else:
+        name = args.workload
+        texts = [detections_text(job.frames) for job in make_jobs(args.workload, args.seed)]
+    texts = texts[: args.jobs]
     with tempfile.TemporaryDirectory(prefix="ab_frames_") as tmp:
         packages = [
             load_side(src.resolve(), f"abdtrack_{s}", Path(tmp))
@@ -117,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p50 = [statistics.median(ms) for ms in out["ms"]]
     fps = [len(ms) / (sum(ms) / 1e3) for ms in out["ms"]]
-    print(f"{args.workload}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
+    print(f"{name}, seed {args.seed}: {len(texts)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame")
     print(f"{'side':<6}{'p50 ms':>10}{'frames/s':>12}  tree")
     for s, src, m, f in zip(SIDES, (args.src_a, args.src_b), p50, fps):
