@@ -97,12 +97,15 @@ def iou(a: BBox2D, b: BBox2D) -> float:
     For integer-valued boxes the intersection and union areas are exact
     in double precision and the result is one correctly-rounded division.
     """
-    iw = min(a.x2, b.x2) - max(a.x, b.x)
-    ih = min(a.y2, b.y2) - max(a.y, b.y)
+    # x2, y2 and area as the properties compute them, without their calls
+    ax, ay, aw, ah = a.x, a.y, a.w, a.h
+    bx, by, bw, bh = b.x, b.y, b.w, b.h
+    iw = min(ax + aw, bx + bw) - max(ax, bx)
+    ih = min(ay + ah, by + bh) - max(ay, by)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / (aw * ah + bw * bh - inter)
 
 
 def scaled_iou(ious: float | np.ndarray) -> np.ndarray:

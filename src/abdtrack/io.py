@@ -13,6 +13,8 @@ number.
 Outputs: MOT result lines, the engine's event log in ``occurs_at(EVENT,FRAME)``
 form, and a JSON report of provenance and the event log that is byte for
 byte ``json.dumps(doc, indent=2)`` of its fixed schema, from templates.
+The track and report writers write each box coordinate as ``json`` does,
+from text rendered once per explanation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .domain import Detection, EventOccurrence, Provenance
 from .geometry import BBox2D
@@ -80,14 +83,22 @@ def parse_mot(text: str) -> DetectionStream:
     ``object``.  Lines out of frame order are tolerated (sorted);
     malformed lines raise with their line number."""
     by_frame: dict[int, list[Detection]] = {}
+    # A row's frame field is read only when it differs from the last row's,
+    # since a file lists each frame's rows together, and each distinct
+    # confidence field once: the reads cost more than the rest of a row.
+    last_frame = dets = None
+    conf_pct: dict[str, int] = {}
     for lineno, parts in _rows(text, ",", 7):
         try:
-            frame = _integer(parts[0], "frame")
-            box = BBox2D(*map(float, parts[2:6]))
-            conf = _conf_percent(float(parts[6]))
+            if parts[0] != last_frame:
+                dets = by_frame.setdefault(_integer(parts[0], "frame"), [])
+                last_frame = parts[0]
+            box = BBox2D(float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5]))
+            conf = conf_pct.get(parts[6])
+            if conf is None:
+                conf = conf_pct[parts[6]] = _conf_percent(float(parts[6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        dets = by_frame.setdefault(frame, [])
         dets.append(Detection(len(dets), "object", conf, box))
     return DetectionStream([(f, by_frame[f]) for f in sorted(by_frame)])
 
@@ -140,19 +151,48 @@ def write_events(exp: Explanation) -> str:
     return "".join(format_event(e) + "\n" for e in exp.events)
 
 
+def _number(v: float) -> str:
+    """A box coordinate as ``json`` writes it: a float (a numpy float64
+    too) by ``float.__repr__``, an int by ``int.__repr__``.  Any other real,
+    such as a numpy int64 or float32, which ``json`` cannot write, as the
+    float it converts to."""
+    if isinstance(v, float):
+        return float.__repr__(v)
+    return int.__repr__(v) if isinstance(v, int) else float.__repr__(float(v))
+
+
+def _coordinates(b: BBox2D) -> str:
+    """``"x,y,w,h"``, each coordinate as ``json`` writes it."""
+    x, y, w, h = b.x, b.y, b.w, b.h
+    if type(x) is type(y) is type(w) is type(h) is float:
+        return "%r,%r,%r,%r" % (x, y, w, h)
+    return ",".join([_number(x), _number(y), _number(w), _number(h)])
+
+
+def _box_text(exp: Explanation) -> list[list[str]]:
+    """Each track's history's boxes as :func:`_coordinates` text, rendered
+    by the first writer that asks and cached on ``exp`` for the other."""
+    if exp.box_text is None:
+        exp.box_text = [[_coordinates(e.box) for e in trk.history] for trk in exp.tracks]
+    return exp.box_text
+
+
 def write_tracks(exp: Explanation) -> str:
     """MOT result lines (frame,id,x,y,w,h,conf,-1,-1,-1).
 
-    Box coordinates use full-precision reprs so observed entries
+    Box coordinates are written as the report writes them, in full
+    precision (a numpy float as a plain float), so observed entries
     round-trip exactly through parse; interpolated entries carry conf 0.
     """
     entries = sorted(
-        ((h.frame, trk.id, h) for trk in exp.tracks for h in trk.history), key=lambda t: t[:2]
+        [
+            (h.frame, trk.id, text, h.conf)
+            for trk, texts in zip(exp.tracks, _box_text(exp))
+            for h, text in zip(trk.history, texts)
+        ],
+        key=itemgetter(0, 1),
     )
-    return "".join(
-        f"{f},{tid},{h.box.x!r},{h.box.y!r},{h.box.w!r},{h.box.h!r},{h.conf / 100.0!r},-1,-1,-1\n"
-        for f, tid, h in entries
-    )
+    return "".join([f"{f},{tid},{text},{conf / 100.0!r},-1,-1,-1\n" for f, tid, text, conf in entries])
 
 
 def explanation_to_boxes(exp: Explanation) -> TrackBoxes:
@@ -169,15 +209,12 @@ def _template(doc: dict, depth: int) -> str:
     return json.dumps(doc, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
 
 
-_ENTRY = _template({"frame": "%s", "box": ["%s"] * 4, "provenance": "%s", "conf": "%s"}, 4)
+_ENTRY = _template({"frame": "%s", "box": ["%s"], "provenance": "%s", "conf": "%s"}, 4)
 _TRACK = _template(dict.fromkeys(["id", "class", "born_frame", "history"], "%s"), 2)
 _EVENT = _template(dict.fromkeys(["kind", "frame", "subject", "occluder"], "%s"), 2)
 _PROVENANCE = {p: json.dumps(p.value) for p in Provenance}
-
-
-def _number(v: float) -> str:
-    """A box coordinate as ``json`` writes it, float or int."""
-    return float.__repr__(v) if isinstance(v, float) else int.__repr__(v)
+# What separates two coordinates of an entry's box in the report.
+_COORD_SEP = ",\n" + "  " * 6
 
 
 def _array(items: list[str], depth: int) -> str:
@@ -190,11 +227,10 @@ def write_report(exp: Explanation) -> str:
     """Structured JSON: tracks with per-entry provenance plus the event log,
     byte for byte ``json.dumps(doc, indent=2)`` of the report's document."""
     tracks = []
-    for trk in exp.tracks:
+    for trk, texts in zip(exp.tracks, _box_text(exp)):
         history = [
-            _ENTRY % (h.frame, _number(b.x), _number(b.y), _number(b.w), _number(b.h),
-                      _PROVENANCE[h.provenance], h.conf)
-            for h in trk.history for b in (h.box,)
+            _ENTRY % (h.frame, text.replace(",", _COORD_SEP), _PROVENANCE[h.provenance], h.conf)
+            for h, text in zip(trk.history, texts)
         ]
         cls = encode_basestring_ascii(trk.cls)
         tracks.append(_TRACK % (trk.id, cls, trk.born_frame, _array(history, 3)))

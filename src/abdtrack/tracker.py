@@ -10,7 +10,7 @@ gap with linearly interpolated boxes flagged as such.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .abduction import (
@@ -57,10 +57,18 @@ class EngineConfig:
 @dataclass
 class Explanation:
     """Final output: tracks with full histories and the chronological
-    abduced event sequence."""
+    abduced event sequence.
+
+    The first of :mod:`abdtrack.io`'s track and report writers to run
+    renders each history entry's box once, as ``"x,y,w,h"`` text, and
+    caches it in ``box_text`` (one list per track, in history order) for
+    the other.  An explanation is therefore read-only once
+    :meth:`AbductionEngine.finalize` returns it: a history changed after
+    a writer has run is written with the boxes it held then."""
 
     tracks: list[Track]
     events: list[EventOccurrence]
+    box_text: Optional[list[list[str]]] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

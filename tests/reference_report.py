@@ -1,8 +1,10 @@
-"""Test-only reference report writer: the report's document built as
-dicts and lists and serialised by ``json.dumps(doc, indent=2)``.
+"""Test-only reference writers.  The report: its document built as dicts
+and lists and serialised by ``json.dumps(doc, indent=2)``.  The track
+file: one f-string per entry, each box coordinate as ``json`` writes it.
 
-:func:`abdtrack.io.write_report` must give the same bytes on every
-explanation; this is the definition of its format.
+:func:`abdtrack.io.write_report` and :func:`abdtrack.io.write_tracks`
+must give the same bytes on every explanation; these are the definitions
+of their formats.
 """
 
 from __future__ import annotations
@@ -42,3 +44,14 @@ def reference_report(exp: Explanation) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
+
+
+def reference_tracks(exp: Explanation) -> str:
+    entries = sorted(
+        ((h.frame, trk.id, h) for trk in exp.tracks for h in trk.history), key=lambda t: t[:2]
+    )
+    return "".join(
+        f"{f},{tid},{','.join(json.dumps(v) for v in (h.box.x, h.box.y, h.box.w, h.box.h))},"
+        f"{h.conf / 100.0!r},-1,-1,-1\n"
+        for f, tid, h in entries
+    )

@@ -1,6 +1,8 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
-occlusion scene and on a small bench stream."""
+occlusion scene and on a small bench stream, and a tree whose track files
+differ."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,38 +10,58 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_same_tree_both_sides():
-    out = subprocess.run(
-        [sys.executable, "tools/ab_frames.py", "src", "src/abdtrack",
-         "--workload", "occlusion", "--jobs", "1", "--passes", "2"],
+def _ab_frames(*args):
+    return subprocess.run(
+        [sys.executable, "tools/ab_frames.py", *map(str, args)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_same_tree_both_sides():
+    out = _ab_frames("src", "src/abdtrack", "--workload", "occlusion", "--jobs", "1", "--passes", "2")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("occlusion, seed 0: 1 jobs, ")
-    assert lines[0].endswith(" frames, least of 2 passes per frame")
-    assert [line.split()[0] for line in lines[1:]] == ["side", "A", "B", "B/A", "event"]
-    ratio_p50, ratio_fps = map(float, lines[4].split()[1:])
-    assert ratio_p50 > 0 and ratio_fps > 0
-    assert lines[-1] == "event logs equal"
+    assert lines[0].endswith(" frames, least of 2 passes per frame and phase")
+    assert lines[1].split() == [
+        "side", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms", "job", "fr/s",
+        "tree",
+    ]
+    assert [line.split()[0] for line in lines[2:]] == ["A", "B", "B/A", "event", "track", "reports"]
+    for side in lines[2:4]:
+        p50, steps_fps, *phase_ms, job_fps = map(float, side.split()[1:7])
+        assert p50 > 0 and all(ms > 0 for ms in phase_ms)
+        # the phases count in the job's frames/s, not in the steps'
+        assert 0 < job_fps < steps_fps
+    ratios = list(map(float, lines[4].split()[1:]))
+    assert len(ratios) == 6 and all(r > 0 for r in ratios)
+    assert lines[5:] == ["event logs equal", "track files equal", "reports equal"]
+
+
+def test_differing_track_files_fail(tmp_path):
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "abdtrack" / "io.py", "a") as f:
+        f.write("\n_write_tracks = write_tracks\n\n\n"
+                "def write_tracks(exp):\n    return _write_tracks(exp) + '\\n'\n")
+    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines()[-3:] == [
+        "event logs equal", "TRACK FILES DIFFER", "reports equal",
+    ]
 
 
 def test_bench_workload_with_tracks():
-    out = subprocess.run(
-        [sys.executable, "tools/ab_frames.py", "src", "src",
-         "--workload", "bench", "--tracks", "6", "--passes", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
+    out = _ab_frames("src", "src", "--workload", "bench", "--tracks", "6", "--passes", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "bench at 6 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame"
-    assert lines[-1] == "event logs equal"
+    assert lines[0] == (
+        "bench at 6 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame and phase"
+    )
+    assert lines[-3:] == ["event logs equal", "track files equal", "reports equal"]
 
 
 def test_tracks_only_with_bench():
     for workload, extra in (("bench", []), ("churn", ["--tracks", "6"])):
-        out = subprocess.run(
-            [sys.executable, "tools/ab_frames.py", "src", "src", "--workload", workload, *extra],
-            cwd=ROOT, capture_output=True, text=True, timeout=120,
-        )
+        out = _ab_frames("src", "src", "--workload", workload, *extra)
         assert out.returncode == 2 and "--tracks N goes with --workload bench" in out.stderr

@@ -1,3 +1,6 @@
+import struct
+from math import inf
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,28 @@ class TestIoU:
             for j, b in enumerate(boxes_b):
                 # same operations in the same order: bit-identical
                 assert m[i, j] == iou(a, b)
+
+    def test_equals_property_formula_bit_for_bit(self):
+        kinds = []
+
+        def property_iou(a, b):
+            # iou as written with the x2, y2 and area properties
+            iw = min(a.x2, b.x2) - max(a.x, b.x)
+            ih = min(a.y2, b.y2) - max(a.y, b.y)
+            if iw <= 0 or ih <= 0:
+                kinds.append("disjoint or touching")
+                return 0.0
+            inter = iw * ih
+            union = a.area + b.area - inter
+            kinds.append("underflow" if inter == 0 else "overflow" if union == inf else "other")
+            return inter / (a.area + b.area - inter)
+
+        rng = np.random.default_rng(5)
+        boxes = edge_case_boxes(rng, 80) + [random_box(rng) for _ in range(80)]
+        for a in boxes:
+            for b in boxes:
+                assert struct.pack("<d", iou(a, b)) == struct.pack("<d", property_iou(a, b))
+        assert set(kinds) == {"disjoint or touching", "underflow", "overflow", "other"}
 
     def test_scaled_rounds_to_nearest(self):
         assert scaled_iou(np.array([0.0, 0.25, 1 / 3, 2 / 3, 1.0])).tolist() == [

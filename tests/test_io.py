@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from abdtrack.io import (
     write_tracks,
 )
 from abdtrack.tracker import Explanation
-from reference_report import reference_report
+from reference_report import reference_report, reference_tracks
 
 
 class TestParseMot:
@@ -59,6 +60,13 @@ class TestParseMot:
     def test_non_monotone_sorted(self):
         stream = parse_mot("5,-1,0,0,10,10,1\n2,-1,0,0,10,10,1\n")
         assert [f for f, _ in stream.frames] == [2, 5]
+
+    def test_frame_listed_again_after_another(self):
+        stream = parse_mot("1,-1,0,0,10,10,1\n2,-1,0,0,10,10,1\n1,-1,50,0,10,10,0.5\n")
+        assert [(f, [(d.id, d.box.x, d.conf) for d in dets]) for f, dets in stream.frames] == [
+            (1, [(0, 0.0, 100), (1, 50.0, 50)]),
+            (2, [(0, 0.0, 100)]),
+        ]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -219,6 +227,31 @@ class TestWriteTracks:
         boxes = explanation_to_boxes(exp)
         assert parsed == boxes
 
+    def test_numpy_float_box_written_as_float(self):
+        # numpy >= 2 reprs a float64 as "np.float64(10.5)", which the
+        # track file's reader rejects.
+        eng = AbductionEngine(EngineConfig(frame_geom=(400.0, 300.0)))
+        box = BBox2D(*np.array([10.5, 20.25, 30.0, 40.0]))
+        eng.step(1, [Detection(0, "car", 99, box)])
+        exp = eng.finalize()
+        text = write_tracks(exp)
+        assert text == "1,0,10.5,20.25,30.0,40.0,0.99,-1,-1,-1\n"
+        assert parse_mot_tracks(text) == explanation_to_boxes(exp)
+
+    @pytest.mark.parametrize("values, dtype, written", [
+        ([3, 4, 5, 6], np.int64, "3.0,4.0,5.0,6.0"),
+        ([0.5, 0.25, 5, 6], np.float32, "0.5,0.25,5.0,6.0"),
+    ])
+    def test_other_numpy_scalars_written_as_floats(self, values, dtype, written):
+        # json cannot write these: both writers write the float each converts to
+        box = BBox2D(*np.array(values, dtype=dtype))
+        exp = Explanation([_track(0, entries=[(1, box, _OBS, 90)])], [])
+        assert write_tracks(exp) == f"1,0,{written},0.9,-1,-1,-1\n"
+        assert parse_mot_tracks(write_tracks(exp)) == explanation_to_boxes(exp)
+        assert json.loads(write_report(exp))["tracks"][0]["history"][0]["box"] == [
+            float(v) for v in written.split(",")
+        ]
+
     def test_mot_result_shape(self):
         text = write_tracks(self._explanation())
         for line in text.splitlines():
@@ -318,6 +351,56 @@ REPORT_CASES = {
         ],
     ),
 }
+
+
+# The writers' calls in each order, alone and twice.
+WRITER_CALLS = [
+    ("tracks",), ("report",), ("tracks", "tracks"), ("report", "report"),
+    ("tracks", "report"), ("report", "tracks"),
+]
+
+
+class TestWriterCache:
+    """The two writers share each entry's rendered box text, cached on the
+    explanation by whichever runs first."""
+
+    CASES = {
+        **REPORT_CASES,
+        "engine": TestWriteTracks()._explanation(),
+        "mixed_boxes": Explanation(
+            [
+                _track(2, entries=[(5, BBox2D(1, 2.5, 3, 4), _OBS, 7)]),
+                _track(0),
+                _track(1, entries=[(5, BBox2D(*np.array([0.1, 0.2, 0.3, 0.4])), _OBS, 100),
+                                   (6, BBox2D(-0.0, 1e-7, 2.0**60, 1e22), _INTERP, 0)]),
+            ],
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("calls", WRITER_CALLS, ids="-".join)
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_bytes_in_any_order(self, name, calls):
+        case = self.CASES[name]
+        exp = Explanation(case.tracks, case.events)  # nothing cached yet
+        writers = {"tracks": (write_tracks, reference_tracks),
+                   "report": (write_report, reference_report)}
+        for call in calls:
+            write, reference = writers[call]
+            assert write(exp) == reference(case)
+
+    def test_rendered_once_and_read_only_after(self):
+        exp = Explanation(
+            [_track(0, entries=[_ENTRY, (4, BBox2D(300, 100, 40, 60), _OBS, 100)]), _track(1)], []
+        )
+        assert exp.box_text is None
+        tracks = write_tracks(exp)
+        assert exp.box_text == [["10.5,20.25,30.0,40.0", "300,100,40,60"], []]
+        report = write_report(exp)
+        # A history changed once a writer has run is written as it was.
+        exp.tracks[0].history[0] = HistoryEntry(3, BBox2D(1.0, 2.0, 3.0, 4.0), _OBS, 99)
+        assert (write_tracks(exp), write_report(exp)) == (tracks, report)
+        assert exp == Explanation(exp.tracks, [])  # the cache is no part of equality
 
 
 class TestWriteReport:

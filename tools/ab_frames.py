@@ -12,20 +12,28 @@ side by side.  The jobs of occlusion and churn are those of
 ``perfbench.workloads.make_jobs`` (``--jobs`` keeps the first J); bench
 is one job, the stream ``abdtrack bench --tracks N --frames 30`` steps
 (``synth.generate`` at overlap 0.3, drop 0.05, jitter 1.0).  The jobs
-are written once as MOT detection text, so a frame with no detection is
-not stepped; each side reads them back with its own ``io.parse_mot`` and
-steps a fresh ``AbductionEngine`` of its own over them.
+are written once as MOT detection and ground-truth text, so a frame with
+no detection is not stepped.  Each side runs a job as perfbench's
+``worker.py`` does, with its own modules: ``io.parse_mot`` and a fresh
+``AbductionEngine`` (the set-up phase), ``step`` on every frame,
+``finalize`` and the three writers (the write phase, in memory: no file
+is written) and ``metrics.evaluate`` against the ground truth, which
+``io.parse_mot_tracks`` reads before the job, untimed (the scoring
+phase).  Anticipation, which the worker runs on occlusion, is left out.
 
 Every pass runs each job on both sides, and which side goes first
 alternates from job to job and from pass to pass.  A frame's time is its
-``step`` call's least over the passes.  The output gives each side's
-median frame time (p50) and frames/s (frames over the sum of the least
-times), the ratio B/A of both, and whether the two sides' event logs
-are equal; the exit status is 1 if they differ.
+``step`` call's least over the passes, and so is each phase's time in a
+job.  The output gives each side's median frame time (p50), frames/s
+over the steps alone (frames over the sum of the least frame times), the
+three phases' least times summed over the jobs, and frames/s with the
+phases included, as perfbench's ``frames_per_s`` counts them; then the
+ratio B/A of each, and whether the two sides' event logs, track files
+and reports are equal.  The exit status is 1 if any of them differ.
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
-the same load, and a frame's least time drops most of it.
+the same load, and a least time drops most of it.
 """
 
 from __future__ import annotations
@@ -63,34 +71,59 @@ def load_side(src: Path, name: str, tmp: Path):
     return sys.modules[name]
 
 
-def _run(package, text: str, times: list[float]) -> str:
-    """Step a fresh engine over one job's detection text; each frame's
-    step time (ns) lowers ``times`` in place.  Returns the event log."""
-    engine = package.tracker.AbductionEngine()
+PHASES = ("parse ms", "write ms", "score ms")
+OUTPUTS = ("event logs", "track files", "reports")
+
+
+def _run(package, text: str, gt_text: str, times: list[float], phases: list[float]):
+    """Run one job on one side.  Each frame's step time and each phase's
+    time (ns) lower ``times`` and ``phases`` in place.  Returns the event
+    log, the track file and the report."""
+    io = package.io
+    gt = io.parse_mot_tracks(gt_text)
     clock = time.perf_counter_ns
-    for i, (frame, dets) in enumerate(package.io.parse_mot(text).frames):
+    t_job = clock()
+    stream = io.parse_mot(text)
+    engine = package.tracker.AbductionEngine()
+    t_parsed = clock()
+    for i, (frame, dets) in enumerate(stream.frames):
         t0 = clock()
         engine.step(frame, dets)
         dt = clock() - t0
         if dt < times[i]:
             times[i] = dt
-    return package.io.write_events(engine.finalize())
+    t_out = clock()
+    exp = engine.finalize()
+    outputs = (io.write_events(exp), io.write_tracks(exp), io.write_report(exp))
+    t_eval = clock()
+    package.metrics.evaluate(gt, io.explanation_to_boxes(exp))
+    t_end = clock()
+    for k, dt in enumerate((t_parsed - t_job, t_eval - t_out, t_end - t_eval)):
+        if dt < phases[k]:
+            phases[k] = dt
+    return outputs
 
 
-def compare(packages: list, texts: list[str], passes: int) -> dict:
-    """Run both packages over the job texts, interleaved; returns each
-    side's least frame times (ms) and whether the event logs agree."""
-    n_frames = [len(packages[0].io.parse_mot(t).frames) for t in texts]
+def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
+    """Run both packages over the (detection text, ground-truth text)
+    jobs, interleaved; returns each side's least frame times and phase
+    times (ms, phases summed over the jobs) and, per output, whether the
+    two sides agree."""
+    n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
-    logs: list[list[str]] = [[""] * len(texts) for _ in packages]
+    phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
+    outputs: list[list[tuple]] = [[()] * len(jobs) for _ in packages]
     for p in range(passes):
-        for j, text in enumerate(texts):
+        for j, (text, gt_text) in enumerate(jobs):
             order = (0, 1) if (p + j) % 2 == 0 else (1, 0)
             for s in order:
-                logs[s][j] = _run(packages[s], text, times[s][j])
+                outputs[s][j] = _run(packages[s], text, gt_text, times[s][j], phases[s][j])
     return {
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
-        "events_equal": logs[0] == logs[1],
+        "phase_ms": [[sum(job[k] for job in side) / 1e6 for k in range(len(PHASES))] for side in phases],
+        "equal": [
+            all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(OUTPUTS))
+        ],
     }
 
 
@@ -112,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     # The jobs come from this checkout's perfbench and abdtrack, once for
     # both sides; each side reads them back through its own parser.
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    from workloads import detections_text, make_jobs
+    from workloads import detections_text, gt_text, make_jobs
 
     from abdtrack.synth import ScenarioConfig, generate
 
@@ -122,28 +155,35 @@ def main(argv: list[str] | None = None) -> int:
             n_tracks=args.tracks, n_frames=30, overlap_fraction=0.3, drop_prob=0.05,
             jitter_sigma=1.0, seed=args.seed,
         )
-        texts = [detections_text(generate(cfg)[0])]
+        streams = [generate(cfg)]
     else:
         name = args.workload
-        texts = [detections_text(job.frames) for job in make_jobs(args.workload, args.seed)]
-    texts = texts[: args.jobs]
+        streams = [(job.frames, job.gt) for job in make_jobs(args.workload, args.seed)]
+    jobs = [(detections_text(frames), gt_text(gt)) for frames, gt in streams[: args.jobs]]
     with tempfile.TemporaryDirectory(prefix="ab_frames_") as tmp:
         packages = [
             load_side(src.resolve(), f"abdtrack_{s}", Path(tmp))
             for src, s in zip((args.src_a, args.src_b), SIDES)
         ]
-        out = compare(packages, texts, args.passes)
+        out = compare(packages, jobs, args.passes)
 
-    p50 = [statistics.median(ms) for ms in out["ms"]]
-    fps = [len(ms) / (sum(ms) / 1e3) for ms in out["ms"]]
-    print(f"{name}, seed {args.seed}: {len(texts)} jobs, {len(out['ms'][0])} frames, "
-          f"least of {args.passes} passes per frame")
-    print(f"{'side':<6}{'p50 ms':>10}{'frames/s':>12}  tree")
-    for s, src, m, f in zip(SIDES, (args.src_a, args.src_b), p50, fps):
-        print(f"{s.upper():<6}{m:>10.4f}{f:>12.1f}  {src}")
-    print(f"{'B/A':<6}{p50[1] / p50[0]:>10.3f}{fps[1] / fps[0]:>12.3f}")
-    print("event logs equal" if out["events_equal"] else "EVENT LOGS DIFFER")
-    return 0 if out["events_equal"] else 1
+    rows = []
+    for ms, phase_ms in zip(out["ms"], out["phase_ms"]):
+        step_s = sum(ms) / 1e3
+        rows.append([statistics.median(ms), len(ms) / step_s, *phase_ms,
+                     len(ms) / (step_s + sum(phase_ms) / 1e3)])
+    print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
+          f"least of {args.passes} passes per frame and phase")
+    print(f"{'side':<6}{'p50 ms':>10}{'frames/s':>11}"
+          + "".join(f"{p:>10}" for p in PHASES) + f"{'job fr/s':>10}  tree")
+    for s, src, row in zip(SIDES, (args.src_a, args.src_b), rows):
+        print(f"{s.upper():<6}{row[0]:>10.4f}{row[1]:>11.1f}"
+              + "".join(f"{v:>10.2f}" for v in row[2:5]) + f"{row[5]:>10.1f}  {src}")
+    print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" for a, b, w in
+                                   zip(*rows, (10, 11, 10, 10, 10, 10))))
+    for what, equal in zip(OUTPUTS, out["equal"]):
+        print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
+    return 0 if all(out["equal"]) else 1
 
 
 if __name__ == "__main__":
