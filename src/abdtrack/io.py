@@ -192,7 +192,9 @@ def write_tracks(exp: Explanation) -> str:
         ],
         key=itemgetter(0, 1),
     )
-    return "".join([f"{f},{tid},{text},{conf / 100.0!r},-1,-1,-1\n" for f, tid, text, conf in entries])
+    # one repr per distinct confidence; the engine's are integer percents
+    conf_text = {conf: repr(conf / 100.0) for conf in {e[3] for e in entries}}
+    return "".join([f"{f},{tid},{text},{conf_text[conf]},-1,-1,-1\n" for f, tid, text, conf in entries])
 
 
 def explanation_to_boxes(exp: Explanation) -> TrackBoxes:

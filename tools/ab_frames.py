@@ -71,7 +71,7 @@ def load_side(src: Path, name: str, tmp: Path):
     return sys.modules[name]
 
 
-PHASES = ("parse ms", "write ms", "score ms")
+PHASES = ("parse", "write", "score")
 OUTPUTS = ("event logs", "track files", "reports")
 
 
@@ -120,7 +120,7 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
                 outputs[s][j] = _run(packages[s], text, gt_text, times[s][j], phases[s][j])
     return {
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
-        "phase_ms": [[sum(job[k] for job in side) / 1e6 for k in range(len(PHASES))] for side in phases],
+        "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
         "equal": [
             all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(OUTPUTS))
         ],
@@ -172,15 +172,15 @@ def main(argv: list[str] | None = None) -> int:
         step_s = sum(ms) / 1e3
         rows.append([statistics.median(ms), len(ms) / step_s, *phase_ms,
                      len(ms) / (step_s + sum(phase_ms) / 1e3)])
+    columns = [("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
+               ("job fr/s", ".1f")]
     print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame and phase")
-    print(f"{'side':<6}{'p50 ms':>10}{'frames/s':>11}"
-          + "".join(f"{p:>10}" for p in PHASES) + f"{'job fr/s':>10}  tree")
+    print(f"{'side':<6}" + "".join(f"{c:>10}" for c, _ in columns) + "  tree")
     for s, src, row in zip(SIDES, (args.src_a, args.src_b), rows):
-        print(f"{s.upper():<6}{row[0]:>10.4f}{row[1]:>11.1f}"
-              + "".join(f"{v:>10.2f}" for v in row[2:5]) + f"{row[5]:>10.1f}  {src}")
-    print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" for a, b, w in
-                                   zip(*rows, (10, 11, 10, 10, 10, 10))))
+        print(f"{s.upper():<6}" + "".join(f"{v:>10{f}}" for v, (_, f) in zip(row, columns))
+              + f"  {src}")
+    print(f"{'B/A':<6}" + "".join(f"{b / a:>10.3f}" for a, b in zip(*rows)))
     for what, equal in zip(OUTPUTS, out["equal"]):
         print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
     return 0 if all(out["equal"]) else 1
