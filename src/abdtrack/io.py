@@ -215,7 +215,8 @@ _ENTRY = _template({"frame": "%s", "box": ["%s"], "provenance": "%s", "conf": "%
 _TRACK = _template(dict.fromkeys(["id", "class", "born_frame", "history"], "%s"), 2)
 _EVENT = _template(dict.fromkeys(["kind", "frame", "subject", "occluder"], "%s"), 2)
 _PROVENANCE = {p: json.dumps(p.value) for p in Provenance}
-# What separates two coordinates of an entry's box in the report.
+# Between two coordinates of an entry's box in the report, whose items
+# sit six levels deep.
 _COORD_SEP = ",\n" + "  " * 6
 
 
