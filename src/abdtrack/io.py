@@ -84,19 +84,15 @@ def parse_mot(text: str) -> DetectionStream:
     malformed lines raise with their line number."""
     by_frame: dict[int, list[Detection]] = {}
     # A row's frame field is read only when it differs from the last row's,
-    # since a file lists each frame's rows together, and each distinct
-    # confidence field once: the reads cost more than the rest of a row.
+    # since a file lists each frame's rows together.
     last_frame = dets = None
-    conf_pct: dict[str, int] = {}
     for lineno, parts in _rows(text, ",", 7):
         try:
             if parts[0] != last_frame:
                 dets = by_frame.setdefault(_integer(parts[0], "frame"), [])
                 last_frame = parts[0]
             box = BBox2D(float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5]))
-            conf = conf_pct.get(parts[6])
-            if conf is None:
-                conf = conf_pct[parts[6]] = _conf_percent(float(parts[6]))
+            conf = _conf_percent(float(parts[6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         dets.append(Detection(len(dets), "object", conf, box))
@@ -170,8 +166,11 @@ def _coordinates(b: BBox2D) -> str:
 
 
 def _box_text(exp: Explanation) -> list[list[str]]:
-    """Each track's history's boxes as :func:`_coordinates` text, rendered
-    by the first writer that asks and cached on ``exp`` for the other."""
+    """Each track's history's boxes as :func:`_coordinates` text, one list
+    per track in history order, rendered by the first writer that asks and
+    cached on ``exp`` for the other.  The writers pair the cache with the
+    tracks strictly, so a track or entry added or removed after the first
+    writer ran raises ``ValueError`` rather than being dropped."""
     if exp.box_text is None:
         exp.box_text = [[_coordinates(e.box) for e in trk.history] for trk in exp.tracks]
     return exp.box_text
@@ -187,8 +186,8 @@ def write_tracks(exp: Explanation) -> str:
     entries = sorted(
         [
             (h.frame, trk.id, text, h.conf)
-            for trk, texts in zip(exp.tracks, _box_text(exp))
-            for h, text in zip(trk.history, texts)
+            for trk, texts in zip(exp.tracks, _box_text(exp), strict=True)
+            for h, text in zip(trk.history, texts, strict=True)
         ],
         key=itemgetter(0, 1),
     )
@@ -230,10 +229,10 @@ def write_report(exp: Explanation) -> str:
     """Structured JSON: tracks with per-entry provenance plus the event log,
     byte for byte ``json.dumps(doc, indent=2)`` of the report's document."""
     tracks = []
-    for trk, texts in zip(exp.tracks, _box_text(exp)):
+    for trk, texts in zip(exp.tracks, _box_text(exp), strict=True):
         history = [
             _ENTRY % (h.frame, text.replace(",", _COORD_SEP), _PROVENANCE[h.provenance], h.conf)
-            for h, text in zip(trk.history, texts)
+            for h, text in zip(trk.history, texts, strict=True)
         ]
         cls = encode_basestring_ascii(trk.cls)
         tracks.append(_TRACK % (trk.id, cls, trk.born_frame, _array(history, 3)))

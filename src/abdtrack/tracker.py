@@ -59,12 +59,9 @@ class Explanation:
     """Final output: tracks with full histories and the chronological
     abduced event sequence.
 
-    The first of :mod:`abdtrack.io`'s track and report writers to run
-    renders each history entry's box once, as ``"x,y,w,h"`` text, and
-    caches it in ``box_text`` (one list per track, in history order) for
-    the other.  An explanation is therefore read-only once
-    :meth:`AbductionEngine.finalize` returns it: a history changed after
-    a writer has run is written with the boxes it held then."""
+    ``box_text`` is a cache that :mod:`abdtrack.io`'s writers own and
+    fill, so an explanation is read-only once
+    :meth:`AbductionEngine.finalize` returns it."""
 
     tracks: list[Track]
     events: list[EventOccurrence]

@@ -402,6 +402,18 @@ class TestWriterCache:
         assert (write_tracks(exp), write_report(exp)) == (tracks, report)
         assert exp == Explanation(exp.tracks, [])  # the cache is no part of equality
 
+    @pytest.mark.parametrize("where", ["track", "entry"])
+    @pytest.mark.parametrize("first, second", [(write_tracks, write_report), (write_report, write_tracks)])
+    def test_added_after_a_writer_raises(self, where, first, second):
+        exp = Explanation([_track(0, entries=[_ENTRY])], [])
+        first(exp)
+        if where == "track":
+            exp.tracks.append(_track(1, entries=[_ENTRY]))
+        else:
+            exp.tracks[0].history.append(HistoryEntry(4, BBox2D(1.0, 2.0, 3.0, 4.0), _OBS, 99))
+        with pytest.raises(ValueError, match="zip"):
+            second(exp)
+
 
 class TestWriteReport:
     @pytest.mark.parametrize("name", sorted(REPORT_CASES))
