@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
@@ -116,18 +116,13 @@ class Thresholds:
     def __post_init__(self) -> None:
         if not 0.0 <= self.iou_thresh < 1.0:
             raise ValueError("iou_thresh must be in [0, 1)")
-        for name in (
-            "conf_thresh_assign",
-            "conf_thresh_resume",
-            "conf_thresh_new_track",
-            "size_threshold",
-            "max_halted_age",
-            "anticipation_threshold",
-            "anticipation_horizon",
-            "fov_margin",
-        ):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+        for f in fields(self)[1:]:  # every field after iou_thresh
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
+
+    def admits_start(self, det: Detection) -> bool:
+        """The start constraint: a confident, large enough box."""
+        return det.conf > self.conf_thresh_new_track and det.box.area > self.size_threshold
 
     @property
     def iou_thresh_scaled(self) -> int:
@@ -249,10 +244,9 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
 
 
 def _det_option(spec: ProblemSpec, det: Detection) -> Option:
-    """A detection's one option: the first explained of ``start`` (a
-    confident, large enough box), ``ignore_det``."""
-    c = spec.config
-    if det.conf > c.conf_thresh_new_track and det.box.area > c.size_threshold:
+    """A detection's one option: the first explained of ``start`` (if
+    :meth:`Thresholds.admits_start`), ``ignore_det``."""
+    if spec.config.admits_start(det):
         return _explained(spec, None, det.id, START)
     return _explained(spec, None, det.id)
 

@@ -55,7 +55,7 @@ def anticipate_unhide(
     views: Mapping[int, TrackView],
     hidden_pairs: set[tuple[int, int]],
     current_frame: int,
-    horizon: int = 60,
+    horizon: int,
 ) -> list[Anticipation]:
     """Earliest future frame within the horizon at which each hidden
     track's dead-reckoned box stops being a proper part of its occluder's
@@ -73,16 +73,8 @@ def anticipate_unhide(
                 occluder.velocity[0] * k, occluder.velocity[1] * k
             )
             if not proper_part(b1, b2):
-                out.append(
-                    Anticipation(
-                        track=t1,
-                        occluder=t2,
-                        frame=current_frame + k,
-                        position=interpolated_position(
-                            hidden, current_frame, current_frame + k
-                        ),
-                    )
-                )
+                # b1's corner is interpolated_position at frame current_frame + k
+                out.append(Anticipation(t1, t2, current_frame + k, (b1.x, b1.y)))
                 break
     return out
 
@@ -91,7 +83,7 @@ def warnings(
     anticipations: list[Anticipation],
     current_frame: int,
     frame_geom: tuple[float, float],
-    anticipation_threshold: int = 20,
+    anticipation_threshold: int,
 ) -> list[Anticipation]:
     """The anticipations that warrant a warning, in order: those both
     imminent (within the anticipation threshold) and in the ego corridor."""

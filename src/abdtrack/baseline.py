@@ -66,12 +66,7 @@ class GreedyIoUTracker:
                 self.motion.drop(tid)
         # unmatched detections may start new tracks
         for det in detections:
-            if det.id in used_d:
-                continue
-            if (
-                det.conf > self.th.conf_thresh_new_track
-                and det.box.area > self.th.size_threshold
-            ):
+            if det.id not in used_d and self.th.admits_start(det):
                 e = _Entry(self._next_id, det)
                 e.boxes[frame] = det.box
                 self.tracks[self._next_id] = e

@@ -34,7 +34,7 @@ from .io import (
     write_tracks,
 )
 from .metrics import check_match_iou, evaluate, format_report
-from .synth import ScenarioConfig, generate
+from .synth import generate, scaling_scenario
 from .tracker import AbductionEngine, EngineConfig
 
 # (flag, Thresholds field, type): one row per threshold; each field is
@@ -188,10 +188,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'tracks':>8} {'ms/frame':>10} {'p50 ms':>8} {'max ms':>8} {'fps':>8}")
     csv_rows = ["n_tracks,frame,total_ms"]
     for n in track_counts:
-        cfg = ScenarioConfig(
-            n_tracks=n, n_frames=args.frames, overlap_fraction=args.overlap,
-            drop_prob=0.05, jitter_sigma=1.0, seed=args.seed,
-        )
+        cfg = scaling_scenario(n, args.frames, args.seed, args.overlap, config.frame_geom)
         frames, _ = generate(cfg)
         engine = AbductionEngine(config)
         for frame, dets in frames:

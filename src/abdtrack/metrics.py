@@ -10,6 +10,7 @@ matched pairs, reported as a percentage.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -50,10 +51,10 @@ class EvalReport:
 
 def _by_frame(tracks: TrackBoxes) -> dict[int, dict[int, BBox2D]]:
     """frame -> track id -> box, ids ascending within each frame."""
-    out: dict[int, dict[int, BBox2D]] = {}
+    out: dict[int, dict[int, BBox2D]] = defaultdict(dict)
     for tid in sorted(tracks):
         for f, box in tracks[tid].items():
-            out.setdefault(f, {})[tid] = box
+            out[f][tid] = box
     return out
 
 

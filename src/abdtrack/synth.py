@@ -25,6 +25,7 @@ __all__ = [
     "OcclusionScript",
     "ScenarioConfig",
     "generate",
+    "scaling_scenario",
     "measured_overlap_fraction",
     "make_occlusion_scenario",
     "occlusion_corpus",
@@ -172,6 +173,21 @@ def generate(cfg: ScenarioConfig) -> tuple[list[tuple[int, list[Detection]]], Tr
             dets.append(Detection(id=len(dets), cls=cfg.cls, conf=conf, box=BBox2D(x, y, w, h)))
         frames.append((f, dets))
     return frames, gt
+
+
+def scaling_scenario(
+    n_tracks: int,
+    n_frames: int,
+    seed: int = 0,
+    overlap: float = 0.3,
+    frame_geom: tuple[float, float] = ScenarioConfig.frame_geom,
+) -> ScenarioConfig:
+    """The scaling bench's stream: random tracks paired up to overlap,
+    with 5% of the detections dropped and 1 px of box jitter."""
+    return ScenarioConfig(
+        n_tracks=n_tracks, n_frames=n_frames, frame_geom=frame_geom, overlap_fraction=overlap,
+        drop_prob=0.05, jitter_sigma=1.0, seed=seed,
+    )
 
 
 def measured_overlap_fraction(gt: TrackBoxes, n_frames: int) -> float:

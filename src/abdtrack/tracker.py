@@ -209,8 +209,7 @@ class AbductionEngine:
             trk.history.append(HistoryEntry(last.frame + k, box, INTERPOLATED, 0))
         trk.state = ACTIVE
         trk.halted_since = None
-        self._observed[trk.id] = det.box
-        trk.history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
+        self._observe(trk, frame, det)
 
     def _end_track(self, tid: int) -> None:
         trk = self.tracks[tid]

@@ -1,4 +1,5 @@
-"""Shared test helpers: random boxes and randomized solver instances.
+"""Shared test helpers: random boxes, randomized solver instances and
+the scaling stream's frames, recorded once per session.
 
 Random specs only produce fluent configurations the engine can actually
 reach (active tracks are visible and unclipped; halted tracks are either
@@ -7,25 +8,30 @@ hidden behind a then-visible occluder or clipped).
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from abdtrack import (
+    AbductionEngine,
     BBox2D,
     Detection,
     FluentStore,
     ProblemSpec,
+    SolveResult,
     Thresholds,
     TrackPrediction,
     TrackState,
 )
 from abdtrack.domain import EventKind, EventOccurrence, Visibility, apply_event
 from abdtrack.geometry import iou, scaled_iou
+from abdtrack.synth import generate, scaling_scenario
 
 
 def random_box(rng: np.random.Generator, span: float = 300.0) -> BBox2D:
@@ -151,3 +157,21 @@ def make_random_spec(
         config=thresholds,
         frame_geom=(320.0, 320.0),
     )
+
+
+@pytest.fixture(scope="session")
+def bench_frames():
+    """``bench_frames(n)``: per frame of the 6-frame scaling stream at
+    ``n`` tracks, the spec an engine builds and the result it steps;
+    each track count is stepped once per session."""
+
+    @functools.cache
+    def record(n_tracks: int) -> list[tuple[ProblemSpec, SolveResult]]:
+        engine = AbductionEngine()
+        frames = []
+        for frame, dets in generate(scaling_scenario(n_tracks, 6))[0]:
+            result = engine.step(frame, dets)
+            frames.append((engine.last_spec, result))
+        return frames
+
+    return record

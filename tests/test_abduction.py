@@ -31,8 +31,6 @@ from abdtrack.domain import (
     possible,
 )
 from abdtrack.geometry import IOU_SCALE, overlap_likelihoods, overlapping_top
-from abdtrack.synth import ScenarioConfig, generate
-from abdtrack.tracker import AbductionEngine
 from conftest import edge_case_boxes, make_random_spec, scaled_likelihoods
 from reference_solver import halt_events_reference, solve_reference
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
@@ -62,6 +60,16 @@ def simple_spec(tracks, dets, frame=10, thresholds=Thresholds(), fluent_setup=No
         config=thresholds,
         frame_geom=frame_geom,
     )
+
+
+class TestThresholds:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(Thresholds) if f.name != "iou_thresh"]
+    )
+    @pytest.mark.parametrize("value", [-1, math.inf])
+    def test_rejects_negative_and_infinite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative$"):
+            Thresholds(**{name: value})
 
 
 class TestCandidateActions:
@@ -531,16 +539,9 @@ class TestHaltPrefilter:
         assert len(cases) == 5 and min(cases.values()) > 0, cases
 
     @pytest.mark.parametrize("n_tracks", [100, 200])
-    def test_equals_full_scan_on_bench_frames(self, n_tracks):
-        cfg = ScenarioConfig(
-            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
-            jitter_sigma=1.0, seed=0,
-        )
-        engine = AbductionEngine()
+    def test_equals_full_scan_on_bench_frames(self, n_tracks, bench_frames):
         hides = 0
-        for frame, dets in generate(cfg)[0]:
-            engine.step(frame, dets)
-            spec = engine.last_spec
+        for spec, _ in bench_frames(n_tracks):
             for t in spec.predictions:
                 events = link_events(spec, ActionKind.HALT, t)
                 assert events == halt_events_reference(spec, t)
@@ -1048,16 +1049,9 @@ class TestCoverOrder:
         assert solved > 10
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
-    def test_bench_frames(self, n_tracks, counted_solve):
+    def test_bench_frames(self, n_tracks, counted_solve, bench_frames):
         # Crowded frames: mixed blocks between forced assigns.
-        cfg = ScenarioConfig(
-            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
-            jitter_sigma=1.0, seed=0,
-        )
-        engine = AbductionEngine()
-        for frame, dets in generate(cfg)[0]:
-            result = engine.step(frame, dets)
-            spec = engine.last_spec
+        for spec, result in bench_frames(n_tracks):
             assert counted_solve(spec) == result
             _assert_result_order(spec, result)
             reordered = _reversed(spec)

@@ -24,7 +24,7 @@ from abdtrack.domain import EventKind, EventOccurrence, Visibility, apply_event
 from abdtrack.geometry import BBox2D
 from abdtrack.io import explanation_to_boxes
 from abdtrack.metrics import evaluate
-from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
+from abdtrack.synth import generate, occlusion_corpus, scaling_scenario
 from conftest import make_random_spec
 from worked_examples import (
     FRAME79_IOU_PAIRS,
@@ -183,15 +183,7 @@ def test_criterion_5_abduction_differential():
 def test_criterion_6_throughput():
     results = {}
     for n, frames_n in ((5, 60), (10, 60), (20, 40), (50, 20), (100, 10)):
-        cfg = ScenarioConfig(
-            n_tracks=n,
-            n_frames=frames_n,
-            overlap_fraction=0.3,
-            drop_prob=0.05,
-            jitter_sigma=1.0,
-            seed=24,
-        )
-        stream, _ = generate(cfg)
+        stream, _ = generate(scaling_scenario(n, frames_n, seed=24))
         passes = []
         for _ in range(3):
             eng = AbductionEngine(EngineConfig())

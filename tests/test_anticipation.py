@@ -72,6 +72,15 @@ class TestAnticipateUnhide:
         views, hidden = hidden_fixture(vx=1.0, gap_to_edge=50.0)
         assert anticipate_unhide(views, hidden, 0, horizon=10) == []
 
+    @pytest.mark.parametrize(
+        "vx, vy, occluder_vx", [(10.0, 0.0, 0.0), (7.0, 0.0, 0.0), (5.0, 0.0, -5.0), (7.3, -1.9, 0.0)]
+    )
+    def test_position_is_interpolated(self, vx, vy, occluder_vx):
+        views, hidden = hidden_fixture(vx=vx, vy=vy, gap_to_edge=30.0)
+        views[2] = TrackView(box=views[2].box, velocity=(occluder_vx, 0.0))
+        (a,) = anticipate_unhide(views, hidden, 50, horizon=60)
+        assert a.position == interpolated_position(views[1], 50, a.frame)
+
 
 class TestInterpolatedPosition:
     def test_linear_formula(self):
@@ -145,6 +154,7 @@ class TestEngineIntegration:
         ants = anticipate_unhide(views, hidden, 13, horizon=60)
         assert len(ants) == 1
         assert ants[0].frame > 13
+        assert ants[0].position == interpolated_position(views[t1], 13, ants[0].frame)
 
     def test_serialization_grammar(self):
         a = Anticipation(track=41, occluder=3, frame=202, position=(738.4, 494.6))

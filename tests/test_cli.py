@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from abdtrack import cli
 from abdtrack.cli import main
 from abdtrack.tracker import AbductionEngine
 
@@ -313,6 +314,18 @@ class TestBench:
         csv = (tmp_path / "lat.csv").read_text().splitlines()
         assert csv[0] == "n_tracks,frame,total_ms"
         assert len(csv) == 1 + 2 * 8
+
+    def test_scenes_follow_frame_geom(self, monkeypatch, capsys):
+        # the scenes are laid out on the engine's field of view
+        generate, geoms = cli.generate, []
+
+        def spy(cfg):
+            geoms.append(cfg.frame_geom)
+            return generate(cfg)
+
+        monkeypatch.setattr(cli, "generate", spy)
+        assert main(["bench", "--tracks", "3", "--frames", "4", "--frame-geom", "640x375"]) == 0
+        assert geoms == [(640.0, 375.0)]
 
 
 class TestAnticipate:

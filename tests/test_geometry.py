@@ -14,8 +14,6 @@ from abdtrack.geometry import (
     proper_part,
     scaled_iou,
 )
-from abdtrack import AbductionEngine
-from abdtrack.synth import ScenarioConfig, generate
 from conftest import edge_case_boxes, random_box
 
 
@@ -189,17 +187,10 @@ class TestOverlapLikelihoods:
         assert overlap_likelihoods([], []) == {}
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
-    def test_equals_dense_on_bench_frames(self, n_tracks):
+    def test_equals_dense_on_bench_frames(self, n_tracks, bench_frames):
         # the specs the engine records for the scaling bench's frames
-        cfg = ScenarioConfig(
-            n_tracks=n_tracks, n_frames=6, overlap_fraction=0.3, drop_prob=0.05,
-            jitter_sigma=1.0, seed=0,
-        )
-        engine = AbductionEngine()
         pairs = 0
-        for frame, dets in generate(cfg)[0]:
-            engine.step(frame, dets)
-            spec = engine.last_spec
+        for spec, _ in bench_frames(n_tracks):
             tracks = [(t, p.box) for t, p in spec.predictions.items()]
             dense = dense_likelihoods(tracks, [(d.id, d.box) for d in spec.detections])
             assert spec.likelihoods == dense

@@ -36,7 +36,7 @@ import pytest
 from abdtrack import cli, emit_facts, motion, solve
 from abdtrack.cli import main
 from abdtrack.io import format_event
-from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus
+from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus, scaling_scenario
 from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
@@ -52,20 +52,14 @@ def _cases() -> dict[str, tuple[ScenarioConfig, list[str], str | None]]:
     """Case name -> (scenario, extra CLI flags, config file text)."""
     cases = {
         "bench20": (
-            ScenarioConfig(
-                n_tracks=20, n_frames=30, overlap_fraction=0.3,
-                drop_prob=0.05, jitter_sigma=1.0, seed=0,
-            ),
+            scaling_scenario(20, 30),
             ["--frame-geom", "1242x375"],
             None,
         ),
         # Crowded: many halts with several possible occluders, so it locks
         # the lowest-id occluder choice of hides_behind.
         "bench50": (
-            ScenarioConfig(
-                n_tracks=50, n_frames=30, overlap_fraction=0.3,
-                drop_prob=0.05, jitter_sigma=1.0, seed=0,
-            ),
+            scaling_scenario(50, 30),
             ["--frame-geom", "1242x375"],
             None,
         ),

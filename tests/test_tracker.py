@@ -1,6 +1,6 @@
 import pytest
 
-from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, Thresholds
+from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, GreedyIoUTracker, Thresholds
 from abdtrack.abduction import Action, ActionKind, SolveResult
 from abdtrack.cli import _engine_config, _read_stream, build_parser
 from abdtrack.domain import (
@@ -90,6 +90,18 @@ class TestBasicLoop:
         eng.finalize()
         with pytest.raises(RuntimeError):
             eng.step(1, [])
+
+
+class TestStartRule:
+    @pytest.mark.parametrize("conf", [49, 50, 51])
+    @pytest.mark.parametrize("h", [24.75, 25.0, 25.25])  # area 99, 100, 101
+    def test_baseline_starts_a_track_when_the_engine_does(self, conf, h):
+        # either side of conf_thresh_new_track = 50 and size_threshold = 100
+        d = det(0, BBox2D(200, 150, 4, h), conf=conf)
+        eng, base = engine(), GreedyIoUTracker(Thresholds())
+        eng.step(0, [d])
+        base.step(0, [d])
+        assert bool(eng.tracks) == bool(base.tracks) == (conf > 50 and h > 25)
 
 
 class TestOcclusion:

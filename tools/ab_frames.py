@@ -11,7 +11,7 @@ temporary directory under a package name of its own, so the two import
 side by side.  The jobs of occlusion and churn are those of
 ``perfbench.workloads.make_jobs`` (``--jobs`` keeps the first J); bench
 is one job, the stream ``abdtrack bench --tracks N --frames 30`` steps
-(``synth.generate`` at overlap 0.3, drop 0.05, jitter 1.0).  The jobs
+(``synth.scaling_scenario``).  The jobs
 are written once as MOT detection and ground-truth text, so a frame with
 no detection is not stepped.  Each side runs a job as perfbench's
 ``worker.py`` does, with its own modules: ``io.parse_mot`` and a fresh
@@ -147,15 +147,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     from workloads import detections_text, gt_text, make_jobs
 
-    from abdtrack.synth import ScenarioConfig, generate
+    from abdtrack.synth import generate, scaling_scenario
 
     if args.workload == "bench":
         name = f"bench at {args.tracks} tracks"
-        cfg = ScenarioConfig(
-            n_tracks=args.tracks, n_frames=30, overlap_fraction=0.3, drop_prob=0.05,
-            jitter_sigma=1.0, seed=args.seed,
-        )
-        streams = [generate(cfg)]
+        streams = [generate(scaling_scenario(args.tracks, 30, args.seed))]
     else:
         name = args.workload
         streams = [(job.frames, job.gt) for job in make_jobs(args.workload, args.seed)]
