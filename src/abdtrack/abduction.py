@@ -124,6 +124,26 @@ class Thresholds:
         """The start constraint: a confident, large enough box."""
         return det.conf > self.conf_thresh_new_track and det.box.area > self.size_threshold
 
+    def admitted_assigns(
+        self,
+        likelihoods: dict[tuple[int, int], int],
+        dets: dict[int, Detection],
+        preds: dict[int, TrackPrediction],
+    ) -> dict[int, list[int]]:
+        """The assign constraint: per active track with an admitted pair,
+        the ids of the confident detections of its class whose scaled IoU
+        exceeds the scaled threshold, in the order ``likelihoods`` lists
+        them; ``dets`` and ``preds`` are the frame's detections and
+        track predictions by id."""
+        iou_min, conf_assign = self.iou_thresh_scaled, self.conf_thresh_assign
+        assigns: dict[int, list[int]] = {}
+        for (tid, did), ml in likelihoods.items():
+            if ml > iou_min:
+                det, pred = dets[did], preds[tid]
+                if det.conf > conf_assign and det.cls == pred.cls and pred.state is ACTIVE:
+                    assigns.setdefault(tid, []).append(did)
+        return assigns
+
     @property
     def iou_thresh_scaled(self) -> int:
         return int(round(self.iou_thresh * IOU_SCALE))
@@ -203,8 +223,8 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     fallback.
 
     Edges need the track's class and a confident detection: an active
-    track's are assigns, from the likelihood pairs above the IoU
-    threshold; a halted track's are resumes, which share one link.  An
+    track's are the assigns :meth:`Thresholds.admitted_assigns` admits;
+    a halted track's are resumes, which share one link.  An
     active track's fallback, ``halt``, enters untested (see
     :func:`_fallback`): the canonical cover of this larger set, if its
     halts are explained, is that of the strict set, and
@@ -212,15 +232,9 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     engine makes.  A halted track's fallback is the first explained of
     ``end``, ``ignore_trk``; a detection's is :func:`_det_option`."""
     config = spec.config
-    iou_min, conf_assign = config.iou_thresh_scaled, config.conf_thresh_assign
     dets = {d.id: d for d in spec.detections}
     preds = spec.predictions
-    assigns: dict[int, list[int]] = {}
-    for (tid, did), ml in spec.likelihoods.items():
-        if ml > iou_min:
-            det, pred = dets[did], preds[tid]
-            if det.conf > conf_assign and det.cls == pred.cls and pred.state is ACTIVE:
-                assigns.setdefault(tid, []).append(did)
+    assigns = config.admitted_assigns(spec.likelihoods, dets, preds)
     resumable: dict[str, list[int]] = {}
     for did in sorted(dets):
         if dets[did].conf > config.conf_thresh_resume:

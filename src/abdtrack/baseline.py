@@ -1,17 +1,21 @@
-"""Abduction-disabled reference tracker: greedy IoU matching only.
+"""Abduction-disabled reference tracker: greedy matching only.
 
-Used to quantify what the event abduction buys.  Unmatched tracks die
-immediately (no halted state, no resume, no events); unmatched detections
-start new tracks under the same start constraints.
+Used to quantify what the event abduction buys.  It reads a frame as the
+engine does, through :func:`~abdtrack.geometry.overlap_likelihoods` and
+the assign and start constraints of :class:`Thresholds`, and matches the
+admitted pairs greedily by scaled IoU (highest first), then track id,
+then detection id.  Unmatched tracks die immediately (no halted state,
+no resume, no events); unmatched detections start new tracks under the
+start constraint.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .abduction import Thresholds
-from .domain import Detection
-from .geometry import BBox2D, iou
+from .abduction import Thresholds, TrackPrediction
+from .domain import ACTIVE, Detection
+from .geometry import BBox2D, overlap_likelihoods
 from .metrics import TrackBoxes
 from .motion import MotionFilter
 
@@ -35,33 +39,25 @@ class GreedyIoUTracker:
         self._next_id = 0
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
-        preds = dict(zip(self.tracks, self.motion.predict(), strict=True))
-        pairs = []
-        for tid, pbox in preds.items():
-            for det in detections:
-                if self.tracks[tid].cls != det.cls:
-                    continue
-                if det.conf <= self.th.conf_thresh_assign:
-                    continue
-                v = iou(pbox, det.box)
-                if v > self.th.iou_thresh:
-                    pairs.append((-v, tid, det.id))
-        pairs.sort()
-        used_t: set[int] = set()
-        used_d: set[int] = set()
+        boxes = list(zip(self.tracks, self.motion.predict(), strict=True))
+        likelihoods = overlap_likelihoods(boxes, [(d.id, d.box) for d in detections])
         dets = {d.id: d for d in detections}
-        obs: dict[int, BBox2D] = {}
+        preds = {tid: TrackPrediction(box, ACTIVE, self.tracks[tid].cls) for tid, box in boxes}
+        admitted = self.th.admitted_assigns(likelihoods, dets, preds)
+        pairs = sorted(
+            (-likelihoods[tid, did], tid, did) for tid, dids in admitted.items() for did in dids
+        )
+        used_d: set[int] = set()
+        obs: dict[int, BBox2D] = {}  # the matched tracks' boxes
         for _, tid, did in pairs:
-            if tid in used_t or did in used_d:
+            if tid in obs or did in used_d:
                 continue
-            used_t.add(tid)
             used_d.add(did)
-            obs[tid] = dets[did].box
-            self.tracks[tid].boxes[frame] = dets[did].box
+            obs[tid] = self.tracks[tid].boxes[frame] = dets[did].box
         self.motion.update(obs)
         # unmatched tracks terminate immediately
         for tid in list(self.tracks):
-            if tid not in used_t:
+            if tid not in obs:
                 self.finished[tid] = self.tracks.pop(tid)
                 self.motion.drop(tid)
         # unmatched detections may start new tracks

@@ -87,12 +87,19 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _missing(*paths: str) -> bool:
+    """Whether any of ``paths`` does not exist; the first that does not
+    gets ``error: file not found: PATH`` on stderr."""
+    missing = next((p for p in paths if not Path(p).exists()), None)
+    if missing is not None:
+        print(f"error: file not found: {missing}", file=sys.stderr)
+    return missing is not None
+
+
 def _read_stream(args: argparse.Namespace):
-    path = Path(args.input)
-    if not path.exists():
-        print(f"error: input file not found: {path}", file=sys.stderr)
+    if _missing(args.input):
         raise SystemExit(2)
-    text = path.read_text()
+    text = Path(args.input).read_text()
     if args.format == "kitti":
         classes = set(args.classes.split(",")) if args.classes else None
         return parse_kitti(text, classes)
@@ -140,8 +147,7 @@ def _print_latency(engine: AbductionEngine) -> None:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    if args.gt and not Path(args.gt).exists():
-        print(f"error: file not found: {args.gt}", file=sys.stderr)
+    if args.gt and _missing(args.gt):
         return 2
     check_match_iou(args.match_iou)
     facts = partial(_write_facts, args.emit_facts) if args.emit_facts else None
@@ -166,10 +172,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    for p in (args.gt, args.hyp):
-        if not Path(p).exists():
-            print(f"error: file not found: {p}", file=sys.stderr)
-            return 2
+    if _missing(args.gt, args.hyp):
+        return 2
     gt = parse_mot_tracks(Path(args.gt).read_text())
     hyp = parse_mot_tracks(Path(args.hyp).read_text())
     report = evaluate(gt, hyp, match_iou=args.match_iou)

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 IOU_SCALE = 100_000
+# The default frame size (W, H) in pixels, that of KITTI's images.
+DEFAULT_FRAME_GEOM = (1242.0, 375.0)
 
 
 @slot_init

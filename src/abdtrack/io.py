@@ -125,7 +125,9 @@ def parse_kitti(text: str, class_filter: set[str] | None = None) -> DetectionStr
 
 
 def parse_mot_tracks(text: str) -> TrackBoxes:
-    """Parse a MOT ground-truth or result file into track id -> frame -> box."""
+    """Parse a MOT ground-truth or result file into track id -> frame ->
+    box; a second row for a (track, frame) pair raises with its line
+    number."""
     out: TrackBoxes = {}
     for lineno, parts in _rows(text, ",", 6):
         try:
@@ -134,7 +136,10 @@ def parse_mot_tracks(text: str) -> TrackBoxes:
             box = BBox2D(*map(float, parts[2:6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        out.setdefault(tid, {})[frame] = box
+        boxes = out.setdefault(tid, {})
+        if frame in boxes:
+            raise ValueError(f"line {lineno}: track {tid} already has a box in frame {frame}")
+        boxes[frame] = box
     return out
 
 

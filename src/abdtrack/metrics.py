@@ -10,6 +10,7 @@ matched pairs, reported as a percentage.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 import numpy as np
@@ -68,18 +69,20 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
     """Score a hypothesis track set against ground truth.
 
     Raises ValueError unless 0 < match_iou <= 1, and when the hypothesis
-    claims frames outside the ground-truth frame range.
+    claims frames outside the ground-truth frame range, which an empty
+    ground truth leaves empty.
     """
     check_match_iou(match_iou)
     gt_at = _by_frame(gt)
     hyp_at = _by_frame(hyp)
-    if gt_at and hyp_at:
-        lo, hi = min(gt_at), max(gt_at)
+    if hyp_at:
+        lo, hi = (min(gt_at), max(gt_at)) if gt_at else (math.inf, -math.inf)
         outside = [f for f in hyp_at if f < lo or f > hi]
         if outside:
+            where = f"range [{lo}, {hi}]" if gt_at else "frames (there are none)"
             raise ValueError(
                 f"frame-range mismatch: hypothesis frames {sorted(outside)[:5]} "
-                f"outside ground-truth range [{lo}, {hi}]"
+                f"outside ground-truth {where}"
             )
 
     # gt id -> (hyp id, IoU) at the previous frame; one-to-one.

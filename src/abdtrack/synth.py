@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Detection
-from .geometry import BBox2D, iou
+from .geometry import DEFAULT_FRAME_GEOM, BBox2D, iou
 from .metrics import TrackBoxes
 
 __all__ = [
@@ -47,14 +47,13 @@ class OcclusionScript:
 class ScenarioConfig:
     n_tracks: int = 5
     n_frames: int = 100
-    frame_geom: tuple[float, float] = (1242.0, 375.0)
+    frame_geom: tuple[float, float] = DEFAULT_FRAME_GEOM
     overlap_fraction: float = 0.0
     occlusions: tuple[OcclusionScript, ...] = ()
     drop_prob: float = 0.0
     jitter_sigma: float = 0.0
     spurious_rate: float = 0.0
     seed: int = 0
-    cls: str = "car"
     # Explicit initial boxes/velocities override the random layout.
     fixed_boxes: tuple[tuple[float, float, float, float], ...] = ()
     fixed_velocities: tuple[tuple[float, float], ...] = ()
@@ -71,8 +70,8 @@ class ScenarioConfig:
 def generate(cfg: ScenarioConfig) -> tuple[list[tuple[int, list[Detection]]], TrackBoxes]:
     """Build (frames, ground truth) for a scenario.
 
-    Returns the per-frame detection lists and the ground-truth boxes per
-    track id.
+    Returns the per-frame detection lists, every detection of class
+    ``car``, and the ground-truth boxes per track id.
     """
     rng = np.random.default_rng(cfg.seed)
     W, H = cfg.frame_geom
@@ -164,13 +163,13 @@ def generate(cfg: ScenarioConfig) -> tuple[list[tuple[int, list[Detection]]], Tr
                     box.x + dx, box.y + dy, max(4.0, box.w + dw), max(4.0, box.h + dh)
                 )
             conf = int(rng.integers(85, 100))
-            dets.append(Detection(id=len(dets), cls=cfg.cls, conf=conf, box=box))
+            dets.append(Detection(id=len(dets), cls="car", conf=conf, box=box))
         if cfg.spurious_rate > 0 and rng.random() < cfg.spurious_rate:
             w, h = float(rng.uniform(16, 40)), float(rng.uniform(14, 32))
             x = float(rng.uniform(0, W - w))
             y = float(rng.uniform(0, H - h))
             conf = int(rng.integers(55, 100))
-            dets.append(Detection(id=len(dets), cls=cfg.cls, conf=conf, box=BBox2D(x, y, w, h)))
+            dets.append(Detection(id=len(dets), cls="car", conf=conf, box=BBox2D(x, y, w, h)))
         frames.append((f, dets))
     return frames, gt
 

@@ -41,7 +41,7 @@ from .domain import (
     Track,
     apply_event,
 )
-from .geometry import BBox2D, overlap_likelihoods
+from .geometry import DEFAULT_FRAME_GEOM, BBox2D, overlap_likelihoods
 from .geometry import iou_matrix  # not called; perfbench/tracing.py wraps this name
 from .motion import MotionFilter
 
@@ -51,7 +51,7 @@ __all__ = ["EngineConfig", "Explanation", "AbductionEngine"]
 @dataclass(frozen=True)
 class EngineConfig:
     thresholds: Thresholds = Thresholds()
-    frame_geom: tuple[float, float] = (1242.0, 375.0)
+    frame_geom: tuple[float, float] = DEFAULT_FRAME_GEOM
 
 
 @dataclass

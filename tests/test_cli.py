@@ -122,10 +122,11 @@ class TestTrack:
             f"occurs_at(enters_fov(trk_{t}),0)\n" for t in range(tracked)
         )
 
-    def test_missing_input_exits_2(self, tmp_path):
+    def test_missing_input_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["track", "--input", str(tmp_path / "nope.txt")])
         assert exc.value.code == 2
+        assert f"error: file not found: {tmp_path / 'nope.txt'}" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, det_file, tmp_path, capsys):
         cfg = tmp_path / "engine.cfg"
@@ -257,6 +258,14 @@ class TestEval:
         assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_empty_gt_error(self, tmp_path, capsys):
+        gt, hyp = tmp_path / "gt.txt", tmp_path / "hyp.txt"
+        gt.write_text("")
+        self._write(hyp, [(1, 1, 0, 0, 10, 10)])
+        assert main(["eval", "--gt", str(gt), "--hyp", str(hyp)]) == 1
+        out, err = capsys.readouterr()
+        assert "mismatch" in err and out == ""
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
     def test_match_iou_out_of_range_fails(self, tmp_path, value, capsys):
         # at 0 the disjoint pair below would match: MOTA 100%, MOTP 0%
@@ -268,10 +277,11 @@ class TestEval:
         assert "error:" in err and "match IoU" in err
         assert out == ""
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         self._write(gt, [(1, 1, 0, 0, 10, 10)])
         assert main(["eval", "--gt", str(gt), "--hyp", str(tmp_path / "no.txt")]) == 2
+        assert f"error: file not found: {tmp_path / 'no.txt'}" in capsys.readouterr().err
 
 
 class TestBench:

@@ -164,6 +164,11 @@ class TestParseMotTracks:
         with pytest.raises(ValueError, match="line 3: expected at least 6 fields, got 5"):
             parse_mot_tracks("1,1,0,0,10,10\n\n1,1,0,0,10\n")
 
+    @pytest.mark.parametrize("second", ["1,1,5,5,10,10", "1.0,1,0,0,10,10", "1,1.0,0,0,10,10"])
+    def test_repeated_track_frame_rejected_with_line_number(self, second):
+        with pytest.raises(ValueError, match="line 3: track 1 already has a box in frame 1"):
+            parse_mot_tracks("1,1,0,0,10,10\n2,1,0,0,10,10\n" + second + "\n")
+
 
 class TestWriteEvents:
     def test_paper_grammar(self):

@@ -72,6 +72,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(gt, hyp)
 
+    @pytest.mark.parametrize("gt", [{}, {1: {}}])
+    def test_hypothesis_against_empty_ground_truth_rejected(self, gt):
+        # no ground-truth frame, so every hypothesis frame is outside the range
+        with pytest.raises(ValueError, match=r"frame-range mismatch: hypothesis frames \[1\]"):
+            evaluate(gt, {5: {1: BBox2D(0, 0, 10, 10)}})
+
+    def test_both_empty(self):
+        r = evaluate({}, {})
+        assert r.fp == r.fn == r.idsw == r.num_gt_boxes == 0
+
     @pytest.mark.parametrize("match_iou", [0.0, -1.0, float("nan"), 1.5])
     def test_match_iou_out_of_range_rejected(self, match_iou):
         gt = {1: track(range(1, 4))}

@@ -104,6 +104,28 @@ class TestStartRule:
         assert bool(eng.tracks) == bool(base.tracks) == (conf > 50 and h > 25)
 
 
+class TestAssignRule:
+    BOX = BBox2D(100, 100, 100, 100)
+
+    @pytest.mark.parametrize("scaled", [29_999, 30_000, 30_001])
+    @pytest.mark.parametrize("conf", [30, 31])
+    @pytest.mark.parametrize("cls", ["car", "pedestrian"])
+    def test_baseline_keeps_its_track_when_the_engine_assigns(self, scaled, conf, cls):
+        # A static box detected again shifted right by dx has IoU
+        # (100 - dx) / (100 + dx); aim 0.3 above the scaled value, so the
+        # 30,000 case has a float IoU above iou_thresh = 0.3 but a scaled
+        # one not above 30,000.  Either side of conf_thresh_assign = 30.
+        v = (scaled + 0.3) / 100_000
+        again = det(0, self.BOX.translated(100 * (1 - v) / (1 + v), 0), cls=cls, conf=conf)
+        eng, base = engine(), GreedyIoUTracker(Thresholds())
+        for f, d in enumerate([det(0, self.BOX), again]):
+            result = eng.step(f, [d])
+            base.step(f, [d])
+        assert eng.last_spec.likelihoods == {(0, 0): scaled}
+        assigned = any(a.kind == ActionKind.ASSIGN for a in result.actions)
+        assert assigned == (0 in base.tracks) == (scaled > 30_000 and conf > 30 and cls == "car")
+
+
 class TestOcclusion:
     def test_identity_preserved_and_events(self):
         eng = engine()
