@@ -43,10 +43,11 @@ decided by an exact consequence of the objective (see :func:`solve`):
   the rest only for a better-ranked edge on a free detection.
 
 Only the cover's actions are made as ``Action`` objects, each in its
-place in the result, which is scored as it is built, not a second time.
-``solve_oracle`` exhaustively enumerates every legal cover of small
-instances from the same table, made into actions by
-:func:`candidate_actions`, and must agree with ``solve``.
+place in the result; :func:`_objective` scores every cover, the
+solver's as well as the oracle's.  ``solve_oracle`` exhaustively
+enumerates every legal cover of small instances from the same table,
+made into actions by :func:`candidate_actions`, and must agree with
+``solve``.
 """
 
 from __future__ import annotations
@@ -338,20 +339,14 @@ _COSTS = {
 }
 
 
-def _action_levels(spec: ProblemSpec, a: Action) -> tuple[int, int, int]:
-    """(level10 gain, level3 cost, level2 cost) of one action."""
-    c3, c2 = _COSTS[a.kind]
-    g = spec.likelihoods.get((a.trk, a.det), 0) + 1 if a.kind is ASSIGN else 0
-    return g, c3, c2
-
-
 def _objective(spec: ProblemSpec, actions: Iterable[Action]) -> tuple[int, int, int]:
+    """(level 10 gain, level 3 cost, level 2 cost) of ``actions``."""
     l10 = l3 = l2 = 0
     for a in actions:
-        g, c3, c2 = _action_levels(spec, a)
-        l10 += g
-        l3 += c3
-        l2 += c2
+        if a.kind is ASSIGN:
+            l10 += spec.likelihoods[a.trk, a.det] + 1
+        c3, c2 = _COSTS[a.kind]
+        l3, l2 = l3 + c3, l2 + c2
     return l10, l3, l2
 
 
@@ -389,7 +384,7 @@ def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     tests' reference solver: track actions by track id, then
     detection-only actions by detection id, halts linked by
     :func:`_fallback`, scored by :func:`_objective`.  ``solve`` builds
-    the same result for itself in one pass."""
+    its result in this order as it goes."""
     track_part = sorted((a for a in actions if a.trk is not None), key=lambda a: a.trk)
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
     ordered = [
@@ -445,9 +440,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
 
     The result is built in its final order, a slot per track in
     ascending id (a block's filled once it is solved), then the free
-    detections' options by id; each assign adds its level-10 gain as it
-    is made.  Only the cover's actions are made as ``Action``s, and only
-    its halts and its free detections' options linked.  Raises
+    detections' options by id, and :func:`_objective` scores it.  Only
+    the cover's actions are made as ``Action``s, and only its halts and
+    its free detections' options linked.  Raises
     ValueError for a block too large for exact float64 folding.
     """
     tracks = _option_table(spec)
@@ -474,11 +469,9 @@ def solve(spec: ProblemSpec) -> SolveResult:
 
     cover: dict[int, Optional[Action]] = {}  # a slot per track, by id
     edges: dict[int, list[int]] = {}
-    l10 = 0
     for t, (edge, dids, fallback) in tracks.items():
         if dids and forced.get(dids[0]) == t:
             cover[t] = Action(ASSIGN, t, dids[0])
-            l10 += spec.likelihoods[t, dids[0]] + 1
             continue
         if forced and edge[0] is not ASSIGN:
             dids = [d for d in dids if d not in forced]
@@ -509,18 +502,12 @@ def solve(spec: ProblemSpec) -> SolveResult:
         for a in block:
             cover[a.trk] = a
             det_options.pop(a.det, None)  # the options left are the free detections'
-            if a.kind is ASSIGN:
-                l10 += spec.likelihoods[a.trk, a.det] + 1
 
     actions = list(cover.values())
     actions += [Action(k, None, d, e) for d, (k, e) in sorted(det_options.items())]
-    l3 = l2 = 0
-    for a in actions:
-        c3, c2 = _COSTS[a.kind]
-        l3, l2 = l3 + c3, l2 + c2
     events = tuple([a.event for a in actions if a.event is not None])
     _assert_disjoint_effects(events)
-    return SolveResult(tuple(actions), events, (l10, l3, l2))
+    return SolveResult(tuple(actions), events, _objective(spec, actions))
 
 
 def _resume_block(

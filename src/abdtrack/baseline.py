@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .abduction import Thresholds, TrackPrediction
-from .domain import ACTIVE, Detection
+from .domain import ACTIVE, Detection, check_frame
 from .geometry import BBox2D, overlap_likelihoods
 from .metrics import TrackBoxes
 from .motion import MotionFilter
@@ -37,8 +37,13 @@ class GreedyIoUTracker:
         # Kalman rows of self.tracks, in the same (ascending id) order.
         self.motion = MotionFilter()
         self._next_id = 0
+        self._last_frame: int | None = None
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
+        """Raises ValueError, before any change, where the engine's step
+        would: for a frame out of order or repeated detection ids."""
+        check_frame(frame, self._last_frame, detections)
+        self._last_frame = frame
         boxes = list(zip(self.tracks, self.motion.predict(), strict=True))
         likelihoods = overlap_likelihoods(boxes, [(d.id, d.box) for d in detections])
         dets = {d.id: d for d in detections}

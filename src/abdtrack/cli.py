@@ -1,4 +1,5 @@
-"""Command-line entry points: track, eval, bench, anticipate, emit-facts.
+"""Command-line entry points: track, eval, bench, anticipate.  ``track
+--emit-facts DIR`` also dumps each frame's problem facts for ASP.
 
 A config file may hold the same keys as the threshold flags, one
 ``key = value`` per line with ``#`` comments; explicit flags win.
@@ -87,18 +88,18 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _missing(*paths: str) -> bool:
-    """Whether any of ``paths`` does not exist; the first that does not
-    gets ``error: file not found: PATH`` on stderr."""
+def _require(*paths: str) -> None:
+    """Exits with code 2, as argparse does for a usage error, if any of
+    ``paths`` does not exist; the first that does not gets
+    ``error: file not found: PATH`` on stderr."""
     missing = next((p for p in paths if not Path(p).exists()), None)
     if missing is not None:
         print(f"error: file not found: {missing}", file=sys.stderr)
-    return missing is not None
+        raise SystemExit(2)
 
 
 def _read_stream(args: argparse.Namespace):
-    if _missing(args.input):
-        raise SystemExit(2)
+    _require(args.input)
     text = Path(args.input).read_text()
     if args.format == "kitti":
         classes = set(args.classes.split(",")) if args.classes else None
@@ -147,8 +148,8 @@ def _print_latency(engine: AbductionEngine) -> None:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    if args.gt and _missing(args.gt):
-        return 2
+    if args.gt:
+        _require(args.gt)
     check_match_iou(args.match_iou)
     facts = partial(_write_facts, args.emit_facts) if args.emit_facts else None
     engine, exp = _run_engine(args, facts)
@@ -172,8 +173,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if _missing(args.gt, args.hyp):
-        return 2
+    _require(args.gt, args.hyp)
     gt = parse_mot_tracks(Path(args.gt).read_text())
     hyp = parse_mot_tracks(Path(args.hyp).read_text())
     report = evaluate(gt, hyp, match_iou=args.match_iou)
@@ -224,12 +224,6 @@ def cmd_anticipate(args: argparse.Namespace) -> int:
 
     _, exp = _run_engine(args, print_block)
     print(write_events(exp), end="")
-    return 0
-
-
-def cmd_emit_facts(args: argparse.Namespace) -> int:
-    engine, _ = _run_engine(args, partial(_write_facts, args.out))
-    print(f"wrote {len(engine.latencies)} fact files to {Path(args.out)}")
     return 0
 
 
@@ -300,12 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_threshold_flags(p)
     p.set_defaults(func=cmd_anticipate)
-
-    p = sub.add_parser("emit-facts", help="dump per-frame problem facts")
-    _add_input_flags(p)
-    _add_threshold_flags(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_emit_facts)
 
     return parser
 

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Detection",
+    "check_frame",
     "TrackState",
     "Provenance",
     "HistoryEntry",
@@ -58,6 +59,18 @@ class Detection:
     def _check(self, id: int, cls: str, conf: int, box: BBox2D) -> None:
         if not 0 <= conf <= 100:
             raise ValueError(f"confidence out of range: {conf}")
+
+
+def check_frame(frame: int, last_frame: Optional[int], detections: Sequence[Detection]) -> None:
+    """What a tracker asks of each frame it steps: a frame after
+    ``last_frame`` (None before the first) and detections with distinct
+    ids; raises ValueError otherwise."""
+    if last_frame is not None and frame <= last_frame:
+        raise ValueError(f"frames must be strictly increasing: got {frame} after {last_frame}")
+    ids = [d.id for d in detections]
+    if len(set(ids)) != len(ids):
+        dup = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(f"frame {frame}: duplicate detection ids {dup}")
 
 
 # Each enum's members are also bound to module globals: on Python 3.10 and

@@ -40,6 +40,7 @@ from .domain import (
     HistoryEntry,
     Track,
     apply_event,
+    check_frame,
 )
 from .geometry import DEFAULT_FRAME_GEOM, BBox2D, overlap_likelihoods
 from .geometry import iou_matrix  # not called; perfbench/tracing.py wraps this name
@@ -100,14 +101,7 @@ class AbductionEngine:
         t0 = time.perf_counter()
         if self._finalized is not None:
             raise RuntimeError("engine already finalized")
-        if self._last_frame is not None and frame <= self._last_frame:
-            raise ValueError(
-                f"frames must be strictly increasing: got {frame} after {self._last_frame}"
-            )
-        ids = [d.id for d in detections]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"frame {frame}: duplicate detection ids {dup}")
+        check_frame(frame, self._last_frame, detections)
         self._last_frame = frame
 
         spec = self._build_spec(frame, detections)

@@ -25,8 +25,8 @@ from abdtrack.abduction import (
     Action,
     ProblemSpec,
     SolveResult,
-    _action_levels,
     _action_rank,
+    _objective,
     _result,
     candidate_actions,
 )
@@ -40,7 +40,7 @@ def solve_reference(spec: ProblemSpec) -> SolveResult:
     c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
 
     def value(a: Action) -> int:
-        g, c3, cost2 = _action_levels(spec, a)
+        g, c3, cost2 = _objective(spec, (a,))
         return g * c1 - c3 * c2 - cost2
 
     track_cands, det_opts = candidate_actions(spec)

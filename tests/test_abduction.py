@@ -673,6 +673,37 @@ class TestSolve:
                 seen |= t
 
 
+# One action of each kind and its (level 10 gain, level 3 cost, level 2
+# cost), valued against a likelihood of 61,234 for (trk_1, det_0).
+_OBJECTIVE_LEVELS = [
+    (Action(ActionKind.ASSIGN, 1, 0), (61_235, 0, 0)),
+    (Action(ActionKind.RESUME, 1, 0), (0, 0, 1)),
+    (Action(ActionKind.HALT, 1), (0, 0, 0)),
+    (Action(ActionKind.END, 1), (0, 0, 5)),
+    (Action(ActionKind.IGNORE_TRK, 1), (0, 10, 0)),
+    (Action(ActionKind.START, det=0), (0, 0, 5)),
+    (Action(ActionKind.IGNORE_DET, det=0), (0, 10, 0)),
+]
+
+
+class TestObjective:
+    spec = dataclasses.replace(simple_spec({}, []), likelihoods={(1, 0): 61_234})
+
+    def test_table_has_every_kind(self):
+        assert {a.kind for a, _ in _OBJECTIVE_LEVELS} == set(ActionKind)
+
+    @pytest.mark.parametrize(
+        "action, levels", _OBJECTIVE_LEVELS, ids=[a.kind.value for a, _ in _OBJECTIVE_LEVELS]
+    )
+    def test_one_action(self, action, levels):
+        assert abduction._objective(self.spec, (action,)) == levels
+
+    def test_levels_add_over_actions(self):
+        actions = [a for a, _ in _OBJECTIVE_LEVELS]
+        assert abduction._objective(self.spec, actions) == (61_235, 20, 11)
+        assert abduction._objective(self.spec, []) == (0, 0, 0)
+
+
 class TestOracle:
     def test_refuses_large_instances(self):
         tracks = {
@@ -707,7 +738,10 @@ class TestOracle:
                     if acts[0].kind == ActionKind.START
                 }
                 valued.clear()
-                r, ro = solve(s), solve_oracle(s)
+                r = solve(s)
+                # solve's cover, also valued here, holds no dominated ignore
+                assert not left_out & valued
+                ro = solve_oracle(s)
                 dominated_enumerated += bool(left_out & valued)
                 assert r.objective == ro.objective
                 assert r.actions == ro.actions
@@ -1021,8 +1055,8 @@ def _assert_result_order(spec, result):
 
 
 class TestCoverOrder:
-    # solve builds its result in order and scores it as it goes; the
-    # oracle and the reference solver make theirs by _result.
+    # solve builds its result in order; the oracle and the reference
+    # solver make theirs by _result.  All three score it by _objective.
     def test_random_and_relabelled_specs(self, counted_solve):
         rng = np.random.default_rng(71)
         for _ in range(200):

@@ -71,6 +71,18 @@ class TestTrack:
         body = files[3].read_text()
         assert body.startswith("#const curr_time=4.")
         assert re.search(r"det\(det_0, object, \d+\)\.", body)
+        text = files[12].read_text()
+        assert "trk_state(trk_" in text  # tracks exist by frame 13
+        assert "iou(trk_" in text
+
+    def test_no_emit_facts_subcommand(self, det_file, tmp_path, capsys):
+        # `track --emit-facts` is the one way to dump facts
+        with pytest.raises(SystemExit) as exc:
+            main(["emit-facts", "--input", str(det_file), "--out", str(tmp_path / "facts")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "emit-facts" in err
+        assert not (tmp_path / "facts").exists()
 
     def test_bad_first_line_makes_no_facts_dir(self, tmp_path, capsys):
         dets = tmp_path / "dets.txt"
@@ -202,12 +214,11 @@ class TestTrackMetricsToggle:
 
     def test_missing_gt_exits_2_before_the_run(self, det_file, tmp_path, capsys):
         tracks = tmp_path / "out.txt"
-        rc = main(
-            ["track", "--input", str(det_file), "--gt", str(tmp_path / "nope.txt"),
-             "--out-tracks", str(tracks), "--frame-geom", "400x300"]
-        )
-        assert rc == 2
-        assert "file not found" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--input", str(det_file), "--gt", str(tmp_path / "nope.txt"),
+                  "--out-tracks", str(tracks), "--frame-geom", "400x300"])
+        assert exc.value.code == 2
+        assert f"error: file not found: {tmp_path / 'nope.txt'}" in capsys.readouterr().err
         assert not tracks.exists()
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
@@ -280,7 +291,9 @@ class TestEval:
     def test_missing_file(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         self._write(gt, [(1, 1, 0, 0, 10, 10)])
-        assert main(["eval", "--gt", str(gt), "--hyp", str(tmp_path / "no.txt")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--gt", str(gt), "--hyp", str(tmp_path / "no.txt")])
+        assert exc.value.code == 2
         assert f"error: file not found: {tmp_path / 'no.txt'}" in capsys.readouterr().err
 
 
@@ -373,24 +386,3 @@ class TestAnticipate:
         assert "occurs_at(" not in out
         assert "frame 25 failed" in err
 
-
-class TestEmitFactsCommand:
-    def test_writes_fact_files(self, det_file, tmp_path, capsys):
-        out_dir = tmp_path / "facts"
-        rc = main(
-            [
-                "emit-facts",
-                "--input",
-                str(det_file),
-                "--out",
-                str(out_dir),
-                "--frame-geom",
-                "400x300",
-            ]
-        )
-        assert rc == 0
-        files = sorted(out_dir.glob("*.lp"))
-        assert len(files) == 25
-        text = files[12].read_text()
-        assert "trk_state(trk_" in text  # tracks exist by frame 13
-        assert "iou(trk_" in text

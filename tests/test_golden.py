@@ -3,9 +3,9 @@ synthetic streams.
 
 Each case is a stream made by ``abdtrack.synth`` from a fixed seed and
 written as a MOT detection file.  It runs through ``abdtrack track`` (tracks,
-events, JSON report and ``--emit-facts``), ``abdtrack anticipate`` and
-``abdtrack emit-facts``; its tracks are scored against the stream's ground
-truth by ``abdtrack eval --json``.  Event logs are committed in full
+events, JSON report and ``--emit-facts``) and ``abdtrack anticipate``; its
+tracks are scored against the stream's ground truth by
+``abdtrack eval --json``.  Event logs are committed in full
 (``golden/<case>.events``); tracks, report, anticipation output, scores and
 fact dumps as sha256 digests (``golden/digests.json``), because the full files
 run to megabytes.  The input file's digest is locked too, so a change in
@@ -124,8 +124,8 @@ def _input_flags(name: str, work: Path) -> list[str]:
     return flags
 
 
-def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
-    """(digests, event log, emit-facts dump) of one case, run in work."""
+def run_case(name: str, work: Path) -> tuple[dict[str, str], str]:
+    """(digests, event log) of one case, run in work."""
     cfg = CASES[name][0]
     flags = _input_flags(name, work)
     dets = work / "dets.txt"
@@ -139,7 +139,6 @@ def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
     scores = _cli(
         ["eval", "--gt", str(work / "gt.txt"), "--hyp", str(work / "tracks.txt"), "--json"]
     )
-    _cli(["emit-facts", *flags, "--out", str(work / "facts_cmd")])
     digests = {
         "input": _sha(dets.read_text()),
         "tracks": _sha((work / "tracks.txt").read_text()),
@@ -148,18 +147,16 @@ def run_case(name: str, work: Path) -> tuple[dict[str, str], str, str]:
         "eval": _sha(scores),
         "facts": _sha(_facts(work / "facts")),
     }
-    return digests, (work / "events.txt").read_text(), _facts(work / "facts_cmd")
+    return digests, (work / "events.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     expected = json.loads((GOLDEN / "digests.json").read_text())[name]
-    digests, events, facts_cmd = run_case(name, tmp_path)
+    digests, events = run_case(name, tmp_path)
     assert digests["input"] == expected["input"], "synthetic input changed, not the engine"
     assert events == (GOLDEN / f"{name}.events").read_text()
     assert digests == expected
-    # `emit-facts` and `track --emit-facts` dump the same facts.
-    assert _sha(facts_cmd) == expected["facts"]
 
 
 def worked_examples_text() -> str:
@@ -251,7 +248,7 @@ def _regenerate() -> None:
     digests = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            digests[name], events, _ = run_case(name, Path(tmp))
+            digests[name], events = run_case(name, Path(tmp))
         (GOLDEN / f"{name}.events").write_text(events)
         print(name, digests[name])
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")

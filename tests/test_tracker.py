@@ -12,6 +12,7 @@ from abdtrack.domain import (
     Visibility,
     apply_event,
 )
+from abdtrack.io import explanation_to_boxes
 from test_golden import CASES, _mot_text
 
 GEOM = (400.0, 300.0)
@@ -124,6 +125,40 @@ class TestAssignRule:
         assert eng.last_spec.likelihoods == {(0, 0): scaled}
         assigned = any(a.kind == ActionKind.ASSIGN for a in result.actions)
         assert assigned == (0 in base.tracks) == (scaled > 30_000 and conf > 30 and cls == "car")
+
+
+# Each tracker as a (new tracker, its tracks' boxes) pair.
+TRACKERS = {
+    "engine": (engine, lambda eng: explanation_to_boxes(eng.finalize())),
+    "baseline": (lambda: GreedyIoUTracker(Thresholds()), GreedyIoUTracker.result),
+}
+
+
+@pytest.mark.parametrize("new, boxes", TRACKERS.values(), ids=TRACKERS.keys())
+class TestFrameChecks:
+    """The engine and the baseline reject the same frames with the same
+    message, before either changes any state."""
+
+    A, B = BBox2D(50, 50, 20, 20), BBox2D(150, 50, 20, 20)
+
+    def test_repeated_detection_ids_rejected(self, new, boxes):
+        tracker = new()
+        for f in (0, 1):
+            message = rf"^frame {f}: duplicate detection ids \[99\]$"
+            with pytest.raises(ValueError, match=message):
+                tracker.step(f, [det(99, self.A), det(99, self.B)])
+        tracker.step(0, [det(99, self.A)])  # neither frame consumed
+        assert boxes(tracker) == {0: {0: self.A}}
+
+    def test_frame_not_after_the_last_rejected(self, new, boxes):
+        tracker = new()
+        tracker.step(5, [det(0, self.A)])
+        for f in (5, 3):
+            message = rf"^frames must be strictly increasing: got {f} after 5$"
+            with pytest.raises(ValueError, match=message):
+                tracker.step(f, [det(0, self.B)])
+        tracker.step(6, [det(0, self.A)])
+        assert boxes(tracker) == {0: {5: self.A, 6: self.A}}
 
 
 class TestOcclusion:
