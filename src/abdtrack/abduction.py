@@ -37,10 +37,11 @@ decided by an exact consequence of the objective (see :func:`solve`):
   list and a resume gains r_t + s_d, so the canonical cover is counted;
 - mixed block: any other block folds the three levels into one exact
   integer per kind of action, with constants sized to the block, and
-  runs a maximum-weight bipartite matching (per-action costs are
-  independent once event preconditions are evaluated against the
-  pre-solve fluent state); tracks are then fixed in id order, re-solving
-  the rest only for a better-ranked edge on a free detection.
+  solves one maximum-weight bipartite matching with LP duals (per-action
+  costs are independent once event preconditions are evaluated against
+  the pre-solve fluent state); tracks are then fixed in id order, the
+  duals settling each better-ranked edge on a free detection without a
+  further solve.
 
 Only the cover's actions are made as ``Action`` objects, each in its
 place in the result; :func:`_objective` scores every cover, the
@@ -56,10 +57,8 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._records import slot_init
 from .domain import (
@@ -434,16 +433,15 @@ def solve(spec: ProblemSpec) -> SolveResult:
     - A block of halted tracks that all have every detection of the
       block as an edge (the table gives each class one resume list) is
       solved by counting (:func:`_resume_block`).
-    - Any other block runs the canonical matching loop
-      (:func:`_mixed_block`), its folding constants sized to the block,
-      as its covers span no more.
+    - Any other block is solved by one exact integer matching, whose
+      duals settle the tie-break (:func:`_mixed_block`), its folding
+      constants sized to the block, as its covers span no more.
 
     The result is built in its final order, a slot per track in
     ascending id (a block's filled once it is solved), then the free
     detections' options by id, and :func:`_objective` scores it.  Only
     the cover's actions are made as ``Action``s, and only its halts and
-    its free detections' options linked.  Raises
-    ValueError for a block too large for exact float64 folding.
+    its free detections' options linked.
     """
     tracks = _option_table(spec)
     claims: dict[int, int] = {}
@@ -551,83 +549,319 @@ def _mixed_block(
     """The canonical cover of one block by matching: track ``rows`` in
     ascending id, each with its ``edges`` among detections ``cols``.
 
-    One maximum-gain matching gives the block's optimum and an incumbent
-    action per track.  Canonical extraction then fixes tracks in id
-    order: a better-ranked edge than the incumbent's, on a still-free
-    detection, is fixed when its gain plus the optimum of the remaining
-    tracks and free detections equals the remaining optimum; otherwise
-    the incumbent is.  Returns the block's track actions; its detections
-    left free take their options in :func:`solve`."""
+    The three levels fold into one exact integer per kind of action, and
+    a cover's folded value is the sum of all fallback values plus the
+    gains of its edges, an edge's gain being its value less the two
+    fallback values it replaces.  So the block's optima are its
+    maximum-gain matchings, and its canonical cover is the
+    :func:`_canonical_matching` of its gains, each track's edges ranked
+    by detection id.  Halted tracks that no canonical cover resumes are
+    left with no edge (:func:`_never_resumed`), so each takes its
+    fallback.  Returns the block's track actions; its detections left
+    free take their options in :func:`solve`."""
     n_t, n_d = len(rows), len(cols)
     # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
     # constants large enough that no lower level can overturn a higher
-    # one within the block.
+    # one within the block.  Python ints keep every sum exact.
     max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
     c2 = max_l2 + 1
     c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
-    # The matching runs on float64; keep every sum of gains exactly
-    # representable.  A gain exceeds its edge's value by at most the two
-    # fallbacks it replaces, so each is below (IOU_SCALE+2)*c1.
-    if (IOU_SCALE + 2) * c1 * min(n_t, n_d) >= 2**53:
-        raise ValueError(
-            f"block too large for exact lexicographic folding: {n_t}x{n_d}"
-        )
 
-    # A cover's folded value is the sum of all fallback values plus the
-    # gains of its edges, so the optimum is a maximum-gain matching.  A
-    # cell of the track x detection gain matrix holds an edge's value
-    # minus the two fallback values it replaces; it is 0 where there is
-    # no edge.  Every edge gains: an assign >= c1, as no fallback is worth
-    # > 0; a resume (-1) >= 9, as each fallback it replaces is worth <= -5.
+    # Every edge gains: an assign >= c1, as no fallback is worth > 0; a
+    # resume (-1) >= 9, as each fallback it replaces is worth <= -5.
     value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
     col = {did: j for j, did in enumerate(cols)}
-    det_value = np.array([value[det_options[did][0]] for did in cols], dtype=float)
-    gain = np.zeros((n_t, n_d))
-    for i, t in enumerate(rows):
+    det_value = {did: value[det_options[did][0]] for did in cols}
+    likelihoods = spec.likelihoods
+    resting = _never_resumed(spec, tracks, edges, rows)
+    gain: list[dict[int, int]] = []  # per track, column -> gain, by detection id
+    for t in rows:
         edge, _, fallback = tracks[t]
-        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
-            for did in edges[t]:
-                j = col[did]
-                gain[i, j] = (spec.likelihoods[t, did] + 1) * c1 - det_value[j]
+        if t in resting:
+            gain.append({})
+        elif edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
+            gain.append({
+                col[did]: (likelihoods[t, did] + 1) * c1 - det_value[did] for did in edges[t]
+            })
         else:
-            js = [col[did] for did in edges[t]]
-            gain[i, js] = value[RESUME] - value[fallback[0]] - det_value[js]
+            base = value[RESUME] - value[fallback[0]]
+            gain.append({col[did]: base - det_value[did] for did in edges[t]})
 
-    def optimum(first: int, cols: list[int]) -> tuple[float, dict[int, int]]:
-        """The maximum gain of the track rows from ``first`` on over the
-        columns ``cols``, and a matching realizing it (row -> column, edges)."""
-        sub = gain[first:, cols]
-        r, c = linear_sum_assignment(sub, maximize=True)
-        g = sub[r, c]
-        return g.sum(), {
-            first + x: cols[y] for x, y, v in zip(r.tolist(), c.tolist(), g.tolist()) if v > 0
-        }
-
-    free = list(range(n_d))
-    rest, match = optimum(0, free)
-
-    # Loop invariant: rest is the optimum over the unfixed tracks and the
-    # free detections, and match realizes it.
-    actions: list[Action] = []
-    for i, t in enumerate(rows):
+    actions = []
+    for t, j in zip(rows, _canonical_matching(gain, n_d)):
         edge, _, fallback = tracks[t]
-        incumbent = match.get(i)
-        for did in edges[t]:
-            j = col[did]
-            if j == incumbent:
-                rest -= gain[i, j]
-                break
-            if j in free:
-                tail, m = optimum(i + 1, [c for c in free if c != j])
-                if gain[i, j] + tail == rest:
-                    rest, match = tail, m
-                    break
-        else:  # no edge extends to an optimum
+        if j >= 0:
+            actions.append(Action(edge[0], t, cols[j], edge[1]))
+        else:
             actions.append(_fallback(spec, t, fallback))
-            continue
-        free.remove(j)
-        actions.append(Action(edge[0], t, did, edge[1]))
     return actions
+
+
+def _canonical_matching(gain: list[dict[int, int]], n_cols: int) -> list[int]:
+    """Of the maximum-gain matchings, the one whose rows' choices are
+    best in row order, lexicographically; a row ranks its columns in the
+    order of ``gain[i]``, then no column.  Returns each row's column, or
+    -1.
+
+    One call of :func:`linear_sum_assignment` gives the optimum, a
+    matching M and duals u, v, and the duals settle the order with no
+    further solve.  For any matching N, sum(gain, N) <= sum(u_i + v_j
+    over N's edges) <= sum(u) + sum(v) = the optimum, as u, v >= 0 and
+    u_i + v_j >= gain on every edge; so N is optimal iff it uses only
+    tight edges (u_i + v_j == gain) and covers every vertex with a
+    positive dual (complementary slackness).  Rows are fixed in order:
+    each takes its first column that extends the rows fixed before it
+    to an optimum, else none.  M is kept optimal and in agreement with
+    the fixed rows, so M's own choice always extends, and only the
+    columns ranked before it that no fixed row holds are tested: a slack
+    edge is in no optimum, and :meth:`_Tight.take` settles a tight one."""
+    tight = _Tight(gain, *linear_sum_assignment(gain, n_cols)[1:])
+    match, owner, u, v = tight.match, tight.owner, tight.u, tight.v
+    for i, row in enumerate(gain):
+        for j, g in row.items():
+            if j == match[i]:
+                break
+            k = owner[j]
+            if (k < 0 or k > i) and u[i] + v[j] == g and tight.take(i, j):
+                break
+    return match
+
+
+def _never_resumed(
+    spec: ProblemSpec, tracks: dict[int, TrackRow], edges: dict[int, list[int]], rows: list[int]
+) -> set[int]:
+    """The halted tracks among ``rows`` that the block's canonical cover
+    does not resume.
+
+    The halted tracks of one class share one resume list of K detections,
+    and a resume gains its track's fallback cost plus terms that do not
+    depend on the track.  Take a cover C that resumes a track h outside
+    the first K by (fallback cost descending, id).  C resumes at most K
+    tracks of the class, h among them, so some h' of the first K takes
+    its fallback in C; moving h's detection to h' and h to its fallback
+    gains h'.cost - h.cost >= 0.  If that is positive, C is not optimal;
+    if it is 0, h' has the lower id, and the new cover, equal to C before
+    h' and better ranked at h', is also optimal, so C is not canonical.
+    The block's canonical cover is therefore also the canonical cover of
+    the block with these tracks on their fallbacks."""
+    by_class: dict[str, list[int]] = {}
+    for t in rows:
+        if tracks[t][0][0] is RESUME:
+            by_class.setdefault(spec.predictions[t].cls, []).append(t)
+    resting: set[int] = set()
+    for group in by_class.values():
+        k = len(edges[group[0]])
+        if len(group) > k:
+            resting.update(sorted(group, key=lambda t: _COSTS[tracks[t][2][0]], reverse=True)[k:])
+    return resting
+
+
+def linear_sum_assignment(
+    rows: list[dict[int, int]], n_cols: int
+) -> tuple[int, list[int], list[int], list[int]]:
+    """A maximum-gain matching of a sparse bipartite graph, with LP duals
+    that certify it, in exact integers.
+
+    ``rows[i]`` maps each column j of an edge (i, j) to its gain, an int;
+    columns are ``0 .. n_cols-1``, and any row or column may stay
+    unmatched.  Returns ``(optimum, match, u, v)``: ``match[i]`` is row
+    i's column, or -1; the duals are >= 0, ``u[i] + v[j] >= gain`` on
+    every edge with equality on every matched edge, 0 on every unmatched
+    row and column, and ``sum(u) + sum(v) == optimum``.
+
+    Each row gets a private column of gain 0, its "unmatched" choice, so
+    every row is matched in a rectangular assignment, solved by shortest
+    augmenting paths (Crouse 2016, the algorithm of scipy's
+    ``linear_sum_assignment``) with a heap over the edges.  A warm start
+    in the manner of Jonker and Volgenant (1987) sets each row's dual to
+    its best gain and gives the row a free column of that gain, if one
+    is left; only the other rows need a path.  A column, once matched, stays
+    matched, and only the columns a path search finishes gain dual,
+    so an unmatched column's dual stays 0; a row on its private column
+    has u + v = 0 there and reports 0."""
+    n_rows = len(rows)
+    u = [max([0, *row.values()]) for row in rows]
+    v = [0] * (n_cols + n_rows)  # a row's private column is n_cols + its index
+    match = [-1] * n_rows
+    owner = [-1] * (n_cols + n_rows)
+    left = []
+    for i, row in enumerate(rows):
+        best = u[i]
+        for j, g in row.items():
+            if g == best and owner[j] < 0:
+                match[i], owner[j] = j, i
+                break
+        else:
+            if best:
+                left.append(i)
+            else:
+                match[i], owner[n_cols + i] = n_cols + i, i
+
+    for root in left:
+        # Dijkstra over reduced costs u + v - gain, which are >= 0 on
+        # every edge of every row; on ties a free column comes first.
+        final: dict[int, int] = {}  # column -> its shortest distance
+        best_at: dict[int, int] = {}
+        via: dict[int, int] = {}  # column -> the row it is reached from
+        scanned = []  # (row, its distance)
+        heap: list[tuple[int, bool, int]] = []
+        i, d = root, 0
+        while True:
+            scanned.append((i, d))
+            base = d + u[i]
+            for j, g in rows[i].items():
+                if j not in final:
+                    dj = base + v[j] - g
+                    if j not in best_at or dj < best_at[j]:
+                        best_at[j], via[j] = dj, i
+                        heappush(heap, (dj, owner[j] >= 0, j))
+            # Row i's private column: free, as a row on its own is
+            # reached by no path, and reached from row i alone.
+            z = n_cols + i
+            best_at[z], via[z] = base, i
+            heappush(heap, (base, False, z))
+            while True:
+                d, _, j = heappop(heap)
+                if j not in final:
+                    break
+            final[j] = d
+            i = owner[j]
+            if i < 0:
+                break
+        for r, dr in scanned:
+            u[r] -= d - dr
+        for c, dc in final.items():
+            v[c] += d - dc
+        while True:  # augment along the path to column j
+            r = via[j]
+            owner[j] = r
+            match[r], j = j, match[r]
+            if r == root:
+                break
+
+    optimum = 0
+    for i, j in enumerate(match):
+        if j < n_cols:
+            optimum += rows[i][j]
+        else:
+            match[i], u[i] = -1, 0
+    return optimum, match, u, v[:n_cols]
+
+
+class _Tight:
+    """A block's optimal matching, with its duals and tight edges, as the
+    canonical loop of :func:`_mixed_block` fixes its rows in order.
+
+    ``match`` (row -> column) and ``owner`` (column -> row) hold the
+    matching, -1 where unmatched.  :meth:`take` asks whether row i, with
+    rows 0..i-1 fixed as they are, can take column j in some optimum, and
+    if so moves the matching to one such optimum."""
+
+    def __init__(
+        self, gain: list[dict[int, int]], match: list[int], u: list[int], v: list[int]
+    ) -> None:
+        self.match, self.u, self.v = match, u, v
+        self.owner = [-1] * len(v)
+        for i, j in enumerate(match):
+            if j >= 0:
+                self.owner[j] = i
+        # per row, the columns of its tight edges
+        self.cols = [[j for j, g in row.items() if ui + v[j] == g] for row, ui in zip(gain, u)]
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """Per column, the rows of its tight edges, in order."""
+        rows: list[list[int]] = [[] for _ in self.v]
+        for i, js in enumerate(self.cols):
+            for j in js:
+                rows[j].append(i)
+        return rows
+
+    def take(self, i: int, j: int) -> bool:
+        """Whether the tight edge (i, j), j held by no row before i, lies
+        in an optimum that agrees with rows 0..i-1; if so, the matching
+        becomes one that also holds (i, j).
+
+        Drop M's edges at i (to m) and at j (from k) and add (i, j): the
+        rest M' is a matching of the tight edges among the rows after i
+        and the columns that no row up to i holds, and it covers every
+        vertex with a positive dual there but k and m.  An optimum N
+        with (i, j) exists iff some matching there covers them all.  If
+        one does, the component of M' xor N at k, if u_k > 0, is an
+        alternating path from k that ends at a column M' leaves free or
+        at a row with a zero dual; conversely such a path, flipped,
+        covers k and uncovers no column and no row with a positive
+        dual.  So a search from k (:meth:`_cover_row`) settles the rows.
+        The same holds, sides swapped, at m (:meth:`_cover_col`) on the
+        matching that flip leaves, which misses at most m, as N covers m
+        too; a flip there uncovers no row and no column with a positive
+        dual, so the result covers them all."""
+        match, owner = self.match, self.owner
+        saved = match[:], owner[:]
+        k, m = owner[j], match[i]
+        match[i], owner[j] = j, i
+        if m >= 0:
+            owner[m] = -1
+        if k >= 0:
+            match[k] = -1
+        if (k < 0 or not self.u[k] or self._cover_row(k, i)) and (
+            m < 0 or not self.v[m] or owner[m] >= 0 or self._cover_col(m, i)
+        ):
+            return True
+        match[:], owner[:] = saved
+        return False
+
+    def _cover_row(self, k: int, i: int) -> bool:
+        """Breadth-first search from the free row k, over tight edges to
+        columns no row up to i holds and matched edges back, for a free
+        column or a row with a zero dual; flips the path if found."""
+        match, owner, u = self.match, self.owner, self.u
+        via: dict[int, int] = {}  # column -> the row it is reached from
+        queue = [k]
+        for r in queue:
+            for d in self.cols[r]:
+                if d in via:
+                    continue
+                o = owner[d]
+                if 0 <= o <= i:
+                    continue
+                via[d] = r
+                if o >= 0 and u[o]:
+                    queue.append(o)
+                    continue
+                if o >= 0:
+                    match[o] = -1
+                while True:
+                    r = via[d]
+                    match[r], owner[d], d = d, r, match[r]
+                    if r == k:
+                        return True
+        return False
+
+    def _cover_col(self, m: int, i: int) -> bool:
+        """Breadth-first search from the free column m, over tight edges
+        to rows after i and matched edges back, for a free row or a
+        column with a zero dual; flips the path if found."""
+        match, owner, v = self.match, self.owner, self.v
+        via: dict[int, int] = {}  # row -> the column it is reached from
+        queue = [m]
+        for d in queue:
+            for r in self.rows[d]:
+                if r <= i or r in via:
+                    continue
+                via[r] = d
+                c = match[r]
+                if c >= 0 and v[c]:
+                    queue.append(c)
+                    continue
+                if c >= 0:
+                    owner[c] = -1
+                while True:
+                    d = via[r]
+                    match[r], owner[d], r = d, r, owner[d]
+                    if d == m:
+                        return True
+        return False
 
 
 # ----------------------------------------------------------------------

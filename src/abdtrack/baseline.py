@@ -15,8 +15,7 @@ from typing import Sequence
 
 from .abduction import Thresholds, TrackPrediction
 from .domain import ACTIVE, Detection, check_frame
-from .geometry import BBox2D, overlap_likelihoods
-from .metrics import TrackBoxes
+from .geometry import BBox2D, TrackBoxes, overlap_likelihoods
 from .motion import MotionFilter
 
 __all__ = ["GreedyIoUTracker"]

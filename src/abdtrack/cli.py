@@ -1,5 +1,7 @@
 """Command-line entry points: track, eval, bench, anticipate.  ``track
 --emit-facts DIR`` also dumps each frame's problem facts for ASP.
+``metrics`` and ``synth``, which load numpy and scipy, are imported by
+the commands that use them (``eval``, ``bench`` and ``track --gt``).
 
 A config file may hold the same keys as the threshold flags, one
 ``key = value`` per line with ``#`` comments; explicit flags win.
@@ -25,6 +27,7 @@ from .anticipation import (
     format_warning,
     warnings as compute_warnings,
 )
+from .geometry import check_match_iou
 from .io import (
     explanation_to_boxes,
     parse_kitti,
@@ -34,8 +37,6 @@ from .io import (
     write_report,
     write_tracks,
 )
-from .metrics import check_match_iou, evaluate, format_report
-from .synth import generate, scaling_scenario
 from .tracker import AbductionEngine, EngineConfig
 
 # (flag, Thresholds field, type): one row per threshold; each field is
@@ -165,6 +166,8 @@ def cmd_track(args: argparse.Namespace) -> int:
         ]
         Path(args.latency_csv).write_text("\n".join(rows) + "\n")
     if args.gt:
+        from .metrics import evaluate, format_report
+
         gt = parse_mot_tracks(Path(args.gt).read_text())
         report = evaluate(gt, explanation_to_boxes(exp), match_iou=args.match_iou)
         print(format_report(report, name=Path(args.input).stem))
@@ -173,6 +176,8 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import evaluate, format_report
+
     _require(args.gt, args.hyp)
     gt = parse_mot_tracks(Path(args.gt).read_text())
     hyp = parse_mot_tracks(Path(args.hyp).read_text())
@@ -185,6 +190,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .synth import generate, scaling_scenario
+
     track_counts = [int(v) for v in args.tracks.split(",")]
     config = _engine_config(args)
     # One mean cannot resolve a small change on a busy machine; the

@@ -28,14 +28,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf, isfinite
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._records import slot_init
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "BBox2D",
+    "TrackBoxes",
+    "check_match_iou",
     "iou",
     "iou_matrix",
     "scaled_iou",
@@ -93,6 +96,16 @@ class BBox2D:
         return BBox2D(self.x + dx, self.y + dy, self.w, self.h)
 
 
+# track id -> frame -> box
+TrackBoxes = dict[int, dict[int, BBox2D]]
+
+
+def check_match_iou(match_iou: float) -> None:
+    """ValueError unless 0 < match_iou <= 1 (NaN fails too)."""
+    if not 0 < match_iou <= 1:
+        raise ValueError(f"match IoU must lie in (0, 1]: {match_iou}")
+
+
 def iou(a: BBox2D, b: BBox2D) -> float:
     """Intersection over union in [0, 1]; 0 for disjoint boxes.
 
@@ -112,13 +125,19 @@ def iou(a: BBox2D, b: BBox2D) -> float:
 
 def scaled_iou(ious: float | np.ndarray) -> np.ndarray:
     """The solver's matching likelihood: an IoU (or an array of them)
-    scaled by IOU_SCALE and rounded to the nearest integer, ties to even."""
+    scaled by IOU_SCALE and rounded to the nearest integer, ties to even.
+    Like :func:`iou_matrix`, the dense reference, which no engine path
+    calls: numpy is imported here, not with the module."""
+    import numpy as np
+
     return np.rint(IOU_SCALE * np.asarray(ious)).astype(np.int64)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) float arrays of (x, y, w, h)
     rows of valid boxes, whose unions are all positive; bit for bit :func:`iou`."""
+    import numpy as np
+
     ax1, ay1 = a[:, 0:1], a[:, 1:2]
     ax2, ay2 = ax1 + a[:, 2:3], ay1 + a[:, 3:4]
     bx1, by1 = b[None, :, 0], b[None, :, 1]

@@ -26,8 +26,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .domain import Detection, EventOccurrence, Provenance
-from .geometry import BBox2D
-from .metrics import TrackBoxes
+from .geometry import BBox2D, TrackBoxes
 from .tracker import Explanation
 
 __all__ = [

@@ -13,15 +13,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BBox2D, iou
+from .geometry import BBox2D, TrackBoxes, check_match_iou, iou
 
 __all__ = ["TrackBoxes", "EvalReport", "check_match_iou", "evaluate", "format_report"]
-
-# track id -> frame -> box
-TrackBoxes = dict[int, dict[int, BBox2D]]
 
 
 @dataclass
@@ -57,12 +55,6 @@ def _by_frame(tracks: TrackBoxes) -> dict[int, dict[int, BBox2D]]:
         for f, box in tracks[tid].items():
             out[f][tid] = box
     return out
-
-
-def check_match_iou(match_iou: float) -> None:
-    """ValueError unless 0 < match_iou <= 1 (NaN fails too)."""
-    if not 0 < match_iou <= 1:
-        raise ValueError(f"match IoU must lie in (0, 1]: {match_iou}")
 
 
 def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalReport:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Detection
-from .geometry import DEFAULT_FRAME_GEOM, BBox2D, iou
-from .metrics import TrackBoxes
+from .geometry import DEFAULT_FRAME_GEOM, BBox2D, TrackBoxes, iou
 
 __all__ = [
     "OcclusionScript",

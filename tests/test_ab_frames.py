@@ -1,6 +1,6 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
-occlusion scene and on a small bench stream, and a tree whose track files
-differ."""
+occlusion scene, on a small bench stream and in the set-up probe, and a
+tree whose track files differ."""
 
 import shutil
 import subprocess
@@ -65,3 +65,24 @@ def test_tracks_only_with_bench():
     for workload, extra in (("bench", []), ("churn", ["--tracks", "6"])):
         out = _ab_frames("src", "src", "--workload", workload, *extra)
         assert out.returncode == 2 and "--tracks N goes with --workload bench" in out.stderr
+
+
+def test_setup_pairs():
+    out = _ab_frames("--setup", "src", "src/abdtrack", "--pairs", "2")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "set-up, 2 alternated pairs: spawn, import abdtrack, AbductionEngine()"
+    assert lines[1].split() == ["side", "q1", "s", "median", "s", "q3", "s", "tree"]
+    assert [line.split()[0] for line in lines[2:]] == ["A", "B", "B/A"]
+    for side in lines[2:4]:
+        q1, median, q3 = map(float, side.split()[1:4])
+        assert 0 < q1 <= median <= q3
+    ratio, *wins = lines[4].split()[1:]
+    assert float(ratio) > 0 and wins[:2] == ["B", "less"] and wins[-3:] == ["of", "2", "pairs"]
+
+
+def test_setup_or_workload():
+    for args in (["--setup", "--workload", "churn"], [], ["--workload", "churn", "--pairs", "2"]):
+        out = _ab_frames("src", "src", *args)
+        assert out.returncode == 2
+        assert "give one of --workload and --setup" in out.stderr or "--pairs N goes" in out.stderr

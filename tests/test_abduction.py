@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment as scipy_lsap
 
 from abdtrack import (
     BBox2D,
@@ -826,8 +827,9 @@ class TestLargeInstances:
         assert all(counts[r] > 0 for r in ("forced", "resume", "mixed")), counts
 
     def test_frame_of_separated_pairs_past_the_folding_limit_solves(self, monkeypatch):
-        # 1000x1000 is past the size one block can fold exactly (742x742),
-        # but each pair here is a forced assign, and no block is folded.
+        # 1000x1000, past the size one block could once fold exactly in
+        # float64 (742x742); each pair here is a forced assign, so no block
+        # needs a matching.
         monkeypatch.setattr(abduction, "linear_sum_assignment", _no_matching)
         boxes = [BBox2D(30.0 * (i % 40), 30.0 * (i // 40), 20, 20) for i in range(1000)]
         spec = ProblemSpec(
@@ -845,11 +847,14 @@ class TestLargeInstances:
             (ActionKind.ASSIGN, t, t) for t in range(1000)
         ]
 
-    def test_block_past_the_folding_limit_raises(self):
-        # One active track with two assign edges joins 2000 clipped halted
-        # tracks of its class and their 400 resumable detections into one
-        # block; float64 cannot fold a block of that size exactly.  Five
-        # forced pairs of another class make the frame larger than the block.
+    def test_block_past_the_former_folding_limit_solves(self):
+        # One active track with two assign edges joins 2000 halted tracks
+        # of its class and their 400 resumable detections into one block,
+        # which float64 could not fold exactly.  Five forced pairs of
+        # another class make the frame larger than the block.  The active
+        # track takes its likelier detection; the other 399 are resumed by
+        # the lowest-id halted tracks, all on the same fallback, each on
+        # the lowest free detection id.
         box = BBox2D(100, 100, 20, 20)
         fluents = FluentStore()
         for t in range(2006):
@@ -872,8 +877,17 @@ class TestLargeInstances:
             fluents=fluents,
             frame_geom=(320.0, 320.0),
         )
-        with pytest.raises(ValueError, match="2001x400"):
-            solve(spec)
+        result = solve(spec)
+        assign, resume, ignore = ActionKind.ASSIGN, ActionKind.RESUME, ActionKind.IGNORE_TRK
+        assert [(a.kind, a.trk, a.det) for a in result.actions] == [
+            (assign, 0, 0),
+            *((resume, t, t) for t in range(1, 400)),
+            *((ignore, t, None) for t in range(400, 2001)),
+            *((assign, 2001 + k, 400 + k) for k in range(5)),
+        ]
+        level10 = 80_000 + 1 + 5 * (IOU_SCALE + 1)
+        assert result.objective == abduction._objective(spec, result.actions)
+        assert result.objective == (level10, 10 * 1601, 399)
 
 
 def _no_matching(*args, **kwargs):
@@ -921,6 +935,116 @@ class TestBlocks:
         assert counted_solve.counts == Counter({"forced": 1, "resume": 4})
         for s in (spec, _relabelled(spec), _reversed(spec)):
             assert counted_solve(s) == solve_reference(s) == solve_oracle(s)
+
+
+def _random_gains(rng, n_rows, n_cols, density, top):
+    """Per row, gains in 1..top on a random subset of the columns, keyed
+    in a random order (a row's order ranks its columns)."""
+    return [
+        {j: int(rng.integers(1, top + 1)) for j in rng.permutation(n_cols).tolist()
+         if rng.random() < density}
+        for _ in range(n_rows)
+    ]
+
+
+def _assert_certificate(rows, n_cols, result):
+    """linear_sum_assignment's contract: a matching and its gain, and
+    integer duals that prove it optimal."""
+    optimum, match, u, v = result
+    assert len(match) == len(u) == len(rows) and len(v) == n_cols
+    assert all(type(x) is int for x in (optimum, *u, *v))
+    assert min(u + v, default=0) >= 0
+    matched = [j for j in match if j >= 0]
+    assert len(set(matched)) == len(matched)
+    for i, row in enumerate(rows):
+        assert all(u[i] + v[j] >= g for j, g in row.items())
+        if match[i] >= 0:
+            assert u[i] + v[match[i]] == row[match[i]]
+        else:
+            assert u[i] == 0
+    assert all(v[j] == 0 for j in set(range(n_cols)) - set(matched))
+    assert sum(u) + sum(v) == optimum == sum(rows[i][j] for i, j in enumerate(match) if j >= 0)
+
+
+def _canonical_by_enumeration(rows):
+    """The best of every matching, by gain, then by each row's choice in
+    row order (its columns in its key order, then none)."""
+    def matchings(i, used):
+        if i == len(rows):
+            yield ()
+            return
+        for j in [*rows[i], -1]:
+            if j not in used:
+                yield from ((j, *rest) for rest in matchings(i + 1, used | {j} - {-1}))
+
+    def key(m):
+        gain = sum(rows[i][j] for i, j in enumerate(m) if j >= 0)
+        return -gain, [[*rows[i], -1].index(j) for i, j in enumerate(m)]
+
+    return list(min(matchings(0, frozenset()), key=key))
+
+
+class TestBlockSolver:
+    def test_optimum_equals_scipy_and_duals_certify_it(self):
+        rng = np.random.default_rng(41)
+        shapes = Counter()
+        for _ in range(400):
+            n_rows, n_cols = (int(n) for n in rng.integers(1, 30, size=2))
+            density = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+            top = int(rng.choice([1, 3, 1000]))  # 1 and 3: many tied gains
+            rows = _random_gains(rng, n_rows, n_cols, density, top)
+            result = abduction.linear_sum_assignment(rows, n_cols)
+            _assert_certificate(rows, n_cols, result)
+            dense = np.zeros((n_rows, n_cols), dtype=np.int64)
+            for i, row in enumerate(rows):
+                dense[i, list(row)] = list(row.values())
+            r, c = scipy_lsap(dense, maximize=True)
+            assert result[0] == dense[r, c].sum()
+            # past float64: the same gains times 2**60 keep the same matchings
+            big = [{j: g << 60 for j, g in row.items()} for row in rows]
+            scaled = abduction.linear_sum_assignment(big, n_cols)
+            _assert_certificate(big, n_cols, scaled)
+            assert scaled[0] == result[0] << 60
+            shapes[(n_rows > n_cols) - (n_rows < n_cols), top] += 1
+        assert all(shapes[s, top] for s in (-1, 1) for top in (1, 3, 1000)), shapes
+
+    def test_empty_rows_and_columns(self):
+        assert abduction.linear_sum_assignment([], 0) == (0, [], [], [])
+        assert abduction.linear_sum_assignment([{}, {}], 3) == (0, [-1, -1], [0, 0], [0, 0, 0])
+
+    def test_canonical_matching_equals_enumeration(self):
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            n_rows, n_cols = (int(n) for n in rng.integers(1, 6, size=2))
+            top = int(rng.choice([1, 2, 5]))
+            rows = _random_gains(rng, n_rows, n_cols, float(rng.choice([0.4, 0.8, 1.0])), top)
+            assert abduction._canonical_matching(rows, n_cols) == _canonical_by_enumeration(rows)
+
+    @pytest.mark.parametrize("n_tracks", [50, 100, 200])
+    def test_duals_certify_every_mixed_block_of_the_bench_frames(
+        self, n_tracks, bench_frames, monkeypatch
+    ):
+        # One solver call per mixed block, and each call's duals prove its
+        # matching optimal.
+        calls, blocks = [], []
+        solver, mixed_block = abduction.linear_sum_assignment, abduction._mixed_block
+
+        def solving(rows, n_cols):
+            result = solver(rows, n_cols)
+            calls.append((rows, n_cols, (result[0], list(result[1]), result[2], result[3])))
+            return result
+
+        def counting(*args):
+            blocks.append(len(args[4]))
+            return mixed_block(*args)
+
+        monkeypatch.setattr(abduction, "linear_sum_assignment", solving)
+        monkeypatch.setattr(abduction, "_mixed_block", counting)
+        for spec, result in bench_frames(n_tracks):
+            assert solve(spec) == result
+        assert calls and [len(rows) for rows, _, _ in calls] == blocks
+        for rows, n_cols, result in calls:
+            _assert_certificate(rows, n_cols, result)
 
 
 def _halted_heavy_spec(rng, n_tracks, n_dets):

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from abdtrack import cli
+from abdtrack import synth
 from abdtrack.cli import main
 from abdtrack.tracker import AbductionEngine
 
@@ -340,13 +340,13 @@ class TestBench:
 
     def test_scenes_follow_frame_geom(self, monkeypatch, capsys):
         # the scenes are laid out on the engine's field of view
-        generate, geoms = cli.generate, []
+        generate, geoms = synth.generate, []
 
         def spy(cfg):
             geoms.append(cfg.frame_geom)
             return generate(cfg)
 
-        monkeypatch.setattr(cli, "generate", spy)
+        monkeypatch.setattr(synth, "generate", spy)
         assert main(["bench", "--tracks", "3", "--frames", "4", "--frame-geom", "640x375"]) == 0
         assert geoms == [(640.0, 375.0)]
 

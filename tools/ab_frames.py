@@ -4,6 +4,7 @@
                               [--seed N] [--passes K] [--jobs J]
     python tools/ab_frames.py SRC_A SRC_B --workload bench --tracks N
                               [--seed N] [--passes K]
+    python tools/ab_frames.py --setup SRC_A SRC_B [--pairs N]
 
 SRC_A and SRC_B are source trees holding the ``abdtrack`` package: a
 checkout's ``src/`` or its ``src/abdtrack``.  Each is copied into a
@@ -34,6 +35,16 @@ and reports are equal.  The exit status is 1 if any of them differ.
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
 the same load, and a least time drops most of it.
+
+``--setup`` times the set-up probe of perfbench's ``run.py`` instead:
+from spawning a fresh interpreter, through ``import abdtrack``, to a
+constructed ``AbductionEngine``.  Each tree's package is copied into a
+temporary directory of its own, and one spawn per side, which writes
+the bytecode caches, goes first and is dropped.  Then come N pairs
+(``--pairs``, default 10), one spawn of each side per pair, which side
+goes first alternating from pair to pair.  The output gives each side's
+median and quartiles, the ratio B/A of the medians and the number of
+pairs in which B took less time than A.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ import importlib
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,15 +70,20 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b")
 
 
-def load_side(src: Path, name: str, tmp: Path):
-    """The ``abdtrack`` package of the tree ``src``, imported as ``name``."""
+def copy_package(src: Path, dest: Path) -> None:
+    """Copy the ``abdtrack`` package of the tree ``src`` to ``dest``."""
     package = src / "abdtrack" if (src / "abdtrack").is_dir() else src
     if not (package / "tracker.py").is_file():
         raise SystemExit(f"{src}: no abdtrack package")
-    shutil.copytree(package, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(package, dest, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def load_side(src: Path, name: str, tmp: Path):
+    """The ``abdtrack`` package of the tree ``src``, imported as ``name``."""
+    copy_package(src, tmp / name)
     if str(tmp) not in sys.path:
         sys.path.insert(0, str(tmp))
-    for module in ("tracker", "io"):
+    for module in ("tracker", "io", "metrics"):
         importlib.import_module(f"{name}.{module}")
     return sys.modules[name]
 
@@ -127,16 +144,67 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
     }
 
 
+# perfbench/run.py's set-up probe: the time from the spawn is taken by
+# the parent before it and printed by the child after the engine is built.
+_SETUP_CODE = (
+    "import sys, time; sys.path.insert(0, {src!r}); import abdtrack; "
+    "abdtrack.AbductionEngine(); print(time.clock_gettime_ns(time.CLOCK_MONOTONIC))"
+)
+
+
+def setup_seconds(srcs: list[Path], pairs: int) -> list[list[float]]:
+    """Per tree, the set-up times (s) of ``pairs`` alternated spawns."""
+    times: list[list[float]] = [[] for _ in srcs]
+    with tempfile.TemporaryDirectory(prefix="ab_setup_") as tmp:
+        codes = []
+        for src, s in zip(srcs, SIDES):
+            copy_package(src, Path(tmp, s, "abdtrack"))
+            codes.append(_SETUP_CODE.format(src=str(Path(tmp, s))))
+        for p in range(-1, pairs):  # pair -1 writes the bytecode caches
+            for k in ((0, 1) if p % 2 == 0 else (1, 0)):
+                t0 = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
+                out = subprocess.run([sys.executable, "-c", codes[k]], capture_output=True,
+                                     text=True, cwd=tmp, timeout=120)
+                if out.returncode != 0:
+                    raise SystemExit(f"set-up probe failed: {out.stderr.strip()}")
+                if p >= 0:
+                    times[k].append((int(out.stdout.split()[-1]) - t0) / 1e9)
+    return times
+
+
+def main_setup(srcs: list[Path], pairs: int) -> int:
+    times = setup_seconds(srcs, pairs)
+    print(f"set-up, {pairs} alternated pairs: spawn, import abdtrack, AbductionEngine()")
+    print(f"{'side':<6}{'q1 s':>10}{'median s':>10}{'q3 s':>10}  tree")
+    for s, src, side in zip(SIDES, srcs, times):
+        q1, median, q3 = statistics.quantiles(side, n=4) if pairs > 1 else side * 3
+        print(f"{s.upper():<6}{q1:>10.4f}{median:>10.4f}{q3:>10.4f}  {src}")
+    a, b = (statistics.median(side) for side in times)
+    wins = sum(tb < ta for ta, tb in zip(*times))
+    print(f"{'B/A':<6}{b / a:>20.3f}  B less in {wins} of {pairs} pairs")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a", type=Path)
     ap.add_argument("src_b", type=Path)
-    ap.add_argument("--workload", required=True, choices=("occlusion", "churn", "bench"))
+    ap.add_argument("--workload", choices=("occlusion", "churn", "bench"))
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--passes", type=int, default=6)
     ap.add_argument("--jobs", type=int, default=None, help="run only the first J jobs")
     ap.add_argument("--tracks", type=int, default=None, help="bench: the number of tracks")
+    ap.add_argument("--setup", action="store_true", help="time the set-up probe instead")
+    ap.add_argument("--pairs", type=int, default=None, help="--setup: alternated spawn pairs")
     args = ap.parse_args(argv)
+    if args.setup == (args.workload is not None):
+        ap.error("give one of --workload and --setup")
+    if args.setup:
+        if args.pairs is not None and args.pairs < 1:
+            ap.error("--pairs must be at least 1")
+        return main_setup([args.src_a.resolve(), args.src_b.resolve()], args.pairs or 10)
+    if args.pairs is not None:
+        ap.error("--pairs N goes with --setup, and only with it")
     if args.passes < 1:
         ap.error("--passes must be at least 1")
     if (args.workload == "bench") != (args.tracks is not None):
