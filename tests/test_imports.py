@@ -39,10 +39,11 @@ def _child(run: str, *args: str) -> list[str]:
 def test_engine_steps_without_numpy_or_scipy(tmp_path):
     _input_flags("bench20", tmp_path)
     run = (
+        "from pathlib import Path\n"
         "from abdtrack import AbductionEngine\n"
         "from abdtrack.io import parse_mot\n"
         "engine = AbductionEngine()\n"
-        "for frame, dets in parse_mot(open(sys.argv[1]).read()).frames:\n"
+        "for frame, dets in parse_mot(Path(sys.argv[1]).read_text()).frames:\n"
         "    engine.step(frame, dets)"
     )
     blocks, *loaded = _child(run, str(tmp_path / "dets.txt"))
