@@ -15,6 +15,13 @@ form, and a JSON report of provenance and the event log that is byte for
 byte ``json.dumps(doc, indent=2)`` of its fixed schema, from templates.
 The track and report writers write each box coordinate as ``json`` does,
 from text rendered once per explanation.
+
+Each writer builds its text with one join over a list of pieces: the
+report's tracks and events go straight into the document's list, and the
+track file's lines are grouped by frame as the tracks are walked in id
+order, so no sort key is built per line.  A long stream's write phase
+sets its peak memory, and every further join or ``%`` of the whole text
+would hold one more copy of it.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import json
 from collections.abc import Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from .domain import Detection, EventOccurrence, Provenance
 from .geometry import BBox2D, TrackBoxes
@@ -181,23 +187,24 @@ def _box_text(exp: Explanation) -> list[list[str]]:
 
 
 def write_tracks(exp: Explanation) -> str:
-    """MOT result lines (frame,id,x,y,w,h,conf,-1,-1,-1).
+    """MOT result lines (frame,id,x,y,w,h,conf,-1,-1,-1), in (frame, id)
+    order.
 
     Box coordinates are written as the report writes them, in full
     precision (a numpy float as a plain float), so observed entries
     round-trip exactly through parse; interpolated entries carry conf 0.
     """
-    entries = sorted(
-        [
-            (h.frame, trk.id, text, h.conf)
-            for trk, texts in zip(exp.tracks, _box_text(exp), strict=True)
-            for h, text in zip(trk.history, texts, strict=True)
-        ],
-        key=itemgetter(0, 1),
-    )
+    pairs = sorted(zip(exp.tracks, _box_text(exp), strict=True), key=lambda pair: pair[0].id)
     # one repr per distinct confidence; the engine's are integer percents
-    conf_text = {conf: repr(conf / 100.0) for conf in {e[3] for e in entries}}
-    return "".join([f"{f},{tid},{text},{conf_text[conf]},-1,-1,-1\n" for f, tid, text, conf in entries])
+    conf_text = {c: repr(c / 100.0) for c in {h.conf for trk in exp.tracks for h in trk.history}}
+    # Walking the tracks in id order puts each frame's lines in id order.
+    by_frame: dict[int, list[str]] = {}
+    for trk, texts in pairs:
+        for h, text in zip(trk.history, texts, strict=True):
+            by_frame.setdefault(h.frame, []).append(
+                f"{h.frame},{trk.id},{text},{conf_text[h.conf]},-1,-1,-1\n"
+            )
+    return "".join([line for frame in sorted(by_frame) for line in by_frame[frame]])
 
 
 def explanation_to_boxes(exp: Explanation) -> TrackBoxes:
@@ -223,10 +230,23 @@ _PROVENANCE = {p: json.dumps(p.value) for p in Provenance}
 _COORD_SEP = ",\n" + "  " * 6
 
 
-def _array(items: list[str], depth: int) -> str:
-    """JSON array of the items' texts, opened at nesting level ``depth``."""
+# The report's three literal parts, around its two arrays.
+_DOCUMENT = _template({"tracks": "%s", "events": "%s"}, 0).split("%s")
+
+
+def _array(items: list[str], depth: int) -> list[str]:
+    """The pieces of the JSON array of the items' texts, opened at nesting
+    level ``depth``: its opening, the items with separators between them
+    and its closing."""
+    if not items:
+        return ["[]"]
     pad = "\n" + "  " * depth
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]" if items else "[]"
+    sep = "," + pad + "  "
+    pieces = ["[" + pad + "  "]
+    for item in items:
+        pieces += (item, sep)
+    pieces[-1] = pad + "]"
+    return pieces
 
 
 def write_report(exp: Explanation) -> str:
@@ -239,11 +259,12 @@ def write_report(exp: Explanation) -> str:
             for h, text in zip(trk.history, texts, strict=True)
         ]
         cls = encode_basestring_ascii(trk.cls)
-        tracks.append(_TRACK % (trk.id, cls, trk.born_frame, _array(history, 3)))
+        tracks.append(_TRACK % (trk.id, cls, trk.born_frame, "".join(_array(history, 3))))
     events = [
         _EVENT % ('"%s"' % e.kind.name.lower(), e.frame,
                   ('"det_%s"' if e.subject_is_det else '"trk_%s"') % e.subject,
                   "null" if e.occluder is None else '"trk_%s"' % e.occluder)
         for e in exp.events
     ]
-    return _template({"tracks": "%s", "events": "%s"}, 0) % (_array(tracks, 1), _array(events, 1))
+    head, middle, tail = _DOCUMENT
+    return "".join([head, *_array(tracks, 1), middle, *_array(events, 1), tail])

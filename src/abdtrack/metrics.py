@@ -3,8 +3,8 @@ fragmentations.
 
 Per frame, matches from the previous frame persist while their IoU stays
 at or above the matching threshold; the remainder is matched by a
-maximum-total-IoU assignment (admissible pairs only), preferring more
-matches and then lowest gt id on exact ties.  MOTP is the mean IoU over
+maximum-total-IoU assignment (admissible pairs only), whose exact ties
+:func:`_residual_match` describes.  MOTP is the mean IoU over
 matched pairs, reported as a percentage.
 """
 
@@ -151,9 +151,15 @@ def _residual_match(
     """Maximum-total-IoU assignment over one frame's still-unmatched boxes,
     as gt id -> (hyp id, IoU).
 
-    Weights are scaled to integers so exact ties resolve deterministically:
-    primary total IoU, then more matches, then lowest (gt, hyp) rank.  A
-    pair below match_iou has weight 0; any other has weight >= 1.
+    A pair below match_iou has weight 0.  Any other pair, of the i-th free
+    gt and the j-th free hyp, weighs its IoU in integer steps of 1e-7,
+    times n_g*n_h + 1, plus a rank term n_g*n_h - (i*n_h + j) >= 1; so the
+    total IoU decides first.  The rank terms are summed, and the sum,
+    k*n_g*n_h - (n_h*sum(i) + sum(j)) over k pairs, depends only on which
+    rows and columns are matched, not on how they pair up.  Two matchings
+    of the same boxes with the same scaled total IoU therefore weigh the
+    same, and the solver's own order picks between them: an exact tie does
+    not go to the lowest (gt, hyp) rank.
     """
     if not free_g or not free_h:
         return {}

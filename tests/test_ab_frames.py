@@ -24,17 +24,19 @@ def test_same_tree_both_sides():
     assert lines[0].startswith("occlusion, seed 0: 1 jobs, ")
     assert lines[0].endswith(" frames, least of 2 passes per frame and phase")
     assert lines[1].split() == [
-        "side", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms", "job", "fr/s",
-        "tree",
+        "side", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
+        "write", "MB", "job", "fr/s", "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == ["A", "B", "B/A", "event", "track", "reports"]
     for side in lines[2:4]:
-        p50, steps_fps, *phase_ms, job_fps = map(float, side.split()[1:7])
+        p50, steps_fps, *phase_ms, write_mb, job_fps = map(float, side.split()[1:8])
         assert p50 > 0 and all(ms > 0 for ms in phase_ms)
         # the phases count in the job's frames/s, not in the steps'
         assert 0 < job_fps < steps_fps
+        assert 0 < write_mb < 10
     ratios = list(map(float, lines[4].split()[1:]))
-    assert len(ratios) == 6 and all(r > 0 for r in ratios)
+    assert len(ratios) == 7 and all(r > 0 for r in ratios)
+    assert abs(ratios[5] - 1) <= 0.02  # the same tree's write peaks
     assert lines[5:] == ["event logs equal", "track files equal", "reports equal"]
 
 

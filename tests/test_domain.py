@@ -235,6 +235,21 @@ class TestPossible:
         assert possible(spec, enters(3)) is True
         assert possible(spec, enters(7)) is False
 
+    @pytest.mark.parametrize("box, inside", [
+        (BBox2D(50, -20, 10, 20), False),  # y2 == 0: ends on the top edge
+        (BBox2D(50, -40, 10, 20), False),  # y2 < 0
+        (BBox2D(50, -19, 10, 20), True),
+        (BBox2D(-10, 50, 10, 20), False),  # x2 == 0: ends on the left edge
+        (BBox2D(-30, 50, 10, 20), False),  # x2 < 0
+        (BBox2D(-9, 50, 10, 20), True),
+    ])
+    def test_enters_fov_rejects_a_box_wholly_above_or_left_of_the_frame(self, box, inside):
+        # Kills the mutants of _in_frame that drop its `box.y2 > 0` or
+        # `box.x2 > 0` test, or weaken either to `>= 0`.
+        spec = self.spec(store_with(), detections=[Detection(0, "car", 90, box)])
+        e = EventOccurrence(EventKind.ENTERS_FOV, 5, 0, subject_is_det=True)
+        assert possible(spec, e) is inside
+
     def test_self_occlusion_impossible(self):
         s = store_with(1)
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))

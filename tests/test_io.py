@@ -1,5 +1,8 @@
 import json
+import math
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from abdtrack.domain import (
     Track,
     TrackState,
 )
+from abdtrack import io
 from abdtrack.io import (
     explanation_to_boxes,
     format_event,
@@ -436,3 +440,52 @@ class TestWriteReport:
         text = write_report(REPORT_CASES["int_box"])
         assert "            300,\n" in text and "300.0" not in text
         assert "            301,\n            100.5,\n" in text
+
+
+def _long_float(v: float) -> float:
+    """The first float at or above v whose repr has 17 significant digits,
+    as most of a Kalman-filtered box's coordinates do."""
+    while len(repr(v).replace(".", "").lstrip("0")) != 17:
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+class TestWriterMemory:
+    """Each writer joins its output once, so the traced peak while it runs
+    stays within a small multiple of the text it returns.  The bounds fail
+    a report writer that joins all tracks into one array string and then
+    formats that into the document (3.2x here), and a track writer that
+    sorts a tuple per line before formatting the lines (3.4x)."""
+
+    @staticmethod
+    def _explanation() -> Explanation:
+        # Like churn's: ten tracks over the whole stream and many short
+        # ones, 21,000 entries in all, and every kind of event per track.
+        rng = random.Random(7)
+        tracks = []
+        for tid, length in enumerate([1500] * 10 + [40] * 150):
+            born = 1 if length == 1500 else rng.randrange(1, 1460)
+            entries = []
+            for f in range(born, born + length):
+                # [100, 256) holds many floats of 17 significant digits
+                box = BBox2D(*(_long_float(rng.uniform(100.0, 250.0)) for _ in range(4)))
+                entries.append((f, box, _OBS if rng.random() < 0.9 else _INTERP, rng.randrange(101)))
+            tracks.append(_track(tid, entries=entries))
+        events = [EventOccurrence(kind, trk.born_frame, trk.id) for trk in tracks for kind in EventKind]
+        return Explanation(tracks, events)
+
+    @staticmethod
+    def _peak(write, exp) -> tuple[str, int]:
+        tracemalloc.start()
+        try:
+            text = write(exp)
+            return text, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("write, bound", [(write_report, 2.5), (write_tracks, 3.2)])
+    def test_peak_within_a_multiple_of_the_output(self, write, bound):
+        exp = self._explanation()
+        io._box_text(exp)  # rendered before either writer is traced
+        text, peak = self._peak(write, exp)
+        assert peak <= bound * len(text), (peak, len(text))

@@ -48,6 +48,14 @@ class TestEvaluate:
         r = evaluate(gt, hyp)
         assert r.ml == 100.0 and r.mt == 0.0
 
+    def test_mt_and_ml_at_exactly_eighty_and_twenty_percent(self):
+        # Kills the mutants that count MT only above 80% coverage
+        # (`covered > 0.8 * len`) and ML only below 20% (`covered < 0.2 * len`).
+        gt = {1: track(range(1, 11)), 2: track(range(1, 11), BBox2D(50, 50, 8, 8))}
+        hyp = {7: track(range(1, 9)), 8: track(range(1, 3), BBox2D(50, 50, 8, 8))}
+        r = evaluate(gt, hyp)  # covered 8 of 10 and 2 of 10
+        assert r.mt == 50.0 and r.ml == 50.0
+
     def test_relabeling_invariance(self):
         gt, hyp = constructed_60_percent()
         base = evaluate(gt, hyp)
@@ -99,6 +107,19 @@ class TestEvaluate:
         assert r.idsw == 0
         # Continuity kept: IoU 2/3 with h1 at t=1; matching h2 would give 100.
         assert r.motp == 100 * (1 + 2 / 3) / 2
+
+    def test_match_taken_and_kept_at_exactly_match_iou(self):
+        # Kills the mutants that admit a residual pair (_residual_match) or
+        # carry a previous match (evaluate) only at IoU > match_iou: h1's
+        # IoU is exactly 0.5 in both frames, and h2 overlaps fully in frame 1.
+        gt = {1: {0: BBox2D(0, 0, 10, 10), 1: BBox2D(0, 0, 10, 10)}}
+        hyp = {
+            1: {0: BBox2D(0, 0, 10, 5), 1: BBox2D(0, 5, 10, 5)},
+            2: {1: BBox2D(0, 0, 10, 10)},
+        }
+        r = evaluate(gt, hyp, match_iou=0.5)
+        assert (r.idsw, r.fp, r.fn) == (0, 1, 0)
+        assert r.motp == 50.0
 
     def test_motp_mean_overlap(self):
         gt = {1: {0: BBox2D(0, 0, 10, 10)}}

@@ -27,10 +27,14 @@ alternates from job to job and from pass to pass.  A frame's time is its
 ``step`` call's least over the passes, and so is each phase's time in a
 job.  The output gives each side's median frame time (p50), frames/s
 over the steps alone (frames over the sum of the least frame times), the
-three phases' least times summed over the jobs, and frames/s with the
-phases included, as perfbench's ``frames_per_s`` counts them; then the
-ratio B/A of each, and whether the two sides' event logs, track files
-and reports are equal.  The exit status is 1 if any of them differ.
+three phases' least times summed over the jobs, the write phase's
+traced peak, and frames/s with the phases included, as perfbench's
+``frames_per_s`` counts them; then the ratio B/A of each, and whether the
+two sides' event logs, track files and reports are equal.  The exit
+status is 1 if any of them differ.  The write peak comes from one more,
+untimed pass per side after the timed ones: ``tracemalloc`` runs from
+``finalize`` through the three writers, and the peak is the largest of
+the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
@@ -58,6 +62,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 # The tool only reads perfbench/ and the trees it compares.
@@ -121,11 +126,29 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     return outputs
 
 
+def _write_peak(package, text: str) -> int:
+    """The traced peak (bytes) of one job's write phase, ``finalize`` and
+    the three writers, after an untimed run of its steps."""
+    io = package.io
+    engine = package.tracker.AbductionEngine()
+    for frame, dets in io.parse_mot(text).frames:
+        engine.step(frame, dets)
+    tracemalloc.start()
+    try:
+        exp = engine.finalize()
+        outputs = []  # held together, as a timed pass holds them
+        for write in (io.write_events, io.write_tracks, io.write_report):
+            outputs.append(write(exp))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
     """Run both packages over the (detection text, ground-truth text)
     jobs, interleaved; returns each side's least frame times and phase
-    times (ms, phases summed over the jobs) and, per output, whether the
-    two sides agree."""
+    times (ms, phases summed over the jobs), its largest write peak (MB)
+    and, per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
@@ -138,6 +161,7 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
     return {
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
+        "write_mb": [max(_write_peak(pkg, text) for text, _ in jobs) / 2**20 for pkg in packages],
         "equal": [
             all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(OUTPUTS))
         ],
@@ -232,12 +256,12 @@ def main(argv: list[str] | None = None) -> int:
         out = compare(packages, jobs, args.passes)
 
     rows = []
-    for ms, phase_ms in zip(out["ms"], out["phase_ms"]):
+    for ms, phase_ms, write_mb in zip(out["ms"], out["phase_ms"], out["write_mb"]):
         step_s = sum(ms) / 1e3
-        rows.append([statistics.median(ms), len(ms) / step_s, *phase_ms,
+        rows.append([statistics.median(ms), len(ms) / step_s, *phase_ms, write_mb,
                      len(ms) / (step_s + sum(phase_ms) / 1e3)])
     columns = [("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
-               ("job fr/s", ".1f")]
+               ("write MB", ".2f"), ("job fr/s", ".1f")]
     print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame and phase")
     print(f"{'side':<6}" + "".join(f"{c:>10}" for c, _ in columns) + "  tree")
