@@ -1,33 +1,33 @@
-"""A faster ``__init__`` for the engine's frozen slots dataclasses.
+"""One decorator for the engine's records: frozen slots dataclasses with
+a faster ``__init__``.
 
 A frozen dataclass's own ``__init__`` sets each field through
 ``object.__setattr__`` and then calls ``__post_init__``, which reads the
 fields back; the engine builds tens of such records per frame, so that
-overhead is a large part of a frame.  :func:`slot_init` replaces only
-``__init__``: eq, hash, repr, ``FrozenInstanceError`` on assignment,
-``dataclasses.replace``, defaults and keyword arguments stay the
-dataclass's.
+overhead is a large part of a frame.  :func:`record` asks ``dataclasses``
+for no ``__init__`` and writes its own: eq, hash, repr,
+``FrozenInstanceError`` on assignment, ``dataclasses.replace``, defaults
+and keyword arguments stay the dataclass's.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 
-__all__ = ["slot_init"]
+__all__ = ["record"]
 
 
-def slot_init(cls: type) -> type:
-    """Give the frozen slots dataclass ``cls`` an ``__init__`` that writes
-    each field through its slot descriptor and then, if the class defines
-    ``_check``, calls ``cls._check(self, *field values)``, which raises on
-    an invalid record.  Generated once, from source, as ``dataclasses``
-    generates its own ``__init__``; every field must be a positional
-    ``__init__`` parameter with no default factory."""
+def record(cls: type) -> type:
+    """``cls`` as a frozen slots dataclass with an ``__init__`` that
+    writes each field through its slot descriptor and then, if the class
+    defines ``_check``, calls ``cls._check(self, *field values)``, which
+    raises on an invalid record.  Generated once, from source, as
+    ``dataclasses`` generates its own ``__init__``; every field must be a
+    positional ``__init__`` parameter with no default factory."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
     fs = fields(cls)
-    if not (cls.__dataclass_params__.frozen and "__slots__" in vars(cls)) or any(
-        not f.init or f.kw_only or f.default_factory is not MISSING for f in fs
-    ):
-        raise TypeError(f"{cls.__qualname__} is not a frozen slots dataclass of plain fields")
+    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fs):
+        raise TypeError(f"{cls.__qualname__} has a field that is not plain and positional")
     names = [f.name for f in fs]
     args = ", ".join(names)
     # The generated function's own globals: the setters and the check.

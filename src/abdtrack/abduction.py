@@ -24,24 +24,19 @@ Ties are broken deterministically: lowest track id first, then lowest
 detection id, then the fixed event-preference order of
 :class:`~abdtrack.domain.EventKind`.
 
-The solver splits each frame into pieces read off the option table, each
-decided by an exact consequence of the objective (see :func:`solve`):
+The solver decides each frame in two steps read off the option table,
+each an exact consequence of the objective (see :func:`solve`):
 
 - forced assign: an active track with one assign edge, to a detection no
   other track can assign, takes it in every optimum, as only assigns
   gain at level 10;
-- blocks: the other tracks with edges and their detections form
-  connected components, and the canonical optimum over independent
-  blocks is the union of theirs;
-- pure resume block: halted tracks of one class share one detection
-  list and a resume gains r_t + s_d, so the canonical cover is counted;
-- mixed block: any other block folds the three levels into one exact
-  integer per kind of action, with constants sized to the block, and
-  solves one maximum-weight bipartite matching with LP duals (per-action
-  costs are independent once event preconditions are evaluated against
-  the pre-solve fluent state); tracks are then fixed in id order, the
-  duals settling each better-ranked edge on a free detection without a
-  further solve.
+- one canonical matching: the other tracks with edges and their
+  detections fold the three levels into one exact integer per kind of
+  action, with constants sized to them, and solve one maximum-weight
+  bipartite matching with LP duals (per-action costs are independent
+  once event preconditions are evaluated against the pre-solve fluent
+  state); tracks are then fixed in id order, the duals settling each
+  better-ranked edge on a free detection without a further solve.
 
 Only the cover's actions are made as ``Action`` objects, each in its
 place in the result; :func:`_objective` scores every cover, the
@@ -60,7 +55,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
 
-from ._records import slot_init
+from ._records import record
 from .domain import (
     ACTIVE,
     ASSIGN,
@@ -149,8 +144,7 @@ class Thresholds:
         return int(round(self.iou_thresh * IOU_SCALE))
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class TrackPrediction:
     """One live track as the solver sees it."""
 
@@ -181,8 +175,7 @@ class ProblemSpec:
         return {d.id: d.box for d in self.detections}
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class Action:
     kind: ActionKind
     trk: Optional[int] = None
@@ -406,7 +399,7 @@ def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Exact solver: forced assigns, then independent blocks
+# Exact solver: forced assigns, then one canonical matching
 # ----------------------------------------------------------------------
 
 
@@ -416,32 +409,29 @@ def solve(spec: ProblemSpec) -> SolveResult:
     Deterministic: among optimal covers, returns the one whose per-track
     action sequence (tracks in ascending id order; assigns/resumes
     preferred by ascending detection id, then the fallback action) is
-    lexicographically minimal.  The frame is solved piece by piece from
-    the option table, each rule exact:
+    lexicographically minimal.  The frame is solved in two exact steps
+    from the option table:
 
     - Forced assign: an active track whose only edge goes to a detection
       that is no other track's assign edge is assigned to it in every
       optimum: a cover without the pair leaves the detection free or
       resumed, and swapping in the assign gains at level 10, which no
       lower level outweighs.  The detection leaves every resume list.
-    - Blocks: the tracks left with edges and their detections fall into
-      connected components; a track left with none takes its fallback.
-      Covers of different blocks combine freely and the objective adds
-      over them, so the optimum is the union of the blocks' optima, and
-      so is the canonical one, as each track's rank depends on its own
-      block alone.
-    - A block of halted tracks that all have every detection of the
-      block as an edge (the table gives each class one resume list) is
-      solved by counting (:func:`_resume_block`).
-    - Any other block is solved by one exact integer matching, whose
-      duals settle the tie-break (:func:`_mixed_block`), its folding
-      constants sized to the block, as its covers span no more.
+    - One canonical matching: a track left with no edge takes its
+      fallback; every other track, with the detections of its edges, goes
+      to one exact integer matching whose duals settle the tie-break
+      (:func:`_mixed_block`).  The matching holds the frame's connected
+      components of tracks and detections side by side, and that is
+      exact: covers of different components combine freely and the
+      objective adds over them, so the optimum is the union of the
+      components' optima, and so is the canonical one, as each track's
+      rank depends on its own component alone.
 
     The result is built in its final order, a slot per track in
-    ascending id (a block's filled once it is solved), then the free
-    detections' options by id, and :func:`_objective` scores it.  Only
-    the cover's actions are made as ``Action``s, and only its halts and
-    its free detections' options linked.
+    ascending id (a matched track's filled once the matching is solved),
+    then the free detections' options by id, and :func:`_objective`
+    scores it.  Only the cover's actions are made as ``Action``s, and
+    only its halts and its free detections' options linked.
     """
     tracks = _option_table(spec)
     claims: dict[int, int] = {}
@@ -456,15 +446,6 @@ def solve(spec: ProblemSpec) -> SolveResult:
     }
     det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
-    # Union-find over the detections of the edges left; a track joins the
-    # block of its detections.
-    parent: dict[int, int] = {}
-
-    def find(d: int) -> int:
-        while parent[d] != d:
-            parent[d] = d = parent[parent[d]]
-        return d
-
     cover: dict[int, Optional[Action]] = {}  # a slot per track, by id
     edges: dict[int, list[int]] = {}
     for t, (edge, dids, fallback) in tracks.items():
@@ -473,31 +454,13 @@ def solve(spec: ProblemSpec) -> SolveResult:
             continue
         if forced and edge[0] is not ASSIGN:
             dids = [d for d in dids if d not in forced]
-        if not dids:
-            cover[t] = _fallback(spec, t, fallback)
-            continue
-        cover[t] = None  # filled when its block is solved
-        edges[t] = dids
-        root = find(parent.setdefault(dids[0], dids[0]))
-        for d in dids[1:]:
-            r = find(parent.setdefault(d, d))
-            if r != root:
-                parent[r] = root
-
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for t, dids in edges.items():
-        blocks.setdefault(find(dids[0]), ([], []))[0].append(t)
-    for d in det_options:  # spec order
-        if d in parent:
-            blocks[find(d)][1].append(d)
-    for rows, cols in blocks.values():
-        if all(
-            tracks[t][0][0] is RESUME and len(edges[t]) == len(cols) for t in rows
-        ):
-            block = _resume_block(tracks, det_options, rows, cols)
+        if dids:
+            cover[t] = None  # filled when the matching is solved
+            edges[t] = dids
         else:
-            block = _mixed_block(spec, tracks, det_options, edges, rows, cols)
-        for a in block:
+            cover[t] = _fallback(spec, t, fallback)
+    if edges:
+        for a in _mixed_block(spec, tracks, det_options, edges):
             cover[a.trk] = a
             det_options.pop(a.det, None)  # the options left are the free detections'
 
@@ -508,61 +471,34 @@ def solve(spec: ProblemSpec) -> SolveResult:
     return SolveResult(tuple(actions), events, _objective(spec, actions))
 
 
-def _resume_block(
-    tracks: dict[int, TrackRow], det_options: dict[int, Option], rows: list[int], cols: list[int]
-) -> list[Action]:
-    """The canonical cover of a complete block of resumes: halted tracks
-    ``rows`` (ascending id), each with an edge to every detection ``cols``.
-
-    A resume gains its track's fallback cost plus its detection's, less
-    its own, and every such gain is positive, so an optimum resumes
-    m = min(#rows, #cols) pairs: a top-m set of tracks by fallback cost
-    and one of detections by option cost, in any pairing.  Costs are
-    (level 3, level 2) pairs, compared as the folded values would be.
-    The tie-break fixes tracks in id order, and a resume outranks any
-    fallback, so the resumed tracks are the first m by (cost descending,
-    id); each takes the lowest-id detection that still completes a top-m
-    set, so the detections are the first m by (cost descending, id),
-    paired with the tracks in id order."""
-    m = min(len(rows), len(cols))
-    resumed = sorted(sorted(rows, key=lambda t: _COSTS[tracks[t][2][0]], reverse=True)[:m])
-    taken = sorted(sorted(sorted(cols), key=lambda d: _COSTS[det_options[d][0]], reverse=True)[:m])
-    pairs = dict(zip(resumed, taken))
-    actions = []
-    for t in rows:
-        edge, _, fallback = tracks[t]
-        if t in pairs:
-            actions.append(Action(RESUME, t, pairs[t], edge[1]))
-        else:
-            actions.append(Action(fallback[0], t, event=fallback[1]))
-    return actions
-
-
 def _mixed_block(
     spec: ProblemSpec,
     tracks: dict[int, TrackRow],
     det_options: dict[int, Option],
     edges: dict[int, list[int]],
-    rows: list[int],
-    cols: list[int],
 ) -> list[Action]:
-    """The canonical cover of one block by matching: track ``rows`` in
-    ascending id, each with its ``edges`` among detections ``cols``.
+    """The canonical cover of the tracks with ``edges``, in ascending id,
+    and the detections of those edges, by one matching.
 
     The three levels fold into one exact integer per kind of action, and
     a cover's folded value is the sum of all fallback values plus the
     gains of its edges, an edge's gain being its value less the two
-    fallback values it replaces.  So the block's optima are its
-    maximum-gain matchings, and its canonical cover is the
-    :func:`_canonical_matching` of its gains, each track's edges ranked
-    by detection id.  Halted tracks that no canonical cover resumes are
-    left with no edge (:func:`_never_resumed`), so each takes its
-    fallback.  Returns the block's track actions; its detections left
-    free take their options in :func:`solve`."""
-    n_t, n_d = len(rows), len(cols)
+    fallback values it replaces.  So the optima are the maximum-gain
+    matchings, and the canonical cover is the :func:`_canonical_matching`
+    of the gains, each track's edges ranked by detection id.  Halted
+    tracks that no canonical cover resumes are left with no edge
+    (:func:`_never_resumed`), so each takes its fallback.  Returns the
+    track actions; the detections left free take their options in
+    :func:`solve`."""
+    rows = list(edges)
+    col: dict[int, int] = {}  # detection id -> column
+    for dids in edges.values():
+        for did in dids:
+            col.setdefault(did, len(col))
+    n_t, n_d = len(rows), len(col)
     # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
     # constants large enough that no lower level can overturn a higher
-    # one within the block.  Python ints keep every sum exact.
+    # one among these rows and columns.  Python ints keep every sum exact.
     max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
     c2 = max_l2 + 1
     c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
@@ -570,10 +506,9 @@ def _mixed_block(
     # Every edge gains: an assign >= c1, as no fallback is worth > 0; a
     # resume (-1) >= 9, as each fallback it replaces is worth <= -5.
     value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
-    col = {did: j for j, did in enumerate(cols)}
-    det_value = {did: value[det_options[did][0]] for did in cols}
+    det_value = {did: value[det_options[did][0]] for did in col}
     likelihoods = spec.likelihoods
-    resting = _never_resumed(spec, tracks, edges, rows)
+    resting = _never_resumed(spec, tracks, edges)
     gain: list[dict[int, int]] = []  # per track, column -> gain, by detection id
     for t in rows:
         edge, _, fallback = tracks[t]
@@ -587,6 +522,7 @@ def _mixed_block(
             base = value[RESUME] - value[fallback[0]]
             gain.append({col[did]: base - det_value[did] for did in edges[t]})
 
+    cols = list(col)
     actions = []
     for t, j in zip(rows, _canonical_matching(gain, n_d)):
         edge, _, fallback = tracks[t]
@@ -628,10 +564,10 @@ def _canonical_matching(gain: list[dict[int, int]], n_cols: int) -> list[int]:
 
 
 def _never_resumed(
-    spec: ProblemSpec, tracks: dict[int, TrackRow], edges: dict[int, list[int]], rows: list[int]
+    spec: ProblemSpec, tracks: dict[int, TrackRow], edges: dict[int, list[int]]
 ) -> set[int]:
-    """The halted tracks among ``rows`` that the block's canonical cover
-    does not resume.
+    """The halted tracks among those with ``edges`` that the canonical
+    cover does not resume.
 
     The halted tracks of one class share one resume list of K detections,
     and a resume gains its track's fallback cost plus terms that do not
@@ -642,10 +578,10 @@ def _never_resumed(
     gains h'.cost - h.cost >= 0.  If that is positive, C is not optimal;
     if it is 0, h' has the lower id, and the new cover, equal to C before
     h' and better ranked at h', is also optimal, so C is not canonical.
-    The block's canonical cover is therefore also the canonical cover of
-    the block with these tracks on their fallbacks."""
+    The canonical cover is therefore also the canonical cover with these
+    tracks on their fallbacks."""
     by_class: dict[str, list[int]] = {}
-    for t in rows:
+    for t in edges:
         if tracks[t][0][0] is RESUME:
             by_class.setdefault(spec.predictions[t].cls, []).append(t)
     resting: set[int] = set()
@@ -749,8 +685,8 @@ def linear_sum_assignment(
 
 
 class _Tight:
-    """A block's optimal matching, with its duals and tight edges, as the
-    canonical loop of :func:`_mixed_block` fixes its rows in order.
+    """An optimal matching, with its duals and tight edges, as the
+    canonical loop of :func:`_canonical_matching` fixes its rows in order.
 
     ``match`` (row -> column) and ``owner`` (column -> row) hold the
     matching, -1 where unmatched.  :meth:`take` asks whether row i, with

@@ -9,6 +9,7 @@ moving-out rule.  Positions are anchored at the box corner (x, y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Mapping
 
 from .geometry import BBox2D, in_front_region, proper_part
@@ -59,22 +60,30 @@ def anticipate_unhide(
 ) -> list[Anticipation]:
     """Earliest future frame within the horizon at which each hidden
     track's dead-reckoned box stops being a proper part of its occluder's
-    dead-reckoned box; omitted when it never does."""
+    dead-reckoned box; omitted when it never does.
+
+    Each step's boxes are not built: their corners and far edges are
+    computed with the float operations of :meth:`BBox2D.translated` and
+    :func:`proper_part`, and a box is built only to raise its own
+    ``ValueError`` when a corner is not finite."""
     out: list[Anticipation] = []
     for t1, t2 in sorted(hidden_pairs):
         if t1 not in views or t2 not in views:
             continue
         hidden, occluder = views[t1], views[t2]
-        if not proper_part(hidden.box, occluder.box):
+        a, b = hidden.box, occluder.box
+        if not proper_part(a, b):
             continue
+        (avx, avy), (bvx, bvy) = hidden.velocity, occluder.velocity
         for k in range(1, horizon + 1):
-            b1 = hidden.box.translated(hidden.velocity[0] * k, hidden.velocity[1] * k)
-            b2 = occluder.box.translated(
-                occluder.velocity[0] * k, occluder.velocity[1] * k
-            )
-            if not proper_part(b1, b2):
-                # b1's corner is interpolated_position at frame current_frame + k
-                out.append(Anticipation(t1, t2, current_frame + k, (b1.x, b1.y)))
+            ax, ay = a.x + avx * k, a.y + avy * k
+            bx, by = b.x + bvx * k, b.y + bvy * k
+            if not (isfinite(ax) and isfinite(ay) and isfinite(bx) and isfinite(by)):
+                a.translated(avx * k, avy * k)
+                b.translated(bvx * k, bvy * k)
+            if not (bx < ax and by < ay and ax + a.w < bx + b.w and ay + a.h < by + b.h):
+                # (ax, ay) is interpolated_position at frame current_frame + k
+                out.append(Anticipation(t1, t2, current_frame + k, (ax, ay)))
                 break
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from ._records import slot_init
+from ._records import record
 from .geometry import BBox2D, overlapping_top
 
 if TYPE_CHECKING:
@@ -45,8 +45,7 @@ class EngineBugError(RuntimeError):
     """An internal consistency violation, e.g. querying an unknown track."""
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class Detection:
     """One observed object in a frame: per-frame index, class, confidence
     as an integer percent, and bounding box."""
@@ -94,8 +93,7 @@ class Provenance(Enum):
 OBSERVED, INTERPOLATED = Provenance
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class HistoryEntry:
     frame: int
     box: BBox2D
@@ -166,8 +164,7 @@ class EventKind(IntEnum):
  NOISE) = EventKind
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class EventOccurrence:
     """An event instance at a frame.
 

@@ -26,11 +26,10 @@ stay as the reference.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import inf, isfinite
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ._records import slot_init
+from ._records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,8 +52,7 @@ IOU_SCALE = 100_000
 DEFAULT_FRAME_GEOM = (1242.0, 375.0)
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
+@record
 class BBox2D:
     """Axis-aligned box: left edge, top edge, width, height (pixels);
     ``ValueError`` unless it keeps the module's rules."""

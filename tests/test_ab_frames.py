@@ -1,6 +1,6 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
-occlusion scene, on a small bench stream and in the set-up probe, and a
-tree whose track files differ."""
+occlusion scene (anticipation lines compared too), on a small bench
+stream and in the set-up probe, and a tree whose track files differ."""
 
 import shutil
 import subprocess
@@ -27,7 +27,9 @@ def test_same_tree_both_sides():
         "side", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
         "write", "MB", "job", "fr/s", "tree",
     ]
-    assert [line.split()[0] for line in lines[2:]] == ["A", "B", "B/A", "event", "track", "reports"]
+    assert [line.split()[0] for line in lines[2:]] == [
+        "A", "B", "B/A", "event", "track", "reports", "anticipation",
+    ]
     for side in lines[2:4]:
         p50, steps_fps, *phase_ms, write_mb, job_fps = map(float, side.split()[1:8])
         assert p50 > 0 and all(ms > 0 for ms in phase_ms)
@@ -37,7 +39,9 @@ def test_same_tree_both_sides():
     ratios = list(map(float, lines[4].split()[1:]))
     assert len(ratios) == 7 and all(r > 0 for r in ratios)
     assert abs(ratios[5] - 1) <= 0.02  # the same tree's write peaks
-    assert lines[5:] == ["event logs equal", "track files equal", "reports equal"]
+    assert lines[5:] == [
+        "event logs equal", "track files equal", "reports equal", "anticipation lines equal",
+    ]
 
 
 def test_differing_track_files_fail(tmp_path):
@@ -48,8 +52,21 @@ def test_differing_track_files_fail(tmp_path):
                 "def write_tracks(exp):\n    return _write_tracks(exp) + '\\n'\n")
     out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
-    assert out.stdout.splitlines()[-3:] == [
-        "event logs equal", "TRACK FILES DIFFER", "reports equal",
+    assert out.stdout.splitlines()[-4:] == [
+        "event logs equal", "TRACK FILES DIFFER", "reports equal", "anticipation lines equal",
+    ]
+
+
+def test_differing_anticipation_lines_fail(tmp_path):
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "abdtrack" / "anticipation.py", "a") as f:
+        f.write("\n_format_position = format_position\n\n\n"
+                "def format_position(a):\n    return _format_position(a) + ' '\n")
+    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines()[-4:] == [
+        "event logs equal", "track files equal", "reports equal", "ANTICIPATION LINES DIFFER",
     ]
 
 

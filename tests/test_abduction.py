@@ -789,21 +789,34 @@ class TestOracle:
 @pytest.fixture
 def counted_solve(monkeypatch):
     """``solve``, counting in its ``counts`` the tracks each rule decided:
-    ``forced`` assigns, ``resume`` blocks solved by counting, ``mixed``
-    blocks solved by matching, and ``no edge`` fallbacks."""
-    counts, decided = Counter(), set()
-    for rule, name in (("resume", "_resume_block"), ("mixed", "_mixed_block")):
-        def recording(*args, rule=rule, block=getattr(abduction, name)):
-            actions = block(*args)
-            counts[rule] += len(actions)
-            decided.update(a.trk for a in actions)
-            return actions
+    ``forced`` assigns, ``mixed``, the tracks of the one matching, and
+    ``no edge`` fallbacks, and the ``matchings`` solved.  Each solve
+    makes at most one ``linear_sum_assignment`` call, and that call's
+    duals certify its matching."""
+    counts, decided, calls = Counter(), set(), []
+    mixed_block, solver = abduction._mixed_block, abduction.linear_sum_assignment
 
-        monkeypatch.setattr(abduction, name, recording)
+    def recording(*args):
+        actions = mixed_block(*args)
+        counts["mixed"] += len(actions)
+        decided.update(a.trk for a in actions)
+        return actions
+
+    def matching(rows, n_cols):
+        result = solver(rows, n_cols)
+        _assert_certificate(rows, n_cols, result)
+        calls.append(n_cols)
+        return result
+
+    monkeypatch.setattr(abduction, "_mixed_block", recording)
+    monkeypatch.setattr(abduction, "linear_sum_assignment", matching)
 
     def solving(spec):
         decided.clear()
+        calls.clear()
         result = solve(spec)
+        assert len(calls) <= 1, f"{len(calls)} matchings at frame {spec.frame}"
+        counts["matchings"] += len(calls)
         for a in result.actions:
             if a.trk is not None and a.trk not in decided:
                 counts["forced" if a.kind is ActionKind.ASSIGN else "no edge"] += 1
@@ -824,7 +837,7 @@ class TestLargeInstances:
             relabelled = _relabelled(spec)
             assert counted_solve(relabelled) == solve_reference(relabelled)
         counts = counted_solve.counts
-        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed")), counts
+        assert all(counts[r] > 0 for r in ("forced", "mixed")), counts
 
     def test_frame_of_separated_pairs_past_the_folding_limit_solves(self, monkeypatch):
         # 1000x1000, past the size one block could once fold exactly in
@@ -895,12 +908,12 @@ def _no_matching(*args, **kwargs):
 
 
 class TestBlocks:
-    def test_resume_blocks_need_no_matching(self, monkeypatch, counted_solve):
-        # A forced assign whose detection is also resumable, then two pure
-        # resume blocks: car, with more tracks than detections and fallbacks
-        # ignore_trk, end by leaves_fov and end by lost; person, with more
-        # detections than tracks, one starting and one only ignorable.
-        monkeypatch.setattr(abduction, "linear_sum_assignment", _no_matching)
+    def test_pure_resume_components_equal_the_oracle(self, counted_solve):
+        # A forced assign whose detection is also resumable, then two
+        # components of resumes alone, solved in the one matching: car,
+        # with more tracks than detections and fallbacks ignore_trk, end
+        # by leaves_fov and end by lost; person, with more detections than
+        # tracks, one starting and one only ignorable.
         halted = TrackState.HALTED
         spec = simple_spec(
             {
@@ -932,7 +945,6 @@ class TestBlocks:
             "start(det_3)",
         ]
         assert result.events[2] == EventOccurrence(EventKind.LOST, 10, 5)
-        assert counted_solve.counts == Counter({"forced": 1, "resume": 4})
         for s in (spec, _relabelled(spec), _reversed(spec)):
             assert counted_solve(s) == solve_reference(s) == solve_oracle(s)
 
@@ -1022,29 +1034,14 @@ class TestBlockSolver:
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
     def test_duals_certify_every_mixed_block_of_the_bench_frames(
-        self, n_tracks, bench_frames, monkeypatch
+        self, n_tracks, bench_frames, counted_solve
     ):
-        # One solver call per mixed block, and each call's duals prove its
-        # matching optimal.
-        calls, blocks = [], []
-        solver, mixed_block = abduction.linear_sum_assignment, abduction._mixed_block
-
-        def solving(rows, n_cols):
-            result = solver(rows, n_cols)
-            calls.append((rows, n_cols, (result[0], list(result[1]), result[2], result[3])))
-            return result
-
-        def counting(*args):
-            blocks.append(len(args[4]))
-            return mixed_block(*args)
-
-        monkeypatch.setattr(abduction, "linear_sum_assignment", solving)
-        monkeypatch.setattr(abduction, "_mixed_block", counting)
+        # At most one solver call per frame, for all of the frame's tracks
+        # left after the forced assigns, and its duals prove its matching
+        # optimal (counted_solve checks both).
         for spec, result in bench_frames(n_tracks):
-            assert solve(spec) == result
-        assert calls and [len(rows) for rows, _, _ in calls] == blocks
-        for rows, n_cols, result in calls:
-            _assert_certificate(rows, n_cols, result)
+            assert counted_solve(spec) == result
+        assert counted_solve.counts["matchings"] > 0
 
 
 def _halted_heavy_spec(rng, n_tracks, n_dets):
@@ -1118,7 +1115,7 @@ class TestHaltedHeavy:
                 seen.update(a.kind for a in result.actions)
         assert all(seen[k] > 0 for k in ActionKind), seen
         counts = counted_solve.counts
-        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed")), counts
+        assert all(counts[r] > 0 for r in ("forced", "mixed")), counts
 
     def test_equals_oracle_within_its_limit(self):
         rng = np.random.default_rng(52)
@@ -1188,7 +1185,7 @@ class TestCoverOrder:
             for s in (spec, _relabelled(spec), _reversed(spec)):
                 _assert_result_order(s, counted_solve(s))
         counts = counted_solve.counts
-        assert all(counts[r] > 0 for r in ("forced", "resume", "mixed", "no edge")), counts
+        assert all(counts[r] > 0 for r in ("forced", "mixed", "no edge")), counts
 
     def test_halted_heavy_and_edge_case_specs(self):
         rng = np.random.default_rng(72)
@@ -1208,7 +1205,7 @@ class TestCoverOrder:
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
     def test_bench_frames(self, n_tracks, counted_solve, bench_frames):
-        # Crowded frames: mixed blocks between forced assigns.
+        # Crowded frames: one matching between forced assigns.
         for spec, result in bench_frames(n_tracks):
             assert counted_solve(spec) == result
             _assert_result_order(spec, result)

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, Thresholds
@@ -80,6 +83,83 @@ class TestAnticipateUnhide:
         views[2] = TrackView(box=views[2].box, velocity=(occluder_vx, 0.0))
         (a,) = anticipate_unhide(views, hidden, 50, horizon=60)
         assert a.position == interpolated_position(views[1], 50, a.frame)
+
+
+def search_by_boxes(views, hidden_pairs, current_frame, horizon):
+    """The exit search with a translated box per simulated step, as
+    anticipate_unhide once was: its reference."""
+    out = []
+    for t1, t2 in sorted(hidden_pairs):
+        if t1 not in views or t2 not in views:
+            continue
+        hidden, occluder = views[t1], views[t2]
+        if not proper_part(hidden.box, occluder.box):
+            continue
+        for k in range(1, horizon + 1):
+            b1 = hidden.box.translated(hidden.velocity[0] * k, hidden.velocity[1] * k)
+            b2 = occluder.box.translated(occluder.velocity[0] * k, occluder.velocity[1] * k)
+            if not proper_part(b1, b2):
+                out.append(Anticipation(t1, t2, current_frame + k, (b1.x, b1.y)))
+                break
+    return out
+
+
+def random_scene(rng):
+    """Three tracks, each possibly hidden inside the first, on integer
+    boxes and mostly integer velocities, so edges often meet exactly."""
+    ox, oy = rng.randint(0, 100), rng.randint(0, 100)
+    ow, oh = rng.randint(4, 60), rng.randint(4, 60)
+    speeds = [0, 0, 1, -1, 2, -3, 0.5, 0.1, 0.7, rng.uniform(-5, 5)]
+    views = {0: TrackView(BBox2D(ox, oy, ow, oh), (rng.choice(speeds), rng.choice(speeds)))}
+    for t in (1, 2):
+        w, h = rng.randint(1, ow - 2), rng.randint(1, oh - 2)
+        x, y = ox + rng.randint(1, ow - w - 1), oy + rng.randint(1, oh - h - 1)
+        if rng.random() < 0.1:
+            x -= rng.randint(1, 3)  # not a proper part now
+        views[t] = TrackView(BBox2D(x, y, w, h), (rng.choice(speeds), rng.choice(speeds)))
+    pairs = {(1, 0), (2, 0), (1, 2), (3, 0)}  # track 3 has no view
+    return views, pairs
+
+
+class TestSearchWithoutBoxes:
+    def test_equals_the_box_per_step_search(self):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(3000):
+            views, pairs = random_scene(rng)
+            horizon, now = rng.randint(1, 30), rng.randint(0, 500)
+            ants = anticipate_unhide(views, pairs, now, horizon)
+            assert ants == search_by_boxes(views, pairs, now, horizon)
+            for a in ants:
+                k = a.frame - now
+                seen["k = 1"] += k == 1
+                seen["k = horizon"] += k == horizon
+                b = views[a.occluder].box.translated(*(v * k for v in views[a.occluder].velocity))
+                h = views[a.track].box.translated(*(v * k for v in views[a.track].velocity))
+                seen["shared edge"] += b.x == h.x or b.y == h.y or b.x2 == h.x2 or b.y2 == h.y2
+            exits = {(a.track, a.occluder) for a in ants}
+            seen["never"] += sum(
+                p not in exits and proper_part(views[p[0]].box, views[p[1]].box)
+                for p in pairs if p[0] in views
+            )
+        assert all(seen[c] > 20 for c in ("k = 1", "k = horizon", "shared edge", "never")), seen
+
+    @pytest.mark.parametrize("hidden, occluder", [
+        # Both corners overflow at once, and the hidden box raises first.
+        (TrackView(BBox2D(0.5e308, 0.25, 1e306, 0.5), (1.5e308, 0.0)),
+         TrackView(BBox2D(-1e308, 0, 1.7e308, 1), (1.5e308, 0.0))),
+        (TrackView(BBox2D(10, 10, 10, 10), (1.0, 0.0)),
+         TrackView(BBox2D(0, 0, 100, 100), (0.0, float("nan")))),
+        (TrackView(BBox2D(10, 10, 10, 10), (float("inf"), 0.0)),
+         TrackView(BBox2D(0, 0, 100, 100), (0.0, 0.0))),
+    ])
+    def test_non_finite_corner_raises_the_box_error(self, hidden, occluder):
+        views = {1: hidden, 2: occluder}
+        with pytest.raises(ValueError, match="^non-finite box: ") as expected:
+            search_by_boxes(views, {(1, 2)}, 0, 5)
+        with pytest.raises(ValueError) as got:
+            anticipate_unhide(views, {(1, 2)}, 0, 5)
+        assert str(got.value) == str(expected.value)
 
 
 class TestInterpolatedPosition:

@@ -1,5 +1,5 @@
 """Importing abdtrack, building an engine and stepping it load neither
-numpy nor scipy, through mixed blocks too; only ``metrics`` and ``synth``
+numpy nor scipy, through the matching too; only ``metrics`` and ``synth``
 need them.  Each check runs in a fresh interpreter on a golden input."""
 
 import os
@@ -10,18 +10,18 @@ from pathlib import Path
 import abdtrack
 from test_golden import _input_flags
 
-# Counts the mixed blocks by wrapping the block solver, runs {run}, then
+# Counts the matchings by wrapping the matcher, runs {run}, then
 # prints the count and the loaded modules among numpy and scipy.
 _CHILD = """\
 import sys
 from abdtrack import abduction
-solve_block, blocks = abduction.linear_sum_assignment, []
+solve_matching, matchings = abduction.linear_sum_assignment, []
 def counting(*args):
-    blocks.append(len(args[0]))
-    return solve_block(*args)
+    matchings.append(len(args[0]))
+    return solve_matching(*args)
 abduction.linear_sum_assignment = counting
 {run}
-print(len(blocks), *sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+print(len(matchings), *sorted(m for m in ("numpy", "scipy") if m in sys.modules))
 """
 
 
@@ -46,15 +46,15 @@ def test_engine_steps_without_numpy_or_scipy(tmp_path):
         "for frame, dets in parse_mot(Path(sys.argv[1]).read_text()).frames:\n"
         "    engine.step(frame, dets)"
     )
-    blocks, *loaded = _child(run, str(tmp_path / "dets.txt"))
-    assert int(blocks) > 0 and loaded == []
+    matchings, *loaded = _child(run, str(tmp_path / "dets.txt"))
+    assert int(matchings) > 0 and loaded == []
 
 
 def test_track_without_gt_loads_neither(tmp_path):
     flags = _input_flags("bench20", tmp_path)
     run = "from abdtrack.cli import main\nassert main(sys.argv[1:]) == 0"
-    blocks, *loaded = _child(run, "track", *flags, "--out-tracks", str(tmp_path / "t.txt"))
-    assert int(blocks) > 0 and loaded == []
+    matchings, *loaded = _child(run, "track", *flags, "--out-tracks", str(tmp_path / "t.txt"))
+    assert int(matchings) > 0 and loaded == []
 
 
 def test_names_of_metrics_synth_and_baseline_load_on_use():

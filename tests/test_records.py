@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, MISSING
 import pytest
 
 from abdtrack import abduction, domain, tracker
-from abdtrack._records import slot_init
+from abdtrack._records import record
 from abdtrack.abduction import Action, ActionKind, TrackPrediction
 from abdtrack.domain import (
     Detection,
@@ -154,8 +154,9 @@ class TestChecks:
                 build()
 
     def test_helper_refuses_a_class_it_cannot_build(self):
-        with pytest.raises(TypeError):
-            slot_init(dataclasses.dataclass(frozen=True)(type("Loose", (), {"__annotations__": {"a": int}})))
+        for field in (dataclasses.field(kw_only=True), dataclasses.field(default_factory=list)):
+            with pytest.raises(TypeError, match="^Loose has a field that is not plain and positional$"):
+                record(type("Loose", (), {"__annotations__": {"a": int}, "a": field}))
 
 
 ENUMS = [TrackState, Provenance, Visibility, EventKind, ActionKind]

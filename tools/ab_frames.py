@@ -20,7 +20,10 @@ no detection is not stepped.  Each side runs a job as perfbench's
 ``finalize`` and the three writers (the write phase, in memory: no file
 is written) and ``metrics.evaluate`` against the ground truth, which
 ``io.parse_mot_tracks`` reads before the job, untimed (the scoring
-phase).  Anticipation, which the worker runs on occlusion, is left out.
+phase).  On occlusion, each frame's time also holds the worker's
+anticipation block, run after ``step`` with the side's own
+``anticipation`` module, and the two sides' anticipation lines are
+compared too.
 
 Every pass runs each job on both sides, and which side goes first
 alternates from job to job and from pass to pass.  A frame's time is its
@@ -30,7 +33,8 @@ over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
 traced peak, and frames/s with the phases included, as perfbench's
 ``frames_per_s`` counts them; then the ratio B/A of each, and whether the
-two sides' event logs, track files and reports are equal.  The exit
+two sides' event logs, track files, reports and, on occlusion,
+anticipation lines are equal.  The exit
 status is 1 if any of them differ.  The write peak comes from one more,
 untimed pass per side after the timed ones: ``tracemalloc`` runs from
 ``finalize`` through the three writers, and the peak is the largest of
@@ -43,8 +47,12 @@ the same load, and a least time drops most of it.
 ``--setup`` times the set-up probe of perfbench's ``run.py`` instead:
 from spawning a fresh interpreter, through ``import abdtrack``, to a
 constructed ``AbductionEngine``.  Each tree's package is copied into a
-temporary directory of its own, and one spawn per side, which writes
-the bytecode caches, goes first and is dropped.  Then come N pairs
+temporary directory of its own, and one spawn per side goes first and
+is dropped; it writes the bytecode caches unless the environment sets
+``PYTHONDONTWRITEBYTECODE``, and then no spawn writes them and every
+spawn compiles the package: measured in-process, median of 15 spawns
+each on a loaded 2-vCPU VM, ``import abdtrack`` plus an engine took
+66 ms without the caches and 39 ms with them.  Then come N pairs
 (``--pairs``, default 10), one spawn of each side per pair, which side
 goes first alternating from pair to pair.  The output gives each side's
 median and quartiles, the ratio B/A of the medians and the number of
@@ -88,21 +96,38 @@ def load_side(src: Path, name: str, tmp: Path):
     copy_package(src, tmp / name)
     if str(tmp) not in sys.path:
         sys.path.insert(0, str(tmp))
-    for module in ("tracker", "io", "metrics"):
+    for module in ("tracker", "io", "metrics", "anticipation"):
         importlib.import_module(f"{name}.{module}")
     return sys.modules[name]
 
 
 PHASES = ("parse", "write", "score")
-OUTPUTS = ("event logs", "track files", "reports")
+OUTPUTS = ("event logs", "track files", "reports", "anticipation lines")
 
 
-def _run(package, text: str, gt_text: str, times: list[float], phases: list[float]):
-    """Run one job on one side.  Each frame's step time and each phase's
-    time (ns) lower ``times`` and ``phases`` in place.  Returns the event
-    log, the track file and the report."""
+def _anticipate(package, engine, frame: int, out: list[str]) -> None:
+    """The per-frame anticipation block of perfbench's ``worker.py``, with
+    the side's own ``anticipation`` module; appends its lines to ``out``."""
+    ant = package.anticipation
+    th = engine.config.thresholds
+    views, hidden = ant.engine_views(engine)
+    ants = ant.anticipate_unhide(views, hidden, frame, horizon=th.anticipation_horizon)
+    warns = ant.warnings(ants, frame, engine.config.frame_geom, th.anticipation_threshold)
+    for a in ants:
+        out.append(ant.format_anticipation(a))
+        out.append(ant.format_position(a))
+    out.extend(ant.format_warning(w) for w in warns)
+
+
+def _run(package, text: str, gt_text: str, times: list[float], phases: list[float],
+         anticipate: bool):
+    """Run one job on one side, with the anticipation block in each frame
+    if ``anticipate``.  Each frame's time and each phase's time (ns) lower
+    ``times`` and ``phases`` in place.  Returns the event log, the track
+    file, the report and, if ``anticipate``, the anticipation lines."""
     io = package.io
     gt = io.parse_mot_tracks(gt_text)
+    ant_lines: list[str] = []
     clock = time.perf_counter_ns
     t_job = clock()
     stream = io.parse_mot(text)
@@ -111,6 +136,8 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     for i, (frame, dets) in enumerate(stream.frames):
         t0 = clock()
         engine.step(frame, dets)
+        if anticipate:
+            _anticipate(package, engine, frame, ant_lines)
         dt = clock() - t0
         if dt < times[i]:
             times[i] = dt
@@ -123,7 +150,7 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     for k, dt in enumerate((t_parsed - t_job, t_eval - t_out, t_end - t_eval)):
         if dt < phases[k]:
             phases[k] = dt
-    return outputs
+    return outputs + (ant_lines,) if anticipate else outputs
 
 
 def _write_peak(package, text: str) -> int:
@@ -144,11 +171,12 @@ def _write_peak(package, text: str) -> int:
         tracemalloc.stop()
 
 
-def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
+def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate: bool) -> dict:
     """Run both packages over the (detection text, ground-truth text)
-    jobs, interleaved; returns each side's least frame times and phase
-    times (ms, phases summed over the jobs), its largest write peak (MB)
-    and, per output, whether the two sides agree."""
+    jobs, interleaved, anticipating in each frame if ``anticipate``;
+    returns each side's least frame times and phase times (ms, phases
+    summed over the jobs), its largest write peak (MB) and, per output,
+    whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
@@ -157,13 +185,15 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int) -> dict:
         for j, (text, gt_text) in enumerate(jobs):
             order = (0, 1) if (p + j) % 2 == 0 else (1, 0)
             for s in order:
-                outputs[s][j] = _run(packages[s], text, gt_text, times[s][j], phases[s][j])
+                outputs[s][j] = _run(
+                    packages[s], text, gt_text, times[s][j], phases[s][j], anticipate
+                )
     return {
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
         "write_mb": [max(_write_peak(pkg, text) for text, _ in jobs) / 2**20 for pkg in packages],
         "equal": [
-            all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(OUTPUTS))
+            all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(outputs[0][0]))
         ],
     }
 
@@ -184,7 +214,7 @@ def setup_seconds(srcs: list[Path], pairs: int) -> list[list[float]]:
         for src, s in zip(srcs, SIDES):
             copy_package(src, Path(tmp, s, "abdtrack"))
             codes.append(_SETUP_CODE.format(src=str(Path(tmp, s))))
-        for p in range(-1, pairs):  # pair -1 writes the bytecode caches
+        for p in range(-1, pairs):  # pair -1 is dropped
             for k in ((0, 1) if p % 2 == 0 else (1, 0)):
                 t0 = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
                 out = subprocess.run([sys.executable, "-c", codes[k]], capture_output=True,
@@ -253,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             load_side(src.resolve(), f"abdtrack_{s}", Path(tmp))
             for src, s in zip((args.src_a, args.src_b), SIDES)
         ]
-        out = compare(packages, jobs, args.passes)
+        out = compare(packages, jobs, args.passes, args.workload == "occlusion")
 
     rows = []
     for ms, phase_ms, write_mb in zip(out["ms"], out["phase_ms"], out["write_mb"]):
