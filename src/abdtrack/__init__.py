@@ -6,9 +6,11 @@ entry/exit) that explain it, keeps an event-calculus fluent store,
 anticipates the reappearance of hidden tracks, and scores results with
 CLEAR-MOT metrics.
 
-``metrics`` and ``synth``, which need numpy and scipy, and ``baseline``
-load on first use of a name they export (PEP 562), so that importing the
-package and stepping an engine load neither numpy nor scipy.
+``synth``, which needs numpy, ``metrics`` and ``baseline`` load on first
+use of a name they export (PEP 562), so that importing the package and
+stepping an engine load neither numpy nor scipy; ``metrics`` and
+``baseline`` need neither, but loading them with the package would cost
+every ``import abdtrack`` their import time.
 """
 
 from importlib import import_module

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
@@ -158,7 +158,10 @@ class TrackPrediction:
 class ProblemSpec:
     """Per-frame solver input: detections, predictions, matching
     likelihoods (scaled IoU, only pairs with IoU > 0), a read-only fluent
-    snapshot, and the threshold configuration."""
+    snapshot, and the threshold configuration.  ``detections_by_id``,
+    each detection by id in ``detections`` order, is made with the spec,
+    not on first use: every solve reads it, and a ``cached_property``
+    takes a lock per spec on Python 3.11."""
 
     frame: int
     detections: tuple[Detection, ...]
@@ -167,12 +170,10 @@ class ProblemSpec:
     fluents: FluentStore
     frame_geom: tuple[float, float]
     config: Thresholds = Thresholds()
+    detections_by_id: dict[int, Detection] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def detection_boxes(self) -> dict[int, BBox2D]:
-        """Each detection's box by id, made on first use from
-        ``detections``."""
-        return {d.id: d.box for d in self.detections}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detections_by_id", {d.id: d for d in self.detections})
 
 
 @record
@@ -225,7 +226,7 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     engine makes.  A halted track's fallback is the first explained of
     ``end``, ``ignore_trk``; a detection's is :func:`_det_option`."""
     config = spec.config
-    dets = {d.id: d for d in spec.detections}
+    dets = spec.detections_by_id
     preds = spec.predictions
     assigns = config.admitted_assigns(spec.likelihoods, dets, preds)
     resumable: dict[str, list[int]] = {}
@@ -484,10 +485,8 @@ def _mixed_block(
     a cover's folded value is the sum of all fallback values plus the
     gains of its edges, an edge's gain being its value less the two
     fallback values it replaces.  So the optima are the maximum-gain
-    matchings, and the canonical cover is the :func:`_canonical_matching`
-    of the gains, each track's edges ranked by detection id.  Halted
-    tracks that no canonical cover resumes are left with no edge
-    (:func:`_never_resumed`), so each takes its fallback.  Returns the
+    matchings, and the canonical cover is the :func:`canonical_matching`
+    of the gains, each track's edges ranked by detection id.  Returns the
     track actions; the detections left free take their options in
     :func:`solve`."""
     rows = list(edges)
@@ -508,13 +507,10 @@ def _mixed_block(
     value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
     det_value = {did: value[det_options[did][0]] for did in col}
     likelihoods = spec.likelihoods
-    resting = _never_resumed(spec, tracks, edges)
     gain: list[dict[int, int]] = []  # per track, column -> gain, by detection id
     for t in rows:
         edge, _, fallback = tracks[t]
-        if t in resting:
-            gain.append({})
-        elif edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
+        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
             gain.append({
                 col[did]: (likelihoods[t, did] + 1) * c1 - det_value[did] for did in edges[t]
             })
@@ -524,7 +520,7 @@ def _mixed_block(
 
     cols = list(col)
     actions = []
-    for t, j in zip(rows, _canonical_matching(gain, n_d)):
+    for t, j in zip(rows, canonical_matching(gain, *linear_sum_assignment(gain, n_d)[1:])):
         edge, _, fallback = tracks[t]
         if j >= 0:
             actions.append(Action(edge[0], t, cols[j], edge[1]))
@@ -533,26 +529,32 @@ def _mixed_block(
     return actions
 
 
-def _canonical_matching(gain: list[dict[int, int]], n_cols: int) -> list[int]:
+def canonical_matching(
+    gain: list[dict[int, int]], match: list[int], u: list[int], v: list[int]
+) -> list[int]:
     """Of the maximum-gain matchings, the one whose rows' choices are
     best in row order, lexicographically; a row ranks its columns in the
-    order of ``gain[i]``, then no column.  Returns each row's column, or
-    -1.
+    order of ``gain[i]``, then no column.  ``match``, ``u`` and ``v`` are
+    an optimum and its duals, as :func:`linear_sum_assignment` returns
+    them; ``match`` becomes the result, each row's column or -1.
 
-    One call of :func:`linear_sum_assignment` gives the optimum, a
-    matching M and duals u, v, and the duals settle the order with no
-    further solve.  For any matching N, sum(gain, N) <= sum(u_i + v_j
-    over N's edges) <= sum(u) + sum(v) = the optimum, as u, v >= 0 and
-    u_i + v_j >= gain on every edge; so N is optimal iff it uses only
-    tight edges (u_i + v_j == gain) and covers every vertex with a
-    positive dual (complementary slackness).  Rows are fixed in order:
-    each takes its first column that extends the rows fixed before it
-    to an optimum, else none.  M is kept optimal and in agreement with
-    the fixed rows, so M's own choice always extends, and only the
-    columns ranked before it that no fixed row holds are tested: a slack
-    edge is in no optimum, and :meth:`_Tight.take` settles a tight one."""
-    tight = _Tight(gain, *linear_sum_assignment(gain, n_cols)[1:])
-    match, owner, u, v = tight.match, tight.owner, tight.u, tight.v
+    The caller solves, so that each caller names its own matcher: the
+    engine looks up this module's ``linear_sum_assignment`` at call time,
+    and :mod:`abdtrack.metrics` binds it at import.
+
+    The duals settle the order with no further solve.  For any matching
+    N, sum(gain, N) <= sum(u_i + v_j over N's edges) <= sum(u) + sum(v)
+    = the optimum, as u, v >= 0 and u_i + v_j >= gain on every edge; so
+    N is optimal iff it uses only tight edges (u_i + v_j == gain) and
+    covers every vertex with a positive dual (complementary slackness).
+    Rows are fixed in order: each takes its first column that extends
+    the rows fixed before it to an optimum, else none.  The optimum M is
+    kept optimal and in agreement with the fixed rows, so M's own choice
+    always extends, and only the columns ranked before it that no fixed
+    row holds are tested: a slack edge is in no optimum, and
+    :meth:`_Tight.take` settles a tight one."""
+    tight = _Tight(gain, match, u, v)
+    owner = tight.owner
     for i, row in enumerate(gain):
         for j, g in row.items():
             if j == match[i]:
@@ -561,35 +563,6 @@ def _canonical_matching(gain: list[dict[int, int]], n_cols: int) -> list[int]:
             if (k < 0 or k > i) and u[i] + v[j] == g and tight.take(i, j):
                 break
     return match
-
-
-def _never_resumed(
-    spec: ProblemSpec, tracks: dict[int, TrackRow], edges: dict[int, list[int]]
-) -> set[int]:
-    """The halted tracks among those with ``edges`` that the canonical
-    cover does not resume.
-
-    The halted tracks of one class share one resume list of K detections,
-    and a resume gains its track's fallback cost plus terms that do not
-    depend on the track.  Take a cover C that resumes a track h outside
-    the first K by (fallback cost descending, id).  C resumes at most K
-    tracks of the class, h among them, so some h' of the first K takes
-    its fallback in C; moving h's detection to h' and h to its fallback
-    gains h'.cost - h.cost >= 0.  If that is positive, C is not optimal;
-    if it is 0, h' has the lower id, and the new cover, equal to C before
-    h' and better ranked at h', is also optimal, so C is not canonical.
-    The canonical cover is therefore also the canonical cover with these
-    tracks on their fallbacks."""
-    by_class: dict[str, list[int]] = {}
-    for t in edges:
-        if tracks[t][0][0] is RESUME:
-            by_class.setdefault(spec.predictions[t].cls, []).append(t)
-    resting: set[int] = set()
-    for group in by_class.values():
-        k = len(edges[group[0]])
-        if len(group) > k:
-            resting.update(sorted(group, key=lambda t: _COSTS[tracks[t][2][0]], reverse=True)[k:])
-    return resting
 
 
 def linear_sum_assignment(
@@ -686,7 +659,7 @@ def linear_sum_assignment(
 
 class _Tight:
     """An optimal matching, with its duals and tight edges, as the
-    canonical loop of :func:`_canonical_matching` fixes its rows in order.
+    canonical loop of :func:`canonical_matching` fixes its rows in order.
 
     ``match`` (row -> column) and ``owner`` (column -> row) hold the
     matching, -1 where unmatched.  :meth:`take` asks whether row i, with

@@ -1,7 +1,7 @@
 """Command-line entry points: track, eval, bench, anticipate.  ``track
 --emit-facts DIR`` also dumps each frame's problem facts for ASP.
-``metrics`` and ``synth``, which load numpy and scipy, are imported by
-the commands that use them (``eval``, ``bench`` and ``track --gt``).
+``synth``, which loads numpy, is imported by ``bench`` alone, so that
+``track``, ``eval`` and ``anticipate`` load neither numpy nor scipy.
 
 A config file may hold the same keys as the threshold flags, one
 ``key = value`` per line with ``#`` comments; explicit flags win.
@@ -37,6 +37,7 @@ from .io import (
     write_report,
     write_tracks,
 )
+from .metrics import evaluate, format_report
 from .tracker import AbductionEngine, EngineConfig
 
 # (flag, Thresholds field, type): one row per threshold; each field is
@@ -166,8 +167,6 @@ def cmd_track(args: argparse.Namespace) -> int:
         ]
         Path(args.latency_csv).write_text("\n".join(rows) + "\n")
     if args.gt:
-        from .metrics import evaluate, format_report
-
         gt = parse_mot_tracks(Path(args.gt).read_text())
         report = evaluate(gt, explanation_to_boxes(exp), match_iou=args.match_iou)
         print(format_report(report, name=Path(args.input).stem))
@@ -176,8 +175,6 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .metrics import evaluate, format_report
-
     _require(args.gt, args.hyp)
     gt = parse_mot_tracks(Path(args.gt).read_text())
     hyp = parse_mot_tracks(Path(args.hyp).read_text())

@@ -318,7 +318,7 @@ def _in_margin(spec: ProblemSpec, e: EventOccurrence) -> bool:
 
 def _in_frame(spec: ProblemSpec, e: EventOccurrence) -> bool:
     w, h = spec.frame_geom
-    box = spec.detection_boxes[e.subject]
+    box = spec.detections_by_id[e.subject].box
     return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
 
 

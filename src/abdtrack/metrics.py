@@ -3,9 +3,10 @@ fragmentations.
 
 Per frame, matches from the previous frame persist while their IoU stays
 at or above the matching threshold; the remainder is matched by a
-maximum-total-IoU assignment (admissible pairs only), whose exact ties
-:func:`_residual_match` describes.  MOTP is the mean IoU over
-matched pairs, reported as a percentage.
+maximum-total-IoU assignment (admissible pairs only), solved by the
+engine's exact matcher under the rule :func:`_residual_match` states, so
+that exact ties are decided too.  MOTP is the mean IoU over matched
+pairs, reported as a percentage.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
+# Bound here, at import, and not looked up on the module at call time:
+# perfbench/tracing.py wraps abduction.linear_sum_assignment by name to
+# time the engine's matchings, and scoring's must stay out of that span.
+from .abduction import canonical_matching, linear_sum_assignment
 from .geometry import BBox2D, TrackBoxes, check_match_iou, iou
 
 __all__ = ["TrackBoxes", "EvalReport", "check_match_iou", "evaluate", "format_report"]
@@ -151,37 +153,39 @@ def _residual_match(
     """Maximum-total-IoU assignment over one frame's still-unmatched boxes,
     as gt id -> (hyp id, IoU).
 
-    A pair below match_iou has weight 0.  Any other pair, of the i-th free
-    gt and the j-th free hyp, weighs its IoU in integer steps of 1e-7,
-    times n_g*n_h + 1, plus a rank term n_g*n_h - (i*n_h + j) >= 1; so the
-    total IoU decides first.  The rank terms are summed, and the sum,
-    k*n_g*n_h - (n_h*sum(i) + sum(j)) over k pairs, depends only on which
-    rows and columns are matched, not on how they pair up.  Two matchings
-    of the same boxes with the same scaled total IoU therefore weigh the
-    same, and the solver's own order picks between them: an exact tie does
-    not go to the lowest (gt, hyp) rank.
+    Only pairs at or above match_iou are admissible.  Of the matchings of
+    admissible pairs, the rule picks, exactly:
+
+    1. the highest total IoU, each pair's in integer steps of 1e-7;
+    2. then the most pairs;
+    3. then the lowest (gt, hyp) rank, row by row: the first gt of
+       ``free_g`` takes the earliest hyp of ``free_h`` that an optimum
+       allows, or none if no optimum matches it, then the second, and so
+       on.
+
+    A pair's gain is its scaled IoU times len(free_h) + 1, plus 1: the
+    pair counts of two matchings differ by at most len(free_h), so they
+    decide only between equal totals.  The engine's canonical matching of
+    those gains, one row per free gt with its hyps in ``free_h`` order,
+    is the rule's matching.
     """
     if not free_g or not free_h:
         return {}
-    n_g, n_h = len(free_g), len(free_h)
-    n2 = n_g * n_h + 1
-    weight = np.zeros((n_g, n_h))
+    n2 = len(free_h) + 1
+    gain: list[dict[int, int]] = []
     ious: dict[tuple[int, int], float] = {}
     for i, g in enumerate(free_g):
+        row = {}
         for j, h in enumerate(free_h):
             v = iou(gts[g], hyps[h])
             if v >= match_iou:
-                iou_int = int(round(v * 10_000_000))
-                weight[i, j] = iou_int * n2 + (n2 - 1 - (i * n_h + j))
+                row[j] = int(round(v * 10_000_000)) * n2 + 1
                 ious[i, j] = v
+        gain.append(row)
     if not ious:
         return {}
-    rows, cols = linear_sum_assignment(weight, maximize=True)
-    return {
-        free_g[i]: (free_h[j], ious[i, j])
-        for i, j in zip(rows.tolist(), cols.tolist())
-        if weight[i, j] > 0
-    }
+    match = canonical_matching(gain, *linear_sum_assignment(gain, len(free_h))[1:])
+    return {free_g[i]: (free_h[j], ious[i, j]) for i, j in enumerate(match) if j >= 0}
 
 
 def format_report(report: EvalReport, name: str = "sequence") -> str:

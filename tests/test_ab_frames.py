@@ -1,6 +1,7 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
 occlusion scene (anticipation lines compared too), on a small bench
-stream and in the set-up probe, and a tree whose track files differ."""
+stream and in the set-up probe, and trees whose track files, scores or
+anticipation lines differ."""
 
 import shutil
 import subprocess
@@ -28,7 +29,7 @@ def test_same_tree_both_sides():
         "write", "MB", "job", "fr/s", "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
-        "A", "B", "B/A", "event", "track", "reports", "anticipation",
+        "A", "B", "B/A", "event", "track", "reports", "scores", "anticipation",
     ]
     for side in lines[2:4]:
         p50, steps_fps, *phase_ms, write_mb, job_fps = map(float, side.split()[1:8])
@@ -40,7 +41,8 @@ def test_same_tree_both_sides():
     assert len(ratios) == 7 and all(r > 0 for r in ratios)
     assert abs(ratios[5] - 1) <= 0.02  # the same tree's write peaks
     assert lines[5:] == [
-        "event logs equal", "track files equal", "reports equal", "anticipation lines equal",
+        "event logs equal", "track files equal", "reports equal", "scores equal",
+        "anticipation lines equal",
     ]
 
 
@@ -52,8 +54,26 @@ def test_differing_track_files_fail(tmp_path):
                 "def write_tracks(exp):\n    return _write_tracks(exp) + '\\n'\n")
     out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
-    assert out.stdout.splitlines()[-4:] == [
-        "event logs equal", "TRACK FILES DIFFER", "reports equal", "anticipation lines equal",
+    assert out.stdout.splitlines()[-5:] == [
+        "event logs equal", "TRACK FILES DIFFER", "reports equal", "scores equal",
+        "anticipation lines equal",
+    ]
+
+
+def test_differing_scores_fail(tmp_path):
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "abdtrack" / "metrics.py", "a") as f:
+        f.write("\n_evaluate = evaluate\n\n\n"
+                "def evaluate(gt, hyp, match_iou=0.5):\n"
+                "    report = _evaluate(gt, hyp, match_iou)\n"
+                "    report.idsw += 1\n"
+                "    return report\n")
+    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines()[-5:] == [
+        "event logs equal", "track files equal", "reports equal", "SCORES DIFFER",
+        "anticipation lines equal",
     ]
 
 
@@ -65,8 +85,9 @@ def test_differing_anticipation_lines_fail(tmp_path):
                 "def format_position(a):\n    return _format_position(a) + ' '\n")
     out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
-    assert out.stdout.splitlines()[-4:] == [
-        "event logs equal", "track files equal", "reports equal", "ANTICIPATION LINES DIFFER",
+    assert out.stdout.splitlines()[-5:] == [
+        "event logs equal", "track files equal", "reports equal", "scores equal",
+        "ANTICIPATION LINES DIFFER",
     ]
 
 
@@ -77,7 +98,9 @@ def test_bench_workload_with_tracks():
     assert lines[0] == (
         "bench at 6 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame and phase"
     )
-    assert lines[-3:] == ["event logs equal", "track files equal", "reports equal"]
+    assert lines[-4:] == [
+        "event logs equal", "track files equal", "reports equal", "scores equal",
+    ]
 
 
 def test_tracks_only_with_bench():

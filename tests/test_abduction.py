@@ -1030,7 +1030,9 @@ class TestBlockSolver:
             n_rows, n_cols = (int(n) for n in rng.integers(1, 6, size=2))
             top = int(rng.choice([1, 2, 5]))
             rows = _random_gains(rng, n_rows, n_cols, float(rng.choice([0.4, 0.8, 1.0])), top)
-            assert abduction._canonical_matching(rows, n_cols) == _canonical_by_enumeration(rows)
+            _, match, u, v = abduction.linear_sum_assignment(rows, n_cols)
+            canonical = abduction.canonical_matching(rows, match, u, v)
+            assert canonical == _canonical_by_enumeration(rows)
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
     def test_duals_certify_every_mixed_block_of_the_bench_frames(

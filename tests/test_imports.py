@@ -1,6 +1,8 @@
 """Importing abdtrack, building an engine and stepping it load neither
-numpy nor scipy, through the matching too; only ``metrics`` and ``synth``
-need them.  Each check runs in a fresh interpreter on a golden input."""
+numpy nor scipy, through the matching too, and neither does scoring:
+``abdtrack eval`` and ``track --gt`` match through the engine's matcher.
+Only ``synth`` needs numpy.  Each check runs in a fresh interpreter on a
+golden input."""
 
 import os
 import subprocess
@@ -8,7 +10,7 @@ import sys
 from pathlib import Path
 
 import abdtrack
-from test_golden import _input_flags
+from test_golden import CASES, _gt_text, _input_flags
 
 # Counts the matchings by wrapping the matcher, runs {run}, then
 # prints the count and the loaded modules among numpy and scipy.
@@ -57,8 +59,21 @@ def test_track_without_gt_loads_neither(tmp_path):
     assert int(matchings) > 0 and loaded == []
 
 
+def test_track_with_gt_and_eval_load_neither(tmp_path):
+    # The child wraps the matcher before the CLI imports metrics, which
+    # binds it then, so scoring's matchings are counted too.
+    flags = _input_flags("bench20", tmp_path)
+    gt, hyp = tmp_path / "gt.txt", tmp_path / "t.txt"
+    gt.write_text(_gt_text(CASES["bench20"][0]))
+    run = "from abdtrack.cli import main\nassert main(sys.argv[1:]) == 0"
+    matchings, *loaded = _child(run, "track", *flags, "--gt", str(gt), "--out-tracks", str(hyp))
+    assert int(matchings) > 0 and loaded == []
+    matchings, *loaded = _child(run, "eval", "--gt", str(gt), "--hyp", str(hyp))
+    assert int(matchings) > 0 and loaded == []
+
+
 def test_names_of_metrics_synth_and_baseline_load_on_use():
     run = "import abdtrack\nassert abdtrack.evaluate is abdtrack.metrics.evaluate"
-    assert _child(run) == ["0", "numpy", "scipy"]
+    assert _child(run) == ["0"]
     run = "from abdtrack import GreedyIoUTracker"
     assert _child(run) == ["0"]

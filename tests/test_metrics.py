@@ -1,8 +1,11 @@
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from abdtrack.geometry import BBox2D
-from abdtrack.metrics import evaluate, format_report
+from abdtrack.geometry import BBox2D, iou
+from abdtrack.metrics import _residual_match, evaluate, format_report
 
 
 def track(frames, box=BBox2D(0, 0, 10, 10)):
@@ -153,3 +156,86 @@ class TestEvaluate:
         gt, hyp = constructed_60_percent()
         out = format_report(evaluate(gt, hyp), name="unit")
         assert "MOTA" in out and "unit" in out and "60.00%" in out
+
+
+def _boxes(*rows):
+    return {k: BBox2D(*xywh) for k, xywh in rows}
+
+
+def _rule_by_enumeration(gts, hyps, match_iou):
+    """The residual rule over every matching of admissible pairs: the
+    highest total scaled IoU, then the most pairs, then each gt's hyp in
+    gt order, the earliest hyp first and none last.  Returns the best
+    matching as gt id -> hyp id, and the tier that decided it."""
+    g_ids, h_ids = list(gts), list(hyps)
+    scaled = {}
+    for i, g in enumerate(g_ids):
+        for j, h in enumerate(h_ids):
+            v = iou(gts[g], hyps[h])
+            if v >= match_iou:
+                scaled[i, j] = int(round(v * 10_000_000))
+
+    def matchings(i, used):
+        if i == len(g_ids):
+            yield ()
+            return
+        for j in [*range(len(h_ids)), -1]:
+            if j < 0 or ((i, j) in scaled and j not in used):
+                yield from ((j, *rest) for rest in matchings(i + 1, used | {j}))
+
+    def key(m):
+        pairs = [(i, j) for i, j in enumerate(m) if j >= 0]
+        ranks = [j if j >= 0 else len(h_ids) for j in m]
+        return -sum(scaled[p] for p in pairs), -len(pairs), ranks
+
+    keys = sorted(map(key, matchings(0, frozenset())))
+    best = keys[0]
+    tied = [k for k in keys if k[0] == best[0]]
+    decided_by = 1 if len(tied) == 1 else 2 if tied[1][1] != best[1] else 3
+    match = {g_ids[i]: h_ids[j] for i, j in enumerate(best[2]) if j < len(h_ids)}
+    return match, decided_by
+
+
+class TestResidualMatchRule:
+    """The residual matching's stated rule: the highest total scaled IoU,
+    then the most pairs, then the lowest (gt, hyp) rank, row by row."""
+
+    def test_exact_tie_goes_to_the_lowest_rank(self):
+        # Two matchings, {0: 0, 1: 2} and {0: 2, 1: 0}, reach the same
+        # total IoU with two pairs each; gt 0 takes the lower-ranked hyp.
+        gts = _boxes((0, (25, 15, 15, 15)), (1, (25, 15, 15, 15)), (2, (10, 20, 10, 5)))
+        hyps = _boxes((0, (20, 10, 15, 15)), (1, (30, 15, 15, 5)), (2, (25, 20, 15, 15)))
+        got = _residual_match(gts, hyps, list(gts), list(hyps), 0.1)
+        assert {g: h for g, (h, _) in got.items()} == {0: 0, 1: 2}
+        assert _rule_by_enumeration(gts, hyps, 0.1) == ({0: 0, 1: 2}, 3)
+
+    def test_more_pairs_win_at_an_equal_total(self):
+        # One pair at IoU 1.0 (gt 0, hyp 2) ties two pairs at 0.5 + 0.5;
+        # MOTA counts pairs, so the two are matched.
+        gts = _boxes((0, (20, 5, 10, 5)), (4, (20, 5, 10, 10)))
+        hyps = _boxes((2, (20, 5, 10, 5)), (4, (25, 5, 5, 5)))
+        got = _residual_match(gts, hyps, list(gts), list(hyps), 0.3)
+        assert got == {0: (4, 0.5), 4: (2, 0.5)}
+        r = evaluate({g: {1: b} for g, b in gts.items()}, {h: {1: b} for h, b in hyps.items()},
+                     match_iou=0.3)
+        assert (r.fp, r.fn, r.motp) == (0, 0, 50.0)
+
+    def test_equals_enumeration_on_random_grid_frames(self):
+        rng = random.Random(30)
+
+        def box():
+            # 5 or 10 px on a 5-px grid in a 20-px square: many equal IoUs,
+            # and equal sums of them
+            return tuple(5 * rng.randint(*r) for r in ((0, 2), (0, 2), (1, 2), (1, 2)))
+
+        decided_by = Counter()
+        for _ in range(2000):
+            gts = _boxes(*((g, box()) for g in rng.sample(range(20), rng.randint(1, 6))))
+            hyps = _boxes(*((h, box()) for h in rng.sample(range(20), rng.randint(1, 6))))
+            match_iou = rng.choice([0.1, 0.3, 0.5])
+            expected, tier = _rule_by_enumeration(gts, hyps, match_iou)
+            got = _residual_match(gts, hyps, list(gts), list(hyps), match_iou)
+            assert {g: h for g, (h, _) in got.items()} == expected
+            assert all(v == iou(gts[g], hyps[h]) for g, (h, v) in got.items())
+            decided_by[tier] += 1
+        assert all(decided_by[tier] for tier in (1, 2, 3)), decided_by

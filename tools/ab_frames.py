@@ -33,12 +33,13 @@ over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
 traced peak, and frames/s with the phases included, as perfbench's
 ``frames_per_s`` counts them; then the ratio B/A of each, and whether the
-two sides' event logs, track files, reports and, on occlusion,
-anticipation lines are equal.  The exit
-status is 1 if any of them differ.  The write peak comes from one more,
-untimed pass per side after the timed ones: ``tracemalloc`` runs from
-``finalize`` through the three writers, and the peak is the largest of
-the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
+two sides' event logs, track files, reports, scores (``evaluate``'s
+report as a dict) and, on occlusion, anticipation lines are equal.  The
+exit status is 1 if any of them differ.  The write peak comes from one
+more, untimed pass per side after the timed ones: ``tracemalloc`` runs
+from ``finalize`` through the three writers, and the peak is the
+largest of the jobs' (MB of 2**20 bytes, as perfbench's
+``peak_rss_mb``).
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
@@ -102,7 +103,7 @@ def load_side(src: Path, name: str, tmp: Path):
 
 
 PHASES = ("parse", "write", "score")
-OUTPUTS = ("event logs", "track files", "reports", "anticipation lines")
+OUTPUTS = ("event logs", "track files", "reports", "scores", "anticipation lines")
 
 
 def _anticipate(package, engine, frame: int, out: list[str]) -> None:
@@ -124,7 +125,8 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     """Run one job on one side, with the anticipation block in each frame
     if ``anticipate``.  Each frame's time and each phase's time (ns) lower
     ``times`` and ``phases`` in place.  Returns the event log, the track
-    file, the report and, if ``anticipate``, the anticipation lines."""
+    file, the report, the scores and, if ``anticipate``, the anticipation
+    lines."""
     io = package.io
     gt = io.parse_mot_tracks(gt_text)
     ant_lines: list[str] = []
@@ -145,11 +147,12 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     exp = engine.finalize()
     outputs = (io.write_events(exp), io.write_tracks(exp), io.write_report(exp))
     t_eval = clock()
-    package.metrics.evaluate(gt, io.explanation_to_boxes(exp))
+    scores = package.metrics.evaluate(gt, io.explanation_to_boxes(exp))
     t_end = clock()
     for k, dt in enumerate((t_parsed - t_job, t_eval - t_out, t_end - t_eval)):
         if dt < phases[k]:
             phases[k] = dt
+    outputs += (scores.to_dict(),)
     return outputs + (ant_lines,) if anticipate else outputs
 
 
