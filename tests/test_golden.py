@@ -63,6 +63,13 @@ def _cases() -> dict[str, tuple[ScenarioConfig, list[str], str | None]]:
             ["--frame-geom", "1242x375"],
             None,
         ),
+        # Past the tie-break's easy cases: thousands of exchange tests over
+        # its 30 frames, some of them searching from the column side.
+        "bench200": (
+            scaling_scenario(200, 30),
+            ["--frame-geom", "1242x375"],
+            None,
+        ),
         "churn": (
             ScenarioConfig(n_tracks=10, n_frames=400, spurious_rate=0.5, seed=3),
             ["--conf-new", "45"],
