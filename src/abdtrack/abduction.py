@@ -35,8 +35,10 @@ each an exact consequence of the objective (see :func:`solve`):
   action, with constants sized to them, and solve one maximum-weight
   bipartite matching with LP duals (per-action costs are independent
   once event preconditions are evaluated against the pre-solve fluent
-  state); tracks are then fixed in id order, the duals settling each
-  better-ranked edge on a free detection without a further solve.
+  state); tracks are then fixed in id order, and the duals settle each
+  better-ranked edge on a detection no fixed track holds with no further
+  solve: one alternating-path search runs from the track the swap leaves
+  without an edge, then from the detection it leaves without its track.
 
 Only the cover's actions are made as ``Action`` objects, each in its
 place in the result; :func:`_objective` scores every cover, the
@@ -51,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, Optional
 
@@ -551,17 +552,58 @@ def canonical_matching(
     the rows fixed before it to an optimum, else none.  The optimum M is
     kept optimal and in agreement with the fixed rows, so M's own choice
     always extends, and only the columns ranked before it that no fixed
-    row holds are tested: a slack edge is in no optimum, and
-    :meth:`_Tight.take` settles a tight one."""
-    tight = _Tight(gain, match, u, v)
-    owner = tight.owner
+    row holds are tested: a slack edge is in no optimum, and the exchange
+    below settles a tight one.
+
+    The exchange asks whether the tight edge (i, j), j held by no row
+    before i, lies in an optimum that agrees with rows 0..i-1; if so, the
+    matching becomes one that also holds (i, j), else it is restored.
+    Drop M's edges at i (to m) and at j (from k) and add (i, j): the
+    rest M' is a matching of the tight edges among the rows after i
+    and the columns that no row up to i holds, and it covers every
+    vertex with a positive dual there but k and m.  An optimum N
+    with (i, j) exists iff some matching there covers them all.  If
+    one does, the component of M' xor N at k, if u_k > 0, is an
+    alternating path from k that ends at a column M' leaves free or
+    at a row with a zero dual; conversely such a path, flipped,
+    covers k and uncovers no column and no row with a positive
+    dual.  So a search from k (:func:`_cover` from a row) settles the
+    rows.  The same holds, sides swapped, at m (:func:`_cover` from a
+    column) on the matching that flip leaves, which misses at most m,
+    as N covers m too; a flip there uncovers no row and no column with
+    a positive dual, so the result covers them all."""
+    owner = [-1] * len(v)
+    for i, j in enumerate(match):
+        if j >= 0:
+            owner[j] = i
+    # per row, the columns of its tight edges
+    cols = [[j for j, g in row.items() if ui + v[j] == g] for row, ui in zip(gain, u)]
+    rows: list[list[int]] = []  # per column, the rows of its tight edges
     for i, row in enumerate(gain):
+        m = match[i]
         for j, g in row.items():
-            if j == match[i]:
+            if j == m:
                 break
             k = owner[j]
-            if (k < 0 or k > i) and u[i] + v[j] == g and tight.take(i, j):
-                break
+            if 0 <= k < i or u[i] + v[j] != g:
+                continue
+            saved = match[:], owner[:]
+            match[i], owner[j] = j, i
+            if m >= 0:
+                owner[m] = -1
+            if k >= 0:
+                match[k] = -1
+            if k < 0 or not u[k] or _cover(k, i, True, cols, match, owner, u):
+                if m < 0 or not v[m] or owner[m] >= 0:
+                    break
+                if not rows:  # built on first use: most matchings never search from a column
+                    rows = [[] for _ in v]
+                    for r, js in enumerate(cols):
+                        for c in js:
+                            rows[c].append(r)
+                if _cover(m, i, False, rows, owner, match, v):
+                    break
+            match[:], owner[:] = saved
     return match
 
 
@@ -641,12 +683,7 @@ def linear_sum_assignment(
             u[r] -= d - dr
         for c, dc in final.items():
             v[c] += d - dc
-        while True:  # augment along the path to column j
-            r = via[j]
-            owner[j] = r
-            match[r], j = j, match[r]
-            if r == root:
-                break
+        _flip(via, j, root, match, owner)  # augment along the path to column j
 
     optimum = 0
     for i, j in enumerate(match):
@@ -657,120 +694,50 @@ def linear_sum_assignment(
     return optimum, match, u, v[:n_cols]
 
 
-class _Tight:
-    """An optimal matching, with its duals and tight edges, as the
-    canonical loop of :func:`canonical_matching` fixes its rows in order.
 
-    ``match`` (row -> column) and ``owner`` (column -> row) hold the
-    matching, -1 where unmatched.  :meth:`take` asks whether row i, with
-    rows 0..i-1 fixed as they are, can take column j in some optimum, and
-    if so moves the matching to one such optimum."""
-
-    def __init__(
-        self, gain: list[dict[int, int]], match: list[int], u: list[int], v: list[int]
-    ) -> None:
-        self.match, self.u, self.v = match, u, v
-        self.owner = [-1] * len(v)
-        for i, j in enumerate(match):
-            if j >= 0:
-                self.owner[j] = i
-        # per row, the columns of its tight edges
-        self.cols = [[j for j, g in row.items() if ui + v[j] == g] for row, ui in zip(gain, u)]
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        """Per column, the rows of its tight edges, in order."""
-        rows: list[list[int]] = [[] for _ in self.v]
-        for i, js in enumerate(self.cols):
-            for j in js:
-                rows[j].append(i)
-        return rows
-
-    def take(self, i: int, j: int) -> bool:
-        """Whether the tight edge (i, j), j held by no row before i, lies
-        in an optimum that agrees with rows 0..i-1; if so, the matching
-        becomes one that also holds (i, j).
-
-        Drop M's edges at i (to m) and at j (from k) and add (i, j): the
-        rest M' is a matching of the tight edges among the rows after i
-        and the columns that no row up to i holds, and it covers every
-        vertex with a positive dual there but k and m.  An optimum N
-        with (i, j) exists iff some matching there covers them all.  If
-        one does, the component of M' xor N at k, if u_k > 0, is an
-        alternating path from k that ends at a column M' leaves free or
-        at a row with a zero dual; conversely such a path, flipped,
-        covers k and uncovers no column and no row with a positive
-        dual.  So a search from k (:meth:`_cover_row`) settles the rows.
-        The same holds, sides swapped, at m (:meth:`_cover_col`) on the
-        matching that flip leaves, which misses at most m, as N covers m
-        too; a flip there uncovers no row and no column with a positive
-        dual, so the result covers them all."""
-        match, owner = self.match, self.owner
-        saved = match[:], owner[:]
-        k, m = owner[j], match[i]
-        match[i], owner[j] = j, i
-        if m >= 0:
-            owner[m] = -1
-        if k >= 0:
-            match[k] = -1
-        if (k < 0 or not self.u[k] or self._cover_row(k, i)) and (
-            m < 0 or not self.v[m] or owner[m] >= 0 or self._cover_col(m, i)
-        ):
+def _cover(
+    start: int, i: int, from_row: bool,
+    adj: list[list[int]], mate: list[int], back: list[int], dual: list[int],
+) -> bool:
+    """Breadth-first search from ``start``, a row or a column that the
+    matching leaves free, over tight edges (``adj``) to vertices of the
+    other side that no fixed row, 0..i, holds and back over matched
+    edges, for a free vertex of the other side or a vertex of start's
+    side with a zero dual; flips the path if found.  ``mate`` maps
+    start's side to its matched vertices, ``back`` the other side, and
+    ``dual`` holds start's side's duals.  A column is held when its
+    owner is fixed, a row when it is fixed itself, so ``from_row``
+    selects which vertex the test reads."""
+    via: dict[int, int] = {}  # vertex of the other side -> the one it is reached from
+    queue = [start]
+    for x in queue:
+        for y in adj[x]:
+            if y in via:
+                continue
+            o = back[y]
+            if 0 <= (o if from_row else y) <= i:
+                continue
+            via[y] = x
+            if o >= 0 and dual[o]:
+                queue.append(o)
+                continue
+            if o >= 0:
+                mate[o] = -1
+            _flip(via, y, start, mate, back)
             return True
-        match[:], owner[:] = saved
-        return False
+    return False
 
-    def _cover_row(self, k: int, i: int) -> bool:
-        """Breadth-first search from the free row k, over tight edges to
-        columns no row up to i holds and matched edges back, for a free
-        column or a row with a zero dual; flips the path if found."""
-        match, owner, u = self.match, self.owner, self.u
-        via: dict[int, int] = {}  # column -> the row it is reached from
-        queue = [k]
-        for r in queue:
-            for d in self.cols[r]:
-                if d in via:
-                    continue
-                o = owner[d]
-                if 0 <= o <= i:
-                    continue
-                via[d] = r
-                if o >= 0 and u[o]:
-                    queue.append(o)
-                    continue
-                if o >= 0:
-                    match[o] = -1
-                while True:
-                    r = via[d]
-                    match[r], owner[d], d = d, r, match[r]
-                    if r == k:
-                        return True
-        return False
 
-    def _cover_col(self, m: int, i: int) -> bool:
-        """Breadth-first search from the free column m, over tight edges
-        to rows after i and matched edges back, for a free row or a
-        column with a zero dual; flips the path if found."""
-        match, owner, v = self.match, self.owner, self.v
-        via: dict[int, int] = {}  # row -> the column it is reached from
-        queue = [m]
-        for d in queue:
-            for r in self.rows[d]:
-                if r <= i or r in via:
-                    continue
-                via[r] = d
-                c = match[r]
-                if c >= 0 and v[c]:
-                    queue.append(c)
-                    continue
-                if c >= 0:
-                    owner[c] = -1
-                while True:
-                    d = via[r]
-                    match[r], owner[d], r = d, r, owner[d]
-                    if d == m:
-                        return True
-        return False
+def _flip(via: dict[int, int], y: int, start: int, mate: list[int], back: list[int]) -> None:
+    """Flip the alternating path that ends at ``y`` and leads back by
+    ``via`` and matched edges to ``start``: each vertex y on it is matched
+    to ``via[y]``, the vertex it was reached from, and start, free
+    before, ends matched."""
+    while True:
+        x = via[y]
+        mate[x], back[y], y = y, x, mate[x]
+        if x == start:
+            return
 
 
 # ----------------------------------------------------------------------

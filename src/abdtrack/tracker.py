@@ -109,7 +109,7 @@ class AbductionEngine:
         t1 = time.perf_counter()
         result = solve(spec)
         t2 = time.perf_counter()
-        self._apply(frame, detections, result)
+        self._apply(frame, spec.detections_by_id, result)
         t3 = time.perf_counter()
         self.latencies.append(
             _StepStats(frame, solve_ms=(t2 - t1) * 1e3, total_ms=(t3 - t0) * 1e3)
@@ -132,7 +132,7 @@ class AbductionEngine:
             frame_geom=self.config.frame_geom,
         )
 
-    def _apply(self, frame: int, detections: Sequence[Detection], result: SolveResult) -> None:
+    def _apply(self, frame: int, dets: dict[int, Detection], result: SolveResult) -> None:
         """Carry out the cover's actions, then apply the frame's events
         through :func:`apply_event`, the one place fluents change.
 
@@ -140,8 +140,8 @@ class AbductionEngine:
         :data:`~abdtrack.domain.EVENTS`) go last, so a same-frame
         hides_behind behind an ending track cannot leave a hidden pair on
         its dropped fluents.  The event log keeps the cover's order.
+        ``dets`` is the frame's detections by id, the spec's map.
         """
-        dets = {d.id: d for d in detections}
         frame_events: list[EventOccurrence] = []
 
         for action in result.actions:

@@ -980,20 +980,24 @@ def _assert_certificate(rows, n_cols, result):
 
 def _canonical_by_enumeration(rows):
     """The best of every matching, by gain, then by each row's choice in
-    row order (its columns in its key order, then none)."""
-    def matchings(i, used):
+    row order (its columns in its key order, then none).  The matchings
+    are visited in that choice order, so the first of the highest gain
+    is kept."""
+    best, choice = [-1, None], []
+
+    def visit(i, used, total):
         if i == len(rows):
-            yield ()
+            if total > best[0]:
+                best[:] = total, choice[:]
             return
-        for j in [*rows[i], -1]:
+        for j, g in [*rows[i].items(), (-1, 0)]:
             if j not in used:
-                yield from ((j, *rest) for rest in matchings(i + 1, used | {j} - {-1}))
+                choice.append(j)
+                visit(i + 1, used | {j} - {-1}, total + g)
+                choice.pop()
 
-    def key(m):
-        gain = sum(rows[i][j] for i, j in enumerate(m) if j >= 0)
-        return -gain, [[*rows[i], -1].index(j) for i, j in enumerate(m)]
-
-    return list(min(matchings(0, frozenset()), key=key))
+    visit(0, frozenset(), 0)
+    return best[1]
 
 
 class TestBlockSolver:
@@ -1033,6 +1037,30 @@ class TestBlockSolver:
             _, match, u, v = abduction.linear_sum_assignment(rows, n_cols)
             canonical = abduction.canonical_matching(rows, match, u, v)
             assert canonical == _canonical_by_enumeration(rows)
+
+    def test_canonical_matching_searches_from_both_sides(self, monkeypatch):
+        # Small dense rows with gains in 1..3 tie often, so the exchange
+        # searches from the row and from the column it frees, and each
+        # search both finds a path and fails, many times over.
+        outcomes = Counter()
+        search = abduction._cover
+
+        def counted(start, i, from_row, *args):
+            found = search(start, i, from_row, *args)
+            outcomes[from_row, found] += 1
+            return found
+
+        monkeypatch.setattr(abduction, "_cover", counted)
+        rng = np.random.default_rng(47)
+        for _ in range(3000):
+            n_rows, n_cols = (int(n) for n in rng.integers(1, 7, size=2))
+            rows = _random_gains(rng, n_rows, n_cols, float(rng.uniform(0.6, 1.0)), 3)
+            _, match, u, v = abduction.linear_sum_assignment(rows, n_cols)
+            canonical = abduction.canonical_matching(rows, match, u, v)
+            assert canonical == _canonical_by_enumeration(rows)
+        assert all(outcomes[key] >= 10 for key in itertools.product((True, False), repeat=2)), (
+            outcomes
+        )
 
     @pytest.mark.parametrize("n_tracks", [50, 100, 200])
     def test_duals_certify_every_mixed_block_of_the_bench_frames(
