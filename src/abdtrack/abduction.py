@@ -24,21 +24,24 @@ Ties are broken deterministically: lowest track id first, then lowest
 detection id, then the fixed event-preference order of
 :class:`~abdtrack.domain.EventKind`.
 
-The solver decides each frame in two steps read off the option table,
-each an exact consequence of the objective (see :func:`solve`):
+The solver decides each frame in one pass over the option table, each
+track by an exact consequence of the objective (see :func:`solve`):
 
 - forced assign: an active track with one assign edge, to a detection no
   other track can assign, takes it in every optimum, as only assigns
   gain at level 10;
-- one canonical matching: the other tracks with edges and their
-  detections fold the three levels into one exact integer per kind of
-  action, with constants sized to them, and solve one maximum-weight
-  bipartite matching with LP duals (per-action costs are independent
-  once event preconditions are evaluated against the pre-solve fluent
-  state); tracks are then fixed in id order, and the duals settle each
-  better-ranked edge on a detection no fixed track holds with no further
-  solve: one alternating-path search runs from the track the swap leaves
-  without an edge, then from the detection it leaves without its track.
+- no edge: a track left with no edge takes its fallback;
+- one canonical matching: every other track is a row of one
+  maximum-weight bipartite matching with LP duals, its gains written as
+  the pass reaches it, in one fold of the three levels into one exact
+  integer per kind of action, with constants sized to the frame's
+  tracks and detections, made once the frame has a row (per-action
+  costs are independent once event preconditions are evaluated against
+  the pre-solve fluent state); tracks are then fixed in id order, and
+  the duals settle each better-ranked edge on a detection no fixed track
+  holds with no further solve: one alternating-path search runs from the
+  track the swap leaves without an edge, then from the detection it
+  leaves without its track.
 
 Only the cover's actions are made as ``Action`` objects, each in its
 place in the result; :func:`_objective` scores every cover, the
@@ -401,7 +404,7 @@ def _assert_disjoint_effects(events: tuple[EventOccurrence, ...]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Exact solver: forced assigns, then one canonical matching
+# Exact solver: forced assigns, fallbacks and one canonical matching
 # ----------------------------------------------------------------------
 
 
@@ -411,26 +414,30 @@ def solve(spec: ProblemSpec) -> SolveResult:
     Deterministic: among optimal covers, returns the one whose per-track
     action sequence (tracks in ascending id order; assigns/resumes
     preferred by ascending detection id, then the fallback action) is
-    lexicographically minimal.  The frame is solved in two exact steps
-    from the option table:
+    lexicographically minimal.  One pass over the option table decides
+    each track by one of three exact rules:
 
     - Forced assign: an active track whose only edge goes to a detection
       that is no other track's assign edge is assigned to it in every
       optimum: a cover without the pair leaves the detection free or
       resumed, and swapping in the assign gains at level 10, which no
       lower level outweighs.  The detection leaves every resume list.
-    - One canonical matching: a track left with no edge takes its
-      fallback; every other track, with the detections of its edges, goes
-      to one exact integer matching whose duals settle the tie-break
-      (:func:`_mixed_block`).  The matching holds the frame's connected
-      components of tracks and detections side by side, and that is
-      exact: covers of different components combine freely and the
-      objective adds over them, so the optimum is the union of the
-      components' optima, and so is the canonical one, as each track's
-      rank depends on its own component alone.
+    - No edge: a track left with no edge takes its fallback.
+    - Matching row: every other track's gain row is written as soon as
+      it is decided, its detections numbered as columns in first-seen
+      order, by the frame's one fold (:func:`_fold`), made with the
+      first such row.  A cover's folded value is its fallbacks' plus its
+      edges' gains, so the optima are the maximum-gain matchings, and
+      one :func:`canonical_matching` of the rows, each ranking its
+      edges by detection id, settles the tie-break.  The matching holds
+      the frame's connected components of tracks and detections side by
+      side, and that is exact: covers of different components combine
+      freely and the objective adds over them, so the optimum is the
+      union of the components' optima, and so is the canonical one, as
+      each track's rank depends on its own component alone.
 
     The result is built in its final order, a slot per track in
-    ascending id (a matched track's filled once the matching is solved),
+    ascending id (a matching row's filled once the matching is solved),
     then the free detections' options by id, and :func:`_objective`
     scores it.  Only the cover's actions are made as ``Action``s, and
     only its halts and its free detections' options linked.
@@ -448,23 +455,41 @@ def solve(spec: ProblemSpec) -> SolveResult:
     }
     det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
+    likelihoods = spec.likelihoods
     cover: dict[int, Optional[Action]] = {}  # a slot per track, by id
-    edges: dict[int, list[int]] = {}
+    rows: list[int] = []  # the matching's tracks
+    gain: list[dict[int, int]] = []  # per row, column -> gain, by detection id
+    col: dict[int, int] = {}  # detection id -> column
     for t, (edge, dids, fallback) in tracks.items():
         if dids and forced.get(dids[0]) == t:
             cover[t] = Action(ASSIGN, t, dids[0])
             continue
         if forced and edge[0] is not ASSIGN:
             dids = [d for d in dids if d not in forced]
-        if dids:
-            cover[t] = None  # filled when the matching is solved
-            edges[t] = dids
-        else:
+        if not dids:
             cover[t] = _fallback(spec, t, fallback)
-    if edges:
-        for a in _mixed_block(spec, tracks, det_options, edges):
-            cover[a.trk] = a
-            det_options.pop(a.det, None)  # the options left are the free detections'
+            continue
+        if not rows:
+            value, c1 = _fold(len(tracks), len(spec.detections))
+        cover[t] = None  # filled when the matching is solved
+        rows.append(t)
+        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
+            gain.append({
+                col.setdefault(d, len(col)): (likelihoods[t, d] + 1) * c1 - value[det_options[d][0]]
+                for d in dids
+            })
+        else:
+            base = value[RESUME] - value[fallback[0]]
+            gain.append({col.setdefault(d, len(col)): base - value[det_options[d][0]] for d in dids})
+    if rows:
+        cols = list(col)
+        for t, j in zip(rows, canonical_matching(gain, *linear_sum_assignment(gain, len(col))[1:])):
+            edge, _, fallback = tracks[t]
+            if j >= 0:
+                cover[t] = Action(edge[0], t, cols[j], edge[1])
+                del det_options[cols[j]]  # the options left are the free detections'
+            else:
+                cover[t] = _fallback(spec, t, fallback)
 
     actions = list(cover.values())
     actions += [Action(k, None, d, e) for d, (k, e) in sorted(det_options.items())]
@@ -473,61 +498,26 @@ def solve(spec: ProblemSpec) -> SolveResult:
     return SolveResult(tuple(actions), events, _objective(spec, actions))
 
 
-def _mixed_block(
-    spec: ProblemSpec,
-    tracks: dict[int, TrackRow],
-    det_options: dict[int, Option],
-    edges: dict[int, list[int]],
-) -> list[Action]:
-    """The canonical cover of the tracks with ``edges``, in ascending id,
-    and the detections of those edges, by one matching.
+def _fold(n_t: int, n_d: int) -> tuple[dict[ActionKind, int], int]:
+    """The three levels of a frame of ``n_t`` tracks and ``n_d``
+    detections folded into one exact integer: ``value[kind]``, an
+    action's folded value but for an assign's level-10 gain, and ``c1``,
+    which each unit of that gain is worth.  A cover's value is
+    l10*c1 - l3*c2 - l2, with c2 = 5*n_t + 6*n_d + 2, which exceeds any
+    cover's level-2 cost, and c1 = c2 * (10*(n_t + n_d) + 2), which
+    exceeds its level-3 cost times c2 plus its level-2 cost; so no lower
+    level overturns a higher one, and Python ints keep every sum exact.
 
-    The three levels fold into one exact integer per kind of action, and
-    a cover's folded value is the sum of all fallback values plus the
-    gains of its edges, an edge's gain being its value less the two
-    fallback values it replaces.  So the optima are the maximum-gain
-    matchings, and the canonical cover is the :func:`canonical_matching`
-    of the gains, each track's edges ranked by detection id.  Returns the
-    track actions; the detections left free take their options in
-    :func:`solve`."""
-    rows = list(edges)
-    col: dict[int, int] = {}  # detection id -> column
-    for dids in edges.values():
-        for did in dids:
-            col.setdefault(did, len(col))
-    n_t, n_d = len(rows), len(col)
-    # Fold levels into one integer: value = l10*c1 - l3*c2 - l2, with
-    # constants large enough that no lower level can overturn a higher
-    # one among these rows and columns.  Python ints keep every sum exact.
-    max_l2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 1
-    c2 = max_l2 + 1
-    c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 1) + max_l2 + 1
-
-    # Every edge gains: an assign >= c1, as no fallback is worth > 0; a
-    # resume (-1) >= 9, as each fallback it replaces is worth <= -5.
-    value = {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}
-    det_value = {did: value[det_options[did][0]] for did in col}
-    likelihoods = spec.likelihoods
-    gain: list[dict[int, int]] = []  # per track, column -> gain, by detection id
-    for t in rows:
-        edge, _, fallback = tracks[t]
-        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
-            gain.append({
-                col[did]: (likelihoods[t, did] + 1) * c1 - det_value[did] for did in edges[t]
-            })
-        else:
-            base = value[RESUME] - value[fallback[0]]
-            gain.append({col[did]: base - det_value[did] for did in edges[t]})
-
-    cols = list(col)
-    actions = []
-    for t, j in zip(rows, canonical_matching(gain, *linear_sum_assignment(gain, n_d)[1:])):
-        edge, _, fallback = tracks[t]
-        if j >= 0:
-            actions.append(Action(edge[0], t, cols[j], edge[1]))
-        else:
-            actions.append(_fallback(spec, t, fallback))
-    return actions
+    That value is also the sum of every track's fallback value and every
+    detection's option value, plus the gains of its edges, an edge's
+    gain being its value less the two values it replaces; and every edge
+    gains: an assign >= c1, as no fallback or option is worth > 0, and a
+    resume (worth -1) >= 9, as each value it replaces is <= -5.  As the
+    constants are the frame's, a forced assign's gain and the matching's
+    LP duals are in the same integers."""
+    c2 = _L2_END * n_t + (_L2_START + _L2_RESUME) * n_d + 2
+    c1 = c2 * (_L3_WEIGHT * (n_t + n_d) + 2)
+    return {kind: -c3 * c2 - l2 for kind, (c3, l2) in _COSTS.items()}, c1
 
 
 def canonical_matching(
@@ -587,7 +577,9 @@ def canonical_matching(
             k = owner[j]
             if 0 <= k < i or u[i] + v[j] != g:
                 continue
-            saved = match[:], owner[:]
+            # Only a search from m can follow a search from k that changed
+            # the matching; a failed search changes nothing.
+            saved = (match[:], owner[:]) if m >= 0 and v[m] else None
             match[i], owner[j] = j, i
             if m >= 0:
                 owner[m] = -1
@@ -603,7 +595,14 @@ def canonical_matching(
                             rows[c].append(r)
                 if _cover(m, i, False, rows, owner, match, v):
                     break
-            match[:], owner[:] = saved
+            if saved:
+                match[:], owner[:] = saved
+                continue
+            match[i], owner[j] = m, k  # undo the exchange
+            if m >= 0:
+                owner[m] = i
+            if k >= 0:
+                match[k] = j
     return match
 
 

@@ -789,41 +789,88 @@ class TestOracle:
 @pytest.fixture
 def counted_solve(monkeypatch):
     """``solve``, counting in its ``counts`` the tracks each rule decided:
-    ``forced`` assigns, ``mixed``, the tracks of the one matching, and
+    ``forced`` assigns, ``mixed``, the rows of the one matching, and
     ``no edge`` fallbacks, and the ``matchings`` solved.  Each solve
-    makes at most one ``linear_sum_assignment`` call, and that call's
-    duals certify its matching."""
-    counts, decided, calls = Counter(), set(), []
-    mixed_block, solver = abduction._mixed_block, abduction.linear_sum_assignment
-
-    def recording(*args):
-        actions = mixed_block(*args)
-        counts["mixed"] += len(actions)
-        decided.update(a.trk for a in actions)
-        return actions
+    makes at most one ``linear_sum_assignment`` call, that call's duals
+    certify its matching, and the frame's dual certificate
+    (:func:`_assert_frame_certificate`) its whole cover."""
+    counts, calls = Counter(), []
+    solver = abduction.linear_sum_assignment
 
     def matching(rows, n_cols):
         result = solver(rows, n_cols)
         _assert_certificate(rows, n_cols, result)
-        calls.append(n_cols)
+        calls.append((rows, n_cols, result))
         return result
 
-    monkeypatch.setattr(abduction, "_mixed_block", recording)
     monkeypatch.setattr(abduction, "linear_sum_assignment", matching)
 
     def solving(spec):
-        decided.clear()
         calls.clear()
         result = solve(spec)
         assert len(calls) <= 1, f"{len(calls)} matchings at frame {spec.frame}"
+        forced, no_edge = _assert_frame_certificate(spec, result, calls[0] if calls else None)
+        counts["forced"] += forced
+        counts["mixed"] += sum(len(rows) for rows, _, _ in calls)
+        counts["no edge"] += no_edge
         counts["matchings"] += len(calls)
-        for a in result.actions:
-            if a.trk is not None and a.trk not in decided:
-                counts["forced" if a.kind is ActionKind.ASSIGN else "no edge"] += 1
         return result
 
     solving.counts = counts
     return solving
+
+
+def _assert_frame_certificate(spec, result, call):
+    """The frame's whole cover priced by LP duals, recomputed from the
+    option table alone: the fold ``_fold``'s docstring states, every
+    table edge's gain (resumes to forced detections too), the forced
+    rule, and the matching's rows (the other tracks with an edge left,
+    by id) and columns (their detections, first seen first).  A forced
+    detection is priced at its assign's gain, the matching's rows and
+    columns at the duals of ``call``, the frame's ``(rows, n_cols,
+    result)`` matcher call or None, and all else at 0.  The prices are
+    >= 0 and cover every edge, so no matching of the table gains more
+    than their sum, which the cover's edges gain.  Returns the numbers
+    of forced and of no-edge tracks."""
+    K = ActionKind
+    tracks = abduction._option_table(spec)
+    n_t, n_d = len(tracks), len(spec.detections)
+    c2 = 5 * n_t + 6 * n_d + 2
+    c1 = c2 * (10 * (n_t + n_d) + 2)
+    worth = {K.HALT: 0, K.RESUME: -1, K.END: -5, K.START: -5, K.IGNORE_TRK: -10 * c2,
+             K.IGNORE_DET: -10 * c2}
+    det_worth = {d.id: worth[abduction._det_option(spec, d)[0]] for d in spec.detections}
+    gain, claims = {}, Counter()
+    for t, ((kind, _), dids, (fallback, _)) in tracks.items():
+        for d in dids:
+            if kind is K.ASSIGN:
+                gain[t, d] = (spec.likelihoods[t, d] + 1) * c1 - det_worth[d]
+                claims[d] += 1
+            else:
+                gain[t, d] = worth[K.RESUME] - worth[fallback] - det_worth[d]
+    forced = {
+        dids[0]: t for t, ((kind, _), dids, _) in tracks.items()
+        if kind is K.ASSIGN and len(dids) == 1 and claims[dids[0]] == 1
+    }
+    forced_tracks = set(forced.values())
+    left = {t: [d for d in dids if d not in forced] for t, (_, dids, _) in tracks.items()
+            if t not in forced_tracks}
+    rows = [t for t, dids in left.items() if dids]
+    cols = list(dict.fromkeys(d for t in rows for d in left[t]))
+    trk_price, det_price = {}, {d: gain[t, d] for d, t in forced.items()}
+    if rows:
+        _, n_cols, (_, _, u, v) = call
+        assert len(u) == len(rows) and n_cols == len(cols)
+        trk_price.update(zip(rows, u))
+        det_price.update(zip(cols, v))
+    else:
+        assert call is None
+    assert min([*trk_price.values(), *det_price.values()], default=0) >= 0
+    assert all(trk_price.get(t, 0) + det_price.get(d, 0) >= g for (t, d), g in gain.items())
+    edges = [(a.trk, a.det) for a in result.actions if a.kind in (K.ASSIGN, K.RESUME)]
+    assert len({d for _, d in edges}) == len(edges)
+    assert sum(trk_price.values()) + sum(det_price.values()) == sum(gain[e] for e in edges)
+    return len(forced), len(left) - len(rows)
 
 
 class TestLargeInstances:
@@ -841,8 +888,8 @@ class TestLargeInstances:
 
     def test_frame_of_separated_pairs_past_the_folding_limit_solves(self, monkeypatch):
         # 1000x1000, past the size one block could once fold exactly in
-        # float64 (742x742); each pair here is a forced assign, so no block
-        # needs a matching.
+        # float64 (742x742); each pair here is a forced assign, so the
+        # frame needs no matching.
         monkeypatch.setattr(abduction, "linear_sum_assignment", _no_matching)
         boxes = [BBox2D(30.0 * (i % 40), 30.0 * (i // 40), 20, 20) for i in range(1000)]
         spec = ProblemSpec(
@@ -862,12 +909,12 @@ class TestLargeInstances:
 
     def test_block_past_the_former_folding_limit_solves(self):
         # One active track with two assign edges joins 2000 halted tracks
-        # of its class and their 400 resumable detections into one block,
-        # which float64 could not fold exactly.  Five forced pairs of
-        # another class make the frame larger than the block.  The active
-        # track takes its likelier detection; the other 399 are resumed by
-        # the lowest-id halted tracks, all on the same fallback, each on
-        # the lowest free detection id.
+        # of its class and their 400 resumable detections into one
+        # matching, which float64 could not fold exactly.  Five forced
+        # pairs of another class make the frame larger than the matching.
+        # The active track takes its likelier detection; the other 399 are
+        # resumed by the lowest-id halted tracks, all on the same fallback,
+        # each on the lowest free detection id.
         box = BBox2D(100, 100, 20, 20)
         fluents = FluentStore()
         for t in range(2006):
@@ -907,7 +954,7 @@ def _no_matching(*args, **kwargs):
     raise AssertionError("a matching was solved")
 
 
-class TestBlocks:
+class TestOneMatching:
     def test_pure_resume_components_equal_the_oracle(self, counted_solve):
         # A forced assign whose detection is also resumable, then two
         # components of resumes alone, solved in the one matching: car,
@@ -1062,13 +1109,14 @@ class TestBlockSolver:
             outcomes
         )
 
-    @pytest.mark.parametrize("n_tracks", [50, 100, 200])
-    def test_duals_certify_every_mixed_block_of_the_bench_frames(
+    @pytest.mark.parametrize("n_tracks", [50, 100, 200, 400])
+    def test_duals_certify_each_whole_frame_of_the_bench_frames(
         self, n_tracks, bench_frames, counted_solve
     ):
         # At most one solver call per frame, for all of the frame's tracks
-        # left after the forced assigns, and its duals prove its matching
-        # optimal (counted_solve checks both).
+        # left after the forced assigns; its duals prove its matching
+        # optimal, and with the forced assigns' gains the whole cover
+        # (counted_solve checks all three).
         for spec, result in bench_frames(n_tracks):
             assert counted_solve(spec) == result
         assert counted_solve.counts["matchings"] > 0
@@ -1305,7 +1353,7 @@ def _clipped(*tids):
 
 
 class TestUnexplainedCoverHalt:
-    def test_raises_for_a_track_outside_any_block(self):
+    def test_raises_for_a_track_with_no_edge(self):
         spec = simple_spec(
             {
                 1: (BBox2D(40, 40, 30, 30), TrackState.ACTIVE, "car", 0),
@@ -1318,9 +1366,11 @@ class TestUnexplainedCoverHalt:
         with pytest.raises(EngineBugError, match=r"^track 1 has no explainable fallback action$"):
             solve(spec)
 
-    def test_raises_for_a_track_a_mixed_block_leaves_on_its_fallback(self):
+    def test_raises_for_a_track_a_mixed_block_leaves_on_its_fallback(self, monkeypatch):
         # Tracks 1 and 2 both claim det_0, and 2 overlaps it more; track
         # 2's bottom edge lies above track 1's, so 1 cannot hide behind it.
+        # Track 1 is a row of the frame's one matching, which leaves it on
+        # its halt: the raise comes after that matching is solved.
         box = BBox2D(100, 100, 40, 40)
         spec = simple_spec(
             {
@@ -1331,11 +1381,16 @@ class TestUnexplainedCoverHalt:
             fluent_setup=_clipped(1),
         )
         assert not _halt_events(spec, 1)
-        with pytest.raises(
-            EngineBugError, match=r"^track 1 has no explainable fallback action$"
-        ) as err:
+        calls, solver = [], abduction.linear_sum_assignment
+
+        def matching(rows, n_cols):
+            calls.append(len(rows))
+            return solver(rows, n_cols)
+
+        monkeypatch.setattr(abduction, "linear_sum_assignment", matching)
+        with pytest.raises(EngineBugError, match=r"^track 1 has no explainable fallback action$"):
             solve(spec)
-        assert "_mixed_block" in [entry.name for entry in err.traceback]
+        assert calls == [2]
 
 
 class TestEmitFacts:
