@@ -12,6 +12,7 @@ and keyword arguments stay the dataclass's.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import MISSING, dataclass, fields
 
 __all__ = ["record"]
@@ -23,22 +24,36 @@ def record(cls: type) -> type:
     defines ``_check``, calls ``cls._check(self, *field values)``, which
     raises on an invalid record.  Generated once, from source, as
     ``dataclasses`` generates its own ``__init__``; every field must be a
-    positional ``__init__`` parameter with no default factory."""
+    positional ``__init__`` parameter with no default factory, or a
+    derived one: a field ``f`` with ``init=False`` takes the value of the
+    class's static method ``_f``, called with the fields its parameters
+    name, once the others are written and checked."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     fs = fields(cls)
-    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fs):
+    derive = {f.name: vars(cls).get(f"_{f.name}") for f in fs if not f.init}
+    if any(
+        f.kw_only
+        or f.default_factory is not MISSING
+        or not (f.init or isinstance(derive[f.name], staticmethod))
+        for f in fs
+    ):
         raise TypeError(f"{cls.__qualname__} has a field that is not plain and positional")
-    names = [f.name for f in fs]
+    names = [f.name for f in fs if f.init]
     args = ", ".join(names)
-    # The generated function's own globals: the setters and the check.
-    ns = {f"__set_{n}": vars(cls)[n].__set__ for n in names}
+    # The generated function's own globals: the setters, the check and
+    # the derivations.
+    ns = {f"__set_{f.name}": vars(cls)[f.name].__set__ for f in fs}
     body = [f"    __set_{n}(self, {n})" for n in names]
     if "_check" in vars(cls):
         ns["__check"] = vars(cls)["_check"]
         body.append(f"    __check(self, {args})")
+    for n, fn in derive.items():
+        ns[f"__derive_{n}"] = fn = fn.__func__
+        params = ", ".join(inspect.signature(fn).parameters)
+        body.append(f"    __set_{n}(self, __derive_{n}({params}))")
     exec(f"def __init__(self, {args}):\n" + "\n".join(body), ns)
     init = ns["__init__"]
-    init.__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
+    init.__defaults__ = tuple(f.default for f in fs if f.init and f.default is not MISSING)
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__init__ = init
     return cls

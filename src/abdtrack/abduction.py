@@ -118,6 +118,8 @@ class Thresholds:
         for f in fields(self)[1:]:  # every field after iou_thresh
             if not 0 <= getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite and non-negative")
+        # The scaled threshold, made once: every frame reads it.
+        object.__setattr__(self, "iou_thresh_scaled", int(round(self.iou_thresh * IOU_SCALE)))
 
     def admits_start(self, det: Detection) -> bool:
         """The start constraint: a confident, large enough box."""
@@ -143,10 +145,6 @@ class Thresholds:
                     assigns.setdefault(tid, []).append(did)
         return assigns
 
-    @property
-    def iou_thresh_scaled(self) -> int:
-        return int(round(self.iou_thresh * IOU_SCALE))
-
 
 @record
 class TrackPrediction:
@@ -158,7 +156,7 @@ class TrackPrediction:
     halted_age: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ProblemSpec:
     """Per-frame solver input: detections, predictions, matching
     likelihoods (scaled IoU, only pairs with IoU > 0), a read-only fluent
@@ -176,8 +174,9 @@ class ProblemSpec:
     config: Thresholds = Thresholds()
     detections_by_id: dict[int, Detection] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "detections_by_id", {d.id: d for d in self.detections})
+    @staticmethod
+    def _detections_by_id(detections: tuple[Detection, ...]) -> dict[int, Detection]:
+        return {d.id: d for d in detections}
 
 
 @record
@@ -196,7 +195,7 @@ class Action:
         return f"{k.value}(det_{self.det})"
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     """The abduced hypothesis: one action per track and per detection,
     the linked events, and the objective value per level (level-10 is
@@ -213,6 +212,11 @@ class SolveResult:
 
 Option = tuple[ActionKind, Optional[EventOccurrence]]  # a kind and its abduced event
 TrackRow = tuple[Option, list[int], Option]  # edge, edge detection ids, fallback
+# Every active track's edge and fallback options: neither has an event
+# when the table is made, so all active rows share these two, and solve
+# tells an active track's row by its edge's identity.
+_ASSIGN_EDGE: Option = ASSIGN, None
+_HALT_FALLBACK: Option = HALT, None
 
 
 def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
@@ -233,10 +237,7 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     dets = spec.detections_by_id
     preds = spec.predictions
     assigns = config.admitted_assigns(spec.likelihoods, dets, preds)
-    resumable: dict[str, list[int]] = {}
-    for did in sorted(dets):
-        if dets[did].conf > config.conf_thresh_resume:
-            resumable.setdefault(dets[did].cls, []).append(did)
+    resumable: Optional[dict[str, list[int]]] = None  # made for the first halted track
     tracks = {}
     for tid in sorted(preds):
         pred = preds[tid]
@@ -244,8 +245,13 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
             dids = assigns.get(tid, [])
             if len(dids) > 1:  # the likelihoods list a track's pairs in any order
                 dids.sort()
-            tracks[tid] = (ASSIGN, None), dids, (HALT, None)
+            tracks[tid] = _ASSIGN_EDGE, dids, _HALT_FALLBACK
         elif pred.state is HALTED:
+            if resumable is None:
+                resumable = {}
+                for did in sorted(dets):
+                    if dets[did].conf > config.conf_thresh_resume:
+                        resumable.setdefault(dets[did].cls, []).append(did)
             dids = resumable.get(pred.cls, [])
             events = link_events(spec, RESUME, tid) if dids else []
             edge = RESUME, events[0] if events else None
@@ -338,12 +344,15 @@ _COSTS = {
 
 def _objective(spec: ProblemSpec, actions: Iterable[Action]) -> tuple[int, int, int]:
     """(level 10 gain, level 3 cost, level 2 cost) of ``actions``."""
+    likelihoods = spec.likelihoods
     l10 = l3 = l2 = 0
     for a in actions:
-        if a.kind is ASSIGN:
-            l10 += spec.likelihoods[a.trk, a.det] + 1
-        c3, c2 = _COSTS[a.kind]
-        l3, l2 = l3 + c3, l2 + c2
+        kind = a.kind
+        if kind is ASSIGN:  # which costs nothing at levels 3 and 2
+            l10 += likelihoods[a.trk, a.det] + 1
+        else:
+            c3, c2 = _COSTS[kind]
+            l3, l2 = l3 + c3, l2 + c2
     return l10, l3, l2
 
 
@@ -385,7 +394,7 @@ def _result(spec: ProblemSpec, actions: list[Action]) -> SolveResult:
     track_part = sorted((a for a in actions if a.trk is not None), key=lambda a: a.trk)
     det_part = sorted((a for a in actions if a.trk is None), key=lambda a: a.det)
     ordered = [
-        _fallback(spec, a.trk, (HALT, None)) if a.kind is HALT else a
+        _fallback(spec, a.trk, _HALT_FALLBACK) if a.kind is HALT else a
         for a in track_part + det_part
     ]
     events = tuple(a.event for a in ordered if a.event is not None)
@@ -443,16 +452,17 @@ def solve(spec: ProblemSpec) -> SolveResult:
     only its halts and its free detections' options linked.
     """
     tracks = _option_table(spec)
-    claims: dict[int, int] = {}
-    for edge, dids, _ in tracks.values():
-        if edge[0] is ASSIGN:
+    forced: dict[int, int] = {}  # detection id -> its forced track
+    claimed: set[int] = set()  # the detections of every assign edge
+    for t, (edge, dids, _) in tracks.items():
+        if edge is _ASSIGN_EDGE:
             for did in dids:
-                claims[did] = claims.get(did, 0) + 1
-    forced = {
-        dids[0]: t
-        for t, (edge, dids, _) in tracks.items()
-        if edge[0] is ASSIGN and len(dids) == 1 and claims[dids[0]] == 1
-    }
+                if did in claimed:
+                    forced.pop(did, None)
+                else:
+                    claimed.add(did)
+                    if len(dids) == 1:
+                        forced[did] = t
     det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
     likelihoods = spec.likelihoods
@@ -464,7 +474,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
         if dids and forced.get(dids[0]) == t:
             cover[t] = Action(ASSIGN, t, dids[0])
             continue
-        if forced and edge[0] is not ASSIGN:
+        if forced and edge is not _ASSIGN_EDGE:
             dids = [d for d in dids if d not in forced]
         if not dids:
             cover[t] = _fallback(spec, t, fallback)
@@ -473,7 +483,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
             value, c1 = _fold(len(tracks), len(spec.detections))
         cover[t] = None  # filled when the matching is solved
         rows.append(t)
-        if edge[0] is ASSIGN:  # its fallback, a halt, is worth 0
+        if edge is _ASSIGN_EDGE:  # its fallback, a halt, is worth 0
             gain.append({
                 col.setdefault(d, len(col)): (likelihoods[t, d] + 1) * c1 - value[det_options[d][0]]
                 for d in dids
@@ -492,9 +502,11 @@ def solve(spec: ProblemSpec) -> SolveResult:
                 cover[t] = _fallback(spec, t, fallback)
 
     actions = list(cover.values())
-    actions += [Action(k, None, d, e) for d, (k, e) in sorted(det_options.items())]
+    if det_options:
+        actions += [Action(k, None, d, e) for d, (k, e) in sorted(det_options.items())]
     events = tuple([a.event for a in actions if a.event is not None])
-    _assert_disjoint_effects(events)
+    if len(events) > 1:
+        _assert_disjoint_effects(events)
     return SolveResult(tuple(actions), events, _objective(spec, actions))
 
 

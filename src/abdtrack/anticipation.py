@@ -66,6 +66,8 @@ def anticipate_unhide(
     computed with the float operations of :meth:`BBox2D.translated` and
     :func:`proper_part`, and a box is built only to raise its own
     ``ValueError`` when a corner is not finite."""
+    if not hidden_pairs:
+        return []
     out: list[Anticipation] = []
     for t1, t2 in sorted(hidden_pairs):
         if t1 not in views or t2 not in views:
@@ -110,6 +112,8 @@ def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
     only tracks of that spec)."""
     hidden = engine.fluents.hidden_pairs()
     views: dict[int, TrackView] = {}
+    if not hidden:
+        return views, hidden
     for tid in {t for pair in hidden for t in pair}:
         box = engine.last_spec.predictions[tid].box
         views[tid] = TrackView(box=box, velocity=engine.motion.velocity(tid))

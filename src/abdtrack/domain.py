@@ -66,8 +66,8 @@ def check_frame(frame: int, last_frame: Optional[int], detections: Sequence[Dete
     ids; raises ValueError otherwise."""
     if last_frame is not None and frame <= last_frame:
         raise ValueError(f"frames must be strictly increasing: got {frame} after {last_frame}")
-    ids = [d.id for d in detections]
-    if len(set(ids)) != len(ids):
+    if len({d.id for d in detections}) != len(detections):
+        ids = [d.id for d in detections]
         dup = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"frame {frame}: duplicate detection ids {dup}")
 
@@ -88,6 +88,10 @@ ACTIVE, HALTED, ENDED = TrackState
 class Provenance(Enum):
     OBSERVED = "observed"
     INTERPOLATED = "interpolated"
+
+    # The report writer keys a dict by provenance once per history entry;
+    # see ActionKind's hash below.
+    __hash__ = object.__hash__
 
 
 OBSERVED, INTERPOLATED = Provenance
@@ -114,11 +118,6 @@ class Track:
     history: list[HistoryEntry]
     born_frame: int
     halted_since: Optional[int] = None
-
-    def halted_age(self, frame: int) -> int:
-        if self.halted_since is None:
-            return 0
-        return frame - self.halted_since
 
 
 class Visibility(str, Enum):

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._records import record
 from .abduction import (
     ASSIGN,
     END,
@@ -69,7 +70,7 @@ class Explanation:
     box_text: Optional[list[list[str]]] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass
+@record
 class _StepStats:
     frame: int
     solve_ms: float
@@ -111,25 +112,31 @@ class AbductionEngine:
         t2 = time.perf_counter()
         self._apply(frame, spec.detections_by_id, result)
         t3 = time.perf_counter()
-        self.latencies.append(
-            _StepStats(frame, solve_ms=(t2 - t1) * 1e3, total_ms=(t3 - t0) * 1e3)
-        )
+        self.latencies.append(_StepStats(frame, (t2 - t1) * 1e3, (t3 - t0) * 1e3))
         return result
 
     def _build_spec(self, frame: int, detections: Sequence[Detection]) -> ProblemSpec:
+        """The frame's spec.  Its fluents are the engine's store itself:
+        :meth:`_apply` and :meth:`finalize` replace the store, by a copy
+        or an empty one, rather than change it, so a spec's snapshot never
+        changes, and a frame with no event copies nothing."""
+        rows, tracks = self.motion.rows, self.tracks
+        boxes = self.motion.predict()
         predictions: dict[int, TrackPrediction] = {}
-        boxes = list(zip(self.motion.ids, self.motion.predict(), strict=True))
-        for tid, box in boxes:
-            trk = self.tracks[tid]
-            predictions[tid] = TrackPrediction(box, trk.state, trk.cls, trk.halted_age(frame))
+        for tid, box in zip(rows, boxes):
+            trk = tracks[tid]
+            since = trk.halted_since  # the halted age: frames since the halt, or 0
+            predictions[tid] = TrackPrediction(
+                box, trk.state, trk.cls, 0 if since is None else frame - since
+            )
         return ProblemSpec(
-            frame=frame,
-            detections=tuple(detections),
-            predictions=predictions,
-            likelihoods=overlap_likelihoods(boxes, [(d.id, d.box) for d in detections]),
-            fluents=self.fluents.copy(),
-            config=self.config.thresholds,
-            frame_geom=self.config.frame_geom,
+            frame,
+            tuple(detections),
+            predictions,
+            overlap_likelihoods(zip(rows, boxes), [(d.id, d.box) for d in detections]),
+            self.fluents,
+            self.config.frame_geom,
+            self.config.thresholds,
         )
 
     def _apply(self, frame: int, dets: dict[int, Detection], result: SolveResult) -> None:
@@ -143,12 +150,15 @@ class AbductionEngine:
         ``dets`` is the frame's detections by id, the spec's map.
         """
         frame_events: list[EventOccurrence] = []
-
+        tracks, observed = self.tracks, self._observed
         for action in result.actions:
             kind, event = action.kind, action.event
-            if kind is ASSIGN:
-                self._observe(self.tracks[action.trk], frame, dets[action.det])
-            elif kind is START:
+            if kind is ASSIGN:  # _observe, without its call
+                det = dets[action.det]
+                observed[action.trk] = det.box
+                tracks[action.trk].history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
+                continue
+            if kind is START:
                 tid = self._start_track(frame, dets[action.det])
                 event = EventOccurrence(ENTERS_FOV, frame, tid)
             elif kind is RESUME:
@@ -162,11 +172,13 @@ class AbductionEngine:
             # IGNORE_TRK / IGNORE_DET: no state change, noise event logged
             if event is not None:
                 frame_events.append(event)
-        self.motion.update(self._observed)
-        self._observed.clear()
-
+        self.motion.update(observed)
+        observed.clear()
+        if not frame_events:
+            return
+        self.fluents = fluents = self.fluents.copy()  # the spec keeps the store it read
         for e in sorted(frame_events, key=lambda e: (TRACK, False) in EVENTS[e.kind].effects):
-            apply_event(self.fluents, e)
+            apply_event(fluents, e)
         self.events.extend(frame_events)
 
     # -- lifecycle helpers ----------------------------------------------
@@ -222,7 +234,9 @@ class AbductionEngine:
         if self._finalized is None:
             for tid in self.motion.ids:
                 self.tracks[tid].state = ENDED
-                self.fluents.drop_track(tid)
+            # The store holds the fluents of the live tracks alone, and
+            # those all end here; the last spec keeps the store it read.
+            self.fluents = FluentStore()
             self._finalized = Explanation(
                 tracks=sorted(self.tracks.values(), key=lambda t: t.id),
                 events=list(self.events),

@@ -77,18 +77,20 @@ def row_matrices(row) -> tuple[np.ndarray, np.ndarray]:
     """(x, P) of a bank row: the state vector and the full covariance,
     exactly 0.0 outside the cx, cy and s pair blocks and r's variance."""
     x, P = np.zeros(7), np.zeros((7, 7))
-    for i, (xi, v, a, b, d) in enumerate(row[:3]):
+    for i in range(3):
+        xi, v, a, b, d = row[5 * i : 5 * i + 5]
         x[i], x[i + 4] = xi, v
         P[i, i], P[i, i + 4], P[i + 4, i], P[i + 4, i + 4] = a, b, b, d
-    x[3], P[3, 3] = row[3]
+    x[3], P[3, 3] = row[15:]
     return x, P
 
 
 def set_row(row, x: np.ndarray, P: np.ndarray) -> None:
     """Write a state and a covariance into a bank row; P must have the
     row's layout, which :func:`row_matrices` of the row then returns."""
-    for i, pair in enumerate(row[:3]):
-        pair[:] = (float(v) for v in (x[i], x[i + 4], P[i, i], P[i, i + 4], P[i + 4, i + 4]))
-    row[3][:] = float(x[3]), float(P[3, 3])
+    for i in range(3):
+        pair = (x[i], x[i + 4], P[i, i], P[i, i + 4], P[i + 4, i + 4])
+        row[5 * i : 5 * i + 5] = (float(v) for v in pair)
+    row[15:] = float(x[3]), float(P[3, 3])
     got_x, got_P = row_matrices(row)
     assert np.array_equal(got_x, x) and np.array_equal(got_P, P)

@@ -56,7 +56,7 @@ def _assert_rows_match(bank: MotionFilter, ref: dict) -> None:
         x, P = row_matrices(row)
         assert np.array_equal(x, ref[t].x)
         assert np.array_equal(P, ref[t].P)
-        assert all(type(v) is float for pair in row for v in pair)
+        assert len(row) == 17 and all(type(v) is float for v in row)
 
 
 def _run_against_reference(seed: int, frames: int, live: int) -> None:
@@ -99,7 +99,7 @@ def _run_against_reference(seed: int, frames: int, live: int) -> None:
         for t, row in bank.rows.items():
             if rng.random() < 0.02:
                 ref[t].x[3] = -ref[t].x[3]
-                row[3][0] = float(ref[t].x[3])
+                row[15] = float(ref[t].x[3])  # r
         assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
         assert all(type(v) is float for b in boxes for v in _xywh(b))
         obs = {
@@ -179,14 +179,14 @@ class TestPredict:
 
     def test_degenerate_area_flags_stale(self):
         f = one(BBox2D(0, 0, 4, 4))
-        s = f.rows[0][2]
-        s[1] = -100.0  # force the area toward collapse
-        s[0] = 1.0
+        row = f.rows[0]
+        row[11] = -100.0  # force the area (row[10]) toward collapse
+        row[10] = 1.0
         box = f.predict()[0]
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
         # a negative aspect gives the finite, positive box of the state
-        f.rows[0][3][0] = -1.0
+        f.rows[0][15] = -1.0
         box = f.predict()[0]
         assert all(map(math.isfinite, _xywh(box))) and box.w > 0 and box.h > 0
         assert _xywh(box) == _xywh(state_box(_x(f)[:4]))
@@ -216,6 +216,23 @@ class TestZToBox:
         box = z_to_box(*box_to_z(BBox2D(10.0, 10.0, w, h)))
         assert box.w == pytest.approx(w) and box.h == pytest.approx(h)
         assert iou(box, BBox2D(10.0, 10.0, w, h)) > 0.99
+
+    @pytest.mark.parametrize("state", [
+        (5e199, 5e-101, 1e100, 1e300),  # s * r overflows
+        (5e-171, 5e-101, 1e-270, 1e-70),  # s * r underflows
+        (20.0, 25.0, 200.0, 2.0),
+        (20.0, 25.0, -3.0, 2.0),  # area clamped
+        (20.0, 25.0, 200.0, 0.0),  # aspect clamped
+    ])
+    def test_predict_writes_out_z_to_box(self, state):
+        # A row at the state with zero velocities predicts it again, and
+        # predict's box is z_to_box's, bit for bit, on every branch.
+        cx, cy, s, r = state
+        bank = MotionFilter()
+        bank.rows[0] = [
+            cx, 0.0, 1.0, 0.0, 1.0, cy, 0.0, 1.0, 0.0, 1.0, s, 0.0, 1.0, 0.0, 1.0, r, 1.0
+        ]
+        assert _xywh(bank.predict()[0]) == _xywh(z_to_box(*state))
 
 
 class TestUpdate:

@@ -10,11 +10,19 @@ import pytest
 
 from abdtrack import abduction, domain, tracker
 from abdtrack._records import record
-from abdtrack.abduction import Action, ActionKind, TrackPrediction
+from abdtrack.abduction import (
+    Action,
+    ActionKind,
+    ProblemSpec,
+    SolveResult,
+    Thresholds,
+    TrackPrediction,
+)
 from abdtrack.domain import (
     Detection,
     EventKind,
     EventOccurrence,
+    FluentStore,
     HistoryEntry,
     Provenance,
     TrackState,
@@ -34,6 +42,8 @@ VALUES = {
     EventOccurrence: (EventKind.HIDES_BEHIND, 5, 1, 2, False),
     Action: (ActionKind.IGNORE_TRK, 1, None, EVENT),
     TrackPrediction: (BOX, TrackState.HALTED, "car", 3),
+    SolveResult: ((Action(ActionKind.IGNORE_TRK, 1, None, EVENT),), (EVENT,), (0, 10, 0)),
+    tracker._StepStats: (7, 0.25, 0.5),
 }
 CLASSES = list(VALUES)
 
@@ -96,6 +106,65 @@ class TestContract:
             cls(*values, bogus=1)
 
 
+class TestProblemSpec:
+    """The spec keeps the contract too: its fields but the derived
+    ``detections_by_id`` are a plain frozen dataclass's, and that one is
+    made from ``detections`` by every way of building a spec."""
+
+    DETS = (Detection(4, "car", 90, BOX), Detection(1, "van", 40, BOX))
+    VALUES = (9, DETS, {}, {}, FluentStore(), (100.0, 50.0), Thresholds(iou_thresh=0.5))
+
+    def spec(self):
+        return ProblemSpec(*self.VALUES)
+
+    def test_detections_by_id_in_detection_order(self):
+        by_id = self.spec().detections_by_id
+        assert by_id == {d.id: d for d in self.DETS} and list(by_id) == [4, 1]
+        assert ProblemSpec(*self.VALUES[:1], (), *self.VALUES[2:]).detections_by_id == {}
+
+    def test_assignment_raises(self):
+        spec = self.spec()
+        for name in names(ProblemSpec):
+            with pytest.raises(FrozenInstanceError):
+                setattr(spec, name, getattr(spec, name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(spec, name)
+
+    def test_eq_repr_as_plain_dataclass(self):
+        init = [f for f in dataclasses.fields(ProblemSpec) if f.init]
+        ref = dataclasses.make_dataclass(
+            "ProblemSpec", [(f.name, f.type, dataclasses.field(default=f.default)) for f in init],
+            frozen=True, slots=True,
+        )(*self.VALUES)
+        spec = self.spec()
+        assert repr(spec) == repr(ref)
+        assert spec == self.spec() and not spec != self.spec()
+        assert spec != dataclasses.replace(spec, frame=10) and spec != ref
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(spec)
+
+    def test_keywords_defaults_and_replace(self):
+        spec = self.spec()
+        kw = dict(zip(names(ProblemSpec), self.VALUES))
+        assert ProblemSpec(**kw) == spec
+        assert ProblemSpec(*self.VALUES[:-1]).config == Thresholds()
+        assert dataclasses.replace(spec) == spec
+        other = (Detection(2, "car", 90, BOX),)
+        changed = dataclasses.replace(spec, detections=other)
+        assert changed.detections_by_id == {2: other[0]}
+        assert spec.detections_by_id == {d.id: d for d in self.DETS}
+        with pytest.raises(ValueError, match="detections_by_id"):
+            dataclasses.replace(spec, detections_by_id={})
+
+    def test_wrong_arity_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ProblemSpec(*self.VALUES, Thresholds())
+        with pytest.raises(TypeError):
+            ProblemSpec(*self.VALUES[:5])
+        with pytest.raises(TypeError):
+            ProblemSpec(*self.VALUES, detections_by_id={})
+
+
 NAN, INF = math.nan, math.inf
 # Each invalid box, with the message every way of building it gives.
 BAD_BOXES = [
@@ -138,7 +207,7 @@ class TestChecks:
     def test_predicted_box_checked(self):
         bank = MotionFilter()
         bank.add(0, BOX)
-        bank.rows[0][0][0] = NAN
+        bank.rows[0][0] = NAN  # cx
         with pytest.raises(ValueError, match="^non-finite box: BBox2D"):
             bank.predict()
 
@@ -154,7 +223,12 @@ class TestChecks:
                 build()
 
     def test_helper_refuses_a_class_it_cannot_build(self):
-        for field in (dataclasses.field(kw_only=True), dataclasses.field(default_factory=list)):
+        # init=False: a derived field, but the class has no _a to make it
+        for field in (
+            dataclasses.field(kw_only=True),
+            dataclasses.field(default_factory=list),
+            dataclasses.field(init=False),
+        ):
             with pytest.raises(TypeError, match="^Loose has a field that is not plain and positional$"):
                 record(type("Loose", (), {"__annotations__": {"a": int}, "a": field}))
 

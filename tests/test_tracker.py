@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 
+import abdtrack.tracker
+from abdtrack import abduction
 from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, GreedyIoUTracker, Thresholds
 from abdtrack.abduction import Action, ActionKind, SolveResult
 from abdtrack.cli import _engine_config, _read_stream, build_parser
@@ -159,6 +163,62 @@ class TestFrameChecks:
                 tracker.step(f, [det(0, self.B)])
         tracker.step(6, [det(0, self.A)])
         assert boxes(tracker) == {0: {5: self.A, 6: self.A}}
+
+
+class TestFramePaysForWhatItHolds:
+    """A frame that only moves tracks along, each track with one assign
+    edge to a detection no other track can take, takes the solver's
+    forced-assign rule alone: it links no event, solves no matching,
+    applies no event and copies no fluent store."""
+
+    BOXES = [BBox2D(30.0 + 90.0 * i, 100.0, 40.0, 40.0) for i in range(4)]
+
+    def _count(self, monkeypatch, counts, owner, name):
+        fn = vars(owner)[name]
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_forced_frames_link_solve_apply_and_copy_nothing(self, monkeypatch):
+        counts = Counter()
+        for owner, name in [
+            (abduction, "link_events"),
+            (abduction, "linear_sum_assignment"),
+            (abdtrack.tracker, "apply_event"),
+            (FluentStore, "copy"),
+        ]:
+            self._count(monkeypatch, counts, owner, name)
+        eng = engine()
+        eng.step(0, [det(i, b) for i, b in enumerate(self.BOXES)])
+        assert counts["link_events"] == counts["apply_event"] == 4  # the starts
+        counts.clear()
+        for f in range(1, 20):
+            # the detection ids change from frame to frame; the rule does not
+            dets = [det((i + f) % 4, b) for i, b in enumerate(self.BOXES)]
+            result = eng.step(f, dets)
+            assert [(a.kind, a.trk, a.det) for a in result.actions] == [
+                (ActionKind.ASSIGN, t, (t + f) % 4) for t in range(4)
+            ]
+            assert result.events == () and eng.last_spec.fluents is eng.fluents
+        assert counts == Counter()
+        assert [len(t.history) for t in eng.finalize().tracks] == [20] * 4
+
+    def test_a_spec_keeps_the_fluents_it_read(self):
+        # Frames with events and the end of the stream change the
+        # engine's fluents; no spec's snapshot changes with them.
+        eng = engine()
+        specs, states = [], []
+        for f, dets in occlusion_stream():
+            eng.step(f, dets)
+            specs.append(eng.last_spec)
+            states.append(fluent_state(eng.last_spec.fluents))
+        eng.finalize()
+        assert eng.fluents.tracks() == set()
+        assert [fluent_state(s.fluents) for s in specs] == states
+        assert sum(a != b for a, b in zip(states, states[1:])) >= 2  # the events change them
 
 
 class TestOcclusion:
