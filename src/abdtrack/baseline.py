@@ -40,8 +40,12 @@ class GreedyIoUTracker:
 
     def step(self, frame: int, detections: Sequence[Detection]) -> None:
         """Raises ValueError, before any change, where the engine's step
-        would: for a frame out of order or repeated detection ids."""
+        would: for a frame out of order or repeated detection ids.  A
+        frame the stream skipped is an empty frame: its first one ends
+        every track, and the rest change nothing."""
         check_frame(frame, self._last_frame, detections)
+        if frame - 1 != self._last_frame and self.tracks:
+            self.step(self._last_frame + 1, ())
         self._last_frame = frame
         boxes = list(zip(self.tracks, self.motion.predict(), strict=True))
         likelihoods = overlap_likelihoods(boxes, [(d.id, d.box) for d in detections])

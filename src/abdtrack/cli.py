@@ -196,7 +196,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'tracks':>8} {'ms/frame':>10} {'p50 ms':>8} {'max ms':>8} {'fps':>8}")
     csv_rows = ["n_tracks,frame,total_ms"]
     for n in track_counts:
-        cfg = scaling_scenario(n, args.frames, args.seed, args.overlap, config.frame_geom)
+        cfg = scaling_scenario(n, args.frames, args.seed, config.frame_geom)
         frames, _ = generate(cfg)
         engine = AbductionEngine(config)
         for frame, dets in frames:
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="synthetic scaling benchmark")
     p.add_argument("--tracks", type=_track_counts, default="5,10,20,50,100")
     p.add_argument("--frames", type=_positive_int, default=60)
-    p.add_argument("--overlap", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--latency-csv", help="per-frame latency CSV path")
     _add_threshold_flags(p)

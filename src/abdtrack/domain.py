@@ -110,14 +110,18 @@ class Track:
     """Hypothesized scene object with lifecycle state and motion history.
 
     Its Kalman state is not held here: while the track is live it is a
-    row of the engine's :class:`~abdtrack.motion.MotionFilter` bank."""
+    row of the engine's :class:`~abdtrack.motion.MotionFilter` bank.
+    Its history holds one entry per frame from its birth to its last
+    observation, a resume back-filling the frames it was halted.  The
+    engine steps every frame while a track is live, so a live track's
+    halted age at frame f, the frames since the one it halted at, is
+    ``f - history[-1].frame - 1``: 0 while it is active."""
 
     id: int
     cls: str
     state: TrackState
     history: list[HistoryEntry]
     born_frame: int
-    halted_since: Optional[int] = None
 
 
 class Visibility(str, Enum):

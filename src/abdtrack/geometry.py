@@ -63,7 +63,11 @@ class BBox2D:
     h: float
 
     def _check(self, x: float, y: float, w: float, h: float) -> None:
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+        try:
+            finite = isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError(f"non-finite box: {self}")
         if not (w > 0 and h > 0):
             raise ValueError(f"degenerate box: w={w}, h={h}")

@@ -177,13 +177,13 @@ def scaling_scenario(
     n_tracks: int,
     n_frames: int,
     seed: int = 0,
-    overlap: float = 0.3,
     frame_geom: tuple[float, float] = ScenarioConfig.frame_geom,
 ) -> ScenarioConfig:
-    """The scaling bench's stream: random tracks paired up to overlap,
-    with 5% of the detections dropped and 1 px of box jitter."""
+    """The scaling bench's stream: random tracks paired up to overlap for
+    30% of the frames, with 5% of the detections dropped and 1 px of box
+    jitter."""
     return ScenarioConfig(
-        n_tracks=n_tracks, n_frames=n_frames, frame_geom=frame_geom, overlap_fraction=overlap,
+        n_tracks=n_tracks, n_frames=n_frames, frame_geom=frame_geom, overlap_fraction=0.3,
         drop_prob=0.05, jitter_sigma=1.0, seed=seed,
     )
 

@@ -1,7 +1,9 @@
 """Online tracking loop: per frame, build the problem spec, solve, apply
 events, and update track lifecycles and histories.
 
-One engine per stream; frames must arrive in strictly increasing order.
+One engine per stream; frames must arrive in strictly increasing order,
+and a frame the stream skips is stepped as an empty frame while a track
+is live, so that halted ages and back-fills count frames.
 Track ids are globally monotone.  Halted tracks keep being dead-reckoned
 so resume and anticipation have positions; a resume back-fills the halted
 gap with linearly interpolated boxes flagged as such.
@@ -98,11 +100,22 @@ class AbductionEngine:
     # -- main loop -----------------------------------------------------
 
     def step(self, frame: int, detections: Sequence[Detection]) -> SolveResult:
-        """Process one frame; returns the per-frame solve result."""
-        t0 = time.perf_counter()
+        """Process one frame; returns the per-frame solve result.
+
+        The frame is the engine's one unit of time.  The frame's own
+        checks run first, so a rejected frame changes nothing.  Then each
+        frame that the stream skipped since the last one is stepped as an
+        empty frame, while any track is live: with none live, an empty
+        frame would change nothing but :attr:`latencies`.  So a gap of
+        any length costs at most ``max_halted_age + 2`` extra steps, each
+        with its own latency record."""
         if self._finalized is not None:
             raise RuntimeError("engine already finalized")
         check_frame(frame, self._last_frame, detections)
+        if frame - 1 != self._last_frame:  # consecutive frames pay this test alone
+            while self.motion.rows and self._last_frame < frame - 1:
+                self.step(self._last_frame + 1, ())
+        t0 = time.perf_counter()
         self._last_frame = frame
 
         spec = self._build_spec(frame, detections)
@@ -125,9 +138,11 @@ class AbductionEngine:
         predictions: dict[int, TrackPrediction] = {}
         for tid, box in zip(rows, boxes):
             trk = tracks[tid]
-            since = trk.halted_since  # the halted age: frames since the halt, or 0
+            # the halted age: every frame is stepped, so a live track's
+            # last entry is its last observation, and an active track's is
+            # the frame before this one
             predictions[tid] = TrackPrediction(
-                box, trk.state, trk.cls, 0 if since is None else frame - since
+                box, trk.state, trk.cls, frame - trk.history[-1].frame - 1
             )
         return ProblemSpec(
             frame,
@@ -164,9 +179,7 @@ class AbductionEngine:
             elif kind is RESUME:
                 self._resume_track(self.tracks[action.trk], frame, dets[action.det])
             elif kind is HALT:
-                trk = self.tracks[action.trk]
-                trk.state = HALTED
-                trk.halted_since = frame
+                self.tracks[action.trk].state = HALTED
             elif kind is END:
                 self._end_track(action.trk)
             # IGNORE_TRK / IGNORE_DET: no state change, noise event logged
@@ -214,14 +227,11 @@ class AbductionEngine:
             )
             trk.history.append(HistoryEntry(last.frame + k, box, INTERPOLATED, 0))
         trk.state = ACTIVE
-        trk.halted_since = None
         self._observe(trk, frame, det)
 
     def _end_track(self, tid: int) -> None:
-        trk = self.tracks[tid]
         self.motion.drop(tid)
-        trk.state = ENDED
-        trk.halted_since = None
+        self.tracks[tid].state = ENDED
 
     # -- output ----------------------------------------------------------
 

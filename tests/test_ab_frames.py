@@ -1,7 +1,7 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
 occlusion scene (anticipation lines compared too), on a small bench
-stream and in the set-up probe, and trees whose track files, scores or
-anticipation lines differ."""
+stream and in the set-up probe, trees whose track files, scores or
+anticipation lines differ, and a tree whose engine makes more steps."""
 
 import shutil
 import subprocess
@@ -24,22 +24,25 @@ def test_same_tree_both_sides():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("occlusion, seed 0: 1 jobs, ")
     assert lines[0].endswith(" frames, least of 2 passes per frame and phase")
+    frames = int(lines[0].split()[5])
     assert lines[1].split() == [
-        "side", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
+        "side", "steps", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
         "write", "MB", "job", "fr/s", "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
         "A", "B", "B/A", "event", "track", "reports", "scores", "anticipation",
     ]
     for side in lines[2:4]:
-        p50, steps_fps, *phase_ms, write_mb, job_fps = map(float, side.split()[1:8])
+        assert int(side.split()[1]) == frames  # the scene skips no frame
+        p50, steps_fps, *phase_ms, write_mb, job_fps = map(float, side.split()[2:9])
         assert p50 > 0 and all(ms > 0 for ms in phase_ms)
         # the phases count in the job's frames/s, not in the steps'
         assert 0 < job_fps < steps_fps
         assert 0 < write_mb < 10
     ratios = list(map(float, lines[4].split()[1:]))
-    assert len(ratios) == 7 and all(r > 0 for r in ratios)
-    assert abs(ratios[5] - 1) <= 0.02  # the same tree's write peaks
+    assert len(ratios) == 8 and all(r > 0 for r in ratios)
+    assert ratios[0] == 1  # the same tree's steps
+    assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
     assert lines[5:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
@@ -89,6 +92,26 @@ def test_differing_anticipation_lines_fail(tmp_path):
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "ANTICIPATION LINES DIFFER",
     ]
+
+
+def test_steps_counted_per_side(tmp_path):
+    # B's engine keeps a second latency record per step: a side that
+    # steps more frames shows it in its steps, with equal outputs
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "abdtrack" / "tracker.py", "a") as f:
+        f.write("\n_step = AbductionEngine.step\n\n\n"
+                "def _step_twice(self, frame, detections):\n"
+                "    result = _step(self, frame, detections)\n"
+                "    self.latencies.append(self.latencies[-1])\n"
+                "    return result\n\n\n"
+                "AbductionEngine.step = _step_twice\n")
+    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    frames = int(lines[0].split()[5])
+    assert [int(line.split()[1]) for line in lines[2:4]] == [frames, 2 * frames]
+    assert lines[4].split()[1] == "2.000"
 
 
 def test_bench_workload_with_tracks():

@@ -195,6 +195,32 @@ class TestTrack:
         assert "engine.cfg:2:" in capsys.readouterr().err
 
 
+class TestSkippedFrames:
+    def test_object_keeps_its_id_across_frames_with_no_row(self, tmp_path):
+        # One 40x40 box moving 15 px/frame with no row on frames 6-9: the
+        # engine steps those frames as empty ones, so the box halts at 6
+        # and resumes at 10 under its id, the gap back-filled.
+        rows = [f"{f},-1,{100 + 15 * f},100,40,40,0.99" for f in [*range(1, 6), *range(10, 21)]]
+        (tmp_path / "dets.txt").write_text("\n".join(rows) + "\n")
+        tracks, events, facts = tmp_path / "tracks.txt", tmp_path / "events.txt", tmp_path / "facts"
+        assert main(["track", "--input", str(tmp_path / "dets.txt"), "--out-tracks", str(tracks),
+                     "--out-events", str(events), "--emit-facts", str(facts)]) == 0
+        assert [line for line in events.read_text().splitlines() if "noise" not in line] == [
+            "occurs_at(enters_fov(trk_0),1)",
+            "occurs_at(missing_detections(trk_0),6)",
+            "occurs_at(recover(trk_0),10)",
+        ]
+        written = [line.split(",") for line in tracks.read_text().splitlines()]
+        assert [(int(r[0]), r[1]) for r in written] == [(f, "0") for f in range(1, 21)]
+        assert [(int(r[0]), float(r[2]), r[6]) for r in written if r[6] == "0.0"] == [
+            (f, 100.0 + 15 * f, "0.0") for f in range(6, 10)
+        ]
+        # the per-frame hook runs on the input's frames only
+        assert [p.name for p in sorted(facts.glob("*.lp"))] == [
+            f"frame_{f:06d}.lp" for f in [*range(1, 6), *range(10, 21)]
+        ]
+
+
 class TestTrackMetricsToggle:
     def test_track_with_gt_prints_report(self, det_file, tmp_path, capsys):
         # ground truth mirrors the detections including the occlusion gap

@@ -177,6 +177,9 @@ BAD_BOXES = [
     ((0, 0, 1e200, 1e200), "non-finite or zero area or aspect: w=1e+200, h=1e+200"),
     ((0, 0, 1e-200, 1e203), "non-finite or zero area or aspect: w=1e-200, h=1e+203"),
     ((0, 0, 1e-200, 1e-200), "non-finite or zero area or aspect: w=1e-200, h=1e-200"),
+    # ints past the float range, which math.isfinite cannot convert
+    ((10**400, 0, 1, 1), f"non-finite box: BBox2D(x={10**400}, y=0, w=1, h=1)"),
+    ((0, 0, 10**400, 10**400), f"non-finite box: BBox2D(x=0, y=0, w={10**400}, h={10**400})"),
 ]
 
 

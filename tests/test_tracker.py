@@ -16,7 +16,7 @@ from abdtrack.domain import (
     Visibility,
     apply_event,
 )
-from abdtrack.io import explanation_to_boxes
+from abdtrack.io import explanation_to_boxes, write_events, write_report, write_tracks
 from test_golden import CASES, _mot_text
 
 GEOM = (400.0, 300.0)
@@ -359,6 +359,23 @@ class TestLifecycle:
         assert list(eng_prefix.events) == prefix_events
 
 
+# The golden cases that the stream relations run on.
+RELATION_CASES = ["churn", *(f"occlusion{k}" for k in range(5))]
+
+
+def case_input(name, tmp_path):
+    """The engine config and the frames of a golden case, as ``abdtrack
+    track`` reads them, its files written in tmp_path."""
+    cfg, flags, config_text = CASES[name]
+    (tmp_path / "dets.txt").write_text(_mot_text(cfg))
+    flags = ["--input", str(tmp_path / "dets.txt"), *flags]
+    if config_text is not None:
+        (tmp_path / "engine.cfg").write_text(config_text)
+        flags += ["--config", str(tmp_path / "engine.cfg")]
+    args = build_parser().parse_args(["track", *flags])
+    return _engine_config(args), _read_stream(args).frames
+
+
 def apply_frame(store: FluentStore, events) -> None:
     """Apply one frame's events, the ending ones (leaves_fov, lost) last."""
     ending = (EventKind.LEAVES_FOV, EventKind.LOST)
@@ -389,18 +406,12 @@ class TestEventReplay:
     """Fluents change only by events: the event log alone rebuilds them;
     and every hidden track keeps a live occluder."""
 
-    @pytest.mark.parametrize("name", ["bench50", "churn", *(f"occlusion{k}" for k in range(5))])
+    @pytest.mark.parametrize("name", ["bench50", *RELATION_CASES])
     def test_replay_rebuilds_the_fluents(self, name, tmp_path):
-        cfg, flags, config_text = CASES[name]
-        (tmp_path / "dets.txt").write_text(_mot_text(cfg))
-        flags = ["--input", str(tmp_path / "dets.txt"), *flags]
-        if config_text is not None:
-            (tmp_path / "engine.cfg").write_text(config_text)
-            flags += ["--config", str(tmp_path / "engine.cfg")]
-        args = build_parser().parse_args(["track", *flags])
-        eng = AbductionEngine(_engine_config(args))
+        config, frames = case_input(name, tmp_path)
+        eng = AbductionEngine(config)
         replayed = FluentStore()
-        for frame, dets in _read_stream(args).frames:
+        for frame, dets in frames:
             logged = len(eng.events)
             eng.step(frame, dets)
             apply_frame(replayed, eng.events[logged:])
@@ -449,3 +460,101 @@ class TestEventReplay:
         assert eng.events[-2:] == [leaves, hides]
         assert not any(t0 in pair for pair in eng.fluents.hidden_pairs())
         assert fluent_state(eng.fluents) == ({t1: (Visibility.NOT_VISIBLE, False)}, set())
+
+
+def outputs(config: EngineConfig, frames) -> tuple[str, str, str]:
+    """The event log, the track file and the report of one run."""
+    eng = AbductionEngine(config)
+    for frame, dets in frames:
+        eng.step(frame, dets)
+    exp = eng.finalize()
+    return write_events(exp), write_tracks(exp), write_report(exp)
+
+
+class TestEveryFrameStepped:
+    """The frame is the engine's one unit of time: a frame the stream
+    skips is stepped as an empty frame while any track is live."""
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_skipped_frames_step_as_empty_frames(self, name, tmp_path):
+        # The frames f with f % 7 == 3 emptied and stepped, or left out.
+        # The last frame stays: a stream that ends on a skipped frame
+        # never steps it.
+        config, frames = case_input(name, tmp_path)
+        last = frames[-1][0]
+        emptied = [(f, [] if f % 7 == 3 and f != last else dets) for f, dets in frames]
+        skipped = [(f, dets) for f, dets in emptied if dets or f == last]
+        assert len(skipped) < len(emptied) == len(frames)
+        assert outputs(config, skipped) == outputs(config, emptied)
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_outputs_shift_with_the_frames(self, name, tmp_path):
+        # No rule reads an absolute frame number.
+        shift = 100_000
+        config, frames = case_input(name, tmp_path)
+        events, tracks, _ = outputs(config, frames)
+        events_s, tracks_s, _ = outputs(config, [(f + shift, dets) for f, dets in frames])
+        assert [f"{head},{int(f[:-1]) - shift})"
+                for head, f in (line.rsplit(",", 1) for line in events_s.splitlines())
+                ] == events.splitlines()
+        assert [f"{int(f) - shift},{rest}"
+                for f, rest in (line.split(",", 1) for line in tracks_s.splitlines())
+                ] == tracks.splitlines()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_halted_age_counts_frames_since_the_halt(self, name, tmp_path, monkeypatch):
+        # Each prediction's halted age: 0 for an active track; for a
+        # halted one, the frames since the event that halted it.
+        config, frames = case_input(name, tmp_path)
+        eng = AbductionEngine(config)
+        halted_at: dict[int, int] = {}
+        read = halted = 0
+        solve = abdtrack.tracker.solve
+
+        def checked_solve(spec):
+            nonlocal read, halted
+            for e in eng.events[read:]:
+                if e.kind in (EventKind.HIDES_BEHIND, EventKind.MISSING_DETECTIONS):
+                    halted_at[e.subject] = e.frame
+            read = len(eng.events)
+            for tid, pred in spec.predictions.items():
+                since = halted_at[tid] if pred.state is TrackState.HALTED else spec.frame
+                halted += pred.state is TrackState.HALTED
+                assert pred.halted_age == spec.frame - since, (spec.frame, tid)
+            return solve(spec)
+
+        monkeypatch.setattr(abdtrack.tracker, "solve", checked_solve)
+        for frame, dets in frames:
+            eng.step(frame, dets)
+        assert halted > 0
+
+    def test_long_gap_costs_at_most_max_halted_age_plus_two_steps(self):
+        eng = engine()
+        box = BBox2D(150, 150, 40, 40)
+        eng.step(1, [det(0, box)])
+        eng.step(10**12, [])
+        extra = len(eng.latencies) - 2
+        assert 0 < extra <= Thresholds().max_halted_age + 2
+        assert eng.latencies[-1].frame == 10**12
+        assert [e.kind for e in eng.events if e.kind != EventKind.NOISE] == [
+            EventKind.ENTERS_FOV, EventKind.MISSING_DETECTIONS, EventKind.LOST,
+        ]
+        # with no track live, a gap costs no step: only the frame's own
+        eng.step(2 * 10**12, [det(0, box)])
+        assert len(eng.latencies) == extra + 3
+        assert [t.born_frame for t in eng.finalize().tracks] == [1, 2 * 10**12]
+
+    def test_rejected_frame_after_a_gap_changes_nothing(self):
+        eng = engine()
+        eng.step(1, [det(0, BBox2D(150, 150, 40, 40))])
+        with pytest.raises(ValueError, match="duplicate detection ids"):
+            eng.step(9, [det(0, BBox2D(10, 10, 20, 20)), det(0, BBox2D(90, 90, 20, 20))])
+        assert [s.frame for s in eng.latencies] == [1]
+        assert len(eng.events) == 1 and eng.tracks[0].state == TrackState.ACTIVE
+
+    def test_baseline_ends_its_tracks_at_a_skipped_frame(self):
+        # "Unmatched tracks die immediately": at the first skipped frame.
+        base = GreedyIoUTracker()
+        for f in (1, 2, 3, 6, 7, 8):
+            base.step(f, [det(0, BBox2D(100, 100, 40, 40))])
+        assert {t: sorted(b) for t, b in base.result().items()} == {0: [1, 2, 3], 1: [6, 7, 8]}

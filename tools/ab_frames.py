@@ -14,7 +14,8 @@ side by side.  The jobs of occlusion and churn are those of
 is one job, the stream ``abdtrack bench --tracks N --frames 30`` steps
 (``synth.scaling_scenario``).  The jobs
 are written once as MOT detection and ground-truth text, so a frame with
-no detection is not stepped.  Each side runs a job as perfbench's
+no detection has no row; the engine steps it as an empty frame while a
+track is live.  Each side runs a job as perfbench's
 ``worker.py`` does, with its own modules: ``io.parse_mot`` and a fresh
 ``AbductionEngine`` (the set-up phase), ``step`` on every frame,
 ``finalize`` and the three writers (the write phase, in memory: no file
@@ -28,7 +29,9 @@ compared too.
 Every pass runs each job on both sides, and which side goes first
 alternates from job to job and from pass to pass.  A frame's time is its
 ``step`` call's least over the passes, and so is each phase's time in a
-job.  The output gives each side's median frame time (p50), frames/s
+job.  The output gives each side's number of steps (its engines'
+latency records, summed over the jobs: the frames, plus any frames a
+job skips that the engine steps), median frame time (p50), frames/s
 over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
 traced peak, and frames/s with the phases included, as perfbench's
@@ -124,9 +127,9 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
          anticipate: bool):
     """Run one job on one side, with the anticipation block in each frame
     if ``anticipate``.  Each frame's time and each phase's time (ns) lower
-    ``times`` and ``phases`` in place.  Returns the event log, the track
-    file, the report, the scores and, if ``anticipate``, the anticipation
-    lines."""
+    ``times`` and ``phases`` in place.  Returns the engine's number of
+    steps and the outputs: the event log, the track file, the report, the
+    scores and, if ``anticipate``, the anticipation lines."""
     io = package.io
     gt = io.parse_mot_tracks(gt_text)
     ant_lines: list[str] = []
@@ -153,7 +156,7 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
         if dt < phases[k]:
             phases[k] = dt
     outputs += (scores.to_dict(),)
-    return outputs + (ant_lines,) if anticipate else outputs
+    return len(engine.latencies), (outputs + (ant_lines,) if anticipate else outputs)
 
 
 def _write_peak(package, text: str) -> int:
@@ -177,21 +180,23 @@ def _write_peak(package, text: str) -> int:
 def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate: bool) -> dict:
     """Run both packages over the (detection text, ground-truth text)
     jobs, interleaved, anticipating in each frame if ``anticipate``;
-    returns each side's least frame times and phase times (ms, phases
-    summed over the jobs), its largest write peak (MB) and, per output,
-    whether the two sides agree."""
+    returns each side's steps (summed over the jobs), least frame times
+    and phase times (ms, phases summed over the jobs), its largest write
+    peak (MB) and, per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
     outputs: list[list[tuple]] = [[()] * len(jobs) for _ in packages]
+    steps = [[0] * len(jobs) for _ in packages]
     for p in range(passes):
         for j, (text, gt_text) in enumerate(jobs):
             order = (0, 1) if (p + j) % 2 == 0 else (1, 0)
             for s in order:
-                outputs[s][j] = _run(
+                steps[s][j], outputs[s][j] = _run(
                     packages[s], text, gt_text, times[s][j], phases[s][j], anticipate
                 )
     return {
+        "steps": [sum(side) for side in steps],
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
         "write_mb": [max(_write_peak(pkg, text) for text, _ in jobs) / 2**20 for pkg in packages],
@@ -289,11 +294,12 @@ def main(argv: list[str] | None = None) -> int:
         out = compare(packages, jobs, args.passes, args.workload == "occlusion")
 
     rows = []
-    for ms, phase_ms, write_mb in zip(out["ms"], out["phase_ms"], out["write_mb"]):
+    for steps, ms, phase_ms, write_mb in zip(out["steps"], out["ms"], out["phase_ms"],
+                                             out["write_mb"]):
         step_s = sum(ms) / 1e3
-        rows.append([statistics.median(ms), len(ms) / step_s, *phase_ms, write_mb,
+        rows.append([steps, statistics.median(ms), len(ms) / step_s, *phase_ms, write_mb,
                      len(ms) / (step_s + sum(phase_ms) / 1e3)])
-    columns = [("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
+    columns = [("steps", "d"), ("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
                ("write MB", ".2f"), ("job fr/s", ".1f")]
     print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame and phase")
