@@ -554,8 +554,9 @@ def canonical_matching(
     the rows fixed before it to an optimum, else none.  The optimum M is
     kept optimal and in agreement with the fixed rows, so M's own choice
     always extends, and only the columns ranked before it that no fixed
-    row holds are tested: a slack edge is in no optimum, and the exchange
-    below settles a tight one.
+    row holds are tested.  The duals never change here, so each row walks
+    its tight columns, listed once: a slack edge is in no optimum, and
+    the exchange below settles a tight one.
 
     The exchange asks whether the tight edge (i, j), j held by no row
     before i, lies in an optimum that agrees with rows 0..i-1; if so, the
@@ -581,13 +582,13 @@ def canonical_matching(
     # per row, the columns of its tight edges
     cols = [[j for j, g in row.items() if ui + v[j] == g] for row, ui in zip(gain, u)]
     rows: list[list[int]] = []  # per column, the rows of its tight edges
-    for i, row in enumerate(gain):
+    for i, js in enumerate(cols):
         m = match[i]
-        for j, g in row.items():
+        for j in js:  # M's own column m is tight, so the walk reaches it
             if j == m:
                 break
             k = owner[j]
-            if 0 <= k < i or u[i] + v[j] != g:
+            if 0 <= k < i:
                 continue
             # Only a search from m can follow a search from k that changed
             # the matching; a failed search changes nothing.

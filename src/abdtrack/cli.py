@@ -146,7 +146,7 @@ def _print_latency(engine: AbductionEngine) -> None:
     mean = statistics.fmean(totals)
     p95 = sorted(totals)[min(len(totals) - 1, int(0.95 * len(totals)))]
     fps = 1000.0 / mean if mean > 0 else float("inf")
-    print(f"frames: {len(totals)}  mean: {mean:.2f} ms  p95: {p95:.2f} ms  fps: {fps:.1f}")
+    print(f"steps: {len(totals)}  mean: {mean:.2f} ms  p95: {p95:.2f} ms  fps: {fps:.1f}")
 
 
 def cmd_track(args: argparse.Namespace) -> int:

@@ -6,8 +6,8 @@ the intersection width of two boxes is ``max(0, min(x1+w1, x2+w2) -
 max(x1, x2))``.  Coordinates may be negative (partially off-screen boxes
 are legal); coordinates must be finite, widths and heights strictly
 positive, and the area w*h and aspect w/h finite positive floats, since
-the motion filter measures both: a box whose area or aspect over- or
-underflows is rejected.
+the motion filter measures both in floats: a box whose area or aspect
+over- or underflows is rejected, int sizes included.
 
 The tracker's matching likelihoods come from :func:`overlap_likelihoods`,
 a sweep over the detections sorted by left edge (the broad phase of
@@ -64,15 +64,17 @@ class BBox2D:
 
     def _check(self, x: float, y: float, w: float, h: float) -> None:
         try:
-            finite = isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)
+            if isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h):
+                if w > 0 and h > 0:
+                    # the area in floats, as the motion filter takes it:
+                    # a product of two ints never overflows
+                    if 0 < 1.0 * w * h < inf and 0 < w / h < inf:
+                        return
+                    raise ValueError(f"non-finite or zero area or aspect: w={w}, h={h}")
+                raise ValueError(f"degenerate box: w={w}, h={h}")
         except OverflowError:  # an int past the float range
-            finite = False
-        if not finite:
-            raise ValueError(f"non-finite box: {self}")
-        if not (w > 0 and h > 0):
-            raise ValueError(f"degenerate box: w={w}, h={h}")
-        if not (0 < w * h < inf and 0 < w / h < inf):
-            raise ValueError(f"non-finite or zero area or aspect: w={w}, h={h}")
+            pass
+        raise ValueError(f"non-finite box: {self}")
 
     @property
     def x2(self) -> float:

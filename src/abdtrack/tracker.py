@@ -5,8 +5,9 @@ One engine per stream; frames must arrive in strictly increasing order,
 and a frame the stream skips is stepped as an empty frame while a track
 is live, so that halted ages and back-fills count frames.
 Track ids are globally monotone.  Halted tracks keep being dead-reckoned
-so resume and anticipation have positions; a resume back-fills the halted
-gap with linearly interpolated boxes flagged as such.
+so resume and anticipation have positions.  A resume is an assign after a
+back-fill: it fills the halted gap with linearly interpolated boxes
+flagged as such, and then observes its detection as an assign does.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class AbductionEngine:
         # Kalman rows of the live (not ended) tracks, in ascending id
         # order; its ids are the engine's one list of live tracks.
         self.motion = MotionFilter()
-        self._observed: dict[int, BBox2D] = {}
         self._next_id = 0
         self._last_frame: Optional[int] = None
         self._finalized: Optional[Explanation] = None
@@ -158,35 +158,41 @@ class AbductionEngine:
         """Carry out the cover's actions, then apply the frame's events
         through :func:`apply_event`, the one place fluents change.
 
-        The events that drop their track (an effect ``(TRACK, False)`` in
-        :data:`~abdtrack.domain.EVENTS`) go last, so a same-frame
-        hides_behind behind an ending track cannot leave a hidden pair on
-        its dropped fluents.  The event log keeps the cover's order.
-        ``dets`` is the frame's detections by id, the spec's map.
+        A resume is an assign after a back-fill: it fills its track's
+        halted frames (:meth:`_backfill`), sets the track active and logs
+        its event, and then both write the observed box and history entry
+        through the same two lines.  The events that drop their track (an
+        effect ``(TRACK, False)`` in :data:`~abdtrack.domain.EVENTS`) go
+        last, so a same-frame hides_behind behind an ending track cannot
+        leave a hidden pair on its dropped fluents.  The event log keeps
+        the cover's order.  ``dets`` is the frame's detections by id, the
+        spec's map.
         """
         frame_events: list[EventOccurrence] = []
-        tracks, observed = self.tracks, self._observed
+        tracks, observed = self.tracks, {}  # observed: track id -> its box for the Kalman update
         for action in result.actions:
             kind, event = action.kind, action.event
-            if kind is ASSIGN:  # _observe, without its call
-                det = dets[action.det]
+            if kind is ASSIGN or kind is RESUME:
+                trk, det = tracks[action.trk], dets[action.det]
+                if kind is RESUME:
+                    self._backfill(trk, frame, det)
+                    trk.state = ACTIVE
+                    frame_events.append(event)
                 observed[action.trk] = det.box
-                tracks[action.trk].history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
+                trk.history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
                 continue
             if kind is START:
                 tid = self._start_track(frame, dets[action.det])
                 event = EventOccurrence(ENTERS_FOV, frame, tid)
-            elif kind is RESUME:
-                self._resume_track(self.tracks[action.trk], frame, dets[action.det])
             elif kind is HALT:
-                self.tracks[action.trk].state = HALTED
+                tracks[action.trk].state = HALTED
             elif kind is END:
-                self._end_track(action.trk)
+                self.motion.drop(action.trk)
+                tracks[action.trk].state = ENDED
             # IGNORE_TRK / IGNORE_DET: no state change, noise event logged
             if event is not None:
                 frame_events.append(event)
         self.motion.update(observed)
-        observed.clear()
         if not frame_events:
             return
         self.fluents = fluents = self.fluents.copy()  # the spec keeps the store it read
@@ -195,10 +201,6 @@ class AbductionEngine:
         self.events.extend(frame_events)
 
     # -- lifecycle helpers ----------------------------------------------
-
-    def _observe(self, trk: Track, frame: int, det: Detection) -> None:
-        self._observed[trk.id] = det.box
-        trk.history.append(HistoryEntry(frame, det.box, OBSERVED, det.conf))
 
     def _start_track(self, frame: int, det: Detection) -> int:
         tid = self._next_id
@@ -214,7 +216,9 @@ class AbductionEngine:
         self.motion.add(tid, det.box)
         return tid
 
-    def _resume_track(self, trk: Track, frame: int, det: Detection) -> None:
+    def _backfill(self, trk: Track, frame: int, det: Detection) -> None:
+        """Fill a resuming track's halted frames with boxes interpolated
+        linearly from its last entry to ``det``, its detection at ``frame``."""
         last = trk.history[-1]
         gap = frame - last.frame
         for k in range(1, gap):
@@ -226,12 +230,6 @@ class AbductionEngine:
                 last.box.h + f * (det.box.h - last.box.h),
             )
             trk.history.append(HistoryEntry(last.frame + k, box, INTERPOLATED, 0))
-        trk.state = ACTIVE
-        self._observe(trk, frame, det)
-
-    def _end_track(self, tid: int) -> None:
-        self.motion.drop(tid)
-        self.tracks[tid].state = ENDED
 
     # -- output ----------------------------------------------------------
 

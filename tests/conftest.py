@@ -19,7 +19,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from abdtrack import (
-    AbductionEngine,
     BBox2D,
     Detection,
     FluentStore,
@@ -31,7 +30,7 @@ from abdtrack import (
 )
 from abdtrack.domain import EventKind, EventOccurrence, Visibility, apply_event
 from abdtrack.geometry import iou, scaled_iou
-from abdtrack.synth import generate, scaling_scenario
+from work_counts import bench_steps, large_block_solve
 
 
 def random_box(rng: np.random.Generator, span: float = 300.0) -> BBox2D:
@@ -163,15 +162,20 @@ def make_random_spec(
 def bench_frames():
     """``bench_frames(n)``: per frame of the 6-frame scaling stream at
     ``n`` tracks, the spec an engine builds and the result it steps;
-    each track count is stepped once per session."""
+    each track count is stepped once per session, and
+    ``bench_frames.work[n]`` holds those steps' work counts."""
 
     @functools.cache
     def record(n_tracks: int) -> list[tuple[ProblemSpec, SolveResult]]:
-        engine = AbductionEngine()
-        frames = []
-        for frame, dets in generate(scaling_scenario(n_tracks, 6))[0]:
-            result = engine.step(frame, dets)
-            frames.append((engine.last_spec, result))
+        frames, record.work[n_tracks] = bench_steps(n_tracks)
         return frames
 
+    record.work = {}
     return record
+
+
+@pytest.fixture(scope="session")
+def large_block():
+    """``(spec, result, work counts)`` of :func:`work_counts.large_block_spec`,
+    solved once per session."""
+    return large_block_solve()

@@ -907,7 +907,7 @@ class TestLargeInstances:
             (ActionKind.ASSIGN, t, t) for t in range(1000)
         ]
 
-    def test_block_past_the_former_folding_limit_solves(self):
+    def test_block_past_the_former_folding_limit_solves(self, large_block):
         # One active track with two assign edges joins 2000 halted tracks
         # of its class and their 400 resumable detections into one
         # matching, which float64 could not fold exactly.  Five forced
@@ -915,29 +915,7 @@ class TestLargeInstances:
         # The active track takes its likelier detection; the other 399 are
         # resumed by the lowest-id halted tracks, all on the same fallback,
         # each on the lowest free detection id.
-        box = BBox2D(100, 100, 20, 20)
-        fluents = FluentStore()
-        for t in range(2006):
-            fluents.register_track(t)
-        predictions = {0: TrackPrediction(box, TrackState.ACTIVE, "car")}
-        for t in range(1, 2001):
-            apply_event(fluents, EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t))
-            predictions[t] = TrackPrediction(box, TrackState.HALTED, "car", 1)
-        dets = [Detection(j, "car", 90, box) for j in range(400)]
-        likelihoods = {(0, 0): 80_000, (0, 1): 70_000}
-        for k in range(5):
-            predictions[2001 + k] = TrackPrediction(box, TrackState.ACTIVE, "person")
-            dets.append(Detection(400 + k, "person", 90, box))
-            likelihoods[2001 + k, 400 + k] = IOU_SCALE
-        spec = ProblemSpec(
-            frame=1,
-            detections=tuple(dets),
-            predictions=predictions,
-            likelihoods=likelihoods,
-            fluents=fluents,
-            frame_geom=(320.0, 320.0),
-        )
-        result = solve(spec)
+        spec, result, _ = large_block
         assign, resume, ignore = ActionKind.ASSIGN, ActionKind.RESUME, ActionKind.IGNORE_TRK
         assert [(a.kind, a.trk, a.det) for a in result.actions] == [
             (assign, 0, 0),

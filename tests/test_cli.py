@@ -196,7 +196,7 @@ class TestTrack:
 
 
 class TestSkippedFrames:
-    def test_object_keeps_its_id_across_frames_with_no_row(self, tmp_path):
+    def test_object_keeps_its_id_across_frames_with_no_row(self, tmp_path, capsys):
         # One 40x40 box moving 15 px/frame with no row on frames 6-9: the
         # engine steps those frames as empty ones, so the box halts at 6
         # and resumes at 10 under its id, the gap back-filled.
@@ -219,6 +219,9 @@ class TestSkippedFrames:
         assert [p.name for p in sorted(facts.glob("*.lp"))] == [
             f"frame_{f:06d}.lp" for f in [*range(1, 6), *range(10, 21)]
         ]
+        # the latency summary counts the engine's steps: 16 frames with a
+        # row and the 4 skipped ones
+        assert capsys.readouterr().out.startswith("steps: 20  mean: ")
 
 
 class TestTrackMetricsToggle:

@@ -16,6 +16,11 @@ The worked examples of ``worked_examples.py`` are locked in full
 and 268, action by action in result order, with its events and objective,
 and the facts ``emit_facts`` writes for frame 79.
 
+The work that the matcher and the canonical tie-break do on the scaling
+stream at 200 and 400 tracks and on a 2001 x 400 block is locked too
+(``golden/work_counts.json``; see ``work_counts.py``): a change of that
+work shows in the file's diff.
+
 Regenerate only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -39,6 +44,7 @@ from abdtrack.io import format_event
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus, scaling_scenario
 from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
+from work_counts import BENCH_TRACKS, bench_steps, large_block_solve, work_counts
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -184,6 +190,15 @@ def test_worked_examples():
     assert worked_examples_text() == (GOLDEN / "worked_examples.txt").read_text()
 
 
+def test_work_counts(bench_frames, large_block):
+    # the bench streams' steps and the block's solve that the fixtures
+    # make, counted as they ran
+    for n in BENCH_TRACKS:
+        bench_frames(n)
+    counts = work_counts(bench_frames.work, large_block[2])
+    assert counts == json.loads((GOLDEN / "work_counts.json").read_text())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_reference(name, tmp_path, monkeypatch):
     """`track --out-report` writes json.dumps(doc, indent=2) of the report
@@ -260,6 +275,8 @@ def _regenerate() -> None:
         print(name, digests[name])
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (GOLDEN / "worked_examples.txt").write_text(worked_examples_text())
+    counts = work_counts({n: bench_steps(n)[1] for n in BENCH_TRACKS}, large_block_solve()[2])
+    (GOLDEN / "work_counts.json").write_text(json.dumps(counts, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -180,6 +180,8 @@ BAD_BOXES = [
     # ints past the float range, which math.isfinite cannot convert
     ((10**400, 0, 1, 1), f"non-finite box: BBox2D(x={10**400}, y=0, w=1, h=1)"),
     ((0, 0, 10**400, 10**400), f"non-finite box: BBox2D(x=0, y=0, w={10**400}, h={10**400})"),
+    # ints whose exact product is past the float range, as the motion filter's area is
+    ((0, 0, 10**200, 10**200), f"non-finite or zero area or aspect: w={10**200}, h={10**200}"),
 ]
 
 

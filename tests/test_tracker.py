@@ -1,4 +1,7 @@
+import re
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -462,13 +465,18 @@ class TestEventReplay:
         assert fluent_state(eng.fluents) == ({t1: (Visibility.NOT_VISIBLE, False)}, set())
 
 
+def covers(config: EngineConfig, frames) -> tuple[list[str], tuple[str, str, str]]:
+    """Each frame's cover, its actions as ``Action.pretty`` writes them;
+    and the event log, the track file and the report of the run."""
+    eng = AbductionEngine(config)
+    actions = [a.pretty() for frame, dets in frames for a in eng.step(frame, dets).actions]
+    exp = eng.finalize()
+    return actions, (write_events(exp), write_tracks(exp), write_report(exp))
+
+
 def outputs(config: EngineConfig, frames) -> tuple[str, str, str]:
     """The event log, the track file and the report of one run."""
-    eng = AbductionEngine(config)
-    for frame, dets in frames:
-        eng.step(frame, dets)
-    exp = eng.finalize()
-    return write_events(exp), write_tracks(exp), write_report(exp)
+    return covers(config, frames)[1]
 
 
 class TestEveryFrameStepped:
@@ -500,6 +508,29 @@ class TestEveryFrameStepped:
         assert [f"{int(f) - shift},{rest}"
                 for f, rest in (line.split(",", 1) for line in tracks_s.splitlines())
                 ] == tracks.splitlines()
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_outputs_ignore_the_order_of_a_frames_detections(self, name, tmp_path):
+        # No list order of the detections leaks into the covers.
+        config, frames = case_input(name, tmp_path)
+        assert covers(config, [(f, dets[::-1]) for f, dets in frames]) == covers(config, frames)
+
+    @pytest.mark.parametrize("name", RELATION_CASES)
+    def test_outputs_follow_a_relabelling_of_the_detection_ids(self, name, tmp_path):
+        # d -> 3d + 1 keeps the ids' order, so the covers are the same up
+        # to the relabelling: no rule does arithmetic on an id or takes it
+        # for a list position.  The track file and the report name no
+        # detection.
+        config, frames = case_input(name, tmp_path)
+        relabel = partial(re.sub, r"det_(\d+)", lambda m: f"det_{3 * int(m[1]) + 1}")
+        actions, (events, tracks, report) = covers(config, frames)
+        actions_r, (events_r, tracks_r, report_r) = covers(
+            config, [(f, [replace(d, id=3 * d.id + 1) for d in dets]) for f, dets in frames]
+        )
+        assert any("det_" in a for a in actions)
+        assert actions_r == [relabel(a) for a in actions]
+        assert events_r == relabel(events)
+        assert (tracks_r, report_r) == (tracks, report)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_halted_age_counts_frames_since_the_halt(self, name, tmp_path, monkeypatch):
