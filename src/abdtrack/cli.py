@@ -189,13 +189,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from .synth import generate, scaling_scenario
 
-    track_counts = [int(v) for v in args.tracks.split(",")]
     config = _engine_config(args)
     # One mean cannot resolve a small change on a busy machine; the
     # median and the worst frame sit beside it.
     print(f"{'tracks':>8} {'ms/frame':>10} {'p50 ms':>8} {'max ms':>8} {'fps':>8}")
     csv_rows = ["n_tracks,frame,total_ms"]
-    for n in track_counts:
+    for n in args.tracks:
         cfg = scaling_scenario(n, args.frames, args.seed, config.frame_geom)
         frames, _ = generate(cfg)
         engine = AbductionEngine(config)
@@ -238,11 +237,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _track_counts(text: str) -> str:
-    """Checks a comma-separated list of track counts; returns it as given."""
-    for v in text.split(","):
-        _positive_int(v)
-    return text
+def _track_counts(text: str) -> list[int]:
+    """The track counts of a comma-separated list, each at least 1."""
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:

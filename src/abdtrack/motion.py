@@ -5,8 +5,10 @@ and r the aspect ratio (w/h); r carries no velocity.  Measurements are
 [cx, cy, s, r].  F, H, Q, R and the initial covariance never couple cx,
 cy, s and r, so every covariance stays exactly block-diagonal: a 2×2
 block [[a, b], [b, d]] per position and its velocity, plus the variance
-of r, and S = H P Hᵀ + R is diagonal.  A track's row is one list of 17
-Python floats: each pair as x, v, a, b, d, in cx, cy, s order, then r
+of r, and S = H P Hᵀ + R is diagonal.  cx and cy share every noise and
+initial entry, so their blocks are always equal, and a row keeps one
+for both.  A track's row is one list of 14 Python floats: cx, v_cx, cy,
+v_cy and the position block's a, b, d; s, v_s and its a, b, d; then r
 and P[3,3].
 F and H hold only 0s and 1s, so an entry of F x, F P Fᵀ, K y or
 (I - K H) P sums at most two non-zero products; the row formulas round
@@ -28,11 +30,18 @@ from .geometry import BBox2D
 
 __all__ = ["MotionFilter", "box_to_z", "z_to_box"]
 
+# Per axis kind: the measurement noise, process noise and initial
+# variance of the value, then the process noise and initial variance of
+# its velocity (the aspect has none).  cx and cy are both positions.
+_POSITION = (1.0, 1.0, 10.0, 0.01, 1e4)
+_AREA = (10.0, 1.0, 10.0, 1e-4, 1e4)
+_ASPECT = (10.0, 1.0, 10.0)
 # Diagonals of the noise and initial covariances, in state order
 # (measurement noise in measurement order).
-MEASUREMENT_NOISE = (1.0, 1.0, 10.0, 10.0)
-PROCESS_NOISE = (1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4)
-INITIAL_COVARIANCE = (10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4)
+_KINDS = (_POSITION, _POSITION, _AREA, _ASPECT)
+MEASUREMENT_NOISE = tuple(k[0] for k in _KINDS)
+PROCESS_NOISE = tuple(k[1] for k in _KINDS) + tuple(k[3] for k in _KINDS[:3])
+INITIAL_COVARIANCE = tuple(k[2] for k in _KINDS) + tuple(k[4] for k in _KINDS[:3])
 
 
 def box_to_z(box: BBox2D) -> tuple[float, float, float, float]:
@@ -77,12 +86,7 @@ class MotionFilter:
         if self.rows and tid <= (last := next(reversed(self.rows))):
             raise ValueError(f"track {tid} added after track {last}")
         (cx, cy, s, r), p = box_to_z(box), INITIAL_COVARIANCE
-        self.rows[tid] = [
-            cx, 0.0, p[0], 0.0, p[4],
-            cy, 0.0, p[1], 0.0, p[5],
-            s, 0.0, p[2], 0.0, p[6],
-            r, p[3],
-        ]
+        self.rows[tid] = [cx, 0.0, cy, 0.0, p[0], 0.0, p[4], s, 0.0, p[2], 0.0, p[6], r, p[3]]
 
     def drop(self, tid: int) -> None:
         """Remove track ``tid``'s row."""
@@ -91,25 +95,23 @@ class MotionFilter:
     def predict(self) -> list[BBox2D]:
         """Advance every row one frame; returns the boxes of the predicted
         states in row order."""
-        q_cx, q_cy, q_s, q_r, q_vcx, q_vcy, q_vs = PROCESS_NOISE
+        q, _, q_s, q_r, q_v, _, q_vs = PROCESS_NOISE
         boxes = []
-        # The cx, cy and s pairs written out (suffixes 0, 1 and 2), each
-        # row read and written once: a loop over the pairs costs more.
+        # The position and area blocks written out, each row read and
+        # written once: a loop over the blocks costs more.
         for row in self.rows.values():
-            x0, v0, a0, b0, d0, x1, v1, a1, b1, d1, x2, v2, a2, b2, d2, r, p = row
+            x, vx, y, vy, a, b, d, s, vs, a_s, b_s, d_s, r, p = row
             # Avoid driving the area negative when area velocity is large.
-            if x2 + v2 <= 0:
-                v2 = 0.0
-            e0, e1, e2 = b0 + d0, b1 + d1, b2 + d2
-            x0, x1, x2 = x0 + v0, x1 + v1, x2 + v2
+            if s + vs <= 0:
+                vs = 0.0
+            e, e_s = b + d, b_s + d_s
+            x, y, s = x + vx, y + vy, s + vs
             row[:] = (
-                x0, v0, ((a0 + b0) + e0) + q_cx, e0, d0 + q_vcx,
-                x1, v1, ((a1 + b1) + e1) + q_cy, e1, d1 + q_vcy,
-                x2, v2, ((a2 + b2) + e2) + q_s, e2, d2 + q_vs,
-                r, p + q_r,
+                x, vx, y, vy, ((a + b) + e) + q, e, d + q_v,
+                s, vs, ((a_s + b_s) + e_s) + q_s, e_s, d_s + q_vs, r, p + q_r,
             )
-            # z_to_box(x0, x1, x2, r), written out
-            area, aspect = x2, r
+            # z_to_box(x, y, s, r), written out
+            area, aspect = s, r
             if area <= 0:
                 area = 1e-12
             if aspect <= 0:
@@ -118,42 +120,38 @@ class MotionFilter:
             if w == 0 or w == inf:
                 w = sqrt(area) * sqrt(aspect)
             h = area / w
-            boxes.append(BBox2D(x0 - w / 2.0, x1 - h / 2.0, w, h))
+            boxes.append(BBox2D(x - w / 2.0, y - h / 2.0, w, h))
         return boxes
 
     def update(self, obs: dict[int, BBox2D]) -> None:
         """Standard Kalman correction on (cx, cy, s, r) of the rows of the
         tracks in ``obs``, one observed box each."""
-        m_cx, m_cy, m_s, m_r = MEASUREMENT_NOISE
+        m, _, m_s, m_r = MEASUREMENT_NOISE
         rows = self.rows
         for tid, box in obs.items():
             row = rows[tid]
-            x0, v0, a0, b0, d0, x1, v1, a1, b1, d1, x2, v2, a2, b2, d2, r, p = row
+            x, vx, y, vy, a, b, d, s, vs, a_s, b_s, d_s, r, p = row
             # box_to_z(box), written out
             bx, by, bw, bh = float(box.x), float(box.y), float(box.w), float(box.h)
-            # The pairs written out as in predict.  b: the mean of
-            # P[i,i+4] and P[i+4,i], as (P + Pᵀ) / 2 takes it.
-            inv = 1.0 / (a0 + m_cx)
-            ka0, kb0, y0 = a0 * inv, b0 * inv, (bx + bw / 2.0) - x0
-            c0 = 1.0 - ka0
-            inv = 1.0 / (a1 + m_cy)
-            ka1, kb1, y1 = a1 * inv, b1 * inv, (by + bh / 2.0) - x1
-            c1 = 1.0 - ka1
-            inv = 1.0 / (a2 + m_s)
-            ka2, kb2, y2 = a2 * inv, b2 * inv, bw * bh - x2
-            c2 = 1.0 - ka2
+            # The blocks written out as in predict: one gain (ka, kb) for
+            # both position axes.  b: the mean of P[i,i+4] and P[i+4,i],
+            # as (P + Pᵀ) / 2 takes it.
+            inv = 1.0 / (a + m)
+            ka, kb = a * inv, b * inv
+            c, ex, ey = 1.0 - ka, (bx + bw / 2.0) - x, (by + bh / 2.0) - y
+            inv = 1.0 / (a_s + m_s)
+            ka_s, kb_s, es = a_s * inv, b_s * inv, bw * bh - s
+            c_s = 1.0 - ka_s
             k = p * (1.0 / (p + m_r))
             row[:] = (
-                x0 + ka0 * y0, v0 + kb0 * y0, c0 * a0, (c0 * b0 + (-kb0 * a0 + b0)) / 2.0,
-                -kb0 * b0 + d0,
-                x1 + ka1 * y1, v1 + kb1 * y1, c1 * a1, (c1 * b1 + (-kb1 * a1 + b1)) / 2.0,
-                -kb1 * b1 + d1,
-                x2 + ka2 * y2, v2 + kb2 * y2, c2 * a2, (c2 * b2 + (-kb2 * a2 + b2)) / 2.0,
-                -kb2 * b2 + d2,
+                x + ka * ex, vx + kb * ex, y + ka * ey, vy + kb * ey,
+                c * a, (c * b + (-kb * a + b)) / 2.0, -kb * b + d,
+                s + ka_s * es, vs + kb_s * es,
+                c_s * a_s, (c_s * b_s + (-kb_s * a_s + b_s)) / 2.0, -kb_s * b_s + d_s,
                 r + k * (bw / bh - r), (1.0 - k) * p,
             )
 
     def velocity(self, tid: int) -> tuple[float, float]:
         """Estimated (MovX, MovY) of track ``tid`` in px/frame."""
         row = self.rows[tid]
-        return row[1], row[6]
+        return row[1], row[3]

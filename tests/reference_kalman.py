@@ -75,22 +75,24 @@ class ScalarKF:
 
 def row_matrices(row) -> tuple[np.ndarray, np.ndarray]:
     """(x, P) of a bank row: the state vector and the full covariance,
-    exactly 0.0 outside the cx, cy and s pair blocks and r's variance."""
-    x, P = np.zeros(7), np.zeros((7, 7))
-    for i in range(3):
-        xi, v, a, b, d = row[5 * i : 5 * i + 5]
-        x[i], x[i + 4] = xi, v
+    exactly 0.0 outside the cx, cy and s pair blocks and r's variance; the
+    cx and cy blocks are the row's one position block."""
+    cx, v_cx, cy, v_cy, *pos, s, v_s = row[:9]
+    x = np.array([cx, cy, s, row[12], v_cx, v_cy, v_s])
+    P = np.zeros((7, 7))
+    for i, (a, b, d) in enumerate((pos, pos, row[9:12])):
         P[i, i], P[i, i + 4], P[i + 4, i], P[i + 4, i + 4] = a, b, b, d
-    x[3], P[3, 3] = row[15:]
+    P[3, 3] = row[13]
     return x, P
 
 
 def set_row(row, x: np.ndarray, P: np.ndarray) -> None:
     """Write a state and a covariance into a bank row; P must have the
-    row's layout, which :func:`row_matrices` of the row then returns."""
-    for i in range(3):
-        pair = (x[i], x[i + 4], P[i, i], P[i, i + 4], P[i + 4, i + 4])
-        row[5 * i : 5 * i + 5] = (float(v) for v in pair)
-    row[15:] = float(x[3]), float(P[3, 3])
+    row's layout, cx's block equal to cy's included, which
+    :func:`row_matrices` of the row then returns."""
+    row[:] = (float(v) for v in (
+        x[0], x[4], x[1], x[5], P[0, 0], P[0, 4], P[4, 4],
+        x[2], x[6], P[2, 2], P[2, 6], P[6, 6], x[3], P[3, 3],
+    ))
     got_x, got_P = row_matrices(row)
     assert np.array_equal(got_x, x) and np.array_equal(got_P, P)

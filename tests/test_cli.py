@@ -331,7 +331,7 @@ class TestBench:
         from abdtrack.cli import build_parser
 
         args = build_parser().parse_args(["bench"])
-        assert args.tracks == "5,10,20,50,100"
+        assert args.tracks == [5, 10, 20, 50, 100]
 
     def test_scenario_option_removed(self):
         with pytest.raises(SystemExit):

@@ -16,8 +16,9 @@ The worked examples of ``worked_examples.py`` are locked in full
 and 268, action by action in result order, with its events and objective,
 and the facts ``emit_facts`` writes for frame 79.
 
-The work that the matcher and the canonical tie-break do on the scaling
-stream at 200 and 400 tracks and on a 2001 x 400 block is locked too
+The work that the matcher, the canonical tie-break and event linking do
+on the scaling stream at 200 and 400 tracks and on a 2001 x 400 block is
+locked too
 (``golden/work_counts.json``; see ``work_counts.py``): a change of that
 work shows in the file's diff.
 

@@ -13,6 +13,7 @@ from reference_kalman import P0, ScalarKF, row_matrices, set_row, state_box
 # (s, v_s) or r alone.
 _PAIR = np.array([0, 1, 2, 3, 0, 1, 2])
 _SAME_PAIR = (_PAIR[:, None] == _PAIR[None, :]).astype(float)
+_CX, _CY = [0, 4], [1, 5]
 
 
 def kf_oracle(boxes):
@@ -56,7 +57,7 @@ def _assert_rows_match(bank: MotionFilter, ref: dict) -> None:
         x, P = row_matrices(row)
         assert np.array_equal(x, ref[t].x)
         assert np.array_equal(P, ref[t].P)
-        assert len(row) == 17 and all(type(v) is float for v in row)
+        assert len(row) == 14 and all(type(v) is float for v in row)
 
 
 def _run_against_reference(seed: int, frames: int, live: int) -> None:
@@ -65,7 +66,8 @@ def _run_against_reference(seed: int, frames: int, live: int) -> None:
     the full-matrix filter's bit for bit after every predict and update,
     so the gain's reciprocals give the reference's np.linalg.inv.  Half
     the rows start from a covariance coupled inside each position-velocity
-    pair, which keeps S diagonal as the engine's rows do.  Some rows get a
+    pair, which keeps S diagonal as the engine's rows do, and equal in the
+    cx and cy pairs, the one position block a row holds.  Some rows get a
     negative aspect forced into their state, so some predicted states are
     degenerate and both sides return the same clamped boxes for them."""
     rng = np.random.default_rng(seed)
@@ -80,10 +82,12 @@ def _run_against_reference(seed: int, frames: int, live: int) -> None:
             if next_id % 2:
                 # Couple cx, cy and s with their velocities only: the
                 # gain's off-diagonal entries are then not 0.  A row holds
-                # one off-diagonal entry per pair, so the start must be
-                # exactly symmetric.
+                # one off-diagonal entry per pair and one block for the cx
+                # and cy pairs, so the start must be exactly symmetric and
+                # draw one block for both.
                 A = rng.normal(size=(7, 7)) * _SAME_PAIR
                 kf.P = P0 + A @ A.T
+                kf.P[np.ix_(_CY, _CY)] = kf.P[np.ix_(_CX, _CX)]
                 assert np.array_equal(kf.P, kf.P.T)
                 set_row(bank.rows[next_id], kf.x, kf.P)
             next_id += 1
@@ -99,7 +103,7 @@ def _run_against_reference(seed: int, frames: int, live: int) -> None:
         for t, row in bank.rows.items():
             if rng.random() < 0.02:
                 ref[t].x[3] = -ref[t].x[3]
-                row[15] = float(ref[t].x[3])  # r
+                row[12] = float(ref[t].x[3])  # r
         assert [_xywh(b) for b in boxes] == [_xywh(b) for b in expected]
         assert all(type(v) is float for b in boxes for v in _xywh(b))
         obs = {
@@ -180,13 +184,13 @@ class TestPredict:
     def test_degenerate_area_flags_stale(self):
         f = one(BBox2D(0, 0, 4, 4))
         row = f.rows[0]
-        row[11] = -100.0  # force the area (row[10]) toward collapse
-        row[10] = 1.0
+        row[8] = -100.0  # force the area (row[7]) toward collapse
+        row[7] = 1.0
         box = f.predict()[0]
         # the area-velocity clamp keeps the state alive and the box valid
         assert box.w > 0 and box.h > 0
         # a negative aspect gives the finite, positive box of the state
-        f.rows[0][15] = -1.0
+        f.rows[0][12] = -1.0
         box = f.predict()[0]
         assert all(map(math.isfinite, _xywh(box))) and box.w > 0 and box.h > 0
         assert _xywh(box) == _xywh(state_box(_x(f)[:4]))
@@ -229,9 +233,7 @@ class TestZToBox:
         # predict's box is z_to_box's, bit for bit, on every branch.
         cx, cy, s, r = state
         bank = MotionFilter()
-        bank.rows[0] = [
-            cx, 0.0, 1.0, 0.0, 1.0, cy, 0.0, 1.0, 0.0, 1.0, s, 0.0, 1.0, 0.0, 1.0, r, 1.0
-        ]
+        bank.rows[0] = [cx, 0.0, cy, 0.0, 1.0, 0.0, 1.0, s, 0.0, 1.0, 0.0, 1.0, r, 1.0]
         assert _xywh(bank.predict()[0]) == _xywh(z_to_box(*state))
 
 

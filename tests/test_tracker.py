@@ -532,6 +532,25 @@ class TestEveryFrameStepped:
         assert events_r == relabel(events)
         assert (tracks_r, report_r) == (tracks, report)
 
+    @pytest.mark.parametrize("name", ["bench50", *RELATION_CASES])
+    def test_event_log_follows_a_mirror_of_integer_boxes(self, name, tmp_path):
+        # x -> W - x - w: no precondition tells left from right.  Boxes
+        # rounded to integers (w and h at least 1) keep the mirror exact.
+        config, frames = case_input(name, tmp_path)
+        width = config.frame_geom[0]
+
+        def boxes(box_of):
+            return [(f, [replace(d, box=box_of(d.box)) for d in dets]) for f, dets in frames]
+
+        def rounded(b):
+            return BBox2D(round(b.x), round(b.y), max(1, round(b.w)), max(1, round(b.h)))
+
+        def mirrored(b):
+            b = rounded(b)
+            return BBox2D(width - b.x - b.w, b.y, b.w, b.h)
+
+        assert outputs(config, boxes(mirrored))[0] == outputs(config, boxes(rounded))[0]
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_halted_age_counts_frames_since_the_halt(self, name, tmp_path, monkeypatch):
         # Each prediction's halted age: 0 for an active track; for a

@@ -1,16 +1,19 @@
-"""Work counts: what the matcher and the canonical tie-break do on fixed
-streams, counted by wrapping the names :mod:`abdtrack.abduction` looks up
-at call time, so ``src/`` pays nothing for them.
+"""Work counts: what the matcher, the canonical tie-break and event
+linking do on fixed streams, counted by wrapping the names
+:mod:`abdtrack.abduction` looks up at call time, so ``src/`` pays nothing
+for them.
 
 Per stream, :func:`counting` counts the matcher's heap pushes
 (``heappush``), the tie-break's alternating-path searches (``_cover``)
-and those of them that find a path, and the rows and edges of each
-matching solved (``linear_sum_assignment``).  Counts are the same on
-every machine, load and hash seed, so ``golden/work_counts.json`` locks
-them as the goldens lock the outputs, and a change of the engine's work
-shows in that file's diff.  The streams: the 6-frame scaling stream at
-200 and 400 tracks (the ``bench_frames`` fixture's), and the 2001 x 400
-block of :func:`large_block_spec`.
+and those of them that find a path, the rows and edges of each matching
+solved (``linear_sum_assignment``), and the calls that link an action to
+its events (``link_events``) and test an event's preconditions
+(``possible``).  Counts are the same on every machine, load and hash
+seed, so ``golden/work_counts.json`` locks them as the goldens lock the
+outputs, and a change of the engine's work shows in that file's diff.
+The streams: the 6-frame scaling stream at 200 and 400 tracks (the
+``bench_frames`` fixture's), and the 2001 x 400 block of
+:func:`large_block_spec`.
 """
 
 from __future__ import annotations
@@ -40,9 +43,13 @@ BENCH_TRACKS = (200, 400)
 @contextlib.contextmanager
 def counting() -> Iterator[dict[str, int]]:
     """Count, while the block runs, ``pushes``, ``searches`` and
-    ``searches_found``, and the matchings' ``rows`` and ``edges``."""
-    counts = dict.fromkeys(("pushes", "searches", "searches_found", "rows", "edges"), 0)
+    ``searches_found``, the matchings' ``rows`` and ``edges``, and the
+    ``link_events`` and ``possible`` calls."""
+    counts = dict.fromkeys(
+        ("pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible"), 0
+    )
     push, cover, matcher = abduction.heappush, abduction._cover, abduction.linear_sum_assignment
+    link, possible = abduction.link_events, abduction.possible
 
     def counted_push(heap, item):
         counts["pushes"] += 1
@@ -59,8 +66,17 @@ def counting() -> Iterator[dict[str, int]]:
         counts["edges"] += sum(map(len, rows))
         return matcher(rows, n_cols)
 
+    def counted_link(*args):
+        counts["link_events"] += 1
+        return link(*args)
+
+    def counted_possible(*args):
+        counts["possible"] += 1
+        return possible(*args)
+
     wrapped = {"heappush": counted_push, "_cover": counted_cover,
-               "linear_sum_assignment": counted_matcher}
+               "linear_sum_assignment": counted_matcher, "link_events": counted_link,
+               "possible": counted_possible}
     saved = {name: getattr(abduction, name) for name in wrapped}
     for name, fn in wrapped.items():
         setattr(abduction, name, fn)
