@@ -17,8 +17,9 @@ and 268, action by action in result order, with its events and objective,
 and the facts ``emit_facts`` writes for frame 79.
 
 The work that the matcher, the canonical tie-break and event linking do
-on the scaling stream at 200 and 400 tracks and on a 2001 x 400 block is
-locked too
+on the scaling stream at 200 and 400 tracks, on a 2001 x 400 block, on a
+frame of 100 tied resumes and in ``abdtrack track`` on the ``churn`` case
+and the five ``occlusion`` cases is locked too
 (``golden/work_counts.json``; see ``work_counts.py``): a change of that
 work shows in the file's diff.
 
@@ -45,7 +46,7 @@ from abdtrack.io import format_event
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus, scaling_scenario
 from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
-from work_counts import BENCH_TRACKS, bench_steps, large_block_solve, work_counts
+from work_counts import BENCH_TRACKS, bench_steps, counting, large_block_solve, work_counts
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -191,12 +192,28 @@ def test_worked_examples():
     assert worked_examples_text() == (GOLDEN / "worked_examples.txt").read_text()
 
 
+# The golden cases whose ``track`` runs work_counts.json counts, by
+# stream: churn alone, and the occlusion scenes summed.
+_COUNTED_CASES = {"churn": ["churn"], "occlusion0-4": [f"occlusion{k}" for k in range(5)]}
+
+
+def case_work_counts() -> dict[str, dict[str, int]]:
+    """Per stream of ``_COUNTED_CASES``, the work counts of ``abdtrack
+    track`` on its cases, summed."""
+    out = {}
+    for stream, names in _COUNTED_CASES.items():
+        with counting() as out[stream], tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                _cli(["track", *_input_flags(name, Path(tmp))])
+    return out
+
+
 def test_work_counts(bench_frames, large_block):
     # the bench streams' steps and the block's solve that the fixtures
     # make, counted as they ran
     for n in BENCH_TRACKS:
         bench_frames(n)
-    counts = work_counts(bench_frames.work, large_block[2])
+    counts = work_counts(bench_frames.work, large_block[2], case_work_counts())
     assert counts == json.loads((GOLDEN / "work_counts.json").read_text())
 
 
@@ -276,7 +293,9 @@ def _regenerate() -> None:
         print(name, digests[name])
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     (GOLDEN / "worked_examples.txt").write_text(worked_examples_text())
-    counts = work_counts({n: bench_steps(n)[1] for n in BENCH_TRACKS}, large_block_solve()[2])
+    counts = work_counts(
+        {n: bench_steps(n)[1] for n in BENCH_TRACKS}, large_block_solve()[2], case_work_counts()
+    )
     (GOLDEN / "work_counts.json").write_text(json.dumps(counts, indent=2, sort_keys=True) + "\n")
 
 

@@ -12,8 +12,10 @@ its events (``link_events``) and test an event's preconditions
 seed, so ``golden/work_counts.json`` locks them as the goldens lock the
 outputs, and a change of the engine's work shows in that file's diff.
 The streams: the 6-frame scaling stream at 200 and 400 tracks (the
-``bench_frames`` fixture's), and the 2001 x 400 block of
-:func:`large_block_spec`.
+``bench_frames`` fixture's), the 2001 x 400 block of
+:func:`large_block_spec`, the tied-resume frame of
+:func:`tied_resume_counts` and, counted by ``test_golden.py``, the
+golden ``churn`` case and the five ``occlusion`` cases, summed.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from abdtrack.geometry import IOU_SCALE
 from abdtrack.synth import generate, scaling_scenario
 
 BENCH_TRACKS = (200, 400)
+TIED_TRACKS = 100
 
 
 @contextlib.contextmanager
@@ -137,8 +140,30 @@ def large_block_solve() -> tuple[ProblemSpec, SolveResult, dict[str, int]]:
     return spec, result, counts
 
 
+def tied_resume_counts(k: int = TIED_TRACKS) -> dict[str, int]:
+    """The work counts of the tied-resume frame: ``k`` tracks of one class
+    start, an empty frame halts them all, and then ``k`` detections of
+    that class far from every prediction come, so that each halted track
+    may resume on each of them, k * k tied resume edges.  Only that
+    frame's step is counted."""
+    grid = [(20.0 + 24 * (i % 50), 20.0 + 24 * (i // 50)) for i in range(k)]
+    engine = AbductionEngine()
+    engine.step(0, [Detection(i, "car", 90, BBox2D(x, y, 12, 12)) for i, (x, y) in enumerate(grid)])
+    engine.step(1, [])
+    far = [Detection(i, "car", 90, BBox2D(x, y + 200, 12, 12)) for i, (x, y) in enumerate(grid)]
+    with counting() as counts:
+        engine.step(2, far)
+    return counts
+
+
 def work_counts(
-    bench: dict[int, dict[str, int]], block: dict[str, int]
+    bench: dict[int, dict[str, int]], block: dict[str, int], cases: dict[str, dict[str, int]]
 ) -> dict[str, dict[str, int]]:
-    """The counts file's document: each stream's counts by name."""
-    return {**{f"bench{n}": bench[n] for n in BENCH_TRACKS}, "block2001x400": block}
+    """The counts file's document: each stream's counts by name; ``cases``
+    holds the golden cases' by name."""
+    return {
+        **{f"bench{n}": bench[n] for n in BENCH_TRACKS},
+        "block2001x400": block,
+        **cases,
+        f"tied_resume{TIED_TRACKS}": tied_resume_counts(),
+    }
