@@ -7,13 +7,17 @@ Every track and every detection must be covered by exactly one action:
 
 Candidate actions are generated choice-rule style and pruned by integrity
 constraints; each non-assign action must additionally be explainable by at
-least one possible high-level event.  A frame's options go once each,
-with their abduced events, into one option table (the objective makes
-end beat ignore_trk and start beat ignore_det, so the dominated ignore
-is not made, nor the option of a detection that a forced assign takes).
-A halt, an active track's fallback, enters the solve untested and is
-linked once the cover holds it (a cover halt with no possible event
-raises ``EngineBugError``).  The optimum is lexicographic:
+least one possible high-level event, its abduced event, the first
+possible one in preference order.  A frame's options go once each, with
+their abduced events, into one option table, which also decides the
+forced assigns (below).  The table leaves out what no optimum holds:
+the objective makes end beat ignore_trk and start beat ignore_det, so
+the dominated ignore is not made, and a forced assign takes its
+detection in every optimum, so no resume to it is made; nor is the
+option of that detection.  A halt, an active track's fallback, enters
+the solve untested and is linked once the cover holds it (a cover halt
+with no possible event raises ``EngineBugError``).  The optimum is
+lexicographic:
 
     level 10 (maximize): sum of scaled IoU over assign pairs plus the
         number of assign actions (two equal-priority maximize terms);
@@ -27,10 +31,10 @@ detection id, then the fixed event-preference order of
 The solver decides each frame in one pass over the option table, each
 track by an exact consequence of the objective (see :func:`solve`):
 
+- no edge: a track with no edge takes its fallback;
 - forced assign: an active track with one assign edge, to a detection no
   other track can assign, takes it in every optimum, as only assigns
-  gain at level 10;
-- no edge: a track left with no edge takes its fallback;
+  gain at level 10; the table names these pairs;
 - one canonical matching: every other track is a row of one
   maximum-weight bipartite matching with LP duals, its gains written as
   the pass reaches it, in one fold of the three levels into one exact
@@ -48,7 +52,9 @@ place in the result; :func:`_objective` scores every cover, the
 solver's as well as the oracle's.  ``solve_oracle`` exhaustively
 enumerates every legal cover of small instances from the same table,
 made into actions by :func:`candidate_actions`, and must agree with
-``solve``.
+``solve``; that view adds back the resumes to forced detections, and
+the oracle the dominated ignores, so that both are checked, not
+assumed.
 """
 
 from __future__ import annotations
@@ -219,15 +225,19 @@ _ASSIGN_EDGE: Option = ASSIGN, None
 _HALT_FALLBACK: Option = HALT, None
 
 
-def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
-    """The frame's explained track options: per track, in ascending id,
-    its edge option, its edge detection ids in ascending order and its
-    fallback.
+def _option_table(spec: ProblemSpec) -> tuple[dict[int, TrackRow], dict[int, int]]:
+    """The frame's explained track options and its forced assigns: per
+    track, in ascending id, its edge option, its edge detection ids in
+    ascending order and its fallback; and per forced detection its track.
 
     Edges need the track's class and a confident detection: an active
     track's are the assigns :meth:`Thresholds.admitted_assigns` admits;
-    a halted track's are resumes, which share one link.  An
-    active track's fallback, ``halt``, enters untested (see
+    a halted track's are resumes, which share one link.  A detection is
+    forced when it is the one assign edge of an active track and no
+    other track's assign edge: that track takes it in every optimum (see
+    :func:`solve`), so the resume list of each class, made once, leaves
+    the forced detections out, and a halted track left with none is not
+    linked.  An active track's fallback, ``halt``, enters untested (see
     :func:`_fallback`): the canonical cover of this larger set, if its
     halts are explained, is that of the strict set, and
     missing_detections explains the halt of every active track the
@@ -237,6 +247,16 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
     dets = spec.detections_by_id
     preds = spec.predictions
     assigns = config.admitted_assigns(spec.likelihoods, dets, preds)
+    forced: dict[int, int] = {}  # detection id -> its forced track
+    claimed: set[int] = set()  # the detections of every assign edge
+    for t, dids in assigns.items():
+        for did in dids:
+            if did in claimed:
+                forced.pop(did, None)
+            else:
+                claimed.add(did)
+                if len(dids) == 1:
+                    forced[did] = t
     resumable: Optional[dict[str, list[int]]] = None  # made for the first halted track
     tracks = {}
     for tid in sorted(preds):
@@ -250,15 +270,14 @@ def _option_table(spec: ProblemSpec) -> dict[int, TrackRow]:
             if resumable is None:
                 resumable = {}
                 for did in sorted(dets):
-                    if dets[did].conf > config.conf_thresh_resume:
+                    if dets[did].conf > config.conf_thresh_resume and did not in forced:
                         resumable.setdefault(dets[did].cls, []).append(did)
             dids = resumable.get(pred.cls, [])
-            events = link_events(spec, RESUME, tid) if dids else []
-            edge = RESUME, events[0] if events else None
-            tracks[tid] = edge, dids if events else [], _explained(spec, tid, None, END)
+            event = link_events(spec, RESUME, tid) if dids else None
+            tracks[tid] = (RESUME, event), dids if event else [], _explained(spec, tid, None, END)
         else:
             raise EngineBugError(f"ended track {tid} in problem spec")
-    return tracks
+    return tracks, forced
 
 
 def _det_option(spec: ProblemSpec, det: Detection) -> Option:
@@ -271,11 +290,18 @@ def _det_option(spec: ProblemSpec, det: Detection) -> Option:
 
 def candidate_actions(spec: ProblemSpec) -> tuple[dict[int, list[Action]], dict[int, list[Action]]]:
     """The option table as ``Action`` objects, the oracle's view: per
-    track its edges, then its fallback; per detection its one option."""
-    per_track = {
-        t: [Action(edge[0], t, did, edge[1]) for did in dids] + [Action(fb[0], t, event=fb[1])]
-        for t, (edge, dids, fb) in _option_table(spec).items()
-    }
+    track its edges, then its fallback; per detection its one option.
+    A halted track's resumes to forced detections, which the table
+    leaves out, are added back in detection id order: check, not
+    assume."""
+    tracks, forced = _option_table(spec)
+    dets, preds, per_track = spec.detections_by_id, spec.predictions, {}
+    for t, ((kind, event), dids, (fb, fb_event)) in tracks.items():
+        back = [d for d in forced if kind is RESUME and dets[d].cls == preds[t].cls
+                and dets[d].conf > spec.config.conf_thresh_resume]
+        if back and (event := event or link_events(spec, RESUME, t)):
+            dids = sorted(dids + back)
+        per_track[t] = [Action(kind, t, d, event) for d in dids] + [Action(fb, t, event=fb_event)]
     options = {d.id: _det_option(spec, d) for d in spec.detections}
     return per_track, {d: [Action(k, det=d, event=e)] for d, (k, e) in options.items()}
 
@@ -285,9 +311,8 @@ def _explained(spec: ProblemSpec, trk: Optional[int], det: Optional[int], *kinds
     the track or detection, with its abduced event (noise explains any)."""
     ignore = IGNORE_DET if trk is None else IGNORE_TRK
     for kind in (*kinds, ignore):
-        events = link_events(spec, kind, trk, det)
-        if events:
-            return kind, events[0]
+        if (event := link_events(spec, kind, trk, det)) is not None:
+            return kind, event
     raise EngineBugError(f"no possible event explains {Action(ignore, trk, det).pretty()}")
 
 
@@ -297,26 +322,27 @@ _EXPLAINED_BY = {a: [k for k, rule in EVENTS.items() if a in rule.explains] for 
 
 def link_events(
     spec: ProblemSpec, kind: ActionKind, trk: Optional[int] = None, det: Optional[int] = None
-) -> list[EventOccurrence]:
-    """Admissible explaining events for an action of ``kind`` on track
-    ``trk``, or on detection ``det`` if no track is given, in the fixed
-    preference order (the first entry is the abduced one): each event
-    kind whose :data:`~abdtrack.domain.EVENTS` entry explains ``kind``,
-    once per occluder the entry gives, kept if possible.
+) -> Optional[EventOccurrence]:
+    """The abduced event of an action of ``kind`` on track ``trk``, or on
+    detection ``det`` if no track is given: the first possible event in
+    the fixed preference order, which tries each event kind whose
+    :data:`~abdtrack.domain.EVENTS` entry explains ``kind``, once per
+    occluder the entry gives.  The search stops there, as no caller
+    reads a later event.
 
-    An empty list makes the action inadmissible; no event explains an
-    assign, which needs none.  The events of a resume do not depend on
-    its detection.  The option table calls it once per fallback it tries
-    and once for all of a halted track's resumes, and the solver once per
+    None makes the action inadmissible; no event explains an assign,
+    which needs none.  The event of a resume does not depend on its
+    detection.  The option table calls it once per fallback it tries and
+    once for all of a halted track's resumes, and the solver once per
     halt it puts in the cover.
     """
     subject, on_det = (det, True) if trk is None else (trk, False)
-    events = [
-        EventOccurrence(k, spec.frame, subject, t2, on_det)
-        for k in _EXPLAINED_BY[kind]
-        for t2 in EVENTS[k].occluders(spec, subject)
-    ]
-    return [e for e in events if possible(spec, e)]
+    for k in _EXPLAINED_BY[kind]:
+        for t2 in EVENTS[k].occluders(spec, subject):
+            event = EventOccurrence(k, spec.frame, subject, t2, on_det)
+            if possible(spec, event):
+                return event
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +405,7 @@ def _fallback(spec: ProblemSpec, trk: int, option: Option) -> Action:
     active, would have had no fallback action at all."""
     kind, event = option
     if kind is HALT:
-        event = next(iter(link_events(spec, HALT, trk)), None)
+        event = link_events(spec, HALT, trk)
         if event is None:
             raise EngineBugError(f"track {trk} has no explainable fallback action")
     return Action(kind, trk, event=event)
@@ -426,12 +452,14 @@ def solve(spec: ProblemSpec) -> SolveResult:
     lexicographically minimal.  One pass over the option table decides
     each track by one of three exact rules:
 
+    - No edge: a track with no edge takes its fallback.
     - Forced assign: an active track whose only edge goes to a detection
-      that is no other track's assign edge is assigned to it in every
-      optimum: a cover without the pair leaves the detection free or
-      resumed, and swapping in the assign gains at level 10, which no
-      lower level outweighs.  The detection leaves every resume list.
-    - No edge: a track left with no edge takes its fallback.
+      that is no other track's assign edge, a pair the table names, is
+      assigned to it in every optimum: a cover without the pair leaves
+      the detection free or resumed, and swapping in the assign gains at
+      level 10, which no lower level outweighs.  So the table leaves the
+      detection out of every resume list, and solve neither works the
+      rule out nor filters an edge list.
     - Matching row: every other track's gain row is written as soon as
       it is decided, its detections numbered as columns in first-seen
       order, by the frame's one fold (:func:`_fold`), made with the
@@ -451,18 +479,7 @@ def solve(spec: ProblemSpec) -> SolveResult:
     scores it.  Only the cover's actions are made as ``Action``s, and
     only its halts and its free detections' options linked.
     """
-    tracks = _option_table(spec)
-    forced: dict[int, int] = {}  # detection id -> its forced track
-    claimed: set[int] = set()  # the detections of every assign edge
-    for t, (edge, dids, _) in tracks.items():
-        if edge is _ASSIGN_EDGE:
-            for did in dids:
-                if did in claimed:
-                    forced.pop(did, None)
-                else:
-                    claimed.add(did)
-                    if len(dids) == 1:
-                        forced[did] = t
+    tracks, forced = _option_table(spec)
     det_options = {d.id: _det_option(spec, d) for d in spec.detections if d.id not in forced}
 
     likelihoods = spec.likelihoods
@@ -471,13 +488,11 @@ def solve(spec: ProblemSpec) -> SolveResult:
     gain: list[dict[int, int]] = []  # per row, column -> gain, by detection id
     col: dict[int, int] = {}  # detection id -> column
     for t, (edge, dids, fallback) in tracks.items():
-        if dids and forced.get(dids[0]) == t:
-            cover[t] = Action(ASSIGN, t, dids[0])
-            continue
-        if forced and edge is not _ASSIGN_EDGE:
-            dids = [d for d in dids if d not in forced]
         if not dids:
             cover[t] = _fallback(spec, t, fallback)
+            continue
+        if forced.get(dids[0]) == t:
+            cover[t] = Action(ASSIGN, t, dids[0])
             continue
         if not rows:
             value, c1 = _fold(len(tracks), len(spec.detections))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from functools import partial
@@ -56,14 +55,13 @@ _THRESHOLDS = [
 
 
 def _parse_geom(text: str) -> tuple[float, float]:
-    """(W, H) of a ``WxH`` frame size, both finite and positive."""
+    """(W, H) of a ``WxH`` frame size; :class:`EngineConfig` checks that
+    both are finite and positive."""
     try:
         w, h = (float(v) for v in text.lower().split("x"))
-        if 0 < w < math.inf and 0 < h < math.inf:
-            return w, h
     except ValueError:
-        pass
-    raise ValueError(f"frame geometry must be WxH, finite and positive: {text}")
+        raise ValueError(f"frame geometry must be WxH, finite and positive: {text}") from None
+    return w, h
 
 
 _CONFIG_KEYS = {field: kind for _, field, kind in _THRESHOLDS} | {"frame_geom": _parse_geom}
@@ -83,8 +81,8 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = _CONFIG_KEYS[key](value)
-            if key != "frame_geom":
-                Thresholds(**{key: out[key]})  # range check, reported with its line
+            # range check, reported with its line
+            (EngineConfig if key == "frame_geom" else Thresholds)(**{key: out[key]})
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

@@ -12,6 +12,7 @@ flagged as such, and then observes its detection as an assign does.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -55,8 +56,17 @@ __all__ = ["EngineConfig", "Explanation", "AbductionEngine"]
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """The engine's thresholds and its frame size (W, H) in pixels, which
+    the field-of-view events read; raises ValueError unless W and H are
+    finite and positive."""
+
     thresholds: Thresholds = Thresholds()
     frame_geom: tuple[float, float] = DEFAULT_FRAME_GEOM
+
+    def __post_init__(self) -> None:
+        w, h = self.frame_geom
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError(f"frame geometry must be WxH, finite and positive: {w:g}x{h:g}")
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
 occlusion scene (anticipation lines compared too), on a small bench
 stream and in the set-up probe, trees whose track files, scores or
-anticipation lines differ, and a tree whose engine makes more steps."""
+anticipation lines differ, a tree whose engine makes more steps, and one
+whose engine tests each event's precondition twice."""
 
 import shutil
 import subprocess
@@ -27,7 +28,7 @@ def test_same_tree_both_sides():
     frames = int(lines[0].split()[5])
     assert lines[1].split() == [
         "side", "steps", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
-        "write", "MB", "job", "fr/s", "tree",
+        "write", "MB", "job", "fr/s", "link_events", "possible", "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
         "A", "B", "B/A", "event", "track", "reports", "scores", "anticipation",
@@ -39,10 +40,13 @@ def test_same_tree_both_sides():
         # the phases count in the job's frames/s, not in the steps'
         assert 0 < job_fps < steps_fps
         assert 0 < write_mb < 10
+        links, possible = map(int, side.split()[9:11])
+        assert 0 < links <= possible
     ratios = list(map(float, lines[4].split()[1:]))
-    assert len(ratios) == 8 and all(r > 0 for r in ratios)
+    assert len(ratios) == 10 and all(r > 0 for r in ratios)
     assert ratios[0] == 1  # the same tree's steps
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
+    assert ratios[8:] == [1, 1]  # the same tree's calls
     assert lines[5:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
@@ -112,6 +116,26 @@ def test_steps_counted_per_side(tmp_path):
     frames = int(lines[0].split()[5])
     assert [int(line.split()[1]) for line in lines[2:4]] == [frames, 2 * frames]
     assert lines[4].split()[1] == "2.000"
+
+
+def test_calls_counted_per_side(tmp_path):
+    # B's link_events tests each event's precondition twice: the same
+    # link_events calls, twice the possible calls, and equal outputs
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "abdtrack" / "abduction.py", "a") as f:
+        f.write("\n_link_events = link_events\n\n\n"
+                "def link_events(spec, kind, trk=None, det=None):\n"
+                "    _link_events(spec, kind, trk, det)\n"
+                "    return _link_events(spec, kind, trk, det)\n")
+    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    (a_links, a_possible), (b_links, b_possible) = (
+        map(int, line.split()[9:11]) for line in lines[2:4]
+    )
+    assert a_links == b_links > 0 and b_possible == 2 * a_possible
+    assert lines[4].split()[9:11] == ["1.000", "2.000"]
 
 
 def test_bench_workload_with_tracks():

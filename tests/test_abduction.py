@@ -21,7 +21,7 @@ from abdtrack import (
     solve,
     solve_oracle,
 )
-from abdtrack import abduction
+from abdtrack import abduction, domain
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import (
     EngineBugError,
@@ -175,7 +175,7 @@ class TestCandidateActions:
 
 
 class TestLinkEvents:
-    def test_halt_with_occluder_includes_hides_behind(self):
+    def test_halt_with_occluder_hides_behind(self):
         spec = simple_spec(
             {
                 1: (BBox2D(0, 0, 20, 20), TrackState.ACTIVE, "car", 0),
@@ -183,11 +183,11 @@ class TestLinkEvents:
             },
             [],
         )
-        events = link_events(spec, ActionKind.HALT, 1)
-        kinds = [(e.kind, e.occluder) for e in events]
-        assert (EventKind.HIDES_BEHIND, 2) in kinds
-        # the fixed order prefers the occlusion explanation
-        assert events[0].kind == EventKind.HIDES_BEHIND
+        event = link_events(spec, ActionKind.HALT, 1)
+        # the fixed order prefers the occlusion explanation to the
+        # missing detections that are possible too
+        assert event == EventOccurrence(EventKind.HIDES_BEHIND, 10, 1, occluder=2)
+        assert possible(spec, EventOccurrence(EventKind.MISSING_DETECTIONS, 10, 1))
 
     def test_resume_of_hidden_track_unhides(self):
         def setup(s):
@@ -201,43 +201,43 @@ class TestLinkEvents:
             [("car", 99, BBox2D(0, 0, 20, 20))],
             fluent_setup=setup,
         )
-        events = link_events(spec, ActionKind.RESUME, 1, 0)
-        assert [e.kind for e in events] == [EventKind.UNHIDES_FROM_BEHIND]
-        assert events[0].occluder == 2
+        event = link_events(spec, ActionKind.RESUME, 1, 0)
+        assert event == EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 10, 1, occluder=2)
+        assert not possible(spec, EventOccurrence(EventKind.RECOVER, 10, 1))
 
     def test_halt_without_occluder_only_missing_detections(self):
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.ACTIVE, "car", 0)}, []
         )
-        events = link_events(spec, ActionKind.HALT, 1)
-        assert [e.kind for e in events] == [EventKind.MISSING_DETECTIONS]
+        assert link_events(spec, ActionKind.HALT, 1) == EventOccurrence(
+            EventKind.MISSING_DETECTIONS, 10, 1
+        )
 
     def test_end_interior_young_track_unexplainable(self):
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 2)}, []
         )
-        assert link_events(spec, ActionKind.END, 1) == []
+        assert link_events(spec, ActionKind.END, 1) is None
 
     def test_end_at_boundary_leaves_fov(self):
         spec = simple_spec(
             {1: (BBox2D(2, 100, 20, 20), TrackState.HALTED, "car", 2)}, []
         )
-        events = link_events(spec, ActionKind.END, 1)
-        assert events[0].kind == EventKind.LEAVES_FOV
+        assert link_events(spec, ActionKind.END, 1) == EventOccurrence(EventKind.LEAVES_FOV, 10, 1)
 
     def test_end_overdue_lost(self):
         spec = simple_spec(
             {1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 31)}, []
         )
-        events = link_events(spec, ActionKind.END, 1)
-        assert [e.kind for e in events] == [EventKind.LOST]
+        assert link_events(spec, ActionKind.END, 1) == EventOccurrence(EventKind.LOST, 10, 1)
+        assert not possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 10, 1))
 
 
 def _active(spec):
     return [t for t, p in spec.predictions.items() if p.state == TrackState.ACTIVE]
 
 
-def _halt_events(spec, t):
+def _halt_event(spec, t):
     return link_events(spec, ActionKind.HALT, t)
 
 
@@ -289,8 +289,8 @@ def _expected_options(spec):
 
     def first(*actions):
         for a in actions:
-            if events := link_events(spec, a.kind, a.trk, a.det):
-                return [dataclasses.replace(a, event=events[0])]
+            if (event := link_events(spec, a.kind, a.trk, a.det)) is not None:
+                return [dataclasses.replace(a, event=event)]
         return []
 
     per_track = {}
@@ -410,7 +410,7 @@ class TestExplanationLinking:
                 _hide_or_clip(spec, rng)
 
             assert candidate_actions(spec) == _expected_options(spec)
-            unexplained = [t for t in _active(spec) if not _halt_events(spec, t)]
+            unexplained = [t for t in _active(spec) if _halt_event(spec, t) is None]
 
             try:
                 result = solve(spec)
@@ -422,7 +422,7 @@ class TestExplanationLinking:
             seen["solved past an unexplained halt"] += bool(unexplained)
             for a in result.actions:
                 linked = (
-                    None if a.kind == ActionKind.ASSIGN else link_events(spec, a.kind, a.trk, a.det)[0]
+                    None if a.kind == ActionKind.ASSIGN else link_events(spec, a.kind, a.trk, a.det)
                 )
                 assert a.event == linked
                 missing = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, a.trk)
@@ -457,12 +457,12 @@ class TestExplanationLinking:
             try:
                 result = solve(spec)
             except EngineBugError:
-                assert any(not _halt_events(spec, t) for t in _active(spec))
+                assert any(_halt_event(spec, t) is None for t in _active(spec))
                 seen["raised"] += 1
                 continue
             assert result == expected
             seen["equal past an unexplained halt"] += any(
-                not _halt_events(spec, t) for t in _active(spec)
+                _halt_event(spec, t) is None for t in _active(spec)
             )
         assert seen["raised"] > 0 and seen["equal past an unexplained halt"] > 0, seen
 
@@ -517,9 +517,21 @@ def _prefilter_cases(spec):
     return cases
 
 
+def _assert_prefilter_exact(spec, t):
+    """The halt prefilter keeps every occluder that the full scan of
+    every other track finds possible, and the halt's abduced event is
+    the scan's first: so the prefilter's events are the scan's.  Returns
+    the scan's events."""
+    events = halt_events_reference(spec, t)
+    occluders = {e.occluder for e in events if e.kind is EventKind.HIDES_BEHIND}
+    assert occluders <= set(domain._may_hide_behind(spec, t))
+    assert link_events(spec, ActionKind.HALT, t) == next(iter(events), None)
+    return events
+
+
 class TestHaltPrefilter:
     # link_events judges a halt's occluders only among the tracks the
-    # geometric prefilter keeps; its list must be the full scan's.
+    # geometric prefilter keeps; that must not change its event.
     def test_equals_full_scan_on_random_specs(self):
         rng = np.random.default_rng(61)
         seen, cases = Counter(), Counter()
@@ -533,9 +545,7 @@ class TestHaltPrefilter:
                 spec = _edge_case_spec(rng)
                 cases.update(_prefilter_cases(spec))
             for t in spec.predictions:
-                events = link_events(spec, ActionKind.HALT, t)
-                assert events == halt_events_reference(spec, t)
-                seen.update(e.kind for e in events)
+                seen.update(e.kind for e in _assert_prefilter_exact(spec, t))
         assert seen[EventKind.HIDES_BEHIND] > 0 and seen[EventKind.MISSING_DETECTIONS] > 0, seen
         assert len(cases) == 5 and min(cases.values()) > 0, cases
 
@@ -544,8 +554,7 @@ class TestHaltPrefilter:
         hides = 0
         for spec, _ in bench_frames(n_tracks):
             for t in spec.predictions:
-                events = link_events(spec, ActionKind.HALT, t)
-                assert events == halt_events_reference(spec, t)
+                events = _assert_prefilter_exact(spec, t)
                 hides += sum(e.kind is EventKind.HIDES_BEHIND for e in events)
         assert hides > 0
 
@@ -822,18 +831,20 @@ def counted_solve(monkeypatch):
 
 def _assert_frame_certificate(spec, result, call):
     """The frame's whole cover priced by LP duals, recomputed from the
-    option table alone: the fold ``_fold``'s docstring states, every
-    table edge's gain (resumes to forced detections too), the forced
-    rule, and the matching's rows (the other tracks with an edge left,
-    by id) and columns (their detections, first seen first).  A forced
-    detection is priced at its assign's gain, the matching's rows and
-    columns at the duals of ``call``, the frame's ``(rows, n_cols,
-    result)`` matcher call or None, and all else at 0.  The prices are
-    >= 0 and cover every edge, so no matching of the table gains more
-    than their sum, which the cover's edges gain.  Returns the numbers
-    of forced and of no-edge tracks."""
+    option table's rows alone: the fold ``_fold``'s docstring states,
+    every table edge's gain, the forced rule, which must name the
+    table's forced pairs, the resumes to forced detections, which the
+    table leaves out, and the matching's rows (the other tracks with an
+    edge left, by id) and columns (their detections, first seen first).
+    A forced detection is priced at its assign's gain, the matching's
+    rows and columns at the duals of ``call``, the frame's ``(rows,
+    n_cols, result)`` matcher call or None, and all else at 0.  The
+    prices are >= 0 and cover every edge, the left-out resumes too, so
+    no cover of the whole frame gains more than their sum, which the
+    cover's edges gain.  Returns the numbers of forced and of no-edge
+    tracks."""
     K = ActionKind
-    tracks = abduction._option_table(spec)
+    tracks, table_forced = abduction._option_table(spec)
     n_t, n_d = len(tracks), len(spec.detections)
     c2 = 5 * n_t + 6 * n_d + 2
     c1 = c2 * (10 * (n_t + n_d) + 2)
@@ -852,6 +863,13 @@ def _assert_frame_certificate(spec, result, call):
         dids[0]: t for t, ((kind, _), dids, _) in tracks.items()
         if kind is K.ASSIGN and len(dids) == 1 and claims[dids[0]] == 1
     }
+    assert forced == table_forced
+    for t, ((kind, _), _, (fallback, _)) in tracks.items():
+        if kind is K.RESUME and link_events(spec, K.RESUME, t) is not None:
+            for d in forced:
+                det = spec.detections_by_id[d]
+                if det.cls == spec.predictions[t].cls and det.conf > spec.config.conf_thresh_resume:
+                    gain[t, d] = worth[K.RESUME] - worth[fallback] - det_worth[d]
     forced_tracks = set(forced.values())
     left = {t: [d for d in dids if d not in forced] for t, (_, dids, _) in tracks.items()
             if t not in forced_tracks}
@@ -1202,10 +1220,12 @@ class TestOneOptionTable:
                 continue
 
             def dropping(s, edge=edges[0]):
-                tracks = table(s)
+                tracks, forced = table(s)
                 option, dids, fallback = tracks[edge.trk]
                 tracks[edge.trk] = option, [d for d in dids if d != edge.det], fallback
-                return tracks
+                if forced.get(edge.det) == edge.trk:
+                    del forced[edge.det]
+                return tracks, forced
 
             with monkeypatch.context() as m:
                 m.setattr(abduction, "_option_table", dropping)
@@ -1292,7 +1312,7 @@ class TestOptionTableEdges:
             fluents=fluents, frame_geom=(320.0, 320.0),
         )
         assert list(spec.likelihoods) == [(1, 1), (1, 3), (1, 2), (1, 0)]
-        edge, dids, fallback = abduction._option_table(spec)[1]
+        edge, dids, fallback = abduction._option_table(spec)[0][1]
         assert edge == (ActionKind.ASSIGN, None) and fallback == (ActionKind.HALT, None)
         assert dids == [0, 3]
         assert candidate_actions(spec) == _expected_options(spec)
@@ -1307,10 +1327,53 @@ class TestOptionTableEdges:
             ),
         )
         assert spec.likelihoods[4, 0] == IOU_SCALE
-        (edge, dids, fallback), = abduction._option_table(spec).values()
+        (edge, dids, fallback), = abduction._option_table(spec)[0].values()
         assert edge == (ActionKind.RESUME, EventOccurrence(EventKind.RECOVER, 10, 4))
         assert dids == [0, 1]  # every confident car, overlapping or not
         assert [a.pretty() for a in solve(spec).actions[:1]] == ["resume(trk_4,det_0)"]
+
+    def test_no_resume_link_when_forced_assigns_take_every_detection(self, monkeypatch):
+        # Both confident cars are forced assigns of the active tracks, so
+        # the halted car track 3 may resume on neither: the table links
+        # no resume for it, and the cover is the one the oracle and the
+        # reference solver find with those resumes tried.
+        linked = []
+        original = abduction.link_events
+
+        def counting(spec, kind, trk=None, det=None):
+            linked.append(kind)
+            return original(spec, kind, trk, det)
+
+        box1, box2 = BBox2D(40, 40, 30, 30), BBox2D(150, 40, 30, 30)
+        spec = simple_spec(
+            {
+                1: (box1, TrackState.ACTIVE, "car", 0),
+                2: (box2, TrackState.ACTIVE, "car", 0),
+                3: (BBox2D(100, 200, 30, 30), TrackState.HALTED, "car", 3),
+            },
+            [("car", 99, box1.translated(2, 0)), ("car", 99, box2.translated(0, 2)),
+             ("car", 40, BBox2D(100, 200, 30, 30))],
+            fluent_setup=lambda s: apply_event(
+                s, EventOccurrence(EventKind.MISSING_DETECTIONS, 7, 3)
+            ),
+        )
+        assert link_events(spec, ActionKind.RESUME, 3) is not None
+        monkeypatch.setattr(abduction, "link_events", counting)
+        tracks, forced = abduction._option_table(spec)
+        assert forced == {0: 1, 1: 2}
+        assert tracks[3][:2] == ((ActionKind.RESUME, None), [])
+        result = solve(spec)
+        assert ActionKind.RESUME not in linked
+        assert [a.pretty() for a in result.actions] == [
+            "assign(trk_1,det_0)", "assign(trk_2,det_1)", "ignore_trk(trk_3)", "ignore_det(det_2)"
+        ]
+        linked.clear()
+        per_track, _ = candidate_actions(spec)
+        assert linked.count(ActionKind.RESUME) == 1  # the oracle's view tries them
+        assert [a.pretty() for a in per_track[3]] == [
+            "resume(trk_3,det_0)", "resume(trk_3,det_1)", "ignore_trk(trk_3)"
+        ]
+        assert result == solve_oracle(spec) == solve_reference(spec)
 
     def test_ended_track_raises(self):
         box = BBox2D(100, 100, 40, 40)
@@ -1340,7 +1403,7 @@ class TestUnexplainedCoverHalt:
             [("car", 90, BBox2D(150, 40, 30, 30))],
             fluent_setup=_clipped(1),
         )
-        assert not _halt_events(spec, 1)
+        assert _halt_event(spec, 1) is None
         with pytest.raises(EngineBugError, match=r"^track 1 has no explainable fallback action$"):
             solve(spec)
 
@@ -1358,7 +1421,7 @@ class TestUnexplainedCoverHalt:
             [("car", 90, box)],
             fluent_setup=_clipped(1),
         )
-        assert not _halt_events(spec, 1)
+        assert _halt_event(spec, 1) is None
         calls, solver = [], abduction.linear_sum_assignment
 
         def matching(rows, n_cols):

@@ -367,6 +367,10 @@ class TestEventTable:
         assert explained == set(ActionKind) - {ActionKind.ASSIGN}
 
     def test_link_events_in_event_kind_order(self):
+        # The abduced event is the first possible one of every event that
+        # EVENTS lets explain the action, in EventKind order, each kind
+        # once per occluder its entry gives: a later kind is never chosen
+        # over a possible earlier one.
         rng = np.random.default_rng(21)
         mixed = 0
         for _ in range(200):
@@ -376,10 +380,15 @@ class TestEventTable:
             actions = [(k, t, None) for t in spec.predictions for k in on_track]
             actions += [(k, None, d.id) for d in spec.detections for k in on_det]
             for kind, trk, det in actions:
-                kinds = [e.kind for e in link_events(spec, kind, trk, det)]
-                assert kinds == sorted(kinds)
-                assert all(kind in EVENTS[k].explains for k in kinds)
-                mixed += len(set(kinds)) > 1
+                subject = det if trk is None else trk
+                events = [
+                    e
+                    for k in EventKind if kind in EVENTS[k].explains
+                    for t2 in EVENTS[k].occluders(spec, subject)
+                    if possible(spec, e := EventOccurrence(k, spec.frame, subject, t2, trk is None))
+                ]
+                assert link_events(spec, kind, trk, det) == next(iter(events), None)
+                mixed += len({e.kind for e in events}) > 1
         assert mixed > 0
 
     def test_readme_table_matches(self):

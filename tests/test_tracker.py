@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 from dataclasses import replace
@@ -98,6 +99,17 @@ class TestBasicLoop:
         eng.finalize()
         with pytest.raises(RuntimeError):
             eng.step(1, [])
+
+
+class TestEngineConfig:
+    # A frame size that is not finite and positive once made every
+    # detection an ignore_det and the stream end with no track.
+    @pytest.mark.parametrize(
+        "geom", [(math.nan, 375.0), (-5.0, 375.0), (0.0, 0.0), (1242.0, math.inf)]
+    )
+    def test_rejects_frame_geom_not_finite_and_positive(self, geom):
+        with pytest.raises(ValueError, match=r"^frame geometry must be WxH, finite and positive: "):
+            EngineConfig(frame_geom=geom)
 
 
 class TestStartRule:

@@ -34,15 +34,18 @@ latency records, summed over the jobs: the frames, plus any frames a
 job skips that the engine steps), median frame time (p50), frames/s
 over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
-traced peak, and frames/s with the phases included, as perfbench's
-``frames_per_s`` counts them; then the ratio B/A of each, and whether the
-two sides' event logs, track files, reports, scores (``evaluate``'s
-report as a dict) and, on occlusion, anticipation lines are equal.  The
-exit status is 1 if any of them differ.  The write peak comes from one
-more, untimed pass per side after the timed ones: ``tracemalloc`` runs
-from ``finalize`` through the three writers, and the peak is the
-largest of the jobs' (MB of 2**20 bytes, as perfbench's
-``peak_rss_mb``).
+traced peak, frames/s with the phases included, as perfbench's
+``frames_per_s`` counts them, and the engine's ``link_events`` and
+``possible`` calls over the jobs' steps; then the ratio B/A of each, and
+whether the two sides' event logs, track files, reports, scores
+(``evaluate``'s report as a dict) and, on occlusion, anticipation lines
+are equal.  The exit status is 1 if any of them differ.  The write peak
+and the calls come from one more, untimed pass per side after the timed
+ones, so that the timed passes pay nothing for them: the calls are
+counted over its steps by wrapping the two names, which the side's
+``abduction`` module looks up at call time, and ``tracemalloc`` runs
+from ``finalize`` through the three writers, whose peak is the largest
+of the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
@@ -106,6 +109,7 @@ def load_side(src: Path, name: str, tmp: Path):
 
 
 PHASES = ("parse", "write", "score")
+COUNTED = ("link_events", "possible")  # names in each side's abduction module
 OUTPUTS = ("event logs", "track files", "reports", "scores", "anticipation lines")
 
 
@@ -159,20 +163,36 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     return len(engine.latencies), (outputs + (ant_lines,) if anticipate else outputs)
 
 
-def _write_peak(package, text: str) -> int:
-    """The traced peak (bytes) of one job's write phase, ``finalize`` and
-    the three writers, after an untimed run of its steps."""
-    io = package.io
-    engine = package.tracker.AbductionEngine()
-    for frame, dets in io.parse_mot(text).frames:
-        engine.step(frame, dets)
+def _untimed(package, text: str) -> tuple[int, list[int]]:
+    """One job's untimed run: the traced peak (bytes) of its write phase,
+    ``finalize`` and the three writers, and per name of ``COUNTED`` its
+    calls over the job's steps."""
+    io, abduction = package.io, package.abduction
+    calls = [0] * len(COUNTED)
+    saved = [getattr(abduction, name) for name in COUNTED]
+
+    def counted(k, fn):
+        def call(*args):
+            calls[k] += 1
+            return fn(*args)
+        return call
+
+    for k, (name, fn) in enumerate(zip(COUNTED, saved)):
+        setattr(abduction, name, counted(k, fn))
+    try:
+        engine = package.tracker.AbductionEngine()
+        for frame, dets in io.parse_mot(text).frames:
+            engine.step(frame, dets)
+    finally:
+        for name, fn in zip(COUNTED, saved):
+            setattr(abduction, name, fn)
     tracemalloc.start()
     try:
         exp = engine.finalize()
         outputs = []  # held together, as a timed pass holds them
         for write in (io.write_events, io.write_tracks, io.write_report):
             outputs.append(write(exp))
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], calls
     finally:
         tracemalloc.stop()
 
@@ -182,7 +202,8 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     jobs, interleaved, anticipating in each frame if ``anticipate``;
     returns each side's steps (summed over the jobs), least frame times
     and phase times (ms, phases summed over the jobs), its largest write
-    peak (MB) and, per output, whether the two sides agree."""
+    peak (MB), its calls per name of ``COUNTED`` (summed over the jobs)
+    and, per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
@@ -195,11 +216,13 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
                 steps[s][j], outputs[s][j] = _run(
                     packages[s], text, gt_text, times[s][j], phases[s][j], anticipate
                 )
+    untimed = [[_untimed(pkg, text) for text, _ in jobs] for pkg in packages]
     return {
         "steps": [sum(side) for side in steps],
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
-        "write_mb": [max(_write_peak(pkg, text) for text, _ in jobs) / 2**20 for pkg in packages],
+        "write_mb": [max(peak for peak, _ in side) / 2**20 for side in untimed],
+        "calls": [[sum(job) for job in zip(*(calls for _, calls in side))] for side in untimed],
         "equal": [
             all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(outputs[0][0]))
         ],
@@ -294,20 +317,21 @@ def main(argv: list[str] | None = None) -> int:
         out = compare(packages, jobs, args.passes, args.workload == "occlusion")
 
     rows = []
-    for steps, ms, phase_ms, write_mb in zip(out["steps"], out["ms"], out["phase_ms"],
-                                             out["write_mb"]):
+    for steps, ms, phase_ms, write_mb, calls in zip(out["steps"], out["ms"], out["phase_ms"],
+                                                    out["write_mb"], out["calls"]):
         step_s = sum(ms) / 1e3
         rows.append([steps, statistics.median(ms), len(ms) / step_s, *phase_ms, write_mb,
-                     len(ms) / (step_s + sum(phase_ms) / 1e3)])
+                     len(ms) / (step_s + sum(phase_ms) / 1e3), *calls])
     columns = [("steps", "d"), ("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
-               ("write MB", ".2f"), ("job fr/s", ".1f")]
+               ("write MB", ".2f"), ("job fr/s", ".1f"), *((name, "d") for name in COUNTED)]
     print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame and phase")
-    print(f"{'side':<6}" + "".join(f"{c:>10}" for c, _ in columns) + "  tree")
+    widths = [max(10, len(c) + 2) for c, _ in columns]
+    print(f"{'side':<6}" + "".join(f"{c:>{w}}" for (c, _), w in zip(columns, widths)) + "  tree")
     for s, src, row in zip(SIDES, (args.src_a, args.src_b), rows):
-        print(f"{s.upper():<6}" + "".join(f"{v:>10{f}}" for v, (_, f) in zip(row, columns))
-              + f"  {src}")
-    print(f"{'B/A':<6}" + "".join(f"{b / a:>10.3f}" for a, b in zip(*rows)))
+        print(f"{s.upper():<6}"
+              + "".join(f"{v:>{w}{f}}" for v, (_, f), w in zip(row, columns, widths)) + f"  {src}")
+    print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" for a, b, w in zip(*rows, widths)))
     for what, equal in zip(OUTPUTS, out["equal"]):
         print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
     return 0 if all(out["equal"]) else 1
