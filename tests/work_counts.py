@@ -6,9 +6,12 @@ for them.
 Per stream, :func:`counting` counts the matcher's heap pushes
 (``heappush``), the tie-break's alternating-path searches (``_cover``)
 and those of them that find a path, the rows and edges of each matching
-solved (``linear_sum_assignment``), and the calls that link an action to
+solved (``linear_sum_assignment``), the calls that link an action to
 its events (``link_events``) and test an event's preconditions
-(``possible``).  Counts are the same on every machine, load and hash
+(``possible``), the event occurrences that :mod:`abdtrack.abduction`
+builds (``occurrences``, its ``EventOccurrence`` calls) and the copies
+of the fluent store (``store_copies``, ``FluentStore.copy``, wrapped on
+the class).  Counts are the same on every machine, load and hash
 seed, so ``golden/work_counts.json`` locks them as the goldens lock the
 outputs, and a change of the engine's work shows in that file's diff.
 The streams: the 6-frame scaling stream at 200 and 400 tracks (the
@@ -46,13 +49,16 @@ TIED_TRACKS = 100
 @contextlib.contextmanager
 def counting() -> Iterator[dict[str, int]]:
     """Count, while the block runs, ``pushes``, ``searches`` and
-    ``searches_found``, the matchings' ``rows`` and ``edges``, and the
-    ``link_events`` and ``possible`` calls."""
+    ``searches_found``, the matchings' ``rows`` and ``edges``, the
+    ``link_events`` and ``possible`` calls, the ``occurrences`` built and
+    the ``store_copies``."""
     counts = dict.fromkeys(
-        ("pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible"), 0
+        ("pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible",
+         "occurrences", "store_copies"), 0
     )
     push, cover, matcher = abduction.heappush, abduction._cover, abduction.linear_sum_assignment
     link, possible = abduction.link_events, abduction.possible
+    occurrence, copy = abduction.EventOccurrence, FluentStore.copy
 
     def counted_push(heap, item):
         counts["pushes"] += 1
@@ -77,17 +83,27 @@ def counting() -> Iterator[dict[str, int]]:
         counts["possible"] += 1
         return possible(*args)
 
+    def counted_occurrence(*args):
+        counts["occurrences"] += 1
+        return occurrence(*args)
+
+    def counted_copy(store):
+        counts["store_copies"] += 1
+        return copy(store)
+
     wrapped = {"heappush": counted_push, "_cover": counted_cover,
                "linear_sum_assignment": counted_matcher, "link_events": counted_link,
-               "possible": counted_possible}
+               "possible": counted_possible, "EventOccurrence": counted_occurrence}
     saved = {name: getattr(abduction, name) for name in wrapped}
     for name, fn in wrapped.items():
         setattr(abduction, name, fn)
+    FluentStore.copy = counted_copy
     try:
         yield counts
     finally:
         for name, fn in saved.items():
             setattr(abduction, name, fn)
+        FluentStore.copy = copy
 
 
 def bench_steps(n_tracks: int) -> tuple[list[tuple[ProblemSpec, SolveResult]], dict[str, int]]:
