@@ -325,10 +325,11 @@ def link_events(
 ) -> Optional[EventOccurrence]:
     """The abduced event of an action of ``kind`` on track ``trk``, or on
     detection ``det`` if no track is given: the first possible event in
-    the fixed preference order, which tries each event kind whose
-    :data:`~abdtrack.domain.EVENTS` entry explains ``kind``, once per
-    occluder the entry gives.  The search stops there, as no caller
-    reads a later event.
+    the fixed preference order, which tests with :func:`possible` each
+    event kind whose :data:`~abdtrack.domain.EVENTS` entry explains
+    ``kind``, once per occluder the entry gives.  The search stops there,
+    as no caller reads a later event, and builds the one
+    ``EventOccurrence`` it returns.
 
     None makes the action inadmissible; no event explains an assign,
     which needs none.  The event of a resume does not depend on its
@@ -336,12 +337,11 @@ def link_events(
     once for all of a halted track's resumes, and the solver once per
     halt it puts in the cover.
     """
-    subject, on_det = (det, True) if trk is None else (trk, False)
+    subject = det if trk is None else trk
     for k in _EXPLAINED_BY[kind]:
         for t2 in EVENTS[k].occluders(spec, subject):
-            event = EventOccurrence(k, spec.frame, subject, t2, on_det)
-            if possible(spec, event):
-                return event
+            if possible(spec, k, subject, t2):
+                return EventOccurrence(k, spec.frame, subject, t2, trk is None)
     return None
 
 

@@ -1,6 +1,10 @@
 """Scene ontology: detections, tracks, actions, events, the fluent store,
 and the event table :data:`EVENTS`, which holds each event kind's
-precondition, its effects and the actions it explains.
+precondition, its effects and the actions it explains.  A precondition
+is a rule over the event's variables, its subject T and, for an event on
+a pair of tracks, its occluder O; :func:`possible` tests it on those
+alone, and :func:`apply_event` applies an :class:`EventOccurrence`'s
+effects.
 
 Fluents (per track unless noted): visibility in {fully_visible,
 not_visible}, hidden_by (per ordered track pair, boolean) and clipped
@@ -281,13 +285,18 @@ class EventRule:
     ``pre`` and its ``effects``, ``(fluent, value)`` pairs on its subject
     (``hidden_by`` on the pair (subject, occluder)), where ``(TRACK,
     True)`` starts the subject's fluents at their birth values and
-    ``(TRACK, False)`` drops them and every hidden_by pair naming it.  An
-    event is tried with each of the ``occluders`` it gives a subject: for
-    an event on a pair of tracks, in ascending id, a superset of those
-    ``pre`` can accept; for any other, None alone."""
+    ``(TRACK, False)`` drops them and every hidden_by pair naming it.
+
+    As the paper's rule over its variables, ``pre(spec, T, O)`` reads the
+    event's parts alone: its subject T, a track id (a detection id for an
+    event on a detection), and its occluder O, a track id for an event on
+    a pair of tracks and None for any other.  An event is tried with each
+    of the ``occluders`` it gives a subject: for an event on a pair of
+    tracks, in ascending id, a superset of those ``pre`` can accept; for
+    any other, None alone."""
 
     explains: tuple[ActionKind, ...]
-    pre: Callable[[ProblemSpec, EventOccurrence], bool]
+    pre: Callable[[ProblemSpec, int, Optional[int]], bool]
     effects: tuple[tuple[str, object], ...]
     occluders: Callable[[ProblemSpec, int], Sequence[Optional[int]]] = lambda spec, t: (None,)
 
@@ -313,15 +322,15 @@ def _may_hide_behind(spec: ProblemSpec, t: int) -> list[int]:
     return sorted(kept)
 
 
-def _in_margin(spec: ProblemSpec, e: EventOccurrence) -> bool:
+def _in_margin(spec: ProblemSpec, t: int, o: Optional[int]) -> bool:
     (w, h), m = spec.frame_geom, spec.config.fov_margin
-    box = spec.predictions[e.subject].box
+    box = spec.predictions[t].box
     return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
 
 
-def _in_frame(spec: ProblemSpec, e: EventOccurrence) -> bool:
+def _in_frame(spec: ProblemSpec, d: int, o: Optional[int]) -> bool:
     w, h = spec.frame_geom
-    box = spec.detections_by_id[e.subject].box
+    box = spec.detections_by_id[d].box
     return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
 
 
@@ -331,47 +340,42 @@ def _in_frame(spec: ProblemSpec, e: EventOccurrence) -> bool:
 EVENTS: dict[EventKind, EventRule] = {
     HIDES_BEHIND: EventRule(
         (HALT,),
-        lambda spec, e: (
-            e.subject != e.occluder
-            and spec.fluents.visibility(e.subject) != NOT_VISIBLE
-            and spec.fluents.visibility(e.occluder) != NOT_VISIBLE
-            and overlapping_top(
-                spec.predictions[e.subject].box, spec.predictions[e.occluder].box
-            )
+        lambda spec, t, o: (
+            t != o
+            and spec.fluents.visibility(t) != NOT_VISIBLE
+            and spec.fluents.visibility(o) != NOT_VISIBLE
+            and overlapping_top(spec.predictions[t].box, spec.predictions[o].box)
         ),
         (("visibility", NOT_VISIBLE), ("hidden_by", True)),
         _may_hide_behind,
     ),
     MISSING_DETECTIONS: EventRule(
         (HALT,),
-        lambda spec, e: (
-            not spec.fluents.clipped(e.subject)
-            and spec.fluents.visibility(e.subject) != NOT_VISIBLE
+        lambda spec, t, o: (
+            not spec.fluents.clipped(t) and spec.fluents.visibility(t) != NOT_VISIBLE
         ),
         (("clipped", True),),
     ),
     UNHIDES_FROM_BEHIND: EventRule(
         (RESUME,),
-        lambda spec, e: (
-            spec.fluents.visibility(e.subject) == NOT_VISIBLE
-            and spec.fluents.visibility(e.occluder) != NOT_VISIBLE
+        lambda spec, t, o: (
+            spec.fluents.visibility(t) == NOT_VISIBLE
+            and spec.fluents.visibility(o) != NOT_VISIBLE
         ),
         (("visibility", FULLY_VISIBLE), ("hidden_by", False)),
         lambda spec, t: [t2 for t2 in spec.fluents.occluder_of(t) if t2 in spec.predictions],
     ),
-    RECOVER: EventRule(
-        (RESUME,), lambda spec, e: spec.fluents.clipped(e.subject), (("clipped", False),)
-    ),
+    RECOVER: EventRule((RESUME,), lambda spec, t, o: spec.fluents.clipped(t), (("clipped", False),)),
     # A track still hidden behind the ending T is left not_visible with no
     # occluder, here and for lost: a known defect.
     LEAVES_FOV: EventRule((END,), _in_margin, ((TRACK, False),)),
     LOST: EventRule(
         (END,),
-        lambda spec, e: spec.predictions[e.subject].halted_age > spec.config.max_halted_age,
+        lambda spec, t, o: spec.predictions[t].halted_age > spec.config.max_halted_age,
         ((TRACK, False),),
     ),
     ENTERS_FOV: EventRule((START,), _in_frame, ((TRACK, True),)),
-    NOISE: EventRule((IGNORE_TRK, IGNORE_DET), lambda spec, e: True, ()),
+    NOISE: EventRule((IGNORE_TRK, IGNORE_DET), lambda spec, t, o: True, ()),
 }
 
 
@@ -400,7 +404,9 @@ def touched_fluents(e: EventOccurrence) -> frozenset[tuple]:
     ])
 
 
-def possible(spec: ProblemSpec, e: EventOccurrence) -> bool:
-    """Whether ``e`` may occur: its kind's precondition in :data:`EVENTS`,
-    judged against the frame's problem spec."""
-    return EVENTS[e.kind].pre(spec, e)
+def possible(spec: ProblemSpec, kind: EventKind, subject: int, occluder: Optional[int] = None) -> bool:
+    """Whether an event of ``kind`` on ``subject`` (and ``occluder``, for
+    an event on a pair of tracks) may occur: its kind's precondition in
+    :data:`EVENTS`, judged against the frame's problem spec.  The one
+    test of a precondition; it needs no :class:`EventOccurrence`."""
+    return EVENTS[kind].pre(spec, subject, occluder)

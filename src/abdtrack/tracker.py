@@ -142,7 +142,8 @@ class AbductionEngine:
         """The frame's spec.  Its fluents are the engine's store itself:
         :meth:`_apply` and :meth:`finalize` replace the store, by a copy
         or an empty one, rather than change it, so a spec's snapshot never
-        changes, and a frame with no event copies nothing."""
+        changes, and a frame with no event that writes a fluent, such as
+        one of ``noise`` alone, copies nothing."""
         rows, tracks = self.motion.rows, self.tracks
         boxes = self.motion.predict()
         predictions: dict[int, TrackPrediction] = {}
@@ -174,8 +175,9 @@ class AbductionEngine:
         through the same two lines.  The events that drop their track (an
         effect ``(TRACK, False)`` in :data:`~abdtrack.domain.EVENTS`) go
         last, so a same-frame hides_behind behind an ending track cannot
-        leave a hidden pair on its dropped fluents.  The event log keeps
-        the cover's order.  ``dets`` is the frame's detections by id, the
+        leave a hidden pair on its dropped fluents; the events with no
+        effect, ``noise``, are logged and not applied.  The event log
+        keeps the cover's order.  ``dets`` is the frame's detections by id, the
         spec's map.
         """
         frame_events: list[EventOccurrence] = []
@@ -203,11 +205,11 @@ class AbductionEngine:
             if event is not None:
                 frame_events.append(event)
         self.motion.update(observed)
-        if not frame_events:
-            return
-        self.fluents = fluents = self.fluents.copy()  # the spec keeps the store it read
-        for e in sorted(frame_events, key=lambda e: (TRACK, False) in EVENTS[e.kind].effects):
-            apply_event(fluents, e)
+        written = [e for e in frame_events if EVENTS[e.kind].effects]  # noise writes nothing
+        if written:
+            self.fluents = fluents = self.fluents.copy()  # the spec keeps the store it read
+            for e in sorted(written, key=lambda e: (TRACK, False) in EVENTS[e.kind].effects):
+                apply_event(fluents, e)
         self.events.extend(frame_events)
 
     # -- lifecycle helpers ----------------------------------------------

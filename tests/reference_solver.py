@@ -103,10 +103,6 @@ def halt_events_reference(spec: ProblemSpec, t: int) -> list[EventOccurrence]:
     """The possible events that explain a halt of track ``t``, in the
     preference order: hides_behind each other track in ascending id, then
     missing_detections."""
-    events = [
-        EventOccurrence(EventKind.HIDES_BEHIND, spec.frame, t, occluder=t2)
-        for t2 in sorted(spec.predictions)
-        if t2 != t
-    ]
-    events.append(EventOccurrence(EventKind.MISSING_DETECTIONS, spec.frame, t))
-    return [e for e in events if possible(spec, e)]
+    parts = [(EventKind.HIDES_BEHIND, t2) for t2 in sorted(spec.predictions) if t2 != t]
+    parts.append((EventKind.MISSING_DETECTIONS, None))
+    return [EventOccurrence(k, spec.frame, t, o) for k, o in parts if possible(spec, k, t, o)]

@@ -2,7 +2,8 @@
 occlusion scene (anticipation lines compared too), on a small bench
 stream and in the set-up probe, trees whose track files, scores or
 anticipation lines differ, a tree whose engine makes more steps, and one
-whose engine tests each event's precondition twice."""
+whose engine links each action twice and copies the fluent store once
+more per step."""
 
 import shutil
 import subprocess
@@ -28,7 +29,8 @@ def test_same_tree_both_sides():
     frames = int(lines[0].split()[5])
     assert lines[1].split() == [
         "side", "steps", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
-        "write", "MB", "job", "fr/s", "link_events", "possible", "tree",
+        "write", "MB", "job", "fr/s", "link_events", "possible", "occurrences", "store_copies",
+        "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
         "A", "B", "B/A", "event", "track", "reports", "scores", "anticipation",
@@ -40,13 +42,14 @@ def test_same_tree_both_sides():
         # the phases count in the job's frames/s, not in the steps'
         assert 0 < job_fps < steps_fps
         assert 0 < write_mb < 10
-        links, possible = map(int, side.split()[9:11])
-        assert 0 < links <= possible
+        links, possible, occurrences, copies = map(int, side.split()[9:13])
+        assert 0 < links <= possible and 0 < occurrences <= links
+        assert 0 < copies <= frames  # at most one per step
     ratios = list(map(float, lines[4].split()[1:]))
-    assert len(ratios) == 10 and all(r > 0 for r in ratios)
+    assert len(ratios) == 12 and all(r > 0 for r in ratios)
     assert ratios[0] == 1  # the same tree's steps
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
-    assert ratios[8:] == [1, 1]  # the same tree's calls
+    assert ratios[8:] == [1, 1, 1, 1]  # the same tree's work
     assert lines[5:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
@@ -119,8 +122,10 @@ def test_steps_counted_per_side(tmp_path):
 
 
 def test_calls_counted_per_side(tmp_path):
-    # B's link_events tests each event's precondition twice: the same
-    # link_events calls, twice the possible calls, and equal outputs
+    # B's link_events runs each search twice, building each occurrence
+    # twice, and B's step copies the fluent store once more: the same
+    # link_events calls, twice the possible calls and occurrences, one
+    # more store copy per step, and equal outputs
     shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
                     ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "abdtrack" / "abduction.py", "a") as f:
@@ -128,14 +133,20 @@ def test_calls_counted_per_side(tmp_path):
                 "def link_events(spec, kind, trk=None, det=None):\n"
                 "    _link_events(spec, kind, trk, det)\n"
                 "    return _link_events(spec, kind, trk, det)\n")
+    with open(tmp_path / "abdtrack" / "tracker.py", "a") as f:
+        f.write("\n_apply = AbductionEngine._apply\n\n\n"
+                "def _copy_and_apply(self, *args):\n"
+                "    self.fluents.copy()\n"
+                "    return _apply(self, *args)\n\n\n"
+                "AbductionEngine._apply = _copy_and_apply\n")
     out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    (a_links, a_possible), (b_links, b_possible) = (
-        map(int, line.split()[9:11]) for line in lines[2:4]
-    )
-    assert a_links == b_links > 0 and b_possible == 2 * a_possible
-    assert lines[4].split()[9:11] == ["1.000", "2.000"]
+    (steps, *a), (_, *b) = ([int(line.split()[1]), *map(int, line.split()[9:13])]
+                            for line in lines[2:4])
+    assert a[0] == b[0] > 0 and b[1:3] == [2 * a[1], 2 * a[2]]
+    assert b[3] == a[3] + steps
+    assert lines[4].split()[9:12] == ["1.000", "2.000", "2.000"]
 
 
 def test_bench_workload_with_tracks():

@@ -187,7 +187,7 @@ class TestLinkEvents:
         # the fixed order prefers the occlusion explanation to the
         # missing detections that are possible too
         assert event == EventOccurrence(EventKind.HIDES_BEHIND, 10, 1, occluder=2)
-        assert possible(spec, EventOccurrence(EventKind.MISSING_DETECTIONS, 10, 1))
+        assert possible(spec, EventKind.MISSING_DETECTIONS, 1)
 
     def test_resume_of_hidden_track_unhides(self):
         def setup(s):
@@ -203,7 +203,7 @@ class TestLinkEvents:
         )
         event = link_events(spec, ActionKind.RESUME, 1, 0)
         assert event == EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 10, 1, occluder=2)
-        assert not possible(spec, EventOccurrence(EventKind.RECOVER, 10, 1))
+        assert not possible(spec, EventKind.RECOVER, 1)
 
     def test_halt_without_occluder_only_missing_detections(self):
         spec = simple_spec(
@@ -230,7 +230,32 @@ class TestLinkEvents:
             {1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 31)}, []
         )
         assert link_events(spec, ActionKind.END, 1) == EventOccurrence(EventKind.LOST, 10, 1)
-        assert not possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 10, 1))
+        assert not possible(spec, EventKind.LEAVES_FOV, 1)
+
+    def test_builds_the_one_occurrence_it_returns(self, monkeypatch):
+        # An interior halted track younger than max_halted_age: leaves_fov
+        # and lost both fail before noise explains its ignore_trk.  Three
+        # preconditions are tested and one occurrence is built, the event
+        # returned; a link that returns None builds none.
+        tested, built = [], []
+
+        def counted_possible(*args):
+            tested.append(args[1])
+            return possible(*args)
+
+        def counted_occurrence(*args):
+            built.append(EventOccurrence(*args))
+            return built[-1]
+
+        monkeypatch.setattr(abduction, "possible", counted_possible)
+        monkeypatch.setattr(abduction, "EventOccurrence", counted_occurrence)
+        spec = simple_spec({1: (BBox2D(100, 100, 20, 20), TrackState.HALTED, "car", 2)}, [])
+        assert link_events(spec, ActionKind.END, 1) is None
+        assert tested == [EventKind.LEAVES_FOV, EventKind.LOST] and built == []
+        kind, event = abduction._explained(spec, 1, None, ActionKind.END)
+        assert (kind, event) == (ActionKind.IGNORE_TRK, EventOccurrence(EventKind.NOISE, 10, 1))
+        assert tested[2:] == [EventKind.LEAVES_FOV, EventKind.LOST, EventKind.NOISE]
+        assert built == [event] and built[0] is event
 
 
 def _active(spec):
@@ -249,11 +274,11 @@ def _hide_or_clip(spec, rng):
         return
     for t in rng.choice(active, size=2, replace=False).tolist():
         if rng.random() < 0.8:
-            e = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, t)
+            kind, occluder = EventKind.MISSING_DETECTIONS, None
         else:
-            e = EventOccurrence(EventKind.HIDES_BEHIND, 0, t, occluder=active[0])
-        if possible(spec, e):
-            apply_event(spec.fluents, e)
+            kind, occluder = EventKind.HIDES_BEHIND, active[0]
+        if possible(spec, kind, t, occluder):
+            apply_event(spec.fluents, EventOccurrence(kind, 0, t, occluder))
 
 
 def _relabelled(spec):
@@ -425,8 +450,9 @@ class TestExplanationLinking:
                     None if a.kind == ActionKind.ASSIGN else link_events(spec, a.kind, a.trk, a.det)
                 )
                 assert a.event == linked
-                missing = EventOccurrence(EventKind.MISSING_DETECTIONS, 0, a.trk)
-                if a.kind == ActionKind.HALT and not possible(spec, missing):
+                if a.kind == ActionKind.HALT and not possible(
+                    spec, EventKind.MISSING_DETECTIONS, a.trk
+                ):
                     seen["halt explained by an occluder"] += 1
         assert len(seen) == 3 and min(seen.values()) > 0, seen
 
@@ -643,7 +669,7 @@ class TestSolve:
         for _ in range(2000):
             spec = make_random_spec(rng)
             for e in solve(spec).events:
-                assert possible(spec, e)
+                assert possible(spec, e.kind, e.subject, e.occluder)
 
     def test_iou_threshold_monotone_in_assign_count(self):
         rng = np.random.default_rng(12)

@@ -181,8 +181,7 @@ class TestPossible:
     def test_hides_behind_possible(self):
         s = store_with(1, 2)
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
-        e = EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=2)
-        assert possible(spec, e) is True
+        assert possible(spec, EventKind.HIDES_BEHIND, 1, 2) is True
 
     def test_hides_behind_blocked_when_already_hidden(self):
         s = store_with(1, 2, 3)
@@ -190,50 +189,47 @@ class TestPossible:
         spec = self.spec(
             s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10), t3=BBox2D(0, 0, 30, 30)
         )
-        e = EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=2)
-        assert possible(spec, e) is False
+        assert possible(spec, EventKind.HIDES_BEHIND, 1, 2) is False
 
     def test_missing_detections_blocked_when_clipped(self):
         s = store_with(1)
         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
-        assert possible(spec, EventOccurrence(EventKind.MISSING_DETECTIONS, 5, 1)) is False
+        assert possible(spec, EventKind.MISSING_DETECTIONS, 1) is False
 
     def test_unhide_needs_hidden_subject_and_visible_occluder(self):
         s = store_with(1, 2)
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
-        e = EventOccurrence(EventKind.UNHIDES_FROM_BEHIND, 5, 1, occluder=2)
-        assert possible(spec, e) is False
+        assert possible(spec, EventKind.UNHIDES_FROM_BEHIND, 1, 2) is False
         apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 4, 1, occluder=2))
-        assert possible(spec, e) is True
+        assert possible(spec, EventKind.UNHIDES_FROM_BEHIND, 1, 2) is True
 
     def test_recover_needs_clipped(self):
         s = store_with(1)
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
-        assert possible(spec, EventOccurrence(EventKind.RECOVER, 5, 1)) is False
+        assert possible(spec, EventKind.RECOVER, 1) is False
         apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
-        assert possible(spec, EventOccurrence(EventKind.RECOVER, 5, 1)) is True
+        assert possible(spec, EventKind.RECOVER, 1) is True
 
     def test_leaves_fov_boundary(self):
         s = store_with(1, 2)
         spec = self.spec(s, t1=BBox2D(2, 50, 20, 20), t2=BBox2D(80, 80, 20, 20))
-        assert possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 5, 1)) is True
-        assert possible(spec, EventOccurrence(EventKind.LEAVES_FOV, 5, 2)) is False
+        assert possible(spec, EventKind.LEAVES_FOV, 1) is True
+        assert possible(spec, EventKind.LEAVES_FOV, 2) is False
 
     def test_lost_age_gate(self):
         s = store_with(1)
-        e = EventOccurrence(EventKind.LOST, 5, 1)
-        assert possible(self.spec(s, halted_age=31, t1=BBox2D(50, 50, 10, 10)), e) is True
-        assert possible(self.spec(s, halted_age=30, t1=BBox2D(50, 50, 10, 10)), e) is False
+        for age, lost in [(31, True), (30, False)]:
+            spec = self.spec(s, halted_age=age, t1=BBox2D(50, 50, 10, 10))
+            assert possible(spec, EventKind.LOST, 1) is lost
 
     def test_enters_fov_intersects_frame(self):
         # detection ids need not be positions: the box is looked up by id
         dets = [Detection(7, "car", 90, BBox2D(500, 500, 20, 20)),
                 Detection(3, "car", 90, BBox2D(-5, -5, 20, 20))]
         spec = self.spec(store_with(), detections=dets)
-        enters = lambda d: EventOccurrence(EventKind.ENTERS_FOV, 5, d, subject_is_det=True)
-        assert possible(spec, enters(3)) is True
-        assert possible(spec, enters(7)) is False
+        assert possible(spec, EventKind.ENTERS_FOV, 3) is True
+        assert possible(spec, EventKind.ENTERS_FOV, 7) is False
 
     @pytest.mark.parametrize("box, inside", [
         (BBox2D(50, -20, 10, 20), False),  # y2 == 0: ends on the top edge
@@ -247,13 +243,12 @@ class TestPossible:
         # Kills the mutants of _in_frame that drop its `box.y2 > 0` or
         # `box.x2 > 0` test, or weaken either to `>= 0`.
         spec = self.spec(store_with(), detections=[Detection(0, "car", 90, box)])
-        e = EventOccurrence(EventKind.ENTERS_FOV, 5, 0, subject_is_det=True)
-        assert possible(spec, e) is inside
+        assert possible(spec, EventKind.ENTERS_FOV, 0) is inside
 
     def test_self_occlusion_impossible(self):
         s = store_with(1)
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
-        assert possible(spec, EventOccurrence(EventKind.HIDES_BEHIND, 5, 1, occluder=1)) is False
+        assert possible(spec, EventKind.HIDES_BEHIND, 1, 1) is False
 
 
 class TestRandomEventSequences:
@@ -344,7 +339,7 @@ class TestEventTable:
     @pytest.mark.parametrize("kind", list(EventKind))
     def test_apply_changes_exactly_the_touched_fluents(self, kind):
         spec, e = applying(kind)
-        assert possible(spec, e)
+        assert possible(spec, kind, e.subject, e.occluder)
         s = spec.fluents
         if kind == EventKind.ENTERS_FOV:  # the tracker names the new track
             e = EventOccurrence(kind, 5, 4)
@@ -382,10 +377,10 @@ class TestEventTable:
             for kind, trk, det in actions:
                 subject = det if trk is None else trk
                 events = [
-                    e
+                    EventOccurrence(k, spec.frame, subject, t2, trk is None)
                     for k in EventKind if kind in EVENTS[k].explains
                     for t2 in EVENTS[k].occluders(spec, subject)
-                    if possible(spec, e := EventOccurrence(k, spec.frame, subject, t2, trk is None))
+                    if possible(spec, k, subject, t2)
                 ]
                 assert link_events(spec, kind, trk, det) == next(iter(events), None)
                 mixed += len({e.kind for e in events}) > 1

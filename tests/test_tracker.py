@@ -221,6 +221,20 @@ class TestFramePaysForWhatItHolds:
         assert counts == Counter()
         assert [len(t.history) for t in eng.finalize().tracks] == [20] * 4
 
+    def test_a_noise_frame_copies_no_store(self):
+        # The halted target's ignore_trk frames log noise alone, which
+        # writes no fluent: the engine keeps the store its spec read.  Its
+        # hides_behind frame writes, on a copy.
+        eng = engine()
+        for f, dets in occlusion_stream(gap_start=10, gap_len=5):
+            before = eng.fluents
+            kinds = {e.kind for e in eng.step(f, dets).events}
+            assert eng.last_spec.fluents is before
+            if f == 10:
+                assert EventKind.HIDES_BEHIND in kinds and eng.fluents is not before
+            elif 11 <= f <= 14:
+                assert kinds == {EventKind.NOISE} and eng.fluents is before
+
     def test_a_spec_keeps_the_fluents_it_read(self):
         # Frames with events and the end of the stream change the
         # engine's fluents; no spec's snapshot changes with them.

@@ -35,15 +35,18 @@ job skips that the engine steps), median frame time (p50), frames/s
 over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
 traced peak, frames/s with the phases included, as perfbench's
-``frames_per_s`` counts them, and the engine's ``link_events`` and
-``possible`` calls over the jobs' steps; then the ratio B/A of each, and
+``frames_per_s`` counts them, and the engine's work over the jobs'
+steps: its ``link_events`` and ``possible`` calls, the event occurrences
+its ``abduction`` module builds and its copies of the fluent store; then
+the ratio B/A of each, and
 whether the two sides' event logs, track files, reports, scores
 (``evaluate``'s report as a dict) and, on occlusion, anticipation lines
 are equal.  The exit status is 1 if any of them differ.  The write peak
 and the calls come from one more, untimed pass per side after the timed
-ones, so that the timed passes pay nothing for them: the calls are
-counted over its steps by wrapping the two names, which the side's
-``abduction`` module looks up at call time, and ``tracemalloc`` runs
+ones, so that the timed passes pay nothing for them: the work is
+counted over its steps by wrapping ``link_events``, ``possible`` and
+``EventOccurrence``, names which the side's ``abduction`` module looks
+up at call time, and its ``FluentStore.copy``, and ``tracemalloc`` runs
 from ``finalize`` through the three writers, whose peak is the largest
 of the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
 
@@ -109,7 +112,17 @@ def load_side(src: Path, name: str, tmp: Path):
 
 
 PHASES = ("parse", "write", "score")
-COUNTED = ("link_events", "possible")  # names in each side's abduction module
+COUNTED = ("link_events", "possible", "occurrences", "store_copies")
+
+
+def _counted(package) -> list[tuple[object, str]]:
+    """Per column of ``COUNTED``, the owner and name of what it counts in
+    the side's package."""
+    abduction = package.abduction
+    return [(abduction, "link_events"), (abduction, "possible"), (abduction, "EventOccurrence"),
+            (package.domain.FluentStore, "copy")]
+
+
 OUTPUTS = ("event logs", "track files", "reports", "scores", "anticipation lines")
 
 
@@ -165,11 +178,11 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
 
 def _untimed(package, text: str) -> tuple[int, list[int]]:
     """One job's untimed run: the traced peak (bytes) of its write phase,
-    ``finalize`` and the three writers, and per name of ``COUNTED`` its
+    ``finalize`` and the three writers, and per column of ``COUNTED`` its
     calls over the job's steps."""
-    io, abduction = package.io, package.abduction
+    io, targets = package.io, _counted(package)
     calls = [0] * len(COUNTED)
-    saved = [getattr(abduction, name) for name in COUNTED]
+    saved = [getattr(owner, name) for owner, name in targets]
 
     def counted(k, fn):
         def call(*args):
@@ -177,15 +190,15 @@ def _untimed(package, text: str) -> tuple[int, list[int]]:
             return fn(*args)
         return call
 
-    for k, (name, fn) in enumerate(zip(COUNTED, saved)):
-        setattr(abduction, name, counted(k, fn))
+    for k, ((owner, name), fn) in enumerate(zip(targets, saved)):
+        setattr(owner, name, counted(k, fn))
     try:
         engine = package.tracker.AbductionEngine()
         for frame, dets in io.parse_mot(text).frames:
             engine.step(frame, dets)
     finally:
-        for name, fn in zip(COUNTED, saved):
-            setattr(abduction, name, fn)
+        for (owner, name), fn in zip(targets, saved):
+            setattr(owner, name, fn)
     tracemalloc.start()
     try:
         exp = engine.finalize()
@@ -202,7 +215,7 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     jobs, interleaved, anticipating in each frame if ``anticipate``;
     returns each side's steps (summed over the jobs), least frame times
     and phase times (ms, phases summed over the jobs), its largest write
-    peak (MB), its calls per name of ``COUNTED`` (summed over the jobs)
+    peak (MB), its calls per column of ``COUNTED`` (summed over the jobs)
     and, per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
