@@ -177,8 +177,8 @@ class AbductionEngine:
         last, so a same-frame hides_behind behind an ending track cannot
         leave a hidden pair on its dropped fluents; the events with no
         effect, ``noise``, are logged and not applied.  The event log
-        keeps the cover's order.  ``dets`` is the frame's detections by id, the
-        spec's map.
+        keeps the cover's order.  ``dets`` is the frame's detections by
+        id, the spec's map.
         """
         frame_events: list[EventOccurrence] = []
         tracks, observed = self.tracks, {}  # observed: track id -> its box for the Kalman update
@@ -205,6 +205,8 @@ class AbductionEngine:
             if event is not None:
                 frame_events.append(event)
         self.motion.update(observed)
+        if not frame_events:
+            return
         written = [e for e in frame_events if EVENTS[e.kind].effects]  # noise writes nothing
         if written:
             self.fluents = fluents = self.fluents.copy()  # the spec keeps the store it read
