@@ -1,10 +1,10 @@
 """Scene ontology: detections, tracks, actions, events, the fluent store,
 and the event table :data:`EVENTS`, which holds each event kind's
 precondition, its effects and the actions it explains.  A precondition
-is a rule over the event's variables, its subject T and, for an event on
-a pair of tracks, its occluder O; :func:`possible` tests it on those
-alone, and :func:`apply_event` applies an :class:`EventOccurrence`'s
-effects.
+is a conjunction of named literals over the event's variables, its
+subject T and, for an event on a pair of tracks, its occluder O;
+:func:`possible` tests them in order on those alone, and
+:func:`apply_event` applies an :class:`EventOccurrence`'s effects.
 
 Fluents (per track unless noted): visibility in {fully_visible,
 not_visible}, hidden_by (per ordered track pair, boolean) and clipped
@@ -187,8 +187,7 @@ class EventOccurrence:
     subject_is_det: bool = False
 
     def pretty(self) -> str:
-        name = "det" if self.subject_is_det else "trk"
-        args = f"{name}_{self.subject}"
+        args = f"{'det' if self.subject_is_det else 'trk'}_{self.subject}"
         if self.occluder is not None:
             args += f",trk_{self.occluder}"
         return f"{self.kind.name.lower()}({args})"
@@ -287,16 +286,18 @@ class EventRule:
     True)`` starts the subject's fluents at their birth values and
     ``(TRACK, False)`` drops them and every hidden_by pair naming it.
 
-    As the paper's rule over its variables, ``pre(spec, T, O)`` reads the
-    event's parts alone: its subject T, a track id (a detection id for an
-    event on a detection), and its occluder O, a track id for an event on
-    a pair of tracks and None for any other.  An event is tried with each
-    of the ``occluders`` it gives a subject: for an event on a pair of
-    tracks, in ascending id, a superset of those ``pre`` can accept; for
-    any other, None alone."""
+    As the paper's rule over its variables, ``pre`` is a conjunction of
+    named literals, a tuple of ``(name, holds)`` conjuncts in the order
+    they are tested.  Each ``holds(spec, T, O)`` reads the event's parts
+    alone: its subject T, a track id (a detection id for an event on a
+    detection), and its occluder O, a track id for an event on a pair of
+    tracks and None for any other.  An event is tried with each of the
+    ``occluders`` it gives a subject: for an event on a pair of tracks, in
+    ascending id, a superset of those ``pre`` can accept; for any other,
+    None alone."""
 
     explains: tuple[ActionKind, ...]
-    pre: Callable[[ProblemSpec, int, Optional[int]], bool]
+    pre: tuple[tuple[str, Callable[[ProblemSpec, int, Optional[int]], bool]], ...]
     effects: tuple[tuple[str, object], ...]
     occluders: Callable[[ProblemSpec, int], Sequence[Optional[int]]] = lambda spec, t: (None,)
 
@@ -323,59 +324,63 @@ def _may_hide_behind(spec: ProblemSpec, t: int) -> list[int]:
 
 
 def _in_margin(spec: ProblemSpec, t: int, o: Optional[int]) -> bool:
-    (w, h), m = spec.frame_geom, spec.config.fov_margin
-    box = spec.predictions[t].box
+    (w, h), m, box = spec.frame_geom, spec.config.fov_margin, spec.predictions[t].box
     return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
 
 
 def _in_frame(spec: ProblemSpec, d: int, o: Optional[int]) -> bool:
-    w, h = spec.frame_geom
-    box = spec.detections_by_id[d].box
+    (w, h), box = spec.frame_geom, spec.detections_by_id[d].box
     return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
 
 
-# One entry per kind, in EventKind order, the preference order.  Each
-# precondition reads the frame's problem spec: its pre-solve fluent
-# snapshot, predicted boxes, halted ages, frame geometry and thresholds.
+# The literals of the preconditions, by name.  Each reads the frame's
+# problem spec, its pre-solve fluent snapshot, predicted boxes, halted
+# ages, frame geometry and thresholds, at the event's subject T and
+# occluder O; a literal of several rules is one function they share.
+_LITERALS: dict[str, Callable[[ProblemSpec, int, Optional[int]], bool]] = {
+    "distinct": lambda spec, t, o: t != o,
+    "subject_visible": lambda spec, t, o: spec.fluents.visibility(t) != NOT_VISIBLE,
+    "occluder_visible": lambda spec, t, o: spec.fluents.visibility(o) != NOT_VISIBLE,
+    "overlapping_top":
+        lambda spec, t, o: overlapping_top(spec.predictions[t].box, spec.predictions[o].box),
+    "subject_unclipped": lambda spec, t, o: not spec.fluents.clipped(t),
+    "subject_hidden": lambda spec, t, o: spec.fluents.visibility(t) == NOT_VISIBLE,
+    "subject_clipped": lambda spec, t, o: spec.fluents.clipped(t),
+    "in_margin": _in_margin,
+    "overdue": lambda spec, t, o: spec.predictions[t].halted_age > spec.config.max_halted_age,
+    "in_frame": _in_frame,
+}
+
+
+def _pre(*names: str) -> tuple:
+    """The precondition that conjoins the named literals, in order."""
+    return tuple((name, _LITERALS[name]) for name in names)
+
+
+# One entry per kind, in EventKind order, the preference order.
 EVENTS: dict[EventKind, EventRule] = {
     HIDES_BEHIND: EventRule(
         (HALT,),
-        lambda spec, t, o: (
-            t != o
-            and spec.fluents.visibility(t) != NOT_VISIBLE
-            and spec.fluents.visibility(o) != NOT_VISIBLE
-            and overlapping_top(spec.predictions[t].box, spec.predictions[o].box)
-        ),
+        _pre("distinct", "subject_visible", "occluder_visible", "overlapping_top"),
         (("visibility", NOT_VISIBLE), ("hidden_by", True)),
         _may_hide_behind,
     ),
     MISSING_DETECTIONS: EventRule(
-        (HALT,),
-        lambda spec, t, o: (
-            not spec.fluents.clipped(t) and spec.fluents.visibility(t) != NOT_VISIBLE
-        ),
-        (("clipped", True),),
+        (HALT,), _pre("subject_unclipped", "subject_visible"), (("clipped", True),)
     ),
     UNHIDES_FROM_BEHIND: EventRule(
         (RESUME,),
-        lambda spec, t, o: (
-            spec.fluents.visibility(t) == NOT_VISIBLE
-            and spec.fluents.visibility(o) != NOT_VISIBLE
-        ),
+        _pre("subject_hidden", "occluder_visible"),
         (("visibility", FULLY_VISIBLE), ("hidden_by", False)),
         lambda spec, t: [t2 for t2 in spec.fluents.occluder_of(t) if t2 in spec.predictions],
     ),
-    RECOVER: EventRule((RESUME,), lambda spec, t, o: spec.fluents.clipped(t), (("clipped", False),)),
+    RECOVER: EventRule((RESUME,), _pre("subject_clipped"), (("clipped", False),)),
     # A track still hidden behind the ending T is left not_visible with no
     # occluder, here and for lost: a known defect.
-    LEAVES_FOV: EventRule((END,), _in_margin, ((TRACK, False),)),
-    LOST: EventRule(
-        (END,),
-        lambda spec, t, o: spec.predictions[t].halted_age > spec.config.max_halted_age,
-        ((TRACK, False),),
-    ),
-    ENTERS_FOV: EventRule((START,), _in_frame, ((TRACK, True),)),
-    NOISE: EventRule((IGNORE_TRK, IGNORE_DET), lambda spec, t, o: True, ()),
+    LEAVES_FOV: EventRule((END,), _pre("in_margin"), ((TRACK, False),)),
+    LOST: EventRule((END,), _pre("overdue"), ((TRACK, False),)),
+    ENTERS_FOV: EventRule((START,), _pre("in_frame"), ((TRACK, True),)),
+    NOISE: EventRule((IGNORE_TRK, IGNORE_DET), (), ()),
 }
 
 
@@ -408,5 +413,10 @@ def possible(spec: ProblemSpec, kind: EventKind, subject: int, occluder: Optiona
     """Whether an event of ``kind`` on ``subject`` (and ``occluder``, for
     an event on a pair of tracks) may occur: its kind's precondition in
     :data:`EVENTS`, judged against the frame's problem spec.  The one
-    test of a precondition; it needs no :class:`EventOccurrence`."""
-    return EVENTS[kind].pre(spec, subject, occluder)
+    test of a precondition; it needs no :class:`EventOccurrence`.  It
+    tests the conjuncts in order and stops at the first that fails, so
+    it queries no fluent that a failed conjunct makes moot."""
+    for _, holds in EVENTS[kind].pre:
+        if not holds(spec, subject, occluder):
+            return False
+    return True

@@ -32,6 +32,22 @@ def store_with(*tids):
     return s
 
 
+class CountingStore(FluentStore):
+    """A fluent store that records each query it answers, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.queries = []
+
+    def visibility(self, tid):
+        self.queries.append(("visibility", tid))
+        return super().visibility(tid)
+
+    def clipped(self, tid):
+        self.queries.append(("clipped", tid))
+        return super().clipped(tid)
+
+
 class TestHoldsAt:
     def test_fresh_track_defaults(self):
         s = store_with(1)
@@ -250,6 +266,30 @@ class TestPossible:
         spec = self.spec(s, t1=BBox2D(0, 0, 10, 10))
         assert possible(spec, EventKind.HIDES_BEHIND, 1, 1) is False
 
+    def test_conjuncts_tested_in_order_up_to_the_first_that_fails(self):
+        s = CountingStore()
+        for t in (1, 2):
+            s.register_track(t)
+        spec = self.spec(s, t1=BBox2D(0, 0, 10, 10), t2=BBox2D(5, 5, 10, 10))
+        # distinct fails first: no fluent query, not even of an unknown track
+        assert possible(spec, EventKind.HIDES_BEHIND, 1, 1) is False
+        assert possible(spec, EventKind.HIDES_BEHIND, 99, 99) is False
+        assert s.queries == []
+        assert possible(spec, EventKind.HIDES_BEHIND, 1, 2) is True
+        assert s.queries == [("visibility", 1), ("visibility", 2)]
+        apply_event(s, EventOccurrence(EventKind.MISSING_DETECTIONS, 4, 1))
+        apply_event(s, EventOccurrence(EventKind.HIDES_BEHIND, 4, 2, occluder=1))
+        s.queries.clear()
+        # a clipped track's missing_detections never reads its visibility
+        assert possible(spec, EventKind.MISSING_DETECTIONS, 1) is False
+        assert s.queries == [("clipped", 1)]
+        s.queries.clear()
+        # a not_visible subject stops hides_behind before its occluder is read
+        assert possible(spec, EventKind.HIDES_BEHIND, 2, 99) is False
+        assert s.queries == [("visibility", 2)]
+        with pytest.raises(EngineBugError):
+            possible(spec, EventKind.HIDES_BEHIND, 1, 99)
+
 
 class TestRandomEventSequences:
     def test_hidden_by_implies_not_visible(self):
@@ -388,7 +428,7 @@ class TestEventTable:
 
     def test_readme_table_matches(self):
         # The README's event table: one row per kind, in EventKind order,
-        # its explains and effects columns as in EVENTS.
+        # its explains, precondition and effects columns as in EVENTS.
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("| event | explains | precondition | effects |\n")[1].split("\n\n")[0]
         rows = [line.split("|")[1:-1] for line in table.splitlines()[1:]]
@@ -399,3 +439,16 @@ class TestEventTable:
                 f"{f}={v.value if isinstance(v, Enum) else str(v).lower()}" for f, v in rule.effects
             ]
             assert re.findall("`([^`]*)`", row[3]) == effects, kind
+            # the precondition column opens with the conjuncts' names, in order
+            names = re.match(r"\s*((?:`\w+`\s*)*)", row[2]).group(1)
+            assert re.findall("`([^`]*)`", names) == [name for name, _ in rule.pre], kind
+
+    def test_a_conjunct_of_several_rules_is_one_function(self):
+        functions = {}
+        for rule in EVENTS.values():
+            for name, holds in rule.pre:
+                assert functions.setdefault(name, holds) is holds, name
+        assert [n for n, _ in EVENTS[EventKind.HIDES_BEHIND].pre] == [
+            "distinct", "subject_visible", "occluder_visible", "overlapping_top"
+        ]
+        assert EVENTS[EventKind.NOISE].pre == ()
