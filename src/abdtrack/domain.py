@@ -187,7 +187,8 @@ class EventOccurrence:
     subject_is_det: bool = False
 
     def pretty(self) -> str:
-        args = f"{'det' if self.subject_is_det else 'trk'}_{self.subject}"
+        name = "det" if self.subject_is_det else "trk"
+        args = f"{name}_{self.subject}"
         if self.occluder is not None:
             args += f",trk_{self.occluder}"
         return f"{self.kind.name.lower()}({args})"
@@ -287,17 +288,17 @@ class EventRule:
     ``(TRACK, False)`` drops them and every hidden_by pair naming it.
 
     As the paper's rule over its variables, ``pre`` is a conjunction of
-    named literals, a tuple of ``(name, holds)`` conjuncts in the order
-    they are tested.  Each ``holds(spec, T, O)`` reads the event's parts
-    alone: its subject T, a track id (a detection id for an event on a
-    detection), and its occluder O, a track id for an event on a pair of
-    tracks and None for any other.  An event is tried with each of the
-    ``occluders`` it gives a subject: for an event on a pair of tracks, in
-    ascending id, a superset of those ``pre`` can accept; for any other,
-    None alone."""
+    named literals, the names of its conjuncts in the order they are
+    tested.  Each literal ``_LITERALS[name](spec, T, O)`` reads the
+    event's parts alone: its subject T, a track id (a detection id for an
+    event on a detection), and its occluder O, a track id for an event on
+    a pair of tracks and None for any other.  An event is tried with each
+    of the ``occluders`` it gives a subject: for an event on a pair of
+    tracks, in ascending id, a superset of those ``pre`` can accept; for
+    any other, None alone."""
 
     explains: tuple[ActionKind, ...]
-    pre: tuple[tuple[str, Callable[[ProblemSpec, int, Optional[int]], bool]], ...]
+    pre: tuple[str, ...]
     effects: tuple[tuple[str, object], ...]
     occluders: Callable[[ProblemSpec, int], Sequence[Optional[int]]] = lambda spec, t: (None,)
 
@@ -324,12 +325,14 @@ def _may_hide_behind(spec: ProblemSpec, t: int) -> list[int]:
 
 
 def _in_margin(spec: ProblemSpec, t: int, o: Optional[int]) -> bool:
-    (w, h), m, box = spec.frame_geom, spec.config.fov_margin, spec.predictions[t].box
+    (w, h), m = spec.frame_geom, spec.config.fov_margin
+    box = spec.predictions[t].box
     return box.x < m or box.y < m or box.x2 > w - m or box.y2 > h - m
 
 
 def _in_frame(spec: ProblemSpec, d: int, o: Optional[int]) -> bool:
-    (w, h), box = spec.frame_geom, spec.detections_by_id[d].box
+    w, h = spec.frame_geom
+    box = spec.detections_by_id[d].box
     return box.x2 > 0 and box.y2 > 0 and box.x < w and box.y < h
 
 
@@ -352,34 +355,29 @@ _LITERALS: dict[str, Callable[[ProblemSpec, int, Optional[int]], bool]] = {
 }
 
 
-def _pre(*names: str) -> tuple:
-    """The precondition that conjoins the named literals, in order."""
-    return tuple((name, _LITERALS[name]) for name in names)
-
-
 # One entry per kind, in EventKind order, the preference order.
 EVENTS: dict[EventKind, EventRule] = {
     HIDES_BEHIND: EventRule(
         (HALT,),
-        _pre("distinct", "subject_visible", "occluder_visible", "overlapping_top"),
+        ("distinct", "subject_visible", "occluder_visible", "overlapping_top"),
         (("visibility", NOT_VISIBLE), ("hidden_by", True)),
         _may_hide_behind,
     ),
     MISSING_DETECTIONS: EventRule(
-        (HALT,), _pre("subject_unclipped", "subject_visible"), (("clipped", True),)
+        (HALT,), ("subject_unclipped", "subject_visible"), (("clipped", True),)
     ),
     UNHIDES_FROM_BEHIND: EventRule(
         (RESUME,),
-        _pre("subject_hidden", "occluder_visible"),
+        ("subject_hidden", "occluder_visible"),
         (("visibility", FULLY_VISIBLE), ("hidden_by", False)),
         lambda spec, t: [t2 for t2 in spec.fluents.occluder_of(t) if t2 in spec.predictions],
     ),
-    RECOVER: EventRule((RESUME,), _pre("subject_clipped"), (("clipped", False),)),
+    RECOVER: EventRule((RESUME,), ("subject_clipped",), (("clipped", False),)),
     # A track still hidden behind the ending T is left not_visible with no
     # occluder, here and for lost: a known defect.
-    LEAVES_FOV: EventRule((END,), _pre("in_margin"), ((TRACK, False),)),
-    LOST: EventRule((END,), _pre("overdue"), ((TRACK, False),)),
-    ENTERS_FOV: EventRule((START,), _pre("in_frame"), ((TRACK, True),)),
+    LEAVES_FOV: EventRule((END,), ("in_margin",), ((TRACK, False),)),
+    LOST: EventRule((END,), ("overdue",), ((TRACK, False),)),
+    ENTERS_FOV: EventRule((START,), ("in_frame",), ((TRACK, True),)),
     NOISE: EventRule((IGNORE_TRK, IGNORE_DET), (), ()),
 }
 
@@ -416,7 +414,7 @@ def possible(spec: ProblemSpec, kind: EventKind, subject: int, occluder: Optiona
     test of a precondition; it needs no :class:`EventOccurrence`.  It
     tests the conjuncts in order and stops at the first that fails, so
     it queries no fluent that a failed conjunct makes moot."""
-    for _, holds in EVENTS[kind].pre:
-        if not holds(spec, subject, occluder):
+    for name in EVENTS[kind].pre:
+        if not _LITERALS[name](spec, subject, occluder):
             return False
     return True

@@ -91,18 +91,13 @@ def parse_mot(text: str) -> DetectionStream:
     # A row's frame field is read only when it differs from the last row's,
     # since a file lists each frame's rows together.
     last_frame = dets = None
-    # Each distinct confidence text is converted once, as a file holds
-    # few; one that fails to convert is not stored, so it raises again.
-    percent: dict[str, int] = {}
     for lineno, parts in _rows(text, ",", 7):
         try:
             if parts[0] != last_frame:
                 dets = by_frame.setdefault(_integer(parts[0], "frame"), [])
                 last_frame = parts[0]
             box = BBox2D(float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5]))
-            conf = percent.get(parts[6])
-            if conf is None:
-                conf = percent[parts[6]] = _conf_percent(float(parts[6]))
+            conf = _conf_percent(float(parts[6]))
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         dets.append(Detection(len(dets), "object", conf, box))

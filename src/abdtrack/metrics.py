@@ -95,19 +95,15 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
 
         # Persist still-valid previous matches.
         for g, (h, _) in prev_match.items():
-            a, b = gts.get(g), hyps.get(h)
-            if a is not None and b is not None:
-                v = iou(a, b)
+            if g in gts and h in hyps:
+                v = iou(gts[g], hyps[h])
                 if v >= match_iou:
                     matches[g] = (h, v)
 
-        # Matches are one-to-one, so some gt and some hyp are both left
-        # free only when there are fewer matches than either.
-        if len(gts) > len(matches) < len(hyps):
-            used_h = {h for h, _ in matches.values()}
-            free_g = [g for g in gts if g not in matches]
-            free_h = [h for h in hyps if h not in used_h]
-            matches.update(_residual_match(gts, hyps, free_g, free_h, match_iou))
+        used_h = {h for h, _ in matches.values()}
+        free_g = [g for g in gts if g not in matches]
+        free_h = [h for h in hyps if h not in used_h]
+        matches.update(_residual_match(gts, hyps, free_g, free_h, match_iou))
 
         for g in sorted(matches):
             h, v = matches[g]
@@ -120,8 +116,7 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
                 interrupted.discard(g)
             last_match[g] = h
 
-        if len(matches) < len(gts):
-            interrupted.update(g for g in gts if g not in matches and covered[g])
+        interrupted.update(g for g in gts if g not in matches and covered[g])
         prev_match = matches
 
     # Every box is either matched or counted as a miss or a false positive.

@@ -172,7 +172,7 @@ def test_rules_are_the_engines():
     assert list(EVENTS) == list(RULES)
     for kind, (explains, conjuncts, _) in RULES.items():
         assert [a.value for a in EVENTS[kind].explains] == list(explains), kind
-        assert tuple(name for name, _ in EVENTS[kind].pre) == conjuncts, kind
+        assert EVENTS[kind].pre == conjuncts, kind
     assert {n for _, conjuncts, _ in RULES.values() for n in conjuncts} == set(CONJUNCTS)
     assert {a for explains, _, _ in RULES.values() for a in explains} | {"assign"} == {
         a.value for a in ActionKind
