@@ -56,9 +56,10 @@ class DetectionStream:
 
 
 def _conf_percent(raw: float) -> int:
-    """Integer percent of a confidence; ``round`` rejects nan and inf."""
+    """Integer percent of a confidence; ``round`` rejects nan and inf,
+    and returns an int."""
     pct = round(100.0 * raw) if raw <= 1.0 else round(raw)
-    return int(min(100, max(0, pct)))
+    return 0 if pct < 0 else 100 if pct > 100 else pct
 
 
 def _integer(field: str, name: str) -> int:

@@ -33,7 +33,7 @@ def test_same_tree_both_sides():
         "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
-        "A", "B", "B/A", "event", "track", "reports", "scores", "anticipation",
+        "A", "B", "B/A", "job", "event", "track", "reports", "scores", "anticipation",
     ]
     for side in lines[2:4]:
         assert int(side.split()[1]) == frames  # the scene skips no frame
@@ -50,10 +50,26 @@ def test_same_tree_both_sides():
     assert ratios[0] == 1  # the same tree's steps
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
     assert ratios[8:] == [1, 1, 1, 1]  # the same tree's work
-    assert lines[5:] == [
+    assert lines[6:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
     ]
+
+
+def test_noise_gauge():
+    out = _ab_frames("src", "src", "--workload", "occlusion", "--jobs", "2", "--passes", "3")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    head, gauge = lines[5].split(": ")
+    assert head == "job fr/s of one pass, slowest to fastest"
+    sides = [side.split() for side in gauge.split(", ")]
+    assert [side[0] for side in sides] == ["A", "B"] and all(side[2] == "to" for side in sides)
+    for side, row in zip(sides, lines[2:4]):
+        slowest, fastest = float(side[1]), float(side[3])
+        # the table's job fr/s takes each frame's and phase's least time
+        # over the passes, so no one pass is faster
+        job_fps = float(row.split()[8])
+        assert 0 < slowest <= fastest <= job_fps
 
 
 def test_differing_track_files_fail(tmp_path):

@@ -33,7 +33,8 @@ from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig
 from abdtrack.domain import EVENTS, ActionKind, EventKind
 from test_tracker import RELATION_CASES, case_input
 
-# The golden cases log every event kind but lost: "lost" adds it.
+# bench50 and the relation cases log every event kind but lost: "lost"
+# adds it.
 CHECKED_CASES = ["bench50", *RELATION_CASES, "lost"]
 
 

@@ -83,6 +83,13 @@ def _cases() -> dict[str, tuple[ScenarioConfig, list[str], str | None]]:
             ["--conf-new", "45"],
             _CHURN_CONFIG,
         ),
+        # Dropped detections halt tracks, and a small max_halted_age loses
+        # some of them: the one case that logs lost.
+        "lost": (
+            ScenarioConfig(n_tracks=6, n_frames=120, drop_prob=0.15, spurious_rate=0.2, seed=1),
+            [],
+            "max_halted_age = 3\n",
+        ),
     }
     for k, cfg in enumerate(occlusion_corpus(5, seed=23)):
         w, h = cfg.frame_geom

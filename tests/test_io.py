@@ -151,6 +151,21 @@ class TestParseKitti:
             parse_kitti(self.LINE + "\n" + line + "\n")
 
 
+# Confidences and the integer percents both parsers read them as: a
+# fraction up to 1.0, a percent above it, clamped to [0, 100].
+CONF_PERCENTS = [(-5, 0), (0, 0), (0.004, 0), (0.005, 0), (1.0, 100), (1.5, 2), (100, 100),
+                 (100.4, 100), (250, 100)]
+
+
+@pytest.mark.parametrize("conf, percent", CONF_PERCENTS)
+def test_confidence_percent_clamped_by_both_parsers(conf, percent):
+    mot = parse_mot(f"1,-1,0,0,10,10,{conf}\n")
+    kitti = parse_kitti(f"0 -1 Car 0 0 0 0 0 10 10 1 1 1 0 0 0 0 {conf}\n")
+    for stream in (mot, kitti):
+        (det,) = stream.frames[0][1]
+        assert det.conf == percent and type(det.conf) is int
+
+
 class TestParseMotTracks:
     @pytest.mark.parametrize("line", ["1,1,nan,10,20,20", "1,1,0,10,20,inf", "1,1,0,10,0,20",
                                       "1,1,0,10,1e200,1e200", "1,1,0,10,1e-200,1e203",

@@ -1,9 +1,14 @@
 """The frame's record types keep the frozen-dataclass contract with their
-generated ``__init__``, and each Enum alias is its member."""
+generated ``__new__``, and each Enum alias is its member."""
 
+import copy
+import copyreg
 import dataclasses
+import inspect
 import math
+import pickle
 import re
+import sys
 from dataclasses import FrozenInstanceError, MISSING
 
 import pytest
@@ -106,6 +111,24 @@ class TestContract:
             cls(*values, bogus=1)
 
 
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+class TestConstructor:
+    """What the generated ``__new__`` keeps of a dataclass besides the
+    contract: copies, pickles and the class's signature."""
+
+    def test_copy_and_pickle_round_trip(self, cls):
+        rec = cls(*VALUES[cls])
+        copies = [copy.copy(rec), copy.deepcopy(rec)]
+        copies += [pickle.loads(pickle.dumps(rec, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is cls and other == rec
+            assert tuple(getattr(other, n) for n in names(cls)) == VALUES[cls]
+
+    def test_signature_lists_the_init_fields(self, cls):
+        params = inspect.signature(cls).parameters
+        assert list(params) == [f.name for f in dataclasses.fields(cls) if f.init]
+
+
 class TestProblemSpec:
     """The spec keeps the contract too: its fields but the derived
     ``detections_by_id`` are a plain frozen dataclass's, and that one is
@@ -143,6 +166,9 @@ class TestProblemSpec:
         with pytest.raises(TypeError, match="unhashable"):
             hash(spec)
 
+    def test_signature_lists_the_init_fields(self):
+        assert list(inspect.signature(ProblemSpec).parameters) == names(ProblemSpec)[:-1]
+
     def test_keywords_defaults_and_replace(self):
         spec = self.spec()
         kw = dict(zip(names(ProblemSpec), self.VALUES))
@@ -153,7 +179,9 @@ class TestProblemSpec:
         changed = dataclasses.replace(spec, detections=other)
         assert changed.detections_by_id == {2: other[0]}
         assert spec.detections_by_id == {d.id: d for d in self.DETS}
-        with pytest.raises(ValueError, match="detections_by_id"):
+        # dataclasses raises TypeError for an init=False field from 3.13 on
+        error = ValueError if sys.version_info < (3, 13) else TypeError
+        with pytest.raises(error, match="detections_by_id"):
             dataclasses.replace(spec, detections_by_id={})
 
     def test_wrong_arity_raises_type_error(self):
@@ -197,6 +225,8 @@ class TestChecks:
             lambda: BBox2D(*xywh),
             lambda: BBox2D(**kw),
             lambda: dataclasses.replace(BOX, **kw),
+            # copy's and pickle's way, through __new__
+            lambda: copyreg.__newobj__(BBox2D, *xywh),
         ):
             with pytest.raises(ValueError, match=exactly(message)):
                 build()

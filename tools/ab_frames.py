@@ -38,7 +38,10 @@ traced peak, frames/s with the phases included, as perfbench's
 ``frames_per_s`` counts them, and the engine's work over the jobs'
 steps: its ``link_events`` and ``possible`` calls, the event occurrences
 its ``abduction`` module builds and its copies of the fluent store; then
-the ratio B/A of each, and
+the ratio B/A of each; then a noise gauge, each side's job frames/s in
+its slowest and its fastest pass (the pass's frame and phase times
+summed over the jobs), since a least time taken over few passes can
+swing far from run to run; and
 whether the two sides' event logs, track files, reports, scores
 (``evaluate``'s report as a dict) and, on occlusion, anticipation lines
 are equal.  The exit status is 1 if any of them differ.  The write peak
@@ -145,8 +148,9 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     """Run one job on one side, with the anticipation block in each frame
     if ``anticipate``.  Each frame's time and each phase's time (ns) lower
     ``times`` and ``phases`` in place.  Returns the engine's number of
-    steps and the outputs: the event log, the track file, the report, the
-    scores and, if ``anticipate``, the anticipation lines."""
+    steps, the job's time in this run (ns: its frames' and phases' times
+    summed) and the outputs: the event log, the track file, the report,
+    the scores and, if ``anticipate``, the anticipation lines."""
     io = package.io
     gt = io.parse_mot_tracks(gt_text)
     ant_lines: list[str] = []
@@ -155,12 +159,14 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     stream = io.parse_mot(text)
     engine = package.tracker.AbductionEngine()
     t_parsed = clock()
+    busy = 0
     for i, (frame, dets) in enumerate(stream.frames):
         t0 = clock()
         engine.step(frame, dets)
         if anticipate:
             _anticipate(package, engine, frame, ant_lines)
         dt = clock() - t0
+        busy += dt
         if dt < times[i]:
             times[i] = dt
     t_out = clock()
@@ -170,10 +176,11 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     scores = package.metrics.evaluate(gt, io.explanation_to_boxes(exp))
     t_end = clock()
     for k, dt in enumerate((t_parsed - t_job, t_eval - t_out, t_end - t_eval)):
+        busy += dt
         if dt < phases[k]:
             phases[k] = dt
     outputs += (scores.to_dict(),)
-    return len(engine.latencies), (outputs + (ant_lines,) if anticipate else outputs)
+    return len(engine.latencies), busy, (outputs + (ant_lines,) if anticipate else outputs)
 
 
 def _untimed(package, text: str) -> tuple[int, list[int]]:
@@ -214,26 +221,30 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     """Run both packages over the (detection text, ground-truth text)
     jobs, interleaved, anticipating in each frame if ``anticipate``;
     returns each side's steps (summed over the jobs), least frame times
-    and phase times (ms, phases summed over the jobs), its largest write
-    peak (MB), its calls per column of ``COUNTED`` (summed over the jobs)
-    and, per output, whether the two sides agree."""
+    and phase times (ms, phases summed over the jobs), the time of each
+    pass (ms, its jobs' frames and phases summed), its largest write peak
+    (MB), its calls per column of ``COUNTED`` (summed over the jobs) and,
+    per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
     outputs: list[list[tuple]] = [[()] * len(jobs) for _ in packages]
     steps = [[0] * len(jobs) for _ in packages]
+    pass_ns = [[0] * passes for _ in packages]
     for p in range(passes):
         for j, (text, gt_text) in enumerate(jobs):
             order = (0, 1) if (p + j) % 2 == 0 else (1, 0)
             for s in order:
-                steps[s][j], outputs[s][j] = _run(
+                steps[s][j], busy, outputs[s][j] = _run(
                     packages[s], text, gt_text, times[s][j], phases[s][j], anticipate
                 )
+                pass_ns[s][p] += busy
     untimed = [[_untimed(pkg, text) for text, _ in jobs] for pkg in packages]
     return {
         "steps": [sum(side) for side in steps],
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
+        "pass_ms": [[ns / 1e6 for ns in side] for side in pass_ns],
         "write_mb": [max(peak for peak, _ in side) / 2**20 for side in untimed],
         "calls": [[sum(job) for job in zip(*(calls for _, calls in side))] for side in untimed],
         "equal": [
@@ -345,6 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{s.upper():<6}"
               + "".join(f"{v:>{w}{f}}" for v, (_, f), w in zip(row, columns, widths)) + f"  {src}")
     print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" for a, b, w in zip(*rows, widths)))
+    # The noise gauge: how far one pass's whole-job rate swings on each side.
+    gauge = ", ".join(
+        f"{s.upper()} {len(ms) / max(pass_ms) * 1e3:.1f} to {len(ms) / min(pass_ms) * 1e3:.1f}"
+        for s, ms, pass_ms in zip(SIDES, out["ms"], out["pass_ms"])
+    )
+    print(f"job fr/s of one pass, slowest to fastest: {gauge}")
     for what, equal in zip(OUTPUTS, out["equal"]):
         print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
     return 0 if all(out["equal"]) else 1
