@@ -116,11 +116,14 @@ def iou(a: BBox2D, b: BBox2D) -> float:
     For integer-valued boxes the intersection and union areas are exact
     in double precision and the result is one correctly-rounded division.
     """
-    # x2, y2 and area as the properties compute them, without their calls
+    # x2, y2 and area as the properties compute them, without their calls;
+    # min(p, q) and max(p, q) written as the one comparison each makes:
+    # q only if q < p (q > p), so ties keep p, as the builtins do
     ax, ay, aw, ah = a.x, a.y, a.w, a.h
     bx, by, bw, bh = b.x, b.y, b.w, b.h
-    iw = min(ax + aw, bx + bw) - max(ax, bx)
-    ih = min(ay + ah, by + bh) - max(ay, by)
+    ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    ih = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih

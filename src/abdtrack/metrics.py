@@ -93,23 +93,12 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
         hyps = hyp_at.get(f, {})
         matches: dict[int, tuple[int, float]] = {}
 
-        # Persist still-valid previous matches: iou(gts[g], hyps[h]), its
-        # operations written out in its order, min and max as
-        # geometry.overlap_likelihoods writes them; a disjoint pair's 0.0
-        # is below every match_iou.
+        # Persist still-valid previous matches.
         for g, (h, _) in prev_match.items():
             if g in gts and h in hyps:
-                a, b = gts[g], hyps[h]
-                ax, ay, aw, ah = a.x, a.y, a.w, a.h
-                bx, by, bw, bh = b.x, b.y, b.w, b.h
-                ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
-                iw = (ax2 if ax2 < bx2 else bx2) - (ax if ax > bx else bx)
-                ih = (ay2 if ay2 < by2 else by2) - (ay if ay > by else by)
-                if iw > 0 and ih > 0:
-                    inter = iw * ih
-                    v = inter / (aw * ah + bw * bh - inter)
-                    if v >= match_iou:
-                        matches[g] = (h, v)
+                v = iou(gts[g], hyps[h])
+                if v >= match_iou:
+                    matches[g] = (h, v)
 
         # Matches are one to one: fewer than the gts leaves a gt
         # unmatched, fewer than the hyps a hyp.

@@ -111,18 +111,6 @@ class TestEvaluate:
         # Continuity kept: IoU 2/3 with h1 at t=1; matching h2 would give 100.
         assert r.motp == 100 * (1 + 2 / 3) / 2
 
-    def test_a_kept_match_scores_geometry_iou(self):
-        # evaluate writes iou's operations out for a match it keeps from
-        # the previous frame: the kept pair's IoU must be iou's, bit for bit
-        rng = random.Random(5)
-        for _ in range(500):
-            a = BBox2D(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0.1, 5), rng.uniform(0.1, 5))
-            b = BBox2D(a.x + rng.uniform(-3, 3), a.y + rng.uniform(-3, 3),
-                       rng.uniform(0.1, 5), rng.uniform(0.1, 5))
-            r = evaluate({1: {0: a, 1: a}}, {2: {0: a, 1: b}}, match_iou=1e-9)
-            first, v = iou(a, a), iou(a, b)  # the first need not be 1.0 in floats
-            assert r.motp == (100.0 * (first + v) / 2 if v >= 1e-9 else 100.0 * first)
-
     def test_match_taken_and_kept_at_exactly_match_iou(self):
         # Kills the mutants that admit a residual pair (_residual_match) or
         # carry a previous match (evaluate) only at IoU > match_iou: h1's
