@@ -228,16 +228,17 @@ def cmd_anticipate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}: {text}")
     return value
 
 
 def _track_counts(text: str) -> list[int]:
-    """The track counts of a comma-separated list, each at least 1."""
-    return [_positive_int(v) for v in text.split(",")]
+    """The track counts of a comma-separated list, each at least 2: the
+    scaling scenario pairs its tracks."""
+    return [_positive_int(v, 2) for v in text.split(",")]
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:

@@ -1,9 +1,10 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
 occlusion scene (anticipation lines compared too), on a small bench
 stream and in the set-up probe, trees whose track files, scores or
-anticipation lines differ, a tree whose engine makes more steps, and one
+anticipation lines differ, a tree whose engine makes more steps, one
 whose engine links each action twice and copies the fluent store once
-more per step."""
+more per step, one whose matcher solves each matching twice, and the
+options' checks."""
 
 import shutil
 import subprocess
@@ -11,6 +12,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The work counts of work_counts.counting, in the order the tool prints them.
+COUNTS = ["pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible",
+          "occurrences", "store_copies"]
 
 
 def _ab_frames(*args):
@@ -18,6 +22,24 @@ def _ab_frames(*args):
         [sys.executable, "tools/ab_frames.py", *map(str, args)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
+
+
+def _counts(line):
+    """The work counts of a side's row (ints) or of the B/A row (its
+    cells), by name."""
+    cells = line.split()[9:18]
+    return dict(zip(COUNTS, cells if line.startswith("B/A") else map(int, cells)))
+
+
+def _patched_tree(tmp_path, **appended):
+    """A copy of this checkout's abdtrack in tmp_path, with each module
+    named in ``appended`` extended by its text."""
+    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for module, text in appended.items():
+        with open(tmp_path / "abdtrack" / f"{module}.py", "a") as f:
+            f.write(text)
+    return tmp_path
 
 
 def test_same_tree_both_sides():
@@ -29,8 +51,7 @@ def test_same_tree_both_sides():
     frames = int(lines[0].split()[5])
     assert lines[1].split() == [
         "side", "steps", "p50", "ms", "frames/s", "parse", "ms", "write", "ms", "score", "ms",
-        "write", "MB", "job", "fr/s", "link_events", "possible", "occurrences", "store_copies",
-        "tree",
+        "write", "MB", "job", "fr/s", *COUNTS, "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
         "A", "B", "B/A", "job", "event", "track", "reports", "scores", "anticipation",
@@ -42,14 +63,21 @@ def test_same_tree_both_sides():
         # the phases count in the job's frames/s, not in the steps'
         assert 0 < job_fps < steps_fps
         assert 0 < write_mb < 10
-        links, possible, occurrences, copies = map(int, side.split()[9:13])
-        assert 0 < links <= possible and 0 < occurrences <= links
-        assert 0 < copies <= frames  # at most one per step
-    ratios = list(map(float, lines[4].split()[1:]))
-    assert len(ratios) == 12 and all(r > 0 for r in ratios)
+        c = _counts(side)
+        # an occlusion scene's matchings need no path search
+        assert c["pushes"] == c["searches"] == c["searches_found"] == 0
+        assert 0 < c["rows"] <= c["edges"]
+        assert 0 < c["link_events"] <= c["possible"] and 0 < c["occurrences"] <= c["link_events"]
+        assert 0 < c["store_copies"] <= frames  # at most one per step
+    assert _counts(lines[2]) == _counts(lines[3])  # the same tree's work
+    cells = lines[4].split()[1:]
+    assert len(cells) == 17
+    ratios = list(map(float, cells[:8]))
+    assert all(r > 0 for r in ratios)
     assert ratios[0] == 1  # the same tree's steps
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
-    assert ratios[8:] == [1, 1, 1, 1]  # the same tree's work
+    # a count that A reads as 0 has no ratio
+    assert cells[8:] == ["-", "-", "-", *["1.000"] * 6]
     assert lines[6:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
@@ -73,12 +101,11 @@ def test_noise_gauge():
 
 
 def test_differing_track_files_fail(tmp_path):
-    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "abdtrack" / "io.py", "a") as f:
-        f.write("\n_write_tracks = write_tracks\n\n\n"
-                "def write_tracks(exp):\n    return _write_tracks(exp) + '\\n'\n")
-    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    tree = _patched_tree(tmp_path, io=(
+        "\n_write_tracks = write_tracks\n\n\n"
+        "def write_tracks(exp):\n    return _write_tracks(exp) + '\\n'\n"
+    ))
+    out = _ab_frames("src", tree, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines()[-5:] == [
         "event logs equal", "TRACK FILES DIFFER", "reports equal", "scores equal",
@@ -87,15 +114,14 @@ def test_differing_track_files_fail(tmp_path):
 
 
 def test_differing_scores_fail(tmp_path):
-    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "abdtrack" / "metrics.py", "a") as f:
-        f.write("\n_evaluate = evaluate\n\n\n"
-                "def evaluate(gt, hyp, match_iou=0.5):\n"
-                "    report = _evaluate(gt, hyp, match_iou)\n"
-                "    report.idsw += 1\n"
-                "    return report\n")
-    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    tree = _patched_tree(tmp_path, metrics=(
+        "\n_evaluate = evaluate\n\n\n"
+        "def evaluate(gt, hyp, match_iou=0.5):\n"
+        "    report = _evaluate(gt, hyp, match_iou)\n"
+        "    report.idsw += 1\n"
+        "    return report\n"
+    ))
+    out = _ab_frames("src", tree, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines()[-5:] == [
         "event logs equal", "track files equal", "reports equal", "SCORES DIFFER",
@@ -104,12 +130,11 @@ def test_differing_scores_fail(tmp_path):
 
 
 def test_differing_anticipation_lines_fail(tmp_path):
-    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "abdtrack" / "anticipation.py", "a") as f:
-        f.write("\n_format_position = format_position\n\n\n"
-                "def format_position(a):\n    return _format_position(a) + ' '\n")
-    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
+    tree = _patched_tree(tmp_path, anticipation=(
+        "\n_format_position = format_position\n\n\n"
+        "def format_position(a):\n    return _format_position(a) + ' '\n"
+    ))
+    out = _ab_frames("src", tree, "--workload", "occlusion", "--jobs", "1", "--passes", "1")
     assert out.returncode == 1, out.stderr
     assert out.stdout.splitlines()[-5:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
@@ -120,16 +145,15 @@ def test_differing_anticipation_lines_fail(tmp_path):
 def test_steps_counted_per_side(tmp_path):
     # B's engine keeps a second latency record per step: a side that
     # steps more frames shows it in its steps, with equal outputs
-    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "abdtrack" / "tracker.py", "a") as f:
-        f.write("\n_step = AbductionEngine.step\n\n\n"
-                "def _step_twice(self, frame, detections):\n"
-                "    result = _step(self, frame, detections)\n"
-                "    self.latencies.append(self.latencies[-1])\n"
-                "    return result\n\n\n"
-                "AbductionEngine.step = _step_twice\n")
-    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
+    tree = _patched_tree(tmp_path, tracker=(
+        "\n_step = AbductionEngine.step\n\n\n"
+        "def _step_twice(self, frame, detections):\n"
+        "    result = _step(self, frame, detections)\n"
+        "    self.latencies.append(self.latencies[-1])\n"
+        "    return result\n\n\n"
+        "AbductionEngine.step = _step_twice\n"
+    ))
+    out = _ab_frames("src", tree, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     frames = int(lines[0].split()[5])
@@ -142,45 +166,93 @@ def test_calls_counted_per_side(tmp_path):
     # twice, and B's step copies the fluent store once more: the same
     # link_events calls, twice the possible calls and occurrences, one
     # more store copy per step, and equal outputs
-    shutil.copytree(ROOT / "src" / "abdtrack", tmp_path / "abdtrack",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "abdtrack" / "abduction.py", "a") as f:
-        f.write("\n_link_events = link_events\n\n\n"
-                "def link_events(spec, kind, trk=None, det=None):\n"
-                "    _link_events(spec, kind, trk, det)\n"
-                "    return _link_events(spec, kind, trk, det)\n")
-    with open(tmp_path / "abdtrack" / "tracker.py", "a") as f:
-        f.write("\n_apply = AbductionEngine._apply\n\n\n"
-                "def _copy_and_apply(self, *args):\n"
-                "    self.fluents.copy()\n"
-                "    return _apply(self, *args)\n\n\n"
-                "AbductionEngine._apply = _copy_and_apply\n")
-    out = _ab_frames("src", tmp_path, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
+    tree = _patched_tree(
+        tmp_path,
+        abduction=(
+            "\n_link_events = link_events\n\n\n"
+            "def link_events(spec, kind, trk=None, det=None):\n"
+            "    _link_events(spec, kind, trk, det)\n"
+            "    return _link_events(spec, kind, trk, det)\n"
+        ),
+        tracker=(
+            "\n_apply = AbductionEngine._apply\n\n\n"
+            "def _copy_and_apply(self, *args):\n"
+            "    self.fluents.copy()\n"
+            "    return _apply(self, *args)\n\n\n"
+            "AbductionEngine._apply = _copy_and_apply\n"
+        ),
+    )
+    out = _ab_frames("src", tree, "--workload", "occlusion", "--jobs", "2", "--passes", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    (steps, *a), (_, *b) = ([int(line.split()[1]), *map(int, line.split()[9:13])]
-                            for line in lines[2:4])
-    assert a[0] == b[0] > 0 and b[1:3] == [2 * a[1], 2 * a[2]]
-    assert b[3] == a[3] + steps
-    assert lines[4].split()[9:12] == ["1.000", "2.000", "2.000"]
+    steps = int(lines[2].split()[1])
+    a, b = _counts(lines[2]), _counts(lines[3])
+    assert a["link_events"] == b["link_events"] > 0
+    assert (b["possible"], b["occurrences"]) == (2 * a["possible"], 2 * a["occurrences"])
+    assert b["store_copies"] == a["store_copies"] + steps
+    ratios = _counts(lines[4])
+    assert [ratios[name] for name in ("link_events", "possible", "occurrences")] == [
+        "1.000", "2.000", "2.000",
+    ]
 
 
 def test_bench_workload_with_tracks():
-    out = _ab_frames("src", "src", "--workload", "bench", "--tracks", "6", "--passes", "1")
+    out = _ab_frames("src", "src", "--workload", "bench", "--tracks", "20", "--passes", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0] == (
-        "bench at 6 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame and phase"
+        "bench at 20 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame and phase"
     )
+    assert lines[1].split()[-10:] == [*COUNTS, "tree"]
+    a, b = _counts(lines[2]), _counts(lines[3])
+    # the crowded stream's matchings need path searches
+    assert a == b and a["searches_found"] <= a["searches"]
+    assert all(a[name] > 0 for name in COUNTS if name != "searches_found")
+    assert _counts(lines[4]) == {
+        name: "-" if a[name] == 0 else "1.000" for name in COUNTS
+    }
     assert lines[-4:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
     ]
+
+
+def test_matcher_work_counted_per_side(tmp_path):
+    # B's matcher solves each matching twice: twice the heap pushes, the
+    # same rows, edges and every other count, and equal outputs
+    tree = _patched_tree(tmp_path, abduction=(
+        "\n_linear_sum_assignment = linear_sum_assignment\n\n\n"
+        "def linear_sum_assignment(rows, n_cols):\n"
+        "    _linear_sum_assignment(rows, n_cols)\n"
+        "    return _linear_sum_assignment(rows, n_cols)\n"
+    ))
+    out = _ab_frames("src", tree, "--workload", "bench", "--tracks", "20", "--passes", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    a, b = _counts(lines[2]), _counts(lines[3])
+    assert a["pushes"] > 0 and b == {**a, "pushes": 2 * a["pushes"]}
+    ratios = _counts(lines[4])
+    assert ratios.pop("pushes") == "2.000"
+    assert set(ratios.values()) <= {"1.000", "-"}
 
 
 def test_tracks_only_with_bench():
     for workload, extra in (("bench", []), ("churn", ["--tracks", "6"])):
         out = _ab_frames("src", "src", "--workload", workload, *extra)
         assert out.returncode == 2 and "--tracks N goes with --workload bench" in out.stderr
+
+
+def test_too_few_jobs_or_tracks_rejected():
+    # the scaling scenario pairs its tracks; no job list is empty or cut
+    # from its end
+    for args, message in (
+        (["--workload", "occlusion", "--jobs", "0"], "--jobs must be at least 1"),
+        (["--workload", "occlusion", "--jobs", "-1"], "--jobs must be at least 1"),
+        (["--workload", "bench", "--tracks", "1"], "--tracks must be at least 2"),
+        (["--workload", "bench", "--tracks", "0"], "--tracks must be at least 2"),
+    ):
+        out = _ab_frames("src", "src", *args)
+        assert out.returncode == 2 and message in out.stderr, args
+        assert out.stdout == ""
 
 
 def test_setup_pairs():

@@ -338,19 +338,24 @@ class TestBench:
             main(["bench", "--scenario", "scene.cfg"])
 
     @pytest.mark.parametrize(
-        "argv, flag",
+        "argv, message",
         [
-            (["--frames", "0"], "--frames"),
-            (["--frames", "-2"], "--frames"),
-            (["--tracks", "5,0"], "--tracks"),
-            (["--tracks", "-1"], "--tracks"),
+            (["--frames", "0"], "--frames: must be at least 1"),
+            (["--frames", "-2"], "--frames: must be at least 1"),
+            # the scaling scenario pairs its tracks
+            (["--tracks", "5,0"], "--tracks: must be at least 2"),
+            (["--tracks", "-1"], "--tracks: must be at least 2"),
+            (["--tracks", "1"], "--tracks: must be at least 2"),
+            (["--tracks", "2,1"], "--tracks: must be at least 2"),
         ],
     )
-    def test_non_positive_size_rejected_at_parse(self, argv, flag, capsys):
+    def test_non_positive_size_rejected_at_parse(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", *argv])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"argument {message}" in err
+        assert out == ""  # no row before the error
 
     def test_table_and_reproducibility(self, tmp_path, capsys):
         args = ["bench", "--tracks", "2,3", "--frames", "8", "--seed", "5",

@@ -1,7 +1,8 @@
 """Work counts: what the matcher, the canonical tie-break and event
 linking do on fixed streams, counted by wrapping the names
 :mod:`abdtrack.abduction` looks up at call time, so ``src/`` pays nothing
-for them.
+for them.  ``tools/ab_frames.py`` counts each side's engine with the same
+:func:`counting`, given that side's copy of the package.
 
 Per stream, :func:`counting` counts the matcher's heap pushes
 (``heappush``), the tie-break's alternating-path searches (``_cover``)
@@ -24,8 +25,10 @@ golden ``churn`` case and the five ``occlusion`` cases, summed.
 from __future__ import annotations
 
 import contextlib
+from types import ModuleType
 from typing import Iterator
 
+import abdtrack
 from abdtrack import (
     AbductionEngine,
     BBox2D,
@@ -35,7 +38,6 @@ from abdtrack import (
     SolveResult,
     TrackPrediction,
     TrackState,
-    abduction,
     solve,
 )
 from abdtrack.domain import EventKind, EventOccurrence, apply_event
@@ -47,18 +49,20 @@ TIED_TRACKS = 100
 
 
 @contextlib.contextmanager
-def counting() -> Iterator[dict[str, int]]:
-    """Count, while the block runs, ``pushes``, ``searches`` and
-    ``searches_found``, the matchings' ``rows`` and ``edges``, the
-    ``link_events`` and ``possible`` calls, the ``occurrences`` built and
-    the ``store_copies``."""
+def counting(package: ModuleType = abdtrack) -> Iterator[dict[str, int]]:
+    """Count, while the block runs, in the engine of ``package`` (a copy
+    of ``abdtrack``), ``pushes``, ``searches`` and ``searches_found``, the
+    matchings' ``rows`` and ``edges``, the ``link_events`` and
+    ``possible`` calls, the ``occurrences`` built and the
+    ``store_copies``."""
     counts = dict.fromkeys(
         ("pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible",
          "occurrences", "store_copies"), 0
     )
+    abduction, store = package.abduction, package.domain.FluentStore
     push, cover, matcher = abduction.heappush, abduction._cover, abduction.linear_sum_assignment
     link, possible = abduction.link_events, abduction.possible
-    occurrence, copy = abduction.EventOccurrence, FluentStore.copy
+    occurrence, copy = abduction.EventOccurrence, store.copy
 
     def counted_push(heap, item):
         counts["pushes"] += 1
@@ -97,13 +101,13 @@ def counting() -> Iterator[dict[str, int]]:
     saved = {name: getattr(abduction, name) for name in wrapped}
     for name, fn in wrapped.items():
         setattr(abduction, name, fn)
-    FluentStore.copy = counted_copy
+    store.copy = counted_copy
     try:
         yield counts
     finally:
         for name, fn in saved.items():
             setattr(abduction, name, fn)
-        FluentStore.copy = copy
+        store.copy = copy
 
 
 def bench_steps(n_tracks: int) -> tuple[list[tuple[ProblemSpec, SolveResult]], dict[str, int]]:

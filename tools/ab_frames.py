@@ -10,12 +10,12 @@ SRC_A and SRC_B are source trees holding the ``abdtrack`` package: a
 checkout's ``src/`` or its ``src/abdtrack``.  Each is copied into a
 temporary directory under a package name of its own, so the two import
 side by side.  The jobs of occlusion and churn are those of
-``perfbench.workloads.make_jobs`` (``--jobs`` keeps the first J); bench
-is one job, the stream ``abdtrack bench --tracks N --frames 30`` steps
-(``synth.scaling_scenario``).  The jobs
-are written once as MOT detection and ground-truth text, so a frame with
-no detection has no row; the engine steps it as an empty frame while a
-track is live.  Each side runs a job as perfbench's
+``perfbench.workloads.make_jobs`` (``--jobs`` keeps the first J, at
+least 1); bench is one job, the stream ``abdtrack bench --tracks N
+--frames 30`` steps (``synth.scaling_scenario``, whose N is at least
+2).  The jobs are written once as MOT detection and ground-truth text,
+so a frame with no detection has no row; the engine steps it as an empty
+frame while a track is live.  Each side runs a job as perfbench's
 ``worker.py`` does, with its own modules: ``io.parse_mot`` and a fresh
 ``AbductionEngine`` (the set-up phase), ``step`` on every frame,
 ``finalize`` and the three writers (the write phase, in memory: no file
@@ -36,30 +36,31 @@ over the steps alone (frames over the sum of the least frame times), the
 three phases' least times summed over the jobs, the write phase's
 traced peak, frames/s with the phases included, as perfbench's
 ``frames_per_s`` counts them, and the engine's work over the jobs'
-steps: its ``link_events`` and ``possible`` calls, the event occurrences
-its ``abduction`` module builds and its copies of the fluent store; then
-the ratio B/A of each; then a noise gauge, each side's job frames/s in
-its slowest and its fastest pass (the pass's frame and phase times
-summed over the jobs), since a least time taken over few passes can
-swing far from run to run; and
+steps, the nine counts that ``tests/golden/work_counts.json`` locks:
+heap pushes, ``_cover`` searches and those that find a path, matching
+rows and edges, ``link_events`` and ``possible`` calls, the event
+occurrences its ``abduction`` module builds and its copies of the fluent
+store; then the ratio B/A of each, ``-`` where A's count is 0; then a
+noise gauge, each side's job frames/s in its slowest and its fastest
+pass (the pass's frame and phase times summed over the jobs), since a
+least time taken over few passes can swing far from run to run; and
 whether the two sides' event logs, track files, reports, scores
 (``evaluate``'s report as a dict) and, on occlusion, anticipation lines
 are equal.  The exit status is 1 if any of them differ.  The write peak
-and the calls come from one more, untimed pass per side after the timed
+and the counts come from one more, untimed pass per side after the timed
 ones, so that the timed passes pay nothing for them: the work is
-counted over its steps by wrapping ``link_events``, ``possible`` and
-``EventOccurrence``, names which the side's ``abduction`` module looks
-up at call time, and its ``FluentStore.copy``, and ``tracemalloc`` runs
-from ``finalize`` through the three writers, whose peak is the largest
+counted over its steps by tier-1's counter, ``tests/work_counts.py``'s
+``counting``, given the side's package, and ``tracemalloc`` runs from
+``finalize`` through the three writers, whose peak is the largest
 of the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
 the same load, and a least time drops most of it.
 
-``--setup`` times the set-up probe of perfbench's ``run.py`` instead:
-from spawning a fresh interpreter, through ``import abdtrack``, to a
-constructed ``AbductionEngine``.  Each tree's package is copied into a
+``--setup`` times the set-up probe of perfbench's ``run.py``, its
+``_SETUP_CODE``, instead: from spawning a fresh interpreter, through
+``import abdtrack``, to a constructed ``AbductionEngine``.  Each tree's package is copied into a
 temporary directory of its own, and one spawn per side goes first and
 is dropped; it writes the bytecode caches unless the environment sets
 ``PYTHONDONTWRITEBYTECODE``, and then no spawn writes them and every
@@ -86,13 +87,23 @@ import time
 import tracemalloc
 from pathlib import Path
 
-# The tool only reads perfbench/ and the trees it compares.
+# The tool only reads this checkout and the trees it compares.
 sys.dont_write_bytecode = True
 # One BLAS/OpenMP thread, as perfbench/run.py runs the engine.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
+# The jobs, the set-up probe and the work counter come from this
+# checkout's perfbench, abdtrack and tests, once for both sides; each
+# side reads the jobs back through its own parser.
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests")]
+from run import _SETUP_CODE  # noqa: E402
+from work_counts import counting  # noqa: E402
+from workloads import detections_text, gt_text, make_jobs  # noqa: E402
+
+from abdtrack.synth import generate, scaling_scenario  # noqa: E402
+
 SIDES = ("a", "b")
 
 
@@ -115,17 +126,6 @@ def load_side(src: Path, name: str, tmp: Path):
 
 
 PHASES = ("parse", "write", "score")
-COUNTED = ("link_events", "possible", "occurrences", "store_copies")
-
-
-def _counted(package) -> list[tuple[object, str]]:
-    """Per column of ``COUNTED``, the owner and name of what it counts in
-    the side's package."""
-    abduction = package.abduction
-    return [(abduction, "link_events"), (abduction, "possible"), (abduction, "EventOccurrence"),
-            (package.domain.FluentStore, "copy")]
-
-
 OUTPUTS = ("event logs", "track files", "reports", "scores", "anticipation lines")
 
 
@@ -183,36 +183,22 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     return len(engine.latencies), busy, (outputs + (ant_lines,) if anticipate else outputs)
 
 
-def _untimed(package, text: str) -> tuple[int, list[int]]:
+def _untimed(package, text: str) -> tuple[int, dict[str, int]]:
     """One job's untimed run: the traced peak (bytes) of its write phase,
-    ``finalize`` and the three writers, and per column of ``COUNTED`` its
-    calls over the job's steps."""
-    io, targets = package.io, _counted(package)
-    calls = [0] * len(COUNTED)
-    saved = [getattr(owner, name) for owner, name in targets]
-
-    def counted(k, fn):
-        def call(*args):
-            calls[k] += 1
-            return fn(*args)
-        return call
-
-    for k, ((owner, name), fn) in enumerate(zip(targets, saved)):
-        setattr(owner, name, counted(k, fn))
-    try:
+    ``finalize`` and the three writers, and the work counts of the job's
+    steps."""
+    io = package.io
+    with counting(package) as counts:
         engine = package.tracker.AbductionEngine()
         for frame, dets in io.parse_mot(text).frames:
             engine.step(frame, dets)
-    finally:
-        for (owner, name), fn in zip(targets, saved):
-            setattr(owner, name, fn)
     tracemalloc.start()
     try:
         exp = engine.finalize()
         outputs = []  # held together, as a timed pass holds them
         for write in (io.write_events, io.write_tracks, io.write_report):
             outputs.append(write(exp))
-        return tracemalloc.get_traced_memory()[1], calls
+        return tracemalloc.get_traced_memory()[1], counts
     finally:
         tracemalloc.stop()
 
@@ -223,8 +209,8 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     returns each side's steps (summed over the jobs), least frame times
     and phase times (ms, phases summed over the jobs), the time of each
     pass (ms, its jobs' frames and phases summed), its largest write peak
-    (MB), its calls per column of ``COUNTED`` (summed over the jobs) and,
-    per output, whether the two sides agree."""
+    (MB), its work counts by name (summed over the jobs) and, per output,
+    whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
@@ -246,19 +232,11 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
         "pass_ms": [[ns / 1e6 for ns in side] for side in pass_ns],
         "write_mb": [max(peak for peak, _ in side) / 2**20 for side in untimed],
-        "calls": [[sum(job) for job in zip(*(calls for _, calls in side))] for side in untimed],
+        "counts": [{k: sum(c[k] for _, c in side) for k in side[0][1]} for side in untimed],
         "equal": [
             all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(outputs[0][0]))
         ],
     }
-
-
-# perfbench/run.py's set-up probe: the time from the spawn is taken by
-# the parent before it and printed by the child after the engine is built.
-_SETUP_CODE = (
-    "import sys, time; sys.path.insert(0, {src!r}); import abdtrack; "
-    "abdtrack.AbductionEngine(); print(time.clock_gettime_ns(time.CLOCK_MONOTONIC))"
-)
 
 
 def setup_seconds(srcs: list[Path], pairs: int) -> list[list[float]]:
@@ -316,15 +294,12 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--pairs N goes with --setup, and only with it")
     if args.passes < 1:
         ap.error("--passes must be at least 1")
+    if args.jobs is not None and args.jobs < 1:
+        ap.error("--jobs must be at least 1")
     if (args.workload == "bench") != (args.tracks is not None):
         ap.error("--tracks N goes with --workload bench, and only with it")
-
-    # The jobs come from this checkout's perfbench and abdtrack, once for
-    # both sides; each side reads them back through its own parser.
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
-    from workloads import detections_text, gt_text, make_jobs
-
-    from abdtrack.synth import generate, scaling_scenario
+    if args.tracks is not None and args.tracks < 2:
+        ap.error("--tracks must be at least 2: the scaling scenario pairs its tracks")
 
     if args.workload == "bench":
         name = f"bench at {args.tracks} tracks"
@@ -341,13 +316,13 @@ def main(argv: list[str] | None = None) -> int:
         out = compare(packages, jobs, args.passes, args.workload == "occlusion")
 
     rows = []
-    for steps, ms, phase_ms, write_mb, calls in zip(out["steps"], out["ms"], out["phase_ms"],
-                                                    out["write_mb"], out["calls"]):
+    for steps, ms, phase_ms, write_mb, counts in zip(out["steps"], out["ms"], out["phase_ms"],
+                                                     out["write_mb"], out["counts"]):
         step_s = sum(ms) / 1e3
         rows.append([steps, statistics.median(ms), len(ms) / step_s, *phase_ms, write_mb,
-                     len(ms) / (step_s + sum(phase_ms) / 1e3), *calls])
+                     len(ms) / (step_s + sum(phase_ms) / 1e3), *counts.values()])
     columns = [("steps", "d"), ("p50 ms", ".4f"), ("frames/s", ".1f"), *((f"{p} ms", ".2f") for p in PHASES),
-               ("write MB", ".2f"), ("job fr/s", ".1f"), *((name, "d") for name in COUNTED)]
+               ("write MB", ".2f"), ("job fr/s", ".1f"), *((name, "d") for name in out["counts"][0])]
     print(f"{name}, seed {args.seed}: {len(jobs)} jobs, {len(out['ms'][0])} frames, "
           f"least of {args.passes} passes per frame and phase")
     widths = [max(10, len(c) + 2) for c, _ in columns]
@@ -355,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     for s, src, row in zip(SIDES, (args.src_a, args.src_b), rows):
         print(f"{s.upper():<6}"
               + "".join(f"{v:>{w}{f}}" for v, (_, f), w in zip(row, columns, widths)) + f"  {src}")
-    print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" for a, b, w in zip(*rows, widths)))
+    print(f"{'B/A':<6}" + "".join(f"{b / a:>{w}.3f}" if a else f"{'-':>{w}}"
+                                  for a, b, w in zip(*rows, widths)))
     # The noise gauge: how far one pass's whole-job rate swings on each side.
     gauge = ", ".join(
         f"{s.upper()} {len(ms) / max(pass_ms) * 1e3:.1f} to {len(ms) / min(pass_ms) * 1e3:.1f}"
