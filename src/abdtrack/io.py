@@ -14,7 +14,10 @@ Outputs: MOT result lines, the engine's event log in ``occurs_at(EVENT,FRAME)``
 form, and a JSON report of provenance and the event log that is byte for
 byte ``json.dumps(doc, indent=2)`` of its fixed schema, from templates.
 The track and report writers write each box coordinate as ``json`` does,
-from text rendered once per explanation.
+from text rendered once per explanation; along a track, a coordinate
+equal to the previous entry's takes that entry's text where the two
+texts are sure to be the same (:func:`_box_text`), so a run of equal
+values costs one ``repr``.
 
 Each writer builds its text with one join over a list of pieces: the
 report's tracks and events go straight into the document's list, and the
@@ -179,11 +182,43 @@ def _coordinates(b: BBox2D) -> str:
 def _box_text(exp: Explanation) -> list[list[str]]:
     """Each track's history's boxes as :func:`_coordinates` text, one list
     per track in history order, rendered by the first writer that asks and
-    cached on ``exp`` for the other.  The writers pair the cache with the
-    tracks strictly, so a track or entry added or removed after the first
-    writer ran raises ``ValueError`` rather than being dropped."""
+    cached on ``exp`` for the other: one string per entry.  The writers
+    pair the cache with the tracks strictly, so a track or entry added or
+    removed after the first writer ran raises ``ValueError`` rather than
+    being dropped.
+
+    Along a track, a coordinate takes the previous entry's text for it, not
+    a new ``repr``, when both boxes are four plain floats (``type(v) is
+    float``), the two values are equal and, for ``x`` and ``y``, nonzero;
+    any other box is rendered by :func:`_coordinates` and ends the run.
+    This is exact.  :class:`~abdtrack.geometry.BBox2D` admits only finite
+    values, so no NaN appears, and it makes ``w`` and ``h`` positive.  Two
+    equal, nonzero, finite floats have one bit pattern, so they have one
+    ``repr``.  Zero is the exception: ``0.0 == -0.0``, but their reprs
+    differ.  The type test keeps out ``300 == 300.0``, since an int prints
+    differently, and a numpy float64, which :func:`_number` renders."""
     if exp.box_text is None:
-        exp.box_text = [[_coordinates(e.box) for e in trk.history] for trk in exp.tracks]
+        cache = []
+        for trk in exp.tracks:
+            texts = []
+            # The previous box while it is four plain floats, else None,
+            # which no float equals: so a run's first box renders all four.
+            px = py = pw = ph = None
+            for entry in trk.history:
+                b = entry.box
+                x, y, w, h = b.x, b.y, b.w, b.h
+                if type(x) is type(y) is type(w) is type(h) is float:
+                    tx = tx if x == px and x else repr(x)
+                    ty = ty if y == py and y else repr(y)
+                    tw = tw if w == pw else repr(w)
+                    th = th if h == ph else repr(h)
+                    texts.append(f"{tx},{ty},{tw},{th}")
+                    px, py, pw, ph = x, y, w, h
+                else:
+                    texts.append(_coordinates(b))
+                    px = py = pw = ph = None
+            cache.append(texts)
+        exp.box_text = cache
     return exp.box_text
 
 

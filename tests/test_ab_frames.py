@@ -1,10 +1,10 @@
 """Smoke tests of tools/ab_frames.py: the same tree as both sides, on one
-occlusion scene (anticipation lines compared too), on a small bench
-stream and in the set-up probe, trees whose track files, scores or
-anticipation lines differ, a tree whose engine makes more steps, one
-whose engine links each action twice and copies the fluent store once
-more per step, one whose matcher solves each matching twice, and the
-options' checks."""
+occlusion scene (anticipation lines compared too, and coordinates
+repeated along tracks), on a small bench stream (none repeated) and in
+the set-up probe, trees whose track files, scores or anticipation lines
+differ, a tree whose engine makes more steps, one whose engine links
+each action twice and copies the fluent store once more per step, one
+whose matcher solves each matching twice, and the options' checks."""
 
 import shutil
 import subprocess
@@ -31,6 +31,19 @@ def _counts(line):
     return dict(zip(COUNTS, cells if line.startswith("B/A") else map(int, cells)))
 
 
+def _repeats(line):
+    """Each side's (N, M) of the line "coordinates equal to the previous
+    entry's in their track: A N of M (p%), B N of M (p%)"; checks p."""
+    head, sides = line.split(": ")
+    assert head == "coordinates equal to the previous entry's in their track"
+    out = []
+    for side, name in zip(sides.split(", "), "AB"):
+        tag, n, of, m, share = side.split()
+        assert (tag, of) == (name, "of") and share == f"({100 * int(n) / int(m):.1f}%)"
+        out.append((int(n), int(m)))
+    return out
+
+
 def _patched_tree(tmp_path, **appended):
     """A copy of this checkout's abdtrack in tmp_path, with each module
     named in ``appended`` extended by its text."""
@@ -54,7 +67,8 @@ def test_same_tree_both_sides():
         "write", "MB", "job", "fr/s", *COUNTS, "tree",
     ]
     assert [line.split()[0] for line in lines[2:]] == [
-        "A", "B", "B/A", "job", "event", "track", "reports", "scores", "anticipation",
+        "A", "B", "B/A", "job", "coordinates", "event", "track", "reports", "scores",
+        "anticipation",
     ]
     for side in lines[2:4]:
         assert int(side.split()[1]) == frames  # the scene skips no frame
@@ -78,7 +92,10 @@ def test_same_tree_both_sides():
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
     # a count that A reads as 0 has no ratio
     assert cells[8:] == ["-", "-", "-", *["1.000"] * 6]
-    assert lines[6:] == [
+    # the scene's static occluder and jitter-free boxes repeat coordinates
+    a, b = _repeats(lines[6])
+    assert a == b and 0 < a[0] < a[1] and a[1] % 4 == 0
+    assert lines[7:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
         "anticipation lines equal",
     ]
@@ -211,6 +228,9 @@ def test_bench_workload_with_tracks():
     assert _counts(lines[4]) == {
         name: "-" if a[name] == 0 else "1.000" for name in COUNTS
     }
+    # the scaling stream's boxes are jittered: no coordinate repeats
+    a, b = _repeats(lines[6])
+    assert a == b and a[0] == 0 < a[1]
     assert lines[-4:] == [
         "event logs equal", "track files equal", "reports equal", "scores equal",
     ]

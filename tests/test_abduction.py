@@ -21,7 +21,7 @@ from abdtrack import (
     solve,
     solve_oracle,
 )
-from abdtrack import abduction, domain
+from abdtrack import abduction, domain, tracker
 from abdtrack.abduction import Action, ActionKind
 from abdtrack.domain import (
     EngineBugError,
@@ -32,8 +32,11 @@ from abdtrack.domain import (
     possible,
 )
 from abdtrack.geometry import IOU_SCALE, overlap_likelihoods, overlapping_top
+from abdtrack.io import parse_mot
 from conftest import edge_case_boxes, make_random_spec, scaled_likelihoods
 from reference_solver import halt_events_reference, solve_reference
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import _cli, _input_flags
 from worked_examples import frame235_spec, frame268_spec, frame79_spec
 
 
@@ -1142,6 +1145,24 @@ class TestBlockSolver:
         for spec, result in bench_frames(n_tracks):
             assert counted_solve(spec) == result
         assert counted_solve.counts["matchings"] > 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_duals_certify_each_frame_of_the_golden_cases(
+        self, name, tmp_path, monkeypatch, counted_solve
+    ):
+        # `abdtrack track` on the case's input, each step's solve checked
+        # as counted_solve checks it; no case skips a frame, so the steps
+        # are the input's frames
+        frames = []
+
+        def certified(spec):
+            frames.append(spec.frame)
+            return counted_solve(spec)
+
+        monkeypatch.setattr(tracker, "solve", certified)
+        _cli(["track", *_input_flags(name, tmp_path)])
+        stream = parse_mot((tmp_path / "dets.txt").read_text())
+        assert frames == [f for f, _ in stream.frames]
 
 
 def _halted_heavy_spec(rng, n_tracks, n_dets):

@@ -43,12 +43,15 @@ occurrences its ``abduction`` module builds and its copies of the fluent
 store; then the ratio B/A of each, ``-`` where A's count is 0; then a
 noise gauge, each side's job frames/s in its slowest and its fastest
 pass (the pass's frame and phase times summed over the jobs), since a
-least time taken over few passes can swing far from run to run; and
-whether the two sides' event logs, track files, reports, scores
-(``evaluate``'s report as a dict) and, on occlusion, anticipation lines
-are equal.  The exit status is 1 if any of them differ.  The write peak
-and the counts come from one more, untimed pass per side after the timed
-ones, so that the timed passes pay nothing for them: the work is
+least time taken over few passes can swing far from run to run; each
+side's written box coordinates that equal the previous entry's in
+their track, "N of M (p%)", whose text the writers take from that entry
+unless it is a zero or not a plain float; and whether the two sides'
+event logs, track files, reports, scores (``evaluate``'s report as a
+dict) and, on occlusion, anticipation lines are equal.  The exit status is 1 if any of them differ.  The write
+peak, the counts and the repeated coordinates come from one more,
+untimed pass per side after the timed ones, so that the timed passes pay
+nothing for them: the repeats are read from its explanation, the work is
 counted over its steps by tier-1's counter, ``tests/work_counts.py``'s
 ``counting``, given the side's package, and ``tracemalloc`` runs from
 ``finalize`` through the three writers, whose peak is the largest
@@ -183,10 +186,21 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
     return len(engine.latencies), busy, (outputs + (ant_lines,) if anticipate else outputs)
 
 
-def _untimed(package, text: str) -> tuple[int, dict[str, int]]:
+def _repeats(exp) -> tuple[int, int]:
+    """Of the box coordinates the writers write, the number equal to the
+    previous entry's in their track, and the number of all of them."""
+    equal = total = 0
+    for trk in exp.tracks:
+        boxes = [(e.box.x, e.box.y, e.box.w, e.box.h) for e in trk.history]
+        total += 4 * len(boxes)
+        equal += sum(a == b for prev, box in zip(boxes, boxes[1:]) for a, b in zip(prev, box))
+    return equal, total
+
+
+def _untimed(package, text: str) -> tuple[int, dict[str, int], tuple[int, int]]:
     """One job's untimed run: the traced peak (bytes) of its write phase,
-    ``finalize`` and the three writers, and the work counts of the job's
-    steps."""
+    ``finalize`` and the three writers, the work counts of the job's
+    steps and its explanation's :func:`_repeats`."""
     io = package.io
     with counting(package) as counts:
         engine = package.tracker.AbductionEngine()
@@ -198,9 +212,10 @@ def _untimed(package, text: str) -> tuple[int, dict[str, int]]:
         outputs = []  # held together, as a timed pass holds them
         for write in (io.write_events, io.write_tracks, io.write_report):
             outputs.append(write(exp))
-        return tracemalloc.get_traced_memory()[1], counts
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, counts, _repeats(exp)
 
 
 def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate: bool) -> dict:
@@ -209,8 +224,8 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     returns each side's steps (summed over the jobs), least frame times
     and phase times (ms, phases summed over the jobs), the time of each
     pass (ms, its jobs' frames and phases summed), its largest write peak
-    (MB), its work counts by name (summed over the jobs) and, per output,
-    whether the two sides agree."""
+    (MB), its work counts by name and its :func:`_repeats` (both summed
+    over the jobs) and, per output, whether the two sides agree."""
     n_frames = [len(packages[0].io.parse_mot(text).frames) for text, _ in jobs]
     times = [[[float("inf")] * n for n in n_frames] for _ in packages]
     phases = [[[float("inf")] * len(PHASES) for _ in jobs] for _ in packages]
@@ -231,8 +246,9 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
         "ms": [[t / 1e6 for job in side for t in job] for side in times],
         "phase_ms": [[sum(phase_ns) / 1e6 for phase_ns in zip(*side)] for side in phases],
         "pass_ms": [[ns / 1e6 for ns in side] for side in pass_ns],
-        "write_mb": [max(peak for peak, _ in side) / 2**20 for side in untimed],
-        "counts": [{k: sum(c[k] for _, c in side) for k in side[0][1]} for side in untimed],
+        "write_mb": [max(peak for peak, _, _ in side) / 2**20 for side in untimed],
+        "counts": [{k: sum(c[k] for _, c, _ in side) for k in side[0][1]} for side in untimed],
+        "repeats": [[sum(r) for r in zip(*(rep for _, _, rep in side))] for side in untimed],
         "equal": [
             all(a[k] == b[k] for a, b in zip(*outputs)) for k in range(len(outputs[0][0]))
         ],
@@ -338,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         for s, ms, pass_ms in zip(SIDES, out["ms"], out["pass_ms"])
     )
     print(f"job fr/s of one pass, slowest to fastest: {gauge}")
+    repeats = ", ".join(f"{s.upper()} {n} of {m} ({100 * n / m:.1f}%)"
+                        for s, (n, m) in zip(SIDES, out["repeats"]))
+    print(f"coordinates equal to the previous entry's in their track: {repeats}")
     for what, equal in zip(OUTPUTS, out["equal"]):
         print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
     return 0 if all(out["equal"]) else 1
