@@ -171,32 +171,25 @@ def _number(v: float) -> str:
     return int.__repr__(v) if isinstance(v, int) else float.__repr__(float(v))
 
 
-def _coordinates(b: BBox2D) -> str:
-    """``"x,y,w,h"``, each coordinate as ``json`` writes it."""
-    x, y, w, h = b.x, b.y, b.w, b.h
-    if type(x) is type(y) is type(w) is type(h) is float:
-        return "%r,%r,%r,%r" % (x, y, w, h)
-    return ",".join([_number(x), _number(y), _number(w), _number(h)])
-
-
 def _box_text(exp: Explanation) -> list[list[str]]:
-    """Each track's history's boxes as :func:`_coordinates` text, one list
-    per track in history order, rendered by the first writer that asks and
-    cached on ``exp`` for the other: one string per entry.  The writers
-    pair the cache with the tracks strictly, so a track or entry added or
-    removed after the first writer ran raises ``ValueError`` rather than
-    being dropped.
+    """Each track's history's boxes as ``"x,y,w,h"`` text, each coordinate
+    as ``json`` writes it, one list per track in history order, rendered by
+    the first writer that asks and cached on ``exp`` for the other: one
+    string per entry.  The writers pair the cache with the tracks strictly,
+    so a track or entry added or removed after the first writer ran raises
+    ``ValueError`` rather than being dropped.
 
     Along a track, a coordinate takes the previous entry's text for it, not
     a new ``repr``, when both boxes are four plain floats (``type(v) is
     float``), the two values are equal and, for ``x`` and ``y``, nonzero;
-    any other box is rendered by :func:`_coordinates` and ends the run.
-    This is exact.  :class:`~abdtrack.geometry.BBox2D` admits only finite
-    values, so no NaN appears, and it makes ``w`` and ``h`` positive.  Two
-    equal, nonzero, finite floats have one bit pattern, so they have one
-    ``repr``.  Zero is the exception: ``0.0 == -0.0``, but their reprs
-    differ.  The type test keeps out ``300 == 300.0``, since an int prints
-    differently, and a numpy float64, which :func:`_number` renders."""
+    any other box is rendered coordinate by coordinate by :func:`_number`
+    and ends the run.  This is exact.  :class:`~abdtrack.geometry.BBox2D`
+    admits only finite values, so no NaN appears, and it makes ``w`` and
+    ``h`` positive.  Two equal, nonzero, finite floats have one bit
+    pattern, so they have one ``repr``.  Zero is the exception: ``0.0 ==
+    -0.0``, but their reprs differ.  The type test keeps out ``300 ==
+    300.0``, since an int prints differently, and a numpy float64, which
+    :func:`_number` renders."""
     if exp.box_text is None:
         cache = []
         for trk in exp.tracks:
@@ -215,7 +208,7 @@ def _box_text(exp: Explanation) -> list[list[str]]:
                     texts.append(f"{tx},{ty},{tw},{th}")
                     px, py, pw, ph = x, y, w, h
                 else:
-                    texts.append(_coordinates(b))
+                    texts.append(",".join([_number(x), _number(y), _number(w), _number(h)]))
                     px = py = pw = ph = None
             cache.append(texts)
         exp.box_text = cache

@@ -1,5 +1,6 @@
-"""Shared test helpers: random boxes, randomized solver instances and
-the scaling stream's frames, recorded once per session.
+"""Shared test helpers: random boxes, randomized solver instances, the
+scaling stream's frames, recorded once per session, and a ``solve`` whose
+every matching and frame cover is checked against its LP duals.
 
 Random specs only produce fluent configurations the engine can actually
 reach (active tracks are visible and unclipped; halted tracks are either
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -27,7 +29,11 @@ from abdtrack import (
     Thresholds,
     TrackPrediction,
     TrackState,
+    link_events,
+    solve,
 )
+from abdtrack import abduction
+from abdtrack.abduction import ActionKind
 from abdtrack.domain import EventKind, EventOccurrence, Visibility, apply_event
 from abdtrack.geometry import iou, scaled_iou
 from work_counts import bench_steps, large_block_solve
@@ -179,3 +185,118 @@ def large_block():
     """``(spec, result, work counts)`` of :func:`work_counts.large_block_spec`,
     solved once per session."""
     return large_block_solve()
+
+
+@pytest.fixture
+def counted_solve(monkeypatch):
+    """``solve``, counting in its ``counts`` the tracks each rule decided:
+    ``forced`` assigns, ``mixed``, the rows of the one matching, and
+    ``no edge`` fallbacks, and the ``matchings`` solved.  Each solve
+    makes at most one ``linear_sum_assignment`` call, that call's duals
+    certify its matching, and the frame's dual certificate
+    (:func:`assert_frame_certificate`) its whole cover."""
+    counts, calls = Counter(), []
+    solver = abduction.linear_sum_assignment
+
+    def matching(rows, n_cols):
+        result = solver(rows, n_cols)
+        assert_certificate(rows, n_cols, result)
+        calls.append((rows, n_cols, result))
+        return result
+
+    monkeypatch.setattr(abduction, "linear_sum_assignment", matching)
+
+    def solving(spec):
+        calls.clear()
+        result = solve(spec)
+        assert len(calls) <= 1, f"{len(calls)} matchings at frame {spec.frame}"
+        forced, no_edge = assert_frame_certificate(spec, result, calls[0] if calls else None)
+        counts["forced"] += forced
+        counts["mixed"] += sum(len(rows) for rows, _, _ in calls)
+        counts["no edge"] += no_edge
+        counts["matchings"] += len(calls)
+        return result
+
+    solving.counts = counts
+    return solving
+
+
+def assert_frame_certificate(spec, result, call):
+    """The frame's whole cover priced by LP duals, recomputed from the
+    option table's rows alone: the fold ``_fold``'s docstring states,
+    every table edge's gain, the forced rule, which must name the
+    table's forced pairs, the resumes to forced detections, which the
+    table leaves out, and the matching's rows (the other tracks with an
+    edge left, by id) and columns (their detections, first seen first).
+    A forced detection is priced at its assign's gain, the matching's
+    rows and columns at the duals of ``call``, the frame's ``(rows,
+    n_cols, result)`` matcher call or None, and all else at 0.  The
+    prices are >= 0 and cover every edge, the left-out resumes too, so
+    no cover of the whole frame gains more than their sum, which the
+    cover's edges gain.  Returns the numbers of forced and of no-edge
+    tracks."""
+    K = ActionKind
+    tracks, table_forced = abduction._option_table(spec)
+    n_t, n_d = len(tracks), len(spec.detections)
+    c2 = 5 * n_t + 6 * n_d + 2
+    c1 = c2 * (10 * (n_t + n_d) + 2)
+    worth = {K.HALT: 0, K.RESUME: -1, K.END: -5, K.START: -5, K.IGNORE_TRK: -10 * c2,
+             K.IGNORE_DET: -10 * c2}
+    det_worth = {d.id: worth[abduction._det_option(spec, d)[0]] for d in spec.detections}
+    gain, claims = {}, Counter()
+    for t, ((kind, _), dids, (fallback, _)) in tracks.items():
+        for d in dids:
+            if kind is K.ASSIGN:
+                gain[t, d] = (spec.likelihoods[t, d] + 1) * c1 - det_worth[d]
+                claims[d] += 1
+            else:
+                gain[t, d] = worth[K.RESUME] - worth[fallback] - det_worth[d]
+    forced = {
+        dids[0]: t for t, ((kind, _), dids, _) in tracks.items()
+        if kind is K.ASSIGN and len(dids) == 1 and claims[dids[0]] == 1
+    }
+    assert forced == table_forced
+    for t, ((kind, _), _, (fallback, _)) in tracks.items():
+        if kind is K.RESUME and link_events(spec, K.RESUME, t) is not None:
+            for d in forced:
+                det = spec.detections_by_id[d]
+                if det.cls == spec.predictions[t].cls and det.conf > spec.config.conf_thresh_resume:
+                    gain[t, d] = worth[K.RESUME] - worth[fallback] - det_worth[d]
+    forced_tracks = set(forced.values())
+    left = {t: [d for d in dids if d not in forced] for t, (_, dids, _) in tracks.items()
+            if t not in forced_tracks}
+    rows = [t for t, dids in left.items() if dids]
+    cols = list(dict.fromkeys(d for t in rows for d in left[t]))
+    trk_price, det_price = {}, {d: gain[t, d] for d, t in forced.items()}
+    if rows:
+        _, n_cols, (_, _, u, v) = call
+        assert len(u) == len(rows) and n_cols == len(cols)
+        trk_price.update(zip(rows, u))
+        det_price.update(zip(cols, v))
+    else:
+        assert call is None
+    assert min([*trk_price.values(), *det_price.values()], default=0) >= 0
+    assert all(trk_price.get(t, 0) + det_price.get(d, 0) >= g for (t, d), g in gain.items())
+    edges = [(a.trk, a.det) for a in result.actions if a.kind in (K.ASSIGN, K.RESUME)]
+    assert len({d for _, d in edges}) == len(edges)
+    assert sum(trk_price.values()) + sum(det_price.values()) == sum(gain[e] for e in edges)
+    return len(forced), len(left) - len(rows)
+
+
+def assert_certificate(rows, n_cols, result):
+    """linear_sum_assignment's contract: a matching and its gain, and
+    integer duals that prove it optimal."""
+    optimum, match, u, v = result
+    assert len(match) == len(u) == len(rows) and len(v) == n_cols
+    assert all(type(x) is int for x in (optimum, *u, *v))
+    assert min(u + v, default=0) >= 0
+    matched = [j for j in match if j >= 0]
+    assert len(set(matched)) == len(matched)
+    for i, row in enumerate(rows):
+        assert all(u[i] + v[j] >= g for j, g in row.items())
+        if match[i] >= 0:
+            assert u[i] + v[match[i]] == row[match[i]]
+        else:
+            assert u[i] == 0
+    assert all(v[j] == 0 for j in set(range(n_cols)) - set(matched))
+    assert sum(u) + sum(v) == optimum == sum(rows[i][j] for i, j in enumerate(match) if j >= 0)

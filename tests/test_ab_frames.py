@@ -32,10 +32,11 @@ def _counts(line):
 
 
 def _repeats(line):
-    """Each side's (N, M) of the line "coordinates equal to the previous
-    entry's in their track: A N of M (p%), B N of M (p%)"; checks p."""
+    """Each side's (N, M) of the line "coordinates whose text can be the
+    previous entry's in their track: A N of M (p%), B N of M (p%)"; checks
+    p."""
     head, sides = line.split(": ")
-    assert head == "coordinates equal to the previous entry's in their track"
+    assert head == "coordinates whose text can be the previous entry's in their track"
     out = []
     for side, name in zip(sides.split(", "), "AB"):
         tag, n, of, m, share = side.split()

@@ -40,9 +40,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abdtrack import cli, emit_facts, motion, solve
+from abdtrack import cli, emit_facts, motion, solve, tracker
 from abdtrack.cli import main
-from abdtrack.io import format_event
+from abdtrack.io import format_event, parse_mot
 from abdtrack.synth import ScenarioConfig, generate, occlusion_corpus, scaling_scenario
 from reference_kalman import H, R, ScalarKF, row_matrices
 from reference_report import reference_report
@@ -288,6 +288,24 @@ def test_innovation_covariance_diagonal(name, tmp_path, monkeypatch):
         monkeypatch.setattr(cls, attr, fn)
     _cli(["track", *_input_flags(name, tmp_path)])
     assert updates > 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_duals_certify_each_frame(name, tmp_path, monkeypatch, counted_solve):
+    """`track` on the case's input with each step's solve checked as
+    ``counted_solve`` checks it: the matching and the frame's whole cover
+    by their LP duals.  No case skips a frame, so the steps are the
+    input's frames."""
+    frames = []
+
+    def certified(spec):
+        frames.append(spec.frame)
+        return counted_solve(spec)
+
+    monkeypatch.setattr(tracker, "solve", certified)
+    _cli(["track", *_input_flags(name, tmp_path)])
+    stream = parse_mot((tmp_path / "dets.txt").read_text())
+    assert frames == [f for f, _ in stream.frames]
 
 
 def _regenerate() -> None:

@@ -44,14 +44,14 @@ store; then the ratio B/A of each, ``-`` where A's count is 0; then a
 noise gauge, each side's job frames/s in its slowest and its fastest
 pass (the pass's frame and phase times summed over the jobs), since a
 least time taken over few passes can swing far from run to run; each
-side's written box coordinates that equal the previous entry's in
-their track, "N of M (p%)", whose text the writers take from that entry
-unless it is a zero or not a plain float; and whether the two sides'
-event logs, track files, reports, scores (``evaluate``'s report as a
+side's written box coordinates whose text can be the previous entry's
+in their track, "N of M (p%)": equal plain floats in two boxes of four,
+and not a zero ``x`` or ``y`` (``io._box_text``'s rule); and whether the
+two sides' event logs, track files, reports, scores (``evaluate``'s report as a
 dict) and, on occlusion, anticipation lines are equal.  The exit status is 1 if any of them differ.  The write
-peak, the counts and the repeated coordinates come from one more,
+peak, the counts and the reusable coordinates come from one more,
 untimed pass per side after the timed ones, so that the timed passes pay
-nothing for them: the repeats are read from its explanation, the work is
+nothing for them: the coordinates are read from its explanation, the work is
 counted over its steps by tier-1's counter, ``tests/work_counts.py``'s
 ``counting``, given the side's package, and ``tracemalloc`` runs from
 ``finalize`` through the three writers, whose peak is the largest
@@ -187,14 +187,19 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
 
 
 def _repeats(exp) -> tuple[int, int]:
-    """Of the box coordinates the writers write, the number equal to the
-    previous entry's in their track, and the number of all of them."""
-    equal = total = 0
+    """Of the box coordinates the writers write, the number whose text the
+    writers can take from the previous entry's in their track, and the
+    number of all of them.  That is ``io._box_text``'s rule: both boxes
+    four plain floats, the two values equal and, for ``x`` and ``y``,
+    nonzero."""
+    reused = total = 0
     for trk in exp.tracks:
         boxes = [(e.box.x, e.box.y, e.box.w, e.box.h) for e in trk.history]
         total += 4 * len(boxes)
-        equal += sum(a == b for prev, box in zip(boxes, boxes[1:]) for a, b in zip(prev, box))
-    return equal, total
+        for prev, box in zip(boxes, boxes[1:]):
+            if all(type(v) is float for v in (*prev, *box)):
+                reused += sum(a == b and (i > 1 or a != 0) for i, (a, b) in enumerate(zip(prev, box)))
+    return reused, total
 
 
 def _untimed(package, text: str) -> tuple[int, dict[str, int], tuple[int, int]]:
@@ -356,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"job fr/s of one pass, slowest to fastest: {gauge}")
     repeats = ", ".join(f"{s.upper()} {n} of {m} ({100 * n / m:.1f}%)"
                         for s, (n, m) in zip(SIDES, out["repeats"]))
-    print(f"coordinates equal to the previous entry's in their track: {repeats}")
+    print(f"coordinates whose text can be the previous entry's in their track: {repeats}")
     for what, equal in zip(OUTPUTS, out["equal"]):
         print(f"{what} equal" if equal else f"{what.upper()} DIFFER")
     return 0 if all(out["equal"]) else 1
