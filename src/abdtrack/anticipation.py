@@ -21,6 +21,7 @@ __all__ = [
     "anticipate_unhide",
     "warnings",
     "engine_views",
+    "frame_block",
     "format_anticipation",
     "format_warning",
 ]
@@ -118,6 +119,19 @@ def engine_views(engine) -> tuple[dict[int, TrackView], set[tuple[int, int]]]:
         box = engine.last_spec.predictions[tid].box
         views[tid] = TrackView(box=box, velocity=engine.motion.velocity(tid))
     return views, hidden
+
+
+def frame_block(engine, frame: int) -> list[str]:
+    """The anticipation block of the frame ``engine`` has just stepped: the
+    anticipation and position lines of each anticipation, then the warning
+    line of each warning, under the engine's thresholds and frame size.
+    Its three queries are looked up on this module at call time, as a
+    tracer that wraps them by name expects."""
+    th = engine.config.thresholds
+    ants = anticipate_unhide(*engine_views(engine), frame, horizon=th.anticipation_horizon)
+    warns = warnings(ants, frame, engine.config.frame_geom, th.anticipation_threshold)
+    block = [line for a in ants for line in (format_anticipation(a), format_position(a))]
+    return block + [format_warning(w) for w in warns]
 
 
 def format_anticipation(a: Anticipation) -> str:

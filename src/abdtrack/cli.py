@@ -18,14 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .abduction import Thresholds, emit_facts
-from .anticipation import (
-    anticipate_unhide,
-    engine_views,
-    format_anticipation,
-    format_position,
-    format_warning,
-    warnings as compute_warnings,
-)
+from .anticipation import frame_block
 from .geometry import check_match_iou
 from .io import (
     explanation_to_boxes,
@@ -214,11 +207,7 @@ def cmd_anticipate(args: argparse.Namespace) -> int:
 
     def print_block(engine: AbductionEngine, frame: int) -> None:
         # a steady prediction repeats frame after frame; print changes only
-        th = engine.config.thresholds
-        ants = anticipate_unhide(*engine_views(engine), frame, horizon=th.anticipation_horizon)
-        warns = compute_warnings(ants, frame, engine.config.frame_geom, th.anticipation_threshold)
-        block = [line for a in ants for line in (format_anticipation(a), format_position(a))]
-        block += map(format_warning, warns)
+        block = frame_block(engine, frame)
         if block and block != last:
             print(*block, sep="\n", flush=True)
             last[:] = block

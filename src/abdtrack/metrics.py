@@ -62,9 +62,10 @@ def _by_frame(tracks: TrackBoxes) -> dict[int, dict[int, BBox2D]]:
 def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalReport:
     """Score a hypothesis track set against ground truth.
 
-    Raises ValueError unless 0 < match_iou <= 1, and when the hypothesis
+    Raises ValueError unless 0 < match_iou <= 1, when the hypothesis
     claims frames outside the ground-truth frame range, which an empty
-    ground truth leaves empty.
+    ground truth leaves empty, and when a ground-truth track has no box:
+    it would count as both mostly tracked and mostly lost.
     """
     check_match_iou(match_iou)
     gt_at = _by_frame(gt)
@@ -78,6 +79,9 @@ def evaluate(gt: TrackBoxes, hyp: TrackBoxes, match_iou: float = 0.5) -> EvalRep
                 f"frame-range mismatch: hypothesis frames {sorted(outside)[:5]} "
                 f"outside ground-truth {where}"
             )
+    empty = sorted(g for g, boxes in gt.items() if not boxes)
+    if empty:
+        raise ValueError(f"ground-truth track {empty[0]} has no box")
 
     # gt id -> (hyp id, IoU) at the previous frame; one-to-one.
     prev_match: dict[int, tuple[int, float]] = {}

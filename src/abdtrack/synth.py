@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Detection
-from .geometry import DEFAULT_FRAME_GEOM, BBox2D, TrackBoxes, iou
+from .geometry import DEFAULT_FRAME_GEOM, BBox2D, TrackBoxes, iou, proper_part
 
 __all__ = [
     "OcclusionScript",
@@ -244,13 +244,10 @@ def make_occlusion_scenario(
         boxes.append((bx, by, bw, bh))
         vels.append((float(rng.uniform(-1.0, 1.0)), 0.0))
 
+    occluder = BBox2D(occ_x, occ_y, occ_w, occ_h)
     hidden_frames = [
-        f
-        for f in range(n_frames)
-        if occ_x < tgt_x0 + speed * f
-        and tgt_x0 + speed * f + tgt_w < occ_x + occ_w
-        and occ_y < tgt_y
-        and tgt_y + tgt_h < occ_y + occ_h
+        f for f in range(n_frames)
+        if proper_part(BBox2D(tgt_x0 + speed * f, tgt_y, tgt_w, tgt_h), occluder)
     ]
     occlusions: tuple[OcclusionScript, ...] = ()
     if hidden_frames:

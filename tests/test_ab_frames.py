@@ -13,8 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # The work counts of work_counts.counting, in the order the tool prints them.
-COUNTS = ["pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible",
-          "occurrences", "store_copies"]
+COUNTS = ["pushes", "searches", "searches_found", "visits", "rows", "edges", "link_events",
+          "possible", "occurrences", "store_copies"]
 
 
 def _ab_frames(*args):
@@ -27,7 +27,7 @@ def _ab_frames(*args):
 def _counts(line):
     """The work counts of a side's row (ints) or of the B/A row (its
     cells), by name."""
-    cells = line.split()[9:18]
+    cells = line.split()[9:9 + len(COUNTS)]
     return dict(zip(COUNTS, cells if line.startswith("B/A") else map(int, cells)))
 
 
@@ -80,19 +80,19 @@ def test_same_tree_both_sides():
         assert 0 < write_mb < 10
         c = _counts(side)
         # an occlusion scene's matchings need no path search
-        assert c["pushes"] == c["searches"] == c["searches_found"] == 0
+        assert c["pushes"] == c["searches"] == c["searches_found"] == c["visits"] == 0
         assert 0 < c["rows"] <= c["edges"]
         assert 0 < c["link_events"] <= c["possible"] and 0 < c["occurrences"] <= c["link_events"]
         assert 0 < c["store_copies"] <= frames  # at most one per step
     assert _counts(lines[2]) == _counts(lines[3])  # the same tree's work
     cells = lines[4].split()[1:]
-    assert len(cells) == 17
+    assert len(cells) == 8 + len(COUNTS)
     ratios = list(map(float, cells[:8]))
     assert all(r > 0 for r in ratios)
     assert ratios[0] == 1  # the same tree's steps
     assert abs(ratios[6] - 1) <= 0.02  # the same tree's write peaks
     # a count that A reads as 0 has no ratio
-    assert cells[8:] == ["-", "-", "-", *["1.000"] * 6]
+    assert cells[8:] == ["-", "-", "-", "-", *["1.000"] * 6]
     # the scene's static occluder and jitter-free boxes repeat coordinates
     a, b = _repeats(lines[6])
     assert a == b and 0 < a[0] < a[1] and a[1] % 4 == 0
@@ -221,10 +221,10 @@ def test_bench_workload_with_tracks():
     assert lines[0] == (
         "bench at 20 tracks, seed 0: 1 jobs, 30 frames, least of 1 passes per frame and phase"
     )
-    assert lines[1].split()[-10:] == [*COUNTS, "tree"]
+    assert lines[1].split()[-len(COUNTS) - 1:] == [*COUNTS, "tree"]
     a, b = _counts(lines[2]), _counts(lines[3])
     # the crowded stream's matchings need path searches
-    assert a == b and a["searches_found"] <= a["searches"]
+    assert a == b and a["searches_found"] <= a["searches"] <= a["visits"]
     assert all(a[name] > 0 for name in COUNTS if name != "searches_found")
     assert _counts(lines[4]) == {
         name: "-" if a[name] == 0 else "1.000" for name in COUNTS

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, Thresholds
+from abdtrack import AbductionEngine, BBox2D, Detection, EngineConfig, Thresholds, anticipation
 from abdtrack.anticipation import (
     Anticipation,
     TrackView,
@@ -12,6 +12,7 @@ from abdtrack.anticipation import (
     format_anticipation,
     format_position,
     format_warning,
+    frame_block,
     interpolated_position,
     warnings,
 )
@@ -205,22 +206,29 @@ class TestWarnings:
         assert warnings([a], 100, self.GEOM, 20) == []
 
 
+def hidden_car_engine(n_frames=14, geom=(400.0, 300.0)):
+    """An engine stepped over frames 0..n_frames-1 of a scene: a car drives
+    behind a static occluder, unseen from frame 10, and in frame 13 a
+    pedestrian (a class the hidden car cannot resume on) starts."""
+    eng = AbductionEngine(EngineConfig(thresholds=Thresholds(), frame_geom=geom))
+    occluder = BBox2D(150, 80, 120, 100)
+    for f in range(n_frames):
+        x = 60.0 + 8 * f
+        dets = [Detection(0, "car", 99, occluder)]
+        if f < 10:
+            dets.append(Detection(1, "car", 99, BBox2D(x, 120, 30, 24)))
+        if f == 13:
+            dets.append(Detection(1, "pedestrian", 99, BBox2D(10, 200, 20, 20)))
+        eng.step(f, dets)
+    return eng
+
+
 class TestEngineIntegration:
     def test_hidden_track_is_anticipated(self):
-        """A pedestrian (a class the hidden car cannot resume on) starts in
-        the last frame, while the car is hidden: the views are exactly the
-        hidden pair's tracks, each at its prediction in the last spec."""
-        geom = (400.0, 300.0)
-        eng = AbductionEngine(EngineConfig(thresholds=Thresholds(), frame_geom=geom))
-        occluder = BBox2D(150, 80, 120, 100)
-        for f in range(14):
-            x = 60.0 + 8 * f
-            dets = [Detection(0, "car", 99, occluder)]
-            if f < 10:
-                dets.append(Detection(1, "car", 99, BBox2D(x, 120, 30, 24)))
-            if f == 13:
-                dets.append(Detection(1, "pedestrian", 99, BBox2D(10, 200, 20, 20)))
-            eng.step(f, dets)
+        """The pedestrian starts while the car is hidden: the views are
+        exactly the hidden pair's tracks, each at its prediction in the
+        last spec."""
+        eng = hidden_car_engine()
         views, hidden = engine_views(eng)
         assert len(hidden) == 1
         (t1, t2) = next(iter(hidden))
@@ -235,6 +243,33 @@ class TestEngineIntegration:
         assert len(ants) == 1
         assert ants[0].frame > 13
         assert ants[0].position == interpolated_position(views[t1], 13, ants[0].frame)
+
+    def test_frame_block_is_the_parts_in_order(self):
+        # on this frame size the car exits into the ego corridor: a warning
+        eng = hidden_car_engine(geom=(600.0, 240.0))
+        th = eng.config.thresholds
+        ants = anticipate_unhide(*engine_views(eng), 13, horizon=th.anticipation_horizon)
+        warns = warnings(ants, 13, eng.config.frame_geom, th.anticipation_threshold)
+        assert len(ants) == len(warns) == 1
+        assert frame_block(eng, 13) == [
+            format_anticipation(ants[0]), format_position(ants[0]), format_warning(warns[0]),
+        ]
+
+    def test_frame_block_looks_its_queries_up_on_the_module(self, monkeypatch):
+        # perfbench's tracer times the three by wrapping them on the module
+        calls = []
+        for name in ("engine_views", "anticipate_unhide", "warnings"):
+            def wrapper(*args, _fn=getattr(anticipation, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(anticipation, name, wrapper)
+        assert frame_block(hidden_car_engine(), 13)
+        assert calls == ["engine_views", "anticipate_unhide", "warnings"]
+
+    def test_frame_block_without_a_hidden_pair_is_empty(self):
+        eng = hidden_car_engine(n_frames=5)
+        assert engine_views(eng) == ({}, set())
+        assert frame_block(eng, 4) == []
 
     def test_serialization_grammar(self):
         a = Anticipation(track=41, occluder=3, frame=202, position=(738.4, 494.6))

@@ -89,6 +89,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"frame-range mismatch: hypothesis frames \[1\]"):
             evaluate(gt, {5: {1: BBox2D(0, 0, 10, 10)}})
 
+    @pytest.mark.parametrize("gt, hyp", [
+        ({1: {}}, {}),
+        ({1: {}, 2: {1: BBox2D(0, 0, 10, 10)}}, {5: {1: BBox2D(0, 0, 10, 10)}}),
+    ])
+    def test_ground_truth_track_without_a_box_rejected(self, gt, hyp):
+        # it would count as both mostly tracked and mostly lost
+        with pytest.raises(ValueError, match="ground-truth track 1 has no box"):
+            evaluate(gt, hyp)
+
     def test_both_empty(self):
         r = evaluate({}, {})
         assert r.fp == r.fn == r.idsw == r.num_gt_boxes == 0

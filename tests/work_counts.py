@@ -5,17 +5,19 @@ for them.  ``tools/ab_frames.py`` counts each side's engine with the same
 :func:`counting`, given that side's copy of the package.
 
 Per stream, :func:`counting` counts the matcher's heap pushes
-(``heappush``), the tie-break's alternating-path searches (``_cover``)
-and those of them that find a path, the rows and edges of each matching
-solved (``linear_sum_assignment``), the calls that link an action to
-its events (``link_events``) and test an event's preconditions
-(``possible``), the event occurrences that :mod:`abdtrack.abduction`
-builds (``occurrences``, its ``EventOccurrence`` calls) and the copies
-of the fluent store (``store_copies``, ``FluentStore.copy``, wrapped on
-the class).  Counts are the same on every machine, load and hash
-seed, so ``golden/work_counts.json`` locks them as the goldens lock the
-outputs, and a change of the engine's work shows in that file's diff.
-The streams: the 6-frame scaling stream at 200 and 400 tracks (the
+(``heappush``), the tie-break's alternating-path searches (``_cover``),
+those of them that find a path and the vertices they expand (``visits``,
+the reads of the adjacency lists ``_cover`` is given), the rows and
+edges of each matching solved (``linear_sum_assignment``), the calls
+that link an action to its events (``link_events``) and test an event's
+preconditions (``possible``), the event occurrences that
+:mod:`abdtrack.abduction` builds (``occurrences``, its
+``EventOccurrence`` calls) and the copies of the fluent store
+(``store_copies``, ``FluentStore.copy``, wrapped on the class).  Counts
+are the same on every machine, load and hash seed, so
+``golden/work_counts.json`` locks them as the goldens lock the outputs,
+and a change of the engine's work shows in that file's diff.  The
+streams: the 6-frame scaling stream at 200 and 400 tracks (the
 ``bench_frames`` fixture's), the 2001 x 400 block of
 :func:`large_block_spec`, the tied-resume frame of
 :func:`tied_resume_counts` and, counted by ``test_golden.py``, the
@@ -51,13 +53,13 @@ TIED_TRACKS = 100
 @contextlib.contextmanager
 def counting(package: ModuleType = abdtrack) -> Iterator[dict[str, int]]:
     """Count, while the block runs, in the engine of ``package`` (a copy
-    of ``abdtrack``), ``pushes``, ``searches`` and ``searches_found``, the
-    matchings' ``rows`` and ``edges``, the ``link_events`` and
-    ``possible`` calls, the ``occurrences`` built and the
-    ``store_copies``."""
+    of ``abdtrack``), ``pushes``, ``searches``, ``searches_found`` and
+    their ``visits``, the matchings' ``rows`` and ``edges``, the
+    ``link_events`` and ``possible`` calls, the ``occurrences`` built and
+    the ``store_copies``."""
     counts = dict.fromkeys(
-        ("pushes", "searches", "searches_found", "rows", "edges", "link_events", "possible",
-         "occurrences", "store_copies"), 0
+        ("pushes", "searches", "searches_found", "visits", "rows", "edges", "link_events",
+         "possible", "occurrences", "store_copies"), 0
     )
     abduction, store = package.abduction, package.domain.FluentStore
     push, cover, matcher = abduction.heappush, abduction._cover, abduction.linear_sum_assignment
@@ -68,8 +70,19 @@ def counting(package: ModuleType = abdtrack) -> Iterator[dict[str, int]]:
         counts["pushes"] += 1
         push(heap, item)
 
-    def counted_cover(*args):
-        found = cover(*args)
+    class Visits:
+        """A view of ``_cover``'s adjacency lists that counts each read:
+        each vertex the search expands."""
+
+        def __init__(self, adj):
+            self.adj = adj
+
+        def __getitem__(self, x):
+            counts["visits"] += 1
+            return self.adj[x]
+
+    def counted_cover(start, i, from_row, adj, *args):
+        found = cover(start, i, from_row, Visits(adj), *args)
         counts["searches"] += 1
         counts["searches_found"] += found
         return found

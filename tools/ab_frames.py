@@ -21,41 +21,46 @@ frame while a track is live.  Each side runs a job as perfbench's
 ``finalize`` and the three writers (the write phase, in memory: no file
 is written) and ``metrics.evaluate`` against the ground truth, which
 ``io.parse_mot_tracks`` reads before the job, untimed (the scoring
-phase).  On occlusion, each frame's time also holds the worker's
-anticipation block, run after ``step`` with the side's own
-``anticipation`` module, and the two sides' anticipation lines are
-compared too.
+phase).  On occlusion, each frame's time also holds the side's own
+``anticipation.frame_block``, the block perfbench's worker builds after
+``step``, and the two sides' anticipation lines are compared too; a tree
+without ``frame_block`` can run only churn and bench.
 
 Every pass runs each job on both sides, and which side goes first
 alternates from job to job and from pass to pass.  A frame's time is its
 ``step`` call's least over the passes, and so is each phase's time in a
-job.  The output gives each side's number of steps (its engines'
-latency records, summed over the jobs: the frames, plus any frames a
-job skips that the engine steps), median frame time (p50), frames/s
-over the steps alone (frames over the sum of the least frame times), the
-three phases' least times summed over the jobs, the write phase's
-traced peak, frames/s with the phases included, as perfbench's
-``frames_per_s`` counts them, and the engine's work over the jobs'
-steps, the nine counts that ``tests/golden/work_counts.json`` locks:
-heap pushes, ``_cover`` searches and those that find a path, matching
+job.  The objects of the set-up, the jobs' streams and both sides'
+modules, are frozen out of the cyclic garbage collector before the
+first pass, so that no pass pays a full collection over them.
+
+The output gives each side's number of steps (its engines' latency
+records, summed over the jobs: the frames, plus any frames a job skips
+that the engine steps), median frame time (p50), frames/s over the steps
+alone (frames over the sum of the least frame times), the three phases'
+least times summed over the jobs, the write phase's traced peak,
+frames/s with the phases included, as perfbench's ``frames_per_s``
+counts them, and the engine's work over the jobs' steps, the ten counts
+that ``tests/golden/work_counts.json`` locks: heap pushes, ``_cover``
+searches, those that find a path and the vertices they expand, matching
 rows and edges, ``link_events`` and ``possible`` calls, the event
 occurrences its ``abduction`` module builds and its copies of the fluent
 store; then the ratio B/A of each, ``-`` where A's count is 0; then a
 noise gauge, each side's job frames/s in its slowest and its fastest
 pass (the pass's frame and phase times summed over the jobs), since a
 least time taken over few passes can swing far from run to run; each
-side's written box coordinates whose text can be the previous entry's
-in their track, "N of M (p%)": equal plain floats in two boxes of four,
-and not a zero ``x`` or ``y`` (``io._box_text``'s rule); and whether the
-two sides' event logs, track files, reports, scores (``evaluate``'s report as a
-dict) and, on occlusion, anticipation lines are equal.  The exit status is 1 if any of them differ.  The write
-peak, the counts and the reusable coordinates come from one more,
-untimed pass per side after the timed ones, so that the timed passes pay
-nothing for them: the coordinates are read from its explanation, the work is
-counted over its steps by tier-1's counter, ``tests/work_counts.py``'s
-``counting``, given the side's package, and ``tracemalloc`` runs from
-``finalize`` through the three writers, whose peak is the largest
-of the jobs' (MB of 2**20 bytes, as perfbench's ``peak_rss_mb``).
+side's written box coordinates whose text can be the previous entry's in
+their track, "N of M (p%)": equal plain floats in two boxes of four, and
+not a zero ``x`` or ``y`` (``io._box_text``'s rule); and whether the two
+sides' event logs, track files, reports, scores (``evaluate``'s report
+as a dict) and, on occlusion, anticipation lines are equal.  The exit
+status is 1 if any of them differ.  The write peak, the counts and the
+reusable coordinates come from one more, untimed pass per side after the
+timed ones, so that the timed passes pay nothing for them: the
+coordinates are read from its explanation, the work is counted over its
+steps by tier-1's counter, ``tests/work_counts.py``'s ``counting``,
+given the side's package, and ``tracemalloc`` runs from ``finalize``
+through the three writers, whose peak is the largest of the jobs' (MB of
+2**20 bytes, as perfbench's ``peak_rss_mb``).
 
 The machine's load moves single runs of the whole benchmark by more than
 the change a perf PR makes; two versions interleaved in one process see
@@ -79,6 +84,7 @@ pairs in which B took less time than A.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import os
 import shutil
@@ -132,20 +138,6 @@ PHASES = ("parse", "write", "score")
 OUTPUTS = ("event logs", "track files", "reports", "scores", "anticipation lines")
 
 
-def _anticipate(package, engine, frame: int, out: list[str]) -> None:
-    """The per-frame anticipation block of perfbench's ``worker.py``, with
-    the side's own ``anticipation`` module; appends its lines to ``out``."""
-    ant = package.anticipation
-    th = engine.config.thresholds
-    views, hidden = ant.engine_views(engine)
-    ants = ant.anticipate_unhide(views, hidden, frame, horizon=th.anticipation_horizon)
-    warns = ant.warnings(ants, frame, engine.config.frame_geom, th.anticipation_threshold)
-    for a in ants:
-        out.append(ant.format_anticipation(a))
-        out.append(ant.format_position(a))
-    out.extend(ant.format_warning(w) for w in warns)
-
-
 def _run(package, text: str, gt_text: str, times: list[float], phases: list[float],
          anticipate: bool):
     """Run one job on one side, with the anticipation block in each frame
@@ -167,7 +159,7 @@ def _run(package, text: str, gt_text: str, times: list[float], phases: list[floa
         t0 = clock()
         engine.step(frame, dets)
         if anticipate:
-            _anticipate(package, engine, frame, ant_lines)
+            ant_lines += package.anticipation.frame_block(engine, frame)
         dt = clock() - t0
         busy += dt
         if dt < times[i]:
@@ -237,6 +229,12 @@ def compare(packages: list, jobs: list[tuple[str, str]], passes: int, anticipate
     outputs: list[list[tuple]] = [[()] * len(jobs) for _ in packages]
     steps = [[0] * len(jobs) for _ in packages]
     pass_ns = [[0] * passes for _ in packages]
+    # A full collection walks every object the collector tracks, the
+    # set-up's (the jobs' streams, both sides' modules) too: tens of ms,
+    # charged to whichever side's phase sets it off.  Frozen, they are
+    # left out of every collection in the passes.
+    gc.collect()
+    gc.freeze()
     for p in range(passes):
         for j, (text, gt_text) in enumerate(jobs):
             order = (0, 1) if (p + j) % 2 == 0 else (1, 0)
